@@ -3,8 +3,8 @@
 After substituting s = T - t the adjoint equation
     eps * lam_tt - sigma * lam_t - lap(lam) = 0,   lam(T) = lam_t(T) = 0
 turns into the forward damped-wave scheme in s with zero initial data, so
-the solve reuses the forward stepping kernel with reversed boundary
-programs:
+the solve steps through the forward Leapfrog operator with reversed
+boundary programs:
 
   * observation sides get the Neumann ghost source -residual(T - s);
   * sides that were absorbing in the forward problem at time t = T - s
@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import BoundaryTrace, CoefficientField, FieldKind, SpaceTimeField
-from .forward import BcConfig, BcKind, SideProgram, SourceSpec, discrete_energy, run_leapfrog
+from .forward import (
+    BcConfig, BcKind, Leapfrog, SideProgram, SourceSpec, discrete_energy, run_leapfrog,
+)
 from .grid import ALL_SIDES, Grid2D, Side, area_weights
 from .objective import trace_norm_sq
 
@@ -64,7 +66,7 @@ def solve_adjoint(
     if residual.grid.nt != grid.nt or residual.grid.node_shape != grid.node_shape:
         raise ValueError("residual trace does not match the grid")
     programs = build_adjoint_programs(grid, src, bc, residual)
-    reversed_snaps = run_leapfrog(grid, eps, sigma, programs)
+    reversed_snaps = run_leapfrog(Leapfrog(grid, eps, sigma, programs))
     return SpaceTimeField(grid=grid, snapshots=reversed_snaps[::-1], kind=FieldKind.ADJOINT)
 
 

@@ -110,10 +110,7 @@ def cmd_synthesize(cfg: RunConfig, out: Path, quiet: bool) -> int:
 
 
 def _inversion_problem(cfg: RunConfig) -> tuple[InverseProblem, object]:
-    grid, adm, mask, *_ = _forward_setup(cfg)
-    src = cfgmod.make_source(cfg)
-    bc = cfgmod.make_bc(cfg)
-    sides = cfgmod.observation_sides(cfg)
+    grid, adm, mask, eps_t, sigma_t, src, bc, sides = _forward_setup(cfg)
     obs_path = cfg.get("observation", "file")
     if not obs_path:
         raise ConfigError("key observation.file: required for inversion commands")
@@ -128,15 +125,13 @@ def _inversion_problem(cfg: RunConfig) -> tuple[InverseProblem, object]:
         )
     eps_init = cfgmod.make_coefficient(cfg, "initial.eps", grid, Role.EPSILON)
     sigma_init = cfgmod.make_coefficient(cfg, "initial.sigma", grid, Role.SIGMA)
-    eps_true = sigma_true = None
-    if "truth.eps" in cfg.declared and "truth.sigma" in cfg.declared:
-        eps_true = cfgmod.make_coefficient(cfg, "truth.eps", grid, Role.EPSILON)
-        sigma_true = cfgmod.make_coefficient(cfg, "truth.sigma", grid, Role.SIGMA)
+    have_truth = "truth.eps" in cfg.declared and "truth.sigma" in cfg.declared
     reg = cfgmod.make_regularization(cfg, eps_init, sigma_init)
     problem = InverseProblem(
         grid=grid, mask=mask, adm=adm, src=src, bc=bc, obs=obs, reg=reg,
         eps_init=eps_init, sigma_init=sigma_init,
-        eps_true=eps_true, sigma_true=sigma_true,
+        eps_true=eps_t if have_truth else None,
+        sigma_true=sigma_t if have_truth else None,
         alpha_max=cfg.get("cga", "alpha_max"),
         beta_max=cfg.get("cga", "beta_max"),
     )
@@ -223,9 +218,6 @@ def cmd_grad_check(cfg: RunConfig, out: Path, quiet: bool) -> int:
     g_eps, g_sigma = assemble_gradients(
         E, lam, eps_e, sigma_e, reg, gamma_eps, gamma_sigma, mask
     )
-    if cfg.get("gradcheck", "negate_adjoint"):
-        g_eps = g_eps.with_values(-g_eps.values)
-        g_sigma = g_sigma.with_values(-g_sigma.values)
 
     nodes_raw = cfg.get("gradcheck", "nodes").strip()
     if nodes_raw:

@@ -154,7 +154,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "h_fd": (float, 1e-3),
         "seed": (int, 7),
         "tol": (float, 5e-2),
-        "negate_adjoint": (bool, False),  # test hook for the failure path
     },
     "output": {
         "dir": (str, "out"),

@@ -18,11 +18,13 @@ of ghost nodes:
 
 The first step is the Taylor start
     E^1 = E^0 + dt f1 + dt^2/(2 eps) (lap_h E^0 - sigma f1 + f^0),
-which keeps second-order accuracy for nonzero initial data.
+which keeps second-order accuracy for nonzero initial data; its absorbing
+ghost takes E^0 - dt f1 as the previous level.
 
-The same stepping kernel also runs the adjoint problem: after reversing
-time the adjoint equation has exactly this form, so the adjoint module
-only builds different per-side boundary programs.
+Leapfrog holds this update once.  The forward solve, the Lagrangian's
+defect and the adjoint solve all step through it: after reversing time the
+adjoint equation has exactly this form, so the adjoint module only builds
+different per-side boundary programs.
 """
 
 from __future__ import annotations
@@ -172,61 +174,6 @@ def _nodal(grid: Grid2D, data: Callable | np.ndarray | None) -> np.ndarray:
     return arr.copy()
 
 
-def _forcing_at(
-    grid: Grid2D, forcing: Callable | np.ndarray | None, n: int, XY=None
-) -> np.ndarray | float:
-    if forcing is None:
-        return 0.0
-    if isinstance(forcing, np.ndarray):
-        return forcing[n]
-    X, Y = XY
-    return np.asarray(forcing(X, Y, n * grid.dt), dtype=np.float64)
-
-
-def _laplacian(
-    grid: Grid2D,
-    cur: np.ndarray,
-    prev_b: dict[Side, np.ndarray],
-    programs: Mapping[Side, SideProgram],
-    n: int,
-) -> np.ndarray:
-    """5-point Laplacian of the current snapshot with ghost-node closures.
-
-    prev_b holds the previous-level boundary values (or initial velocity
-    times dt at the Taylor start) needed by the absorbing ghost.
-    """
-    h, dt = grid.h, grid.dt
-    P = np.zeros((grid.nx + 3, grid.ny + 3))
-    P[1:-1, 1:-1] = cur
-
-    def ghost(side: Side, mirror: np.ndarray, cur_b: np.ndarray) -> np.ndarray:
-        prog = programs[side]
-        g = mirror.copy()
-        if prog.series is not None:
-            g += 2.0 * h * prog.series[n]
-        if prog.absorbing[n]:
-            g -= 2.0 * h * (cur_b - prev_b[side]) / dt
-        return g
-
-    P[0, 1:-1] = ghost(Side.LEFT, cur[1, :], cur[0, :])
-    P[-1, 1:-1] = ghost(Side.RIGHT, cur[-2, :], cur[-1, :])
-    P[1:-1, 0] = ghost(Side.BOTTOM, cur[:, 1], cur[:, 0])
-    P[1:-1, -1] = ghost(Side.TOP, cur[:, -2], cur[:, -1])
-
-    return (
-        P[2:, 1:-1] + P[:-2, 1:-1] + P[1:-1, 2:] + P[1:-1, :-2] - 4.0 * P[1:-1, 1:-1]
-    ) / (h * h)
-
-
-def _boundary_values(grid: Grid2D, arr: np.ndarray) -> dict[Side, np.ndarray]:
-    return {
-        Side.LEFT: arr[0, :].copy(),
-        Side.RIGHT: arr[-1, :].copy(),
-        Side.BOTTOM: arr[:, 0].copy(),
-        Side.TOP: arr[:, -1].copy(),
-    }
-
-
 def check_cfl(grid: Grid2D, eps: CoefficientField) -> None:
     eps_min = float(eps.values.min())
     if eps_min <= 0.0:
@@ -239,76 +186,100 @@ def check_cfl(grid: Grid2D, eps: CoefficientField) -> None:
         )
 
 
-def predict_step(
-    grid: Grid2D,
-    eps_v: np.ndarray,
-    sig_v: np.ndarray,
-    cur: np.ndarray,
-    prev: np.ndarray,
-    programs: Mapping[Side, SideProgram],
-    n: int,
-    f_n: np.ndarray | float,
-) -> np.ndarray:
-    """One leapfrog update: snapshots (n-1, n) -> n+1.  Shared by the solver
-    and by the Lagrangian's discrete-residual evaluation."""
-    dt = grid.dt
-    lap = _laplacian(grid, cur, _boundary_values(grid, prev), programs, n)
-    a_plus = eps_v / dt**2 + sig_v / (2.0 * dt)
-    a_mid = 2.0 * eps_v / dt**2
-    a_minus = eps_v / dt**2 - sig_v / (2.0 * dt)
-    return (a_mid * cur - a_minus * prev + lap + f_n) / a_plus
+class Leapfrog:
+    """The discrete state operator: one leapfrog update and its Taylor start.
 
+    Built once per (grid, eps, sigma, side programs, forcing), it holds the
+    update coefficients, the four ghost slots of one reusable ghost-padded
+    buffer and the forcing lookup.  The forward solve, the adjoint solve and
+    the Lagrangian's defect all step through it, so each expression of the
+    scheme is written once.  The padded buffer makes an instance
+    non-reentrant.
+    """
 
-def predict_first_step(
-    grid: Grid2D,
-    eps_v: np.ndarray,
-    sig_v: np.ndarray,
-    e0: np.ndarray,
-    f1_v: np.ndarray,
-    programs: Mapping[Side, SideProgram],
-    f_0: np.ndarray | float,
-) -> np.ndarray:
-    """Taylor start producing E^1; the absorbing ghost uses the initial
-    velocity f1 in place of the undefined backward difference."""
-    dt = grid.dt
-    e0_b = _boundary_values(grid, e0)
-    f1_b = _boundary_values(grid, f1_v)
-    prev_b = {s: e0_b[s] - dt * f1_b[s] for s in e0_b}
-    lap0 = _laplacian(grid, e0, prev_b, programs, 0)
-    return e0 + dt * f1_v + dt**2 / (2.0 * eps_v) * (lap0 - sig_v * f1_v + f_0)
+    def __init__(
+        self,
+        grid: Grid2D,
+        eps: CoefficientField,
+        sigma: CoefficientField,
+        programs: Mapping[Side, SideProgram],
+        forcing: Callable | np.ndarray | None = None,
+    ) -> None:
+        self.grid, self.eps, self.sigma = grid, eps, sigma
+        dt = grid.dt
+        eps_v, sig_v = eps.values, sigma.values
+        self.a_plus = eps_v / dt**2 + sig_v / (2.0 * dt)
+        self.a_mid = 2.0 * eps_v / dt**2
+        self.a_minus = eps_v / dt**2 - sig_v / (2.0 * dt)
+        self._pad = P = np.zeros((grid.nx + 3, grid.ny + 3))
+        # (ghost row of the buffer, mirror row, boundary row, absorbing switch,
+        # Neumann flux term 2 h g) per side
+        self._ghosts = [
+            (ghost, mirror, edge, programs[side].absorbing,
+             None if programs[side].series is None else 2.0 * grid.h * programs[side].series)
+            for side, ghost, mirror, edge in (
+                (Side.LEFT, P[0, 1:-1], np.s_[1, :], np.s_[0, :]),
+                (Side.RIGHT, P[-1, 1:-1], np.s_[-2, :], np.s_[-1, :]),
+                (Side.BOTTOM, P[1:-1, 0], np.s_[:, 1], np.s_[:, 0]),
+                (Side.TOP, P[1:-1, -1], np.s_[:, -2], np.s_[:, -1]),
+            )
+        ]
+        if forcing is None:
+            self.forcing = lambda n: 0.0
+        elif isinstance(forcing, np.ndarray):
+            self.forcing = forcing.__getitem__
+        else:
+            X, Y = grid.meshgrid()
+            self.forcing = lambda n: np.asarray(forcing(X, Y, n * dt), dtype=np.float64)
+
+    def laplacian(self, cur: np.ndarray, prev: np.ndarray, n: int) -> np.ndarray:
+        """5-point Laplacian of snapshot n with the ghost-node closures; prev
+        supplies the previous-level boundary values for the absorbing ghost."""
+        h, dt = self.grid.h, self.grid.dt
+        P = self._pad
+        P[1:-1, 1:-1] = cur
+        for ghost, mirror, edge, absorbing, flux in self._ghosts:
+            ghost[...] = cur[mirror]
+            if flux is not None:
+                ghost += flux[n]
+            if absorbing[n]:
+                ghost -= 2.0 * h * (cur[edge] - prev[edge]) / dt
+        return (
+            P[2:, 1:-1] + P[:-2, 1:-1] + P[1:-1, 2:] + P[1:-1, :-2] - 4.0 * P[1:-1, 1:-1]
+        ) / (h * h)
+
+    def step(self, cur: np.ndarray, prev: np.ndarray, n: int) -> np.ndarray:
+        """One leapfrog update: snapshots (n-1, n) -> n+1."""
+        lap = self.laplacian(cur, prev, n)
+        return (self.a_mid * cur - self.a_minus * prev + lap + self.forcing(n)) / self.a_plus
+
+    def first_step(self, e0: np.ndarray, f1_v: np.ndarray) -> np.ndarray:
+        """Taylor start producing E^1; the absorbing ghost takes e0 - dt f1 as
+        the previous level in place of the undefined backward difference."""
+        dt = self.grid.dt
+        lap0 = self.laplacian(e0, e0 - dt * f1_v, 0)
+        return e0 + dt * f1_v + dt**2 / (2.0 * self.eps.values) * (
+            lap0 - self.sigma.values * f1_v + self.forcing(0)
+        )
 
 
 def run_leapfrog(
-    grid: Grid2D,
-    eps: CoefficientField,
-    sigma: CoefficientField,
-    programs: Mapping[Side, SideProgram],
-    forcing: Callable | np.ndarray | None = None,
+    op: Leapfrog,
     f0: Callable | np.ndarray | None = None,
     f1: Callable | np.ndarray | None = None,
 ) -> np.ndarray:
     """Time-step the damped wave scheme and return all nt+1 snapshots."""
-    check_cfl(grid, eps)
-    sig_min = float(sigma.values.min())
-    if sig_min < 0.0:
+    grid = op.grid
+    check_cfl(grid, op.eps)
+    if float(op.sigma.values.min()) < 0.0:
         raise StabilityError("conductivity must be >= 0")
-    eps_v = eps.values
-    sig_v = sigma.values
-
-    XY = grid.meshgrid() if callable(forcing) else None
     out = np.empty((grid.nt + 1, *grid.node_shape))
     out[0] = _nodal(grid, f0)
-    f1_v = _nodal(grid, f1)
-    out[1] = predict_first_step(
-        grid, eps_v, sig_v, out[0], f1_v, programs, _forcing_at(grid, forcing, 0, XY)
-    )
+    out[1] = op.first_step(out[0], _nodal(grid, f1))
     if not np.isfinite(out[:2]).all():
         raise StabilityError("non-finite field values at start-up")
     for n in range(1, grid.nt):
-        out[n + 1] = predict_step(
-            grid, eps_v, sig_v, out[n], out[n - 1], programs, n,
-            _forcing_at(grid, forcing, n, XY),
-        )
+        out[n + 1] = op.step(out[n], out[n - 1], n)
         if not np.isfinite(out[n + 1]).all():
             raise StabilityError(f"non-finite field values at step {n + 1}")
     return out
@@ -322,11 +293,8 @@ def solve_forward(
     bc: BcConfig,
 ) -> SpaceTimeField:
     """Solve the forward problem and return the full snapshot stack."""
-    programs = build_forward_programs(grid, src, bc)
-    snaps = run_leapfrog(
-        grid, eps, sigma, programs,
-        forcing=src.volume_forcing, f0=src.f0, f1=src.f1,
-    )
+    op = Leapfrog(grid, eps, sigma, build_forward_programs(grid, src, bc), src.volume_forcing)
+    snaps = run_leapfrog(op, src.f0, src.f1)
     return SpaceTimeField(grid=grid, snapshots=snaps, kind=FieldKind.STATE)
 
 

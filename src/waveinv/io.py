@@ -35,7 +35,8 @@ def write_trace_csv(trace: BoundaryTrace, path: str | Path) -> None:
 
 
 def read_trace_csv(path: str | Path, grid: Grid2D) -> BoundaryTrace:
-    """Read a trace file back onto a grid, validating counts against it."""
+    """Read a trace file back onto a grid, validating its time levels and
+    counts against it."""
     per_side: dict[Side, dict[tuple[int, int], float]] = {}
     times_seen: set[float] = set()
     with open(path, newline="") as fh:
@@ -52,6 +53,12 @@ def read_trace_csv(path: str | Path, grid: Grid2D) -> BoundaryTrace:
         raise ValueError(
             f"{path}: {len(times_seen)} time levels, grid expects {grid.nt + 1}"
         )
+    times = grid.times()
+    for t in times_seen:
+        n = round(t / grid.dt)
+        if not (0 <= n <= grid.nt and abs(t - times[n]) <= 1e-8 * grid.dt):
+            raise ValueError(f"{path}: time {t!r} is not a time level of the grid "
+                             f"(dt = {grid.dt!r})")
     data = {}
     for side, entries in per_side.items():
         arr = np.empty((grid.nt + 1, grid.side_node_count(side)))

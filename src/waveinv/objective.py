@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import BoundaryTrace, CoefficientField, SpaceTimeField, extract_trace
-from .forward import BcConfig, SourceSpec, _forcing_at, _nodal, build_forward_programs, predict_first_step, predict_step
+from .forward import BcConfig, Leapfrog, SourceSpec, _nodal, build_forward_programs
 from .grid import Grid2D, area_weights, side_weights, time_weights
 
 
@@ -111,24 +111,12 @@ def forward_defect(
     for a field returned by solve_forward with matching inputs.
     """
     g = E.grid
-    programs = build_forward_programs(g, src, bc)
-    eps_v, sig_v = eps.values, sigma.values
-    XY = g.meshgrid() if callable(src.volume_forcing) else None
+    op = Leapfrog(g, eps, sigma, build_forward_programs(g, src, bc), src.volume_forcing)
     snaps = E.snapshots
     defect = np.empty((g.nt, *g.node_shape))
-    f1_v = _nodal(g, src.f1)
-    predicted1 = predict_first_step(
-        g, eps_v, sig_v, snaps[0], f1_v, programs, _forcing_at(g, src.volume_forcing, 0, XY)
-    )
-    a_start = 2.0 * eps_v / g.dt**2
-    defect[0] = a_start * (snaps[1] - predicted1)
-    a_plus = eps_v / g.dt**2 + sig_v / (2.0 * g.dt)
+    defect[0] = op.a_mid * (snaps[1] - op.first_step(snaps[0], _nodal(g, src.f1)))
     for n in range(1, g.nt):
-        predicted = predict_step(
-            g, eps_v, sig_v, snaps[n], snaps[n - 1], programs, n,
-            _forcing_at(g, src.volume_forcing, n, XY),
-        )
-        defect[n] = a_plus * (snaps[n + 1] - predicted)
+        defect[n] = op.a_plus * (snaps[n + 1] - op.step(snaps[n], snaps[n - 1], n))
     return defect
 
 
@@ -234,18 +222,23 @@ def error_metrics(
 
     e_eps = rel_pair(eps_m.values, eps_true.values)
     e_sigma = rel_pair(sigma_m.values, sigma_true.values)
-
-    num_l2 = float(np.sqrt(trace_norm_sq(sim_m - obs)))
-    den_l2 = float(np.sqrt(trace_norm_sq(sim_m)))
-    num_sup = (sim_m - obs).max_abs()
-    den_sup = sim_m.max_abs()
-    if den_l2 == 0.0 or den_sup == 0.0:
-        raise ValueError("simulated trace is zero; relative data error undefined")
+    e_E = data_errors(sim_m, obs)
     return ErrorMetrics(
         e_eps_l2=e_eps[0],
         e_eps_sup=e_eps[1],
         e_sigma_l2=e_sigma[0],
         e_sigma_sup=e_sigma[1],
-        e_E_l2=num_l2 / den_l2,
-        e_E_sup=num_sup / den_sup,
+        e_E_l2=e_E[0],
+        e_E_sup=e_E[1],
     )
+
+
+def data_errors(sim: BoundaryTrace, obs: BoundaryTrace) -> tuple[float, float]:
+    """Relative L2 and supremum misfit of a simulated trace."""
+    num_l2 = float(np.sqrt(trace_norm_sq(sim - obs)))
+    den_l2 = float(np.sqrt(trace_norm_sq(sim)))
+    num_sup = (sim - obs).max_abs()
+    den_sup = sim.max_abs()
+    if den_l2 == 0.0 or den_sup == 0.0:
+        raise ValueError("simulated trace is zero; relative data error undefined")
+    return num_l2 / den_l2, num_sup / den_sup

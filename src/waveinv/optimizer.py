@@ -40,12 +40,12 @@ from .gradient import assemble_gradients
 from .objective import (
     ErrorMetrics,
     RegularizationParams,
+    data_errors,
     error_metrics,
     field_dot,
     field_norm,
     spacetime_norm,
     tikhonov,
-    trace_norm_sq,
 )
 
 LOG_HEADER = (
@@ -161,18 +161,31 @@ def fletcher_reeves(g_norm: float, g_prev_norm: float) -> float:
 
 
 def _metrics(problem: InverseProblem, eps, sigma, sim) -> ErrorMetrics:
-    if problem.eps_true is None or problem.sigma_true is None:
-        nan = float("nan")
-        num = float(np.sqrt(trace_norm_sq(sim - problem.obs)))
-        den = float(np.sqrt(trace_norm_sq(sim)))
-        e_l2 = num / den if den > 0 else nan
-        num_s = (sim - problem.obs).max_abs()
-        den_s = sim.max_abs()
-        e_sup = num_s / den_s if den_s > 0 else nan
-        return ErrorMetrics(nan, nan, nan, nan, e_l2, e_sup)
-    return error_metrics(
-        eps, sigma, problem.eps_true, problem.sigma_true, sim, problem.obs
-    )
+    if problem.eps_true is not None and problem.sigma_true is not None:
+        return error_metrics(
+            eps, sigma, problem.eps_true, problem.sigma_true, sim, problem.obs
+        )
+    nan = float("nan")
+    try:
+        e_l2, e_sup = data_errors(sim, problem.obs)
+    except ValueError:  # zero simulated trace
+        e_l2 = e_sup = nan
+    return ErrorMetrics(nan, nan, nan, nan, e_l2, e_sup)
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """Functional value, adjoint size and gradients at one iterate."""
+
+    gamma_eps: float
+    gamma_sigma: float
+    F: float
+    sim: BoundaryTrace
+    lambda_norm: float
+    g_eps: CoefficientField
+    g_sigma: CoefficientField
+    g_eps_norm: float
+    g_sigma_norm: float
 
 
 def _evaluate(
@@ -181,7 +194,7 @@ def _evaluate(
     eps: CoefficientField,
     sigma: CoefficientField,
     E=None,
-) -> dict:
+) -> Evaluation:
     """Forward/adjoint solves and gradient assembly for one iterate."""
     gamma_eps, gamma_sigma = problem.reg.at_iteration(m)
     if E is None:
@@ -193,40 +206,62 @@ def _evaluate(
     g_eps, g_sigma = assemble_gradients(
         E, lam, eps, sigma, problem.reg, gamma_eps, gamma_sigma, problem.mask
     )
-    return {
-        "gamma": (gamma_eps, gamma_sigma),
-        "sim": sim,
-        "F": F,
-        "lambda_norm": spacetime_norm(lam),
-        "g_eps": g_eps,
-        "g_sigma": g_sigma,
-        "g_eps_norm": field_norm(g_eps.values, problem.grid),
-        "g_sigma_norm": field_norm(g_sigma.values, problem.grid),
-    }
+    return Evaluation(
+        gamma_eps=gamma_eps, gamma_sigma=gamma_sigma, F=F, sim=sim,
+        lambda_norm=spacetime_norm(lam), g_eps=g_eps, g_sigma=g_sigma,
+        g_eps_norm=field_norm(g_eps.values, problem.grid),
+        g_sigma_norm=field_norm(g_sigma.values, problem.grid),
+    )
+
+
+def _clamped_step(
+    problem: InverseProblem, g: CoefficientField, d: CoefficientField, gamma: float
+) -> float:
+    alpha = step_size(g, d, gamma, problem.grid)
+    return float(min(max(alpha, -problem.alpha_max), problem.alpha_max))
+
+
+def _cg_state(
+    problem: InverseProblem,
+    m: int,
+    eps: CoefficientField,
+    sigma: CoefficientField,
+    ev: Evaluation,
+    prev: CgState | None = None,
+    **outcome,
+) -> CgState:
+    """Directions and clamped step sizes for an evaluated iterate: steepest
+    descent at the start, Fletcher-Reeves after prev (restarting when either
+    ratio exceeds beta_max).  outcome holds the update's backtracks and norms."""
+    d_eps, d_sigma = -ev.g_eps.values, -ev.g_sigma.values
+    restarted = False
+    if prev is not None:
+        beta_eps = fletcher_reeves(ev.g_eps_norm, prev.g_eps_norm)
+        beta_sigma = fletcher_reeves(ev.g_sigma_norm, prev.g_sigma_norm)
+        restarted = beta_eps > problem.beta_max or beta_sigma > problem.beta_max
+        if restarted:
+            beta_eps = beta_sigma = 0.0
+        d_eps = d_eps + beta_eps * prev.d_eps.values
+        d_sigma = d_sigma + beta_sigma * prev.d_sigma.values
+    d_eps, d_sigma = ev.g_eps.with_values(d_eps), ev.g_sigma.with_values(d_sigma)
+    return CgState(
+        m=m, eps=eps, sigma=sigma,
+        g_eps=ev.g_eps, g_sigma=ev.g_sigma,
+        d_eps=d_eps, d_sigma=d_sigma,
+        alpha_eps=_clamped_step(problem, ev.g_eps, d_eps, ev.gamma_eps),
+        alpha_sigma=_clamped_step(problem, ev.g_sigma, d_sigma, ev.gamma_sigma),
+        gamma_eps=ev.gamma_eps, gamma_sigma=ev.gamma_sigma,
+        g_eps_norm=ev.g_eps_norm, g_sigma_norm=ev.g_sigma_norm,
+        F=ev.F, sim=ev.sim, lambda_norm=ev.lambda_norm,
+        restarted=restarted, **outcome,
+    )
 
 
 def init_state(problem: InverseProblem) -> CgState:
     """Evaluate the initial guesses and seed steepest-descent directions."""
     eps = project(problem.eps_init, problem.adm, problem.mask)
     sigma = project(problem.sigma_init, problem.adm, problem.mask)
-    ev = _evaluate(problem, 0, eps, sigma)
-    d_eps = ev["g_eps"].with_values(-ev["g_eps"].values)
-    d_sigma = ev["g_sigma"].with_values(-ev["g_sigma"].values)
-    a_e = _clamp(step_size(ev["g_eps"], d_eps, ev["gamma"][0], problem.grid), problem.alpha_max)
-    a_s = _clamp(step_size(ev["g_sigma"], d_sigma, ev["gamma"][1], problem.grid), problem.alpha_max)
-    return CgState(
-        m=0, eps=eps, sigma=sigma,
-        g_eps=ev["g_eps"], g_sigma=ev["g_sigma"],
-        d_eps=d_eps, d_sigma=d_sigma,
-        alpha_eps=a_e, alpha_sigma=a_s,
-        gamma_eps=ev["gamma"][0], gamma_sigma=ev["gamma"][1],
-        g_eps_norm=ev["g_eps_norm"], g_sigma_norm=ev["g_sigma_norm"],
-        F=ev["F"], sim=ev["sim"], lambda_norm=ev["lambda_norm"],
-    )
-
-
-def _clamp(alpha: float, alpha_max: float) -> float:
-    return float(min(max(alpha, -alpha_max), alpha_max))
+    return _cg_state(problem, 0, eps, sigma, _evaluate(problem, 0, eps, sigma))
 
 
 def _row(state: CgState, problem: InverseProblem) -> LogRow:
@@ -270,32 +305,13 @@ def cg_step(state: CgState, problem: InverseProblem, log: list[LogRow] | None = 
         a_s *= 0.5
         backtracks += 1
 
-    update_eps = field_norm(eps_new.values - state.eps.values, problem.grid)
-    update_sigma = field_norm(sigma_new.values - state.sigma.values, problem.grid)
-
     m_new = state.m + 1
-    ev = _evaluate(problem, m_new, eps_new, sigma_new, E=E_new)
-    beta_eps = fletcher_reeves(ev["g_eps_norm"], state.g_eps_norm)
-    beta_sigma = fletcher_reeves(ev["g_sigma_norm"], state.g_sigma_norm)
-    restarted = beta_eps > problem.beta_max or beta_sigma > problem.beta_max
-    if restarted:
-        beta_eps = beta_sigma = 0.0
-    d_eps = ev["g_eps"].with_values(-ev["g_eps"].values + beta_eps * state.d_eps.values)
-    d_sigma = ev["g_sigma"].with_values(
-        -ev["g_sigma"].values + beta_sigma * state.d_sigma.values
-    )
-    a_e_new = _clamp(step_size(ev["g_eps"], d_eps, ev["gamma"][0], problem.grid), problem.alpha_max)
-    a_s_new = _clamp(step_size(ev["g_sigma"], d_sigma, ev["gamma"][1], problem.grid), problem.alpha_max)
-    return CgState(
-        m=m_new, eps=eps_new, sigma=sigma_new,
-        g_eps=ev["g_eps"], g_sigma=ev["g_sigma"],
-        d_eps=d_eps, d_sigma=d_sigma,
-        alpha_eps=a_e_new, alpha_sigma=a_s_new,
-        gamma_eps=ev["gamma"][0], gamma_sigma=ev["gamma"][1],
-        g_eps_norm=ev["g_eps_norm"], g_sigma_norm=ev["g_sigma_norm"],
-        F=ev["F"], sim=ev["sim"], lambda_norm=ev["lambda_norm"],
-        restarted=restarted, backtracks=backtracks,
-        update_eps_norm=update_eps, update_sigma_norm=update_sigma,
+    return _cg_state(
+        problem, m_new, eps_new, sigma_new,
+        _evaluate(problem, m_new, eps_new, sigma_new, E=E_new), prev=state,
+        backtracks=backtracks,
+        update_eps_norm=field_norm(eps_new.values - state.eps.values, problem.grid),
+        update_sigma_norm=field_norm(sigma_new.values - state.sigma.values, problem.grid),
     )
 
 

@@ -3,7 +3,9 @@ import csv
 import numpy as np
 import pytest
 
+import waveinv.cli
 from waveinv.cli import main
+from waveinv.gradient import assemble_gradients
 
 BASE = """
 [grid]
@@ -139,9 +141,12 @@ def test_invert_grid_mismatch_exits_2(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "run"
     main(["synthesize", "--config", str(cfg), "--out", str(out), "--quiet"])
-    mismatched = (out / "manifest.ini").read_text().replace("nx = 12", "nx = 16")
-    (out / "bad.ini").write_text(mismatched)
-    assert main(["invert", "--config", str(out / "bad.ini"), "--quiet"]) == 2
+    manifest = (out / "manifest.ini").read_text()
+    # another nx, and another t_final with the same number of time levels
+    for old, new in (("nx = 12", "nx = 16"), ("t_final = 0.8\n", "t_final = 0.81\n")):
+        assert old in manifest
+        (out / "bad.ini").write_text(manifest.replace(old, new))
+        assert main(["invert", "--config", str(out / "bad.ini"), "--quiet"]) == 2
 
 
 def test_invert_adaptive_single_level_matches_invert(tmp_path):
@@ -203,8 +208,13 @@ def test_grad_check_passes(tmp_path):
     assert {r["which"] for r in rows} == {"eps", "sigma"}
 
 
-def test_grad_check_detects_flipped_sign(tmp_path):
-    cfg = write_cfg(tmp_path, GRADCHECK + "negate_adjoint = true\n")
+def test_grad_check_detects_flipped_sign(tmp_path, monkeypatch):
+    def flipped(*args, **kwargs):
+        g_eps, g_sigma = assemble_gradients(*args, **kwargs)
+        return g_eps.with_values(-g_eps.values), g_sigma.with_values(-g_sigma.values)
+
+    monkeypatch.setattr(waveinv.cli, "assemble_gradients", flipped)
+    cfg = write_cfg(tmp_path, GRADCHECK)
     out = tmp_path / "gc_bad"
     assert main(["grad-check", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
 

@@ -44,9 +44,10 @@ def test_trace_csv_grid_mismatch_detected(grid, tmp_path):
     tr = BoundaryTrace(grid=grid, sides=ALL_SIDES, data=data)
     path = tmp_path / "trace.csv"
     write_trace_csv(tr, path)
-    other = build_grid(10, 10, T=0.8)
-    with pytest.raises(ValueError):
-        read_trace_csv(path, other)
+    # a different nt, and the same nt on a different time axis
+    for other in (build_grid(10, 10, T=0.8), build_grid(10, 10, T=0.41)):
+        with pytest.raises(ValueError):
+            read_trace_csv(path, other)
 
 
 def test_field_csv_roundtrip(grid, tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from waveinv import (
     ALL_SIDES,
     BcConfig,
+    BcKind,
     BoundaryTrace,
     FieldKind,
     RegularizationParams,
@@ -126,8 +127,38 @@ class TestLagrangian:
         assert abs(values[0] - F) <= tol
         assert abs(values[0] - values[1]) <= tol
 
-    def test_defect_zero_for_solver_output(self, small_grid):
-        eps, sig, src, bc, E, obs, reg = self.setup_problem(small_grid)
+    @pytest.mark.parametrize(
+        "config", ["default", "all_absorbing", "all_neumann_data", "source_bottom", "forced"]
+    )
+    def test_defect_zero_for_solver_output(self, small_grid, config):
+        g = small_grid
+        eps, sig = truth_pair(g)
+        src, bc = SourceSpec(), BcConfig()
+        if config == "all_absorbing":  # driven by an initial pulse
+            src = SourceSpec(f0=lambda X, Y: np.exp(-((X - 0.5) ** 2 + (Y - 0.5) ** 2) / 0.02))
+            bc = BcConfig(sides={s: BcKind.ABSORBING for s in ALL_SIDES})
+        elif config == "all_neumann_data":
+            flux = {s: lambda x, y, t, k=int(s): np.sin(3.0 * t + k) * (x + 2.0 * y)
+                    for s in ALL_SIDES}
+            bc = BcConfig(sides={s: BcKind.NEUMANN_DATA for s in ALL_SIDES}, neumann_data=flux)
+        elif config == "source_bottom":
+            src = SourceSpec(side=Side.BOTTOM)
+            bc = BcConfig(sides={
+                Side.LEFT: BcKind.NEUMANN_ZERO,
+                Side.BOTTOM: BcKind.SOURCE_THEN_ABSORBING,
+                Side.RIGHT: BcKind.ABSORBING,
+                Side.TOP: BcKind.NEUMANN_ZERO,
+            })
+        elif config == "forced":
+            X, Y = g.meshgrid()
+            bump = np.exp(-((X - 0.3) ** 2 + (Y - 0.4) ** 2) / 0.01)
+            src = SourceSpec(
+                f0=0.1 * np.cos(np.pi * X) * np.cos(np.pi * Y),
+                f1=0.2 * np.sin(np.pi * X) * Y,
+                volume_forcing=np.sin(2.0 * g.times())[:, None, None] * bump[None],
+            )
+        E = solve_forward(g, eps, sig, src, bc)
+        assert np.abs(E.snapshots).max() > 0.0
         defect = forward_defect(E, eps, sig, src, bc)
         assert np.abs(defect).max() == 0.0
 
