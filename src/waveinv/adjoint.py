@@ -11,17 +11,21 @@ boundary programs:
     absorb in reversed time as well (the formal adjoint of the first-order
     outflow condition), composed with the residual source where both apply;
   * zero-Neumann sides stay zero-Neumann.
+
+adjoint_levels yields the multiplier one level at a time as the backward
+sweep computes it; solve_adjoint stacks those levels in forward time order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .fields import BoundaryTrace, CoefficientField, FieldKind, SpaceTimeField
 from .forward import (
-    BcConfig, BcKind, Leapfrog, SideProgram, SourceSpec, discrete_energy, run_leapfrog,
+    BcConfig, BcKind, Leapfrog, SideProgram, SourceSpec, discrete_energy, leapfrog_levels,
 )
 from .grid import ALL_SIDES, Grid2D, Side, area_weights
 from .objective import trace_norm_sq
@@ -53,6 +57,22 @@ def build_adjoint_programs(
     return programs
 
 
+def adjoint_levels(
+    grid: Grid2D,
+    eps: CoefficientField,
+    sigma: CoefficientField,
+    residual: BoundaryTrace,
+    bc: BcConfig,
+    src: SourceSpec | None = None,
+) -> Iterator[np.ndarray]:
+    """The adjoint levels backward in time, lam^nt (the zero terminal
+    state) first and lam^0 last, one at a time."""
+    if residual.grid.nt != grid.nt or residual.grid.node_shape != grid.node_shape:
+        raise ValueError("residual trace does not match the grid")
+    programs = build_adjoint_programs(grid, src, bc, residual)
+    return leapfrog_levels(Leapfrog(grid, eps, sigma, programs))
+
+
 def solve_adjoint(
     grid: Grid2D,
     eps: CoefficientField,
@@ -63,11 +83,10 @@ def solve_adjoint(
 ) -> SpaceTimeField:
     """Solve the adjoint problem; snapshots are returned in forward time
     order, so snapshot nt is the (identically zero) terminal state."""
-    if residual.grid.nt != grid.nt or residual.grid.node_shape != grid.node_shape:
-        raise ValueError("residual trace does not match the grid")
-    programs = build_adjoint_programs(grid, src, bc, residual)
-    reversed_snaps = run_leapfrog(Leapfrog(grid, eps, sigma, programs))
-    return SpaceTimeField(grid=grid, snapshots=reversed_snaps[::-1], kind=FieldKind.ADJOINT)
+    snaps = np.empty((grid.nt + 1, *grid.node_shape))
+    for k, level in enumerate(adjoint_levels(grid, eps, sigma, residual, bc, src)):
+        snaps[grid.nt - k] = level
+    return SpaceTimeField(grid=grid, snapshots=snaps, kind=FieldKind.ADJOINT)
 
 
 @dataclass(frozen=True)

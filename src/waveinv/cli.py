@@ -23,8 +23,8 @@ import numpy as np
 from . import config as cfgmod
 from .adjoint import solve_adjoint
 from .config import ConfigError, RunConfig, load_config, write_manifest
-from .fields import Role, add_noise, extract_trace, project
-from .forward import StabilityError, solve_forward
+from .fields import Role, add_noise, extract_trace, project, trace_of_levels
+from .forward import StabilityError, forward_levels, forward_trace, solve_forward
 from .gradient import assemble_gradients, fd_gradient_oracle
 from .grid import region_mask
 from .io import (
@@ -68,20 +68,20 @@ def _forward_setup(cfg: RunConfig, coeff_prefix: str = "truth"):
     return grid, adm, mask, eps, sigma, src, bc, sides
 
 
-def _dump_snapshots(cfg: RunConfig, grid, E, out: Path, prefix: str = "E") -> None:
+def _dumped(cfg: RunConfig, grid, levels, out: Path, prefix: str = "E"):
+    """Pass levels 0..nt through, writing every dump_every-th one to
+    <prefix>_<n>.vtk on the way."""
     every = cfg.get("output", "dump_every")
-    if every <= 0:
-        return
-    for n in range(0, grid.nt + 1, every):
-        write_field_vtk(E.snapshots[n], grid, out / f"{prefix}_{n}.vtk", name=prefix)
+    for n, level in enumerate(levels):
+        if every > 0 and n % every == 0:
+            write_field_vtk(level, grid, out / f"{prefix}_{n}.vtk", name=prefix)
+        yield level
 
 
 def cmd_forward(cfg: RunConfig, out: Path, quiet: bool) -> int:
     grid, _, _, eps, sigma, src, bc, sides = _forward_setup(cfg)
-    E = solve_forward(grid, eps, sigma, src, bc)
-    trace = extract_trace(E, sides)
-    write_trace_csv(trace, out / "trace.csv")
-    _dump_snapshots(cfg, grid, E, out)
+    levels = _dumped(cfg, grid, forward_levels(grid, eps, sigma, src, bc), out)
+    write_trace_csv(trace_of_levels(grid, levels, sides), out / "trace.csv")
     write_manifest(cfg, out / "manifest.ini")
     _say(quiet, f"wrote {out / 'trace.csv'} ({grid.nt + 1} time levels)")
     return EXIT_OK
@@ -89,10 +89,8 @@ def cmd_forward(cfg: RunConfig, out: Path, quiet: bool) -> int:
 
 def cmd_synthesize(cfg: RunConfig, out: Path, quiet: bool) -> int:
     grid, _, _, eps, sigma, src, bc, sides = _forward_setup(cfg)
-    E = solve_forward(grid, eps, sigma, src, bc)
-    trace = extract_trace(E, sides)
     noisy = add_noise(
-        trace,
+        forward_trace(grid, eps, sigma, src, bc, sides),
         cfgmod.noise_model(cfg),
         cfg.get("noise", "level"),
         cfg.get("noise", "seed"),
@@ -152,11 +150,12 @@ def cmd_invert(cfg: RunConfig, out: Path, quiet: bool) -> int:
     _write_reconstruction(result, problem.grid, out)
     if cfg.get("output", "dump_every") > 0:
         # adjoint snapshots of the final iterate, L_<step>.vtk
-        E = solve_forward(problem.grid, result.eps, result.sigma, problem.src, problem.bc)
-        residual = extract_trace(E, problem.obs.sides) - problem.obs
-        lam = solve_adjoint(problem.grid, result.eps, result.sigma, residual,
+        sim = forward_trace(problem.grid, result.eps, result.sigma, problem.src,
+                            problem.bc, problem.obs.sides)
+        lam = solve_adjoint(problem.grid, result.eps, result.sigma, sim - problem.obs,
                             problem.bc, problem.src)
-        _dump_snapshots(cfg, problem.grid, lam, out, prefix="L")
+        for _ in _dumped(cfg, problem.grid, lam.snapshots, out, prefix="L"):
+            pass
     write_manifest(cfg, out / "manifest.ini")
     _say(
         quiet,
@@ -200,9 +199,8 @@ def cmd_invert_adaptive(cfg: RunConfig, out: Path, quiet: bool) -> int:
 
 def cmd_grad_check(cfg: RunConfig, out: Path, quiet: bool) -> int:
     grid, adm, mask, eps_t, sigma_t, src, bc, sides = _forward_setup(cfg)
-    E_truth = solve_forward(grid, eps_t, sigma_t, src, bc)
     obs = add_noise(
-        extract_trace(E_truth, sides),
+        forward_trace(grid, eps_t, sigma_t, src, bc, sides),
         cfgmod.noise_model(cfg),
         cfg.get("noise", "level"),
         cfg.get("noise", "seed"),

@@ -215,14 +215,23 @@ def extract_trace(field: SpaceTimeField, sides: Iterable[Side]) -> BoundaryTrace
     """Restrict a state field to the boundary nodes of the declared sides."""
     if field.kind is not FieldKind.STATE:
         raise ValueError("traces are extracted from STATE fields")
+    return trace_of_levels(field.grid, field.snapshots, sides)
+
+
+def trace_of_levels(
+    grid: Grid2D, levels: Iterable[np.ndarray], sides: Iterable[Side]
+) -> BoundaryTrace:
+    """Boundary trace of state levels 0..nt given one at a time, so a
+    stream of levels yields its trace without being stored."""
     sides = tuple(sorted(set(Side(s) for s in sides)))
     if not sides:
         raise ValueError("at least one side must be declared")
-    data = {}
-    for side in sides:
-        idx = side_slice(field.grid, side)
-        data[side] = field.snapshots[(slice(None), *idx)].copy()
-    return BoundaryTrace(grid=field.grid, sides=sides, data=data)
+    index = {side: side_slice(grid, side) for side in sides}
+    data = {side: np.empty((grid.nt + 1, grid.side_node_count(side))) for side in sides}
+    for n, level in enumerate(levels):
+        for side in sides:
+            data[side][n] = level[index[side]]
+    return BoundaryTrace(grid=grid, sides=sides, data=data)
 
 
 def add_noise(

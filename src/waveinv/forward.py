@@ -24,7 +24,10 @@ ghost takes E^0 - dt f1 as the previous level.
 Leapfrog holds this update once.  The forward solve, the Lagrangian's
 defect and the adjoint solve all step through it: after reversing time the
 adjoint equation has exactly this form, so the adjoint module only builds
-different per-side boundary programs.
+different per-side boundary programs.  leapfrog_levels is the one time
+loop: it yields each level as it is computed, and callers either stack the
+levels (solve_forward, solve_adjoint) or use each one and drop it
+(forward_trace, the streamed adjoint gradient).
 """
 
 from __future__ import annotations
@@ -32,12 +35,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .grid import ALL_SIDES, Grid2D, Side, area_weights
-from .fields import CoefficientField, FieldKind, SpaceTimeField
+from .fields import BoundaryTrace, CoefficientField, FieldKind, SpaceTimeField, trace_of_levels
 
 
 class StabilityError(RuntimeError):
@@ -263,26 +266,55 @@ class Leapfrog:
         )
 
 
-def run_leapfrog(
+def leapfrog_levels(
     op: Leapfrog,
     f0: Callable | np.ndarray | None = None,
     f1: Callable | np.ndarray | None = None,
-) -> np.ndarray:
-    """Time-step the damped wave scheme and return all nt+1 snapshots."""
+) -> Iterator[np.ndarray]:
+    """Time-step the damped wave scheme and yield levels 0..nt in order.
+
+    Only the two levels the next update needs are held; each yielded array
+    is fresh, so a consumer may keep it.  The CFL and sign checks run before
+    the first level is yielded.
+    """
     grid = op.grid
     check_cfl(grid, op.eps)
     if float(op.sigma.values.min()) < 0.0:
         raise StabilityError("conductivity must be >= 0")
-    out = np.empty((grid.nt + 1, *grid.node_shape))
-    out[0] = _nodal(grid, f0)
-    out[1] = op.first_step(out[0], _nodal(grid, f1))
-    if not np.isfinite(out[:2]).all():
+    prev = _nodal(grid, f0)
+    cur = op.first_step(prev, _nodal(grid, f1))
+    if not (np.isfinite(prev).all() and np.isfinite(cur).all()):
         raise StabilityError("non-finite field values at start-up")
+    yield prev
+    yield cur
     for n in range(1, grid.nt):
-        out[n + 1] = op.step(out[n], out[n - 1], n)
-        if not np.isfinite(out[n + 1]).all():
+        prev, cur = cur, op.step(cur, prev, n)
+        if not np.isfinite(cur).all():
             raise StabilityError(f"non-finite field values at step {n + 1}")
-    return out
+        yield cur
+
+
+def forward_operator(
+    grid: Grid2D,
+    eps: CoefficientField,
+    sigma: CoefficientField,
+    src: SourceSpec,
+    bc: BcConfig,
+) -> Leapfrog:
+    """The state operator of the forward problem: boundary programs from
+    (src, bc) and the source's volume forcing."""
+    return Leapfrog(grid, eps, sigma, build_forward_programs(grid, src, bc), src.volume_forcing)
+
+
+def forward_levels(
+    grid: Grid2D,
+    eps: CoefficientField,
+    sigma: CoefficientField,
+    src: SourceSpec,
+    bc: BcConfig,
+) -> Iterator[np.ndarray]:
+    """The forward solution's levels 0..nt, one at a time."""
+    return leapfrog_levels(forward_operator(grid, eps, sigma, src, bc), src.f0, src.f1)
 
 
 def solve_forward(
@@ -293,9 +325,23 @@ def solve_forward(
     bc: BcConfig,
 ) -> SpaceTimeField:
     """Solve the forward problem and return the full snapshot stack."""
-    op = Leapfrog(grid, eps, sigma, build_forward_programs(grid, src, bc), src.volume_forcing)
-    snaps = run_leapfrog(op, src.f0, src.f1)
+    snaps = np.empty((grid.nt + 1, *grid.node_shape))
+    for n, level in enumerate(forward_levels(grid, eps, sigma, src, bc)):
+        snaps[n] = level
     return SpaceTimeField(grid=grid, snapshots=snaps, kind=FieldKind.STATE)
+
+
+def forward_trace(
+    grid: Grid2D,
+    eps: CoefficientField,
+    sigma: CoefficientField,
+    src: SourceSpec,
+    bc: BcConfig,
+    sides: Iterable[Side],
+) -> BoundaryTrace:
+    """The forward solution's boundary trace on the given sides, taken level
+    by level so that no snapshot stack is stored."""
+    return trace_of_levels(grid, forward_levels(grid, eps, sigma, src, bc), sides)
 
 
 def _dirichlet_product(grid: Grid2D, u: np.ndarray, v: np.ndarray) -> float:

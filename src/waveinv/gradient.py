@@ -16,6 +16,11 @@ quadrature were measured at 3-8% mismatch against the oracle at h = 1/24
 (the staggered form sits near 0.2%), so the staggered form is the one
 shipped.
 
+The sums run backward in time, one half-step at a time: adjoint_gradients
+adds each product while the adjoint sweep produces the multiplier, which is
+therefore never stored, and assemble_gradients runs the same sums over a
+stored multiplier.
+
 The oracle differentiates the Tikhonov value by central differences in a
 single nodal coefficient value, normalized by the node's area quadrature
 weight so both quantities are commensurable gradient densities.
@@ -24,19 +29,74 @@ weight so both quantities are commensurable gradient densities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .fields import (
-    BoundaryTrace,
-    CoefficientField,
-    Role,
-    SpaceTimeField,
-    extract_trace,
-)
-from .forward import BcConfig, SourceSpec, solve_forward
-from .grid import RegionMask, area_weights
+from .adjoint import adjoint_levels
+from .fields import BoundaryTrace, CoefficientField, Role, SpaceTimeField
+from .forward import BcConfig, SourceSpec, forward_trace
+from .grid import RegionMask, area_weights, time_weights
 from .objective import RegularizationParams, tikhonov
+
+
+def _accumulate(
+    E: SpaceTimeField,
+    lam_backward: Iterable[np.ndarray],
+    eps: CoefficientField,
+    sigma: CoefficientField,
+    reg: RegularizationParams,
+    gamma_eps: float,
+    gamma_sigma: float,
+    mask: RegionMask,
+) -> tuple[CoefficientField, CoefficientField, float]:
+    """Gradients and the multiplier's space-time norm from the state stack and
+    the multiplier levels lam^nt, lam^(nt-1), ..., lam^0.  The half-step
+    products are summed as the levels arrive, so only two are held."""
+    grid = E.grid
+    dt = grid.dt
+    snaps = E.snapshots
+    wt, wx = time_weights(grid), area_weights(grid)
+    sum_eps = np.zeros(grid.node_shape)
+    sum_sigma = np.zeros(grid.node_shape)
+    lam_sq = 0.0
+    lam_next = None
+    for n, lam in zip(range(grid.nt, -1, -1), lam_backward):
+        lam_sq += wt[n] * float(np.einsum("ij,ij,ij->", lam, lam, wx))
+        if lam_next is not None:
+            dlam = (lam_next - lam) / dt
+            sum_eps += dlam * ((snaps[n + 1] - snaps[n]) / dt)
+            sum_sigma += 0.5 * (snaps[n + 1] + snaps[n]) * dlam
+        lam_next = lam
+
+    g_eps = gamma_eps * (eps.values - reg.eps_prior.values) - dt * sum_eps
+    g_sigma = gamma_sigma * (sigma.values - reg.sigma_prior.values) - dt * sum_sigma
+    g_eps[mask.frame] = 0.0
+    g_sigma[mask.frame] = 0.0
+    return (
+        CoefficientField(grid=grid, values=g_eps, role=Role.EPSILON),
+        CoefficientField(grid=grid, values=g_sigma, role=Role.SIGMA),
+        float(np.sqrt(lam_sq)),
+    )
+
+
+def adjoint_gradients(
+    E: SpaceTimeField,
+    residual: BoundaryTrace,
+    eps: CoefficientField,
+    sigma: CoefficientField,
+    reg: RegularizationParams,
+    gamma_eps: float,
+    gamma_sigma: float,
+    mask: RegionMask,
+    bc: BcConfig,
+    src: SourceSpec,
+) -> tuple[CoefficientField, CoefficientField, float]:
+    """Nodal gradients of the Tikhonov functional, zeroed on FRAME nodes,
+    and the multiplier's space-time norm, summed during the backward
+    adjoint sweep driven by residual; the multiplier is never stored."""
+    lam_backward = adjoint_levels(E.grid, eps, sigma, residual, bc, src)
+    return _accumulate(E, lam_backward, eps, sigma, reg, gamma_eps, gamma_sigma, mask)
 
 
 def assemble_gradients(
@@ -50,27 +110,14 @@ def assemble_gradients(
     mask: RegionMask,
 ) -> tuple[CoefficientField, CoefficientField]:
     """Nodal gradients of the Tikhonov functional for both coefficients,
-    zeroed on FRAME nodes."""
+    zeroed on FRAME nodes, from a stored multiplier."""
     grid = E.grid
     if lam.grid.node_shape != grid.node_shape or lam.grid.nt != grid.nt:
         raise ValueError("state and adjoint snapshots live on different grids")
-    dt = grid.dt
-    dE = np.diff(E.snapshots, axis=0) / dt
-    dLam = np.diff(lam.snapshots, axis=0) / dt
-    E_mid = 0.5 * (E.snapshots[1:] + E.snapshots[:-1])
-
-    g_eps = gamma_eps * (eps.values - reg.eps_prior.values) - dt * np.einsum(
-        "nij,nij->ij", dLam, dE
+    g_eps, g_sigma, _ = _accumulate(
+        E, lam.snapshots[::-1], eps, sigma, reg, gamma_eps, gamma_sigma, mask
     )
-    g_sigma = gamma_sigma * (sigma.values - reg.sigma_prior.values) - dt * np.einsum(
-        "nij,nij->ij", E_mid, dLam
-    )
-    g_eps[mask.frame] = 0.0
-    g_sigma[mask.frame] = 0.0
-    return (
-        CoefficientField(grid=grid, values=g_eps, role=Role.EPSILON),
-        CoefficientField(grid=grid, values=g_sigma, role=Role.SIGMA),
-    )
+    return g_eps, g_sigma
 
 
 @dataclass(frozen=True)
@@ -109,8 +156,7 @@ def fd_gradient_oracle(
     w = area_weights(grid)
 
     def functional(eps_f: CoefficientField, sigma_f: CoefficientField) -> float:
-        E = solve_forward(grid, eps_f, sigma_f, src, bc)
-        sim = extract_trace(E, obs.sides)
+        sim = forward_trace(grid, eps_f, sigma_f, src, bc, obs.sides)
         return tikhonov(sim, obs, eps_f, sigma_f, reg, gamma_eps, gamma_sigma)
 
     samples: list[GradientSample] = []

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import BoundaryTrace, CoefficientField, SpaceTimeField, extract_trace
-from .forward import BcConfig, Leapfrog, SourceSpec, _nodal, build_forward_programs
+from .forward import BcConfig, SourceSpec, _nodal, forward_operator, forward_trace
 from .grid import Grid2D, area_weights, side_weights, time_weights
 
 
@@ -111,7 +111,7 @@ def forward_defect(
     for a field returned by solve_forward with matching inputs.
     """
     g = E.grid
-    op = Leapfrog(g, eps, sigma, build_forward_programs(g, src, bc), src.volume_forcing)
+    op = forward_operator(g, eps, sigma, src, bc)
     snaps = E.snapshots
     defect = np.empty((g.nt, *g.node_shape))
     defect[0] = op.a_mid * (snaps[1] - op.first_step(snaps[0], _nodal(g, src.f1)))
@@ -163,13 +163,9 @@ def decomposition_identity_check(
     terms in the trace difference and, with regularization on, matching
     quadratic/linear terms in the coefficient differences.
     """
-    from .forward import solve_forward
-
     grid = eps.grid
-    E = solve_forward(grid, eps, sigma, src, bc)
-    E_n = solve_forward(grid, eps_n, sigma_n, src, bc)
-    tr = extract_trace(E, obs.sides)
-    tr_n = extract_trace(E_n, obs.sides)
+    tr = forward_trace(grid, eps, sigma, src, bc, obs.sides)
+    tr_n = forward_trace(grid, eps_n, sigma_n, src, bc, obs.sides)
     d_tr = tr - tr_n
 
     lhs = tikhonov(tr, obs, eps, sigma, reg, gamma_eps, gamma_sigma)

@@ -1,8 +1,8 @@
 """Conjugate-gradient reconstruction loop and its adaptive multi-level driver.
 
 One iteration solves the forward problem at the current coefficients,
-extracts the simulated boundary trace, solves the adjoint problem driven by
-the trace residual, assembles the gradients, and moves along
+extracts the simulated boundary trace, sums the gradients during the
+backward adjoint sweep driven by the trace residual, and moves along
 Fletcher-Reeves directions with the step size
 
     alpha = -(g, d) / (gamma (d, d))
@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adjoint import solve_adjoint
 from .fields import (
     AdmissibleSet,
     BoundaryTrace,
@@ -36,7 +35,7 @@ from .fields import (
 )
 from .forward import BcConfig, SourceSpec, solve_forward
 from .grid import Grid2D, RegionMask, refine, region_mask
-from .gradient import assemble_gradients
+from .gradient import adjoint_gradients
 from .objective import (
     ErrorMetrics,
     RegularizationParams,
@@ -44,7 +43,6 @@ from .objective import (
     error_metrics,
     field_dot,
     field_norm,
-    spacetime_norm,
     tikhonov,
 )
 
@@ -195,20 +193,20 @@ def _evaluate(
     sigma: CoefficientField,
     E=None,
 ) -> Evaluation:
-    """Forward/adjoint solves and gradient assembly for one iterate."""
+    """Forward solve, then the adjoint sweep that sums the gradients, for
+    one iterate; the multiplier is never stored."""
     gamma_eps, gamma_sigma = problem.reg.at_iteration(m)
     if E is None:
         E = solve_forward(problem.grid, eps, sigma, problem.src, problem.bc)
     sim = extract_trace(E, problem.obs.sides)
-    residual = sim - problem.obs
     F = tikhonov(sim, problem.obs, eps, sigma, problem.reg, gamma_eps, gamma_sigma)
-    lam = solve_adjoint(problem.grid, eps, sigma, residual, problem.bc, problem.src)
-    g_eps, g_sigma = assemble_gradients(
-        E, lam, eps, sigma, problem.reg, gamma_eps, gamma_sigma, problem.mask
+    g_eps, g_sigma, lambda_norm = adjoint_gradients(
+        E, sim - problem.obs, eps, sigma, problem.reg, gamma_eps, gamma_sigma,
+        problem.mask, problem.bc, problem.src,
     )
     return Evaluation(
         gamma_eps=gamma_eps, gamma_sigma=gamma_sigma, F=F, sim=sim,
-        lambda_norm=spacetime_norm(lam), g_eps=g_eps, g_sigma=g_sigma,
+        lambda_norm=lambda_norm, g_eps=g_eps, g_sigma=g_sigma,
         g_eps_norm=field_norm(g_eps.values, problem.grid),
         g_sigma_norm=field_norm(g_sigma.values, problem.grid),
     )
@@ -301,6 +299,7 @@ def cg_step(state: CgState, problem: InverseProblem, log: list[LogRow] | None = 
         )
         if F_trial <= state.F or backtracks >= problem.max_backtracks:
             break
+        del E_new  # free the rejected trial's stack before the next solve
         a_e *= 0.5
         a_s *= 0.5
         backtracks += 1

@@ -5,7 +5,11 @@ import pytest
 
 import waveinv.cli
 from waveinv.cli import main
+from waveinv.config import load_config
+from waveinv.fields import extract_trace
+from waveinv.forward import solve_forward
 from waveinv.gradient import assemble_gradients
+from waveinv.io import write_field_vtk, write_trace_csv
 
 BASE = """
 [grid]
@@ -245,6 +249,21 @@ def test_snapshot_dumps(tmp_path):
     assert main(["forward", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     dumps = sorted(out.glob("E_*.vtk"))
     assert dumps and dumps[0].name == "E_0.vtk"
+
+    # the dumps and the trace written from the level stream match the stored stack
+    grid, _, _, eps, sigma, src, bc, sides = waveinv.cli._forward_setup(
+        load_config(out / "manifest.ini")
+    )
+    E = solve_forward(grid, eps, sigma, src, bc)
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    levels = range(0, grid.nt + 1, 20)
+    assert sorted(p.name for p in dumps) == sorted(f"E_{n}.vtk" for n in levels)
+    for n in levels:
+        write_field_vtk(E.snapshots[n], grid, ref / f"E_{n}.vtk", name="E")
+        assert (out / f"E_{n}.vtk").read_bytes() == (ref / f"E_{n}.vtk").read_bytes()
+    write_trace_csv(extract_trace(E, sides), ref / "trace.csv")
+    assert (out / "trace.csv").read_bytes() == (ref / "trace.csv").read_bytes()
 
 
 def test_adjoint_dumps_from_invert(tmp_path):

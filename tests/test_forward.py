@@ -13,9 +13,11 @@ from waveinv import (
     build_grid,
     constant_coefficient,
     discrete_energy,
+    extract_trace,
     gaussian_coefficient,
     solve_forward,
 )
+from waveinv.forward import forward_trace
 from conftest import truth_pair
 
 
@@ -156,6 +158,49 @@ def test_stability_guard_floors():
     with pytest.raises(StabilityError):
         bad = constant_coefficient(g, -1.0, Role.SIGMA)
         solve_forward(g, constant_coefficient(g, 4.0, Role.EPSILON), bad, SourceSpec(), BcConfig())
+
+
+def test_trace_only_solve_keeps_the_guards():
+    g = build_grid(16, 16, cfl_safety=0.9, eps_min=4.0)
+    eps, sig = homogeneous(g, 1.0, 1.0)
+    with pytest.raises(StabilityError, match="CFL violation"):
+        forward_trace(g, eps, sig, SourceSpec(), BcConfig(), ALL_SIDES)
+    bad = constant_coefficient(g, -1.0, Role.SIGMA)
+    with pytest.raises(StabilityError, match="conductivity must be >= 0"):
+        forward_trace(g, constant_coefficient(g, 4.0, Role.EPSILON), bad, SourceSpec(),
+                      BcConfig(), ALL_SIDES)
+
+
+def test_non_finite_level_is_reported_with_its_step(small_grid):
+    g = small_grid
+    eps, sig = homogeneous(g, 1.0, 1.0)
+    nan_start = np.zeros(g.node_shape)
+    nan_start[3, 4] = np.nan
+    with pytest.raises(StabilityError, match="non-finite field values at start-up"):
+        solve_forward(g, eps, sig, SourceSpec(f0=nan_start), BcConfig())
+    forcing = np.zeros((g.nt + 1, *g.node_shape))
+    forcing[5, 3, 4] = np.inf
+    with pytest.raises(StabilityError, match="non-finite field values at step 6$"):
+        forward_trace(g, eps, sig, SourceSpec(volume_forcing=forcing), BcConfig(), ALL_SIDES)
+
+
+@pytest.mark.parametrize("sides", [ALL_SIDES, (Side.RIGHT,), (Side.TOP, Side.LEFT)])
+def test_forward_trace_equals_trace_of_stored_stack(sides):
+    g = build_grid(20, 20, T=1.0)
+    eps, sig = truth_pair(g)
+    flux = {Side.TOP: lambda x, y, t: np.sin(4.0 * t) * x}
+    bc = BcConfig(sides={
+        Side.LEFT: BcKind.SOURCE_THEN_ABSORBING,
+        Side.BOTTOM: BcKind.NEUMANN_ZERO,
+        Side.RIGHT: BcKind.ABSORBING,
+        Side.TOP: BcKind.NEUMANN_DATA,
+    }, neumann_data=flux)
+    src = SourceSpec(f1=lambda X, Y: 0.1 * X * Y)
+    streamed = forward_trace(g, eps, sig, src, bc, sides)
+    stored = extract_trace(solve_forward(g, eps, sig, src, bc), sides)
+    assert streamed.sides == stored.sides
+    for side in stored.sides:
+        assert np.array_equal(streamed.data[side], stored.data[side])
 
 
 @pytest.mark.parametrize("field_builder", ["homogeneous", "inclusion"])

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from waveinv import (
     ALL_SIDES,
     AdmissibleSet,
     BcConfig,
+    BcKind,
     FieldKind,
     RegularizationParams,
     Role,
+    Side,
     SourceSpec,
     SpaceTimeField,
     assemble_gradients,
@@ -19,8 +22,10 @@ from waveinv import (
     region_mask,
     solve_adjoint,
     solve_forward,
+    spacetime_norm,
 )
-from conftest import truth_pair
+from waveinv.gradient import adjoint_gradients
+from conftest import smooth_random_coefficient, smooth_random_trace, truth_pair
 
 
 def make_reg(grid, eps_val=1.0, sigma_val=1.0, g0=0.0):
@@ -193,3 +198,72 @@ class TestAdjointVersusOracle:
         assert max(rels_coarse) <= 5e-2
         assert max(rels_fine) <= 5e-2
         assert np.median(rels_fine) < np.median(rels_coarse)
+
+
+def stored_reference(E, lam, eps, sig, reg, gamma_eps, gamma_sigma, mask):
+    """The staggered gradient formula over whole stacks, summed in forward
+    time by einsum: the reference for the backward level-by-level sums."""
+    dt = E.grid.dt
+    dE = np.diff(E.snapshots, axis=0) / dt
+    dLam = np.diff(lam.snapshots, axis=0) / dt
+    E_mid = 0.5 * (E.snapshots[1:] + E.snapshots[:-1])
+    g_eps = gamma_eps * (eps.values - reg.eps_prior.values) - dt * np.einsum(
+        "nij,nij->ij", dLam, dE
+    )
+    g_sig = gamma_sigma * (sig.values - reg.sigma_prior.values) - dt * np.einsum(
+        "nij,nij->ij", E_mid, dLam
+    )
+    g_eps[mask.frame] = 0.0
+    g_sig[mask.frame] = 0.0
+    return g_eps, g_sig
+
+
+def rel_diff(a, b):
+    return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
+
+
+@st.composite
+def sweep_cases(draw):
+    """A boundary kind per side (at most one switched source side), a
+    non-empty set of observed sides, a frame width and a data seed."""
+    plain = (BcKind.ABSORBING, BcKind.NEUMANN_ZERO, BcKind.NEUMANN_DATA)
+    kinds = {side: draw(st.sampled_from(plain)) for side in ALL_SIDES}
+    source = draw(st.sampled_from((None, *ALL_SIDES)))
+    if source is not None:
+        kinds[source] = BcKind.SOURCE_THEN_ABSORBING
+    observed = tuple(sorted(draw(st.sets(st.sampled_from(ALL_SIDES), min_size=1))))
+    return kinds, source, observed, draw(st.integers(0, 3)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestStreamedSweep:
+    @settings(max_examples=25, deadline=None)
+    @given(sweep_cases())
+    def test_matches_stored_multiplier(self, case):
+        kinds, source, observed, frame_width, seed = case
+        g = build_grid(16, 16, T=1.2)
+        rng = np.random.default_rng(seed)
+        flux = {
+            side: (lambda x, y, t, k=int(side): np.sin(3.0 * t + k) * (x + 2.0 * y))
+            for side, kind in kinds.items() if kind is BcKind.NEUMANN_DATA
+        }
+        bc = BcConfig(sides=kinds, neumann_data=flux)
+        src = SourceSpec(side=source if source is not None else Side.LEFT)
+        eps = smooth_random_coefficient(g, rng, Role.EPSILON, hi=4.0)
+        sig = smooth_random_coefficient(g, rng, Role.SIGMA, hi=4.0)
+        mask = region_mask(g, frame_width)
+        reg = make_reg(g, eps_val=1.5, sigma_val=2.0)
+        E = solve_forward(g, eps, sig, src, bc)
+        residual = extract_trace(E, observed) - smooth_random_trace(g, rng, observed)
+
+        g_eps, g_sig, lambda_norm = adjoint_gradients(
+            E, residual, eps, sig, reg, 0.05, 0.07, mask, bc, src
+        )
+        lam = solve_adjoint(g, eps, sig, residual, bc, src)
+        s_eps, s_sig = assemble_gradients(E, lam, eps, sig, reg, 0.05, 0.07, mask)
+        assert rel_diff(g_eps.values, s_eps.values) <= 1e-12
+        assert rel_diff(g_sig.values, s_sig.values) <= 1e-12
+        assert lambda_norm == pytest.approx(spacetime_norm(lam), rel=1e-12, abs=0.0)
+
+        r_eps, r_sig = stored_reference(E, lam, eps, sig, reg, 0.05, 0.07, mask)
+        assert rel_diff(s_eps.values, r_eps) <= 1e-12
+        assert rel_diff(s_sig.values, r_sig) <= 1e-12

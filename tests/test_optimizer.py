@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -111,6 +114,34 @@ class TestCgStep:
         for row in log:
             assert row.gamma_eps == pytest.approx(0.1 / (row.m + 1) ** 0.5, rel=1e-14)
         assert log[3].gamma_eps == pytest.approx(0.05, abs=1e-15)
+
+
+def traced_stacks(fn, grid):
+    """Run fn under tracemalloc; return its result and the peak of the memory
+    it allocated, in snapshot stacks of the grid."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak / ((grid.nt + 1) * grid.n_nodes * 8)
+
+
+class TestMemory:
+    """An iteration holds one state stack; the multiplier is never stored
+    and a rejected line-search trial is freed before the next one."""
+
+    def test_init_state_and_backtracking_cg_step_peak_below_1_6_stacks(self):
+        problem = small_problem(64)
+        state, init_peak = traced_stacks(lambda: init_state(problem), problem.grid)
+        # a thousand times the clamped steps: the first trials overshoot and are rejected
+        forced = replace(state, alpha_eps=1e3 * state.alpha_eps,
+                         alpha_sigma=1e3 * state.alpha_sigma)
+        new, step_peak = traced_stacks(lambda: cg_step(forced, problem), problem.grid)
+        assert new.backtracks >= 1
+        assert init_peak <= 1.6
+        assert step_peak <= 1.6
 
 
 class TestRunCga:
