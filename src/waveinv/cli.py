@@ -18,8 +18,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import config as cfgmod
 from .adjoint import solve_adjoint
 from .config import ConfigError, RunConfig, load_config, write_manifest
@@ -199,6 +197,7 @@ def cmd_invert_adaptive(cfg: RunConfig, out: Path, quiet: bool) -> int:
 
 def cmd_grad_check(cfg: RunConfig, out: Path, quiet: bool) -> int:
     grid, adm, mask, eps_t, sigma_t, src, bc, sides = _forward_setup(cfg)
+    nodes = cfgmod.gradcheck_nodes(cfg, mask)
     obs = add_noise(
         forward_trace(grid, eps_t, sigma_t, src, bc, sides),
         cfgmod.noise_model(cfg),
@@ -216,18 +215,6 @@ def cmd_grad_check(cfg: RunConfig, out: Path, quiet: bool) -> int:
     g_eps, g_sigma = assemble_gradients(
         E, lam, eps_e, sigma_e, reg, gamma_eps, gamma_sigma, mask
     )
-
-    nodes_raw = cfg.get("gradcheck", "nodes").strip()
-    if nodes_raw:
-        nodes = []
-        for chunk in nodes_raw.split(";"):
-            i_s, j_s = chunk.split(",")
-            nodes.append((int(i_s), int(j_s)))
-    else:
-        rng = np.random.default_rng(cfg.get("gradcheck", "seed"))
-        inner = np.argwhere(mask.inner)
-        picks = rng.choice(len(inner), size=cfg.get("gradcheck", "n_nodes"), replace=False)
-        nodes = [tuple(int(v) for v in inner[k]) for k in picks]
 
     try:
         samples = fd_gradient_oracle(

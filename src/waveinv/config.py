@@ -9,7 +9,10 @@ defaults so a run can be reproduced from the manifest alone.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 from pathlib import Path
+
+import numpy as np
 
 from .fields import (
     AdmissibleSet,
@@ -20,8 +23,8 @@ from .fields import (
     constant_coefficient,
     gaussian_coefficient,
 )
-from .forward import BcConfig, BcKind, SourceSpec
-from .grid import ALL_SIDES, Grid2D, Side, build_grid
+from .forward import BcConfig, SourceSpec
+from .grid import ALL_SIDES, Grid2D, RegionMask, Side, build_grid
 from .objective import RegularizationParams
 from .optimizer import AcgaControls, StoppingTolerances
 
@@ -31,6 +34,18 @@ class ConfigError(ValueError):
 
 
 _REQUIRED = object()
+
+
+def _coefficient_section(kind: str, scale: float | None = None, **defaults) -> dict[str, tuple]:
+    """Keys of one [truth.*], [initial.*] or [eval.*] section.  Only the
+    sections that may perturb a truth field carry a scale key."""
+    values = {"value": 1.0, "base": 1.0, "amp": 0.0, "center": "0.5, 0.5", "width": 0.01}
+    values.update(defaults)
+    if scale is not None:
+        values["scale"] = scale
+    values["path"] = ""
+    return {"kind": (str, kind)} | {key: (type(v), v) for key, v in values.items()}
+
 
 SCHEMA: dict[str, dict[str, tuple]] = {
     "grid": {
@@ -47,64 +62,12 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "sigma_min": (float, 1.0),
         "sigma_max": (float, 10.0),
     },
-    "truth.eps": {
-        "kind": (str, "gaussian"),
-        "value": (float, 1.0),
-        "base": (float, 1.0),
-        "amp": (float, 3.0),
-        "center": (str, "0.5, 0.7"),
-        "width": (float, 0.002),
-        "path": (str, ""),
-    },
-    "truth.sigma": {
-        "kind": (str, "gaussian"),
-        "value": (float, 1.0),
-        "base": (float, 1.0),
-        "amp": (float, 1.5),
-        "center": (str, "0.5, 0.7"),
-        "width": (float, 0.002),
-        "path": (str, ""),
-    },
-    "initial.eps": {
-        "kind": (str, "constant"),
-        "value": (float, 1.0),
-        "base": (float, 1.0),
-        "amp": (float, 0.0),
-        "center": (str, "0.5, 0.5"),
-        "width": (float, 0.01),
-        "scale": (float, 20.0),
-        "path": (str, ""),
-    },
-    "initial.sigma": {
-        "kind": (str, "constant"),
-        "value": (float, 1.0),
-        "base": (float, 1.0),
-        "amp": (float, 0.0),
-        "center": (str, "0.5, 0.5"),
-        "width": (float, 0.01),
-        "scale": (float, 20.0),
-        "path": (str, ""),
-    },
-    "eval.eps": {
-        "kind": (str, "constant"),
-        "value": (float, 2.0),
-        "base": (float, 1.0),
-        "amp": (float, 0.0),
-        "center": (str, "0.5, 0.5"),
-        "width": (float, 0.01),
-        "scale": (float, 20.0),
-        "path": (str, ""),
-    },
-    "eval.sigma": {
-        "kind": (str, "constant"),
-        "value": (float, 2.0),
-        "base": (float, 1.0),
-        "amp": (float, 0.0),
-        "center": (str, "0.5, 0.5"),
-        "width": (float, 0.01),
-        "scale": (float, 20.0),
-        "path": (str, ""),
-    },
+    "truth.eps": _coefficient_section("gaussian", amp=3.0, center="0.5, 0.7", width=0.002),
+    "truth.sigma": _coefficient_section("gaussian", amp=1.5, center="0.5, 0.7", width=0.002),
+    "initial.eps": _coefficient_section("constant", scale=20.0),
+    "initial.sigma": _coefficient_section("constant", scale=20.0),
+    "eval.eps": _coefficient_section("constant", scale=20.0, value=2.0),
+    "eval.sigma": _coefficient_section("constant", scale=20.0, value=2.0),
     "source": {
         "omega": (float, 20.0),
         "amplitude": (float, 1.0),
@@ -162,6 +125,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
 }
 
 
+@dataclasses.dataclass
 class RunConfig:
     """Typed view over a parsed INI file with schema-checked access.
 
@@ -170,15 +134,9 @@ class RunConfig:
     coefficients are available for error reporting).
     """
 
-    def __init__(
-        self,
-        values: dict[str, dict[str, object]],
-        base_dir: Path,
-        declared: frozenset[str] = frozenset(),
-    ):
-        self.values = values
-        self.base_dir = base_dir
-        self.declared = declared
+    values: dict[str, dict[str, object]]
+    base_dir: Path
+    declared: frozenset[str] = frozenset()
 
     def get(self, section: str, key: str):
         return self.values[section][key]
@@ -191,15 +149,8 @@ class RunConfig:
         self.values[section][key] = value
 
 
-def _convert(section: str, key: str, raw: str, typ) -> object:
+def _convert(section: str, key: str, raw, typ) -> object:
     try:
-        if typ is bool:
-            lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "on", "1"):
-                return True
-            if lowered in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(raw)
         return typ(raw)
     except ValueError as exc:
         raise ConfigError(f"key {section}.{key}: cannot parse {raw!r} as {typ.__name__}") from exc
@@ -249,14 +200,11 @@ def write_manifest(cfg: RunConfig, path: str | Path) -> None:
         parser.write(fh)
 
 
-def _parse_pair(section: str, key: str, raw: str) -> tuple[float, float]:
-    parts = [p.strip() for p in raw.split(",")]
+def _parse_pair(section: str, key: str, raw: str, typ=float) -> tuple:
+    parts = raw.split(",")
     if len(parts) != 2:
-        raise ConfigError(f"key {section}.{key}: expected two comma-separated values")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"key {section}.{key}: cannot parse {raw!r}") from exc
+        raise ConfigError(f"key {section}.{key}: expected two comma-separated values, got {raw!r}")
+    return tuple(_convert(section, key, p.strip(), typ) for p in parts)
 
 
 def make_grid(cfg: RunConfig) -> Grid2D:
@@ -273,17 +221,20 @@ def make_grid(cfg: RunConfig) -> Grid2D:
         raise ConfigError(f"grid: {exc}") from exc
 
 
-def make_admissible(cfg: RunConfig) -> AdmissibleSet:
+def _build(cls, cfg: RunConfig, section: str, **extra):
+    """Construct dataclass cls from the keys of section that share a field
+    name, plus extra; a ValueError from cls becomes a ConfigError naming the
+    section."""
+    values = cfg.values[section]
+    kwargs = {f.name: values[f.name] for f in dataclasses.fields(cls) if f.name in values}
     try:
-        return AdmissibleSet(
-            eps_background=cfg.get("admissible", "eps_background"),
-            eps_max=cfg.get("admissible", "eps_max"),
-            sigma_background=cfg.get("admissible", "sigma_background"),
-            sigma_min=cfg.get("admissible", "sigma_min"),
-            sigma_max=cfg.get("admissible", "sigma_max"),
-        )
+        return cls(**(kwargs | extra))
     except ValueError as exc:
-        raise ConfigError(f"admissible: {exc}") from exc
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
+def make_admissible(cfg: RunConfig) -> AdmissibleSet:
+    return _build(AdmissibleSet, cfg, "admissible")
 
 
 def make_coefficient(
@@ -306,6 +257,8 @@ def make_coefficient(
             role=role,
         )
     if kind == "perturbed_truth":
+        if section.startswith("truth."):
+            raise ConfigError(f"key {section}.kind: perturbed_truth needs a truth to perturb")
         truth_section = "truth.eps" if role is Role.EPSILON else "truth.sigma"
         truth = make_coefficient(cfg, truth_section, grid, role)
         return bump_perturbed(truth, cfg.get(section, "scale"))
@@ -323,32 +276,17 @@ def make_coefficient(
 
 
 def make_source(cfg: RunConfig) -> SourceSpec:
-    t_on_raw = cfg.get("source", "t_on")
-    t_on = None if t_on_raw.strip().lower() == "auto" else float(t_on_raw)
-    try:
-        side = Side(cfg.get("source", "side"))
-    except ValueError as exc:
-        raise ConfigError(f"key source.side: must be 1..4") from exc
-    return SourceSpec(
-        omega=cfg.get("source", "omega"),
-        amplitude=cfg.get("source", "amplitude"),
-        side=side,
-        t_on=t_on,
+    t_on = cfg.get("source", "t_on")
+    return _build(
+        SourceSpec, cfg, "source",
+        side=_convert("source", "side", cfg.get("source", "side"), Side),
+        t_on=None if t_on.strip().lower() == "auto" else _convert("source", "t_on", t_on, float),
     )
 
 
 def make_bc(cfg: RunConfig) -> BcConfig:
-    sides = {}
-    for side in ALL_SIDES:
-        raw = cfg.get("bc", f"side{int(side)}")
-        try:
-            sides[side] = BcKind(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key bc.side{int(side)}: unknown condition {raw!r}") from exc
-    try:
-        return BcConfig(sides=sides)
-    except ValueError as exc:
-        raise ConfigError(f"bc: {exc}") from exc
+    sides = {side: cfg.get("bc", f"side{int(side)}") for side in ALL_SIDES}
+    return _build(BcConfig, cfg, "bc", sides=sides)  # BcConfig parses the kinds
 
 
 def observation_sides(cfg: RunConfig) -> tuple[Side, ...]:
@@ -363,49 +301,42 @@ def observation_sides(cfg: RunConfig) -> tuple[Side, ...]:
 
 
 def noise_model(cfg: RunConfig) -> NoiseModel:
-    raw = cfg.get("noise", "model")
-    try:
-        return NoiseModel(raw)
-    except ValueError as exc:
-        raise ConfigError(f"key noise.model: unknown model {raw!r}") from exc
+    return _convert("noise", "model", cfg.get("noise", "model"), NoiseModel)
+
+
+def gradcheck_nodes(cfg: RunConfig, mask: RegionMask) -> list[tuple[int, int]]:
+    """Probe nodes of the gradient check: the grid nodes listed in
+    gradcheck.nodes as "i,j; i,j", or else gradcheck.n_nodes distinct INNER
+    nodes drawn with gradcheck.seed."""
+    raw = cfg.get("gradcheck", "nodes").strip()
+    grid = mask.grid
+    if raw:
+        nodes = [_parse_pair("gradcheck", "nodes", chunk, int) for chunk in raw.split(";")]
+        for i, j in nodes:
+            if not (0 <= i <= grid.nx and 0 <= j <= grid.ny):
+                raise ConfigError(f"key gradcheck.nodes: ({i}, {j}) is not a node of the "
+                                  f"{grid.nx}x{grid.ny} grid")
+        return nodes
+    inner = np.argwhere(mask.inner)
+    n_nodes = cfg.get("gradcheck", "n_nodes")
+    if not 0 <= n_nodes <= len(inner):
+        raise ConfigError(f"key gradcheck.n_nodes: must lie in [0, {len(inner)}], "
+                          f"the number of inner nodes")
+    picks = np.random.default_rng(cfg.get("gradcheck", "seed")).choice(
+        len(inner), size=n_nodes, replace=False
+    )
+    return [tuple(int(v) for v in inner[k]) for k in picks]
 
 
 def make_tolerances(cfg: RunConfig) -> StoppingTolerances:
-    return StoppingTolerances(
-        eta1_eps=cfg.get("cga", "eta1_eps"),
-        eta1_sigma=cfg.get("cga", "eta1_sigma"),
-        eta2_eps=cfg.get("cga", "eta2_eps"),
-        eta2_sigma=cfg.get("cga", "eta2_sigma"),
-        m_max=cfg.get("cga", "max_iters"),
-    )
+    return _build(StoppingTolerances, cfg, "cga", m_max=cfg.get("cga", "max_iters"))
 
 
 def make_acga_controls(cfg: RunConfig) -> AcgaControls:
-    mode = cfg.get("acga", "mode")
-    if mode not in ("absolute", "deviation"):
-        raise ConfigError(f"key acga.mode: must be absolute or deviation, got {mode!r}")
-    return AcgaControls(
-        n_max=cfg.get("acga", "n_max"),
-        beta_eps=cfg.get("acga", "beta_eps"),
-        beta_sigma=cfg.get("acga", "beta_sigma"),
-        mode=mode,
-        theta1_eps=cfg.get("acga", "theta1_eps"),
-        theta1_sigma=cfg.get("acga", "theta1_sigma"),
-        theta2_eps=cfg.get("acga", "theta2_eps"),
-        theta2_sigma=cfg.get("acga", "theta2_sigma"),
-    )
+    return _build(AcgaControls, cfg, "acga")
 
 
 def make_regularization(
     cfg: RunConfig, eps_prior: CoefficientField, sigma_prior: CoefficientField
 ) -> RegularizationParams:
-    try:
-        return RegularizationParams(
-            gamma_eps0=cfg.get("cga", "gamma_eps0"),
-            gamma_sigma0=cfg.get("cga", "gamma_sigma0"),
-            p=cfg.get("cga", "p"),
-            eps_prior=eps_prior,
-            sigma_prior=sigma_prior,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"cga: {exc}") from exc
+    return _build(RegularizationParams, cfg, "cga", eps_prior=eps_prior, sigma_prior=sigma_prior)

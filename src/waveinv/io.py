@@ -66,6 +66,9 @@ def read_trace_csv(path: str | Path, grid: Grid2D) -> BoundaryTrace:
             raise ValueError(f"{path}: side {side.name} has {len(entries)} entries, "
                              f"expected {arr.size}")
         for (n, k), v in entries.items():
+            if not 0 <= k < arr.shape[1]:
+                raise ValueError(f"{path}: index {k} is not a node of side {side.name} "
+                                 f"({arr.shape[1]} nodes)")
             arr[n, k] = v
         data[side] = arr
     return BoundaryTrace(grid=grid, sides=tuple(per_side), data=data)

@@ -374,6 +374,13 @@ class RefinementFlags:
         return [tuple(c) for c in np.argwhere(self.flags)]
 
 
+def _check_indicator(beta_eps: float, beta_sigma: float, mode: str) -> None:
+    if not 0.0 < beta_eps < 1.0 or not 0.0 < beta_sigma < 1.0:
+        raise ValueError("refinement fractions must lie in (0, 1)")
+    if mode not in ("absolute", "deviation"):
+        raise ValueError(f"unknown indicator mode {mode!r}")
+
+
 def refinement_flags(
     eps_h: CoefficientField,
     sigma_h: CoefficientField,
@@ -391,10 +398,7 @@ def refinement_flags(
     mode (the as-printed criterion would flag everything when the maximum
     is zero).
     """
-    if not 0.0 < beta_eps < 1.0 or not 0.0 < beta_sigma < 1.0:
-        raise ValueError("refinement fractions must lie in (0, 1)")
-    if mode not in ("absolute", "deviation"):
-        raise ValueError(f"unknown indicator mode {mode!r}")
+    _check_indicator(beta_eps, beta_sigma, mode)
     grid = eps_h.grid
 
     def indicator(values: np.ndarray, background: float) -> np.ndarray:
@@ -427,6 +431,11 @@ class AcgaControls:
     theta1_sigma: float = 1e-8
     theta2_eps: float = 1e-8
     theta2_sigma: float = 1e-8
+
+    def __post_init__(self) -> None:
+        if self.n_max < 0:
+            raise ValueError("n_max must be >= 0")
+        _check_indicator(self.beta_eps, self.beta_sigma, self.mode)
 
 
 @dataclass(frozen=True)
@@ -479,7 +488,6 @@ def run_acga(
     grids: list[Grid2D] = []
 
     prob = problem
-    prev: CgaResult | None = None
     stop_reason = "n_max"
     for k in range(controls.n_max + 1):
         result = run_cga(prob, tols)
@@ -504,26 +512,21 @@ def run_acga(
         )
         flags_per_level.append(flags)
 
-        if prev is not None:
-            eps_up = transfer_to_refined(prev.eps, prob.grid)
-            sigma_up = transfer_to_refined(prev.sigma, prob.grid)
+        if k > 0:
+            eps_up = transfer_to_refined(results[-2].eps, prob.grid)
+            sigma_up = transfer_to_refined(results[-2].sigma, prob.grid)
             if field_norm(result.eps.values - eps_up.values, prob.grid) < controls.theta1_eps:
                 stop_reason = "theta1_eps"
-                prev = result
                 break
             if field_norm(result.sigma.values - sigma_up.values, prob.grid) < controls.theta1_sigma:
                 stop_reason = "theta1_sigma"
-                prev = result
                 break
         if result.final_g_eps_norm < controls.theta2_eps:
             stop_reason = "theta2_eps"
-            prev = result
             break
         if result.final_g_sigma_norm < controls.theta2_sigma:
             stop_reason = "theta2_sigma"
-            prev = result
             break
-        prev = result
         if k == controls.n_max:
             break
         if not flags.any():
@@ -557,13 +560,12 @@ def run_acga(
             eps_true=eps_true_f, sigma_true=sigma_true_f,
         )
 
-    final = prev if prev is not None else results[-1]
     return AcgaResult(
         levels=levels,
         level_results=results,
         level_flags=flags_per_level,
         grids=grids,
-        eps=final.eps,
-        sigma=final.sigma,
+        eps=results[-1].eps,
+        sigma=results[-1].sigma,
         stop_reason=stop_reason,
     )

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -153,6 +154,25 @@ def test_invert_grid_mismatch_exits_2(tmp_path):
         assert main(["invert", "--config", str(out / "bad.ini"), "--quiet"]) == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("omega", "0"), ("t_on", "soon"), ("max_iters", "-1"), ("n_max", "-1"), ("beta_eps", "1.5"),
+])
+def test_rejected_value_exits_2_before_solving(tmp_path, capsys, key, value):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "run"
+    assert main(["synthesize", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    bad, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", (out / "manifest.ini").read_text(),
+                     flags=re.M)
+    assert n == 1
+    (out / "bad.ini").write_text(bad)
+    capsys.readouterr()
+    out2 = tmp_path / "adapt"
+    assert main(["invert-adaptive", "--config", str(out / "bad.ini"),
+                 "--out", str(out2), "--quiet"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out2 / "level_0").exists()
+
+
 def test_invert_adaptive_single_level_matches_invert(tmp_path):
     code, out = run_synth_then(tmp_path, "invert", extra_cfg="")
     assert code == 0
@@ -221,6 +241,18 @@ def test_grad_check_detects_flipped_sign(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, GRADCHECK)
     out = tmp_path / "gc_bad"
     assert main(["grad-check", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+
+
+@pytest.mark.parametrize("old, new", [
+    ("seed = 7", "seed = 7\nnodes = 1;2"),
+    ("seed = 7", "seed = 7\nnodes = 40,40"),
+    ("n_nodes = 4", "n_nodes = 1000"),
+], ids=["not_a_pair", "off_grid", "more_than_inner"])
+def test_grad_check_bad_nodes_exit_2(tmp_path, capsys, old, new):
+    cfg = write_cfg(tmp_path, GRADCHECK.replace(old, new))
+    out = tmp_path / "gc"
+    assert main(["grad-check", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert "gradcheck" in capsys.readouterr().err
 
 
 def test_seed_flag_overrides_config(tmp_path):

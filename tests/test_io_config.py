@@ -50,6 +50,23 @@ def test_trace_csv_grid_mismatch_detected(grid, tmp_path):
             read_trace_csv(path, other)
 
 
+@pytest.mark.parametrize("where", ["negative", "past_end"])
+def test_trace_csv_index_off_side_detected(grid, tmp_path, where):
+    data = {s: np.zeros((grid.nt + 1, grid.side_node_count(s))) for s in ALL_SIDES}
+    path = tmp_path / "trace.csv"
+    write_trace_csv(BoundaryTrace(grid=grid, sides=ALL_SIDES, data=data), path)
+    # relabel the last node of one side, so every side still has its full count
+    count = grid.side_node_count(ALL_SIDES[0])
+    last = f"{int(ALL_SIDES[0])},{count - 1},"
+    new = f"{int(ALL_SIDES[0])},{-1 if where == 'negative' else count},"
+    lines = path.read_text().splitlines(keepends=True)
+    k = next(k for k, line in enumerate(lines) if last in line)
+    lines[k] = lines[k].replace(last, new)
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match="index"):
+        read_trace_csv(path, grid)
+
+
 def test_field_csv_roundtrip(grid, tmp_path):
     f = gaussian_coefficient(grid, 1.0, 3.0, (0.5, 0.7), 0.002, Role.EPSILON)
     path = tmp_path / "eps.csv"
@@ -153,3 +170,13 @@ def test_file_builder_roundtrip(tmp_path):
     cfg = load_config(p)
     back = make_coefficient(cfg, "initial.eps", make_grid(cfg), Role.EPSILON)
     assert np.array_equal(back.values, f.values)
+
+
+@pytest.mark.parametrize("section", ["truth.eps", "truth.sigma"])
+def test_truth_cannot_perturb_itself(tmp_path, section):
+    p = tmp_path / "run.ini"
+    p.write_text(f"[grid]\nnx = 10\n[{section}]\nkind = perturbed_truth\n")
+    cfg = load_config(p)
+    role = Role.EPSILON if section == "truth.eps" else Role.SIGMA
+    with pytest.raises(ConfigError, match=f"{section}.kind"):
+        make_coefficient(cfg, section, make_grid(cfg), role)
