@@ -33,7 +33,7 @@ from .objective import trace_norm_sq
 
 def build_adjoint_programs(
     grid: Grid2D,
-    src: SourceSpec | None,
+    src: SourceSpec,
     bc: BcConfig,
     residual: BoundaryTrace,
 ) -> dict[Side, SideProgram]:
@@ -45,8 +45,6 @@ def build_adjoint_programs(
         if kind is BcKind.ABSORBING:
             absorbing = np.ones(nt + 1, dtype=bool)
         elif kind is BcKind.SOURCE_THEN_ABSORBING:
-            if src is None:
-                raise ValueError("a SourceSpec is needed to reverse the switched side")
             absorbing = rev_times > src.switch_time() + 1e-14
         else:
             absorbing = np.zeros(nt + 1, dtype=bool)
@@ -63,7 +61,7 @@ def adjoint_levels(
     sigma: CoefficientField,
     residual: BoundaryTrace,
     bc: BcConfig,
-    src: SourceSpec | None = None,
+    src: SourceSpec,
 ) -> Iterator[np.ndarray]:
     """The adjoint levels backward in time, lam^nt (the zero terminal
     state) first and lam^0 last, one at a time."""
@@ -79,7 +77,7 @@ def solve_adjoint(
     sigma: CoefficientField,
     residual: BoundaryTrace,
     bc: BcConfig,
-    src: SourceSpec | None = None,
+    src: SourceSpec,
 ) -> SpaceTimeField:
     """Solve the adjoint problem; snapshots are returned in forward time
     order, so snapshot nt is the (identically zero) terminal state."""

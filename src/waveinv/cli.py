@@ -23,7 +23,7 @@ from .adjoint import solve_adjoint
 from .config import ConfigError, RunConfig, load_config, write_manifest
 from .fields import Role, add_noise, extract_trace, project, trace_of_levels
 from .forward import StabilityError, forward_levels, forward_trace, solve_forward
-from .gradient import assemble_gradients, fd_gradient_oracle
+from .gradient import adjoint_gradients, fd_gradient_oracle
 from .grid import region_mask
 from .io import (
     read_trace_csv,
@@ -54,16 +54,26 @@ def _outdir(cfg: RunConfig, override: str | None) -> Path:
     return out
 
 
-def _forward_setup(cfg: RunConfig, coeff_prefix: str = "truth"):
+def _forward_setup(cfg: RunConfig):
     grid = cfgmod.make_grid(cfg)
     adm = cfgmod.make_admissible(cfg)
     mask = region_mask(grid, cfg.get("grid", "frame_width"))
-    eps = cfgmod.make_coefficient(cfg, f"{coeff_prefix}.eps", grid, Role.EPSILON)
-    sigma = cfgmod.make_coefficient(cfg, f"{coeff_prefix}.sigma", grid, Role.SIGMA)
+    eps = cfgmod.make_coefficient(cfg, "truth.eps", grid, Role.EPSILON)
+    sigma = cfgmod.make_coefficient(cfg, "truth.sigma", grid, Role.SIGMA)
     src = cfgmod.make_source(cfg)
     bc = cfgmod.make_bc(cfg)
     sides = cfgmod.observation_sides(cfg)
     return grid, adm, mask, eps, sigma, src, bc, sides
+
+
+def _observed(cfg: RunConfig, grid, eps, sigma, src, bc, sides):
+    """The boundary trace on sides with the configured noise added; the
+    noise settings are checked before the forward solve."""
+    model, level = cfgmod.noise_model(cfg), cfg.get("noise", "level")
+    if level < 0.0:
+        raise ConfigError(f"key noise.level: must be >= 0, got {level!r}")
+    trace = forward_trace(grid, eps, sigma, src, bc, sides)
+    return add_noise(trace, model, level, cfg.get("noise", "seed"))
 
 
 def _dumped(cfg: RunConfig, grid, levels, out: Path, prefix: str = "E"):
@@ -87,13 +97,7 @@ def cmd_forward(cfg: RunConfig, out: Path, quiet: bool) -> int:
 
 def cmd_synthesize(cfg: RunConfig, out: Path, quiet: bool) -> int:
     grid, _, _, eps, sigma, src, bc, sides = _forward_setup(cfg)
-    noisy = add_noise(
-        forward_trace(grid, eps, sigma, src, bc, sides),
-        cfgmod.noise_model(cfg),
-        cfg.get("noise", "level"),
-        cfg.get("noise", "seed"),
-    )
-    write_trace_csv(noisy, out / "obs.csv")
+    write_trace_csv(_observed(cfg, grid, eps, sigma, src, bc, sides), out / "obs.csv")
     # pin the observation path so inversions can run straight off the manifest
     cfg.set("observation", "file", str((out / "obs.csv").resolve()))
     write_manifest(cfg, out / "manifest.ini")
@@ -198,22 +202,16 @@ def cmd_invert_adaptive(cfg: RunConfig, out: Path, quiet: bool) -> int:
 def cmd_grad_check(cfg: RunConfig, out: Path, quiet: bool) -> int:
     grid, adm, mask, eps_t, sigma_t, src, bc, sides = _forward_setup(cfg)
     nodes = cfgmod.gradcheck_nodes(cfg, mask)
-    obs = add_noise(
-        forward_trace(grid, eps_t, sigma_t, src, bc, sides),
-        cfgmod.noise_model(cfg),
-        cfg.get("noise", "level"),
-        cfg.get("noise", "seed"),
-    )
+    obs = _observed(cfg, grid, eps_t, sigma_t, src, bc, sides)
     eps_e = project(cfgmod.make_coefficient(cfg, "eval.eps", grid, Role.EPSILON), adm, mask)
     sigma_e = project(cfgmod.make_coefficient(cfg, "eval.sigma", grid, Role.SIGMA), adm, mask)
     reg = cfgmod.make_regularization(cfg, eps_e, sigma_e)
     gamma_eps = gamma_sigma = 0.0  # oracle comparison runs on the pure data term
 
     E = solve_forward(grid, eps_e, sigma_e, src, bc)
-    sim = extract_trace(E, sides)
-    lam = solve_adjoint(grid, eps_e, sigma_e, sim - obs, bc, src)
-    g_eps, g_sigma = assemble_gradients(
-        E, lam, eps_e, sigma_e, reg, gamma_eps, gamma_sigma, mask
+    g_eps, g_sigma, _ = adjoint_gradients(
+        E, extract_trace(E, sides) - obs, eps_e, sigma_e, reg, gamma_eps, gamma_sigma,
+        mask, bc, src,
     )
 
     try:

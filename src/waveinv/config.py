@@ -23,7 +23,7 @@ from .fields import (
     constant_coefficient,
     gaussian_coefficient,
 )
-from .forward import BcConfig, SourceSpec
+from .forward import BcConfig, BcKind, SourceSpec
 from .grid import ALL_SIDES, Grid2D, RegionMask, Side, build_grid
 from .objective import RegularizationParams
 from .optimizer import AcgaControls, StoppingTolerances
@@ -276,10 +276,16 @@ def make_coefficient(
 
 
 def make_source(cfg: RunConfig) -> SourceSpec:
+    """The source of [source]; source.side must name the side that [bc]
+    sets to source_then_absorbing, which is where the pulse acts."""
+    side = _convert("source", "side", cfg.get("source", "side"), Side)
+    switched = [s for s, k in make_bc(cfg).sides.items() if k is BcKind.SOURCE_THEN_ABSORBING]
+    if switched and side not in switched:
+        raise ConfigError(f"key source.side: the source acts on side {int(switched[0])}, "
+                          f"which bc sets to source_then_absorbing, not on side {int(side)}")
     t_on = cfg.get("source", "t_on")
     return _build(
         SourceSpec, cfg, "source",
-        side=_convert("source", "side", cfg.get("source", "side"), Side),
         t_on=None if t_on.strip().lower() == "auto" else _convert("source", "t_on", t_on, float),
     )
 

@@ -58,17 +58,17 @@ class BcKind(Enum):
 class SourceSpec:
     """Boundary plane-wave source plus optional manufactured-test data.
 
-    The sine pulse sin(omega*t) acts as Neumann data on the configured side
-    for one period (t_on defaults to 2*pi/omega), after which that side
-    switches to absorbing.  volume_forcing may be a callable f(X, Y, t)
-    returning nodal values, or a precomputed (nt+1, nx+1, ny+1) array.
+    The sine pulse sin(omega*t) acts as Neumann data on the side that the
+    BcConfig makes SOURCE_THEN_ABSORBING, for one period (t_on defaults to
+    2*pi/omega), after which that side switches to absorbing.
+    volume_forcing may be a callable f(X, Y, t) returning nodal values, or
+    a precomputed (nt+1, nx+1, ny+1) array.
     f0/f1 are initial value and velocity (callables of (X, Y) or arrays);
     they default to zero.
     """
 
     omega: float = 20.0
     amplitude: float = 1.0
-    side: Side = Side.LEFT
     t_on: float | None = None
     volume_forcing: Callable | np.ndarray | None = None
     f0: Callable | np.ndarray | None = None
@@ -77,6 +77,8 @@ class SourceSpec:
     def __post_init__(self) -> None:
         if self.omega <= 0.0:
             raise ValueError("omega must be positive")
+        if self.t_on is not None and self.t_on <= 0.0:
+            raise ValueError("t_on must be positive")
 
     def switch_time(self) -> float:
         return 2.0 * math.pi / self.omega if self.t_on is None else self.t_on

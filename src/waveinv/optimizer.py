@@ -29,6 +29,7 @@ from .fields import (
     AdmissibleSet,
     BoundaryTrace,
     CoefficientField,
+    SpaceTimeField,
     extract_trace,
     project,
     transfer_to_refined,
@@ -52,6 +53,9 @@ LOG_HEADER = (
 )
 
 LEVELS_HEADER = "level,nno,g_eps_norm_per_node,g_sigma_norm_per_node,max_eps,max_sigma,M_k"
+
+# halvings of the step before an uphill trial is accepted anyway
+MAX_BACKTRACKS = 10
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,6 @@ class InverseProblem:
     sigma_true: CoefficientField | None = None
     alpha_max: float = 1.0
     beta_max: float = 10.0
-    max_backtracks: int = 10
 
 
 @dataclass(frozen=True)
@@ -191,13 +194,11 @@ def _evaluate(
     m: int,
     eps: CoefficientField,
     sigma: CoefficientField,
-    E=None,
+    E: SpaceTimeField,
 ) -> Evaluation:
-    """Forward solve, then the adjoint sweep that sums the gradients, for
-    one iterate; the multiplier is never stored."""
+    """The functional at one iterate from its forward solve E, then the
+    adjoint sweep that sums the gradients; the multiplier is never stored."""
     gamma_eps, gamma_sigma = problem.reg.at_iteration(m)
-    if E is None:
-        E = solve_forward(problem.grid, eps, sigma, problem.src, problem.bc)
     sim = extract_trace(E, problem.obs.sides)
     F = tikhonov(sim, problem.obs, eps, sigma, problem.reg, gamma_eps, gamma_sigma)
     g_eps, g_sigma, lambda_norm = adjoint_gradients(
@@ -259,7 +260,8 @@ def init_state(problem: InverseProblem) -> CgState:
     """Evaluate the initial guesses and seed steepest-descent directions."""
     eps = project(problem.eps_init, problem.adm, problem.mask)
     sigma = project(problem.sigma_init, problem.adm, problem.mask)
-    return _cg_state(problem, 0, eps, sigma, _evaluate(problem, 0, eps, sigma))
+    E = solve_forward(problem.grid, eps, sigma, problem.src, problem.bc)
+    return _cg_state(problem, 0, eps, sigma, _evaluate(problem, 0, eps, sigma, E))
 
 
 def _row(state: CgState, problem: InverseProblem) -> LogRow:
@@ -297,7 +299,7 @@ def cg_step(state: CgState, problem: InverseProblem, log: list[LogRow] | None = 
             sim_new, problem.obs, eps_new, sigma_new, problem.reg,
             state.gamma_eps, state.gamma_sigma,
         )
-        if F_trial <= state.F or backtracks >= problem.max_backtracks:
+        if F_trial <= state.F or backtracks >= MAX_BACKTRACKS:
             break
         del E_new  # free the rejected trial's stack before the next solve
         a_e *= 0.5
@@ -307,7 +309,7 @@ def cg_step(state: CgState, problem: InverseProblem, log: list[LogRow] | None = 
     m_new = state.m + 1
     return _cg_state(
         problem, m_new, eps_new, sigma_new,
-        _evaluate(problem, m_new, eps_new, sigma_new, E=E_new), prev=state,
+        _evaluate(problem, m_new, eps_new, sigma_new, E_new), prev=state,
         backtracks=backtracks,
         update_eps_norm=field_norm(eps_new.values - state.eps.values, problem.grid),
         update_sigma_norm=field_norm(sigma_new.values - state.sigma.values, problem.grid),
@@ -323,7 +325,6 @@ class CgaResult:
     final_g_eps_norm: float
     final_g_sigma_norm: float
     final_F: float
-    final_sim: BoundaryTrace
 
 
 def run_cga(problem: InverseProblem, tols: StoppingTolerances) -> CgaResult:
@@ -355,7 +356,7 @@ def run_cga(problem: InverseProblem, tols: StoppingTolerances) -> CgaResult:
     return CgaResult(
         eps=state.eps, sigma=state.sigma, log=log, stop_reason=stop_reason,
         final_g_eps_norm=state.g_eps_norm, final_g_sigma_norm=state.g_sigma_norm,
-        final_F=state.F, final_sim=state.sim,
+        final_F=state.F,
     )
 
 

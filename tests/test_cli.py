@@ -9,7 +9,7 @@ from waveinv.cli import main
 from waveinv.config import load_config
 from waveinv.fields import extract_trace
 from waveinv.forward import solve_forward
-from waveinv.gradient import assemble_gradients
+from waveinv.gradient import adjoint_gradients
 from waveinv.io import write_field_vtk, write_trace_csv
 
 BASE = """
@@ -134,6 +134,33 @@ def test_invert_produces_outputs_and_log(tmp_path):
     assert float(rows[-1]["F"]) < float(rows[0]["F"])
 
 
+def test_tables_end_every_line_with_crlf(tmp_path):
+    code, out = run_synth_then(tmp_path, "invert-adaptive", max_iters=1)
+    assert code == 0
+    for path in (out / "levels.csv", out / "level_0" / "convergence.csv"):
+        lines = path.read_bytes().split(b"\n")
+        assert len(lines) > 2 and lines[-1] == b""
+        assert all(line.endswith(b"\r") for line in lines[:-1])
+
+
+@pytest.mark.parametrize("fault", ["duplicate_row", "nan_value"])
+def test_invert_bad_observation_row_exits_2(tmp_path, capsys, fault):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "run"
+    assert main(["synthesize", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    lines = (out / "obs.csv").read_text().splitlines(keepends=True)
+    if fault == "duplicate_row":  # the same (t, side, index) again, with another value
+        lines.append(lines[-1].rsplit(",", 1)[0] + ",0.5\r\n")
+    else:
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + ",nan\r\n"
+    (out / "obs.csv").write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["invert", "--config", str(out / "manifest.ini"), "--out", str(out / "inv"),
+                 "--quiet"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "inv" / "convergence.csv").exists()
+
+
 def test_invert_zero_cap_returns_initial_guess(tmp_path):
     code, out = run_synth_then(tmp_path, "invert", max_iters=0)
     assert code == 0
@@ -156,6 +183,7 @@ def test_invert_grid_mismatch_exits_2(tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("omega", "0"), ("t_on", "soon"), ("max_iters", "-1"), ("n_max", "-1"), ("beta_eps", "1.5"),
+    ("t_on", "0"), ("t_on", "-1"), ("side", "3"),
 ])
 def test_rejected_value_exits_2_before_solving(tmp_path, capsys, key, value):
     cfg = write_cfg(tmp_path)
@@ -234,10 +262,10 @@ def test_grad_check_passes(tmp_path):
 
 def test_grad_check_detects_flipped_sign(tmp_path, monkeypatch):
     def flipped(*args, **kwargs):
-        g_eps, g_sigma = assemble_gradients(*args, **kwargs)
-        return g_eps.with_values(-g_eps.values), g_sigma.with_values(-g_sigma.values)
+        g_eps, g_sigma, lambda_norm = adjoint_gradients(*args, **kwargs)
+        return g_eps.with_values(-g_eps.values), g_sigma.with_values(-g_sigma.values), lambda_norm
 
-    monkeypatch.setattr(waveinv.cli, "assemble_gradients", flipped)
+    monkeypatch.setattr(waveinv.cli, "adjoint_gradients", flipped)
     cfg = write_cfg(tmp_path, GRADCHECK)
     out = tmp_path / "gc_bad"
     assert main(["grad-check", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
@@ -253,6 +281,18 @@ def test_grad_check_bad_nodes_exit_2(tmp_path, capsys, old, new):
     out = tmp_path / "gc"
     assert main(["grad-check", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
     assert "gradcheck" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text, output", [
+    ("synthesize", BASE, "obs.csv"),
+    ("grad-check", GRADCHECK, "grad_check.csv"),
+], ids=["synthesize", "grad-check"])
+def test_negative_noise_level_exits_2(tmp_path, capsys, command, text, output):
+    cfg = write_cfg(tmp_path, re.sub(r"^level = .*$", "level = -1", text, flags=re.M))
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / output).exists()
 
 
 def test_seed_flag_overrides_config(tmp_path):

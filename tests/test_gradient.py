@@ -10,7 +10,6 @@ from waveinv import (
     FieldKind,
     RegularizationParams,
     Role,
-    Side,
     SourceSpec,
     SpaceTimeField,
     assemble_gradients,
@@ -247,7 +246,7 @@ class TestStreamedSweep:
             for side, kind in kinds.items() if kind is BcKind.NEUMANN_DATA
         }
         bc = BcConfig(sides=kinds, neumann_data=flux)
-        src = SourceSpec(side=source if source is not None else Side.LEFT)
+        src = SourceSpec()
         eps = smooth_random_coefficient(g, rng, Role.EPSILON, hi=4.0)
         sig = smooth_random_coefficient(g, rng, Role.SIGMA, hi=4.0)
         mask = region_mask(g, frame_width)

@@ -67,6 +67,29 @@ def test_trace_csv_index_off_side_detected(grid, tmp_path, where):
         read_trace_csv(path, grid)
 
 
+@pytest.mark.parametrize("fault", ["duplicate_row", "nan", "inf"])
+def test_trace_csv_bad_row_detected(grid, tmp_path, fault):
+    data = {s: np.zeros((grid.nt + 1, grid.side_node_count(s))) for s in ALL_SIDES}
+    path = tmp_path / "trace.csv"
+    write_trace_csv(BoundaryTrace(grid=grid, sides=ALL_SIDES, data=data), path)
+    lines = path.read_text().splitlines(keepends=True)
+    key = lines[5].rsplit(",", 1)[0]
+    if fault == "duplicate_row":  # the same (t, side, index) again, with another value
+        lines.append(f"{key},0.5\r\n")
+    else:
+        lines[5] = f"{key},{fault}\r\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match="once" if fault == "duplicate_row" else "non-finite"):
+        read_trace_csv(path, grid)
+
+
+def test_trace_csv_empty_body_detected(grid, tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("t,side,index,value\r\n")
+    with pytest.raises(ValueError, match="no rows"):
+        read_trace_csv(path, grid)
+
+
 def test_field_csv_roundtrip(grid, tmp_path):
     f = gaussian_coefficient(grid, 1.0, 3.0, (0.5, 0.7), 0.002, Role.EPSILON)
     path = tmp_path / "eps.csv"

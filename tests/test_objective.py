@@ -142,7 +142,6 @@ class TestLagrangian:
                     for s in ALL_SIDES}
             bc = BcConfig(sides={s: BcKind.NEUMANN_DATA for s in ALL_SIDES}, neumann_data=flux)
         elif config == "source_bottom":
-            src = SourceSpec(side=Side.BOTTOM)
             bc = BcConfig(sides={
                 Side.LEFT: BcKind.NEUMANN_ZERO,
                 Side.BOTTOM: BcKind.SOURCE_THEN_ABSORBING,
