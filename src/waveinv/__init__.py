@@ -40,7 +40,7 @@ from .forward import (
     discrete_energy,
     solve_forward,
 )
-from .adjoint import AdjointEnergyReport, adjoint_energy_monitor, solve_adjoint
+from .adjoint import AdjointEnergyReport, adjoint_energy_monitor, adjoint_levels
 from .objective import (
     ErrorMetrics,
     RegularizationParams,
@@ -56,7 +56,7 @@ from .objective import (
     trace_dot,
     trace_norm_sq,
 )
-from .gradient import GradientSample, assemble_gradients, fd_gradient_oracle
+from .gradient import GradientSample, adjoint_gradients, fd_gradient_oracle
 from .optimizer import (
     AcgaControls,
     AcgaResult,

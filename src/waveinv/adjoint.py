@@ -13,19 +13,20 @@ boundary programs:
   * zero-Neumann sides stay zero-Neumann.
 
 adjoint_levels yields the multiplier one level at a time as the backward
-sweep computes it; solve_adjoint stacks those levels in forward time order.
+sweep computes it.  Every consumer (the gradient sums, the energy monitor,
+the L_*.vtk dumps) uses each level as it arrives, so no multiplier is stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .fields import BoundaryTrace, CoefficientField, FieldKind, SpaceTimeField
+from .fields import BoundaryTrace, CoefficientField
 from .forward import (
-    BcConfig, BcKind, Leapfrog, SideProgram, SourceSpec, discrete_energy, leapfrog_levels,
+    BcConfig, BcKind, Leapfrog, SideProgram, SourceSpec, leapfrog_levels, level_energy,
 )
 from .grid import ALL_SIDES, Grid2D, Side, area_weights
 from .objective import trace_norm_sq
@@ -71,22 +72,6 @@ def adjoint_levels(
     return leapfrog_levels(Leapfrog(grid, eps, sigma, programs))
 
 
-def solve_adjoint(
-    grid: Grid2D,
-    eps: CoefficientField,
-    sigma: CoefficientField,
-    residual: BoundaryTrace,
-    bc: BcConfig,
-    src: SourceSpec,
-) -> SpaceTimeField:
-    """Solve the adjoint problem; snapshots are returned in forward time
-    order, so snapshot nt is the (identically zero) terminal state."""
-    snaps = np.empty((grid.nt + 1, *grid.node_shape))
-    for k, level in enumerate(adjoint_levels(grid, eps, sigma, residual, bc, src)):
-        snaps[grid.nt - k] = level
-    return SpaceTimeField(grid=grid, snapshots=snaps, kind=FieldKind.ADJOINT)
-
-
 @dataclass(frozen=True)
 class AdjointEnergyReport:
     """Discrete energy history of the adjoint versus the residual size.
@@ -106,21 +91,24 @@ class AdjointEnergyReport:
 
 
 def adjoint_energy_monitor(
-    lam: SpaceTimeField,
+    lam_backward: Iterable[np.ndarray],
     eps: CoefficientField,
     sigma: CoefficientField,
     residual: BoundaryTrace,
     c_max: float = 1e6,
 ) -> AdjointEnergyReport:
-    if lam.kind is not FieldKind.ADJOINT:
-        raise ValueError("monitor expects an adjoint field")
-    g = lam.grid
+    """Energy report of the multiplier levels lam^nt, ..., lam^0 as
+    adjoint_levels yields them; only two levels are held."""
+    g = eps.grid
     w = area_weights(g)
     energies = np.empty(g.nt)
-    for n in range(1, g.nt + 1):
-        mid = 0.5 * (lam.snapshots[n] + lam.snapshots[n - 1])
-        zero_order = float(np.sum(w * sigma.values * mid * mid))
-        energies[n - 1] = discrete_energy(lam, eps, sigma, n) + zero_order
+    lam_next = None
+    for n, lam in zip(range(g.nt, -1, -1), lam_backward):
+        if lam_next is not None:
+            mid = 0.5 * (lam_next + lam)
+            zero_order = float(np.sum(w * sigma.values * mid * mid))
+            energies[n] = level_energy(g, lam_next, lam, eps) + zero_order
+        lam_next = lam
     max_energy = float(energies.max()) if g.nt else 0.0
     res_sq = trace_norm_sq(residual)
     ratio = max_energy / res_sq if res_sq > 0.0 else 0.0

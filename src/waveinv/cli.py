@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import config as cfgmod
-from .adjoint import solve_adjoint
+from .adjoint import adjoint_levels
 from .config import ConfigError, RunConfig, load_config, write_manifest
 from .fields import Role, add_noise, extract_trace, project, trace_of_levels
 from .forward import StabilityError, forward_levels, forward_trace, solve_forward
@@ -76,11 +76,11 @@ def _observed(cfg: RunConfig, grid, eps, sigma, src, bc, sides):
     return add_noise(trace, model, level, cfg.get("noise", "seed"))
 
 
-def _dumped(cfg: RunConfig, grid, levels, out: Path, prefix: str = "E"):
-    """Pass levels 0..nt through, writing every dump_every-th one to
-    <prefix>_<n>.vtk on the way."""
+def _dumped(cfg: RunConfig, grid, numbered, out: Path, prefix: str = "E"):
+    """Pass the levels of (n, level) pairs through, writing those with n a
+    multiple of dump_every to <prefix>_<n>.vtk on the way."""
     every = cfg.get("output", "dump_every")
-    for n, level in enumerate(levels):
+    for n, level in numbered:
         if every > 0 and n % every == 0:
             write_field_vtk(level, grid, out / f"{prefix}_{n}.vtk", name=prefix)
         yield level
@@ -88,7 +88,7 @@ def _dumped(cfg: RunConfig, grid, levels, out: Path, prefix: str = "E"):
 
 def cmd_forward(cfg: RunConfig, out: Path, quiet: bool) -> int:
     grid, _, _, eps, sigma, src, bc, sides = _forward_setup(cfg)
-    levels = _dumped(cfg, grid, forward_levels(grid, eps, sigma, src, bc), out)
+    levels = _dumped(cfg, grid, enumerate(forward_levels(grid, eps, sigma, src, bc)), out)
     write_trace_csv(trace_of_levels(grid, levels, sides), out / "trace.csv")
     write_manifest(cfg, out / "manifest.ini")
     _say(quiet, f"wrote {out / 'trace.csv'} ({grid.nt + 1} time levels)")
@@ -151,12 +151,13 @@ def cmd_invert(cfg: RunConfig, out: Path, quiet: bool) -> int:
     result = run_cga(problem, tols)
     _write_reconstruction(result, problem.grid, out)
     if cfg.get("output", "dump_every") > 0:
-        # adjoint snapshots of the final iterate, L_<step>.vtk
-        sim = forward_trace(problem.grid, result.eps, result.sigma, problem.src,
-                            problem.bc, problem.obs.sides)
-        lam = solve_adjoint(problem.grid, result.eps, result.sigma, sim - problem.obs,
-                            problem.bc, problem.src)
-        for _ in _dumped(cfg, problem.grid, lam.snapshots, out, prefix="L"):
+        # adjoint levels of the final iterate, L_<step>.vtk, from the backward sweep
+        grid = problem.grid
+        sim = forward_trace(grid, result.eps, result.sigma, problem.src, problem.bc,
+                            problem.obs.sides)
+        lam_backward = adjoint_levels(grid, result.eps, result.sigma, sim - problem.obs,
+                                      problem.bc, problem.src)
+        for _ in _dumped(cfg, grid, zip(range(grid.nt, -1, -1), lam_backward), out, "L"):
             pass
     write_manifest(cfg, out / "manifest.ini")
     _say(

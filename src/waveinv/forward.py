@@ -26,8 +26,8 @@ defect and the adjoint solve all step through it: after reversing time the
 adjoint equation has exactly this form, so the adjoint module only builds
 different per-side boundary programs.  leapfrog_levels is the one time
 loop: it yields each level as it is computed, and callers either stack the
-levels (solve_forward, solve_adjoint) or use each one and drop it
-(forward_trace, the streamed adjoint gradient).
+levels (solve_forward) or use each one and drop it (forward_trace, the
+adjoint gradient, the adjoint energy monitor).
 """
 
 from __future__ import annotations
@@ -363,13 +363,8 @@ def _dirichlet_product(grid: Grid2D, u: np.ndarray, v: np.ndarray) -> float:
     return sx + sy
 
 
-def discrete_energy(
-    E: SpaceTimeField,
-    eps: CoefficientField,
-    sigma: CoefficientField,
-    n: int,
-) -> float:
-    """Discrete wave energy between levels n-1 and n.
+def level_energy(grid: Grid2D, cur: np.ndarray, prev: np.ndarray, eps: CoefficientField) -> float:
+    """Discrete wave energy between two consecutive levels prev and cur.
 
     Velocity part: eps-weighted nodal L2 norm of the backward difference
     quotient.  Gradient part: the symmetric product form of the two levels,
@@ -377,10 +372,13 @@ def discrete_energy(
     round-off (the squared midpoint gradient drifts at O(dt^2) per period
     and would mask both the conservation and the damping monotonicity).
     """
+    vel = (cur - prev) / grid.dt
+    kinetic = float(np.sum(area_weights(grid) * eps.values * vel * vel))
+    return kinetic + _dirichlet_product(grid, cur, prev)
+
+
+def discrete_energy(E: SpaceTimeField, eps: CoefficientField, n: int) -> float:
+    """level_energy between levels n-1 and n of a stored solution."""
     if not 1 <= n <= E.grid.nt:
         raise ValueError(f"time index {n} outside 1..{E.grid.nt}")
-    g = E.grid
-    w = area_weights(g)
-    vel = (E.snapshots[n] - E.snapshots[n - 1]) / g.dt
-    kinetic = float(np.sum(w * eps.values * vel * vel))
-    return kinetic + _dirichlet_product(g, E.snapshots[n], E.snapshots[n - 1])
+    return level_energy(E.grid, E.snapshots[n], E.snapshots[n - 1], eps)

@@ -7,19 +7,18 @@ The gradient densities of the regularized functional are
 
 (divergence terms of the vector model vanish in this scalar setting).  The
 time integrals are evaluated with half-step centered differences
-(E^{n+1}-E^n)/dt and midpoint values on the staggered levels, which is the
-exact summation-by-parts partner of the leapfrog update: summing the
-half-step products by parts reproduces the scheme's own second difference
-together with the t=0 boundary terms -lam(.,0) f1 and -f0 lam(.,0), so
-those are carried implicitly.  Node-centered differences with trapezoid
-quadrature were measured at 3-8% mismatch against the oracle at h = 1/24
+(E^{n+1}-E^n)/dt and midpoint values on the staggered levels.  This is a
+discretization of the continuous gradient above, not the exact derivative
+of the discrete functional that the code minimizes: against central
+differences of F, its directional derivative is off by 3-120% depending on
+the boundary configuration and the grid (ROADMAP item 1 asks for the exact
+discrete adjoint).  Node-centered differences with trapezoid quadrature
+were measured at 3-8% mismatch against the per-node oracle at h = 1/24
 (the staggered form sits near 0.2%), so the staggered form is the one
 shipped.
 
-The sums run backward in time, one half-step at a time: adjoint_gradients
-adds each product while the adjoint sweep produces the multiplier, which is
-therefore never stored, and assemble_gradients runs the same sums over a
-stored multiplier.
+The sums run backward in time, one half-step at a time, while the adjoint
+sweep produces the multiplier, which is therefore never stored.
 
 The oracle differentiates the Tikhonov value by central differences in a
 single nodal coefficient value, normalized by the node's area quadrature
@@ -29,7 +28,6 @@ weight so both quantities are commensurable gradient densities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -40,19 +38,22 @@ from .grid import RegionMask, area_weights, time_weights
 from .objective import RegularizationParams, tikhonov
 
 
-def _accumulate(
+def adjoint_gradients(
     E: SpaceTimeField,
-    lam_backward: Iterable[np.ndarray],
+    residual: BoundaryTrace,
     eps: CoefficientField,
     sigma: CoefficientField,
     reg: RegularizationParams,
     gamma_eps: float,
     gamma_sigma: float,
     mask: RegionMask,
+    bc: BcConfig,
+    src: SourceSpec,
 ) -> tuple[CoefficientField, CoefficientField, float]:
-    """Gradients and the multiplier's space-time norm from the state stack and
-    the multiplier levels lam^nt, lam^(nt-1), ..., lam^0.  The half-step
-    products are summed as the levels arrive, so only two are held."""
+    """Nodal gradients of the Tikhonov functional, zeroed on FRAME nodes,
+    and the multiplier's space-time norm, summed during the backward
+    adjoint sweep driven by residual.  The half-step products are added as
+    the levels lam^nt, lam^(nt-1), ..., lam^0 arrive, so only two are held."""
     grid = E.grid
     dt = grid.dt
     snaps = E.snapshots
@@ -61,6 +62,7 @@ def _accumulate(
     sum_sigma = np.zeros(grid.node_shape)
     lam_sq = 0.0
     lam_next = None
+    lam_backward = adjoint_levels(grid, eps, sigma, residual, bc, src)
     for n, lam in zip(range(grid.nt, -1, -1), lam_backward):
         lam_sq += wt[n] * float(np.einsum("ij,ij,ij->", lam, lam, wx))
         if lam_next is not None:
@@ -78,46 +80,6 @@ def _accumulate(
         CoefficientField(grid=grid, values=g_sigma, role=Role.SIGMA),
         float(np.sqrt(lam_sq)),
     )
-
-
-def adjoint_gradients(
-    E: SpaceTimeField,
-    residual: BoundaryTrace,
-    eps: CoefficientField,
-    sigma: CoefficientField,
-    reg: RegularizationParams,
-    gamma_eps: float,
-    gamma_sigma: float,
-    mask: RegionMask,
-    bc: BcConfig,
-    src: SourceSpec,
-) -> tuple[CoefficientField, CoefficientField, float]:
-    """Nodal gradients of the Tikhonov functional, zeroed on FRAME nodes,
-    and the multiplier's space-time norm, summed during the backward
-    adjoint sweep driven by residual; the multiplier is never stored."""
-    lam_backward = adjoint_levels(E.grid, eps, sigma, residual, bc, src)
-    return _accumulate(E, lam_backward, eps, sigma, reg, gamma_eps, gamma_sigma, mask)
-
-
-def assemble_gradients(
-    E: SpaceTimeField,
-    lam: SpaceTimeField,
-    eps: CoefficientField,
-    sigma: CoefficientField,
-    reg: RegularizationParams,
-    gamma_eps: float,
-    gamma_sigma: float,
-    mask: RegionMask,
-) -> tuple[CoefficientField, CoefficientField]:
-    """Nodal gradients of the Tikhonov functional for both coefficients,
-    zeroed on FRAME nodes, from a stored multiplier."""
-    grid = E.grid
-    if lam.grid.node_shape != grid.node_shape or lam.grid.nt != grid.nt:
-        raise ValueError("state and adjoint snapshots live on different grids")
-    g_eps, g_sigma, _ = _accumulate(
-        E, lam.snapshots[::-1], eps, sigma, reg, gamma_eps, gamma_sigma, mask
-    )
-    return g_eps, g_sigma
 
 
 @dataclass(frozen=True)

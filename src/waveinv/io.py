@@ -100,17 +100,23 @@ def write_field_csv(field: CoefficientField | np.ndarray, grid: Grid2D, path: st
 
 
 def read_field_csv(path: str | Path, grid: Grid2D, role: Role) -> CoefficientField:
-    table = _read_csv(path, FIELD_HEADER)
-    i, j = np.rint((table[:, :2] - grid.origin) / grid.h).T
-    off = (i < 0) | (i > grid.nx) | (j < 0) | (j > grid.ny)
+    """Read a field file onto a grid; every row sits on a grid node (within
+    1e-8 h) and each node appears exactly once."""
+    x, y, values = _read_csv(path, FIELD_HEADER).T
+    i = np.clip(np.rint((x - grid.origin[0]) / grid.h), 0, grid.nx).astype(int)
+    j = np.clip(np.rint((y - grid.origin[1]) / grid.h), 0, grid.ny).astype(int)
+    off = (np.abs(x - grid.xs()[i]) > 1e-8 * grid.h) | (np.abs(y - grid.ys()[j]) > 1e-8 * grid.h)
     if off.any():
-        x, y = table[off][0, :2].tolist()
-        raise ValueError(f"{path}: node ({x!r}, {y!r}) is off the grid")
-    values = np.full(grid.node_shape, np.nan)
-    values[i.astype(int), j.astype(int)] = table[:, 2]
-    if np.isnan(values).any():
-        raise ValueError(f"{path}: field file does not cover every grid node")
-    return CoefficientField(grid=grid, values=values, role=role)
+        raise ValueError(f"{path}: ({float(x[off][0])!r}, {float(y[off][0])!r}) is not a node "
+                         f"of the grid (h = {grid.h!r})")
+    flat = i * (grid.ny + 1) + j
+    seen = np.bincount(flat, minlength=grid.n_nodes)
+    if not (seen == 1).all():
+        raise ValueError(f"{path}: {flat.size} rows for the grid's {grid.n_nodes} nodes; "
+                         f"each node must appear exactly once")
+    out = np.empty(grid.n_nodes)
+    out[flat] = values
+    return CoefficientField(grid=grid, values=out.reshape(grid.node_shape), role=role)
 
 
 def write_field_vtk(

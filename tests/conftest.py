@@ -11,9 +11,12 @@ from waveinv import (
     BcConfig,
     BoundaryTrace,
     CoefficientField,
+    FieldKind,
     Role,
     SourceSpec,
+    SpaceTimeField,
     add_noise,
+    adjoint_levels,
     build_grid,
     extract_trace,
     gaussian_coefficient,
@@ -78,6 +81,18 @@ def smooth_random_trace(grid, rng, sides=ALL_SIDES, n_modes=3):
             )
         data[side] = arr
     return BoundaryTrace(grid=grid, sides=tuple(sides), data=data)
+
+
+def zero_trace(grid, sides=ALL_SIDES):
+    data = {s: np.zeros((grid.nt + 1, grid.side_node_count(s))) for s in sides}
+    return BoundaryTrace(grid=grid, sides=tuple(sides), data=data)
+
+
+def stored_adjoint(grid, eps, sigma, residual, bc, src):
+    """The multiplier levels of the backward sweep stacked in forward time
+    order (snapshot nt is the zero terminal state): the stored reference."""
+    levels = list(adjoint_levels(grid, eps, sigma, residual, bc, src))
+    return SpaceTimeField(grid=grid, snapshots=np.stack(levels[::-1]), kind=FieldKind.ADJOINT)
 
 
 def synthesize_observations(grid, noise_level=0.1, seed=42):

@@ -21,7 +21,7 @@ from waveinv import (
     SourceSpec,
     SpaceTimeField,
     StoppingTolerances,
-    assemble_gradients,
+    adjoint_gradients,
     build_grid,
     bump_perturbed,
     constant_coefficient,
@@ -37,7 +37,6 @@ from waveinv import (
     region_mask,
     run_acga,
     run_cga,
-    solve_adjoint,
     solve_forward,
     spacetime_dot,
     spacetime_norm,
@@ -51,6 +50,7 @@ from conftest import (
     smooth_random_coefficient,
     smooth_random_spacetime,
     smooth_random_trace,
+    stored_adjoint,
     synthesize_observations,
     truth_pair,
 )
@@ -105,7 +105,7 @@ def test_criterion_02_energy_monotonicity():
     eps, sig = truth_pair(g)  # sigma >= 1 everywhere
     src = SourceSpec()
     E = solve_forward(g, eps, sig, src, BcConfig())
-    H = np.array([discrete_energy(E, eps, sig, n) for n in range(1, g.nt + 1)])
+    H = np.array([discrete_energy(E, eps, n) for n in range(1, g.nt + 1)])
     start = int(np.searchsorted(g.times(), src.switch_time())) + 2
     tail = H[start:]
     increments = np.diff(tail)
@@ -128,7 +128,7 @@ def test_criterion_03_adjoint_dot_product_identity():
         r = smooth_random_trace(g, rng)
         src = SourceSpec(amplitude=0.0, volume_forcing=u)
         E = solve_forward(g, eps, sig, src, bc)
-        lam = solve_adjoint(g, eps, sig, r, bc, src)
+        lam = stored_adjoint(g, eps, sig, r, bc, src)
         u_field = SpaceTimeField(grid=g, snapshots=u, kind=FieldKind.STATE)
         # pairing convention: <trace E[u], r> = -<u, lam[r]> for the adjoint
         # driven by dlam/dn = -r, so the defect sums the two pairings
@@ -152,8 +152,8 @@ def _gradient_mismatches(ncell, n_nodes=8, seed=7):
     sig_e = project(constant_coefficient(g, 2.0, Role.SIGMA), adm, mask)
     reg = RegularizationParams(0.0, 0.0, 0.5, eps_e, sig_e)
     E = solve_forward(g, eps_e, sig_e, src, bc)
-    lam = solve_adjoint(g, eps_e, sig_e, extract_trace(E, ALL_SIDES) - obs, bc, src)
-    g_eps, g_sig = assemble_gradients(E, lam, eps_e, sig_e, reg, 0.0, 0.0, mask)
+    residual = extract_trace(E, ALL_SIDES) - obs
+    g_eps, g_sig, _ = adjoint_gradients(E, residual, eps_e, sig_e, reg, 0.0, 0.0, mask, bc, src)
     rng = np.random.default_rng(seed)
     inner = np.argwhere(mask.inner)
     nodes = [tuple(inner[k]) for k in rng.choice(len(inner), n_nodes, replace=False)]

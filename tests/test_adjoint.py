@@ -9,11 +9,11 @@ from waveinv import (
     SourceSpec,
     SpaceTimeField,
     adjoint_energy_monitor,
+    adjoint_levels,
     all_neumann_bc,
     build_grid,
     constant_coefficient,
     extract_trace,
-    solve_adjoint,
     solve_forward,
     spacetime_dot,
     spacetime_norm,
@@ -22,20 +22,19 @@ from waveinv import (
 )
 from waveinv.forward import BcKind
 from waveinv.grid import Side
-from conftest import smooth_random_spacetime, smooth_random_trace, truth_pair
-
-
-def zero_trace(grid, sides=ALL_SIDES):
-    from waveinv import BoundaryTrace
-
-    data = {s: np.zeros((grid.nt + 1, grid.side_node_count(s))) for s in sides}
-    return BoundaryTrace(grid=grid, sides=tuple(sides), data=data)
+from conftest import (
+    smooth_random_spacetime,
+    smooth_random_trace,
+    stored_adjoint,
+    truth_pair,
+    zero_trace,
+)
 
 
 def test_zero_residual_gives_zero_adjoint(small_grid):
     eps = constant_coefficient(small_grid, 1.0, Role.EPSILON)
     sig = constant_coefficient(small_grid, 1.0, Role.SIGMA)
-    lam = solve_adjoint(small_grid, eps, sig, zero_trace(small_grid), BcConfig(), SourceSpec())
+    lam = stored_adjoint(small_grid, eps, sig, zero_trace(small_grid), BcConfig(), SourceSpec())
     assert np.all(lam.snapshots == 0.0)
     assert lam.kind is FieldKind.ADJOINT
 
@@ -45,7 +44,7 @@ def test_terminal_conditions(small_grid):
     eps = constant_coefficient(small_grid, 1.5, Role.EPSILON)
     sig = constant_coefficient(small_grid, 1.0, Role.SIGMA)
     res = smooth_random_trace(small_grid, rng)
-    lam = solve_adjoint(small_grid, eps, sig, res, BcConfig(), SourceSpec())
+    lam = stored_adjoint(small_grid, eps, sig, res, BcConfig(), SourceSpec())
     assert np.all(lam.snapshots[-1] == 0.0)
     # the reversed Taylor start admits only the O(dt^2) ghost-source kick,
     # so the terminal backward velocity is O(dt), not O(1)
@@ -66,9 +65,9 @@ def test_linearity_in_residual(small_grid):
         data={s: a * r1.data[s] + b * r2.data[s] for s in r1.sides},
     )
     bc, src = BcConfig(), SourceSpec()
-    lam1 = solve_adjoint(small_grid, eps, sig, r1, bc, src)
-    lam2 = solve_adjoint(small_grid, eps, sig, r2, bc, src)
-    lam = solve_adjoint(small_grid, eps, sig, combo, bc, src)
+    lam1 = stored_adjoint(small_grid, eps, sig, r1, bc, src)
+    lam2 = stored_adjoint(small_grid, eps, sig, r2, bc, src)
+    lam = stored_adjoint(small_grid, eps, sig, combo, bc, src)
     ref = a * lam1.snapshots + b * lam2.snapshots
     scale = np.abs(ref).max()
     assert np.abs(lam.snapshots - ref).max() <= 1e-12 * scale
@@ -81,7 +80,7 @@ def test_time_reversal_matches_forward_on_reversed_source():
     rng = np.random.default_rng(5)
     res = smooth_random_trace(g, rng, sides=(Side.LEFT,))
     bc = all_neumann_bc()
-    lam = solve_adjoint(g, eps, sig, res, bc, SourceSpec(amplitude=0.0))
+    lam = stored_adjoint(g, eps, sig, res, bc, SourceSpec(amplitude=0.0))
 
     flipped = -res.data[Side.LEFT][::-1]
 
@@ -112,7 +111,7 @@ def test_dot_product_identity_smoke(medium_grid):
         r = smooth_random_trace(medium_grid, rng)
         src = SourceSpec(amplitude=0.0, volume_forcing=u)
         E = solve_forward(medium_grid, eps, sig, src, bc)
-        lam = solve_adjoint(medium_grid, eps, sig, r, bc, src)
+        lam = stored_adjoint(medium_grid, eps, sig, r, bc, src)
         u_field = SpaceTimeField(grid=medium_grid, snapshots=u, kind=FieldKind.STATE)
         lhs = trace_dot(extract_trace(E, ALL_SIDES), r)
         rhs = spacetime_dot(u_field, lam)
@@ -125,8 +124,8 @@ class TestEnergyMonitor:
         eps = constant_coefficient(small_grid, 1.0, Role.EPSILON)
         sig = constant_coefficient(small_grid, 1.0, Role.SIGMA)
         res = zero_trace(small_grid)
-        lam = solve_adjoint(small_grid, eps, sig, res, BcConfig(), SourceSpec())
-        rep = adjoint_energy_monitor(lam, eps, sig, res)
+        lam_backward = adjoint_levels(small_grid, eps, sig, res, BcConfig(), SourceSpec())
+        rep = adjoint_energy_monitor(lam_backward, eps, sig, res)
         assert rep.max_energy == 0.0
         assert rep.ratio == 0.0
         assert not rep.flagged
@@ -137,8 +136,8 @@ class TestEnergyMonitor:
         sig = constant_coefficient(small_grid, 1.0, Role.SIGMA)
         res = smooth_random_trace(small_grid, rng)
         bc, src = BcConfig(), SourceSpec()
-        lam1 = solve_adjoint(small_grid, eps, sig, res, bc, src)
-        lam2 = solve_adjoint(small_grid, eps, sig, res.scaled(2.0), bc, src)
+        lam1 = adjoint_levels(small_grid, eps, sig, res, bc, src)
+        lam2 = adjoint_levels(small_grid, eps, sig, res.scaled(2.0), bc, src)
         rep1 = adjoint_energy_monitor(lam1, eps, sig, res)
         rep2 = adjoint_energy_monitor(lam2, eps, sig, res.scaled(2.0))
         assert rep2.max_energy == pytest.approx(4.0 * rep1.max_energy, rel=1e-10)
@@ -156,8 +155,8 @@ class TestEnergyMonitor:
             sig0 = constant_coefficient(g, 1.0, Role.SIGMA)
             sim = extract_trace(solve_forward(g, eps0, sig0, src, bc), ALL_SIDES)
             res = sim - obs
-            lam = solve_adjoint(g, eps0, sig0, res, bc, src)
-            rep = adjoint_energy_monitor(lam, eps0, sig0, res)
+            lam_backward = adjoint_levels(g, eps0, sig0, res, bc, src)
+            rep = adjoint_energy_monitor(lam_backward, eps0, sig0, res)
             assert np.isfinite(rep.ratio) and not rep.flagged
             ratios.append(rep.ratio)
         assert abs(ratios[1] - ratios[0]) < 0.5 * ratios[0]
@@ -168,4 +167,4 @@ def test_mismatched_residual_rejected(small_grid):
     eps = constant_coefficient(small_grid, 1.0, Role.EPSILON)
     sig = constant_coefficient(small_grid, 1.0, Role.SIGMA)
     with pytest.raises(ValueError):
-        solve_adjoint(small_grid, eps, sig, zero_trace(other), BcConfig(), SourceSpec())
+        adjoint_levels(small_grid, eps, sig, zero_trace(other), BcConfig(), SourceSpec())

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 import waveinv.cli
+from waveinv import Role, build_grid, constant_coefficient
 from waveinv.cli import main
 from waveinv.config import load_config
 from waveinv.fields import extract_trace
-from waveinv.forward import solve_forward
+from waveinv.forward import forward_trace, solve_forward
 from waveinv.gradient import adjoint_gradients
-from waveinv.io import write_field_vtk, write_trace_csv
+from waveinv.io import read_field_csv, write_field_csv, write_field_vtk, write_trace_csv
+from conftest import stored_adjoint
 
 BASE = """
 [grid]
@@ -181,6 +183,21 @@ def test_invert_grid_mismatch_exits_2(tmp_path):
         assert main(["invert", "--config", str(out / "bad.ini"), "--quiet"]) == 2
 
 
+def test_invert_finer_initial_field_exits_2(tmp_path, capsys):
+    # a 24x24 field file is not a field on the 12x12 grid, not even a subsample
+    fine = build_grid(24, 24, T=0.8)
+    path = tmp_path / "fine.csv"
+    write_field_csv(constant_coefficient(fine, 1.0, Role.EPSILON), fine, path)
+    initial = "[initial.eps]\nkind = constant\nvalue = 1.0"
+    assert initial in BASE
+    cfg = write_cfg(tmp_path, BASE.replace(initial, f"[initial.eps]\nkind = file\npath = {path}"))
+    out = tmp_path / "run"
+    assert main(["synthesize", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert main(["invert", "--config", str(out / "manifest.ini"), "--quiet"]) == 2
+    assert "initial.eps" in capsys.readouterr().err
+    assert not (out / "convergence.csv").exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("omega", "0"), ("t_on", "soon"), ("max_iters", "-1"), ("n_max", "-1"), ("beta_eps", "1.5"),
     ("t_on", "0"), ("t_on", "-1"), ("side", "3"),
@@ -345,6 +362,22 @@ def test_adjoint_dumps_from_invert(tmp_path):
     out2 = tmp_path / "ldumps"
     assert main(["invert", "--config", str(out / "dump.ini"), "--out", str(out2), "--quiet"]) == 0
     assert sorted(out2.glob("L_*.vtk"))
+
+    # the dumps written from the backward sweep match the stored multiplier
+    # of the final iterate, read back exactly from its 17-digit field files
+    problem, _ = waveinv.cli._inversion_problem(load_config(out2 / "manifest.ini"))
+    grid = problem.grid
+    eps = read_field_csv(out2 / "eps_final.csv", grid, Role.EPSILON)
+    sigma = read_field_csv(out2 / "sigma_final.csv", grid, Role.SIGMA)
+    sim = forward_trace(grid, eps, sigma, problem.src, problem.bc, problem.obs.sides)
+    lam = stored_adjoint(grid, eps, sigma, sim - problem.obs, problem.bc, problem.src)
+    levels = range(0, grid.nt + 1, 25)
+    assert sorted(p.name for p in out2.glob("L_*.vtk")) == sorted(f"L_{n}.vtk" for n in levels)
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    for n in levels:
+        write_field_vtk(lam.snapshots[n], grid, ref / f"L_{n}.vtk", name="L")
+        assert (out2 / f"L_{n}.vtk").read_bytes() == (ref / f"L_{n}.vtk").read_bytes()
 
 
 def test_cfl_violation_exits_3(tmp_path, capsys):

@@ -121,7 +121,7 @@ def test_energy_conserved_in_closed_box():
         f0=lambda X, Y: np.exp(-((X - 0.5) ** 2 + (Y - 0.5) ** 2) / 0.01),
     )
     E = solve_forward(g, eps, sig, src, all_neumann_bc())
-    H = np.array([discrete_energy(E, eps, sig, n) for n in range(1, g.nt + 1)])
+    H = np.array([discrete_energy(E, eps, n) for n in range(1, g.nt + 1)])
     assert H[0] > 0
     assert np.abs(np.diff(H)).max() <= 1e-8 * H[0]
 
@@ -134,7 +134,7 @@ def test_energy_decays_under_damping():
         f0=lambda X, Y: np.exp(-((X - 0.5) ** 2 + (Y - 0.5) ** 2) / 0.01),
     )
     E = solve_forward(g, eps, sig, src, all_neumann_bc())
-    H = np.array([discrete_energy(E, eps, sig, n) for n in range(1, g.nt + 1)])
+    H = np.array([discrete_energy(E, eps, n) for n in range(1, g.nt + 1)])
     assert np.all(np.diff(H) <= 1e-14 * H[0])
     assert H[-1] < H[0]
 
@@ -144,7 +144,7 @@ def test_energy_monotone_after_source_with_absorbing_and_damping():
     eps, sig = truth_pair(g)
     src = SourceSpec()
     E = solve_forward(g, eps, sig, src, BcConfig())
-    H = np.array([discrete_energy(E, eps, sig, n) for n in range(1, g.nt + 1)])
+    H = np.array([discrete_energy(E, eps, n) for n in range(1, g.nt + 1)])
     start = int(np.searchsorted(g.times(), src.switch_time())) + 2
     tail = H[start:]
     assert np.all(np.diff(tail) <= 1e-8 * tail[:-1])
@@ -230,6 +230,6 @@ def test_bc_config_rejects_two_source_sides():
 def test_discrete_energy_time_index_validated(small_grid):
     eps, sig = homogeneous(small_grid)
     E = solve_forward(small_grid, eps, sig, SourceSpec(amplitude=0.0), BcConfig())
-    assert discrete_energy(E, eps, sig, 1) == 0.0
+    assert discrete_energy(E, eps, 1) == 0.0
     with pytest.raises(ValueError):
-        discrete_energy(E, eps, sig, 0)
+        discrete_energy(E, eps, 0)

@@ -7,24 +7,26 @@ from waveinv import (
     AdmissibleSet,
     BcConfig,
     BcKind,
-    FieldKind,
     RegularizationParams,
     Role,
     SourceSpec,
-    SpaceTimeField,
-    assemble_gradients,
+    adjoint_gradients,
     build_grid,
     constant_coefficient,
     extract_trace,
     fd_gradient_oracle,
     project,
     region_mask,
-    solve_adjoint,
     solve_forward,
     spacetime_norm,
 )
-from waveinv.gradient import adjoint_gradients
-from conftest import smooth_random_coefficient, smooth_random_trace, truth_pair
+from conftest import (
+    smooth_random_coefficient,
+    smooth_random_trace,
+    stored_adjoint,
+    truth_pair,
+    zero_trace,
+)
 
 
 def make_reg(grid, eps_val=1.0, sigma_val=1.0, g0=0.0):
@@ -34,14 +36,6 @@ def make_reg(grid, eps_val=1.0, sigma_val=1.0, g0=0.0):
         p=0.5,
         eps_prior=constant_coefficient(grid, eps_val, Role.EPSILON),
         sigma_prior=constant_coefficient(grid, sigma_val, Role.SIGMA),
-    )
-
-
-def zero_adjoint(grid):
-    return SpaceTimeField(
-        grid=grid,
-        snapshots=np.zeros((grid.nt + 1, *grid.node_shape)),
-        kind=FieldKind.ADJOINT,
     )
 
 
@@ -63,10 +57,11 @@ class TestAssemble:
         reg = make_reg(small_grid)
         eps = constant_coefficient(small_grid, 1.0, Role.EPSILON)
         sig = constant_coefficient(small_grid, 1.0, Role.SIGMA)
-        E = solve_forward(small_grid, eps, sig, SourceSpec(), BcConfig())
+        src, bc = SourceSpec(), BcConfig()
+        E = solve_forward(small_grid, eps, sig, src, bc)
         mask = region_mask(small_grid, 0)
-        g_eps, g_sig = assemble_gradients(
-            E, zero_adjoint(small_grid), eps, sig, reg, 0.5, 0.5, mask
+        g_eps, g_sig, _ = adjoint_gradients(
+            E, zero_trace(small_grid), eps, sig, reg, 0.5, 0.5, mask, bc, src
         )
         assert np.all(g_eps.values == 0.0)
         assert np.all(g_sig.values == 0.0)
@@ -75,10 +70,11 @@ class TestAssemble:
         reg = make_reg(small_grid, eps_val=1.0)
         eps = constant_coefficient(small_grid, 2.0, Role.EPSILON)
         sig = constant_coefficient(small_grid, 1.0, Role.SIGMA)
-        E = solve_forward(small_grid, eps, sig, SourceSpec(amplitude=0.0), BcConfig())
+        src, bc = SourceSpec(amplitude=0.0), BcConfig()
+        E = solve_forward(small_grid, eps, sig, src, bc)
         mask = region_mask(small_grid, 2)
-        g_eps, _ = assemble_gradients(
-            E, zero_adjoint(small_grid), eps, sig, reg, 0.3, 0.0, mask
+        g_eps, _, _ = adjoint_gradients(
+            E, zero_trace(small_grid), eps, sig, reg, 0.3, 0.0, mask, bc, src
         )
         assert np.all(g_eps.values[mask.inner] == pytest.approx(0.3, abs=1e-15))
         assert np.all(g_eps.values[mask.frame] == 0.0)
@@ -88,16 +84,12 @@ class TestAssemble:
         eps = constant_coefficient(small_grid, 3.0, Role.EPSILON)
         sig = constant_coefficient(small_grid, 2.0, Role.SIGMA)
         mask = region_mask(small_grid, 0)
-        E = solve_forward(small_grid, eps, sig, SourceSpec(), BcConfig())
-        rng = np.random.default_rng(3)
-        lam = SpaceTimeField(
-            grid=small_grid,
-            snapshots=rng.standard_normal(E.snapshots.shape),
-            kind=FieldKind.ADJOINT,
-        )
-        g0, _ = assemble_gradients(E, lam, eps, sig, reg, 0.0, 0.0, mask)
-        g1, _ = assemble_gradients(E, lam, eps, sig, reg, 0.2, 0.0, mask)
-        g2, _ = assemble_gradients(E, lam, eps, sig, reg, 0.4, 0.0, mask)
+        src, bc = SourceSpec(), BcConfig()
+        E = solve_forward(small_grid, eps, sig, src, bc)
+        residual = smooth_random_trace(small_grid, np.random.default_rng(3))
+        g0, _, _ = adjoint_gradients(E, residual, eps, sig, reg, 0.0, 0.0, mask, bc, src)
+        g1, _, _ = adjoint_gradients(E, residual, eps, sig, reg, 0.2, 0.0, mask, bc, src)
+        g2, _, _ = adjoint_gradients(E, residual, eps, sig, reg, 0.4, 0.0, mask, bc, src)
         # extraction of the regularization part by subtraction carries the
         # round-off of the large data term, hence the scaled tolerance
         scale = np.abs(g0.values).max()
@@ -110,8 +102,10 @@ class TestAssemble:
         g, mask, adm, src, bc, obs, eps_e, sig_e = eval_setup(16)
         reg = make_reg(g)
         E = solve_forward(g, eps_e, sig_e, src, bc)
-        lam = solve_adjoint(g, eps_e, sig_e, extract_trace(E, ALL_SIDES) - obs, bc, src)
-        g_eps, g_sig = assemble_gradients(E, lam, eps_e, sig_e, reg, 0.1, 0.1, mask)
+        residual = extract_trace(E, ALL_SIDES) - obs
+        g_eps, g_sig, _ = adjoint_gradients(
+            E, residual, eps_e, sig_e, reg, 0.1, 0.1, mask, bc, src
+        )
         assert np.all(g_eps.values[mask.frame] == 0.0)
         assert np.all(g_sig.values[mask.frame] == 0.0)
         assert np.abs(g_eps.values[mask.inner]).max() > 0.0
@@ -171,8 +165,10 @@ class TestAdjointVersusOracle:
         g, mask, adm, src, bc, obs, eps_e, sig_e = eval_setup(ncell)
         reg = make_reg(g)
         E = solve_forward(g, eps_e, sig_e, src, bc)
-        lam = solve_adjoint(g, eps_e, sig_e, extract_trace(E, ALL_SIDES) - obs, bc, src)
-        g_eps, g_sig = assemble_gradients(E, lam, eps_e, sig_e, reg, 0.0, 0.0, mask)
+        residual = extract_trace(E, ALL_SIDES) - obs
+        g_eps, g_sig, _ = adjoint_gradients(
+            E, residual, eps_e, sig_e, reg, 0.0, 0.0, mask, bc, src
+        )
         rng = np.random.default_rng(seed)
         inner = np.argwhere(mask.inner)
         nodes = [tuple(inner[k]) for k in rng.choice(len(inner), n_nodes, replace=False)]
@@ -257,12 +253,8 @@ class TestStreamedSweep:
         g_eps, g_sig, lambda_norm = adjoint_gradients(
             E, residual, eps, sig, reg, 0.05, 0.07, mask, bc, src
         )
-        lam = solve_adjoint(g, eps, sig, residual, bc, src)
-        s_eps, s_sig = assemble_gradients(E, lam, eps, sig, reg, 0.05, 0.07, mask)
-        assert rel_diff(g_eps.values, s_eps.values) <= 1e-12
-        assert rel_diff(g_sig.values, s_sig.values) <= 1e-12
-        assert lambda_norm == pytest.approx(spacetime_norm(lam), rel=1e-12, abs=0.0)
-
+        lam = stored_adjoint(g, eps, sig, residual, bc, src)
         r_eps, r_sig = stored_reference(E, lam, eps, sig, reg, 0.05, 0.07, mask)
-        assert rel_diff(s_eps.values, r_eps) <= 1e-12
-        assert rel_diff(s_sig.values, r_sig) <= 1e-12
+        assert rel_diff(g_eps.values, r_eps) <= 1e-12
+        assert rel_diff(g_sig.values, r_sig) <= 1e-12
+        assert lambda_norm == pytest.approx(spacetime_norm(lam), rel=1e-12, abs=0.0)

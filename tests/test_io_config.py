@@ -98,6 +98,27 @@ def test_field_csv_roundtrip(grid, tmp_path):
     assert np.array_equal(back.values, f.values)
 
 
+def test_field_csv_from_finer_grid_detected(tmp_path):
+    # every other row of the 24x24 file lands on a 12x12 node; the rest do not
+    coarse, fine = build_grid(12, 12, T=0.4), build_grid(24, 24, T=0.4)
+    path = tmp_path / "eps.csv"
+    write_field_csv(gaussian_coefficient(fine, 1.0, 3.0, (0.5, 0.7), 0.002, Role.EPSILON),
+                    fine, path)
+    with pytest.raises(ValueError, match="not a node"):
+        read_field_csv(path, coarse, Role.EPSILON)
+
+
+def test_field_csv_repeated_node_detected(grid, tmp_path):
+    path = tmp_path / "eps.csv"
+    write_field_csv(constant_coefficient(grid, 2.0, Role.EPSILON), grid, path)
+    lines = path.read_bytes().split(b"\r\n")
+    # node (0, 1) once more with another value, after its own row
+    x, y, _ = lines[2].split(b",")
+    path.write_bytes(b"\r\n".join([*lines[:3], x + b"," + y + b",9", *lines[3:]]))
+    with pytest.raises(ValueError, match="exactly once"):
+        read_field_csv(path, grid, Role.EPSILON)
+
+
 def test_vtk_header_and_payload(grid, tmp_path):
     f = constant_coefficient(grid, 2.5, Role.EPSILON)
     path = tmp_path / "eps.vtk"
