@@ -196,9 +196,10 @@ class Leapfrog:
 
     Built once per (grid, eps, sigma, side programs, forcing), it holds the
     update coefficients, the four ghost slots of one reusable ghost-padded
-    buffer and the forcing lookup.  The forward solve, the adjoint solve and
-    the Lagrangian's defect all step through it, so each expression of the
-    scheme is written once.  The padded buffer makes an instance
+    buffer, its row-sum buffer, one edge buffer per side for the absorbing
+    ghost, one scratch level and the forcing lookup.  The forward solve, the
+    adjoint solve and the Lagrangian's defect all step through it, so each
+    expression of the scheme is written once.  The buffers make an instance
     non-reentrant.
     """
 
@@ -211,17 +212,25 @@ class Leapfrog:
         forcing: Callable | np.ndarray | None = None,
     ) -> None:
         self.grid, self.eps, self.sigma = grid, eps, sigma
-        dt = grid.dt
+        h, dt = grid.h, grid.dt
         eps_v, sig_v = eps.values, sigma.values
         self.a_plus = eps_v / dt**2 + sig_v / (2.0 * dt)
         self.a_mid = 2.0 * eps_v / dt**2
         self.a_minus = eps_v / dt**2 - sig_v / (2.0 * dt)
+        # E^{n+1} = c_lap * (neighbour sum) + c_cur E^n - c_prev E^{n-1} + f^n / a_plus
+        self._c_cur = (self.a_mid - 4.0 / h**2) / self.a_plus
+        self._c_prev = self.a_minus / self.a_plus
+        self._c_lap = 1.0 / (self.a_plus * h**2)
+        self._absorb = 2.0 * h / dt
+        self._scratch = np.empty(grid.node_shape)
         self._pad = P = np.zeros((grid.nx + 3, grid.ny + 3))
+        self._rows = np.empty((grid.nx + 1, grid.ny + 3))
         # (ghost row of the buffer, mirror row, boundary row, absorbing switch,
-        # Neumann flux term 2 h g) per side
+        # Neumann flux term 2 h g, boundary-row buffer) per side
         self._ghosts = [
             (ghost, mirror, edge, programs[side].absorbing,
-             None if programs[side].series is None else 2.0 * grid.h * programs[side].series)
+             None if programs[side].series is None else 2.0 * h * programs[side].series,
+             np.empty(grid.side_node_count(side)))
             for side, ghost, mirror, edge in (
                 (Side.LEFT, P[0, 1:-1], np.s_[1, :], np.s_[0, :]),
                 (Side.RIGHT, P[-1, 1:-1], np.s_[-2, :], np.s_[-1, :]),
@@ -230,42 +239,65 @@ class Leapfrog:
             )
         ]
         if forcing is None:
-            self.forcing = lambda n: 0.0
+            self.forcing = None
         elif isinstance(forcing, np.ndarray):
             self.forcing = forcing.__getitem__
         else:
             X, Y = grid.meshgrid()
             self.forcing = lambda n: np.asarray(forcing(X, Y, n * dt), dtype=np.float64)
 
-    def laplacian(self, cur: np.ndarray, prev: np.ndarray, n: int) -> np.ndarray:
-        """5-point Laplacian of snapshot n with the ghost-node closures; prev
-        supplies the previous-level boundary values for the absorbing ghost."""
-        h, dt = self.grid.h, self.grid.dt
+    def _neighbour_sum(self, cur: np.ndarray, prev: np.ndarray, n: int,
+                       out: np.ndarray) -> np.ndarray:
+        """Sum of the four neighbours of every node of snapshot n into out,
+        with the ghost-node closures; prev supplies the previous-level
+        boundary values for the absorbing ghost."""
         P = self._pad
         P[1:-1, 1:-1] = cur
-        for ghost, mirror, edge, absorbing, flux in self._ghosts:
+        for ghost, mirror, edge, absorbing, flux, diff in self._ghosts:
             ghost[...] = cur[mirror]
             if flux is not None:
                 ghost += flux[n]
             if absorbing[n]:
-                ghost -= 2.0 * h * (cur[edge] - prev[edge]) / dt
-        return (
-            P[2:, 1:-1] + P[:-2, 1:-1] + P[1:-1, 2:] + P[1:-1, :-2] - 4.0 * P[1:-1, 1:-1]
-        ) / (h * h)
+                np.subtract(cur[edge], prev[edge], out=diff)
+                diff *= self._absorb
+                ghost -= diff
+        # sum over whole padded rows, ghost columns included, so that every
+        # operand is one contiguous run of the buffer (numpy copies strided
+        # operands through a scratch buffer), then keep the node columns
+        p, w, rows = P.ravel(), P.shape[1], self._rows.ravel()
+        lo, hi = w, w * (self.grid.nx + 2)
+        np.add(p[lo + w:hi + w], p[lo - w:hi - w], out=rows)
+        rows += p[lo + 1:hi + 1]
+        rows += p[lo - 1:hi - 1]
+        out[...] = self._rows[:, 1:-1]
+        return out
 
-    def step(self, cur: np.ndarray, prev: np.ndarray, n: int) -> np.ndarray:
-        """One leapfrog update: snapshots (n-1, n) -> n+1."""
-        lap = self.laplacian(cur, prev, n)
-        return (self.a_mid * cur - self.a_minus * prev + lap + self.forcing(n)) / self.a_plus
+    def laplacian(self, cur: np.ndarray, prev: np.ndarray, n: int) -> np.ndarray:
+        """5-point Laplacian of snapshot n with the ghost-node closures."""
+        nbr = self._neighbour_sum(cur, prev, n, np.empty_like(cur))
+        return (nbr - 4.0 * cur) / self.grid.h**2
+
+    def step(
+        self, cur: np.ndarray, prev: np.ndarray, n: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """One leapfrog update: snapshots (n-1, n) -> n+1, written into out
+        (a fresh array when out is None); out must be neither cur nor prev."""
+        out = self._neighbour_sum(cur, prev, n, np.empty_like(cur) if out is None else out)
+        out *= self._c_lap
+        out += np.multiply(self._c_cur, cur, out=self._scratch)
+        out -= np.multiply(self._c_prev, prev, out=self._scratch)
+        if self.forcing is not None:
+            out += np.divide(self.forcing(n), self.a_plus, out=self._scratch)
+        return out
 
     def first_step(self, e0: np.ndarray, f1_v: np.ndarray) -> np.ndarray:
         """Taylor start producing E^1; the absorbing ghost takes e0 - dt f1 as
         the previous level in place of the undefined backward difference."""
         dt = self.grid.dt
-        lap0 = self.laplacian(e0, e0 - dt * f1_v, 0)
-        return e0 + dt * f1_v + dt**2 / (2.0 * self.eps.values) * (
-            lap0 - self.sigma.values * f1_v + self.forcing(0)
-        )
+        rhs = self.laplacian(e0, e0 - dt * f1_v, 0) - self.sigma.values * f1_v
+        if self.forcing is not None:
+            rhs += self.forcing(0)
+        return e0 + dt * f1_v + dt**2 / (2.0 * self.eps.values) * rhs
 
 
 def leapfrog_levels(
@@ -275,9 +307,10 @@ def leapfrog_levels(
 ) -> Iterator[np.ndarray]:
     """Time-step the damped wave scheme and yield levels 0..nt in order.
 
-    Only the two levels the next update needs are held; each yielded array
-    is fresh, so a consumer may keep it.  The CFL and sign checks run before
-    the first level is yielded.
+    The levels rotate through three buffers: a yielded level stays valid
+    until two more levels have been yielded, so a consumer may hold the two
+    most recent levels but must copy any level it keeps longer.  The CFL
+    and sign checks run before the first level is yielded.
     """
     grid = op.grid
     check_cfl(grid, op.eps)
@@ -289,11 +322,13 @@ def leapfrog_levels(
         raise StabilityError("non-finite field values at start-up")
     yield prev
     yield cur
+    nxt, finite = np.empty_like(cur), np.empty(grid.node_shape, dtype=bool)
     for n in range(1, grid.nt):
-        prev, cur = cur, op.step(cur, prev, n)
-        if not np.isfinite(cur).all():
+        op.step(cur, prev, n, out=nxt)
+        if not np.isfinite(nxt, out=finite).all():
             raise StabilityError(f"non-finite field values at step {n + 1}")
-        yield cur
+        yield nxt
+        prev, cur, nxt = cur, nxt, prev
 
 
 def forward_operator(

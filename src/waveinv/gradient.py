@@ -57,22 +57,26 @@ def adjoint_gradients(
     grid = E.grid
     dt = grid.dt
     snaps = E.snapshots
-    wt, wx = time_weights(grid), area_weights(grid)
+    wt, sqrt_wx = time_weights(grid), np.sqrt(area_weights(grid))
     sum_eps = np.zeros(grid.node_shape)
     sum_sigma = np.zeros(grid.node_shape)
+    dlam, tmp = np.empty(grid.node_shape), np.empty(grid.node_shape)
     lam_sq = 0.0
     lam_next = None
     lam_backward = adjoint_levels(grid, eps, sigma, residual, bc, src)
     for n, lam in zip(range(grid.nt, -1, -1), lam_backward):
-        lam_sq += wt[n] * float(np.einsum("ij,ij,ij->", lam, lam, wx))
+        np.multiply(lam, sqrt_wx, out=tmp)
+        lam_sq += wt[n] * float(np.vdot(tmp, tmp))
         if lam_next is not None:
-            dlam = (lam_next - lam) / dt
-            sum_eps += dlam * ((snaps[n + 1] - snaps[n]) / dt)
-            sum_sigma += 0.5 * (snaps[n + 1] + snaps[n]) * dlam
+            np.subtract(lam_next, lam, out=dlam)
+            sum_eps += np.multiply(np.subtract(snaps[n + 1], snaps[n], out=tmp), dlam, out=tmp)
+            sum_sigma += np.multiply(np.add(snaps[n + 1], snaps[n], out=tmp), dlam, out=tmp)
         lam_next = lam
 
-    g_eps = gamma_eps * (eps.values - reg.eps_prior.values) - dt * sum_eps
-    g_sigma = gamma_sigma * (sigma.values - reg.sigma_prior.values) - dt * sum_sigma
+    # sum_eps and sum_sigma hold raw differences: the 1/dt of each difference
+    # quotient and the dt of the time quadrature are folded in here
+    g_eps = gamma_eps * (eps.values - reg.eps_prior.values) - sum_eps / dt
+    g_sigma = gamma_sigma * (sigma.values - reg.sigma_prior.values) - 0.5 * sum_sigma
     g_eps[mask.frame] = 0.0
     g_sigma[mask.frame] = 0.0
     return (

@@ -134,8 +134,9 @@ def lagrangian(
 ) -> float:
     """Tikhonov value plus the discrete forward defect paired with the
     multiplier; equals the Tikhonov value whenever E solves the scheme."""
-    if E.grid is not lam.grid and E.grid.node_shape != lam.grid.node_shape:
-        raise ValueError("state and multiplier live on different grids")
+    g, gl = E.grid, lam.grid
+    if g.node_shape != gl.node_shape or g.nt != gl.nt or abs(g.dt - gl.dt) > 1e-12 * g.dt:
+        raise ValueError("state and multiplier live on different space-time grids")
     sim = extract_trace(E, obs.sides)
     value = tikhonov(sim, obs, eps, sigma, reg, gamma_eps, gamma_sigma)
     defect = forward_defect(E, eps, sigma, src, bc)

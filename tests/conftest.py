@@ -90,8 +90,9 @@ def zero_trace(grid, sides=ALL_SIDES):
 
 def stored_adjoint(grid, eps, sigma, residual, bc, src):
     """The multiplier levels of the backward sweep stacked in forward time
-    order (snapshot nt is the zero terminal state): the stored reference."""
-    levels = list(adjoint_levels(grid, eps, sigma, residual, bc, src))
+    order (snapshot nt is the zero terminal state): the stored reference.
+    Each level is copied, because the sweep reuses its level buffers."""
+    levels = [lam.copy() for lam in adjoint_levels(grid, eps, sigma, residual, bc, src)]
     return SpaceTimeField(grid=grid, snapshots=np.stack(levels[::-1]), kind=FieldKind.ADJOINT)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,10 @@ from waveinv import (
     gaussian_coefficient,
     solve_forward,
 )
-from waveinv.forward import forward_trace
-from conftest import truth_pair
+from waveinv.forward import (
+    _nodal, build_forward_programs, forward_levels, forward_operator, forward_trace,
+)
+from conftest import smooth_random_coefficient, truth_pair
 
 
 def homogeneous(grid, eps_val=1.0, sigma_val=0.0):
@@ -233,3 +237,161 @@ def test_discrete_energy_time_index_validated(small_grid):
     assert discrete_energy(E, eps, 1) == 0.0
     with pytest.raises(ValueError):
         discrete_energy(E, eps, 0)
+
+
+def unfused_levels(grid, eps, sigma, src, bc):
+    """The leapfrog scheme as it was written before the fused kernel: a
+    fresh ghost-padded copy per level, the 5-point Laplacian divided by h^2
+    and one division of the whole update by a_plus.  The reference for
+    Leapfrog.step and leapfrog_levels; returns the step function and the
+    stacked levels 0..nt."""
+    h, dt = grid.h, grid.dt
+    e, s = eps.values, sigma.values
+    a_plus = e / dt**2 + s / (2.0 * dt)
+    a_mid = 2.0 * e / dt**2
+    a_minus = e / dt**2 - s / (2.0 * dt)
+    programs = build_forward_programs(grid, src, bc)
+    X, Y = grid.meshgrid()
+
+    def force(n):
+        f = src.volume_forcing
+        if f is None:
+            return 0.0
+        return f[n] if isinstance(f, np.ndarray) else f(X, Y, n * dt)
+
+    def laplacian(cur, prev, n):
+        P = np.zeros((grid.nx + 3, grid.ny + 3))
+        P[1:-1, 1:-1] = cur
+        for side, ghost, mirror, edge in (
+            (Side.LEFT, np.s_[0, 1:-1], np.s_[1, :], np.s_[0, :]),
+            (Side.RIGHT, np.s_[-1, 1:-1], np.s_[-2, :], np.s_[-1, :]),
+            (Side.BOTTOM, np.s_[1:-1, 0], np.s_[:, 1], np.s_[:, 0]),
+            (Side.TOP, np.s_[1:-1, -1], np.s_[:, -2], np.s_[:, -1]),
+        ):
+            prog = programs[side]
+            value = cur[mirror].copy()
+            if prog.series is not None:
+                value += 2.0 * h * prog.series[n]
+            if prog.absorbing[n]:
+                value -= 2.0 * h * (cur[edge] - prev[edge]) / dt
+            P[ghost] = value
+        return (
+            P[2:, 1:-1] + P[:-2, 1:-1] + P[1:-1, 2:] + P[1:-1, :-2] - 4.0 * P[1:-1, 1:-1]
+        ) / (h * h)
+
+    def step(cur, prev, n):
+        return (a_mid * cur - a_minus * prev + laplacian(cur, prev, n) + force(n)) / a_plus
+
+    e0, f1 = _nodal(grid, src.f0), _nodal(grid, src.f1)
+    levels = [e0, e0 + dt * f1 + dt**2 / (2.0 * e) * (
+        laplacian(e0, e0 - dt * f1, 0) - s * f1 + force(0))]
+    for n in range(1, grid.nt):
+        levels.append(step(levels[-1], levels[-2], n))
+    return step, np.stack(levels)
+
+
+def pulse(X, Y):
+    return np.exp(-((X - 0.6) ** 2 + (Y - 0.4) ** 2) / 0.02)
+
+
+def kernel_case(name):
+    """(grid, eps, sigma, src, bc) for one boundary or forcing configuration."""
+    g = build_grid(24, 12, extent=(2.0, 1.0)) if name == "non_square" else build_grid(
+        16, 16, T=0.8)
+    rng = np.random.default_rng(11)
+    eps = smooth_random_coefficient(g, rng, Role.EPSILON, lo=1.0, hi=3.0)
+    sig = smooth_random_coefficient(g, rng, Role.SIGMA, lo=0.0, hi=2.0)
+    src, bc = SourceSpec(), BcConfig()
+    absorbing = BcConfig(sides={s: BcKind.ABSORBING for s in ALL_SIDES})
+    if name == "all_absorbing":
+        src, bc = SourceSpec(f0=pulse), absorbing
+    elif name == "all_neumann_data":
+        flux = {s: lambda x, y, t, k=int(s): np.sin(3.0 * t + k) * (x + 2.0 * y)
+                for s in ALL_SIDES}
+        bc = BcConfig(sides={s: BcKind.NEUMANN_DATA for s in ALL_SIDES}, neumann_data=flux)
+    elif name == "source_bottom":
+        bc = BcConfig(sides={Side.BOTTOM: BcKind.SOURCE_THEN_ABSORBING,
+                             Side.RIGHT: BcKind.ABSORBING})
+    elif name == "forcing_arrays":
+        X, Y = g.meshgrid()
+        forcing = np.sin(5.0 * g.times())[:, None, None] * pulse(X, Y)[None]
+        src = SourceSpec(volume_forcing=forcing, f0=0.3 * pulse(X, Y), f1=X * Y)
+    elif name == "forcing_callables":
+        src = SourceSpec(volume_forcing=lambda X, Y, t: np.cos(4.0 * t) * pulse(X, Y),
+                         f0=lambda X, Y: 0.3 * pulse(X, Y), f1=lambda X, Y: X - Y)
+    elif name == "non_square":
+        src, bc = SourceSpec(f0=pulse, f1=lambda X, Y: 0.5 * Y), absorbing
+    return g, eps, sig, src, bc
+
+
+KERNEL_CASES = ["default", "all_absorbing", "all_neumann_data", "source_bottom",
+                "forcing_arrays", "forcing_callables", "non_square"]
+
+
+def rel_err(a, b):
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_fused_step_matches_unfused_update(name):
+    g, eps, sig, src, bc = kernel_case(name)
+    ref_step, _ = unfused_levels(g, eps, sig, src, bc)
+    op = forward_operator(g, eps, sig, src, bc)
+    rng = np.random.default_rng(5)
+    out = np.empty(g.node_shape)
+    # steps while the source drives its side and after it switches to absorbing
+    for n in (1, 2, g.nt // 3, g.nt - 1):
+        cur, prev = rng.standard_normal((2, *g.node_shape))
+        expected = ref_step(cur, prev, n)
+        assert op.step(cur, prev, n, out=out) is out
+        assert rel_err(out, expected) <= 1e-13
+        assert np.array_equal(op.step(cur, prev, n), out)
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_forward_levels_match_unfused_scheme(name):
+    g, eps, sig, src, bc = kernel_case(name)
+    _, expected = unfused_levels(g, eps, sig, src, bc)
+    levels = np.stack([lv.copy() for lv in forward_levels(g, eps, sig, src, bc)])
+    assert levels.shape == expected.shape
+    assert rel_err(levels, expected) <= 1e-13
+
+
+def test_solve_forward_stacks_the_streamed_levels():
+    g, eps, sig, src, bc = kernel_case("source_bottom")
+    streamed = np.stack([lv.copy() for lv in forward_levels(g, eps, sig, src, bc)])
+    assert np.array_equal(solve_forward(g, eps, sig, src, bc).snapshots, streamed)
+
+
+def test_two_most_recent_levels_survive_the_next_pull():
+    g, eps, sig, src, bc = kernel_case("default")
+    held = []
+    for level in forward_levels(g, eps, sig, src, bc):
+        for kept, copy in held:
+            assert np.array_equal(kept, copy)
+        held = held[-1:] + [(level, level.copy())]
+
+
+def test_step_and_level_loop_allocate_no_level():
+    # a level large against the interpreter's own small allocations
+    g = build_grid(64, 64, T=0.1)
+    eps, sig = homogeneous(g, 2.0, 1.0)
+    src, bc = SourceSpec(), BcConfig()
+    op = forward_operator(g, eps, sig, src, bc)
+    level_bytes = np.empty(g.node_shape).nbytes
+    cur, prev, out = np.ones((3, *g.node_shape))
+    levels = forward_levels(g, eps, sig, src, bc)
+    tracemalloc.start()
+    try:
+        for _ in range(4):  # the loop's buffers exist once level 2 is out
+            next(levels)
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for n in range(1, 6):
+            op.step(cur, prev, n, out=out)
+        for _ in levels:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < level_bytes // 2
