@@ -34,6 +34,7 @@ from .fields import (
 from .forward import (
     BcConfig,
     BcKind,
+    ForwardSolution,
     SourceSpec,
     StabilityError,
     all_neumann_bc,

@@ -51,7 +51,7 @@ def build_adjoint_programs(
             absorbing = np.zeros(nt + 1, dtype=bool)
         series = None
         if side in residual.sides:
-            series = -residual.data[side][::-1].copy()
+            series = -residual.data[side][::-1]
         programs[side] = SideProgram(absorbing, series)
     return programs
 
@@ -103,7 +103,7 @@ def adjoint_energy_monitor(
     w = area_weights(g)
     energies = np.empty(g.nt)
     lam_next = None
-    for n, lam in zip(range(g.nt, -1, -1), lam_backward):
+    for n, lam in zip(range(g.nt, -1, -1), lam_backward, strict=True):
         if lam_next is not None:
             mid = 0.5 * (lam_next + lam)
             zero_order = float(np.sum(w * sigma.values * mid * mid))

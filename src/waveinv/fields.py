@@ -10,11 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .grid import Grid2D, RegionMask, Side, side_slice
+
+if TYPE_CHECKING:
+    from .forward import ForwardSolution
 
 
 class Role(Enum):
@@ -107,6 +110,11 @@ class SpaceTimeField:
                 f"snapshot stack shape {self.snapshots.shape}, expected {expect}"
             )
         object.__setattr__(self, "snapshots", _freeze(self.snapshots))
+
+    def levels_backward(self) -> Iterator[np.ndarray]:
+        """Snapshots nt, ..., 0: the order in which the adjoint sweep reads a
+        state, as ForwardSolution.levels_backward replays it."""
+        return iter(self.snapshots[::-1])
 
 
 @dataclass(frozen=True)
@@ -211,8 +219,14 @@ def project(field: CoefficientField, adm: AdmissibleSet, mask: RegionMask) -> Co
     return field.with_values(values)
 
 
-def extract_trace(field: SpaceTimeField, sides: Iterable[Side]) -> BoundaryTrace:
-    """Restrict a state field to the boundary nodes of the declared sides."""
+def extract_trace(
+    field: SpaceTimeField | ForwardSolution, sides: Iterable[Side]
+) -> BoundaryTrace:
+    """Restrict a state to the boundary nodes of the declared sides: a
+    ForwardSolution holds its all-sides trace, a stored STATE field is read
+    level by level."""
+    if not isinstance(field, SpaceTimeField):
+        return BoundaryTrace(grid=field.grid, sides=tuple(sides), data=field.trace.data)
     if field.kind is not FieldKind.STATE:
         raise ValueError("traces are extracted from STATE fields")
     return trace_of_levels(field.grid, field.snapshots, sides)
@@ -228,7 +242,8 @@ def trace_of_levels(
         raise ValueError("at least one side must be declared")
     index = {side: side_slice(grid, side) for side in sides}
     data = {side: np.empty((grid.nt + 1, grid.side_node_count(side))) for side in sides}
-    for n, level in enumerate(levels):
+    # strict: a stream of any other length than nt+1 levels is an error
+    for n, level in zip(range(grid.nt + 1), levels, strict=True):
         for side in sides:
             data[side][n] = level[index[side]]
     return BoundaryTrace(grid=grid, sides=sides, data=data)

@@ -25,13 +25,20 @@ Leapfrog holds this update once.  The forward solve, the Lagrangian's
 defect and the adjoint solve all step through it: after reversing time the
 adjoint equation has exactly this form, so the adjoint module only builds
 different per-side boundary programs.  leapfrog_levels is the one time
-loop: it yields each level as it is computed, and callers either stack the
-levels (solve_forward) or use each one and drop it (forward_trace, the
-adjoint gradient, the adjoint energy monitor).
+loop: it yields each level as it is computed, and each caller uses a level
+as it arrives and copies only what it keeps (forward_trace, the
+ForwardSolution below, adjoint_levels).
+
+The gradient pairs the forward levels with the multiplier backward in
+time.  solve_forward therefore returns a ForwardSolution: the boundary
+trace plus checkpoints about every sqrt(nt) levels, from which
+levels_backward() replays E^nt..E^0 through the same steps, bitwise equal
+to the forward pass, for one more forward solve and no snapshot stack.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
@@ -39,8 +46,8 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .grid import ALL_SIDES, Grid2D, Side, area_weights
-from .fields import BoundaryTrace, CoefficientField, FieldKind, SpaceTimeField, trace_of_levels
+from .grid import ALL_SIDES, Grid2D, Side, area_weights, side_slice
+from .fields import BoundaryTrace, CoefficientField, SpaceTimeField, trace_of_levels
 
 
 class StabilityError(RuntimeError):
@@ -128,7 +135,8 @@ class SideProgram:
     """Resolved per-side boundary behaviour over the whole time axis.
 
     absorbing[n] switches the outflow ghost term on at level n;
-    series is Neumann flux data per level and side node (None means zero).
+    series is Neumann flux data per level, with a value per side node or one
+    value for the whole side (None means zero).
     """
 
     absorbing: np.ndarray
@@ -155,8 +163,7 @@ def build_forward_programs(
             t_on = src.switch_time()
             active = times <= t_on + 1e-14
             pulse = np.where(active, src.amplitude * np.sin(src.omega * times), 0.0)
-            series = np.tile(pulse[:, None], (1, grid.side_node_count(side)))
-            programs[side] = SideProgram(~active, series)
+            programs[side] = SideProgram(~active, pulse[:, None])
         else:  # NEUMANN_DATA
             fn = bc.neumann_data[side]
             n = grid.side_node_count(side)
@@ -214,13 +221,15 @@ class Leapfrog:
         self.grid, self.eps, self.sigma = grid, eps, sigma
         h, dt = grid.h, grid.dt
         eps_v, sig_v = eps.values, sigma.values
-        self.a_plus = eps_v / dt**2 + sig_v / (2.0 * dt)
-        self.a_mid = 2.0 * eps_v / dt**2
-        self.a_minus = eps_v / dt**2 - sig_v / (2.0 * dt)
+        a_plus = eps_v / dt**2 + sig_v / (2.0 * dt)
+        a_mid = 2.0 * eps_v / dt**2
+        a_minus = eps_v / dt**2 - sig_v / (2.0 * dt)
         # E^{n+1} = c_lap * (neighbour sum) + c_cur E^n - c_prev E^{n-1} + f^n / a_plus
-        self._c_cur = (self.a_mid - 4.0 / h**2) / self.a_plus
-        self._c_prev = self.a_minus / self.a_plus
-        self._c_lap = 1.0 / (self.a_plus * h**2)
+        self._c_cur = (a_mid - 4.0 / h**2) / a_plus
+        self._c_prev = a_minus / a_plus
+        self._c_lap = 1.0 / (a_plus * h**2)
+        # only the forcing term reads a_plus after this
+        self._a_plus = None if forcing is None else a_plus
         self._absorb = 2.0 * h / dt
         self._scratch = np.empty(grid.node_shape)
         self._pad = P = np.zeros((grid.nx + 3, grid.ny + 3))
@@ -287,7 +296,7 @@ class Leapfrog:
         out += np.multiply(self._c_cur, cur, out=self._scratch)
         out -= np.multiply(self._c_prev, prev, out=self._scratch)
         if self.forcing is not None:
-            out += np.divide(self.forcing(n), self.a_plus, out=self._scratch)
+            out += np.divide(self.forcing(n), self._a_plus, out=self._scratch)
         return out
 
     def first_step(self, e0: np.ndarray, f1_v: np.ndarray) -> np.ndarray:
@@ -300,35 +309,104 @@ class Leapfrog:
         return e0 + dt * f1_v + dt**2 / (2.0 * self.eps.values) * rhs
 
 
+def _advance(
+    op: Leapfrog, prev: np.ndarray, cur: np.ndarray, n: int, outs: Iterable[np.ndarray]
+) -> Iterator[np.ndarray]:
+    """Step on from levels n-1 (prev) and n (cur) into each buffer of outs in
+    turn and yield it, levels n+1, n+2, ...; a level that is not finite
+    raises before it is yielded."""
+    finite = np.empty(op.grid.node_shape, dtype=bool)
+    for out in outs:
+        op.step(cur, prev, n, out=out)
+        if not np.isfinite(out, out=finite).all():
+            raise StabilityError(f"non-finite field values at step {n + 1}")
+        yield out
+        prev, cur, n = cur, out, n + 1
+
+
 def leapfrog_levels(
     op: Leapfrog,
     f0: Callable | np.ndarray | None = None,
     f1: Callable | np.ndarray | None = None,
+    buffers: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
     """Time-step the damped wave scheme and yield levels 0..nt in order.
 
-    The levels rotate through three buffers: a yielded level stays valid
-    until two more levels have been yielded, so a consumer may hold the two
-    most recent levels but must copy any level it keeps longer.  The CFL
-    and sign checks run before the first level is yielded.
+    Level n is written to buffers[n % k], one of k >= 3 level buffers
+    (three fresh ones by default), so a yielded level stays valid until
+    k - 1 more levels have been yielded: a consumer may hold the two most
+    recent levels but must copy any level it keeps longer.  The CFL and
+    sign checks run before the first level is yielded.
     """
     grid = op.grid
     check_cfl(grid, op.eps)
     if float(op.sigma.values.min()) < 0.0:
         raise StabilityError("conductivity must be >= 0")
-    prev = _nodal(grid, f0)
-    cur = op.first_step(prev, _nodal(grid, f1))
+    if buffers is None:
+        buffers = np.empty((3, *grid.node_shape))
+    prev, cur = buffers[0], buffers[1]
+    prev[...] = _nodal(grid, f0)
+    cur[...] = op.first_step(prev, _nodal(grid, f1))
     if not (np.isfinite(prev).all() and np.isfinite(cur).all()):
         raise StabilityError("non-finite field values at start-up")
     yield prev
     yield cur
-    nxt, finite = np.empty_like(cur), np.empty(grid.node_shape, dtype=bool)
-    for n in range(1, grid.nt):
-        op.step(cur, prev, n, out=nxt)
-        if not np.isfinite(nxt, out=finite).all():
-            raise StabilityError(f"non-finite field values at step {n + 1}")
-        yield nxt
-        prev, cur, nxt = cur, nxt, prev
+    outs = itertools.islice(itertools.cycle(buffers), 2, grid.nt + 1)
+    yield from _advance(op, prev, cur, 1, outs)
+
+
+class ForwardSolution:
+    """A forward solve held as checkpoints in place of its snapshot stack.
+
+    The levels 0..nt fall into blocks of b = ceil(sqrt(nt+1)) levels (at
+    least 3).  One leapfrog_levels pass steps straight into a buffer of one
+    block; from each block it slices the all-sides boundary trace and keeps
+    the first two levels (the block's checkpoint pair).  levels_backward()
+    rebuilds each block from its pair with the same Leapfrog steps into one
+    buffer of b-2 levels, so every level it yields is bitwise the level the
+    pass produced, at the cost of one more forward solve per sweep.  About
+    2 sqrt(nt) levels are held, and 3 sqrt(nt) during a sweep, where a
+    stored stack holds nt+1.
+    """
+
+    def __init__(
+        self,
+        op: Leapfrog,
+        f0: Callable | np.ndarray | None = None,
+        f1: Callable | np.ndarray | None = None,
+    ) -> None:
+        grid = self.grid = op.grid
+        self.op = op
+        # leapfrog_levels writes level n to block[n % b], which needs b >= 3
+        b = self.block = max(math.isqrt(grid.nt) + 1, 3)
+        rows = {side: (slice(None), *side_slice(grid, side)) for side in ALL_SIDES}
+        trace = {s: np.empty((grid.nt + 1, grid.side_node_count(s))) for s in ALL_SIDES}
+        self.pairs: list[np.ndarray] = []
+        block = np.empty((b, *grid.node_shape))
+        for n, _ in enumerate(leapfrog_levels(op, f0, f1, block)):
+            j = n % b
+            if j == b - 1 or n == grid.nt:
+                for side, data in trace.items():
+                    data[n - j:n + 1] = block[:j + 1][rows[side]]
+                self.pairs.append(block[:j + 1][:2].copy())
+        self.trace = BoundaryTrace(grid=grid, sides=ALL_SIDES, data=trace)
+
+    def levels_backward(self) -> Iterator[np.ndarray]:
+        """Levels nt, nt-1, ..., 0, one at a time.  As from leapfrog_levels, a
+        yielded level stays valid until two more have been yielded: a block
+        is rebuilt only after its successor's pair, which is never
+        overwritten, has been yielded."""
+        b, nt = self.block, self.grid.nt
+        rebuilt = np.empty((b - 2, *self.grid.node_shape))
+        for k in range(len(self.pairs) - 1, -1, -1):
+            pair = self.pairs[k]
+            # levels kb+2 .. min(kb+b, nt+1)-1; none when the pair is the whole
+            # block, and a last block of one level has a one-level pair
+            steps = rebuilt[:max(nt - 1 - k * b, 0)]
+            for _ in _advance(self.op, pair[0], pair[-1], k * b + 1, steps):
+                pass
+            yield from steps[::-1]
+            yield from pair[::-1]
 
 
 def forward_operator(
@@ -360,12 +438,10 @@ def solve_forward(
     sigma: CoefficientField,
     src: SourceSpec,
     bc: BcConfig,
-) -> SpaceTimeField:
-    """Solve the forward problem and return the full snapshot stack."""
-    snaps = np.empty((grid.nt + 1, *grid.node_shape))
-    for n, level in enumerate(forward_levels(grid, eps, sigma, src, bc)):
-        snaps[n] = level
-    return SpaceTimeField(grid=grid, snapshots=snaps, kind=FieldKind.STATE)
+) -> ForwardSolution:
+    """Solve the forward problem, keeping its boundary trace and the
+    checkpoints from which its levels are replayed backward in time."""
+    return ForwardSolution(forward_operator(grid, eps, sigma, src, bc), src.f0, src.f1)
 
 
 def forward_trace(

@@ -18,7 +18,10 @@ were measured at 3-8% mismatch against the per-node oracle at h = 1/24
 shipped.
 
 The sums run backward in time, one half-step at a time, while the adjoint
-sweep produces the multiplier, which is therefore never stored.
+sweep produces the multiplier, which is therefore never stored.  The state
+arrives on the same reversed-level stream, E^nt..E^0: a ForwardSolution
+replays it from its checkpoints, so no snapshot stack is stored either,
+and a stored SpaceTimeField reads its stack backward with the same sums.
 
 The oracle differentiates the Tikhonov value by central differences in a
 single nodal coefficient value, normalized by the node's area quadrature
@@ -33,13 +36,13 @@ import numpy as np
 
 from .adjoint import adjoint_levels
 from .fields import BoundaryTrace, CoefficientField, Role, SpaceTimeField
-from .forward import BcConfig, SourceSpec, forward_trace
+from .forward import BcConfig, ForwardSolution, SourceSpec, forward_trace
 from .grid import RegionMask, area_weights, time_weights
 from .objective import RegularizationParams, tikhonov
 
 
 def adjoint_gradients(
-    E: SpaceTimeField,
+    E: ForwardSolution | SpaceTimeField,
     residual: BoundaryTrace,
     eps: CoefficientField,
     sigma: CoefficientField,
@@ -53,25 +56,26 @@ def adjoint_gradients(
     """Nodal gradients of the Tikhonov functional, zeroed on FRAME nodes,
     and the multiplier's space-time norm, summed during the backward
     adjoint sweep driven by residual.  The half-step products are added as
-    the levels lam^nt, lam^(nt-1), ..., lam^0 arrive, so only two are held."""
+    the levels lam^nt, ..., lam^0 and E^nt, ..., E^0 arrive, so only two of
+    each are held."""
     grid = E.grid
     dt = grid.dt
-    snaps = E.snapshots
     wt, sqrt_wx = time_weights(grid), np.sqrt(area_weights(grid))
     sum_eps = np.zeros(grid.node_shape)
     sum_sigma = np.zeros(grid.node_shape)
     dlam, tmp = np.empty(grid.node_shape), np.empty(grid.node_shape)
     lam_sq = 0.0
-    lam_next = None
+    lam_next = e_next = None
     lam_backward = adjoint_levels(grid, eps, sigma, residual, bc, src)
-    for n, lam in zip(range(grid.nt, -1, -1), lam_backward):
+    levels = zip(range(grid.nt, -1, -1), lam_backward, E.levels_backward(), strict=True)
+    for n, lam, e in levels:
         np.multiply(lam, sqrt_wx, out=tmp)
         lam_sq += wt[n] * float(np.vdot(tmp, tmp))
         if lam_next is not None:
             np.subtract(lam_next, lam, out=dlam)
-            sum_eps += np.multiply(np.subtract(snaps[n + 1], snaps[n], out=tmp), dlam, out=tmp)
-            sum_sigma += np.multiply(np.add(snaps[n + 1], snaps[n], out=tmp), dlam, out=tmp)
-        lam_next = lam
+            sum_eps += np.multiply(np.subtract(e_next, e, out=tmp), dlam, out=tmp)
+            sum_sigma += np.multiply(np.add(e_next, e, out=tmp), dlam, out=tmp)
+        lam_next, e_next = lam, e
 
     # sum_eps and sum_sigma hold raw differences: the 1/dt of each difference
     # quotient and the dt of the time quadrature are folded in here

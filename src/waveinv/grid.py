@@ -9,6 +9,7 @@ slowest admissible wave speed and snapped so that ``nt * dt == T`` exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -192,6 +193,22 @@ def region_mask(grid: Grid2D, frame_width: int = 0) -> RegionMask:
     return RegionMask(grid=grid, frame=frame, frame_width=frame_width)
 
 
+def _shared(fn):
+    """Cache fn's array for the last few argument tuples and hand every
+    caller the same read-only copy: the quadratures run thousands of times
+    per inversion on a handful of grids."""
+
+    @functools.lru_cache(maxsize=16)
+    @functools.wraps(fn)
+    def cached(*args):
+        out = fn(*args)
+        out.setflags(write=False)
+        return out
+
+    return cached
+
+
+@_shared
 def area_weights(grid: Grid2D) -> np.ndarray:
     """Tensor-trapezoid nodal quadrature weights: h^2 interior, h^2/2 on
     edges, h^2/4 at corners."""
@@ -202,6 +219,7 @@ def area_weights(grid: Grid2D) -> np.ndarray:
     return np.outer(wx, wy)
 
 
+@_shared
 def side_weights(grid: Grid2D, side: Side) -> np.ndarray:
     """Trapezoid weights along one boundary edge (half weight at the edge ends)."""
     n = grid.side_node_count(side)
@@ -210,6 +228,7 @@ def side_weights(grid: Grid2D, side: Side) -> np.ndarray:
     return w
 
 
+@_shared
 def time_weights(grid: Grid2D) -> np.ndarray:
     """Trapezoid weights over the stored time levels 0..nt."""
     w = np.full(grid.nt + 1, grid.dt)

@@ -33,8 +33,7 @@ def trace_dot(a: BoundaryTrace, b: BoundaryTrace) -> float:
     wt = time_weights(a.grid)
     total = 0.0
     for side in a.sides:
-        ws = side_weights(a.grid, side)
-        total += float(np.einsum("tk,tk,t,k->", a.data[side], b.data[side], wt, ws))
+        total += float(wt @ (a.data[side] * b.data[side]) @ side_weights(a.grid, side))
     return total
 
 
@@ -108,15 +107,19 @@ def forward_defect(
 
     Entry n (n = 0..nt-1) measures how far snapshot n+1 is from what the
     scheme would produce from snapshots n and n-1; it is identically zero
-    for a field returned by solve_forward with matching inputs.
+    for the stored levels of a forward solve with matching inputs.  Rows
+    are scaled by the weight of the new level in its equation: a_plus for
+    the leapfrog updates, 2 eps / dt^2 for the start-up.
     """
-    g = E.grid
+    g, dt = E.grid, E.grid.dt
     op = forward_operator(g, eps, sigma, src, bc)
     snaps = E.snapshots
     defect = np.empty((g.nt, *g.node_shape))
-    defect[0] = op.a_mid * (snaps[1] - op.first_step(snaps[0], _nodal(g, src.f1)))
+    a_plus = eps.values / dt**2 + sigma.values / (2.0 * dt)
+    a_mid = 2.0 * eps.values / dt**2
+    defect[0] = a_mid * (snaps[1] - op.first_step(snaps[0], _nodal(g, src.f1)))
     for n in range(1, g.nt):
-        defect[n] = op.a_plus * (snaps[n + 1] - op.step(snaps[n], snaps[n - 1], n))
+        defect[n] = a_plus * (snaps[n + 1] - op.step(snaps[n], snaps[n - 1], n))
     return defect
 
 

@@ -1,9 +1,10 @@
 """Conjugate-gradient reconstruction loop and its adaptive multi-level driver.
 
 One iteration solves the forward problem at the current coefficients,
-extracts the simulated boundary trace, sums the gradients during the
-backward adjoint sweep driven by the trace residual, and moves along
-Fletcher-Reeves directions with the step size
+which keeps the simulated boundary trace and checkpoints rather than a
+snapshot stack, sums the gradients during the backward adjoint sweep
+driven by the trace residual while the checkpoints replay the state
+backward, and moves along Fletcher-Reeves directions with the step size
 
     alpha = -(g, d) / (gamma (d, d))
 
@@ -29,12 +30,11 @@ from .fields import (
     AdmissibleSet,
     BoundaryTrace,
     CoefficientField,
-    SpaceTimeField,
     extract_trace,
     project,
     transfer_to_refined,
 )
-from .forward import BcConfig, SourceSpec, solve_forward
+from .forward import BcConfig, ForwardSolution, SourceSpec, solve_forward
 from .grid import Grid2D, RegionMask, refine, region_mask
 from .gradient import adjoint_gradients
 from .objective import (
@@ -194,12 +194,13 @@ def _evaluate(
     m: int,
     eps: CoefficientField,
     sigma: CoefficientField,
-    E: SpaceTimeField,
+    E: ForwardSolution,
+    sim: BoundaryTrace,
 ) -> Evaluation:
-    """The functional at one iterate from its forward solve E, then the
-    adjoint sweep that sums the gradients; the multiplier is never stored."""
+    """The functional at one iterate from its forward solve E and E's trace
+    sim on the observed sides, then the adjoint sweep that sums the
+    gradients; neither the state nor the multiplier is stored."""
     gamma_eps, gamma_sigma = problem.reg.at_iteration(m)
-    sim = extract_trace(E, problem.obs.sides)
     F = tikhonov(sim, problem.obs, eps, sigma, problem.reg, gamma_eps, gamma_sigma)
     g_eps, g_sigma, lambda_norm = adjoint_gradients(
         E, sim - problem.obs, eps, sigma, problem.reg, gamma_eps, gamma_sigma,
@@ -261,7 +262,8 @@ def init_state(problem: InverseProblem) -> CgState:
     eps = project(problem.eps_init, problem.adm, problem.mask)
     sigma = project(problem.sigma_init, problem.adm, problem.mask)
     E = solve_forward(problem.grid, eps, sigma, problem.src, problem.bc)
-    return _cg_state(problem, 0, eps, sigma, _evaluate(problem, 0, eps, sigma, E))
+    ev = _evaluate(problem, 0, eps, sigma, E, extract_trace(E, problem.obs.sides))
+    return _cg_state(problem, 0, eps, sigma, ev)
 
 
 def _row(state: CgState, problem: InverseProblem) -> LogRow:
@@ -301,7 +303,7 @@ def cg_step(state: CgState, problem: InverseProblem, log: list[LogRow] | None = 
         )
         if F_trial <= state.F or backtracks >= MAX_BACKTRACKS:
             break
-        del E_new  # free the rejected trial's stack before the next solve
+        del E_new, sim_new  # drop the rejected trial before the next solve
         a_e *= 0.5
         a_s *= 0.5
         backtracks += 1
@@ -309,7 +311,7 @@ def cg_step(state: CgState, problem: InverseProblem, log: list[LogRow] | None = 
     m_new = state.m + 1
     return _cg_state(
         problem, m_new, eps_new, sigma_new,
-        _evaluate(problem, m_new, eps_new, sigma_new, E_new), prev=state,
+        _evaluate(problem, m_new, eps_new, sigma_new, E_new, sim_new), prev=state,
         backtracks=backtracks,
         update_eps_norm=field_norm(eps_new.values - state.eps.values, problem.grid),
         update_sigma_norm=field_norm(sigma_new.values - state.sigma.values, problem.grid),

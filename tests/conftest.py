@@ -22,6 +22,7 @@ from waveinv import (
     gaussian_coefficient,
     solve_forward,
 )
+from waveinv.forward import forward_levels
 
 INCLUSION_CENTER = (0.5, 0.7)
 
@@ -86,6 +87,16 @@ def smooth_random_trace(grid, rng, sides=ALL_SIDES, n_modes=3):
 def zero_trace(grid, sides=ALL_SIDES):
     data = {s: np.zeros((grid.nt + 1, grid.side_node_count(s))) for s in sides}
     return BoundaryTrace(grid=grid, sides=tuple(sides), data=data)
+
+
+def stored_state(grid, eps, sigma, src, bc):
+    """The forward levels stacked in time order: the stored reference for
+    what a ForwardSolution replays from its checkpoints.  Each level is
+    copied, because the time loop reuses its level buffers."""
+    snaps = np.empty((grid.nt + 1, *grid.node_shape))
+    for n, level in enumerate(forward_levels(grid, eps, sigma, src, bc)):
+        snaps[n] = level
+    return SpaceTimeField(grid=grid, snapshots=snaps, kind=FieldKind.STATE)
 
 
 def stored_adjoint(grid, eps, sigma, residual, bc, src):

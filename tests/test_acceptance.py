@@ -51,6 +51,7 @@ from conftest import (
     smooth_random_spacetime,
     smooth_random_trace,
     stored_adjoint,
+    stored_state,
     synthesize_observations,
     truth_pair,
 )
@@ -88,7 +89,7 @@ def test_criterion_01_manufactured_solution_convergence():
         }
         bc = BcConfig(sides={s: BcKind.NEUMANN_DATA for s in ALL_SIDES}, neumann_data=flux)
         src = SourceSpec(volume_forcing=forcing, f0=lambda X, Y: exact(X, Y, 0.0))
-        E = solve_forward(g, eps, sig, src, bc)
+        E = stored_state(g, eps, sig, src, bc)
         X, Y = g.meshgrid()
         return float(np.abs(E.snapshots[-1] - exact(X, Y, g.T)).max())
 
@@ -104,7 +105,7 @@ def test_criterion_02_energy_monotonicity():
     g = build_grid(100, 100, T=1.2)
     eps, sig = truth_pair(g)  # sigma >= 1 everywhere
     src = SourceSpec()
-    E = solve_forward(g, eps, sig, src, BcConfig())
+    E = stored_state(g, eps, sig, src, BcConfig())
     H = np.array([discrete_energy(E, eps, n) for n in range(1, g.nt + 1)])
     start = int(np.searchsorted(g.times(), src.switch_time())) + 2
     tail = H[start:]
@@ -193,7 +194,7 @@ def test_criterion_05_lagrangian_identity():
     g = build_grid(24, 24, T=1.2)
     eps, sig = truth_pair(g)
     src, bc = SourceSpec(), BcConfig()
-    E = solve_forward(g, eps, sig, src, bc)
+    E = stored_state(g, eps, sig, src, bc)
     obs = extract_trace(E, ALL_SIDES)
     reg = RegularizationParams(
         0.1, 0.1, 0.5,

@@ -26,6 +26,7 @@ from conftest import (
     smooth_random_spacetime,
     smooth_random_trace,
     stored_adjoint,
+    stored_state,
     truth_pair,
     zero_trace,
 )
@@ -97,7 +98,7 @@ def test_time_reversal_matches_forward_on_reversed_source():
         },
         neumann_data={Side.LEFT: g_left},
     )
-    mu = solve_forward(g, eps, sig, SourceSpec(amplitude=0.0), bc_fwd)
+    mu = stored_state(g, eps, sig, SourceSpec(amplitude=0.0), bc_fwd)
     scale = max(np.abs(mu.snapshots).max(), 1e-300)
     assert np.abs(lam.snapshots - mu.snapshots[::-1]).max() <= 1e-12 * scale
 
@@ -160,6 +161,17 @@ class TestEnergyMonitor:
             assert np.isfinite(rep.ratio) and not rep.flagged
             ratios.append(rep.ratio)
         assert abs(ratios[1] - ratios[0]) < 0.5 * ratios[0]
+
+    @pytest.mark.parametrize("drop", [1, -1])
+    def test_level_stream_of_wrong_length_rejected(self, small_grid, drop):
+        eps = constant_coefficient(small_grid, 1.0, Role.EPSILON)
+        sig = constant_coefficient(small_grid, 1.0, Role.SIGMA)
+        res = zero_trace(small_grid)
+        lam = stored_adjoint(small_grid, eps, sig, res, BcConfig(), SourceSpec())
+        levels = list(lam.levels_backward())
+        levels = levels[:-1] if drop > 0 else levels + levels[-1:]
+        with pytest.raises(ValueError, match="zip"):
+            adjoint_energy_monitor(iter(levels), eps, sig, res)
 
 
 def test_mismatched_residual_rejected(small_grid):

@@ -9,10 +9,10 @@ from waveinv import Role, build_grid, constant_coefficient
 from waveinv.cli import main
 from waveinv.config import load_config
 from waveinv.fields import extract_trace
-from waveinv.forward import forward_trace, solve_forward
+from waveinv.forward import forward_trace
 from waveinv.gradient import adjoint_gradients
 from waveinv.io import read_field_csv, write_field_csv, write_field_vtk, write_trace_csv
-from conftest import stored_adjoint
+from conftest import stored_adjoint, stored_state
 
 BASE = """
 [grid]
@@ -343,7 +343,7 @@ def test_snapshot_dumps(tmp_path):
     grid, _, _, eps, sigma, src, bc, sides = waveinv.cli._forward_setup(
         load_config(out / "manifest.ini")
     )
-    E = solve_forward(grid, eps, sigma, src, bc)
+    E = stored_state(grid, eps, sigma, src, bc)
     ref = tmp_path / "ref"
     ref.mkdir()
     levels = range(0, grid.nt + 1, 20)

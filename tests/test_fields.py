@@ -4,11 +4,13 @@ import pytest
 from waveinv import (
     ALL_SIDES,
     AdmissibleSet,
+    BcConfig,
     BoundaryTrace,
     CoefficientField,
     FieldKind,
     Role,
     Side,
+    SourceSpec,
     SpaceTimeField,
     add_noise,
     build_grid,
@@ -18,8 +20,10 @@ from waveinv import (
     project,
     refine,
     region_mask,
+    solve_forward,
     transfer_to_refined,
 )
+from waveinv.fields import trace_of_levels
 
 
 def zero_state(grid):
@@ -181,6 +185,24 @@ class TestExtractTrace:
         )
         with pytest.raises(ValueError):
             extract_trace(lam, ALL_SIDES)
+
+    @pytest.mark.parametrize("count", [0, 5, 55, 57])
+    def test_level_stream_of_wrong_length_rejected(self, small_grid, count):
+        assert small_grid.nt + 1 == 56
+        levels = (np.zeros(small_grid.node_shape) for _ in range(count))
+        with pytest.raises(ValueError, match="zip"):
+            trace_of_levels(small_grid, levels, ALL_SIDES)
+
+    def test_forward_solution_sides_share_its_trace(self):
+        g = build_grid(12, 12, T=0.5)
+        eps = constant_coefficient(g, 2.0, Role.EPSILON)
+        sig = constant_coefficient(g, 1.0, Role.SIGMA)
+        sol = solve_forward(g, eps, sig, SourceSpec(), BcConfig())
+        tr = extract_trace(sol, (Side.TOP, Side.LEFT))
+        assert tr.sides == (Side.LEFT, Side.TOP)
+        assert tr.data[Side.TOP] is sol.trace.data[Side.TOP]
+        with pytest.raises(ValueError):
+            extract_trace(sol, ())
 
 
 class TestTransfer:

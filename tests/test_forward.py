@@ -22,7 +22,7 @@ from waveinv import (
 from waveinv.forward import (
     _nodal, build_forward_programs, forward_levels, forward_operator, forward_trace,
 )
-from conftest import smooth_random_coefficient, truth_pair
+from conftest import smooth_random_coefficient, stored_state, truth_pair
 
 
 def homogeneous(grid, eps_val=1.0, sigma_val=0.0):
@@ -34,13 +34,13 @@ def homogeneous(grid, eps_val=1.0, sigma_val=0.0):
 
 def test_zero_data_gives_zero_field(small_grid):
     eps, sig = homogeneous(small_grid, 1.0, 1.0)
-    E = solve_forward(small_grid, eps, sig, SourceSpec(amplitude=0.0), BcConfig())
+    E = stored_state(small_grid, eps, sig, SourceSpec(amplitude=0.0), BcConfig())
     assert np.all(E.snapshots == 0.0)
 
 
 def test_snapshot_count_and_start(small_grid):
     eps, sig = homogeneous(small_grid)
-    E = solve_forward(small_grid, eps, sig, SourceSpec(), BcConfig())
+    E = stored_state(small_grid, eps, sig, SourceSpec(), BcConfig())
     assert E.snapshots.shape[0] == small_grid.nt + 1
     assert np.all(E.snapshots[0] == 0.0)
     assert np.isfinite(E.snapshots).all()
@@ -49,17 +49,17 @@ def test_snapshot_count_and_start(small_grid):
 def test_source_scaling_is_exact():
     g = build_grid(20, 20, T=0.6)
     eps, sig = homogeneous(g, 1.0, 1.0)
-    base = solve_forward(g, eps, sig, SourceSpec(amplitude=1.0), BcConfig())
-    doubled = solve_forward(g, eps, sig, SourceSpec(amplitude=2.0), BcConfig())
+    base = stored_state(g, eps, sig, SourceSpec(amplitude=1.0), BcConfig())
+    doubled = stored_state(g, eps, sig, SourceSpec(amplitude=2.0), BcConfig())
     assert np.array_equal(doubled.snapshots, 2.0 * base.snapshots)
-    scaled = solve_forward(g, eps, sig, SourceSpec(amplitude=3.0), BcConfig())
+    scaled = stored_state(g, eps, sig, SourceSpec(amplitude=3.0), BcConfig())
     assert np.allclose(scaled.snapshots, 3.0 * base.snapshots, rtol=1e-12, atol=1e-15)
 
 
 def test_field_ahead_of_front_is_negligible():
     g = build_grid(32, 32, T=1.2)
     eps, sig = homogeneous(g, 1.0, 0.0)
-    E = solve_forward(g, eps, sig, SourceSpec(), BcConfig())
+    E = stored_state(g, eps, sig, SourceSpec(), BcConfig())
     n = np.searchsorted(g.times(), 0.3)
     i = round(0.9 / g.h)
     assert np.abs(E.snapshots[n, i, :]).max() <= 1e-3 * np.abs(E.snapshots).max()
@@ -73,7 +73,7 @@ def test_causality_on_two_grids(x0):
     for ncell in (32, 64):
         g = build_grid(ncell, ncell, T=1.2)
         eps, sig = homogeneous(g, 1.0, 0.0)
-        E = solve_forward(g, eps, sig, SourceSpec(), BcConfig())
+        E = stored_state(g, eps, sig, SourceSpec(), BcConfig())
         t_cut = np.searchsorted(g.times(), x0 - 4 * g.h) - 1
         i_cut = int(np.ceil(x0 / g.h))
         ahead = np.abs(E.snapshots[: t_cut + 1, i_cut:, :]).max()
@@ -108,7 +108,7 @@ def test_manufactured_solution_second_order():
         src = SourceSpec(
             volume_forcing=forcing, f0=lambda X, Y: exact(X, Y, 0.0), f1=None
         )
-        E = solve_forward(g, eps, sig, src, bc)
+        E = stored_state(g, eps, sig, src, bc)
         X, Y = g.meshgrid()
         return np.abs(E.snapshots[-1] - exact(X, Y, g.T)).max()
 
@@ -124,7 +124,7 @@ def test_energy_conserved_in_closed_box():
         amplitude=0.0,
         f0=lambda X, Y: np.exp(-((X - 0.5) ** 2 + (Y - 0.5) ** 2) / 0.01),
     )
-    E = solve_forward(g, eps, sig, src, all_neumann_bc())
+    E = stored_state(g, eps, sig, src, all_neumann_bc())
     H = np.array([discrete_energy(E, eps, n) for n in range(1, g.nt + 1)])
     assert H[0] > 0
     assert np.abs(np.diff(H)).max() <= 1e-8 * H[0]
@@ -137,7 +137,7 @@ def test_energy_decays_under_damping():
         amplitude=0.0,
         f0=lambda X, Y: np.exp(-((X - 0.5) ** 2 + (Y - 0.5) ** 2) / 0.01),
     )
-    E = solve_forward(g, eps, sig, src, all_neumann_bc())
+    E = stored_state(g, eps, sig, src, all_neumann_bc())
     H = np.array([discrete_energy(E, eps, n) for n in range(1, g.nt + 1)])
     assert np.all(np.diff(H) <= 1e-14 * H[0])
     assert H[-1] < H[0]
@@ -147,7 +147,7 @@ def test_energy_monotone_after_source_with_absorbing_and_damping():
     g = build_grid(40, 40, T=1.2)
     eps, sig = truth_pair(g)
     src = SourceSpec()
-    E = solve_forward(g, eps, sig, src, BcConfig())
+    E = stored_state(g, eps, sig, src, BcConfig())
     H = np.array([discrete_energy(E, eps, n) for n in range(1, g.nt + 1)])
     start = int(np.searchsorted(g.times(), src.switch_time())) + 2
     tail = H[start:]
@@ -214,7 +214,7 @@ def test_no_blowup_at_cfl_09(field_builder):
         eps, sig = homogeneous(g, 1.0, 1.0)
     else:
         eps, sig = truth_pair(g)
-    E = solve_forward(g, eps, sig, SourceSpec(amplitude=1.0), BcConfig())
+    E = stored_state(g, eps, sig, SourceSpec(amplitude=1.0), BcConfig())
     assert np.abs(E.snapshots).max() <= 10.0 * 1.0
 
 
@@ -233,7 +233,7 @@ def test_bc_config_rejects_two_source_sides():
 
 def test_discrete_energy_time_index_validated(small_grid):
     eps, sig = homogeneous(small_grid)
-    E = solve_forward(small_grid, eps, sig, SourceSpec(amplitude=0.0), BcConfig())
+    E = stored_state(small_grid, eps, sig, SourceSpec(amplitude=0.0), BcConfig())
     assert discrete_energy(E, eps, 1) == 0.0
     with pytest.raises(ValueError):
         discrete_energy(E, eps, 0)
@@ -357,19 +357,27 @@ def test_forward_levels_match_unfused_scheme(name):
     assert rel_err(levels, expected) <= 1e-13
 
 
-def test_solve_forward_stacks_the_streamed_levels():
-    g, eps, sig, src, bc = kernel_case("source_bottom")
-    streamed = np.stack([lv.copy() for lv in forward_levels(g, eps, sig, src, bc)])
-    assert np.array_equal(solve_forward(g, eps, sig, src, bc).snapshots, streamed)
+def test_solve_forward_replays_the_streamed_levels_backward():
+    # forcing and start-up data reach the replayed blocks only through their pairs
+    for name in KERNEL_CASES:
+        g, eps, sig, src, bc = kernel_case(name)
+        streamed = np.stack([lv.copy() for lv in forward_levels(g, eps, sig, src, bc)])
+        sol = solve_forward(g, eps, sig, src, bc)
+        replayed = np.stack([lv.copy() for lv in sol.levels_backward()])
+        assert np.array_equal(replayed, streamed[::-1]), name
+        assert np.array_equal(sol.trace.data[Side.LEFT], streamed[:, 0, :]), name
 
 
 def test_two_most_recent_levels_survive_the_next_pull():
     g, eps, sig, src, bc = kernel_case("default")
-    held = []
-    for level in forward_levels(g, eps, sig, src, bc):
-        for kept, copy in held:
-            assert np.array_equal(kept, copy)
-        held = held[-1:] + [(level, level.copy())]
+    # the forward loop's three buffers, and the replay's pairs and rebuilt block
+    for stream in (forward_levels(g, eps, sig, src, bc),
+                   solve_forward(g, eps, sig, src, bc).levels_backward()):
+        held = []
+        for level in stream:
+            for kept, copy in held:
+                assert np.array_equal(kept, copy)
+            held = held[-1:] + [(level, level.copy())]
 
 
 def test_step_and_level_loop_allocate_no_level():

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ from conftest import (
     smooth_random_coefficient,
     smooth_random_trace,
     stored_adjoint,
+    stored_state,
     truth_pair,
     zero_trace,
 )
@@ -230,6 +233,15 @@ def sweep_cases(draw):
     return kinds, source, observed, draw(st.integers(0, 3)), draw(st.integers(0, 2**32 - 1))
 
 
+def case_bc(kinds):
+    """The BcConfig of a sweep case, with Neumann data on its NEUMANN_DATA sides."""
+    flux = {
+        side: (lambda x, y, t, k=int(side): np.sin(3.0 * t + k) * (x + 2.0 * y))
+        for side, kind in kinds.items() if kind is BcKind.NEUMANN_DATA
+    }
+    return BcConfig(sides=kinds, neumann_data=flux)
+
+
 class TestStreamedSweep:
     @settings(max_examples=25, deadline=None)
     @given(sweep_cases())
@@ -237,11 +249,7 @@ class TestStreamedSweep:
         kinds, source, observed, frame_width, seed = case
         g = build_grid(16, 16, T=1.2)
         rng = np.random.default_rng(seed)
-        flux = {
-            side: (lambda x, y, t, k=int(side): np.sin(3.0 * t + k) * (x + 2.0 * y))
-            for side, kind in kinds.items() if kind is BcKind.NEUMANN_DATA
-        }
-        bc = BcConfig(sides=kinds, neumann_data=flux)
+        bc = case_bc(kinds)
         src = SourceSpec()
         eps = smooth_random_coefficient(g, rng, Role.EPSILON, hi=4.0)
         sig = smooth_random_coefficient(g, rng, Role.SIGMA, hi=4.0)
@@ -254,7 +262,58 @@ class TestStreamedSweep:
             E, residual, eps, sig, reg, 0.05, 0.07, mask, bc, src
         )
         lam = stored_adjoint(g, eps, sig, residual, bc, src)
-        r_eps, r_sig = stored_reference(E, lam, eps, sig, reg, 0.05, 0.07, mask)
+        stack = stored_state(g, eps, sig, src, bc)
+        r_eps, r_sig = stored_reference(stack, lam, eps, sig, reg, 0.05, 0.07, mask)
         assert rel_diff(g_eps.values, r_eps) <= 1e-12
         assert rel_diff(g_sig.values, r_sig) <= 1e-12
         assert lambda_norm == pytest.approx(spacetime_norm(lam), rel=1e-12, abs=0.0)
+
+
+# 8x8 time axes whose nt+1 levels split into blocks of
+# b = max(ceil(sqrt(nt+1)), 3) levels in every way: one block (nt = 1, 2 < b),
+# full blocks only (nt = 8 = 3^2 - 1, nt = 15 = 4^2 - 1), and a last block of
+# one level (nt = 12), of two (nt = 9, nt = 16 = 4^2) and of three levels
+# (nt = 10, nt = 17 = 4^2 + 1)
+CHECKPOINT_NT = (1, 2, 8, 9, 10, 12, 15, 16, 17)
+
+
+class TestCheckpointedState:
+    @settings(max_examples=30, deadline=None)
+    @given(sweep_cases(), st.sampled_from(CHECKPOINT_NT))
+    def test_replay_and_gradients_equal_the_stored_stack(self, case, nt):
+        kinds, source, observed, frame_width, seed = case
+        g8 = build_grid(8, 8)
+        g = build_grid(8, 8, T=nt * g8.dt)
+        assert g.nt == nt
+        rng = np.random.default_rng(seed)
+        bc = case_bc(kinds)
+        src = SourceSpec(f1=lambda X, Y: X * Y)
+        eps = smooth_random_coefficient(g, rng, Role.EPSILON, hi=4.0)
+        sig = smooth_random_coefficient(g, rng, Role.SIGMA, hi=4.0)
+        mask = region_mask(g, frame_width)
+        reg = make_reg(g, eps_val=1.5, sigma_val=2.0)
+        sol = solve_forward(g, eps, sig, src, bc)
+        stack = stored_state(g, eps, sig, src, bc)
+        replayed = np.stack([level.copy() for level in sol.levels_backward()])
+        assert np.array_equal(replayed, stack.snapshots[::-1])
+
+        residual = extract_trace(sol, observed) - smooth_random_trace(g, rng, observed)
+        from_sol = adjoint_gradients(sol, residual, eps, sig, reg, 0.05, 0.07, mask, bc, src)
+        from_stack = adjoint_gradients(stack, residual, eps, sig, reg, 0.05, 0.07, mask, bc, src)
+        assert np.array_equal(from_sol[0].values, from_stack[0].values)
+        assert np.array_equal(from_sol[1].values, from_stack[1].values)
+        assert from_sol[2] == from_stack[2]
+
+    @pytest.mark.parametrize("drop", [1, -1])
+    def test_state_stream_of_wrong_length_rejected(self, small_grid, drop):
+        eps = constant_coefficient(small_grid, 2.0, Role.EPSILON)
+        sig = constant_coefficient(small_grid, 1.0, Role.SIGMA)
+        src, bc = SourceSpec(), BcConfig()
+        levels = list(stored_state(small_grid, eps, sig, src, bc).levels_backward())
+        levels = levels[:-1] if drop > 0 else levels + levels[-1:]
+        E = SimpleNamespace(grid=small_grid, levels_backward=lambda: iter(levels))
+        with pytest.raises(ValueError, match="zip"):
+            adjoint_gradients(
+                E, zero_trace(small_grid), eps, sig, make_reg(small_grid), 0.0, 0.0,
+                region_mask(small_grid, 0), bc, src,
+            )

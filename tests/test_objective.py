@@ -24,7 +24,7 @@ from waveinv import (
     trace_norm_sq,
 )
 from waveinv.grid import area_weights
-from conftest import smooth_random_coefficient, truth_pair
+from conftest import smooth_random_coefficient, stored_state, truth_pair
 
 
 def const_trace(grid, sides, value):
@@ -95,7 +95,7 @@ class TestLagrangian:
     def setup_problem(self, grid):
         eps, sig = truth_pair(grid)
         src, bc = SourceSpec(), BcConfig()
-        E = solve_forward(grid, eps, sig, src, bc)
+        E = stored_state(grid, eps, sig, src, bc)
         obs = extract_trace(E, ALL_SIDES)
         reg = reg_for(grid)
         return eps, sig, src, bc, E, obs, reg
@@ -172,7 +172,7 @@ class TestLagrangian:
                 f1=0.2 * np.sin(np.pi * X) * Y,
                 volume_forcing=np.sin(2.0 * g.times())[:, None, None] * bump[None],
             )
-        E = solve_forward(g, eps, sig, src, bc)
+        E = stored_state(g, eps, sig, src, bc)
         assert np.abs(E.snapshots).max() > 0.0
         defect = forward_defect(E, eps, sig, src, bc)
         assert np.abs(defect).max() == 0.0

@@ -129,10 +129,12 @@ def traced_stacks(fn, grid):
 
 
 class TestMemory:
-    """An iteration holds one state stack; the multiplier is never stored
-    and a rejected line-search trial is freed before the next one."""
+    """An iteration stores neither a state stack nor the multiplier, and a
+    rejected line-search trial is freed before the next one."""
 
-    def test_init_state_and_backtracking_cg_step_peak_below_1_6_stacks(self):
+    @staticmethod
+    def iteration_peaks():
+        """Peaks of init_state and of a cg_step that backtracks, at 64²."""
         problem = small_problem(64)
         state, init_peak = traced_stacks(lambda: init_state(problem), problem.grid)
         # a thousand times the clamped steps: the first trials overshoot and are rejected
@@ -140,8 +142,19 @@ class TestMemory:
                          alpha_sigma=1e3 * state.alpha_sigma)
         new, step_peak = traced_stacks(lambda: cg_step(forced, problem), problem.grid)
         assert new.backtracks >= 1
+        return init_peak, step_peak
+
+    def test_init_state_and_backtracking_cg_step_peak_below_1_6_stacks(self):
+        init_peak, step_peak = self.iteration_peaks()
         assert init_peak <= 1.6
         assert step_peak <= 1.6
+
+    def test_checkpointed_solves_peak_below_half_a_stack(self):
+        # a stored state alone would be one stack; a ForwardSolution holds two
+        # levels per block of ceil(sqrt(nt+1)) plus one rebuilt block
+        init_peak, step_peak = self.iteration_peaks()
+        assert init_peak <= 0.5
+        assert step_peak <= 0.5
 
 
 class TestRunCga:
