@@ -27,6 +27,7 @@ import numpy as np
 from .fields import BoundaryTrace, CoefficientField
 from .forward import (
     BcConfig, BcKind, Leapfrog, SideProgram, SourceSpec, leapfrog_levels, level_energy,
+    switched_absorbing,
 )
 from .grid import ALL_SIDES, Grid2D, Side, area_weights
 from .objective import trace_norm_sq
@@ -46,7 +47,7 @@ def build_adjoint_programs(
         if kind is BcKind.ABSORBING:
             absorbing = np.ones(nt + 1, dtype=bool)
         elif kind is BcKind.SOURCE_THEN_ABSORBING:
-            absorbing = rev_times > src.switch_time() + 1e-14
+            absorbing = switched_absorbing(rev_times, src)
         else:
             absorbing = np.zeros(nt + 1, dtype=bool)
         series = None

@@ -46,7 +46,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .grid import ALL_SIDES, Grid2D, Side, area_weights, side_slice
+from .grid import ALL_SIDES, Grid2D, Side, area_weights
 from .fields import BoundaryTrace, CoefficientField, SpaceTimeField, trace_of_levels
 
 
@@ -148,6 +148,12 @@ def _side_axis_values(grid: Grid2D, side: Side, fn: Callable, t: float) -> np.nd
     return np.asarray(fn(x, y, t), dtype=np.float64) * np.ones(grid.side_node_count(side))
 
 
+def switched_absorbing(times: np.ndarray, src: SourceSpec) -> np.ndarray:
+    """Where the switched source side absorbs: at the given times after
+    t_on, the source pulse acting up to and including t_on."""
+    return times > src.switch_time() + 1e-14
+
+
 def build_forward_programs(
     grid: Grid2D, src: SourceSpec, bc: BcConfig
 ) -> dict[Side, SideProgram]:
@@ -160,10 +166,9 @@ def build_forward_programs(
         elif kind is BcKind.ABSORBING:
             programs[side] = SideProgram(np.ones(grid.nt + 1, dtype=bool), None)
         elif kind is BcKind.SOURCE_THEN_ABSORBING:
-            t_on = src.switch_time()
-            active = times <= t_on + 1e-14
-            pulse = np.where(active, src.amplitude * np.sin(src.omega * times), 0.0)
-            programs[side] = SideProgram(~active, pulse[:, None])
+            absorbing = switched_absorbing(times, src)
+            pulse = np.where(absorbing, 0.0, src.amplitude * np.sin(src.omega * times))
+            programs[side] = SideProgram(absorbing, pulse[:, None])
         else:  # NEUMANN_DATA
             fn = bc.neumann_data[side]
             n = grid.side_node_count(side)
@@ -328,22 +333,19 @@ def leapfrog_levels(
     op: Leapfrog,
     f0: Callable | np.ndarray | None = None,
     f1: Callable | np.ndarray | None = None,
-    buffers: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
     """Time-step the damped wave scheme and yield levels 0..nt in order.
 
-    Level n is written to buffers[n % k], one of k >= 3 level buffers
-    (three fresh ones by default), so a yielded level stays valid until
-    k - 1 more levels have been yielded: a consumer may hold the two most
-    recent levels but must copy any level it keeps longer.  The CFL and
-    sign checks run before the first level is yielded.
+    The levels rotate through three buffers, so a yielded level stays valid
+    until two more levels have been yielded: a consumer may hold the two
+    most recent levels but must copy any level it keeps longer.  The CFL
+    and sign checks run before the first level is yielded.
     """
     grid = op.grid
     check_cfl(grid, op.eps)
     if float(op.sigma.values.min()) < 0.0:
         raise StabilityError("conductivity must be >= 0")
-    if buffers is None:
-        buffers = np.empty((3, *grid.node_shape))
+    buffers = np.empty((3, *grid.node_shape))
     prev, cur = buffers[0], buffers[1]
     prev[...] = _nodal(grid, f0)
     cur[...] = op.first_step(prev, _nodal(grid, f1))
@@ -359,9 +361,9 @@ class ForwardSolution:
     """A forward solve held as checkpoints in place of its snapshot stack.
 
     The levels 0..nt fall into blocks of b = ceil(sqrt(nt+1)) levels (at
-    least 3).  One leapfrog_levels pass steps straight into a buffer of one
-    block; from each block it slices the all-sides boundary trace and keeps
-    the first two levels (the block's checkpoint pair).  levels_backward()
+    least 3).  As one leapfrog_levels pass streams the levels, the boundary
+    trace of all sides is taken from each, and the first two levels of
+    every block (its checkpoint pair) are copied.  levels_backward()
     rebuilds each block from its pair with the same Leapfrog steps into one
     buffer of b-2 levels, so every level it yields is bitwise the level the
     pass produced, at the cost of one more forward solve per sweep.  About
@@ -377,19 +379,19 @@ class ForwardSolution:
     ) -> None:
         grid = self.grid = op.grid
         self.op = op
-        # leapfrog_levels writes level n to block[n % b], which needs b >= 3
         b = self.block = max(math.isqrt(grid.nt) + 1, 3)
-        rows = {side: (slice(None), *side_slice(grid, side)) for side in ALL_SIDES}
-        trace = {s: np.empty((grid.nt + 1, grid.side_node_count(s))) for s in ALL_SIDES}
         self.pairs: list[np.ndarray] = []
-        block = np.empty((b, *grid.node_shape))
-        for n, _ in enumerate(leapfrog_levels(op, f0, f1, block)):
-            j = n % b
-            if j == b - 1 or n == grid.nt:
-                for side, data in trace.items():
-                    data[n - j:n + 1] = block[:j + 1][rows[side]]
-                self.pairs.append(block[:j + 1][:2].copy())
-        self.trace = BoundaryTrace(grid=grid, sides=ALL_SIDES, data=trace)
+
+        def keep_pairs(levels: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+            for n, level in enumerate(levels):
+                j = n % b
+                if j == 0:  # a last block of one level has a one-level pair
+                    self.pairs.append(np.empty((min(2, grid.nt + 1 - n), *grid.node_shape)))
+                if j < 2:
+                    self.pairs[-1][j] = level
+                yield level
+
+        self.trace = trace_of_levels(grid, keep_pairs(leapfrog_levels(op, f0, f1)), ALL_SIDES)
 
     def levels_backward(self) -> Iterator[np.ndarray]:
         """Levels nt, nt-1, ..., 0, one at a time.  As from leapfrog_levels, a

@@ -200,14 +200,13 @@ class ErrorMetrics:
     e_E_sup: float
 
 
-def error_metrics(
+def coefficient_errors(
     eps_m: CoefficientField,
     sigma_m: CoefficientField,
     eps_true: CoefficientField,
     sigma_true: CoefficientField,
-    sim_m: BoundaryTrace,
-    obs: BoundaryTrace,
-) -> ErrorMetrics:
+) -> tuple[float, float, float, float]:
+    """Relative L2 and supremum errors of eps_m, then of sigma_m."""
     grid = eps_m.grid
 
     def rel_pair(approx: np.ndarray, exact: np.ndarray) -> tuple[float, float]:
@@ -220,16 +219,19 @@ def error_metrics(
             float(np.abs(approx - exact).max()) / denom_sup,
         )
 
-    e_eps = rel_pair(eps_m.values, eps_true.values)
-    e_sigma = rel_pair(sigma_m.values, sigma_true.values)
-    e_E = data_errors(sim_m, obs)
+    return (*rel_pair(eps_m.values, eps_true.values), *rel_pair(sigma_m.values, sigma_true.values))
+
+
+def error_metrics(
+    eps_m: CoefficientField,
+    sigma_m: CoefficientField,
+    eps_true: CoefficientField,
+    sigma_true: CoefficientField,
+    sim_m: BoundaryTrace,
+    obs: BoundaryTrace,
+) -> ErrorMetrics:
     return ErrorMetrics(
-        e_eps_l2=e_eps[0],
-        e_eps_sup=e_eps[1],
-        e_sigma_l2=e_sigma[0],
-        e_sigma_sup=e_sigma[1],
-        e_E_l2=e_E[0],
-        e_E_sup=e_E[1],
+        *coefficient_errors(eps_m, sigma_m, eps_true, sigma_true), *data_errors(sim_m, obs)
     )
 
 

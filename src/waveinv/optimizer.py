@@ -1,17 +1,22 @@
 """Conjugate-gradient reconstruction loop and its adaptive multi-level driver.
 
-One iteration solves the forward problem at the current coefficients,
-which keeps the simulated boundary trace and checkpoints rather than a
-snapshot stack, sums the gradients during the backward adjoint sweep
-driven by the trace residual while the checkpoints replay the state
-backward, and moves along Fletcher-Reeves directions with the step size
+One iteration is one projected conjugate-gradient step on (eps, sigma).
+The trial coefficients v + alpha d, each projected back onto the
+admissible box with FRAME nodes pinned, are solved forward, keeping the
+simulated boundary trace and checkpoints rather than a snapshot stack.
+The step sizes
 
     alpha = -(g, d) / (gamma (d, d))
 
-clamped to [-alpha_max, alpha_max] and guarded by halving backtracks when
-the functional would increase.  Every update is projected back onto the
-admissible box with FRAME nodes pinned.  The regularization weights decay
-as gamma^m = gamma^0 / (m+1)^p.
+are clamped to [-alpha_max, alpha_max] and halved, at most MAX_BACKTRACKS
+times, while the functional would increase.  One function then turns the
+accepted trial into the next CgState: the Tikhonov functional, the
+gradients summed during the backward adjoint sweep (the checkpoints replay
+the state backward), the Fletcher-Reeves directions (restarted when a
+ratio exceeds beta_max), the next clamped steps and the size of the
+update.  The regularization weights decay as gamma^m = gamma^0 / (m+1)^p.
+run_cga and run_acga each stop at the first of their tolerances, in a
+fixed order, that a value falls below.
 
 The adaptive driver repeats the loop over nested factor-2 grids, refining
 whenever the indicator |h (v - background)| (or |h v| in absolute mode)
@@ -22,6 +27,7 @@ observations to each new grid.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,8 +46,8 @@ from .gradient import adjoint_gradients
 from .objective import (
     ErrorMetrics,
     RegularizationParams,
+    coefficient_errors,
     data_errors,
-    error_metrics,
     field_dot,
     field_norm,
     tikhonov,
@@ -162,56 +168,17 @@ def fletcher_reeves(g_norm: float, g_prev_norm: float) -> float:
 
 
 def _metrics(problem: InverseProblem, eps, sigma, sim) -> ErrorMetrics:
-    if problem.eps_true is not None and problem.sigma_true is not None:
-        return error_metrics(
-            eps, sigma, problem.eps_true, problem.sigma_true, sim, problem.obs
-        )
+    """A log row's errors; the coefficient errors are NaN without a declared
+    truth, and the data errors are NaN for a zero simulated trace."""
     nan = float("nan")
+    e_coef = (nan,) * 4
+    if problem.eps_true is not None and problem.sigma_true is not None:
+        e_coef = coefficient_errors(eps, sigma, problem.eps_true, problem.sigma_true)
     try:
-        e_l2, e_sup = data_errors(sim, problem.obs)
+        e_data = data_errors(sim, problem.obs)
     except ValueError:  # zero simulated trace
-        e_l2 = e_sup = nan
-    return ErrorMetrics(nan, nan, nan, nan, e_l2, e_sup)
-
-
-@dataclass(frozen=True)
-class Evaluation:
-    """Functional value, adjoint size and gradients at one iterate."""
-
-    gamma_eps: float
-    gamma_sigma: float
-    F: float
-    sim: BoundaryTrace
-    lambda_norm: float
-    g_eps: CoefficientField
-    g_sigma: CoefficientField
-    g_eps_norm: float
-    g_sigma_norm: float
-
-
-def _evaluate(
-    problem: InverseProblem,
-    m: int,
-    eps: CoefficientField,
-    sigma: CoefficientField,
-    E: ForwardSolution,
-    sim: BoundaryTrace,
-) -> Evaluation:
-    """The functional at one iterate from its forward solve E and E's trace
-    sim on the observed sides, then the adjoint sweep that sums the
-    gradients; neither the state nor the multiplier is stored."""
-    gamma_eps, gamma_sigma = problem.reg.at_iteration(m)
-    F = tikhonov(sim, problem.obs, eps, sigma, problem.reg, gamma_eps, gamma_sigma)
-    g_eps, g_sigma, lambda_norm = adjoint_gradients(
-        E, sim - problem.obs, eps, sigma, problem.reg, gamma_eps, gamma_sigma,
-        problem.mask, problem.bc, problem.src,
-    )
-    return Evaluation(
-        gamma_eps=gamma_eps, gamma_sigma=gamma_sigma, F=F, sim=sim,
-        lambda_norm=lambda_norm, g_eps=g_eps, g_sigma=g_sigma,
-        g_eps_norm=field_norm(g_eps.values, problem.grid),
-        g_sigma_norm=field_norm(g_sigma.values, problem.grid),
-    )
+        e_data = (nan, nan)
+    return ErrorMetrics(*e_coef, *e_data)
 
 
 def _clamped_step(
@@ -221,39 +188,51 @@ def _clamped_step(
     return float(min(max(alpha, -problem.alpha_max), problem.alpha_max))
 
 
-def _cg_state(
+def _iterate(
     problem: InverseProblem,
     m: int,
     eps: CoefficientField,
     sigma: CoefficientField,
-    ev: Evaluation,
+    E: ForwardSolution,
+    sim: BoundaryTrace,
     prev: CgState | None = None,
-    **outcome,
+    backtracks: int = 0,
 ) -> CgState:
-    """Directions and clamped step sizes for an evaluated iterate: steepest
-    descent at the start, Fletcher-Reeves after prev (restarting when either
-    ratio exceeds beta_max).  outcome holds the update's backtracks and norms."""
-    d_eps, d_sigma = -ev.g_eps.values, -ev.g_sigma.values
+    """Iterate m from its forward solve E and E's trace sim on the observed
+    sides: the functional, the gradients summed during the adjoint sweep
+    (neither the state nor the multiplier is stored), the direction (steepest
+    descent at the start, Fletcher-Reeves after prev, restarting when either
+    ratio exceeds beta_max), the clamped steps and the update from prev."""
+    grid = problem.grid
+    gamma_eps, gamma_sigma = problem.reg.at_iteration(m)
+    F = tikhonov(sim, problem.obs, eps, sigma, problem.reg, gamma_eps, gamma_sigma)
+    g_eps, g_sigma, lambda_norm = adjoint_gradients(
+        E, sim - problem.obs, eps, sigma, problem.reg, gamma_eps, gamma_sigma,
+        problem.mask, problem.bc, problem.src,
+    )
+    g_eps_norm, g_sigma_norm = field_norm(g_eps.values, grid), field_norm(g_sigma.values, grid)
+    d_eps, d_sigma = -g_eps.values, -g_sigma.values
     restarted = False
+    update_eps_norm = update_sigma_norm = math.inf
     if prev is not None:
-        beta_eps = fletcher_reeves(ev.g_eps_norm, prev.g_eps_norm)
-        beta_sigma = fletcher_reeves(ev.g_sigma_norm, prev.g_sigma_norm)
+        beta_eps = fletcher_reeves(g_eps_norm, prev.g_eps_norm)
+        beta_sigma = fletcher_reeves(g_sigma_norm, prev.g_sigma_norm)
         restarted = beta_eps > problem.beta_max or beta_sigma > problem.beta_max
         if restarted:
             beta_eps = beta_sigma = 0.0
         d_eps = d_eps + beta_eps * prev.d_eps.values
         d_sigma = d_sigma + beta_sigma * prev.d_sigma.values
-    d_eps, d_sigma = ev.g_eps.with_values(d_eps), ev.g_sigma.with_values(d_sigma)
+        update_eps_norm = field_norm(eps.values - prev.eps.values, grid)
+        update_sigma_norm = field_norm(sigma.values - prev.sigma.values, grid)
+    d_eps, d_sigma = g_eps.with_values(d_eps), g_sigma.with_values(d_sigma)
     return CgState(
-        m=m, eps=eps, sigma=sigma,
-        g_eps=ev.g_eps, g_sigma=ev.g_sigma,
-        d_eps=d_eps, d_sigma=d_sigma,
-        alpha_eps=_clamped_step(problem, ev.g_eps, d_eps, ev.gamma_eps),
-        alpha_sigma=_clamped_step(problem, ev.g_sigma, d_sigma, ev.gamma_sigma),
-        gamma_eps=ev.gamma_eps, gamma_sigma=ev.gamma_sigma,
-        g_eps_norm=ev.g_eps_norm, g_sigma_norm=ev.g_sigma_norm,
-        F=ev.F, sim=ev.sim, lambda_norm=ev.lambda_norm,
-        restarted=restarted, **outcome,
+        m=m, eps=eps, sigma=sigma, g_eps=g_eps, g_sigma=g_sigma, d_eps=d_eps, d_sigma=d_sigma,
+        alpha_eps=_clamped_step(problem, g_eps, d_eps, gamma_eps),
+        alpha_sigma=_clamped_step(problem, g_sigma, d_sigma, gamma_sigma),
+        gamma_eps=gamma_eps, gamma_sigma=gamma_sigma,
+        g_eps_norm=g_eps_norm, g_sigma_norm=g_sigma_norm,
+        F=F, sim=sim, lambda_norm=lambda_norm, restarted=restarted, backtracks=backtracks,
+        update_eps_norm=update_eps_norm, update_sigma_norm=update_sigma_norm,
     )
 
 
@@ -262,8 +241,7 @@ def init_state(problem: InverseProblem) -> CgState:
     eps = project(problem.eps_init, problem.adm, problem.mask)
     sigma = project(problem.sigma_init, problem.adm, problem.mask)
     E = solve_forward(problem.grid, eps, sigma, problem.src, problem.bc)
-    ev = _evaluate(problem, 0, eps, sigma, E, extract_trace(E, problem.obs.sides))
-    return _cg_state(problem, 0, eps, sigma, ev)
+    return _iterate(problem, 0, eps, sigma, E, extract_trace(E, problem.obs.sides))
 
 
 def _row(state: CgState, problem: InverseProblem) -> LogRow:
@@ -277,6 +255,13 @@ def _row(state: CgState, problem: InverseProblem) -> LogRow:
     )
 
 
+def _trial(
+    problem: InverseProblem, v: CoefficientField, alpha: float, d: CoefficientField
+) -> CoefficientField:
+    """The projected update v + alpha d."""
+    return project(v.with_values(v.values + alpha * d.values), problem.adm, problem.mask)
+
+
 def cg_step(state: CgState, problem: InverseProblem, log: list[LogRow] | None = None) -> CgState:
     """Advance one full iteration: log the received iterate, take the
     projected update (with halving backtracks if the functional would
@@ -284,38 +269,30 @@ def cg_step(state: CgState, problem: InverseProblem, log: list[LogRow] | None = 
     if log is not None:
         log.append(_row(state, problem))
 
-    a_e, a_s = state.alpha_eps, state.alpha_sigma
-    backtracks = 0
-    while True:
-        eps_new = project(
-            state.eps.with_values(state.eps.values + a_e * state.d_eps.values),
-            problem.adm, problem.mask,
-        )
-        sigma_new = project(
-            state.sigma.with_values(state.sigma.values + a_s * state.d_sigma.values),
-            problem.adm, problem.mask,
-        )
+    a_eps, a_sigma = state.alpha_eps, state.alpha_sigma
+    for backtracks in range(MAX_BACKTRACKS + 1):
+        eps_new = _trial(problem, state.eps, a_eps, state.d_eps)
+        sigma_new = _trial(problem, state.sigma, a_sigma, state.d_sigma)
         E_new = solve_forward(problem.grid, eps_new, sigma_new, problem.src, problem.bc)
         sim_new = extract_trace(E_new, problem.obs.sides)
         F_trial = tikhonov(
             sim_new, problem.obs, eps_new, sigma_new, problem.reg,
             state.gamma_eps, state.gamma_sigma,
         )
-        if F_trial <= state.F or backtracks >= MAX_BACKTRACKS:
+        if F_trial <= state.F or backtracks == MAX_BACKTRACKS:
             break
         del E_new, sim_new  # drop the rejected trial before the next solve
-        a_e *= 0.5
-        a_s *= 0.5
-        backtracks += 1
-
-    m_new = state.m + 1
-    return _cg_state(
-        problem, m_new, eps_new, sigma_new,
-        _evaluate(problem, m_new, eps_new, sigma_new, E_new, sim_new), prev=state,
-        backtracks=backtracks,
-        update_eps_norm=field_norm(eps_new.values - state.eps.values, problem.grid),
-        update_sigma_norm=field_norm(sigma_new.values - state.sigma.values, problem.grid),
+        a_eps, a_sigma = 0.5 * a_eps, 0.5 * a_sigma
+    return _iterate(
+        problem, state.m + 1, eps_new, sigma_new, E_new, sim_new,
+        prev=state, backtracks=backtracks,
     )
+
+
+def _first_below(checks: Iterable[tuple[str, float, float]]) -> str | None:
+    """The reason of the first (reason, value, tol) whose value is below its
+    tol, or None."""
+    return next((reason for reason, value, tol in checks if value < tol), None)
 
 
 @dataclass(frozen=True)
@@ -338,25 +315,24 @@ def run_cga(problem: InverseProblem, tols: StoppingTolerances) -> CgaResult:
     """
     log: list[LogRow] = []
     state = init_state(problem)
-    stop_reason = "m_max"
+    stop = None
     for _ in range(tols.m_max):
-        if state.g_eps_norm < tols.eta2_eps:
-            stop_reason = "g_eps"
-            log.append(_row(state, problem))
-            break
-        if state.g_sigma_norm < tols.eta2_sigma:
-            stop_reason = "g_sigma"
+        stop = _first_below((
+            ("g_eps", state.g_eps_norm, tols.eta2_eps),
+            ("g_sigma", state.g_sigma_norm, tols.eta2_sigma),
+        ))
+        if stop:
             log.append(_row(state, problem))
             break
         state = cg_step(state, problem, log)
-        if state.update_eps_norm < tols.eta1_eps:
-            stop_reason = "update_eps"
-            break
-        if state.update_sigma_norm < tols.eta1_sigma:
-            stop_reason = "update_sigma"
+        stop = _first_below((
+            ("update_eps", state.update_eps_norm, tols.eta1_eps),
+            ("update_sigma", state.update_sigma_norm, tols.eta1_sigma),
+        ))
+        if stop:
             break
     return CgaResult(
-        eps=state.eps, sigma=state.sigma, log=log, stop_reason=stop_reason,
+        eps=state.eps, sigma=state.sigma, log=log, stop_reason=stop or "m_max",
         final_g_eps_norm=state.g_eps_norm, final_g_sigma_norm=state.g_sigma_norm,
         final_F=state.F,
     )
@@ -491,7 +467,7 @@ def run_acga(
     grids: list[Grid2D] = []
 
     prob = problem
-    stop_reason = "n_max"
+    stop = None
     for k in range(controls.n_max + 1):
         result = run_cga(prob, tols)
         grids.append(prob.grid)
@@ -515,51 +491,40 @@ def run_acga(
         )
         flags_per_level.append(flags)
 
-        if k > 0:
+        checks = []
+        if k > 0:  # the change from the previous level's reconstruction
             eps_up = transfer_to_refined(results[-2].eps, prob.grid)
             sigma_up = transfer_to_refined(results[-2].sigma, prob.grid)
-            if field_norm(result.eps.values - eps_up.values, prob.grid) < controls.theta1_eps:
-                stop_reason = "theta1_eps"
-                break
-            if field_norm(result.sigma.values - sigma_up.values, prob.grid) < controls.theta1_sigma:
-                stop_reason = "theta1_sigma"
-                break
-        if result.final_g_eps_norm < controls.theta2_eps:
-            stop_reason = "theta2_eps"
-            break
-        if result.final_g_sigma_norm < controls.theta2_sigma:
-            stop_reason = "theta2_sigma"
-            break
-        if k == controls.n_max:
+            checks += [
+                ("theta1_eps", field_norm(result.eps.values - eps_up.values, prob.grid),
+                 controls.theta1_eps),
+                ("theta1_sigma", field_norm(result.sigma.values - sigma_up.values, prob.grid),
+                 controls.theta1_sigma),
+            ]
+        checks += [
+            ("theta2_eps", result.final_g_eps_norm, controls.theta2_eps),
+            ("theta2_sigma", result.final_g_sigma_norm, controls.theta2_sigma),
+        ]
+        stop = _first_below(checks)
+        if stop or k == controls.n_max:
             break
         if not flags.any():
-            stop_reason = "no_flags"
+            stop = "no_flags"
             break
 
         fine = refine(prob.grid)
-        mask_f = region_mask(fine, prob.mask.frame_width)
-        obs_f = transfer_to_refined(prob.obs, fine)
-        eps_init_f = transfer_to_refined(result.eps, fine)
-        sigma_init_f = transfer_to_refined(result.sigma, fine)
         if prior_builder is not None:
             eps_prior_f, sigma_prior_f = prior_builder(fine)
         else:
             eps_prior_f = transfer_to_refined(prob.reg.eps_prior, fine)
             sigma_prior_f = transfer_to_refined(prob.reg.sigma_prior, fine)
-        if truth_builder is not None:
-            eps_true_f, sigma_true_f = truth_builder(fine)
-        else:
-            eps_true_f = sigma_true_f = None
-        reg_f = RegularizationParams(
-            gamma_eps0=prob.reg.gamma_eps0,
-            gamma_sigma0=prob.reg.gamma_sigma0,
-            p=prob.reg.p,
-            eps_prior=eps_prior_f,
-            sigma_prior=sigma_prior_f,
-        )
+        eps_true_f, sigma_true_f = (None, None) if truth_builder is None else truth_builder(fine)
         prob = replace(
-            prob, grid=fine, mask=mask_f, obs=obs_f, reg=reg_f,
-            eps_init=eps_init_f, sigma_init=sigma_init_f,
+            prob, grid=fine, mask=region_mask(fine, prob.mask.frame_width),
+            obs=transfer_to_refined(prob.obs, fine),
+            reg=replace(prob.reg, eps_prior=eps_prior_f, sigma_prior=sigma_prior_f),
+            eps_init=transfer_to_refined(result.eps, fine),
+            sigma_init=transfer_to_refined(result.sigma, fine),
             eps_true=eps_true_f, sigma_true=sigma_true_f,
         )
 
@@ -570,5 +535,5 @@ def run_acga(
         grids=grids,
         eps=results[-1].eps,
         sigma=results[-1].sigma,
-        stop_reason=stop_reason,
+        stop_reason=stop or "n_max",
     )

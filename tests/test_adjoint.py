@@ -20,7 +20,8 @@ from waveinv import (
     trace_dot,
     trace_norm_sq,
 )
-from waveinv.forward import BcKind
+from waveinv.adjoint import build_adjoint_programs
+from waveinv.forward import BcKind, build_forward_programs
 from waveinv.grid import Side
 from conftest import (
     smooth_random_spacetime,
@@ -180,3 +181,17 @@ def test_mismatched_residual_rejected(small_grid):
     sig = constant_coefficient(small_grid, 1.0, Role.SIGMA)
     with pytest.raises(ValueError):
         adjoint_levels(small_grid, eps, sig, zero_trace(other), BcConfig(), SourceSpec())
+
+
+@pytest.mark.parametrize("n", [8, 50, 400])
+@pytest.mark.parametrize("T", [0.6, 0.9, 1.2, 2.0])
+@pytest.mark.parametrize("t_on", [None, 0.1, 0.25, 0.5])
+def test_switched_side_absorbs_at_the_reversed_forward_levels(n, T, t_on):
+    # the adjoint level n runs at time T - n dt, so it absorbs exactly where
+    # the forward level nt - n does
+    g = build_grid(n, n, T=T)
+    src, bc = SourceSpec(t_on=t_on), BcConfig()
+    forward = build_forward_programs(g, src, bc)[Side.LEFT].absorbing
+    adjoint = build_adjoint_programs(g, src, bc, zero_trace(g))[Side.LEFT].absorbing
+    assert forward.any() and not forward.all()
+    assert np.array_equal(adjoint, forward[::-1])

@@ -171,6 +171,24 @@ def test_invert_zero_cap_returns_initial_guess(tmp_path):
     assert read_csv_rows(out / "convergence.csv") == []
 
 
+def test_invert_zero_simulated_trace_logs_nan_data_errors(tmp_path):
+    # observations from the real source, inverted with a silent one: the
+    # relative data errors are undefined, the coefficient errors are not
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "run"
+    assert main(["synthesize", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    silent, n = re.subn(r"^amplitude = .*$", "amplitude = 0.0",
+                        (out / "manifest.ini").read_text(), flags=re.M)
+    assert n == 1
+    (out / "silent.ini").write_text(silent)
+    assert main(["invert", "--config", str(out / "silent.ini"), "--out", str(out / "inv"),
+                 "--quiet"]) == 0
+    rows = read_csv_rows(out / "inv" / "convergence.csv")
+    assert len(rows) == 1
+    assert np.isnan(float(rows[0]["e_E_l2"])) and np.isnan(float(rows[0]["e_E_sup"]))
+    assert np.isfinite(float(rows[0]["e_eps_l2"]))
+
+
 def test_invert_grid_mismatch_exits_2(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "run"

@@ -200,6 +200,25 @@ class TestRunCga:
         assert result.log[-1].F < result.log[0].F
         assert result.final_F <= result.log[-1].F * (1 + 1e-12)
 
+    # A huge tolerance fires at its first check.  The gradient tolerances are
+    # checked before an update, the update tolerances after it, eps before
+    # sigma; the cases with several huge tolerances pin that order.
+    @pytest.mark.parametrize("huge, reason, rows", [
+        (("eta2_eps",), "g_eps", 1),
+        (("eta2_sigma",), "g_sigma", 1),
+        (("eta1_eps",), "update_eps", 1),
+        (("eta1_sigma",), "update_sigma", 1),
+        (("eta2_eps", "eta2_sigma", "eta1_eps", "eta1_sigma"), "g_eps", 1),
+        (("eta2_sigma", "eta1_eps", "eta1_sigma"), "g_sigma", 1),
+        (("eta1_eps", "eta1_sigma"), "update_eps", 1),
+        ((), "m_max", 2),
+    ])
+    def test_stop_reason_and_order(self, huge, reason, rows):
+        tols = StoppingTolerances(m_max=2, **{name: 1e30 for name in huge})
+        result = run_cga(small_problem(), tols)
+        assert result.stop_reason == reason
+        assert len(result.log) == rows
+
 
 class TestRefinementFlags:
     def test_constant_field_absolute_mode_flags_everything(self):
@@ -264,3 +283,22 @@ class TestAcga:
         assert res.levels[1].nno == res.grids[1].n_nodes
         assert res.levels[0].m_k == 3
         assert res.eps.grid.nx == 32
+
+    # The update tolerances compare a level with its coarser predecessor, so
+    # they are checked from the second level on, before the gradient
+    # tolerances, eps before sigma; the level cap is checked after them.
+    @pytest.mark.parametrize("huge, n_max, reason, levels", [
+        (("theta1_eps",), 2, "theta1_eps", 2),
+        (("theta1_sigma",), 2, "theta1_sigma", 2),
+        (("theta2_eps",), 2, "theta2_eps", 1),
+        (("theta2_sigma",), 2, "theta2_sigma", 1),
+        (("theta1_eps", "theta1_sigma"), 2, "theta1_eps", 2),
+        (("theta2_eps", "theta2_sigma"), 2, "theta2_eps", 1),
+        (("theta2_sigma",), 0, "theta2_sigma", 1),
+        ((), 1, "n_max", 2),
+    ])
+    def test_stop_reason_and_order(self, huge, n_max, reason, levels):
+        controls = AcgaControls(n_max=n_max, **{name: 1e30 for name in huge})
+        res = run_acga(small_problem(), StoppingTolerances(m_max=3), controls)
+        assert res.stop_reason == reason
+        assert len(res.levels) == levels
