@@ -15,6 +15,13 @@ boundary programs:
 adjoint_levels yields the multiplier one level at a time as the backward
 sweep computes it.  Every consumer (the gradient sums, the energy monitor,
 the L_*.vtk dumps) uses each level as it arrives, so no multiplier is stored.
+
+build_adjoint_programs is the one builder of the reversed programs; the
+series of an observed side is the Neumann data g = -residual(T - s).  The
+adjoint Leapfrog keeps its own 2 h g, and that is the only copy of the
+boundary data a sweep holds: adjoint_levels keeps no reference to the
+residual or to g once the Leapfrog is built, and the optimizer, which builds
+the programs itself, frees its residual and g before the sweep starts.
 """
 
 from __future__ import annotations

@@ -47,7 +47,9 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .grid import ALL_SIDES, Grid2D, Side, area_weights
-from .fields import BoundaryTrace, CoefficientField, SpaceTimeField, trace_of_levels
+from .fields import (
+    BoundaryTrace, CoefficientField, SpaceTimeField, extract_trace, trace_of_levels,
+)
 
 
 class StabilityError(RuntimeError):
@@ -391,7 +393,17 @@ class ForwardSolution:
                     self.pairs[-1][j] = level
                 yield level
 
-        self.trace = trace_of_levels(grid, keep_pairs(leapfrog_levels(op, f0, f1)), ALL_SIDES)
+        self.trace: BoundaryTrace | None = trace_of_levels(
+            grid, keep_pairs(leapfrog_levels(op, f0, f1)), ALL_SIDES
+        )
+
+    def take_trace(self, sides: Iterable[Side]) -> BoundaryTrace:
+        """The trace on the given sides, handed over once: the solution drops
+        its own reference (trace is None afterwards), so the trace lives only
+        as long as the caller keeps it."""
+        trace = extract_trace(self, sides)
+        self.trace = None
+        return trace
 
     def levels_backward(self) -> Iterator[np.ndarray]:
         """Levels nt, nt-1, ..., 0, one at a time.  As from leapfrog_levels, a

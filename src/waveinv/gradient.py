@@ -22,6 +22,9 @@ sweep produces the multiplier, which is therefore never stored.  The state
 arrives on the same reversed-level stream, E^nt..E^0: a ForwardSolution
 replays it from its checkpoints, so no snapshot stack is stored either,
 and a stored SpaceTimeField reads its stack backward with the same sums.
+gradient_sweep holds these sums; adjoint_gradients starts the adjoint sweep
+from a residual trace and drops the residual before summing, and the
+optimizer hands gradient_sweep a sweep whose residual it has already freed.
 
 The oracle differentiates the Tikhonov value by central differences in a
 single nodal coefficient value, normalized by the node's area quadrature
@@ -31,6 +34,7 @@ weight so both quantities are commensurable gradient densities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -54,10 +58,28 @@ def adjoint_gradients(
     src: SourceSpec,
 ) -> tuple[CoefficientField, CoefficientField, float]:
     """Nodal gradients of the Tikhonov functional, zeroed on FRAME nodes,
-    and the multiplier's space-time norm, summed during the backward
-    adjoint sweep driven by residual.  The half-step products are added as
-    the levels lam^nt, ..., lam^0 and E^nt, ..., E^0 arrive, so only two of
-    each are held."""
+    and the multiplier's space-time norm, from the backward adjoint sweep
+    driven by residual (see gradient_sweep)."""
+    lam_backward = adjoint_levels(E.grid, eps, sigma, residual, bc, src)
+    # the adjoint Leapfrog holds its own copy of the boundary data, so a
+    # residual that no caller keeps is freed before the sweep
+    del residual
+    return gradient_sweep(E, lam_backward, eps, sigma, reg, gamma_eps, gamma_sigma, mask)
+
+
+def gradient_sweep(
+    E: ForwardSolution | SpaceTimeField,
+    lam_backward: Iterable[np.ndarray],
+    eps: CoefficientField,
+    sigma: CoefficientField,
+    reg: RegularizationParams,
+    gamma_eps: float,
+    gamma_sigma: float,
+    mask: RegionMask,
+) -> tuple[CoefficientField, CoefficientField, float]:
+    """The gradients and the multiplier norm of adjoint_gradients, summed
+    while the multiplier levels lam^nt, ..., lam^0 (as adjoint_levels yields
+    them) and E^nt, ..., E^0 arrive, so only two of each are held."""
     grid = E.grid
     dt = grid.dt
     wt, sqrt_wx = time_weights(grid), np.sqrt(area_weights(grid))
@@ -66,7 +88,6 @@ def adjoint_gradients(
     dlam, tmp = np.empty(grid.node_shape), np.empty(grid.node_shape)
     lam_sq = 0.0
     lam_next = e_next = None
-    lam_backward = adjoint_levels(grid, eps, sigma, residual, bc, src)
     levels = zip(range(grid.nt, -1, -1), lam_backward, E.levels_backward(), strict=True)
     for n, lam, e in levels:
         np.multiply(lam, sqrt_wx, out=tmp)

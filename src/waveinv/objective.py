@@ -200,26 +200,16 @@ class ErrorMetrics:
     e_E_sup: float
 
 
-def coefficient_errors(
-    eps_m: CoefficientField,
-    sigma_m: CoefficientField,
-    eps_true: CoefficientField,
-    sigma_true: CoefficientField,
-) -> tuple[float, float, float, float]:
-    """Relative L2 and supremum errors of eps_m, then of sigma_m."""
-    grid = eps_m.grid
-
-    def rel_pair(approx: np.ndarray, exact: np.ndarray) -> tuple[float, float]:
-        denom_l2 = field_norm(exact, grid)
-        denom_sup = float(np.abs(exact).max())
-        if denom_l2 == 0.0 or denom_sup == 0.0:
-            raise ValueError("reference field is zero; relative errors undefined")
-        return (
-            field_norm(approx - exact, grid) / denom_l2,
-            float(np.abs(approx - exact).max()) / denom_sup,
-        )
-
-    return (*rel_pair(eps_m.values, eps_true.values), *rel_pair(sigma_m.values, sigma_true.values))
+def relative_errors(approx: CoefficientField, exact: CoefficientField) -> tuple[float, float]:
+    """Relative L2 and supremum errors of one coefficient; a zero reference
+    field raises ValueError."""
+    grid = exact.grid
+    denom_l2 = field_norm(exact, grid)
+    denom_sup = float(np.abs(exact.values).max())
+    if denom_l2 == 0.0 or denom_sup == 0.0:
+        raise ValueError("reference field is zero; relative errors undefined")
+    diff = approx.values - exact.values
+    return field_norm(diff, grid) / denom_l2, float(np.abs(diff).max()) / denom_sup
 
 
 def error_metrics(
@@ -231,15 +221,17 @@ def error_metrics(
     obs: BoundaryTrace,
 ) -> ErrorMetrics:
     return ErrorMetrics(
-        *coefficient_errors(eps_m, sigma_m, eps_true, sigma_true), *data_errors(sim_m, obs)
+        *relative_errors(eps_m, eps_true), *relative_errors(sigma_m, sigma_true),
+        *data_errors(sim_m, obs),
     )
 
 
 def data_errors(sim: BoundaryTrace, obs: BoundaryTrace) -> tuple[float, float]:
     """Relative L2 and supremum misfit of a simulated trace."""
-    num_l2 = float(np.sqrt(trace_norm_sq(sim - obs)))
+    residual = sim - obs
+    num_l2 = float(np.sqrt(trace_norm_sq(residual)))
+    num_sup = residual.max_abs()
     den_l2 = float(np.sqrt(trace_norm_sq(sim)))
-    num_sup = (sim - obs).max_abs()
     den_sup = sim.max_abs()
     if den_l2 == 0.0 or den_sup == 0.0:
         raise ValueError("simulated trace is zero; relative data error undefined")

@@ -10,13 +10,16 @@ The step sizes
 
 are clamped to [-alpha_max, alpha_max] and halved, at most MAX_BACKTRACKS
 times, while the functional would increase.  One function then turns the
-accepted trial into the next CgState: the Tikhonov functional, the
-gradients summed during the backward adjoint sweep (the checkpoints replay
-the state backward), the Fletcher-Reeves directions (restarted when a
-ratio exceeds beta_max), the next clamped steps and the size of the
-update.  The regularization weights decay as gamma^m = gamma^0 / (m+1)^p.
-run_cga and run_acga each stop at the first of their tolerances, in a
-fixed order, that a value falls below.
+accepted trial into the next CgState: the Tikhonov functional and the
+data errors of its trace, the gradients summed during the backward adjoint
+sweep (the checkpoints replay the state backward), the Fletcher-Reeves
+directions (restarted when a ratio exceeds beta_max), the next clamped
+steps and the size of the update.  That function takes the trace out of
+the solve and frees it, and the residual, once the adjoint's boundary data
+is built, so the sweep holds two traces, the observations and that data;
+no iterate keeps a trace.  The regularization weights decay as
+gamma^m = gamma^0 / (m+1)^p.  run_cga and run_acga each stop at the first
+of their tolerances, in a fixed order, that a value falls below.
 
 The adaptive driver repeats the loop over nested factor-2 grids, refining
 whenever the indicator |h (v - background)| (or |h v| in absolute mode)
@@ -32,6 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .adjoint import build_adjoint_programs
 from .fields import (
     AdmissibleSet,
     BoundaryTrace,
@@ -40,16 +44,18 @@ from .fields import (
     project,
     transfer_to_refined,
 )
-from .forward import BcConfig, ForwardSolution, SourceSpec, solve_forward
+from .forward import (
+    BcConfig, ForwardSolution, Leapfrog, SourceSpec, leapfrog_levels, solve_forward,
+)
 from .grid import Grid2D, RegionMask, refine, region_mask
-from .gradient import adjoint_gradients
+from .gradient import gradient_sweep
 from .objective import (
     ErrorMetrics,
     RegularizationParams,
-    coefficient_errors,
     data_errors,
     field_dot,
     field_norm,
+    relative_errors,
     tikhonov,
 )
 
@@ -120,7 +126,8 @@ class CgState:
     g_eps_norm: float
     g_sigma_norm: float
     F: float
-    sim: BoundaryTrace
+    e_E_l2: float
+    e_E_sup: float
     lambda_norm: float
     restarted: bool = False
     backtracks: int = 0
@@ -167,18 +174,13 @@ def fletcher_reeves(g_norm: float, g_prev_norm: float) -> float:
     return (g_norm / g_prev_norm) ** 2
 
 
-def _metrics(problem: InverseProblem, eps, sigma, sim) -> ErrorMetrics:
-    """A log row's errors; the coefficient errors are NaN without a declared
-    truth, and the data errors are NaN for a zero simulated trace."""
-    nan = float("nan")
-    e_coef = (nan,) * 4
-    if problem.eps_true is not None and problem.sigma_true is not None:
-        e_coef = coefficient_errors(eps, sigma, problem.eps_true, problem.sigma_true)
+def _or_nan(errors, *args) -> tuple[float, float]:
+    """A pair of relative errors, or NaN twice where its reference (a declared
+    truth coefficient or the simulated trace) is zero."""
     try:
-        e_data = data_errors(sim, problem.obs)
-    except ValueError:  # zero simulated trace
-        e_data = (nan, nan)
-    return ErrorMetrics(*e_coef, *e_data)
+        return errors(*args)
+    except ValueError:  # zero reference: relative errors undefined
+        return math.nan, math.nan
 
 
 def _clamped_step(
@@ -194,21 +196,31 @@ def _iterate(
     eps: CoefficientField,
     sigma: CoefficientField,
     E: ForwardSolution,
-    sim: BoundaryTrace,
     prev: CgState | None = None,
     backtracks: int = 0,
 ) -> CgState:
-    """Iterate m from its forward solve E and E's trace sim on the observed
-    sides: the functional, the gradients summed during the adjoint sweep
-    (neither the state nor the multiplier is stored), the direction (steepest
-    descent at the start, Fletcher-Reeves after prev, restarting when either
-    ratio exceeds beta_max), the clamped steps and the update from prev."""
-    grid = problem.grid
+    """Iterate m from its forward solve E: the functional and the data errors
+    of E's trace on the observed sides, the gradients summed during the
+    adjoint sweep (neither the state nor the multiplier is stored), the
+    direction (steepest descent at the start, Fletcher-Reeves after prev,
+    restarting when either ratio exceeds beta_max), the clamped steps and the
+    update from prev."""
+    grid, obs = problem.grid, problem.obs
     gamma_eps, gamma_sigma = problem.reg.at_iteration(m)
-    F = tikhonov(sim, problem.obs, eps, sigma, problem.reg, gamma_eps, gamma_sigma)
-    g_eps, g_sigma, lambda_norm = adjoint_gradients(
-        E, sim - problem.obs, eps, sigma, problem.reg, gamma_eps, gamma_sigma,
-        problem.mask, problem.bc, problem.src,
+    sim = E.take_trace(obs.sides)
+    F = tikhonov(sim, obs, eps, sigma, problem.reg, gamma_eps, gamma_sigma)
+    e_E_l2, e_E_sup = _or_nan(data_errors, sim, obs)
+    # each trace is freed as soon as the next is formed from it: sim, the
+    # residual sim - obs, the adjoint's Neumann data g, and the adjoint
+    # Leapfrog's own 2 h g, which with obs is all that the sweep holds
+    residual = sim - obs
+    del sim
+    programs = build_adjoint_programs(grid, problem.src, problem.bc, residual)
+    del residual
+    lam_backward = leapfrog_levels(Leapfrog(grid, eps, sigma, programs))
+    del programs
+    g_eps, g_sigma, lambda_norm = gradient_sweep(
+        E, lam_backward, eps, sigma, problem.reg, gamma_eps, gamma_sigma, problem.mask,
     )
     g_eps_norm, g_sigma_norm = field_norm(g_eps.values, grid), field_norm(g_sigma.values, grid)
     d_eps, d_sigma = -g_eps.values, -g_sigma.values
@@ -231,7 +243,8 @@ def _iterate(
         alpha_sigma=_clamped_step(problem, g_sigma, d_sigma, gamma_sigma),
         gamma_eps=gamma_eps, gamma_sigma=gamma_sigma,
         g_eps_norm=g_eps_norm, g_sigma_norm=g_sigma_norm,
-        F=F, sim=sim, lambda_norm=lambda_norm, restarted=restarted, backtracks=backtracks,
+        F=F, e_E_l2=e_E_l2, e_E_sup=e_E_sup, lambda_norm=lambda_norm,
+        restarted=restarted, backtracks=backtracks,
         update_eps_norm=update_eps_norm, update_sigma_norm=update_sigma_norm,
     )
 
@@ -241,13 +254,19 @@ def init_state(problem: InverseProblem) -> CgState:
     eps = project(problem.eps_init, problem.adm, problem.mask)
     sigma = project(problem.sigma_init, problem.adm, problem.mask)
     E = solve_forward(problem.grid, eps, sigma, problem.src, problem.bc)
-    return _iterate(problem, 0, eps, sigma, E, extract_trace(E, problem.obs.sides))
+    return _iterate(problem, 0, eps, sigma, E)
 
 
 def _row(state: CgState, problem: InverseProblem) -> LogRow:
+    """The log row of an iterate; the coefficient errors are NaN without a
+    declared truth."""
+    e_eps = e_sigma = (math.nan, math.nan)
+    if problem.eps_true is not None and problem.sigma_true is not None:
+        e_eps = _or_nan(relative_errors, state.eps, problem.eps_true)
+        e_sigma = _or_nan(relative_errors, state.sigma, problem.sigma_true)
     return LogRow(
         m=state.m, F=state.F,
-        metrics=_metrics(problem, state.eps, state.sigma, state.sim),
+        metrics=ErrorMetrics(*e_eps, *e_sigma, state.e_E_l2, state.e_E_sup),
         g_eps_norm=state.g_eps_norm, g_sigma_norm=state.g_sigma_norm,
         lambda_norm=state.lambda_norm,
         gamma_eps=state.gamma_eps, gamma_sigma=state.gamma_sigma,
@@ -274,18 +293,17 @@ def cg_step(state: CgState, problem: InverseProblem, log: list[LogRow] | None = 
         eps_new = _trial(problem, state.eps, a_eps, state.d_eps)
         sigma_new = _trial(problem, state.sigma, a_sigma, state.d_sigma)
         E_new = solve_forward(problem.grid, eps_new, sigma_new, problem.src, problem.bc)
-        sim_new = extract_trace(E_new, problem.obs.sides)
+        # no local keeps the trial's trace: _iterate takes it out of E_new
         F_trial = tikhonov(
-            sim_new, problem.obs, eps_new, sigma_new, problem.reg,
-            state.gamma_eps, state.gamma_sigma,
+            extract_trace(E_new, problem.obs.sides), problem.obs, eps_new, sigma_new,
+            problem.reg, state.gamma_eps, state.gamma_sigma,
         )
         if F_trial <= state.F or backtracks == MAX_BACKTRACKS:
             break
-        del E_new, sim_new  # drop the rejected trial before the next solve
+        del E_new  # drop the rejected trial before the next solve
         a_eps, a_sigma = 0.5 * a_eps, 0.5 * a_sigma
     return _iterate(
-        problem, state.m + 1, eps_new, sigma_new, E_new, sim_new,
-        prev=state, backtracks=backtracks,
+        problem, state.m + 1, eps_new, sigma_new, E_new, prev=state, backtracks=backtracks,
     )
 
 

@@ -189,6 +189,23 @@ def test_invert_zero_simulated_trace_logs_nan_data_errors(tmp_path):
     assert np.isfinite(float(rows[0]["e_eps_l2"]))
 
 
+def test_invert_zero_truth_coefficient_logs_nan_errors(tmp_path):
+    # a declared truth of zero has no relative error; the other one does
+    text = BASE.replace("[truth.sigma]\nkind = gaussian",
+                        "[truth.sigma]\nkind = constant\nvalue = 0.0")
+    text = text.replace("max_iters = 3", "max_iters = 2")
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "run"
+    assert main(["synthesize", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert main(["invert", "--config", str(out / "manifest.ini"), "--out", str(out),
+                 "--quiet"]) == 0
+    rows = read_csv_rows(out / "convergence.csv")
+    assert len(rows) == 2
+    for row in rows:
+        assert np.isnan(float(row["e_sigma_l2"])) and np.isnan(float(row["e_sigma_sup"]))
+        assert np.isfinite(float(row["e_eps_l2"]))
+
+
 def test_invert_grid_mismatch_exits_2(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "run"

@@ -204,6 +204,16 @@ class TestExtractTrace:
         with pytest.raises(ValueError):
             extract_trace(sol, ())
 
+    def test_taken_trace_is_dropped_by_the_solution(self):
+        g = build_grid(12, 12, T=0.5)
+        eps = constant_coefficient(g, 2.0, Role.EPSILON)
+        sig = constant_coefficient(g, 1.0, Role.SIGMA)
+        sol = solve_forward(g, eps, sig, SourceSpec(), BcConfig())
+        left = sol.trace.data[Side.LEFT]
+        tr = sol.take_trace((Side.LEFT,))
+        assert tr.sides == (Side.LEFT,) and tr.data[Side.LEFT] is left
+        assert sol.trace is None
+
 
 class TestTransfer:
     def test_constant_field_preserved(self):

@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +9,8 @@ from waveinv import (
     AcgaControls,
     AdmissibleSet,
     BcConfig,
+    BoundaryTrace,
+    ForwardSolution,
     InverseProblem,
     RegularizationParams,
     Role,
@@ -155,6 +157,46 @@ class TestMemory:
         init_peak, step_peak = self.iteration_peaks()
         assert init_peak <= 0.5
         assert step_peak <= 0.5
+
+    def test_iteration_peak_below_0_4_stacks(self):
+        # each trace is about 4/(n+1) of a stack, 0.06 at 64²: the residual,
+        # the simulated trace and the previous iterate's trace are gone
+        # before the sweep (the peaks exclude the observations)
+        init_peak, step_peak = self.iteration_peaks()
+        assert init_peak <= 0.40
+        assert step_peak <= 0.40
+
+    def test_sweep_holds_only_observations_and_adjoint_data(self, monkeypatch):
+        """Halfway through each backward sweep of init_state and cg_step the
+        only trace-sized arrays alive are the observations and the adjoint's
+        boundary data, one array per observed side each."""
+        alive = []
+        levels_backward = ForwardSolution.levels_backward
+
+        def spy(sol):
+            side_bytes = (sol.grid.nt + 1) * (sol.grid.ny + 1) * 8
+            for n, level in enumerate(levels_backward(sol)):
+                if n == sol.grid.nt // 2:
+                    traces = tracemalloc.take_snapshot().traces
+                    alive.append(sum(t.size == side_bytes for t in traces))
+                yield level
+
+        monkeypatch.setattr(ForwardSolution, "levels_backward", spy)
+        tracemalloc.start()
+        try:
+            problem = small_problem(32)
+            cg_step(init_state(problem), problem)
+        finally:
+            tracemalloc.stop()
+        assert alive == [2 * len(ALL_SIDES)] * 2
+
+
+def test_no_iterate_field_is_a_trace():
+    # an iterate keeps the data errors of its trace, not the trace itself
+    problem = small_problem()
+    state = init_state(problem)
+    for s in (state, cg_step(state, problem)):
+        assert not any(isinstance(getattr(s, f.name), BoundaryTrace) for f in fields(s))
 
 
 class TestRunCga:
