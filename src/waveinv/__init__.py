@@ -37,8 +37,6 @@ from .forward import (
     ForwardSolution,
     SourceSpec,
     StabilityError,
-    all_neumann_bc,
-    discrete_energy,
     solve_forward,
 )
 from .adjoint import AdjointEnergyReport, adjoint_energy_monitor, adjoint_levels
@@ -46,18 +44,15 @@ from .objective import (
     ErrorMetrics,
     RegularizationParams,
     decomposition_identity_check,
-    error_metrics,
     field_dot,
     field_norm,
     forward_defect,
     lagrangian,
-    spacetime_dot,
-    spacetime_norm,
     tikhonov,
     trace_dot,
     trace_norm_sq,
 )
-from .gradient import GradientSample, adjoint_gradients, fd_gradient_oracle
+from .gradient import GradientSample, fd_gradient_oracle, gradient_sweep
 from .optimizer import (
     AcgaControls,
     AcgaResult,

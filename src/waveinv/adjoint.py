@@ -12,16 +12,15 @@ boundary programs:
     outflow condition), composed with the residual source where both apply;
   * zero-Neumann sides stay zero-Neumann.
 
-adjoint_levels yields the multiplier one level at a time as the backward
-sweep computes it.  Every consumer (the gradient sums, the energy monitor,
-the L_*.vtk dumps) uses each level as it arrives, so no multiplier is stored.
+adjoint_levels is the one adjoint solve.  It yields the multiplier one
+level at a time as the backward sweep computes it, and every consumer (the
+gradient sums of the optimizer and of grad-check, the energy monitor, the
+L_*.vtk dumps) uses each level as it arrives, so no multiplier is stored.
 
-build_adjoint_programs is the one builder of the reversed programs; the
-series of an observed side is the Neumann data g = -residual(T - s).  The
-adjoint Leapfrog keeps its own 2 h g, and that is the only copy of the
-boundary data a sweep holds: adjoint_levels keeps no reference to the
-residual or to g once the Leapfrog is built, and the optimizer, which builds
-the programs itself, frees its residual and g before the sweep starts.
+The series of an observed side, from build_adjoint_programs, is the Neumann
+data g = -residual(T - s).  The Leapfrog scales it by 2 h as it fills each
+ghost row, so g is the one copy of the boundary data that a sweep holds: a
+caller that drops its residual once adjoint_levels returns sweeps with g alone.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from .adjoint import adjoint_levels
 from .config import ConfigError, RunConfig, load_config, write_manifest
 from .fields import Role, add_noise, extract_trace, project, trace_of_levels
 from .forward import StabilityError, forward_levels, forward_trace, solve_forward
-from .gradient import adjoint_gradients, fd_gradient_oracle
+from .gradient import fd_gradient_oracle, gradient_sweep
 from .grid import region_mask
 from .io import (
     read_trace_csv,
@@ -57,7 +57,10 @@ def _outdir(cfg: RunConfig, override: str | None) -> Path:
 def _forward_setup(cfg: RunConfig):
     grid = cfgmod.make_grid(cfg)
     adm = cfgmod.make_admissible(cfg)
-    mask = region_mask(grid, cfg.get("grid", "frame_width"))
+    try:
+        mask = region_mask(grid, cfg.get("grid", "frame_width"))
+    except ValueError as exc:
+        raise ConfigError(f"key grid.frame_width: {exc}") from exc
     eps = cfgmod.make_coefficient(cfg, "truth.eps", grid, Role.EPSILON)
     sigma = cfgmod.make_coefficient(cfg, "truth.sigma", grid, Role.SIGMA)
     src = cfgmod.make_source(cfg)
@@ -127,13 +130,11 @@ def _inversion_problem(cfg: RunConfig) -> tuple[InverseProblem, object]:
     sigma_init = cfgmod.make_coefficient(cfg, "initial.sigma", grid, Role.SIGMA)
     have_truth = "truth.eps" in cfg.declared and "truth.sigma" in cfg.declared
     reg = cfgmod.make_regularization(cfg, eps_init, sigma_init)
-    problem = InverseProblem(
-        grid=grid, mask=mask, adm=adm, src=src, bc=bc, obs=obs, reg=reg,
+    problem = cfgmod.make_inverse_problem(
+        cfg, grid=grid, mask=mask, adm=adm, src=src, bc=bc, obs=obs, reg=reg,
         eps_init=eps_init, sigma_init=sigma_init,
         eps_true=eps_t if have_truth else None,
         sigma_true=sigma_t if have_truth else None,
-        alpha_max=cfg.get("cga", "alpha_max"),
-        beta_max=cfg.get("cga", "beta_max"),
     )
     return problem, cfgmod.make_tolerances(cfg)
 
@@ -210,9 +211,9 @@ def cmd_grad_check(cfg: RunConfig, out: Path, quiet: bool) -> int:
     gamma_eps = gamma_sigma = 0.0  # oracle comparison runs on the pure data term
 
     E = solve_forward(grid, eps_e, sigma_e, src, bc)
-    g_eps, g_sigma, _ = adjoint_gradients(
-        E, extract_trace(E, sides) - obs, eps_e, sigma_e, reg, gamma_eps, gamma_sigma,
-        mask, bc, src,
+    lam_backward = adjoint_levels(grid, eps_e, sigma_e, extract_trace(E, sides) - obs, bc, src)
+    g_eps, g_sigma, _ = gradient_sweep(
+        E, lam_backward, eps_e, sigma_e, reg, gamma_eps, gamma_sigma, mask,
     )
 
     try:

@@ -26,7 +26,7 @@ from .fields import (
 from .forward import BcConfig, BcKind, SourceSpec
 from .grid import ALL_SIDES, Grid2D, RegionMask, Side, build_grid
 from .objective import RegularizationParams
-from .optimizer import AcgaControls, StoppingTolerances
+from .optimizer import AcgaControls, InverseProblem, StoppingTolerances
 
 
 class ConfigError(ValueError):
@@ -340,6 +340,10 @@ def make_tolerances(cfg: RunConfig) -> StoppingTolerances:
 
 def make_acga_controls(cfg: RunConfig) -> AcgaControls:
     return _build(AcgaControls, cfg, "acga")
+
+
+def make_inverse_problem(cfg: RunConfig, **parts) -> InverseProblem:
+    return _build(InverseProblem, cfg, "cga", **parts)
 
 
 def make_regularization(

@@ -162,9 +162,6 @@ class BoundaryTrace:
             data={s: self.data[s] - other.data[s] for s in self.sides},
         )
 
-    def scaled(self, a: float) -> "BoundaryTrace":
-        return self.map(lambda arr: a * arr)
-
     def max_abs(self) -> float:
         return max(float(np.abs(self.data[s]).max()) for s in self.sides)
 

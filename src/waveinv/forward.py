@@ -47,9 +47,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .grid import ALL_SIDES, Grid2D, Side, area_weights
-from .fields import (
-    BoundaryTrace, CoefficientField, SpaceTimeField, extract_trace, trace_of_levels,
-)
+from .fields import BoundaryTrace, CoefficientField, extract_trace, trace_of_levels
 
 
 class StabilityError(RuntimeError):
@@ -126,10 +124,6 @@ class BcConfig:
 
     def kind(self, side: Side) -> BcKind:
         return self.sides[side]
-
-
-def all_neumann_bc() -> BcConfig:
-    return BcConfig(sides={s: BcKind.NEUMANN_ZERO for s in ALL_SIDES})
 
 
 @dataclass(frozen=True)
@@ -238,14 +232,15 @@ class Leapfrog:
         # only the forcing term reads a_plus after this
         self._a_plus = None if forcing is None else a_plus
         self._absorb = 2.0 * h / dt
+        self._flux = np.array(2.0 * h)  # a 0-d array scales faster than a float
         self._scratch = np.empty(grid.node_shape)
         self._pad = P = np.zeros((grid.nx + 3, grid.ny + 3))
         self._rows = np.empty((grid.nx + 1, grid.ny + 3))
         # (ghost row of the buffer, mirror row, boundary row, absorbing switch,
-        # Neumann flux term 2 h g, boundary-row buffer) per side
+        # the program's own Neumann data g, scaled by 2 h in the ghost slot so
+        # that no copy is kept, boundary-row buffer) per side
         self._ghosts = [
-            (ghost, mirror, edge, programs[side].absorbing,
-             None if programs[side].series is None else 2.0 * h * programs[side].series,
+            (ghost, mirror, edge, programs[side].absorbing, programs[side].series,
              np.empty(grid.side_node_count(side)))
             for side, ghost, mirror, edge in (
                 (Side.LEFT, P[0, 1:-1], np.s_[1, :], np.s_[0, :]),
@@ -269,10 +264,12 @@ class Leapfrog:
         boundary values for the absorbing ghost."""
         P = self._pad
         P[1:-1, 1:-1] = cur
-        for ghost, mirror, edge, absorbing, flux, diff in self._ghosts:
-            ghost[...] = cur[mirror]
-            if flux is not None:
-                ghost += flux[n]
+        for ghost, mirror, edge, absorbing, series, diff in self._ghosts:
+            if series is None:
+                ghost[...] = cur[mirror]
+            else:  # mirror + 2 h g, with 2 h g formed in the ghost slot
+                np.multiply(series[n], self._flux, out=ghost)
+                ghost += cur[mirror]
             if absorbing[n]:
                 np.subtract(cur[edge], prev[edge], out=diff)
                 diff *= self._absorb
@@ -287,11 +284,6 @@ class Leapfrog:
         rows += p[lo - 1:hi - 1]
         out[...] = self._rows[:, 1:-1]
         return out
-
-    def laplacian(self, cur: np.ndarray, prev: np.ndarray, n: int) -> np.ndarray:
-        """5-point Laplacian of snapshot n with the ghost-node closures."""
-        nbr = self._neighbour_sum(cur, prev, n, np.empty_like(cur))
-        return (nbr - 4.0 * cur) / self.grid.h**2
 
     def step(
         self, cur: np.ndarray, prev: np.ndarray, n: int, out: np.ndarray | None = None
@@ -310,7 +302,8 @@ class Leapfrog:
         """Taylor start producing E^1; the absorbing ghost takes e0 - dt f1 as
         the previous level in place of the undefined backward difference."""
         dt = self.grid.dt
-        rhs = self.laplacian(e0, e0 - dt * f1_v, 0) - self.sigma.values * f1_v
+        nbr = self._neighbour_sum(e0, e0 - dt * f1_v, 0, np.empty_like(e0))
+        rhs = (nbr - 4.0 * e0) / self.grid.h**2 - self.sigma.values * f1_v
         if self.forcing is not None:
             rhs += self.forcing(0)
         return e0 + dt * f1_v + dt**2 / (2.0 * self.eps.values) * rhs
@@ -500,10 +493,3 @@ def level_energy(grid: Grid2D, cur: np.ndarray, prev: np.ndarray, eps: Coefficie
     vel = (cur - prev) / grid.dt
     kinetic = float(np.sum(area_weights(grid) * eps.values * vel * vel))
     return kinetic + _dirichlet_product(grid, cur, prev)
-
-
-def discrete_energy(E: SpaceTimeField, eps: CoefficientField, n: int) -> float:
-    """level_energy between levels n-1 and n of a stored solution."""
-    if not 1 <= n <= E.grid.nt:
-        raise ValueError(f"time index {n} outside 1..{E.grid.nt}")
-    return level_energy(E.grid, E.snapshots[n], E.snapshots[n - 1], eps)

@@ -22,9 +22,9 @@ sweep produces the multiplier, which is therefore never stored.  The state
 arrives on the same reversed-level stream, E^nt..E^0: a ForwardSolution
 replays it from its checkpoints, so no snapshot stack is stored either,
 and a stored SpaceTimeField reads its stack backward with the same sums.
-gradient_sweep holds these sums; adjoint_gradients starts the adjoint sweep
-from a residual trace and drops the residual before summing, and the
-optimizer hands gradient_sweep a sweep whose residual it has already freed.
+gradient_sweep holds these sums.  Its callers, the optimizer and grad-check,
+hand it the multiplier stream of adjoint_levels driven by the residual
+sim - obs, and hold no residual once that stream is built.
 
 The oracle differentiates the Tikhonov value by central differences in a
 single nodal coefficient value, normalized by the node's area quadrature
@@ -38,33 +38,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .adjoint import adjoint_levels
 from .fields import BoundaryTrace, CoefficientField, Role, SpaceTimeField
 from .forward import BcConfig, ForwardSolution, SourceSpec, forward_trace
 from .grid import RegionMask, area_weights, time_weights
 from .objective import RegularizationParams, tikhonov
-
-
-def adjoint_gradients(
-    E: ForwardSolution | SpaceTimeField,
-    residual: BoundaryTrace,
-    eps: CoefficientField,
-    sigma: CoefficientField,
-    reg: RegularizationParams,
-    gamma_eps: float,
-    gamma_sigma: float,
-    mask: RegionMask,
-    bc: BcConfig,
-    src: SourceSpec,
-) -> tuple[CoefficientField, CoefficientField, float]:
-    """Nodal gradients of the Tikhonov functional, zeroed on FRAME nodes,
-    and the multiplier's space-time norm, from the backward adjoint sweep
-    driven by residual (see gradient_sweep)."""
-    lam_backward = adjoint_levels(E.grid, eps, sigma, residual, bc, src)
-    # the adjoint Leapfrog holds its own copy of the boundary data, so a
-    # residual that no caller keeps is freed before the sweep
-    del residual
-    return gradient_sweep(E, lam_backward, eps, sigma, reg, gamma_eps, gamma_sigma, mask)
 
 
 def gradient_sweep(
@@ -77,9 +54,9 @@ def gradient_sweep(
     gamma_sigma: float,
     mask: RegionMask,
 ) -> tuple[CoefficientField, CoefficientField, float]:
-    """The gradients and the multiplier norm of adjoint_gradients, summed
-    while the multiplier levels lam^nt, ..., lam^0 (as adjoint_levels yields
-    them) and E^nt, ..., E^0 arrive, so only two of each are held."""
+    """Nodal gradients of the Tikhonov functional, zeroed on FRAME nodes, and
+    the multiplier's space-time norm, summed while lam^nt, ..., lam^0 (from
+    adjoint_levels) and E^nt, ..., E^0 arrive, so only two of each are held."""
     grid = E.grid
     dt = grid.dt
     wt, sqrt_wx = time_weights(grid), np.sqrt(area_weights(grid))

@@ -172,9 +172,6 @@ class RegionMask:
     def inner(self) -> np.ndarray:
         return ~self.frame
 
-    def n_frame(self) -> int:
-        return int(self.frame.sum())
-
 
 def region_mask(grid: Grid2D, frame_width: int = 0) -> RegionMask:
     """Mark the outermost frame_width node layers as FRAME, the rest as INNER."""

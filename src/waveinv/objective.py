@@ -41,16 +41,6 @@ def trace_norm_sq(a: BoundaryTrace) -> float:
     return trace_dot(a, a)
 
 
-def spacetime_dot(a: SpaceTimeField, b: SpaceTimeField) -> float:
-    wt = time_weights(a.grid)
-    wx = area_weights(a.grid)
-    return float(np.einsum("tij,tij,t,ij->", a.snapshots, b.snapshots, wt, wx))
-
-
-def spacetime_norm(a: SpaceTimeField) -> float:
-    return float(np.sqrt(spacetime_dot(a, a)))
-
-
 @dataclass(frozen=True)
 class RegularizationParams:
     """Initial regularization weights, their decay exponent and the priors."""
@@ -210,20 +200,6 @@ def relative_errors(approx: CoefficientField, exact: CoefficientField) -> tuple[
         raise ValueError("reference field is zero; relative errors undefined")
     diff = approx.values - exact.values
     return field_norm(diff, grid) / denom_l2, float(np.abs(diff).max()) / denom_sup
-
-
-def error_metrics(
-    eps_m: CoefficientField,
-    sigma_m: CoefficientField,
-    eps_true: CoefficientField,
-    sigma_true: CoefficientField,
-    sim_m: BoundaryTrace,
-    obs: BoundaryTrace,
-) -> ErrorMetrics:
-    return ErrorMetrics(
-        *relative_errors(eps_m, eps_true), *relative_errors(sigma_m, sigma_true),
-        *data_errors(sim_m, obs),
-    )
 
 
 def data_errors(sim: BoundaryTrace, obs: BoundaryTrace) -> tuple[float, float]:

@@ -15,8 +15,8 @@ data errors of its trace, the gradients summed during the backward adjoint
 sweep (the checkpoints replay the state backward), the Fletcher-Reeves
 directions (restarted when a ratio exceeds beta_max), the next clamped
 steps and the size of the update.  That function takes the trace out of
-the solve and frees it, and the residual, once the adjoint's boundary data
-is built, so the sweep holds two traces, the observations and that data;
+the solve, starts adjoint_levels from the residual and frees both, so the
+sweep holds two traces, the observations and the adjoint's boundary data;
 no iterate keeps a trace.  The regularization weights decay as
 gamma^m = gamma^0 / (m+1)^p.  run_cga and run_acga each stop at the first
 of their tolerances, in a fixed order, that a value falls below.
@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adjoint import build_adjoint_programs
+from .adjoint import adjoint_levels
 from .fields import (
     AdmissibleSet,
     BoundaryTrace,
@@ -44,9 +44,7 @@ from .fields import (
     project,
     transfer_to_refined,
 )
-from .forward import (
-    BcConfig, ForwardSolution, Leapfrog, SourceSpec, leapfrog_levels, solve_forward,
-)
+from .forward import BcConfig, ForwardSolution, SourceSpec, solve_forward
 from .grid import Grid2D, RegionMask, refine, region_mask
 from .gradient import gradient_sweep
 from .objective import (
@@ -105,6 +103,10 @@ class InverseProblem:
     sigma_true: CoefficientField | None = None
     alpha_max: float = 1.0
     beta_max: float = 10.0
+
+    def __post_init__(self) -> None:
+        if not self.alpha_max > 0.0:  # a clamp at or below 0 turns every step uphill
+            raise ValueError(f"alpha_max must be > 0, got {self.alpha_max!r}")
 
 
 @dataclass(frozen=True)
@@ -211,14 +213,12 @@ def _iterate(
     F = tikhonov(sim, obs, eps, sigma, problem.reg, gamma_eps, gamma_sigma)
     e_E_l2, e_E_sup = _or_nan(data_errors, sim, obs)
     # each trace is freed as soon as the next is formed from it: sim, the
-    # residual sim - obs, the adjoint's Neumann data g, and the adjoint
-    # Leapfrog's own 2 h g, which with obs is all that the sweep holds
+    # residual sim - obs, and the adjoint's Neumann data g, which with obs
+    # is all that the sweep holds
     residual = sim - obs
     del sim
-    programs = build_adjoint_programs(grid, problem.src, problem.bc, residual)
+    lam_backward = adjoint_levels(grid, eps, sigma, residual, problem.bc, problem.src)
     del residual
-    lam_backward = leapfrog_levels(Leapfrog(grid, eps, sigma, programs))
-    del programs
     g_eps, g_sigma, lambda_norm = gradient_sweep(
         E, lam_backward, eps, sigma, problem.reg, gamma_eps, gamma_sigma, problem.mask,
     )
@@ -366,9 +366,6 @@ class RefinementFlags:
 
     def any(self) -> bool:
         return bool(self.flags.any())
-
-    def cells(self) -> list[tuple[int, int]]:
-        return [tuple(c) for c in np.argwhere(self.flags)]
 
 
 def _check_indicator(beta_eps: float, beta_sigma: float, mode: str) -> None:

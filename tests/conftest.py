@@ -9,6 +9,7 @@ from waveinv import (
     ALL_SIDES,
     AdmissibleSet,
     BcConfig,
+    BcKind,
     BoundaryTrace,
     CoefficientField,
     FieldKind,
@@ -20,9 +21,11 @@ from waveinv import (
     build_grid,
     extract_trace,
     gaussian_coefficient,
+    gradient_sweep,
     solve_forward,
 )
-from waveinv.forward import forward_levels
+from waveinv.forward import forward_levels, level_energy
+from waveinv.grid import area_weights, time_weights
 
 INCLUSION_CENTER = (0.5, 0.7)
 
@@ -105,6 +108,34 @@ def stored_adjoint(grid, eps, sigma, residual, bc, src):
     Each level is copied, because the sweep reuses its level buffers."""
     levels = [lam.copy() for lam in adjoint_levels(grid, eps, sigma, residual, bc, src)]
     return SpaceTimeField(grid=grid, snapshots=np.stack(levels[::-1]), kind=FieldKind.ADJOINT)
+
+
+def adjoint_gradients(E, residual, eps, sigma, reg, gamma_eps, gamma_sigma, mask, bc, src):
+    """The gradients and the multiplier norm of gradient_sweep over the
+    adjoint sweep that residual drives, composed as the optimizer does."""
+    lam_backward = adjoint_levels(E.grid, eps, sigma, residual, bc, src)
+    return gradient_sweep(E, lam_backward, eps, sigma, reg, gamma_eps, gamma_sigma, mask)
+
+
+def all_neumann_bc():
+    return BcConfig(sides={s: BcKind.NEUMANN_ZERO for s in ALL_SIDES})
+
+
+def discrete_energy(E, eps, n):
+    """level_energy between levels n-1 and n of a stored solution."""
+    if not 1 <= n <= E.grid.nt:
+        raise ValueError(f"time index {n} outside 1..{E.grid.nt}")
+    return level_energy(E.grid, E.snapshots[n], E.snapshots[n - 1], eps)
+
+
+def spacetime_dot(a, b):
+    """Trapezoid-in-time, tensor-trapezoid-in-space pairing of two stacks."""
+    wt, wx = time_weights(a.grid), area_weights(a.grid)
+    return float(np.einsum("tij,tij,t,ij->", a.snapshots, b.snapshots, wt, wx))
+
+
+def spacetime_norm(a):
+    return float(np.sqrt(spacetime_dot(a, a)))
 
 
 def synthesize_observations(grid, noise_level=0.1, seed=42):

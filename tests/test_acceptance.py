@@ -21,12 +21,10 @@ from waveinv import (
     SourceSpec,
     SpaceTimeField,
     StoppingTolerances,
-    adjoint_gradients,
     build_grid,
     bump_perturbed,
     constant_coefficient,
     decomposition_identity_check,
-    discrete_energy,
     extract_trace,
     fd_gradient_oracle,
     field_norm,
@@ -38,8 +36,6 @@ from waveinv import (
     run_acga,
     run_cga,
     solve_forward,
-    spacetime_dot,
-    spacetime_norm,
     step_size,
     tikhonov,
     trace_dot,
@@ -47,9 +43,13 @@ from waveinv import (
 )
 from conftest import (
     INCLUSION_CENTER,
+    adjoint_gradients,
+    discrete_energy,
     smooth_random_coefficient,
     smooth_random_spacetime,
     smooth_random_trace,
+    spacetime_dot,
+    spacetime_norm,
     stored_adjoint,
     stored_state,
     synthesize_observations,
@@ -316,7 +316,7 @@ def test_criterion_09_adaptive_improvement():
 
     e_levels = [r.log[-1].metrics.e_eps_l2 for r in res.level_results]
     flags = res.level_flags[0]
-    cells = flags.cells()
+    cells = np.argwhere(flags.flags)
     g0 = res.grids[0]
     dists = [
         float(np.hypot((i + 0.5) * g0.h - INCLUSION_CENTER[0],

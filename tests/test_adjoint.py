@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,10 @@ from waveinv import (
     SpaceTimeField,
     adjoint_energy_monitor,
     adjoint_levels,
-    all_neumann_bc,
     build_grid,
     constant_coefficient,
     extract_trace,
     solve_forward,
-    spacetime_dot,
-    spacetime_norm,
     trace_dot,
     trace_norm_sq,
 )
@@ -24,8 +23,11 @@ from waveinv.adjoint import build_adjoint_programs
 from waveinv.forward import BcKind, build_forward_programs
 from waveinv.grid import Side
 from conftest import (
+    all_neumann_bc,
     smooth_random_spacetime,
     smooth_random_trace,
+    spacetime_dot,
+    spacetime_norm,
     stored_adjoint,
     stored_state,
     truth_pair,
@@ -139,9 +141,9 @@ class TestEnergyMonitor:
         res = smooth_random_trace(small_grid, rng)
         bc, src = BcConfig(), SourceSpec()
         lam1 = adjoint_levels(small_grid, eps, sig, res, bc, src)
-        lam2 = adjoint_levels(small_grid, eps, sig, res.scaled(2.0), bc, src)
+        lam2 = adjoint_levels(small_grid, eps, sig, res.map(lambda a: 2.0 * a), bc, src)
         rep1 = adjoint_energy_monitor(lam1, eps, sig, res)
-        rep2 = adjoint_energy_monitor(lam2, eps, sig, res.scaled(2.0))
+        rep2 = adjoint_energy_monitor(lam2, eps, sig, res.map(lambda a: 2.0 * a))
         assert rep2.max_energy == pytest.approx(4.0 * rep1.max_energy, rel=1e-10)
         assert rep2.ratio == pytest.approx(rep1.ratio, rel=1e-10)
 
@@ -173,6 +175,23 @@ class TestEnergyMonitor:
         levels = levels[:-1] if drop > 0 else levels + levels[-1:]
         with pytest.raises(ValueError, match="zip"):
             adjoint_energy_monitor(iter(levels), eps, sig, res)
+
+
+def test_adjoint_levels_copies_the_boundary_data_once(medium_grid):
+    # building the sweep copies the residual once, into the Neumann data
+    # g = -residual reversed in time; the Leapfrog scales g by 2 h as it
+    # fills its ghost rows instead of keeping a scaled second copy
+    eps, sig = truth_pair(medium_grid)
+    residual = smooth_random_trace(medium_grid, np.random.default_rng(4))
+    trace_bytes = sum(a.nbytes for a in residual.data.values())
+    tracemalloc.start()
+    try:
+        lam_backward = adjoint_levels(medium_grid, eps, sig, residual, BcConfig(), SourceSpec())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * trace_bytes
+    assert sum(1 for _ in lam_backward) == medium_grid.nt + 1
 
 
 def test_mismatched_residual_rejected(small_grid):

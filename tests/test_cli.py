@@ -10,7 +10,7 @@ from waveinv.cli import main
 from waveinv.config import load_config
 from waveinv.fields import extract_trace
 from waveinv.forward import forward_trace
-from waveinv.gradient import adjoint_gradients
+from waveinv.gradient import gradient_sweep
 from waveinv.io import read_field_csv, write_field_csv, write_field_vtk, write_trace_csv
 from conftest import stored_adjoint, stored_state
 
@@ -235,7 +235,8 @@ def test_invert_finer_initial_field_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("omega", "0"), ("t_on", "soon"), ("max_iters", "-1"), ("n_max", "-1"), ("beta_eps", "1.5"),
-    ("t_on", "0"), ("t_on", "-1"), ("side", "3"),
+    ("t_on", "0"), ("t_on", "-1"), ("side", "3"), ("frame_width", "-1"), ("frame_width", "6"),
+    ("alpha_max", "-1"), ("alpha_max", "0"),
 ])
 def test_rejected_value_exits_2_before_solving(tmp_path, capsys, key, value):
     cfg = write_cfg(tmp_path)
@@ -314,10 +315,10 @@ def test_grad_check_passes(tmp_path):
 
 def test_grad_check_detects_flipped_sign(tmp_path, monkeypatch):
     def flipped(*args, **kwargs):
-        g_eps, g_sigma, lambda_norm = adjoint_gradients(*args, **kwargs)
+        g_eps, g_sigma, lambda_norm = gradient_sweep(*args, **kwargs)
         return g_eps.with_values(-g_eps.values), g_sigma.with_values(-g_sigma.values), lambda_norm
 
-    monkeypatch.setattr(waveinv.cli, "adjoint_gradients", flipped)
+    monkeypatch.setattr(waveinv.cli, "gradient_sweep", flipped)
     cfg = write_cfg(tmp_path, GRADCHECK)
     out = tmp_path / "gc_bad"
     assert main(["grad-check", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1

@@ -11,10 +11,8 @@ from waveinv import (
     Side,
     SourceSpec,
     StabilityError,
-    all_neumann_bc,
     build_grid,
     constant_coefficient,
-    discrete_energy,
     extract_trace,
     gaussian_coefficient,
     solve_forward,
@@ -22,7 +20,9 @@ from waveinv import (
 from waveinv.forward import (
     _nodal, build_forward_programs, forward_levels, forward_operator, forward_trace,
 )
-from conftest import smooth_random_coefficient, stored_state, truth_pair
+from conftest import (
+    all_neumann_bc, discrete_energy, smooth_random_coefficient, stored_state, truth_pair,
+)
 
 
 def homogeneous(grid, eps_val=1.0, sigma_val=0.0):

@@ -12,7 +12,6 @@ from waveinv import (
     RegularizationParams,
     Role,
     SourceSpec,
-    adjoint_gradients,
     build_grid,
     constant_coefficient,
     extract_trace,
@@ -20,11 +19,12 @@ from waveinv import (
     project,
     region_mask,
     solve_forward,
-    spacetime_norm,
 )
 from conftest import (
+    adjoint_gradients,
     smooth_random_coefficient,
     smooth_random_trace,
+    spacetime_norm,
     stored_adjoint,
     stored_state,
     truth_pair,

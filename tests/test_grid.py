@@ -49,9 +49,9 @@ def test_bad_parameters_rejected():
 
 def test_region_mask_degenerate_and_perimeter():
     g = build_grid(10, 10)
-    assert region_mask(g, 0).n_frame() == 0
+    assert region_mask(g, 0).frame.sum() == 0
     m = region_mask(g, 1)
-    assert m.n_frame() == 4 * 11 - 4
+    assert m.frame.sum() == 4 * 11 - 4
     for side_nodes in (m.frame[0, :], m.frame[-1, :], m.frame[:, 0], m.frame[:, -1]):
         assert side_nodes.all()
     inner = np.argwhere(m.inner)

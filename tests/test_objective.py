@@ -15,7 +15,6 @@ from waveinv import (
     build_grid,
     constant_coefficient,
     decomposition_identity_check,
-    error_metrics,
     extract_trace,
     forward_defect,
     lagrangian,
@@ -24,6 +23,7 @@ from waveinv import (
     trace_norm_sq,
 )
 from waveinv.grid import area_weights
+from waveinv.objective import ErrorMetrics, data_errors, relative_errors
 from conftest import smooth_random_coefficient, stored_state, truth_pair
 
 
@@ -240,6 +240,14 @@ class TestDecompositionIdentity:
                 eps_a, sig_a, eps_b, sig_b, obs, reg, *gammas, src, bc
             )
             assert r <= 1e-10 * (1.0 + abs(F))
+
+
+def error_metrics(eps_m, sigma_m, eps_true, sigma_true, sim_m, obs):
+    """The coefficient and data errors of one iterate, as a log row holds them."""
+    return ErrorMetrics(
+        *relative_errors(eps_m, eps_true), *relative_errors(sigma_m, sigma_true),
+        *data_errors(sim_m, obs),
+    )
 
 
 class TestErrorMetrics:

@@ -283,7 +283,7 @@ class TestRefinementFlags:
         eps, sig = truth_pair(g)
         fl = refinement_flags(eps, sig, 0.8, 0.8, mode="deviation")
         assert fl.any()
-        for i, j in fl.cells():
+        for i, j in np.argwhere(fl.flags):
             cx, cy = (i + 0.5) * g.h, (j + 0.5) * g.h
             assert max(abs(cx - 0.5), abs(cy - 0.7)) <= 0.25
 
