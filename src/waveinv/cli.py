@@ -18,6 +18,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import config as cfgmod
 from .adjoint import adjoint_levels
 from .config import ConfigError, RunConfig, load_config, write_manifest
@@ -81,10 +83,18 @@ def _observed(cfg: RunConfig, grid, eps, sigma, src, bc, sides):
 
 def _dumped(cfg: RunConfig, grid, numbered, out: Path, prefix: str = "E"):
     """Pass the levels of (n, level) pairs through, writing those with n a
-    multiple of dump_every to <prefix>_<n>.vtk on the way."""
+    multiple of dump_every to <prefix>_<n>.vtk on the way.  A time loop
+    checks only some levels before it yields them, so each level is checked
+    here before it is written; a non-finite one is not written, and the
+    rest of the stream runs until the loop's own check names the first
+    non-finite step."""
     every = cfg.get("output", "dump_every")
     for n, level in numbered:
         if every > 0 and n % every == 0:
+            if not np.isfinite(level).all():
+                for _ in numbered:
+                    pass
+                raise StabilityError(f"non-finite field values in {prefix}_{n}")
             write_field_vtk(level, grid, out / f"{prefix}_{n}.vtk", name=prefix)
         yield level
 

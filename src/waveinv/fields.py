@@ -229,20 +229,45 @@ def extract_trace(
     return trace_of_levels(field.grid, field.snapshots, sides)
 
 
+def level_run(level: np.ndarray) -> np.ndarray:
+    """A level's nodes as one contiguous run of a ghost-padded buffer: the
+    rows of the buffer from node (0, 0) to node (nx, ny), so that node
+    (i, j) sits at i * (ny+3) + j and the ghost columns fill the gaps
+    between rows.  The time loops hand out each level as the node view
+    [1:-1, 1:-1] of a ghost-padded buffer of its own (its base), and the
+    run is then read in place: a level whose base is two rows and two
+    columns larger, with the same strides, is taken to be that view.  Any
+    other level is first copied into a new padded buffer.  numpy copies a strided ufunc operand through a scratch
+    buffer, so a consumer that streams over many levels reads these runs."""
+    rows, cols = level.shape
+    pad = level.base
+    if not (isinstance(pad, np.ndarray) and pad.shape == (rows + 2, cols + 2)
+            and pad.strides == level.strides and pad.flags.c_contiguous):
+        pad = np.zeros((rows + 2, cols + 2))
+        pad[1:-1, 1:-1] = level
+    s = cols + 2
+    return pad.ravel()[s + 1:s + 1 + (rows - 1) * s + cols]
+
+
 def trace_of_levels(
     grid: Grid2D, levels: Iterable[np.ndarray], sides: Iterable[Side]
 ) -> BoundaryTrace:
     """Boundary trace of state levels 0..nt given one at a time, so a
-    stream of levels yields its trace without being stored."""
+    stream of levels yields its trace without being stored.  Each level's
+    boundary nodes are gathered from its run (level_run) in one call into
+    one (nt+1, perimeter) buffer, which is split per side at the end."""
     sides = tuple(sorted(set(Side(s) for s in sides)))
     if not sides:
         raise ValueError("at least one side must be declared")
-    index = {side: side_slice(grid, side) for side in sides}
-    data = {side: np.empty((grid.nt + 1, grid.side_node_count(side))) for side in sides}
+    i, j = np.indices(grid.node_shape)
+    at = i * (grid.ny + 3) + j  # node offsets within a run
+    index = np.concatenate([at[side_slice(grid, side)] for side in sides])
+    gathered = np.empty((grid.nt + 1, index.size))
     # strict: a stream of any other length than nt+1 levels is an error
     for n, level in zip(range(grid.nt + 1), levels, strict=True):
-        for side in sides:
-            data[side][n] = level[index[side]]
+        level_run(level).take(index, out=gathered[n], mode="clip")  # "raise" buffers out
+    ends = np.cumsum([0] + [grid.side_node_count(side) for side in sides])
+    data = {side: gathered[:, a:b] for side, a, b in zip(sides, ends[:-1], ends[1:])}
     return BoundaryTrace(grid=grid, sides=sides, data=data)
 
 

@@ -29,6 +29,18 @@ loop: it yields each level as it is computed, and each caller uses a level
 as it arrives and copies only what it keeps (forward_trace, the
 ForwardSolution below, adjoint_levels).
 
+Every level lives in a ghost-padded (nx+3, ny+3) buffer, a PaddedLevel,
+for as long as it is stepped from: a step fills the ghosts of the current
+level in place and writes the new level's rows straight into the next
+buffer, with every operand one contiguous run of memory.  A loop yields a
+level as the node view [1:-1, 1:-1] of its buffer; consumers that stream
+over levels read each as one contiguous run (fields.level_run), since numpy
+copies a strided operand through a scratch buffer.  Finiteness is checked
+once per block of about sqrt(nt) levels, not at every level: a non-finite
+value never leaves this linear recursion, so a blow-up shows at the next
+check, and the solve is then replayed with every level checked so that the
+error names the first non-finite step.
+
 The gradient pairs the forward levels with the multiplier backward in
 time.  solve_forward therefore returns a ForwardSolution: the boundary
 trace plus checkpoints about every sqrt(nt) levels, from which
@@ -47,7 +59,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .grid import ALL_SIDES, Grid2D, Side, area_weights
-from .fields import BoundaryTrace, CoefficientField, extract_trace, trace_of_levels
+from .fields import BoundaryTrace, CoefficientField, extract_trace, level_run, trace_of_levels
 
 
 class StabilityError(RuntimeError):
@@ -199,15 +211,59 @@ def check_cfl(grid: Grid2D, eps: CoefficientField) -> None:
         )
 
 
+class PaddedLevel:
+    """One ghost-padded (nx+3, ny+3) level buffer, nodes at [1:-1, 1:-1], with
+    the views that a leapfrog step reads or writes made once: the node
+    view, the run of rows 1..nx+1 (ghost columns included), that run
+    shifted to each of the four neighbours, and per side (in ALL_SIDES
+    order) the ghost slots, the mirror row and the boundary row.  The
+    buffer is an array of its own, so that fields.level_run finds it as
+    the base of the node view."""
+
+    __slots__ = ("pad", "nodes", "rows", "neighbours", "sides")
+
+    # (ghost, mirror, boundary) per side, as indices into the buffer
+    SLOTS = {
+        Side.LEFT: (np.s_[0, 1:-1], np.s_[2, 1:-1], np.s_[1, 1:-1]),
+        Side.RIGHT: (np.s_[-1, 1:-1], np.s_[-3, 1:-1], np.s_[-2, 1:-1]),
+        Side.BOTTOM: (np.s_[1:-1, 0], np.s_[1:-1, 2], np.s_[1:-1, 1]),
+        Side.TOP: (np.s_[1:-1, -1], np.s_[1:-1, -3], np.s_[1:-1, -2]),
+    }
+
+    def __init__(self, grid: Grid2D) -> None:
+        pad = self.pad = np.zeros((grid.nx + 3, grid.ny + 3))
+        self.nodes = pad[1:-1, 1:-1]
+        p, w = pad.ravel(), grid.ny + 3
+        lo, hi = w, w * (grid.nx + 2)
+        self.rows = p[lo:hi]
+        self.neighbours = (p[lo + w:hi + w], p[lo - w:hi - w], p[lo + 1:hi + 1], p[lo - 1:hi - 1])
+        self.sides = tuple(tuple(pad[i] for i in self.SLOTS[side]) for side in ALL_SIDES)
+
+
+def _block(nt: int) -> int:
+    """Levels per checkpoint block, and between the finiteness checks of a
+    time loop: about sqrt(nt), at least 3."""
+    return max(math.isqrt(nt) + 1, 3)
+
+
 class Leapfrog:
     """The discrete state operator: one leapfrog update and its Taylor start.
 
     Built once per (grid, eps, sigma, side programs, forcing), it holds the
-    update coefficients, the four ghost slots of one reusable ghost-padded
-    buffer, its row-sum buffer, one edge buffer per side for the absorbing
-    ghost, one scratch level and the forcing lookup.  The forward solve, the
-    adjoint solve and the Lagrangian's defect all step through it, so each
-    expression of the scheme is written once.  The buffers make an instance
+    update coefficients, one edge buffer per side for the absorbing ghost,
+    scratch space and the forcing lookup.  The forward solve, the adjoint
+    solve and the Lagrangian's defect all step through it, so each
+    expression of the scheme is written once.
+
+    The time loops keep every level resident in a PaddedLevel.  advance()
+    fills the ghosts of the current level in place and writes the next
+    level's rows 1..nx+1, ghost columns included, into the output buffer:
+    every operand is one contiguous run (numpy copies strided operands
+    through a scratch buffer), and the coefficients are kept in that row
+    layout with zero ghost columns.  The instance owns three PaddedLevels
+    (levels): leapfrog_levels rotates through them, step() and first_step()
+    serve node arrays through them, and a ForwardSolution's replay reuses
+    them.  So an instance runs one of these at a time: it is
     non-reentrant.
     """
 
@@ -225,29 +281,29 @@ class Leapfrog:
         a_plus = eps_v / dt**2 + sig_v / (2.0 * dt)
         a_mid = 2.0 * eps_v / dt**2
         a_minus = eps_v / dt**2 - sig_v / (2.0 * dt)
+
+        def in_rows(c: np.ndarray) -> np.ndarray:
+            rows = np.zeros((grid.nx + 1, grid.ny + 3))
+            rows[:, 1:-1] = c
+            return rows.ravel()
+
         # E^{n+1} = c_lap * (neighbour sum) + c_cur E^n - c_prev E^{n-1} + f^n / a_plus
-        self._c_cur = (a_mid - 4.0 / h**2) / a_plus
-        self._c_prev = a_minus / a_plus
-        self._c_lap = 1.0 / (a_plus * h**2)
+        self._c_cur = in_rows((a_mid - 4.0 / h**2) / a_plus)
+        self._c_prev = in_rows(a_minus / a_plus)
+        self._c_lap = in_rows(1.0 / (a_plus * h**2))
+        self._scratch = np.empty(self._c_cur.size)
         # only the forcing term reads a_plus after this
         self._a_plus = None if forcing is None else a_plus
-        self._absorb = 2.0 * h / dt
-        self._flux = np.array(2.0 * h)  # a 0-d array scales faster than a float
-        self._scratch = np.empty(grid.node_shape)
-        self._pad = P = np.zeros((grid.nx + 3, grid.ny + 3))
-        self._rows = np.empty((grid.nx + 1, grid.ny + 3))
-        # (ghost row of the buffer, mirror row, boundary row, absorbing switch,
-        # the program's own Neumann data g, scaled by 2 h in the ghost slot so
-        # that no copy is kept, boundary-row buffer) per side
-        self._ghosts = [
-            (ghost, mirror, edge, programs[side].absorbing, programs[side].series,
+        self._absorb = np.array(2.0 * h / dt)  # a 0-d array scales faster than a float
+        self._flux = np.array(2.0 * h)
+        self.levels = [PaddedLevel(grid) for _ in range(3)]
+        # (absorbing switch, the program's own Neumann data g, scaled by 2 h
+        # in the ghost slot so that no copy is kept, boundary-row buffer) per
+        # side, in ALL_SIDES order
+        self._programs = [
+            (programs[side].absorbing.tolist(), programs[side].series,
              np.empty(grid.side_node_count(side)))
-            for side, ghost, mirror, edge in (
-                (Side.LEFT, P[0, 1:-1], np.s_[1, :], np.s_[0, :]),
-                (Side.RIGHT, P[-1, 1:-1], np.s_[-2, :], np.s_[-1, :]),
-                (Side.BOTTOM, P[1:-1, 0], np.s_[:, 1], np.s_[:, 0]),
-                (Side.TOP, P[1:-1, -1], np.s_[:, -2], np.s_[:, -1]),
-            )
+            for side in ALL_SIDES
         ]
         if forcing is None:
             self.forcing = None
@@ -257,71 +313,105 @@ class Leapfrog:
             X, Y = grid.meshgrid()
             self.forcing = lambda n: np.asarray(forcing(X, Y, n * dt), dtype=np.float64)
 
-    def _neighbour_sum(self, cur: np.ndarray, prev: np.ndarray, n: int,
+    def _neighbour_sum(self, cur: PaddedLevel, prev: PaddedLevel, n: int,
                        out: np.ndarray) -> np.ndarray:
-        """Sum of the four neighbours of every node of snapshot n into out,
-        with the ghost-node closures; prev supplies the previous-level
-        boundary values for the absorbing ghost."""
-        P = self._pad
-        P[1:-1, 1:-1] = cur
-        for ghost, mirror, edge, absorbing, series, diff in self._ghosts:
+        """Fill the ghosts of level n (cur) with the boundary closures, prev
+        supplying the previous-level boundary values for the absorbing
+        ghost, and write the sum of every node's four neighbours into the
+        run out (its ghost columns get junk)."""
+        for (ghost, mirror, edge), (_, _, prev_edge), (absorbing, series, diff) in zip(
+                cur.sides, prev.sides, self._programs):
             if series is None:
-                ghost[...] = cur[mirror]
+                np.copyto(ghost, mirror)
             else:  # mirror + 2 h g, with 2 h g formed in the ghost slot
                 np.multiply(series[n], self._flux, out=ghost)
-                ghost += cur[mirror]
+                ghost += mirror
             if absorbing[n]:
-                np.subtract(cur[edge], prev[edge], out=diff)
+                np.subtract(edge, prev_edge, out=diff)
                 diff *= self._absorb
                 ghost -= diff
-        # sum over whole padded rows, ghost columns included, so that every
-        # operand is one contiguous run of the buffer (numpy copies strided
-        # operands through a scratch buffer), then keep the node columns
-        p, w, rows = P.ravel(), P.shape[1], self._rows.ravel()
-        lo, hi = w, w * (self.grid.nx + 2)
-        np.add(p[lo + w:hi + w], p[lo - w:hi - w], out=rows)
-        rows += p[lo + 1:hi + 1]
-        rows += p[lo - 1:hi - 1]
-        out[...] = self._rows[:, 1:-1]
+        up, down, right, left = cur.neighbours
+        np.add(up, down, out=out)
+        out += right
+        out += left
         return out
+
+    def advance(self, cur: PaddedLevel, prev: PaddedLevel, n: int, out: PaddedLevel) -> None:
+        """One leapfrog update, levels (n-1, n) -> n+1, written into the rows
+        of out, whose ghost columns come out zero; out must be neither cur
+        nor prev, and its ghosts are filled when it is stepped from."""
+        rows = self._neighbour_sum(cur, prev, n, out.rows)
+        rows *= self._c_lap
+        rows += np.multiply(self._c_cur, cur.rows, out=self._scratch)
+        rows -= np.multiply(self._c_prev, prev.rows, out=self._scratch)
+        if self.forcing is not None:
+            out.nodes += self.forcing(n) / self._a_plus
 
     def step(
         self, cur: np.ndarray, prev: np.ndarray, n: int, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """One leapfrog update: snapshots (n-1, n) -> n+1, written into out
-        (a fresh array when out is None); out must be neither cur nor prev."""
-        out = self._neighbour_sum(cur, prev, n, np.empty_like(cur) if out is None else out)
-        out *= self._c_lap
-        out += np.multiply(self._c_cur, cur, out=self._scratch)
-        out -= np.multiply(self._c_prev, prev, out=self._scratch)
-        if self.forcing is not None:
-            out += np.divide(self.forcing(n), self._a_plus, out=self._scratch)
+        """One leapfrog update of node arrays: snapshots (n-1, n) -> n+1,
+        written into out (a fresh array when out is None)."""
+        pc, pp, po = self.levels
+        pc.nodes[...] = cur
+        pp.nodes[...] = prev
+        self.advance(pc, pp, n, po)
+        if out is None:
+            return po.nodes.copy()
+        out[...] = po.nodes
         return out
 
     def first_step(self, e0: np.ndarray, f1_v: np.ndarray) -> np.ndarray:
         """Taylor start producing E^1; the absorbing ghost takes e0 - dt f1 as
         the previous level in place of the undefined backward difference."""
         dt = self.grid.dt
-        nbr = self._neighbour_sum(e0, e0 - dt * f1_v, 0, np.empty_like(e0))
-        rhs = (nbr - 4.0 * e0) / self.grid.h**2 - self.sigma.values * f1_v
+        pc, pp, po = self.levels
+        pc.nodes[...] = e0
+        pp.nodes[...] = e0 - dt * f1_v
+        self._neighbour_sum(pc, pp, 0, po.rows)
+        rhs = (po.nodes - 4.0 * e0) / self.grid.h**2 - self.sigma.values * f1_v
         if self.forcing is not None:
             rhs += self.forcing(0)
         return e0 + dt * f1_v + dt**2 / (2.0 * self.eps.values) * rhs
 
 
 def _advance(
-    op: Leapfrog, prev: np.ndarray, cur: np.ndarray, n: int, outs: Iterable[np.ndarray]
+    op: Leapfrog, prev: PaddedLevel, cur: PaddedLevel, n: int, outs: Iterable[PaddedLevel],
+    block: int,
 ) -> Iterator[np.ndarray]:
-    """Step on from levels n-1 (prev) and n (cur) into each buffer of outs in
-    turn and yield it, levels n+1, n+2, ...; a level that is not finite
-    raises before it is yielded."""
-    finite = np.empty(op.grid.node_shape, dtype=bool)
+    """Step on from levels n-1 (prev) and n (cur) into each of outs in turn
+    and yield its node view, levels n+1, n+2, ...  The levels m with
+    m % block < 2 (a block's checkpoint pair) and the last level are
+    checked finite before they are yielded."""
+    nt = op.grid.nt
+    finite = np.empty(cur.pad.shape, dtype=bool)  # isfinite of a strided view would copy it
     for out in outs:
-        op.step(cur, prev, n, out=out)
-        if not np.isfinite(out, out=finite).all():
-            raise StabilityError(f"non-finite field values at step {n + 1}")
-        yield out
-        prev, cur, n = cur, out, n + 1
+        op.advance(cur, prev, n, out)
+        n += 1
+        if (n % block < 2 or n == nt) and not np.isfinite(out.pad, out=finite)[1:-1, 1:-1].all():
+            raise StabilityError(f"non-finite field values at step {n}")
+        yield out.nodes
+        prev, cur = cur, out
+
+
+def _levels(
+    op: Leapfrog, f0: Callable | np.ndarray | None, f1: Callable | np.ndarray | None,
+    block: int,
+) -> Iterator[np.ndarray]:
+    """Levels 0..nt in three rotating padded levels, checked at start-up
+    and then as _advance checks them."""
+    grid = op.grid
+    levels = op.levels
+    e0, e1 = levels[0].nodes, levels[1].nodes
+    e0[...] = _nodal(grid, f0)
+    e1[...] = op.first_step(e0, _nodal(grid, f1))
+    if not (np.isfinite(e0).all() and np.isfinite(e1).all()):
+        raise StabilityError("non-finite field values at start-up")
+    yield e0
+    yield e1
+    # levels 2..nt go to buffers 2, 0, 1, 2, ...
+    outs = itertools.islice(itertools.cycle(levels), 2, grid.nt + 1)
+    yield from _advance(op, levels[0], levels[1], 1, outs, block)
 
 
 def leapfrog_levels(
@@ -331,39 +421,49 @@ def leapfrog_levels(
 ) -> Iterator[np.ndarray]:
     """Time-step the damped wave scheme and yield levels 0..nt in order.
 
-    The levels rotate through three buffers, so a yielded level stays valid
-    until two more levels have been yielded: a consumer may hold the two
-    most recent levels but must copy any level it keeps longer.  The CFL
-    and sign checks run before the first level is yielded.
+    Each level is the node view [1:-1, 1:-1] of one of the operator's three
+    padded levels, in rotation, so a yielded level stays valid until two
+    more levels have been yielded: a consumer may hold the two most recent
+    levels but must copy any level it keeps longer.  A consumer that
+    streams over many levels should read each as one contiguous run of its
+    padded buffer (fields.level_run) rather than through the strided view.
+
+    The CFL and sign checks run before the first level is yielded.  Levels
+    0 and 1, the first two levels of every block of _block(nt) levels and
+    level nt are checked finite before they are yielded; the other levels
+    are not, so a consumer that writes a level out must check it itself.
+    A non-finite value never leaves this linear recursion, so the checks
+    catch every blow-up at the latest at the next block.  On a failure the
+    solve is replayed with every level checked, and the StabilityError
+    names the first non-finite step.
     """
     grid = op.grid
     check_cfl(grid, op.eps)
     if float(op.sigma.values.min()) < 0.0:
         raise StabilityError("conductivity must be >= 0")
-    buffers = np.empty((3, *grid.node_shape))
-    prev, cur = buffers[0], buffers[1]
-    prev[...] = _nodal(grid, f0)
-    cur[...] = op.first_step(prev, _nodal(grid, f1))
-    if not (np.isfinite(prev).all() and np.isfinite(cur).all()):
-        raise StabilityError("non-finite field values at start-up")
-    yield prev
-    yield cur
-    outs = itertools.islice(itertools.cycle(buffers), 2, grid.nt + 1)
-    yield from _advance(op, prev, cur, 1, outs)
+    try:
+        yield from _levels(op, f0, f1, _block(grid.nt))
+    except (StabilityError, RuntimeWarning):
+        # a RuntimeWarning is the blow-up's first NaN or overflow, raised by
+        # numpy under an "error" warnings filter before any check sees it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in _levels(op, f0, f1, 1):
+                pass
+        raise
 
 
 class ForwardSolution:
     """A forward solve held as checkpoints in place of its snapshot stack.
 
-    The levels 0..nt fall into blocks of b = ceil(sqrt(nt+1)) levels (at
-    least 3).  As one leapfrog_levels pass streams the levels, the boundary
-    trace of all sides is taken from each, and the first two levels of
-    every block (its checkpoint pair) are copied.  levels_backward()
-    rebuilds each block from its pair with the same Leapfrog steps into one
-    buffer of b-2 levels, so every level it yields is bitwise the level the
-    pass produced, at the cost of one more forward solve per sweep.  About
-    2 sqrt(nt) levels are held, and 3 sqrt(nt) during a sweep, where a
-    stored stack holds nt+1.
+    The levels 0..nt fall into blocks of b = _block(nt) levels.  As one
+    leapfrog_levels pass streams the levels, the boundary trace of all
+    sides is taken from each, and the first two levels of every block (its
+    checkpoint pair, checked finite) are copied into PaddedLevels.
+    levels_backward() rebuilds each block from its pair with the same
+    Leapfrog steps into b-2 PaddedLevels, three of them the operator's own,
+    so every level it yields is bitwise the level the pass produced, at the
+    cost of one more forward solve per sweep.  About 2 sqrt(nt) levels are
+    held, and 3 sqrt(nt) during a sweep, where a stored stack holds nt+1.
     """
 
     def __init__(
@@ -374,16 +474,19 @@ class ForwardSolution:
     ) -> None:
         grid = self.grid = op.grid
         self.op = op
-        b = self.block = max(math.isqrt(grid.nt) + 1, 3)
-        self.pairs: list[np.ndarray] = []
+        b = self.block = _block(grid.nt)
+        self.pairs: list[list[PaddedLevel]] = []
 
         def keep_pairs(levels: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
             for n, level in enumerate(levels):
                 j = n % b
                 if j == 0:  # a last block of one level has a one-level pair
-                    self.pairs.append(np.empty((min(2, grid.nt + 1 - n), *grid.node_shape)))
-                if j < 2:
-                    self.pairs[-1][j] = level
+                    self.pairs.append([])
+                if j < 2:  # copied run to run, ghost columns and all
+                    run = level_run(level)
+                    kept = PaddedLevel(grid)
+                    kept.rows[1:1 + run.size] = run
+                    self.pairs[-1].append(kept)
                 yield level
 
         self.trace: BoundaryTrace | None = trace_of_levels(
@@ -399,21 +502,23 @@ class ForwardSolution:
         return trace
 
     def levels_backward(self) -> Iterator[np.ndarray]:
-        """Levels nt, nt-1, ..., 0, one at a time.  As from leapfrog_levels, a
-        yielded level stays valid until two more have been yielded: a block
-        is rebuilt only after its successor's pair, which is never
-        overwritten, has been yielded."""
+        """Levels nt, nt-1, ..., 0, one at a time, as node views of padded
+        buffers.  As from leapfrog_levels, a yielded level stays valid until
+        two more have been yielded: a block is rebuilt only after its
+        successor's pair, which is never overwritten, has been yielded."""
         b, nt = self.block, self.grid.nt
-        rebuilt = np.empty((b - 2, *self.grid.node_shape))
+        # the operator's three levels, idle once the pass is done, and b-5 more
+        rebuilt = self.op.levels + [PaddedLevel(self.grid) for _ in range(b - 5)]
         for k in range(len(self.pairs) - 1, -1, -1):
             pair = self.pairs[k]
             # levels kb+2 .. min(kb+b, nt+1)-1; none when the pair is the whole
-            # block, and a last block of one level has a one-level pair
-            steps = rebuilt[:max(nt - 1 - k * b, 0)]
-            for _ in _advance(self.op, pair[0], pair[-1], k * b + 1, steps):
+            # block, and a last block of one level has a one-level pair; the
+            # pass checked them, and a replay is bitwise that pass
+            steps = rebuilt[:min(max(nt - 1 - k * b, 0), b - 2)]
+            for _ in _advance(self.op, pair[0], pair[-1], k * b + 1, steps, b):
                 pass
-            yield from steps[::-1]
-            yield from pair[::-1]
+            for level in reversed(pair + steps):
+                yield level.nodes
 
 
 def forward_operator(

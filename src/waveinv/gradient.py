@@ -38,7 +38,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .fields import BoundaryTrace, CoefficientField, Role, SpaceTimeField
+from .fields import BoundaryTrace, CoefficientField, Role, SpaceTimeField, level_run
 from .forward import BcConfig, ForwardSolution, SourceSpec, forward_trace
 from .grid import RegionMask, area_weights, time_weights
 from .objective import RegularizationParams, tikhonov
@@ -56,24 +56,34 @@ def gradient_sweep(
 ) -> tuple[CoefficientField, CoefficientField, float]:
     """Nodal gradients of the Tikhonov functional, zeroed on FRAME nodes, and
     the multiplier's space-time norm, summed while lam^nt, ..., lam^0 (from
-    adjoint_levels) and E^nt, ..., E^0 arrive, so only two of each are held."""
+    adjoint_levels) and E^nt, ..., E^0 arrive, so only two of each are held.
+    The gradient sums run over the levels' runs (fields.level_run), whose
+    ghost columns collect values that are dropped at the end."""
     grid = E.grid
     dt = grid.dt
     wt, sqrt_wx = time_weights(grid), np.sqrt(area_weights(grid))
-    sum_eps = np.zeros(grid.node_shape)
-    sum_sigma = np.zeros(grid.node_shape)
-    dlam, tmp = np.empty(grid.node_shape), np.empty(grid.node_shape)
+    # sum_eps and sum_sigma as runs of padded rows: node (i, j) at [i, j]
+    sums = np.zeros((2, grid.nx + 1, grid.ny + 3))
+    length = grid.nx * (grid.ny + 3) + grid.ny + 1
+    sum_eps, sum_sigma = sums[0].ravel()[:length], sums[1].ravel()[:length]
+    dlam, tmp = np.empty(length), np.empty(length)
+    lam_w = tmp[:grid.n_nodes].reshape(grid.node_shape)  # free until the sums use tmp
     lam_sq = 0.0
     lam_next = e_next = None
     levels = zip(range(grid.nt, -1, -1), lam_backward, E.levels_backward(), strict=True)
     for n, lam, e in levels:
-        np.multiply(lam, sqrt_wx, out=tmp)
-        lam_sq += wt[n] * float(np.vdot(tmp, tmp))
+        # a contiguous copy, so that the norm sums the same products as a
+        # stored multiplier would
+        np.copyto(lam_w, lam)
+        lam_w *= sqrt_wx
+        lam_sq += wt[n] * float(np.vdot(lam_w, lam_w))
+        lam, e = level_run(lam), level_run(e)
         if lam_next is not None:
             np.subtract(lam_next, lam, out=dlam)
             sum_eps += np.multiply(np.subtract(e_next, e, out=tmp), dlam, out=tmp)
             sum_sigma += np.multiply(np.add(e_next, e, out=tmp), dlam, out=tmp)
         lam_next, e_next = lam, e
+    sum_eps, sum_sigma = sums[:, :, :grid.ny + 1]
 
     # sum_eps and sum_sigma hold raw differences: the 1/dt of each difference
     # quotient and the dt of the time quadrature are folded in here

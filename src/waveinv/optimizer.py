@@ -107,6 +107,8 @@ class InverseProblem:
     def __post_init__(self) -> None:
         if not self.alpha_max > 0.0:  # a clamp at or below 0 turns every step uphill
             raise ValueError(f"alpha_max must be > 0, got {self.alpha_max!r}")
+        if not self.beta_max >= 0.0:  # below 0 (or NaN) every iteration restarts
+            raise ValueError(f"beta_max must be >= 0, got {self.beta_max!r}")
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,12 @@ import pytest
 from waveinv import (
     ALL_SIDES,
     BcConfig,
+    BoundaryTrace,
     FieldKind,
     Role,
     SourceSpec,
     SpaceTimeField,
+    StabilityError,
     adjoint_energy_monitor,
     adjoint_levels,
     build_grid,
@@ -192,6 +194,23 @@ def test_adjoint_levels_copies_the_boundary_data_once(medium_grid):
         tracemalloc.stop()
     assert peak <= 2 * trace_bytes
     assert sum(1 for _ in lam_backward) == medium_grid.nt + 1
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_residual_is_reported_with_its_step(small_grid, bad):
+    # the adjoint's Neumann data at its step s is -residual(T - s), and the
+    # update from level s writes level s+1
+    g = small_grid
+    eps = constant_coefficient(g, 1.0, Role.EPSILON)
+    sig = constant_coefficient(g, 1.0, Role.SIGMA)
+    data = {s: np.zeros((g.nt + 1, g.side_node_count(s))) for s in ALL_SIDES}
+    row = g.nt // 3
+    data[Side.BOTTOM][row, 5] = bad
+    residual = BoundaryTrace(grid=g, sides=ALL_SIDES, data=data)
+    step = g.nt - row + 1
+    with pytest.raises(StabilityError, match=f"non-finite field values at step {step}$"):
+        for _ in adjoint_levels(g, eps, sig, residual, BcConfig(), SourceSpec()):
+            pass
 
 
 def test_mismatched_residual_rejected(small_grid):

@@ -1,15 +1,16 @@
 import csv
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import waveinv.cli
-from waveinv import Role, build_grid, constant_coefficient
+from waveinv import BoundaryTrace, Role, build_grid, constant_coefficient
 from waveinv.cli import main
-from waveinv.config import load_config
+from waveinv.config import load_config, make_grid
 from waveinv.fields import extract_trace
-from waveinv.forward import forward_trace
+from waveinv.forward import _block, forward_trace
 from waveinv.gradient import gradient_sweep
 from waveinv.io import read_field_csv, write_field_csv, write_field_vtk, write_trace_csv
 from conftest import stored_adjoint, stored_state
@@ -236,7 +237,7 @@ def test_invert_finer_initial_field_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [
     ("omega", "0"), ("t_on", "soon"), ("max_iters", "-1"), ("n_max", "-1"), ("beta_eps", "1.5"),
     ("t_on", "0"), ("t_on", "-1"), ("side", "3"), ("frame_width", "-1"), ("frame_width", "6"),
-    ("alpha_max", "-1"), ("alpha_max", "0"),
+    ("alpha_max", "-1"), ("alpha_max", "0"), ("beta_max", "-1"), ("beta_max", "nan"),
 ])
 def test_rejected_value_exits_2_before_solving(tmp_path, capsys, key, value):
     cfg = write_cfg(tmp_path)
@@ -414,6 +415,63 @@ def test_adjoint_dumps_from_invert(tmp_path):
     for n in levels:
         write_field_vtk(lam.snapshots[n], grid, ref / f"L_{n}.vtk", name="L")
         assert (out2 / f"L_{n}.vtk").read_bytes() == (ref / f"L_{n}.vtk").read_bytes()
+
+
+def vtk_values(path):
+    lines = path.read_text().splitlines()
+    return np.array([float(v) for v in lines[lines.index("LOOKUP_TABLE default") + 1:]])
+
+
+def test_forward_never_dumps_a_non_finite_level(tmp_path, monkeypatch, capsys):
+    # level 14 is dumped, and it is neither level of a block's checkpoint
+    # pair, so the time loop yields it unchecked
+    cfg = write_cfg(tmp_path, BASE.replace("dir = out", "dir = out\ndump_every = 7"))
+    step = 14
+    nt = make_grid(load_config(cfg)).nt
+    assert step % _block(nt) > 1 and step < nt
+    real = waveinv.cli.forward_levels
+
+    def blown_up(grid, eps, sigma, src, bc):
+        forcing = np.zeros((grid.nt + 1, *grid.node_shape))
+        forcing[step - 1, 6, 6] = np.inf  # the update from level step-1 writes level step
+        return real(grid, eps, sigma, replace(src, volume_forcing=forcing), bc)
+
+    monkeypatch.setattr(waveinv.cli, "forward_levels", blown_up)
+    out = tmp_path / "fwd"
+    assert main(["forward", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+    assert f"non-finite field values at step {step}\n" in capsys.readouterr().err
+    dumps = sorted(out.glob("E_*.vtk"))
+    assert [p.name for p in dumps] == ["E_0.vtk", "E_7.vtk"]
+    assert all(np.isfinite(vtk_values(p)).all() for p in dumps)
+
+
+def test_invert_never_dumps_a_non_finite_multiplier(tmp_path, monkeypatch, capsys):
+    # adjoint step 14 writes L_{nt-14}, a dump the time loop yields unchecked
+    code, out = run_synth_then(tmp_path, "invert", max_iters=1)
+    assert code == 0
+    cfg2 = (out / "manifest.ini").read_text().replace("dump_every = 0", "dump_every = 7")
+    (out / "dump.ini").write_text(cfg2)
+    step = 14
+    nt = make_grid(load_config(out / "dump.ini")).nt
+    assert (nt - step) % 7 == 0 and step % _block(nt) > 1
+    real = waveinv.cli.adjoint_levels
+
+    def blown_up(grid, eps, sigma, residual, bc, src):
+        # the adjoint's data at its step s is -residual(T - s), and the
+        # update from level s writes level s+1
+        data = {side: residual.data[side].copy() for side in residual.sides}
+        data[residual.sides[0]][grid.nt - step + 1, 2] = np.inf
+        return real(grid, eps, sigma, BoundaryTrace(grid=grid, sides=residual.sides, data=data),
+                    bc, src)
+
+    monkeypatch.setattr(waveinv.cli, "adjoint_levels", blown_up)
+    capsys.readouterr()
+    out2 = tmp_path / "ldumps"
+    assert main(["invert", "--config", str(out / "dump.ini"), "--out", str(out2), "--quiet"]) == 3
+    assert f"non-finite field values at step {step}\n" in capsys.readouterr().err
+    dumps = sorted(out2.glob("L_*.vtk"))
+    assert sorted(p.name for p in dumps) == sorted(f"L_{n}.vtk" for n in range(nt, nt - step, -7))
+    assert all(np.isfinite(vtk_values(p)).all() for p in dumps)
 
 
 def test_cfl_violation_exits_3(tmp_path, capsys):

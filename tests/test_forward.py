@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from waveinv import (
     solve_forward,
 )
 from waveinv.forward import (
-    _nodal, build_forward_programs, forward_levels, forward_operator, forward_trace,
+    _block, _nodal, build_forward_programs, forward_levels, forward_operator, forward_trace,
 )
 from conftest import (
     all_neumann_bc, discrete_energy, smooth_random_coefficient, stored_state, truth_pair,
@@ -186,6 +187,29 @@ def test_non_finite_level_is_reported_with_its_step(small_grid):
     forcing[5, 3, 4] = np.inf
     with pytest.raises(StabilityError, match="non-finite field values at step 6$"):
         forward_trace(g, eps, sig, SourceSpec(volume_forcing=forcing), BcConfig(), ALL_SIDES)
+
+
+@pytest.mark.parametrize("where", ["block start", "mid-block", "last level"])
+@pytest.mark.parametrize("numpy_warnings", ["error", "ignore"])
+def test_block_check_names_the_exact_step(small_grid, where, numpy_warnings):
+    # finiteness is checked at each block's pair and the last level; a failure
+    # replays the solve with every level checked.  numpy's own RuntimeWarning
+    # on the blow-up is raised as an error under pytest's filter and ignored
+    # under the other, so both ways to a failed block are taken
+    g = small_grid
+    b = _block(g.nt)
+    step = {"block start": 2 * b, "mid-block": 2 * b + b // 2, "last level": g.nt}[where]
+    assert where == "block start" or step % b > 1
+    eps, sig = homogeneous(g, 1.0, 1.0)
+    forcing = np.zeros((g.nt + 1, *g.node_shape))
+    forcing[step - 1, 3, 4] = np.inf  # the update from level step-1 writes level step
+    src = SourceSpec(volume_forcing=forcing)
+    with warnings.catch_warnings():
+        warnings.simplefilter(numpy_warnings, RuntimeWarning)
+        with pytest.raises(StabilityError, match=f"non-finite field values at step {step}$"):
+            forward_trace(g, eps, sig, src, BcConfig(), ALL_SIDES)
+        with pytest.raises(StabilityError, match=f"non-finite field values at step {step}$"):
+            solve_forward(g, eps, sig, src, BcConfig())
 
 
 @pytest.mark.parametrize("sides", [ALL_SIDES, (Side.RIGHT,), (Side.TOP, Side.LEFT)])

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,10 +13,12 @@ from waveinv import (
     RegularizationParams,
     Role,
     SourceSpec,
+    adjoint_levels,
     build_grid,
     constant_coefficient,
     extract_trace,
     fd_gradient_oracle,
+    gradient_sweep,
     project,
     region_mask,
     solve_forward,
@@ -317,3 +320,35 @@ class TestCheckpointedState:
                 E, zero_trace(small_grid), eps, sig, make_reg(small_grid), 0.0, 0.0,
                 region_mask(small_grid, 0), bc, src,
             )
+
+
+def test_sweep_allocates_no_level_per_step():
+    # a level large against the interpreter's own small allocations; the
+    # sweep reads every level as a contiguous run of its padded buffer, as a
+    # strided operand numpy would copy through a level-sized scratch buffer
+    g = build_grid(64, 64, T=0.2)
+    rng = np.random.default_rng(3)
+    eps = smooth_random_coefficient(g, rng, Role.EPSILON, hi=4.0)
+    sig = smooth_random_coefficient(g, rng, Role.SIGMA, hi=4.0)
+    src, bc = SourceSpec(), BcConfig()
+    sol = solve_forward(g, eps, sig, src, bc)
+    lam_backward = adjoint_levels(g, eps, sig, smooth_random_trace(g, rng), bc, src)
+    level_bytes = np.empty(g.node_shape).nbytes
+    marks = []
+
+    def watched(levels):
+        for k, level in enumerate(levels):
+            if k == 3:  # the sweep's, the replay's and the loop's buffers exist
+                marks.append(tracemalloc.get_traced_memory()[0])
+                tracemalloc.reset_peak()
+            yield level
+        marks.append(tracemalloc.get_traced_memory()[1])
+
+    tracemalloc.start()
+    try:
+        gradient_sweep(sol, watched(lam_backward), eps, sig, make_reg(g), 0.0, 0.0,
+                       region_mask(g, 0))
+    finally:
+        tracemalloc.stop()
+    base, peak = marks
+    assert peak - base < level_bytes // 2

@@ -107,6 +107,17 @@ class TestCgStep:
         assert new.restarted
         assert np.array_equal(new.d_eps.values, -new.g_eps.values)
 
+    def test_zero_beta_cap_is_steepest_descent(self):
+        problem = small_problem(beta_max=0.0)
+        new = cg_step(init_state(problem), problem, [])
+        assert np.array_equal(new.d_eps.values, -new.g_eps.values)
+        assert np.array_equal(new.d_sigma.values, -new.g_sigma.values)
+
+    @pytest.mark.parametrize("beta_max", [-1.0, float("nan")])
+    def test_negative_or_nan_beta_cap_rejected(self, beta_max):
+        with pytest.raises(ValueError, match="beta_max"):
+            small_problem(beta_max=beta_max)
+
     def test_gamma_schedule_in_log(self):
         problem = small_problem(g0=0.1)
         log = []
