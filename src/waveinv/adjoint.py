@@ -32,8 +32,8 @@ import numpy as np
 
 from .fields import BoundaryTrace, CoefficientField
 from .forward import (
-    BcConfig, BcKind, Leapfrog, SideProgram, SourceSpec, leapfrog_levels, level_energy,
-    switched_absorbing,
+    BcConfig, BcKind, Leapfrog, PaddedLevel, SideProgram, SourceSpec, leapfrog_levels,
+    level_energy, switched_absorbing,
 )
 from .grid import ALL_SIDES, Grid2D, Side, area_weights
 from .objective import trace_norm_sq
@@ -70,7 +70,7 @@ def adjoint_levels(
     residual: BoundaryTrace,
     bc: BcConfig,
     src: SourceSpec,
-) -> Iterator[np.ndarray]:
+) -> Iterator[PaddedLevel]:
     """The adjoint levels backward in time, lam^nt (the zero terminal
     state) first and lam^0 last, one at a time."""
     if residual.grid.nt != grid.nt or residual.grid.node_shape != grid.node_shape:
@@ -98,7 +98,7 @@ class AdjointEnergyReport:
 
 
 def adjoint_energy_monitor(
-    lam_backward: Iterable[np.ndarray],
+    lam_backward: Iterable[PaddedLevel],
     eps: CoefficientField,
     sigma: CoefficientField,
     residual: BoundaryTrace,
@@ -111,6 +111,7 @@ def adjoint_energy_monitor(
     energies = np.empty(g.nt)
     lam_next = None
     for n, lam in zip(range(g.nt, -1, -1), lam_backward, strict=True):
+        lam = lam.nodes
         if lam_next is not None:
             mid = 0.5 * (lam_next + lam)
             zero_order = float(np.sum(w * sigma.values * mid * mid))

@@ -23,8 +23,8 @@ import numpy as np
 from . import config as cfgmod
 from .adjoint import adjoint_levels
 from .config import ConfigError, RunConfig, load_config, write_manifest
-from .fields import Role, add_noise, extract_trace, project, trace_of_levels
-from .forward import StabilityError, forward_levels, forward_trace, solve_forward
+from .fields import Role, add_noise, extract_trace, project
+from .forward import StabilityError, forward_levels, forward_trace, solve_forward, trace_of_levels
 from .gradient import fd_gradient_oracle, gradient_sweep
 from .grid import region_mask
 from .io import (
@@ -75,15 +75,15 @@ def _observed(cfg: RunConfig, grid, eps, sigma, src, bc, sides):
     """The boundary trace on sides with the configured noise added; the
     noise settings are checked before the forward solve."""
     model, level = cfgmod.noise_model(cfg), cfg.get("noise", "level")
-    if level < 0.0:
-        raise ConfigError(f"key noise.level: must be >= 0, got {level!r}")
+    if not 0.0 <= level < np.inf:
+        raise ConfigError(f"key noise.level: must be finite and >= 0, got {level!r}")
     trace = forward_trace(grid, eps, sigma, src, bc, sides)
     return add_noise(trace, model, level, cfg.get("noise", "seed"))
 
 
 def _dumped(cfg: RunConfig, grid, numbered, out: Path, prefix: str = "E"):
-    """Pass the levels of (n, level) pairs through, writing those with n a
-    multiple of dump_every to <prefix>_<n>.vtk on the way.  A time loop
+    """Pass the PaddedLevels of (n, level) pairs through, writing those with n
+    a multiple of dump_every to <prefix>_<n>.vtk on the way.  A time loop
     checks only some levels before it yields them, so each level is checked
     here before it is written; a non-finite one is not written, and the
     rest of the stream runs until the loop's own check names the first
@@ -91,11 +91,11 @@ def _dumped(cfg: RunConfig, grid, numbered, out: Path, prefix: str = "E"):
     every = cfg.get("output", "dump_every")
     for n, level in numbered:
         if every > 0 and n % every == 0:
-            if not np.isfinite(level).all():
+            if not np.isfinite(level.nodes).all():
                 for _ in numbered:
                     pass
                 raise StabilityError(f"non-finite field values in {prefix}_{n}")
-            write_field_vtk(level, grid, out / f"{prefix}_{n}.vtk", name=prefix)
+            write_field_vtk(level.nodes, grid, out / f"{prefix}_{n}.vtk", name=prefix)
         yield level
 
 
@@ -291,7 +291,9 @@ def main(argv: list[str] | None = None) -> int:
             cfg.set("noise", "seed", args.seed)
             cfg.set("gradcheck", "seed", args.seed)
         out = _outdir(cfg, args.out)
-        return COMMANDS[args.command](cfg, out, args.quiet)
+        # a time loop's own check reports a blow-up; numpy's warnings would repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return COMMANDS[args.command](cfg, out, args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -151,9 +151,12 @@ class RunConfig:
 
 def _convert(section: str, key: str, raw, typ) -> object:
     try:
-        return typ(raw)
+        value = typ(raw)
     except ValueError as exc:
         raise ConfigError(f"key {section}.{key}: cannot parse {raw!r} as {typ.__name__}") from exc
+    if value != value:  # NaN passes every range check
+        raise ConfigError(f"key {section}.{key}: must be a number, got {raw!r}")
+    return value
 
 
 def load_config(path: str | Path) -> RunConfig:

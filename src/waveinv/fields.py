@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
@@ -110,11 +110,6 @@ class SpaceTimeField:
                 f"snapshot stack shape {self.snapshots.shape}, expected {expect}"
             )
         object.__setattr__(self, "snapshots", _freeze(self.snapshots))
-
-    def levels_backward(self) -> Iterator[np.ndarray]:
-        """Snapshots nt, ..., 0: the order in which the adjoint sweep reads a
-        state, as ForwardSolution.levels_backward replays it."""
-        return iter(self.snapshots[::-1])
 
 
 @dataclass(frozen=True)
@@ -220,55 +215,15 @@ def extract_trace(
     field: SpaceTimeField | ForwardSolution, sides: Iterable[Side]
 ) -> BoundaryTrace:
     """Restrict a state to the boundary nodes of the declared sides: a
-    ForwardSolution holds its all-sides trace, a stored STATE field is read
-    level by level."""
+    ForwardSolution holds its all-sides trace, and a stored STATE field's
+    stack is sliced one side at a time."""
     if not isinstance(field, SpaceTimeField):
         return BoundaryTrace(grid=field.grid, sides=tuple(sides), data=field.trace.data)
     if field.kind is not FieldKind.STATE:
         raise ValueError("traces are extracted from STATE fields")
-    return trace_of_levels(field.grid, field.snapshots, sides)
-
-
-def level_run(level: np.ndarray) -> np.ndarray:
-    """A level's nodes as one contiguous run of a ghost-padded buffer: the
-    rows of the buffer from node (0, 0) to node (nx, ny), so that node
-    (i, j) sits at i * (ny+3) + j and the ghost columns fill the gaps
-    between rows.  The time loops hand out each level as the node view
-    [1:-1, 1:-1] of a ghost-padded buffer of its own (its base), and the
-    run is then read in place: a level whose base is two rows and two
-    columns larger, with the same strides, is taken to be that view.  Any
-    other level is first copied into a new padded buffer.  numpy copies a strided ufunc operand through a scratch
-    buffer, so a consumer that streams over many levels reads these runs."""
-    rows, cols = level.shape
-    pad = level.base
-    if not (isinstance(pad, np.ndarray) and pad.shape == (rows + 2, cols + 2)
-            and pad.strides == level.strides and pad.flags.c_contiguous):
-        pad = np.zeros((rows + 2, cols + 2))
-        pad[1:-1, 1:-1] = level
-    s = cols + 2
-    return pad.ravel()[s + 1:s + 1 + (rows - 1) * s + cols]
-
-
-def trace_of_levels(
-    grid: Grid2D, levels: Iterable[np.ndarray], sides: Iterable[Side]
-) -> BoundaryTrace:
-    """Boundary trace of state levels 0..nt given one at a time, so a
-    stream of levels yields its trace without being stored.  Each level's
-    boundary nodes are gathered from its run (level_run) in one call into
-    one (nt+1, perimeter) buffer, which is split per side at the end."""
-    sides = tuple(sorted(set(Side(s) for s in sides)))
-    if not sides:
-        raise ValueError("at least one side must be declared")
-    i, j = np.indices(grid.node_shape)
-    at = i * (grid.ny + 3) + j  # node offsets within a run
-    index = np.concatenate([at[side_slice(grid, side)] for side in sides])
-    gathered = np.empty((grid.nt + 1, index.size))
-    # strict: a stream of any other length than nt+1 levels is an error
-    for n, level in zip(range(grid.nt + 1), levels, strict=True):
-        level_run(level).take(index, out=gathered[n], mode="clip")  # "raise" buffers out
-    ends = np.cumsum([0] + [grid.side_node_count(side) for side in sides])
-    data = {side: gathered[:, a:b] for side, a, b in zip(sides, ends[:-1], ends[1:])}
-    return BoundaryTrace(grid=grid, sides=sides, data=data)
+    sides = tuple(Side(s) for s in sides)
+    data = {side: field.snapshots[(slice(None), *side_slice(field.grid, side))] for side in sides}
+    return BoundaryTrace(grid=field.grid, sides=sides, data=data)
 
 
 def add_noise(

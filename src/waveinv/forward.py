@@ -26,20 +26,21 @@ defect and the adjoint solve all step through it: after reversing time the
 adjoint equation has exactly this form, so the adjoint module only builds
 different per-side boundary programs.  leapfrog_levels is the one time
 loop: it yields each level as it is computed, and each caller uses a level
-as it arrives and copies only what it keeps (forward_trace, the
+as it arrives and copies only what it keeps (trace_of_levels, the
 ForwardSolution below, adjoint_levels).
 
 Every level lives in a ghost-padded (nx+3, ny+3) buffer, a PaddedLevel,
 for as long as it is stepped from: a step fills the ghosts of the current
 level in place and writes the new level's rows straight into the next
-buffer, with every operand one contiguous run of memory.  A loop yields a
-level as the node view [1:-1, 1:-1] of its buffer; consumers that stream
-over levels read each as one contiguous run (fields.level_run), since numpy
-copies a strided operand through a scratch buffer.  Finiteness is checked
-once per block of about sqrt(nt) levels, not at every level: a non-finite
-value never leaves this linear recursion, so a blow-up shows at the next
-check, and the solve is then replayed with every level checked so that the
-error names the first non-finite step.
+buffer, with every operand one contiguous run of memory.  The loops yield
+the PaddedLevel objects themselves, and PaddedLevel alone knows the
+layout: a consumer reads a level's nodes, or, when it streams over many
+levels, its rows as one contiguous run, since numpy copies a strided
+operand through a scratch buffer.  Finiteness is checked once per block of
+about sqrt(nt) levels, not at every level: a non-finite value never leaves
+this linear recursion, so a blow-up shows at the next check, and the solve
+is then replayed with every level checked so that the error names the
+first non-finite step.
 
 The gradient pairs the forward levels with the multiplier backward in
 time.  solve_forward therefore returns a ForwardSolution: the boundary
@@ -58,8 +59,8 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .grid import ALL_SIDES, Grid2D, Side, area_weights
-from .fields import BoundaryTrace, CoefficientField, extract_trace, level_run, trace_of_levels
+from .grid import ALL_SIDES, Grid2D, Side, area_weights, side_slice
+from .fields import BoundaryTrace, CoefficientField, extract_trace
 
 
 class StabilityError(RuntimeError):
@@ -212,13 +213,13 @@ def check_cfl(grid: Grid2D, eps: CoefficientField) -> None:
 
 
 class PaddedLevel:
-    """One ghost-padded (nx+3, ny+3) level buffer, nodes at [1:-1, 1:-1], with
-    the views that a leapfrog step reads or writes made once: the node
-    view, the run of rows 1..nx+1 (ghost columns included), that run
-    shifted to each of the four neighbours, and per side (in ALL_SIDES
-    order) the ghost slots, the mirror row and the boundary row.  The
-    buffer is an array of its own, so that fields.level_run finds it as
-    the base of the node view."""
+    """One ghost-padded (nx+3, ny+3) level buffer (pad), nodes at [1:-1, 1:-1],
+    with the views that a leapfrog step reads or writes made once: the node
+    view (nodes), the run of rows 1..nx+1 with their ghost columns (rows),
+    that run shifted to each of the four neighbours, and per side (in
+    ALL_SIDES order) the ghost slots, the mirror row and the boundary row.
+    The time loops yield these objects, and this class is the one owner of
+    the layout."""
 
     __slots__ = ("pad", "nodes", "rows", "neighbours", "sides")
 
@@ -238,6 +239,13 @@ class PaddedLevel:
         self.rows = p[lo:hi]
         self.neighbours = (p[lo + w:hi + w], p[lo - w:hi - w], p[lo + 1:hi + 1], p[lo - 1:hi - 1])
         self.sides = tuple(tuple(pad[i] for i in self.SLOTS[side]) for side in ALL_SIDES)
+
+    @classmethod
+    def of(cls, grid: Grid2D, values: np.ndarray) -> "PaddedLevel":
+        """A level holding the nodal values, its ghosts zero."""
+        level = cls(grid)
+        level.nodes[...] = values
+        return level
 
 
 def _block(nt: int) -> int:
@@ -282,15 +290,10 @@ class Leapfrog:
         a_mid = 2.0 * eps_v / dt**2
         a_minus = eps_v / dt**2 - sig_v / (2.0 * dt)
 
-        def in_rows(c: np.ndarray) -> np.ndarray:
-            rows = np.zeros((grid.nx + 1, grid.ny + 3))
-            rows[:, 1:-1] = c
-            return rows.ravel()
-
         # E^{n+1} = c_lap * (neighbour sum) + c_cur E^n - c_prev E^{n-1} + f^n / a_plus
-        self._c_cur = in_rows((a_mid - 4.0 / h**2) / a_plus)
-        self._c_prev = in_rows(a_minus / a_plus)
-        self._c_lap = in_rows(1.0 / (a_plus * h**2))
+        self._c_cur = PaddedLevel.of(grid, (a_mid - 4.0 / h**2) / a_plus).rows
+        self._c_prev = PaddedLevel.of(grid, a_minus / a_plus).rows
+        self._c_lap = PaddedLevel.of(grid, 1.0 / (a_plus * h**2)).rows
         self._scratch = np.empty(self._c_cur.size)
         # only the forcing term reads a_plus after this
         self._a_plus = None if forcing is None else a_plus
@@ -308,6 +311,8 @@ class Leapfrog:
         if forcing is None:
             self.forcing = None
         elif isinstance(forcing, np.ndarray):
+            if forcing.shape != (grid.nt + 1, *grid.node_shape):
+                raise ValueError(f"volume forcing shape {forcing.shape}, not (nt+1, nx+1, ny+1)")
             self.forcing = forcing.__getitem__
         else:
             X, Y = grid.meshgrid()
@@ -378,9 +383,9 @@ class Leapfrog:
 def _advance(
     op: Leapfrog, prev: PaddedLevel, cur: PaddedLevel, n: int, outs: Iterable[PaddedLevel],
     block: int,
-) -> Iterator[np.ndarray]:
+) -> Iterator[PaddedLevel]:
     """Step on from levels n-1 (prev) and n (cur) into each of outs in turn
-    and yield its node view, levels n+1, n+2, ...  The levels m with
+    and yield it, levels n+1, n+2, ...  The levels m with
     m % block < 2 (a block's checkpoint pair) and the last level are
     checked finite before they are yielded."""
     nt = op.grid.nt
@@ -390,14 +395,14 @@ def _advance(
         n += 1
         if (n % block < 2 or n == nt) and not np.isfinite(out.pad, out=finite)[1:-1, 1:-1].all():
             raise StabilityError(f"non-finite field values at step {n}")
-        yield out.nodes
+        yield out
         prev, cur = cur, out
 
 
 def _levels(
     op: Leapfrog, f0: Callable | np.ndarray | None, f1: Callable | np.ndarray | None,
     block: int,
-) -> Iterator[np.ndarray]:
+) -> Iterator[PaddedLevel]:
     """Levels 0..nt in three rotating padded levels, checked at start-up
     and then as _advance checks them."""
     grid = op.grid
@@ -407,8 +412,7 @@ def _levels(
     e1[...] = op.first_step(e0, _nodal(grid, f1))
     if not (np.isfinite(e0).all() and np.isfinite(e1).all()):
         raise StabilityError("non-finite field values at start-up")
-    yield e0
-    yield e1
+    yield from levels[:2]
     # levels 2..nt go to buffers 2, 0, 1, 2, ...
     outs = itertools.islice(itertools.cycle(levels), 2, grid.nt + 1)
     yield from _advance(op, levels[0], levels[1], 1, outs, block)
@@ -418,15 +422,14 @@ def leapfrog_levels(
     op: Leapfrog,
     f0: Callable | np.ndarray | None = None,
     f1: Callable | np.ndarray | None = None,
-) -> Iterator[np.ndarray]:
+) -> Iterator[PaddedLevel]:
     """Time-step the damped wave scheme and yield levels 0..nt in order.
 
-    Each level is the node view [1:-1, 1:-1] of one of the operator's three
-    padded levels, in rotation, so a yielded level stays valid until two
-    more levels have been yielded: a consumer may hold the two most recent
-    levels but must copy any level it keeps longer.  A consumer that
-    streams over many levels should read each as one contiguous run of its
-    padded buffer (fields.level_run) rather than through the strided view.
+    Each level is one of the operator's three PaddedLevels, in rotation, so
+    a yielded level stays valid until two more levels have been yielded: a
+    consumer may hold the two most recent levels but must copy any level it
+    keeps longer.  A consumer that streams over many levels reads each
+    level's rows, one contiguous run, rather than its strided nodes.
 
     The CFL and sign checks run before the first level is yielded.  Levels
     0 and 1, the first two levels of every block of _block(nt) levels and
@@ -477,15 +480,14 @@ class ForwardSolution:
         b = self.block = _block(grid.nt)
         self.pairs: list[list[PaddedLevel]] = []
 
-        def keep_pairs(levels: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+        def keep_pairs(levels: Iterator[PaddedLevel]) -> Iterator[PaddedLevel]:
             for n, level in enumerate(levels):
                 j = n % b
                 if j == 0:  # a last block of one level has a one-level pair
                     self.pairs.append([])
-                if j < 2:  # copied run to run, ghost columns and all
-                    run = level_run(level)
+                if j < 2:
                     kept = PaddedLevel(grid)
-                    kept.rows[1:1 + run.size] = run
+                    np.copyto(kept.pad, level.pad)
                     self.pairs[-1].append(kept)
                 yield level
 
@@ -501,11 +503,11 @@ class ForwardSolution:
         self.trace = None
         return trace
 
-    def levels_backward(self) -> Iterator[np.ndarray]:
-        """Levels nt, nt-1, ..., 0, one at a time, as node views of padded
-        buffers.  As from leapfrog_levels, a yielded level stays valid until
-        two more have been yielded: a block is rebuilt only after its
-        successor's pair, which is never overwritten, has been yielded."""
+    def levels_backward(self) -> Iterator[PaddedLevel]:
+        """Levels nt, nt-1, ..., 0, one at a time, as PaddedLevels.  As from
+        leapfrog_levels, a yielded level stays valid until two more have
+        been yielded: a block is rebuilt only after its successor's pair,
+        which is never overwritten, has been yielded."""
         b, nt = self.block, self.grid.nt
         # the operator's three levels, idle once the pass is done, and b-5 more
         rebuilt = self.op.levels + [PaddedLevel(self.grid) for _ in range(b - 5)]
@@ -517,8 +519,7 @@ class ForwardSolution:
             steps = rebuilt[:min(max(nt - 1 - k * b, 0), b - 2)]
             for _ in _advance(self.op, pair[0], pair[-1], k * b + 1, steps, b):
                 pass
-            for level in reversed(pair + steps):
-                yield level.nodes
+            yield from reversed(pair + steps)
 
 
 def forward_operator(
@@ -539,7 +540,7 @@ def forward_levels(
     sigma: CoefficientField,
     src: SourceSpec,
     bc: BcConfig,
-) -> Iterator[np.ndarray]:
+) -> Iterator[PaddedLevel]:
     """The forward solution's levels 0..nt, one at a time."""
     return leapfrog_levels(forward_operator(grid, eps, sigma, src, bc), src.f0, src.f1)
 
@@ -554,6 +555,28 @@ def solve_forward(
     """Solve the forward problem, keeping its boundary trace and the
     checkpoints from which its levels are replayed backward in time."""
     return ForwardSolution(forward_operator(grid, eps, sigma, src, bc), src.f0, src.f1)
+
+
+def trace_of_levels(
+    grid: Grid2D, levels: Iterable[PaddedLevel], sides: Iterable[Side]
+) -> BoundaryTrace:
+    """Boundary trace of state levels 0..nt given one at a time, so a
+    stream of levels yields its trace without being stored.  Each level's
+    boundary nodes are gathered from its rows in one call into one
+    (nt+1, perimeter) buffer, which is split per side at the end."""
+    sides = tuple(sorted(set(Side(s) for s in sides)))
+    if not sides:
+        raise ValueError("at least one side must be declared")
+    at = PaddedLevel(grid)  # each node's index in rows, read through nodes
+    at.rows[:] = np.arange(at.rows.size)
+    index = np.concatenate([at.nodes[side_slice(grid, side)] for side in sides]).astype(np.intp)
+    gathered = np.empty((grid.nt + 1, index.size))
+    # strict: a stream of any other length than nt+1 levels is an error
+    for n, level in zip(range(grid.nt + 1), levels, strict=True):
+        level.rows.take(index, out=gathered[n], mode="clip")  # "raise" buffers out
+    ends = np.cumsum([0] + [grid.side_node_count(side) for side in sides])
+    data = {side: gathered[:, a:b] for side, a, b in zip(sides, ends[:-1], ends[1:])}
+    return BoundaryTrace(grid=grid, sides=sides, data=data)
 
 
 def forward_trace(

@@ -20,8 +20,7 @@ shipped.
 The sums run backward in time, one half-step at a time, while the adjoint
 sweep produces the multiplier, which is therefore never stored.  The state
 arrives on the same reversed-level stream, E^nt..E^0: a ForwardSolution
-replays it from its checkpoints, so no snapshot stack is stored either,
-and a stored SpaceTimeField reads its stack backward with the same sums.
+replays it from its checkpoints, so no snapshot stack is stored either.
 gradient_sweep holds these sums.  Its callers, the optimizer and grad-check,
 hand it the multiplier stream of adjoint_levels driven by the residual
 sim - obs, and hold no residual once that stream is built.
@@ -38,15 +37,15 @@ from typing import Iterable
 
 import numpy as np
 
-from .fields import BoundaryTrace, CoefficientField, Role, SpaceTimeField, level_run
-from .forward import BcConfig, ForwardSolution, SourceSpec, forward_trace
+from .fields import BoundaryTrace, CoefficientField, Role
+from .forward import BcConfig, ForwardSolution, PaddedLevel, SourceSpec, forward_trace
 from .grid import RegionMask, area_weights, time_weights
 from .objective import RegularizationParams, tikhonov
 
 
 def gradient_sweep(
-    E: ForwardSolution | SpaceTimeField,
-    lam_backward: Iterable[np.ndarray],
+    E: ForwardSolution,
+    lam_backward: Iterable[PaddedLevel],
     eps: CoefficientField,
     sigma: CoefficientField,
     reg: RegularizationParams,
@@ -56,34 +55,27 @@ def gradient_sweep(
 ) -> tuple[CoefficientField, CoefficientField, float]:
     """Nodal gradients of the Tikhonov functional, zeroed on FRAME nodes, and
     the multiplier's space-time norm, summed while lam^nt, ..., lam^0 (from
-    adjoint_levels) and E^nt, ..., E^0 arrive, so only two of each are held.
-    The gradient sums run over the levels' runs (fields.level_run), whose
-    ghost columns collect values that are dropped at the end."""
+    adjoint_levels) and E^nt, ..., E^0 (from E.levels_backward()) arrive, so
+    only two of each are held.  Every sum runs over the levels' rows; the
+    area weights are zero in the ghost columns, and the values that the
+    gradient sums collect there are dropped at the end."""
     grid = E.grid
     dt = grid.dt
-    wt, sqrt_wx = time_weights(grid), np.sqrt(area_weights(grid))
-    # sum_eps and sum_sigma as runs of padded rows: node (i, j) at [i, j]
-    sums = np.zeros((2, grid.nx + 1, grid.ny + 3))
-    length = grid.nx * (grid.ny + 3) + grid.ny + 1
-    sum_eps, sum_sigma = sums[0].ravel()[:length], sums[1].ravel()[:length]
-    dlam, tmp = np.empty(length), np.empty(length)
-    lam_w = tmp[:grid.n_nodes].reshape(grid.node_shape)  # free until the sums use tmp
+    wt, w = time_weights(grid), PaddedLevel.of(grid, area_weights(grid)).rows
+    sum_eps, sum_sigma = PaddedLevel(grid), PaddedLevel(grid)
+    dlam, tmp = np.empty(w.size), np.empty(w.size)
     lam_sq = 0.0
     lam_next = e_next = None
     levels = zip(range(grid.nt, -1, -1), lam_backward, E.levels_backward(), strict=True)
     for n, lam, e in levels:
-        # a contiguous copy, so that the norm sums the same products as a
-        # stored multiplier would
-        np.copyto(lam_w, lam)
-        lam_w *= sqrt_wx
-        lam_sq += wt[n] * float(np.vdot(lam_w, lam_w))
-        lam, e = level_run(lam), level_run(e)
+        lam, e = lam.rows, e.rows
+        lam_sq += wt[n] * float(np.dot(np.multiply(lam, w, out=tmp), lam))
         if lam_next is not None:
             np.subtract(lam_next, lam, out=dlam)
-            sum_eps += np.multiply(np.subtract(e_next, e, out=tmp), dlam, out=tmp)
-            sum_sigma += np.multiply(np.add(e_next, e, out=tmp), dlam, out=tmp)
+            sum_eps.rows += np.multiply(np.subtract(e_next, e, out=tmp), dlam, out=tmp)
+            sum_sigma.rows += np.multiply(np.add(e_next, e, out=tmp), dlam, out=tmp)
         lam_next, e_next = lam, e
-    sum_eps, sum_sigma = sums[:, :, :grid.ny + 1]
+    sum_eps, sum_sigma = sum_eps.nodes, sum_sigma.nodes
 
     # sum_eps and sum_sigma hold raw differences: the 1/dt of each difference
     # quotient and the dt of the time quadrature are folded in here

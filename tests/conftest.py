@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from waveinv import (
     gradient_sweep,
     solve_forward,
 )
-from waveinv.forward import forward_levels, level_energy
+from waveinv.forward import PaddedLevel, forward_levels, level_energy
 from waveinv.grid import area_weights, time_weights
 
 INCLUSION_CENTER = (0.5, 0.7)
@@ -98,7 +100,7 @@ def stored_state(grid, eps, sigma, src, bc):
     copied, because the time loop reuses its level buffers."""
     snaps = np.empty((grid.nt + 1, *grid.node_shape))
     for n, level in enumerate(forward_levels(grid, eps, sigma, src, bc)):
-        snaps[n] = level
+        snaps[n] = level.nodes
     return SpaceTimeField(grid=grid, snapshots=snaps, kind=FieldKind.STATE)
 
 
@@ -106,8 +108,16 @@ def stored_adjoint(grid, eps, sigma, residual, bc, src):
     """The multiplier levels of the backward sweep stacked in forward time
     order (snapshot nt is the zero terminal state): the stored reference.
     Each level is copied, because the sweep reuses its level buffers."""
-    levels = [lam.copy() for lam in adjoint_levels(grid, eps, sigma, residual, bc, src)]
+    levels = [lam.nodes.copy() for lam in adjoint_levels(grid, eps, sigma, residual, bc, src)]
     return SpaceTimeField(grid=grid, snapshots=np.stack(levels[::-1]), kind=FieldKind.ADJOINT)
+
+
+def stored_solution(E):
+    """A stored stack E as gradient_sweep reads a ForwardSolution: its
+    levels_backward() yields snapshots nt, ..., 0, each in a PaddedLevel of
+    its own."""
+    return SimpleNamespace(grid=E.grid, levels_backward=lambda: (
+        PaddedLevel.of(E.grid, snap) for snap in E.snapshots[::-1]))
 
 
 def adjoint_gradients(E, residual, eps, sigma, reg, gamma_eps, gamma_sigma, mask, bc, src):
@@ -123,8 +133,6 @@ def all_neumann_bc():
 
 def discrete_energy(E, eps, n):
     """level_energy between levels n-1 and n of a stored solution."""
-    if not 1 <= n <= E.grid.nt:
-        raise ValueError(f"time index {n} outside 1..{E.grid.nt}")
     return level_energy(E.grid, E.snapshots[n], E.snapshots[n - 1], eps)
 
 

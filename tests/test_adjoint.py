@@ -31,6 +31,7 @@ from conftest import (
     spacetime_dot,
     spacetime_norm,
     stored_adjoint,
+    stored_solution,
     stored_state,
     truth_pair,
     zero_trace,
@@ -173,7 +174,7 @@ class TestEnergyMonitor:
         sig = constant_coefficient(small_grid, 1.0, Role.SIGMA)
         res = zero_trace(small_grid)
         lam = stored_adjoint(small_grid, eps, sig, res, BcConfig(), SourceSpec())
-        levels = list(lam.levels_backward())
+        levels = list(stored_solution(lam).levels_backward())
         levels = levels[:-1] if drop > 0 else levels + levels[-1:]
         with pytest.raises(ValueError, match="zip"):
             adjoint_energy_monitor(iter(levels), eps, sig, res)

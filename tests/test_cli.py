@@ -1,5 +1,6 @@
 import csv
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -238,6 +239,7 @@ def test_invert_finer_initial_field_exits_2(tmp_path, capsys):
     ("omega", "0"), ("t_on", "soon"), ("max_iters", "-1"), ("n_max", "-1"), ("beta_eps", "1.5"),
     ("t_on", "0"), ("t_on", "-1"), ("side", "3"), ("frame_width", "-1"), ("frame_width", "6"),
     ("alpha_max", "-1"), ("alpha_max", "0"), ("beta_max", "-1"), ("beta_max", "nan"),
+    ("t_on", "nan"), ("omega", "nan"), ("amplitude", "nan"), ("gamma_eps0", "nan"),
 ])
 def test_rejected_value_exits_2_before_solving(tmp_path, capsys, key, value):
     cfg = write_cfg(tmp_path)
@@ -349,6 +351,15 @@ def test_negative_noise_level_exits_2(tmp_path, capsys, command, text, output):
     assert not (out / output).exists()
 
 
+@pytest.mark.parametrize("level", ["nan", "inf"])
+def test_non_finite_noise_level_exits_2(tmp_path, capsys, level):
+    cfg = write_cfg(tmp_path, re.sub(r"^level = .*$", f"level = {level}", BASE, flags=re.M))
+    out = tmp_path / "run"
+    assert main(["synthesize", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "obs.csv").exists()
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = write_cfg(tmp_path)
     a, b, c = tmp_path / "sa", tmp_path / "sb", tmp_path / "sc"
@@ -438,8 +449,13 @@ def test_forward_never_dumps_a_non_finite_level(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(waveinv.cli, "forward_levels", blown_up)
     out = tmp_path / "fwd"
-    assert main(["forward", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
-    assert f"non-finite field values at step {step}\n" in capsys.readouterr().err
+    # the levels up to the next check are stepped unchecked, through inf - inf,
+    # and the error line is all that reaches stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        assert main(["forward", "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == f"numerical failure: non-finite field values at step {step}\n"
     dumps = sorted(out.glob("E_*.vtk"))
     assert [p.name for p in dumps] == ["E_0.vtk", "E_7.vtk"]
     assert all(np.isfinite(vtk_values(p)).all() for p in dumps)

@@ -23,7 +23,7 @@ from waveinv import (
     solve_forward,
     transfer_to_refined,
 )
-from waveinv.fields import trace_of_levels
+from waveinv.forward import PaddedLevel, trace_of_levels
 
 
 def zero_state(grid):
@@ -189,7 +189,7 @@ class TestExtractTrace:
     @pytest.mark.parametrize("count", [0, 5, 55, 57])
     def test_level_stream_of_wrong_length_rejected(self, small_grid, count):
         assert small_grid.nt + 1 == 56
-        levels = (np.zeros(small_grid.node_shape) for _ in range(count))
+        levels = (PaddedLevel(small_grid) for _ in range(count))
         with pytest.raises(ValueError, match="zip"):
             trace_of_levels(small_grid, levels, ALL_SIDES)
 

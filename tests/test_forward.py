@@ -247,20 +247,25 @@ def test_source_switch_time_default():
     assert SourceSpec(omega=20.0, t_on=0.5).switch_time() == 0.5
 
 
+@pytest.mark.parametrize("shape", [
+    lambda g: (g.nt, g.nx + 1, g.ny + 1),
+    lambda g: (g.nt + 1, 1, 1),
+    lambda g: (g.nt + 1, 1, g.ny + 1),
+], ids=["one_level_short", "one_node", "one_row"])
+def test_wrong_shaped_forcing_array_rejected(small_grid, shape):
+    # each of these would index or broadcast without an error
+    eps, sig = homogeneous(small_grid, 1.0, 1.0)
+    src = SourceSpec(volume_forcing=np.zeros(shape(small_grid)))
+    with pytest.raises(ValueError, match="volume forcing shape"):
+        solve_forward(small_grid, eps, sig, src, BcConfig())
+
+
 def test_bc_config_rejects_two_source_sides():
     with pytest.raises(ValueError):
         BcConfig(sides={
             Side.LEFT: BcKind.SOURCE_THEN_ABSORBING,
             Side.RIGHT: BcKind.SOURCE_THEN_ABSORBING,
         })
-
-
-def test_discrete_energy_time_index_validated(small_grid):
-    eps, sig = homogeneous(small_grid)
-    E = stored_state(small_grid, eps, sig, SourceSpec(amplitude=0.0), BcConfig())
-    assert discrete_energy(E, eps, 1) == 0.0
-    with pytest.raises(ValueError):
-        discrete_energy(E, eps, 0)
 
 
 def unfused_levels(grid, eps, sigma, src, bc):
@@ -376,7 +381,7 @@ def test_fused_step_matches_unfused_update(name):
 def test_forward_levels_match_unfused_scheme(name):
     g, eps, sig, src, bc = kernel_case(name)
     _, expected = unfused_levels(g, eps, sig, src, bc)
-    levels = np.stack([lv.copy() for lv in forward_levels(g, eps, sig, src, bc)])
+    levels = np.stack([lv.nodes.copy() for lv in forward_levels(g, eps, sig, src, bc)])
     assert levels.shape == expected.shape
     assert rel_err(levels, expected) <= 1e-13
 
@@ -385,9 +390,9 @@ def test_solve_forward_replays_the_streamed_levels_backward():
     # forcing and start-up data reach the replayed blocks only through their pairs
     for name in KERNEL_CASES:
         g, eps, sig, src, bc = kernel_case(name)
-        streamed = np.stack([lv.copy() for lv in forward_levels(g, eps, sig, src, bc)])
+        streamed = np.stack([lv.nodes.copy() for lv in forward_levels(g, eps, sig, src, bc)])
         sol = solve_forward(g, eps, sig, src, bc)
-        replayed = np.stack([lv.copy() for lv in sol.levels_backward()])
+        replayed = np.stack([lv.nodes.copy() for lv in sol.levels_backward()])
         assert np.array_equal(replayed, streamed[::-1]), name
         assert np.array_equal(sol.trace.data[Side.LEFT], streamed[:, 0, :]), name
 
@@ -401,7 +406,7 @@ def test_two_most_recent_levels_survive_the_next_pull():
         for level in stream:
             for kept, copy in held:
                 assert np.array_equal(kept, copy)
-            held = held[-1:] + [(level, level.copy())]
+            held = held[-1:] + [(level.nodes, level.nodes.copy())]
 
 
 def test_step_and_level_loop_allocate_no_level():

@@ -29,6 +29,7 @@ from conftest import (
     smooth_random_trace,
     spacetime_norm,
     stored_adjoint,
+    stored_solution,
     stored_state,
     truth_pair,
     zero_trace,
@@ -297,12 +298,13 @@ class TestCheckpointedState:
         reg = make_reg(g, eps_val=1.5, sigma_val=2.0)
         sol = solve_forward(g, eps, sig, src, bc)
         stack = stored_state(g, eps, sig, src, bc)
-        replayed = np.stack([level.copy() for level in sol.levels_backward()])
+        replayed = np.stack([level.nodes.copy() for level in sol.levels_backward()])
         assert np.array_equal(replayed, stack.snapshots[::-1])
 
         residual = extract_trace(sol, observed) - smooth_random_trace(g, rng, observed)
         from_sol = adjoint_gradients(sol, residual, eps, sig, reg, 0.05, 0.07, mask, bc, src)
-        from_stack = adjoint_gradients(stack, residual, eps, sig, reg, 0.05, 0.07, mask, bc, src)
+        from_stack = adjoint_gradients(stored_solution(stack), residual, eps, sig, reg, 0.05, 0.07,
+                                       mask, bc, src)
         assert np.array_equal(from_sol[0].values, from_stack[0].values)
         assert np.array_equal(from_sol[1].values, from_stack[1].values)
         assert from_sol[2] == from_stack[2]
@@ -312,7 +314,8 @@ class TestCheckpointedState:
         eps = constant_coefficient(small_grid, 2.0, Role.EPSILON)
         sig = constant_coefficient(small_grid, 1.0, Role.SIGMA)
         src, bc = SourceSpec(), BcConfig()
-        levels = list(stored_state(small_grid, eps, sig, src, bc).levels_backward())
+        stack = stored_state(small_grid, eps, sig, src, bc)
+        levels = list(stored_solution(stack).levels_backward())
         levels = levels[:-1] if drop > 0 else levels + levels[-1:]
         E = SimpleNamespace(grid=small_grid, levels_backward=lambda: iter(levels))
         with pytest.raises(ValueError, match="zip"):
