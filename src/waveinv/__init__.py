@@ -41,7 +41,6 @@ from .forward import (
 )
 from .adjoint import AdjointEnergyReport, adjoint_energy_monitor, adjoint_levels
 from .objective import (
-    ErrorMetrics,
     RegularizationParams,
     decomposition_identity_check,
     field_dot,
@@ -61,7 +60,6 @@ from .optimizer import (
     InverseProblem,
     LevelReport,
     LogRow,
-    RefinementFlags,
     StoppingTolerances,
     cg_step,
     fletcher_reeves,

@@ -149,7 +149,8 @@ def _inversion_problem(cfg: RunConfig) -> tuple[InverseProblem, object]:
     return problem, cfgmod.make_tolerances(cfg)
 
 
-def _write_reconstruction(result, grid, out: Path) -> None:
+def _write_reconstruction(result, out: Path) -> None:
+    grid = result.eps.grid
     write_field_vtk(result.eps, grid, out / "eps_final.vtk", name="eps")
     write_field_csv(result.eps, grid, out / "eps_final.csv")
     write_field_vtk(result.sigma, grid, out / "sigma_final.vtk", name="sigma")
@@ -160,7 +161,7 @@ def _write_reconstruction(result, grid, out: Path) -> None:
 def cmd_invert(cfg: RunConfig, out: Path, quiet: bool) -> int:
     problem, tols = _inversion_problem(cfg)
     result = run_cga(problem, tols)
-    _write_reconstruction(result, problem.grid, out)
+    _write_reconstruction(result, out)
     if cfg.get("output", "dump_every") > 0:
         # adjoint levels of the final iterate, L_<step>.vtk, from the backward sweep
         grid = problem.grid
@@ -201,13 +202,13 @@ def cmd_invert_adaptive(cfg: RunConfig, out: Path, quiet: bool) -> int:
         truth_builder if have_truth else None,
         prior_builder,
     )
-    for k, (level_result, grid) in enumerate(zip(result.level_results, result.grids)):
+    for k, level_result in enumerate(result.level_results):
         level_dir = out / f"level_{k}"
         level_dir.mkdir(exist_ok=True)
-        _write_reconstruction(level_result, grid, level_dir)
+        _write_reconstruction(level_result, level_dir)
     write_levels_csv(result.levels, out / "levels.csv")
     write_manifest(cfg, out / "manifest.ini")
-    _say(quiet, f"{len(result.levels)} levels (stop: {result.stop_reason})")
+    _say(quiet, f"{len(result.level_results)} levels (stop: {result.stop_reason})")
     return EXIT_OK
 
 

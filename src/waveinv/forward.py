@@ -95,8 +95,10 @@ class SourceSpec:
     f1: Callable | np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.omega <= 0.0:
-            raise ValueError("omega must be positive")
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
+        if not math.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite, got {self.amplitude!r}")
         if self.t_on is not None and self.t_on <= 0.0:
             raise ValueError("t_on must be positive")
 

@@ -47,7 +47,6 @@ class Grid2D:
     T: float
     origin: tuple[float, float] = (0.0, 0.0)
     extent: tuple[float, float] = (1.0, 1.0)
-    level: int = 0
     cfl_safety: float = 0.5
     eps_min: float = 1.0
 
@@ -109,7 +108,6 @@ def build_grid(
     eps_min: float = 1.0,
     origin: tuple[float, float] = (0.0, 0.0),
     extent: tuple[float, float] = (1.0, 1.0),
-    level: int = 0,
 ) -> Grid2D:
     """Build a grid whose dt satisfies dt <= cfl_safety * h * sqrt(eps_min) / sqrt(2).
 
@@ -117,8 +115,8 @@ def build_grid(
     """
     if nx < MIN_CELLS or ny < MIN_CELLS:
         raise ValueError(f"nx and ny must be >= {MIN_CELLS}, got {nx}x{ny}")
-    if T <= 0.0:
-        raise ValueError("final time T must be positive")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"final time T must be positive and finite, got {T!r}")
     if not 0.0 < cfl_safety < 1.0:
         raise ValueError("cfl_safety must lie in (0, 1)")
     if eps_min < 1.0:
@@ -133,14 +131,14 @@ def build_grid(
     dt, nt = _snap_time_axis(T, dt_bound)
     return Grid2D(
         nx=nx, ny=ny, h=h, dt=dt, nt=nt, T=T,
-        origin=origin, extent=extent, level=level,
+        origin=origin, extent=extent,
         cfl_safety=cfl_safety, eps_min=eps_min,
     )
 
 
 def refine(grid: Grid2D) -> Grid2D:
     """Factor-2 nested refinement: cells double per axis, dt is recomputed
-    by the same CFL rule, the level counter is incremented."""
+    by the same CFL rule."""
     return build_grid(
         nx=2 * grid.nx,
         ny=2 * grid.ny,
@@ -149,7 +147,6 @@ def refine(grid: Grid2D) -> Grid2D:
         eps_min=grid.eps_min,
         origin=grid.origin,
         extent=grid.extent,
-        level=grid.level + 1,
     )
 
 

@@ -6,6 +6,7 @@ significant digits so files round-trip through double precision exactly.
 
 from __future__ import annotations
 
+from dataclasses import astuple
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
@@ -138,11 +139,11 @@ def write_field_vtk(
 
 
 def write_convergence_csv(log: list[LogRow], path: str | Path) -> None:
-    _write_csv(path, LOG_HEADER, *zip(*(row.values() for row in log)))
+    _write_csv(path, LOG_HEADER, *zip(*map(astuple, log)))
 
 
 def write_levels_csv(levels: list[LevelReport], path: str | Path) -> None:
-    _write_csv(path, LEVELS_HEADER, *zip(*(lv.values() for lv in levels)))
+    _write_csv(path, LEVELS_HEADER, *zip(*map(astuple, levels)))
 
 
 def write_gradcheck_csv(

@@ -52,8 +52,8 @@ class RegularizationParams:
     sigma_prior: CoefficientField
 
     def __post_init__(self) -> None:
-        if self.gamma_eps0 < 0.0 or self.gamma_sigma0 < 0.0:
-            raise ValueError("regularization weights must be >= 0")
+        if not (0.0 <= self.gamma_eps0 < np.inf and 0.0 <= self.gamma_sigma0 < np.inf):
+            raise ValueError("regularization weights must be finite and >= 0")
         if not 0.0 < self.p <= 1.0:
             raise ValueError("decay exponent p must lie in (0, 1]")
 
@@ -176,18 +176,6 @@ def decomposition_identity_check(
         + field_dot(sigma.values - reg.sigma_prior.values, d_sigma, grid)
     )
     return abs(lhs - rhs)
-
-
-@dataclass(frozen=True)
-class ErrorMetrics:
-    """Relative L2 and supremum errors of the iterates and the data fit."""
-
-    e_eps_l2: float
-    e_eps_sup: float
-    e_sigma_l2: float
-    e_sigma_sup: float
-    e_E_l2: float
-    e_E_sup: float
 
 
 def relative_errors(approx: CoefficientField, exact: CoefficientField) -> tuple[float, float]:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from .forward import BcConfig, ForwardSolution, SourceSpec, solve_forward
 from .grid import Grid2D, RegionMask, refine, region_mask
 from .gradient import gradient_sweep
 from .objective import (
-    ErrorMetrics,
     RegularizationParams,
     data_errors,
     field_dot,
@@ -56,13 +55,6 @@ from .objective import (
     relative_errors,
     tikhonov,
 )
-
-LOG_HEADER = (
-    "m,F,e_eps_l2,e_eps_sup,e_sigma_l2,e_sigma_sup,e_E_l2,e_E_sup,"
-    "g_eps_norm,g_sigma_norm,lambda_norm,gamma_eps,gamma_sigma,alpha_eps,alpha_sigma"
-)
-
-LEVELS_HEADER = "level,nno,g_eps_norm_per_node,g_sigma_norm_per_node,max_eps,max_sigma,M_k"
 
 # halvings of the step before an uphill trial is accepted anyway
 MAX_BACKTRACKS = 10
@@ -141,9 +133,17 @@ class CgState:
 
 @dataclass(frozen=True)
 class LogRow:
+    """One row of convergence.csv: the fields are its columns, in order; the
+    e_* columns are relative L2 and sup errors of eps, sigma and the trace."""
+
     m: int
     F: float
-    metrics: ErrorMetrics
+    e_eps_l2: float
+    e_eps_sup: float
+    e_sigma_l2: float
+    e_sigma_sup: float
+    e_E_l2: float
+    e_E_sup: float
     g_eps_norm: float
     g_sigma_norm: float
     lambda_norm: float
@@ -152,14 +152,8 @@ class LogRow:
     alpha_eps: float
     alpha_sigma: float
 
-    def values(self) -> list[float]:
-        e = self.metrics
-        return [
-            self.m, self.F, e.e_eps_l2, e.e_eps_sup, e.e_sigma_l2, e.e_sigma_sup,
-            e.e_E_l2, e.e_E_sup, self.g_eps_norm, self.g_sigma_norm,
-            self.lambda_norm, self.gamma_eps, self.gamma_sigma,
-            self.alpha_eps, self.alpha_sigma,
-        ]
+
+LOG_HEADER = ",".join(f.name for f in fields(LogRow))
 
 
 def step_size(g: CoefficientField, d: CoefficientField, gamma: float, grid: Grid2D) -> float:
@@ -267,12 +261,9 @@ def _row(state: CgState, problem: InverseProblem) -> LogRow:
         e_eps = _or_nan(relative_errors, state.eps, problem.eps_true)
         e_sigma = _or_nan(relative_errors, state.sigma, problem.sigma_true)
     return LogRow(
-        m=state.m, F=state.F,
-        metrics=ErrorMetrics(*e_eps, *e_sigma, state.e_E_l2, state.e_E_sup),
-        g_eps_norm=state.g_eps_norm, g_sigma_norm=state.g_sigma_norm,
-        lambda_norm=state.lambda_norm,
-        gamma_eps=state.gamma_eps, gamma_sigma=state.gamma_sigma,
-        alpha_eps=state.alpha_eps, alpha_sigma=state.alpha_sigma,
+        state.m, state.F, *e_eps, *e_sigma, state.e_E_l2, state.e_E_sup,
+        state.g_eps_norm, state.g_sigma_norm, state.lambda_norm,
+        state.gamma_eps, state.gamma_sigma, state.alpha_eps, state.alpha_sigma,
     )
 
 
@@ -358,18 +349,6 @@ def run_cga(problem: InverseProblem, tols: StoppingTolerances) -> CgaResult:
     )
 
 
-@dataclass(frozen=True)
-class RefinementFlags:
-    """Cell flags from the reconstruction-magnitude indicator."""
-
-    flags: np.ndarray
-    max_eps_indicator: float
-    max_sigma_indicator: float
-
-    def any(self) -> bool:
-        return bool(self.flags.any())
-
-
 def _check_indicator(beta_eps: float, beta_sigma: float, mode: str) -> None:
     if not 0.0 < beta_eps < 1.0 or not 0.0 < beta_sigma < 1.0:
         raise ValueError("refinement fractions must lie in (0, 1)")
@@ -385,7 +364,7 @@ def refinement_flags(
     mode: str = "deviation",
     eps_background: float = 1.0,
     sigma_background: float = 1.0,
-) -> RefinementFlags:
+) -> np.ndarray:
     """Flag every cell whose indicator |h v| (absolute mode) or
     |h (v - background)| (deviation mode), averaged over cell corners,
     reaches the beta fraction of its maximum for either coefficient.
@@ -396,22 +375,15 @@ def refinement_flags(
     """
     _check_indicator(beta_eps, beta_sigma, mode)
     grid = eps_h.grid
-
-    def indicator(values: np.ndarray, background: float) -> np.ndarray:
+    flags = np.zeros((grid.nx, grid.ny), dtype=bool)
+    for values, background, beta in ((eps_h.values, eps_background, beta_eps),
+                                     (sigma_h.values, sigma_background, beta_sigma)):
         u = np.abs(values - background) if mode == "deviation" else np.abs(values)
-        cell = 0.25 * (u[:-1, :-1] + u[1:, :-1] + u[:-1, 1:] + u[1:, 1:])
-        return grid.h * cell
-
-    ind_e = indicator(eps_h.values, eps_background)
-    ind_s = indicator(sigma_h.values, sigma_background)
-    max_e = float(ind_e.max())
-    max_s = float(ind_s.max())
-    flags = np.zeros_like(ind_e, dtype=bool)
-    if max_e > 0.0:
-        flags |= ind_e >= beta_eps * max_e
-    if max_s > 0.0:
-        flags |= ind_s >= beta_sigma * max_s
-    return RefinementFlags(flags=flags, max_eps_indicator=max_e, max_sigma_indicator=max_s)
+        indicator = grid.h * (0.25 * (u[:-1, :-1] + u[1:, :-1] + u[:-1, 1:] + u[1:, 1:]))
+        peak = float(indicator.max())
+        if peak > 0.0:
+            flags |= indicator >= beta * peak
+    return flags
 
 
 @dataclass(frozen=True)
@@ -436,30 +408,42 @@ class AcgaControls:
 
 @dataclass(frozen=True)
 class LevelReport:
+    """One row of levels.csv: the fields are its columns, in order; M_k is
+    the number of CG iterations logged on level k."""
+
     level: int
     nno: int
     g_eps_norm_per_node: float
     g_sigma_norm_per_node: float
     max_eps: float
     max_sigma: float
-    m_k: int
+    M_k: int
 
-    def values(self) -> list[float]:
-        return [
-            self.level, self.nno, self.g_eps_norm_per_node,
-            self.g_sigma_norm_per_node, self.max_eps, self.max_sigma, self.m_k,
-        ]
+
+LEVELS_HEADER = ",".join(f.name for f in fields(LevelReport))
 
 
 @dataclass(frozen=True)
 class AcgaResult:
-    levels: list[LevelReport]
+    """The CG result and the refinement flags of every level, coarsest first."""
+
     level_results: list[CgaResult]
-    level_flags: list[RefinementFlags]
-    grids: list[Grid2D]
-    eps: CoefficientField
-    sigma: CoefficientField
+    level_flags: list[np.ndarray]
     stop_reason: str
+
+    @property
+    def levels(self) -> list[LevelReport]:
+        """One levels.csv row per level."""
+        return [
+            LevelReport(
+                level=k, nno=r.eps.grid.n_nodes,
+                g_eps_norm_per_node=r.final_g_eps_norm / r.eps.grid.n_nodes,
+                g_sigma_norm_per_node=r.final_g_sigma_norm / r.eps.grid.n_nodes,
+                max_eps=float(r.eps.values.max()), max_sigma=float(r.sigma.values.max()),
+                M_k=len(r.log),
+            )
+            for k, r in enumerate(self.level_results)
+        ]
 
 
 def run_acga(
@@ -478,45 +462,28 @@ def run_acga(
     regularization priors on refined grids; without them the priors are
     interpolated and fine-level coefficient errors are not reported.
     """
-    levels: list[LevelReport] = []
     results: list[CgaResult] = []
-    flags_per_level: list[RefinementFlags] = []
-    grids: list[Grid2D] = []
+    flags: list[np.ndarray] = []
 
     prob = problem
     stop = None
     for k in range(controls.n_max + 1):
         result = run_cga(prob, tols)
-        grids.append(prob.grid)
         results.append(result)
-        levels.append(
-            LevelReport(
-                level=k,
-                nno=prob.grid.n_nodes,
-                g_eps_norm_per_node=result.final_g_eps_norm / prob.grid.n_nodes,
-                g_sigma_norm_per_node=result.final_g_sigma_norm / prob.grid.n_nodes,
-                max_eps=float(result.eps.values.max()),
-                max_sigma=float(result.sigma.values.max()),
-                m_k=len(result.log),
-            )
-        )
-        flags = refinement_flags(
+        flags.append(refinement_flags(
             result.eps, result.sigma, controls.beta_eps, controls.beta_sigma,
             controls.mode,
             eps_background=prob.adm.eps_background,
             sigma_background=prob.adm.sigma_background,
-        )
-        flags_per_level.append(flags)
+        ))
 
         checks = []
-        if k > 0:  # the change from the previous level's reconstruction
-            eps_up = transfer_to_refined(results[-2].eps, prob.grid)
-            sigma_up = transfer_to_refined(results[-2].sigma, prob.grid)
+        if k > 0:  # the change from the previous level's reconstruction, the initial guess
+            eps_change = field_norm(result.eps.values - prob.eps_init.values, prob.grid)
+            sigma_change = field_norm(result.sigma.values - prob.sigma_init.values, prob.grid)
             checks += [
-                ("theta1_eps", field_norm(result.eps.values - eps_up.values, prob.grid),
-                 controls.theta1_eps),
-                ("theta1_sigma", field_norm(result.sigma.values - sigma_up.values, prob.grid),
-                 controls.theta1_sigma),
+                ("theta1_eps", eps_change, controls.theta1_eps),
+                ("theta1_sigma", sigma_change, controls.theta1_sigma),
             ]
         checks += [
             ("theta2_eps", result.final_g_eps_norm, controls.theta2_eps),
@@ -525,7 +492,7 @@ def run_acga(
         stop = _first_below(checks)
         if stop or k == controls.n_max:
             break
-        if not flags.any():
+        if not flags[-1].any():
             stop = "no_flags"
             break
 
@@ -545,12 +512,4 @@ def run_acga(
             eps_true=eps_true_f, sigma_true=sigma_true_f,
         )
 
-    return AcgaResult(
-        levels=levels,
-        level_results=results,
-        level_flags=flags_per_level,
-        grids=grids,
-        eps=results[-1].eps,
-        sigma=results[-1].sigma,
-        stop_reason=stop or "n_max",
-    )
+    return AcgaResult(level_results=results, level_flags=flags, stop_reason=stop or "n_max")

@@ -268,9 +268,9 @@ def test_criterion_07_flat_start_reconstruction():
     problem, eps_t = _study_problem(g, perturbed_start=False)
     result = run_cga(problem, StoppingTolerances(m_max=100))
 
-    e0 = result.log[0].metrics.e_eps_l2
+    e0 = result.log[0].e_eps_l2
     e_final = field_norm(result.eps.values - eps_t.values, g) / field_norm(eps_t.values, g)
-    e_E = [row.metrics.e_E_l2 for row in result.log[:11]]
+    e_E = [row.e_E_l2 for row in result.log[:11]]
     decreasing = all(e_E[k + 1] < e_E[k] for k in range(10))
     iv, jv = np.unravel_index(np.argmax(result.eps.values - 1.0), result.eps.values.shape)
     dist = max(abs(iv * g.h - INCLUSION_CENTER[0]), abs(jv * g.h - INCLUSION_CENTER[1]))
@@ -288,7 +288,7 @@ def test_criterion_08_perturbed_start_reconstruction():
     result = run_cga(problem, StoppingTolerances(m_max=100))
     first, last = result.log[0], result.log[-1]
     series = ("e_eps_l2", "e_eps_sup", "e_sigma_l2", "e_sigma_sup", "e_E_l2", "e_E_sup")
-    drops = {s: getattr(last.metrics, s) < getattr(first.metrics, s) for s in series}
+    drops = {s: getattr(last, s) < getattr(first, s) for s in series}
     grads_drop = (
         last.g_eps_norm < first.g_eps_norm and last.g_sigma_norm < first.g_sigma_norm
     )
@@ -314,10 +314,10 @@ def test_criterion_09_adaptive_improvement():
     res = run_acga(problem, StoppingTolerances(m_max=30), controls,
                    truth_builder, prior_builder)
 
-    e_levels = [r.log[-1].metrics.e_eps_l2 for r in res.level_results]
+    e_levels = [r.log[-1].e_eps_l2 for r in res.level_results]
     flags = res.level_flags[0]
-    cells = np.argwhere(flags.flags)
-    g0 = res.grids[0]
+    cells = np.argwhere(flags)
+    g0 = res.level_results[0].eps.grid
     dists = [
         float(np.hypot((i + 0.5) * g0.h - INCLUSION_CENTER[0],
                        (j + 0.5) * g0.h - INCLUSION_CENTER[1]))

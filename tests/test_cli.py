@@ -1,7 +1,9 @@
+import configparser
 import csv
 import re
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,6 +242,7 @@ def test_invert_finer_initial_field_exits_2(tmp_path, capsys):
     ("t_on", "0"), ("t_on", "-1"), ("side", "3"), ("frame_width", "-1"), ("frame_width", "6"),
     ("alpha_max", "-1"), ("alpha_max", "0"), ("beta_max", "-1"), ("beta_max", "nan"),
     ("t_on", "nan"), ("omega", "nan"), ("amplitude", "nan"), ("gamma_eps0", "nan"),
+    ("omega", "inf"), ("amplitude", "inf"), ("gamma_eps0", "inf"),
 ])
 def test_rejected_value_exits_2_before_solving(tmp_path, capsys, key, value):
     cfg = write_cfg(tmp_path)
@@ -277,6 +280,30 @@ def test_invert_adaptive_two_levels(tmp_path):
     assert len(levels) == 2
     assert int(levels[1]["nno"]) == (25 * 25)
     assert (out / "level_1" / "eps_final.csv").exists()
+
+
+def test_invert_adaptive_writes_the_documented_headers(tmp_path):
+    # test2 at 16x16, one iteration on each of two levels; the header lines
+    # are the ones the README documents, byte for byte
+    cfg = configparser.ConfigParser(interpolation=None)
+    cfg.read(Path(waveinv.cli.__file__).with_name("presets") / "test2.ini")
+    for section, key, value in (("grid", "nx", "16"), ("grid", "ny", "16"),
+                                ("acga", "n_max", "1"), ("cga", "max_iters", "1")):
+        cfg.set(section, key, value)
+    with open(tmp_path / "run.ini", "w") as fh:
+        cfg.write(fh)
+    run, adapt = tmp_path / "run", tmp_path / "adapt"
+    assert main(["synthesize", "--config", str(tmp_path / "run.ini"), "--out", str(run),
+                 "--quiet"]) == 0
+    assert main(["invert-adaptive", "--config", str(run / "manifest.ini"), "--out", str(adapt),
+                 "--quiet"]) == 0
+    with open(adapt / "levels.csv", "rb") as fh:
+        assert fh.readline() == (
+            b"level,nno,g_eps_norm_per_node,g_sigma_norm_per_node,max_eps,max_sigma,M_k\r\n")
+    with open(adapt / "level_0" / "convergence.csv", "rb") as fh:
+        assert fh.readline() == (
+            b"m,F,e_eps_l2,e_eps_sup,e_sigma_l2,e_sigma_sup,e_E_l2,e_E_sup,"
+            b"g_eps_norm,g_sigma_norm,lambda_norm,gamma_eps,gamma_sigma,alpha_eps,alpha_sigma\r\n")
 
 
 GRADCHECK = """
@@ -357,6 +384,15 @@ def test_non_finite_noise_level_exits_2(tmp_path, capsys, level):
     out = tmp_path / "run"
     assert main(["synthesize", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not (out / "obs.csv").exists()
+
+
+def test_infinite_final_time_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE.replace("t_final = 0.8", "t_final = inf"))
+    out = tmp_path / "run"
+    assert main(["synthesize", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
     assert not (out / "obs.csv").exists()
 
 

@@ -75,11 +75,11 @@ def test_refine_doubles_and_composes():
     g = build_grid(50, 50)
     assert g.h == pytest.approx(0.02)
     f = refine(g)
-    assert (f.nx, f.ny, f.level) == (100, 100, 1)
+    assert (f.nx, f.ny) == (100, 100)
     assert f.h == pytest.approx(0.01)
     ff = refine(f)
     assert ff.h == pytest.approx(g.h / 4)
-    assert ff.level == 2
+    assert (ff.nx, ff.ny) == (200, 200)
     for grid in (f, ff):
         assert abs(grid.nt * grid.dt - grid.T) <= grid.dt * 1e-12
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from waveinv import (
     trace_norm_sq,
 )
 from waveinv.grid import area_weights
-from waveinv.objective import ErrorMetrics, data_errors, relative_errors
+from waveinv.objective import data_errors, relative_errors
 from conftest import smooth_random_coefficient, stored_state, truth_pair
 
 
@@ -244,10 +246,10 @@ class TestDecompositionIdentity:
 
 def error_metrics(eps_m, sigma_m, eps_true, sigma_true, sim_m, obs):
     """The coefficient and data errors of one iterate, as a log row holds them."""
-    return ErrorMetrics(
-        *relative_errors(eps_m, eps_true), *relative_errors(sigma_m, sigma_true),
-        *data_errors(sim_m, obs),
-    )
+    names = ("e_eps_l2", "e_eps_sup", "e_sigma_l2", "e_sigma_sup", "e_E_l2", "e_E_sup")
+    values = (*relative_errors(eps_m, eps_true), *relative_errors(sigma_m, sigma_true),
+              *data_errors(sim_m, obs))
+    return SimpleNamespace(**dict(zip(names, values)))
 
 
 class TestErrorMetrics:
