@@ -245,26 +245,32 @@ def make_coefficient(
 ) -> CoefficientField:
     """Build a coefficient field from a [truth.*], [initial.*] or [eval.*]
     section; kind perturbed_truth adds the boundary-flat polynomial bump to
-    the corresponding truth field."""
+    the corresponding truth field.  A builder's ValueError (a non-finite
+    value, a width <= 0) becomes a ConfigError naming the section."""
     kind = cfg.get(section, "kind")
-    if kind == "constant":
-        return constant_coefficient(grid, cfg.get(section, "value"), role)
-    if kind == "gaussian":
-        center = _parse_pair(section, "center", cfg.get(section, "center"))
-        return gaussian_coefficient(
-            grid,
-            base=cfg.get(section, "base"),
-            amp=cfg.get(section, "amp"),
-            center=center,
-            width=cfg.get(section, "width"),
-            role=role,
-        )
-    if kind == "perturbed_truth":
-        if section.startswith("truth."):
-            raise ConfigError(f"key {section}.kind: perturbed_truth needs a truth to perturb")
-        truth_section = "truth.eps" if role is Role.EPSILON else "truth.sigma"
-        truth = make_coefficient(cfg, truth_section, grid, role)
-        return bump_perturbed(truth, cfg.get(section, "scale"))
+    try:
+        if kind == "constant":
+            return constant_coefficient(grid, cfg.get(section, "value"), role)
+        if kind == "gaussian":
+            center = _parse_pair(section, "center", cfg.get(section, "center"))
+            return gaussian_coefficient(
+                grid,
+                base=cfg.get(section, "base"),
+                amp=cfg.get(section, "amp"),
+                center=center,
+                width=cfg.get(section, "width"),
+                role=role,
+            )
+        if kind == "perturbed_truth":
+            if section.startswith("truth."):
+                raise ConfigError(f"key {section}.kind: perturbed_truth needs a truth to perturb")
+            truth_section = "truth.eps" if role is Role.EPSILON else "truth.sigma"
+            truth = make_coefficient(cfg, truth_section, grid, role)
+            return bump_perturbed(truth, cfg.get(section, "scale"))
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
     if kind == "file":
         from .io import read_field_csv
 

@@ -8,6 +8,7 @@ threads without locking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -51,6 +52,8 @@ class AdmissibleSet:
     sigma_max: float = 10.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.eps_background) and math.isfinite(self.sigma_background)):
+            raise ValueError("eps_background and sigma_background must be finite")
         if self.eps_background < 1.0:
             raise ValueError("eps_background must be >= 1")
         if self.eps_max < self.eps_background:
@@ -168,6 +171,8 @@ class BoundaryTrace:
 
 
 def constant_coefficient(grid: Grid2D, value: float, role: Role) -> CoefficientField:
+    if not math.isfinite(value):
+        raise ValueError(f"value must be finite, got {value!r}")
     return CoefficientField(grid=grid, values=np.full(grid.node_shape, float(value)), role=role)
 
 
@@ -180,6 +185,8 @@ def gaussian_coefficient(
     role: Role = Role.EPSILON,
 ) -> CoefficientField:
     """base + amp * exp(-((x-cx)^2 + (y-cy)^2) / width) sampled at the nodes."""
+    if not np.isfinite([base, amp, *center, width]).all():
+        raise ValueError("gaussian base, amp, center and width must be finite")
     if width <= 0.0:
         raise ValueError("gaussian width must be positive")
     X, Y = grid.meshgrid()
@@ -194,6 +201,8 @@ def bump_perturbed(field: CoefficientField, scale: float) -> CoefficientField:
     Coordinates are normalized to the grid extent so the bump vanishes with
     its first derivatives on the whole boundary.
     """
+    if not math.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale!r}")
     g = field.grid
     X, Y = g.meshgrid()
     u = (X - g.origin[0]) / g.extent[0]

@@ -16,10 +16,16 @@ of ghost nodes:
     Neumann data g      ghost = mirror + 2 h g(t_n)
     absorbing dE/dn=-dE/dt   ghost = mirror - 2 h (E^n_b - E^{n-1}_b) / dt
 
+The absorbing term involves only the boundary node's own values E^n_b and
+E^{n-1}_b, so it is no ghost value at all in the code: it moves those nodes'
+coefficients of E^n and E^{n-1} (the absorbing closure, see Leapfrog), and
+the ghost rows hold the mirror and Neumann terms alone.  This is also the
+form in which the adjoint must transpose it.
+
 The first step is the Taylor start
     E^1 = E^0 + dt f1 + dt^2/(2 eps) (lap_h E^0 - sigma f1 + f^0),
 which keeps second-order accuracy for nonzero initial data; its absorbing
-ghost takes E^0 - dt f1 as the previous level.
+closure takes E^0 - dt f1 as the previous level.
 
 Leapfrog holds this update once.  The forward solve, the Lagrangian's
 defect and the adjoint solve all step through it: after reversing time the
@@ -59,7 +65,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .grid import ALL_SIDES, Grid2D, Side, area_weights, side_slice
+from .grid import ALL_SIDES, Grid2D, Side, area_weights
 from .fields import BoundaryTrace, CoefficientField, extract_trace
 
 
@@ -219,28 +225,41 @@ class PaddedLevel:
     with the views that a leapfrog step reads or writes made once: the node
     view (nodes), the run of rows 1..nx+1 with their ghost columns (rows),
     that run shifted to each of the four neighbours, and per side (in
-    ALL_SIDES order) the ghost slots, the mirror row and the boundary row.
-    The time loops yield these objects, and this class is the one owner of
-    the layout."""
+    ALL_SIDES order) the ghost slots and the mirror row.  The time loops
+    yield these objects, and this class is the one owner of the layout.
+
+    Only a level that is stepped from reads neighbours and sides, and most
+    checkpoints never are, so those two are made on first use."""
 
     __slots__ = ("pad", "nodes", "rows", "neighbours", "sides")
 
-    # (ghost, mirror, boundary) per side, as indices into the buffer
+    # (ghost, mirror) per side, as indices into the buffer
     SLOTS = {
-        Side.LEFT: (np.s_[0, 1:-1], np.s_[2, 1:-1], np.s_[1, 1:-1]),
-        Side.RIGHT: (np.s_[-1, 1:-1], np.s_[-3, 1:-1], np.s_[-2, 1:-1]),
-        Side.BOTTOM: (np.s_[1:-1, 0], np.s_[1:-1, 2], np.s_[1:-1, 1]),
-        Side.TOP: (np.s_[1:-1, -1], np.s_[1:-1, -3], np.s_[1:-1, -2]),
+        Side.LEFT: (np.s_[0, 1:-1], np.s_[2, 1:-1]),
+        Side.RIGHT: (np.s_[-1, 1:-1], np.s_[-3, 1:-1]),
+        Side.BOTTOM: (np.s_[1:-1, 0], np.s_[1:-1, 2]),
+        Side.TOP: (np.s_[1:-1, -1], np.s_[1:-1, -3]),
     }
 
-    def __init__(self, grid: Grid2D) -> None:
-        pad = self.pad = np.zeros((grid.nx + 3, grid.ny + 3))
+    def __init__(self, grid: Grid2D, pad: np.ndarray | None = None) -> None:
+        """A zero level, or a level over the given (nx+3, ny+3) buffer."""
+        if pad is None:
+            pad = np.zeros((grid.nx + 3, grid.ny + 3))
+        self.pad = pad
         self.nodes = pad[1:-1, 1:-1]
-        p, w = pad.ravel(), grid.ny + 3
-        lo, hi = w, w * (grid.nx + 2)
-        self.rows = p[lo:hi]
+        w = grid.ny + 3
+        self.rows = pad.ravel()[w:w * (grid.nx + 2)]
+
+    def __getattr__(self, name: str) -> tuple:
+        # called only while the neighbours and sides slots are still unset
+        if name not in ("neighbours", "sides"):
+            raise AttributeError(name)
+        pad = self.pad
+        p, w = pad.ravel(), pad.shape[1]
+        lo, hi = w, p.size - w
         self.neighbours = (p[lo + w:hi + w], p[lo - w:hi - w], p[lo + 1:hi + 1], p[lo - 1:hi - 1])
         self.sides = tuple(tuple(pad[i] for i in self.SLOTS[side]) for side in ALL_SIDES)
+        return getattr(self, name)
 
     @classmethod
     def of(cls, grid: Grid2D, values: np.ndarray) -> "PaddedLevel":
@@ -248,6 +267,16 @@ class PaddedLevel:
         level = cls(grid)
         level.nodes[...] = values
         return level
+
+    @staticmethod
+    def boundary_rows(grid: Grid2D, sides: Iterable[Side]) -> list[np.ndarray]:
+        """Per side, the index in rows of each of its nodes, in the order
+        that grid.side_slice takes them: node (i, j) sits at i (ny+3) + j + 1."""
+        starts = np.arange(grid.nx + 1) * (grid.ny + 3)
+        columns = np.arange(1, grid.ny + 2)
+        at = {Side.LEFT: columns, Side.RIGHT: starts[-1] + columns,
+              Side.BOTTOM: starts + 1, Side.TOP: starts + grid.ny + 1}
+        return [at[side] for side in sides]
 
 
 def _block(nt: int) -> int:
@@ -260,10 +289,10 @@ class Leapfrog:
     """The discrete state operator: one leapfrog update and its Taylor start.
 
     Built once per (grid, eps, sigma, side programs, forcing), it holds the
-    update coefficients, one edge buffer per side for the absorbing ghost,
-    scratch space and the forcing lookup.  The forward solve, the adjoint
-    solve and the Lagrangian's defect all step through it, so each
-    expression of the scheme is written once.
+    update coefficients, the absorbing closure's perimeter tables, scratch
+    space and the forcing lookup.  The forward solve, the adjoint solve and
+    the Lagrangian's defect all step through it, so each expression of the
+    scheme is written once.
 
     The time loops keep every level resident in a PaddedLevel.  advance()
     fills the ghosts of the current level in place and writes the next
@@ -275,6 +304,20 @@ class Leapfrog:
     serve node arrays through them, and a ForwardSolution's replay reuses
     them.  So an instance runs one of these at a time: it is
     non-reentrant.
+
+    The absorbing closure.  An absorbing side's ghost term
+    -(2h/dt)(E^n_b - E^{n-1}_b) enters the update of its boundary node b
+    as c_lap (2h/dt) times E^{n-1}_b minus the same times E^n_b, so it is
+    applied by subtracting c_lap 2h/dt from c_cur and from c_prev at b, once
+    per absorbing side: twice at a corner that two absorbing sides share.
+    Which sides absorb at level n (its pattern) is read from the side
+    programs, and before a step from level n the perimeter entries of
+    c_cur and c_prev are patched in place, from perimeter-sized tables,
+    whenever level n's pattern differs from the one last applied.  Only
+    the switched source side changes, so an operator has at most two
+    patterns and a pass patches at most twice, at its start and at the
+    switch; a replay or step() reads the pattern of its own n, never that
+    of the previous call.
     """
 
     def __init__(
@@ -289,27 +332,41 @@ class Leapfrog:
         h, dt = grid.h, grid.dt
         eps_v, sig_v = eps.values, sigma.values
         a_plus = eps_v / dt**2 + sig_v / (2.0 * dt)
-        a_mid = 2.0 * eps_v / dt**2
-        a_minus = eps_v / dt**2 - sig_v / (2.0 * dt)
 
-        # E^{n+1} = c_lap * (neighbour sum) + c_cur E^n - c_prev E^{n-1} + f^n / a_plus
-        self._c_cur = PaddedLevel.of(grid, (a_mid - 4.0 / h**2) / a_plus).rows
-        self._c_prev = PaddedLevel.of(grid, a_minus / a_plus).rows
+        # E^{n+1} = c_lap * (neighbour sum) + c_cur E^n - c_prev E^{n-1} + f^n / a_plus,
+        # with a_mid = 2 eps/dt^2 and a_minus = eps/dt^2 - sigma/(2 dt) formed
+        # inline so that no more levels than needed are alive at once;
+        # c_cur and c_prev are closed for the absorbing sides at their perimeter
+        self._c_cur = PaddedLevel.of(grid, (2.0 * eps_v / dt**2 - 4.0 / h**2) / a_plus).rows
+        self._c_prev = PaddedLevel.of(grid, (eps_v / dt**2 - sig_v / (2.0 * dt)) / a_plus).rows
         self._c_lap = PaddedLevel.of(grid, 1.0 / (a_plus * h**2)).rows
         self._scratch = np.empty(self._c_cur.size)
         # only the forcing term reads a_plus after this
         self._a_plus = None if forcing is None else a_plus
-        self._absorb = np.array(2.0 * h / dt)  # a 0-d array scales faster than a float
-        self._flux = np.array(2.0 * h)
+        self._flux = np.array(2.0 * h)  # a 0-d array scales faster than a float
         self.levels = [PaddedLevel(grid) for _ in range(3)]
-        # (absorbing switch, the program's own Neumann data g, scaled by 2 h
-        # in the ghost slot so that no copy is kept, boundary-row buffer) per
-        # side, in ALL_SIDES order
-        self._programs = [
-            (programs[side].absorbing.tolist(), programs[side].series,
-             np.empty(grid.side_node_count(side)))
-            for side in ALL_SIDES
-        ]
+        # the program's own Neumann data g per side, in ALL_SIDES order,
+        # scaled by 2 h in the ghost slot so that no copy is kept
+        self._series = [programs[side].series for side in ALL_SIDES]
+
+        # the perimeter nodes' indices in rows, each node once; per side, the
+        # positions of its nodes among them; and c_cur, c_prev there with no
+        # side absorbing
+        on_side = PaddedLevel.boundary_rows(grid, ALL_SIDES)
+        marked = np.zeros(self._c_cur.size, dtype=bool)
+        marked[np.concatenate(on_side)] = True
+        self._edge = np.flatnonzero(marked)
+        self._on_side = [np.searchsorted(self._edge, rows) for rows in on_side]
+        self._open = (self._c_cur[self._edge], self._c_prev[self._edge])
+        # per perimeter node, 2h/dt times its number of absorbing sides
+        self._closure = np.zeros(self._edge.size)
+        self._absorb = 2.0 * h / dt
+        # the pattern per level: bit k set when side ALL_SIDES[k] absorbs
+        self._pattern = sum(
+            programs[side].absorbing.astype(int) << k for k, side in enumerate(ALL_SIDES)
+        ).tolist()
+        self._applied = 0  # the coefficients above close no side
+
         if forcing is None:
             self.forcing = None
         elif isinstance(forcing, np.ndarray):
@@ -320,23 +377,30 @@ class Leapfrog:
             X, Y = grid.meshgrid()
             self.forcing = lambda n: np.asarray(forcing(X, Y, n * dt), dtype=np.float64)
 
-    def _neighbour_sum(self, cur: PaddedLevel, prev: PaddedLevel, n: int,
-                       out: np.ndarray) -> np.ndarray:
-        """Fill the ghosts of level n (cur) with the boundary closures, prev
-        supplying the previous-level boundary values for the absorbing
-        ghost, and write the sum of every node's four neighbours into the
-        run out (its ghost columns get junk)."""
-        for (ghost, mirror, edge), (_, _, prev_edge), (absorbing, series, diff) in zip(
-                cur.sides, prev.sides, self._programs):
+    def _close(self, n: int) -> None:
+        """Patch the perimeter entries of c_cur and c_prev to the absorbing
+        pattern of level n."""
+        pattern = self._pattern[n]
+        closure = self._closure
+        closure.fill(0.0)
+        for k, at in enumerate(self._on_side):
+            if pattern >> k & 1:
+                closure[at] += self._absorb
+        shift = self._c_lap[self._edge] * closure
+        self._c_cur[self._edge] = self._open[0] - shift
+        self._c_prev[self._edge] = self._open[1] - shift
+        self._applied = pattern
+
+    def _neighbour_sum(self, cur: PaddedLevel, n: int, out: np.ndarray) -> np.ndarray:
+        """Fill the ghosts of level n (cur) with the mirror and Neumann
+        terms of the boundary closures and write the sum of every node's
+        four neighbours into the run out (its ghost columns get junk)."""
+        for (ghost, mirror), series in zip(cur.sides, self._series):
             if series is None:
-                np.copyto(ghost, mirror)
+                ghost[...] = mirror  # faster than np.copyto on a row this short
             else:  # mirror + 2 h g, with 2 h g formed in the ghost slot
                 np.multiply(series[n], self._flux, out=ghost)
                 ghost += mirror
-            if absorbing[n]:
-                np.subtract(edge, prev_edge, out=diff)
-                diff *= self._absorb
-                ghost -= diff
         up, down, right, left = cur.neighbours
         np.add(up, down, out=out)
         out += right
@@ -347,7 +411,9 @@ class Leapfrog:
         """One leapfrog update, levels (n-1, n) -> n+1, written into the rows
         of out, whose ghost columns come out zero; out must be neither cur
         nor prev, and its ghosts are filled when it is stepped from."""
-        rows = self._neighbour_sum(cur, prev, n, out.rows)
+        if self._pattern[n] != self._applied:
+            self._close(n)
+        rows = self._neighbour_sum(cur, n, out.rows)
         rows *= self._c_lap
         rows += np.multiply(self._c_cur, cur.rows, out=self._scratch)
         rows -= np.multiply(self._c_prev, prev.rows, out=self._scratch)
@@ -369,13 +435,18 @@ class Leapfrog:
         return out
 
     def first_step(self, e0: np.ndarray, f1_v: np.ndarray) -> np.ndarray:
-        """Taylor start producing E^1; the absorbing ghost takes e0 - dt f1 as
-        the previous level in place of the undefined backward difference."""
+        """Taylor start producing E^1; the absorbing closure takes e0 - dt f1
+        as the previous level in place of the undefined backward difference."""
         dt = self.grid.dt
         pc, pp, po = self.levels
         pc.nodes[...] = e0
         pp.nodes[...] = e0 - dt * f1_v
-        self._neighbour_sum(pc, pp, 0, po.rows)
+        self._close(0)
+        edge = self._edge
+        total = self._neighbour_sum(pc, 0, po.rows)
+        # the Taylor start has no c_cur, c_prev to carry the closure, so its
+        # ghost terms enter the neighbour sum
+        total[edge] -= self._closure * (pc.rows[edge] - pp.rows[edge])
         rhs = (po.nodes - 4.0 * e0) / self.grid.h**2 - self.sigma.values * f1_v
         if self.forcing is not None:
             rhs += self.forcing(0)
@@ -488,9 +559,7 @@ class ForwardSolution:
                 if j == 0:  # a last block of one level has a one-level pair
                     self.pairs.append([])
                 if j < 2:
-                    kept = PaddedLevel(grid)
-                    np.copyto(kept.pad, level.pad)
-                    self.pairs[-1].append(kept)
+                    self.pairs[-1].append(PaddedLevel(grid, level.pad.copy()))
                 yield level
 
         self.trace: BoundaryTrace | None = trace_of_levels(
@@ -569,9 +638,7 @@ def trace_of_levels(
     sides = tuple(sorted(set(Side(s) for s in sides)))
     if not sides:
         raise ValueError("at least one side must be declared")
-    at = PaddedLevel(grid)  # each node's index in rows, read through nodes
-    at.rows[:] = np.arange(at.rows.size)
-    index = np.concatenate([at.nodes[side_slice(grid, side)] for side in sides]).astype(np.intp)
+    index = np.concatenate(PaddedLevel.boundary_rows(grid, sides))
     gathered = np.empty((grid.nt + 1, index.size))
     # strict: a stream of any other length than nt+1 levels is an error
     for n, level in zip(range(grid.nt + 1), levels, strict=True):

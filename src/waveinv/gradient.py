@@ -18,7 +18,11 @@ were measured at 3-8% mismatch against the per-node oracle at h = 1/24
 shipped.
 
 The sums run backward in time, one half-step at a time, while the adjoint
-sweep produces the multiplier, which is therefore never stored.  The state
+sweep produces the multiplier, which is therefore never stored.  Both
+integrals pair a combination of E^{n+1} and E^n with the same multiplier
+difference, so gradient_sweep keeps the two sums A = sum E^{n+1} dlam and
+B = sum E^n dlam and forms the difference A - B and the sum A + B once at
+the end: five passes over a level per half-step, not seven.  The state
 arrives on the same reversed-level stream, E^nt..E^0: a ForwardSolution
 replays it from its checkpoints, so no snapshot stack is stored either.
 gradient_sweep holds these sums.  Its callers, the optimizer and grad-check,
@@ -58,11 +62,13 @@ def gradient_sweep(
     adjoint_levels) and E^nt, ..., E^0 (from E.levels_backward()) arrive, so
     only two of each are held.  Every sum runs over the levels' rows; the
     area weights are zero in the ghost columns, and the values that the
-    gradient sums collect there are dropped at the end."""
+    gradient sums collect there are dropped at the end.  The state enters
+    through A = sum E^{n+1} dlam and B = sum E^n dlam alone, with
+    dlam = lam^{n+1} - lam^n: the eps sum is A - B and the sigma sum A + B."""
     grid = E.grid
     dt = grid.dt
     wt, w = time_weights(grid), PaddedLevel.of(grid, area_weights(grid)).rows
-    sum_eps, sum_sigma = PaddedLevel(grid), PaddedLevel(grid)
+    sum_next, sum_this = PaddedLevel(grid), PaddedLevel(grid)  # A and B
     dlam, tmp = np.empty(w.size), np.empty(w.size)
     lam_sq = 0.0
     lam_next = e_next = None
@@ -72,10 +78,15 @@ def gradient_sweep(
         lam_sq += wt[n] * float(np.dot(np.multiply(lam, w, out=tmp), lam))
         if lam_next is not None:
             np.subtract(lam_next, lam, out=dlam)
-            sum_eps.rows += np.multiply(np.subtract(e_next, e, out=tmp), dlam, out=tmp)
-            sum_sigma.rows += np.multiply(np.add(e_next, e, out=tmp), dlam, out=tmp)
+            sum_next.rows += np.multiply(e_next, dlam, out=tmp)
+            sum_this.rows += np.multiply(e, dlam, out=tmp)
         lam_next, e_next = lam, e
-    sum_eps, sum_sigma = sum_eps.nodes, sum_sigma.nodes
+    # A - B replaces A and A + B replaces B, through the scratch, so that
+    # forming them allocates no level
+    np.add(sum_next.rows, sum_this.rows, out=tmp)
+    sum_next.rows -= sum_this.rows
+    sum_this.rows[...] = tmp
+    sum_eps, sum_sigma = sum_next.nodes, sum_this.nodes
 
     # sum_eps and sum_sigma hold raw differences: the 1/dt of each difference
     # quotient and the dt of the time quadrature are folded in here

@@ -119,11 +119,13 @@ def build_grid(
         raise ValueError(f"final time T must be positive and finite, got {T!r}")
     if not 0.0 < cfl_safety < 1.0:
         raise ValueError("cfl_safety must lie in (0, 1)")
-    if eps_min < 1.0:
-        raise ValueError("eps_min must be >= 1")
+    if not 1.0 <= eps_min < math.inf:
+        raise ValueError(f"eps_min must be finite and >= 1, got {eps_min!r}")
     ex, ey = extent
-    if ex <= 0.0 or ey <= 0.0:
-        raise ValueError("extent must be positive")
+    if not (0.0 < ex < math.inf and 0.0 < ey < math.inf):
+        raise ValueError("extent must be positive and finite")
+    if not all(map(math.isfinite, origin)):
+        raise ValueError("origin must be finite")
     if abs(ex / nx - ey / ny) > 1e-12 * (ex / nx):
         raise ValueError("non-square cells: extent_x/nx must equal extent_y/ny")
     h = ex / nx

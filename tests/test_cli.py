@@ -242,7 +242,7 @@ def test_invert_finer_initial_field_exits_2(tmp_path, capsys):
     ("t_on", "0"), ("t_on", "-1"), ("side", "3"), ("frame_width", "-1"), ("frame_width", "6"),
     ("alpha_max", "-1"), ("alpha_max", "0"), ("beta_max", "-1"), ("beta_max", "nan"),
     ("t_on", "nan"), ("omega", "nan"), ("amplitude", "nan"), ("gamma_eps0", "nan"),
-    ("omega", "inf"), ("amplitude", "inf"), ("gamma_eps0", "inf"),
+    ("omega", "inf"), ("amplitude", "inf"), ("gamma_eps0", "inf"), ("eps_background", "inf"),
 ])
 def test_rejected_value_exits_2_before_solving(tmp_path, capsys, key, value):
     cfg = write_cfg(tmp_path)
@@ -258,6 +258,32 @@ def test_rejected_value_exits_2_before_solving(tmp_path, capsys, key, value):
                  "--out", str(out2), "--quiet"]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (out2 / "level_0").exists()
+
+
+@pytest.mark.parametrize("section, keys, command", [
+    ("initial.eps", "kind = constant\nvalue = inf", "invert"),
+    ("truth.eps", "kind = gaussian\nbase = inf", "synthesize"),
+    ("truth.eps", "kind = gaussian\namp = -inf", "synthesize"),
+    ("truth.eps", "kind = gaussian\nwidth = inf", "synthesize"),
+    ("truth.eps", "kind = gaussian\ncenter = 0.5, inf", "synthesize"),
+    ("initial.sigma", "kind = perturbed_truth\nscale = inf", "invert"),
+    ("truth.eps", "kind = gaussian\nwidth = 0", "synthesize"),
+], ids=["constant", "gaussian_base", "gaussian_amp", "gaussian_width", "gaussian_center",
+        "perturbed_truth", "gaussian_zero_width"])
+def test_invalid_coefficient_input_exits_2(tmp_path, capsys, section, keys, command):
+    # an infinite coefficient used to reach the solver and exit 3 as a blow-up,
+    # and a zero gaussian width ended in a ValueError traceback
+    declared = re.search(rf"^\[{re.escape(section)}\]\nkind = \w+\n(value = .*\n)?", BASE, re.M)
+    cfg = write_cfg(tmp_path, BASE.replace(declared.group(0), f"[{section}]\n{keys}\n"))
+    out = tmp_path / "run"
+    code = main(["synthesize", "--config", str(cfg), "--out", str(out), "--quiet"])
+    if command == "invert":
+        assert code == 0
+        code = main(["invert", "--config", str(out / "manifest.ini"), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and section in err
+    assert not (out / "convergence.csv").exists()
 
 
 def test_invert_adaptive_single_level_matches_invert(tmp_path):

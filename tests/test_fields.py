@@ -269,6 +269,11 @@ class TestAdmissibleSet:
             AdmissibleSet(sigma_min=-1.0)
         with pytest.raises(ValueError):
             AdmissibleSet(sigma_background=0.0, sigma_min=1.0)
+        # unbounded boxes are valid, infinite pinned values are not
+        with pytest.raises(ValueError):
+            AdmissibleSet(eps_background=np.inf, eps_max=np.inf)
+        with pytest.raises(ValueError):
+            AdmissibleSet(sigma_background=np.inf, sigma_max=np.inf)
 
     def test_bounds_by_role(self, unit_adm):
         assert unit_adm.bounds(Role.EPSILON) == (1.0, 10.0)

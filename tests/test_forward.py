@@ -18,11 +18,14 @@ from waveinv import (
     gaussian_coefficient,
     solve_forward,
 )
+from waveinv.adjoint import build_adjoint_programs
 from waveinv.forward import (
-    _block, _nodal, build_forward_programs, forward_levels, forward_operator, forward_trace,
+    Leapfrog, _block, _nodal, build_forward_programs, forward_levels, forward_operator,
+    forward_trace, leapfrog_levels,
 )
 from conftest import (
-    all_neumann_bc, discrete_energy, smooth_random_coefficient, stored_state, truth_pair,
+    all_neumann_bc, discrete_energy, smooth_random_coefficient, smooth_random_trace,
+    stored_state, truth_pair,
 )
 
 
@@ -432,3 +435,61 @@ def test_step_and_level_loop_allocate_no_level():
     finally:
         tracemalloc.stop()
     assert peak - base < level_bytes // 2
+
+
+@pytest.mark.parametrize("direction", ["forward", "adjoint"])
+def test_step_after_a_pass_closes_the_sides_of_its_own_level(direction):
+    # a pass leaves the absorbing closure of its last step patched into the
+    # coefficients; a later step must close the sides that absorb at its own n
+    g, eps, sig, src, bc = kernel_case("default")
+    rng = np.random.default_rng(3)
+    if direction == "forward":
+        programs = build_forward_programs(g, src, bc)
+    else:
+        programs = build_adjoint_programs(g, src, bc, smooth_random_trace(g, rng))
+    switched = programs[Side.LEFT].absorbing
+    switch = int(np.flatnonzero(switched != switched[0])[0])
+    used = Leapfrog(g, eps, sig, programs)
+    for _ in leapfrog_levels(used):
+        pass
+    for n in (g.nt - 1, 1, switch, switch - 1, switch + 1, 2):
+        cur, prev = rng.standard_normal((2, *g.node_shape))
+        fresh = Leapfrog(g, eps, sig, programs).step(cur, prev, n)
+        assert np.array_equal(used.step(cur, prev, n), fresh), n
+
+
+@pytest.mark.parametrize("offset", [0, 1, "mid"], ids=["block_first", "block_second", "mid_block"])
+def test_replay_across_the_switch_is_bitwise_the_pass(offset):
+    # the source side first absorbs at level k b + offset of a block of b levels
+    g = build_grid(16, 16, T=0.8)
+    b = _block(g.nt)
+    first = 2 * b + (b // 2 if offset == "mid" else offset)
+    src, bc = SourceSpec(t_on=(first - 0.5) * g.dt), BcConfig()
+    absorbing = build_forward_programs(g, src, bc)[Side.LEFT].absorbing
+    assert int(np.flatnonzero(absorbing)[0]) == first
+    eps, sig = truth_pair(g)
+    streamed = np.stack([lv.nodes.copy() for lv in forward_levels(g, eps, sig, src, bc)])
+    sol = solve_forward(g, eps, sig, src, bc)
+    replayed = np.stack([lv.nodes.copy() for lv in sol.levels_backward()])
+    assert np.array_equal(replayed, streamed[::-1])
+
+
+def test_building_a_leapfrog_allocates_no_level_beyond_its_own():
+    # the absorbing closure's tables are perimeter-sized: the operator keeps
+    # its three levels, three coefficient rows and a rows-sized scratch, and
+    # while it forms the coefficients a_plus and one temporary at most
+    g = build_grid(128, 128, T=0.1)
+    eps, sig = truth_pair(g)
+    programs = build_forward_programs(g, SourceSpec(t_on=0.05), BcConfig())
+    level_bytes = np.empty(g.node_shape).nbytes
+    pad_bytes = np.empty((g.nx + 3, g.ny + 3)).nbytes
+    tracemalloc.start()
+    try:
+        op = Leapfrog(g, eps, sig, programs)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    owned = 6 * pad_bytes + (g.nx + 1) * (g.ny + 3) * 8
+    assert len(op.levels) == 3
+    assert kept - owned < level_bytes // 2
+    assert peak - owned < 2 * level_bytes

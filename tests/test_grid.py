@@ -45,6 +45,10 @@ def test_bad_parameters_rejected():
         build_grid(20, 20, cfl_safety=1.5)
     with pytest.raises(ValueError):
         build_grid(20, 10, extent=(1.0, 1.0))  # non-square cells
+    # non-finite values: an infinite eps_min made nt = 0 and divided by it
+    for bad in ({"eps_min": np.inf}, {"extent": (np.inf, np.inf)}, {"origin": (np.nan, 0.0)}):
+        with pytest.raises(ValueError):
+            build_grid(20, 20, **bad)
 
 
 def test_region_mask_degenerate_and_perimeter():
