@@ -42,11 +42,15 @@ buffer, with every operand one contiguous run of memory.  The loops yield
 the PaddedLevel objects themselves, and PaddedLevel alone knows the
 layout: a consumer reads a level's nodes, or, when it streams over many
 levels, its rows as one contiguous run, since numpy copies a strided
-operand through a scratch buffer.  Finiteness is checked once per block of
-about sqrt(nt) levels, not at every level: a non-finite value never leaves
-this linear recursion, so a blow-up shows at the next check, and the solve
-is then replayed with every level checked so that the error names the
-first non-finite step.
+operand through a scratch buffer.  PaddedLevel also allocates every level
+buffer, and places it so that its rows start on a 64-byte cache line:
+numpy stores an out= run that starts off such a line 2.3-2.6 times slower
+at the size of a 200² level (AVX-512, numpy 2.4.6), and the step and the
+gradient sums store every level pass into such a run.  Finiteness is
+checked once per block of about sqrt(nt) levels, not at every level: a
+non-finite value never leaves this linear recursion, so a blow-up shows at
+the next check, and the solve is then replayed with every level checked so
+that the error names the first non-finite step.
 
 The gradient pairs the forward levels with the multiplier backward in
 time.  solve_forward therefore returns a ForwardSolution: the boundary
@@ -229,9 +233,19 @@ class PaddedLevel:
     yield these objects, and this class is the one owner of the layout.
 
     Only a level that is stepped from reads neighbours and sides, and most
-    checkpoints never are, so those two are made on first use."""
+    checkpoints never are, so those two are made on first use.
+
+    This class allocates all level memory.  It over-allocates one cache
+    line and places the buffer in it so that rows starts on a 64-byte line,
+    where numpy stores an out= run on its aligned vector path (2.3-2.6 times
+    faster at a 200² level).  rows begins ny+3 doubles into the buffer, so
+    in a buffer that is only 16-byte aligned, as malloc returns it, rows of
+    an even ny never start on a line.  The scratch runs of the step and of
+    the gradient sums are rows of their own levels for the same reason."""
 
     __slots__ = ("pad", "nodes", "rows", "neighbours", "sides")
+
+    LINE = 8  # doubles per 64-byte cache line
 
     # (ghost, mirror) per side, as indices into the buffer
     SLOTS = {
@@ -241,14 +255,14 @@ class PaddedLevel:
         Side.TOP: (np.s_[1:-1, -1], np.s_[1:-1, -3]),
     }
 
-    def __init__(self, grid: Grid2D, pad: np.ndarray | None = None) -> None:
-        """A zero level, or a level over the given (nx+3, ny+3) buffer."""
-        if pad is None:
-            pad = np.zeros((grid.nx + 3, grid.ny + 3))
-        self.pad = pad
+    def __init__(self, grid: Grid2D) -> None:
+        """A zero level, its rows on a cache line."""
+        w, size = grid.ny + 3, (grid.nx + 3) * (grid.ny + 3)
+        buffer = np.zeros(size + self.LINE)
+        skip = -(buffer.ctypes.data // 8 + w) % self.LINE
+        self.pad = pad = buffer[skip:skip + size].reshape(grid.nx + 3, w)
         self.nodes = pad[1:-1, 1:-1]
-        w = grid.ny + 3
-        self.rows = pad.ravel()[w:w * (grid.nx + 2)]
+        self.rows = buffer[skip + w:skip + size - w]
 
     def __getattr__(self, name: str) -> tuple:
         # called only while the neighbours and sides slots are still unset
@@ -266,6 +280,13 @@ class PaddedLevel:
         """A level holding the nodal values, its ghosts zero."""
         level = cls(grid)
         level.nodes[...] = values
+        return level
+
+    def copy(self, grid: Grid2D) -> "PaddedLevel":
+        """A new level of the grid holding this level's values, ghosts
+        included."""
+        level = PaddedLevel(grid)
+        level.pad[...] = self.pad
         return level
 
     @staticmethod
@@ -340,7 +361,9 @@ class Leapfrog:
         self._c_cur = PaddedLevel.of(grid, (2.0 * eps_v / dt**2 - 4.0 / h**2) / a_plus).rows
         self._c_prev = PaddedLevel.of(grid, (eps_v / dt**2 - sig_v / (2.0 * dt)) / a_plus).rows
         self._c_lap = PaddedLevel.of(grid, 1.0 / (a_plus * h**2)).rows
-        self._scratch = np.empty(self._c_cur.size)
+        self._scratch = PaddedLevel(grid).rows
+        # isfinite of a strided view would copy it, so _advance checks whole buffers
+        self._finite = np.empty((grid.nx + 3, grid.ny + 3), dtype=bool)
         # only the forcing term reads a_plus after this
         self._a_plus = None if forcing is None else a_plus
         self._flux = np.array(2.0 * h)  # a 0-d array scales faster than a float
@@ -461,8 +484,7 @@ def _advance(
     and yield it, levels n+1, n+2, ...  The levels m with
     m % block < 2 (a block's checkpoint pair) and the last level are
     checked finite before they are yielded."""
-    nt = op.grid.nt
-    finite = np.empty(cur.pad.shape, dtype=bool)  # isfinite of a strided view would copy it
+    nt, finite = op.grid.nt, op._finite
     for out in outs:
         op.advance(cur, prev, n, out)
         n += 1
@@ -559,7 +581,7 @@ class ForwardSolution:
                 if j == 0:  # a last block of one level has a one-level pair
                     self.pairs.append([])
                 if j < 2:
-                    self.pairs[-1].append(PaddedLevel(grid, level.pad.copy()))
+                    self.pairs[-1].append(level.copy(grid))
                 yield level
 
         self.trace: BoundaryTrace | None = trace_of_levels(

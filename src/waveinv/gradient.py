@@ -69,7 +69,7 @@ def gradient_sweep(
     dt = grid.dt
     wt, w = time_weights(grid), PaddedLevel.of(grid, area_weights(grid)).rows
     sum_next, sum_this = PaddedLevel(grid), PaddedLevel(grid)  # A and B
-    dlam, tmp = np.empty(w.size), np.empty(w.size)
+    dlam, tmp = PaddedLevel(grid).rows, PaddedLevel(grid).rows
     lam_sq = 0.0
     lam_next = e_next = None
     levels = zip(range(grid.nt, -1, -1), lam_backward, E.levels_backward(), strict=True)

@@ -22,7 +22,7 @@ from waveinv import (
     trace_norm_sq,
 )
 from waveinv.adjoint import build_adjoint_programs
-from waveinv.forward import BcKind, build_forward_programs
+from waveinv.forward import BcKind, Leapfrog, SideProgram, build_forward_programs
 from waveinv.grid import Side
 from conftest import (
     all_neumann_bc,
@@ -195,6 +195,37 @@ def test_adjoint_levels_copies_the_boundary_data_once(medium_grid):
         tracemalloc.stop()
     assert peak <= 2 * trace_bytes
     assert sum(1 for _ in lam_backward) == medium_grid.nt + 1
+
+
+def test_adjoint_levels_holds_one_residual_beyond_its_operator(medium_grid):
+    # what building the sweep allocates beyond the same operator with
+    # series-free programs is the residual's one copy, g, and the programs'
+    # time axis and flags; one warm sweep first, so that no lazy import of
+    # numpy is counted
+    g = medium_grid
+    eps, sig = truth_pair(g)
+    residual = smooth_random_trace(g, np.random.default_rng(4))
+    bc, src = BcConfig(), SourceSpec()
+    for _ in adjoint_levels(g, eps, sig, residual, bc, src):
+        pass
+    programs = build_adjoint_programs(g, src, bc, residual)
+
+    def traced_peak(build):
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    sweep = traced_peak(lambda: adjoint_levels(g, eps, sig, residual, bc, src))
+    operator = traced_peak(lambda: Leapfrog(g, eps, sig, {
+        side: SideProgram(p.absorbing.copy(), None) for side, p in programs.items()
+    }))
+    residual_bytes = sum(a.nbytes for a in residual.data.values())
+    # one float time axis and one flag per side, per level
+    time_and_flags = (g.nt + 1) * (8 + len(ALL_SIDES))
+    assert sweep - operator <= residual_bytes + time_and_flags
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])

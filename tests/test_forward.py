@@ -18,10 +18,10 @@ from waveinv import (
     gaussian_coefficient,
     solve_forward,
 )
-from waveinv.adjoint import build_adjoint_programs
+from waveinv.adjoint import adjoint_levels, build_adjoint_programs
 from waveinv.forward import (
-    Leapfrog, _block, _nodal, build_forward_programs, forward_levels, forward_operator,
-    forward_trace, leapfrog_levels,
+    Leapfrog, PaddedLevel, _block, _nodal, build_forward_programs, forward_levels,
+    forward_operator, forward_trace, leapfrog_levels,
 )
 from conftest import (
     all_neumann_bc, discrete_energy, smooth_random_coefficient, smooth_random_trace,
@@ -493,3 +493,34 @@ def test_building_a_leapfrog_allocates_no_level_beyond_its_own():
     assert len(op.levels) == 3
     assert kept - owned < level_bytes // 2
     assert peak - owned < 2 * level_bytes
+
+
+def on_cache_line(run):
+    return run.ctypes.data % 64 == 0
+
+
+# the row pitch ny+3 odd (16², 17x24, 33x20) and even (24x17, 20x33)
+@pytest.mark.parametrize("nx,ny", [(16, 16), (17, 24), (33, 20), (24, 17), (20, 33)])
+def test_every_level_run_starts_on_a_cache_line(nx, ny):
+    # numpy stores an out= run that starts off a 64-byte line on a slower path
+    g = build_grid(nx, ny, T=0.3, extent=(nx / max(nx, ny), ny / max(nx, ny)))
+    eps, sig = truth_pair(g)
+    src, bc = SourceSpec(), BcConfig()
+    assert all(on_cache_line(PaddedLevel(g).rows) for _ in range(8))
+    op = forward_operator(g, eps, sig, src, bc)
+    assert all(on_cache_line(run) for run in (op._c_lap, op._c_cur, op._c_prev, op._scratch))
+    assert all(on_cache_line(level.rows) for level in leapfrog_levels(op))
+    sol = solve_forward(g, eps, sig, src, bc)
+    assert all(on_cache_line(level.rows) for pair in sol.pairs for level in pair)
+    assert all(on_cache_line(level.rows) for level in sol.levels_backward())
+    residual = smooth_random_trace(g, np.random.default_rng(5))
+    assert all(on_cache_line(level.rows) for level in adjoint_levels(g, eps, sig, residual, bc, src))
+
+
+def test_a_copied_level_is_a_new_level_with_every_value():
+    g = build_grid(17, 24, T=0.3, extent=(17 / 24, 1.0))
+    level = PaddedLevel(g)
+    level.pad[...] = np.random.default_rng(6).standard_normal(level.pad.shape)
+    copy = level.copy(g)
+    assert np.array_equal(copy.pad, level.pad) and not np.shares_memory(copy.pad, level.pad)
+    assert on_cache_line(copy.rows)
