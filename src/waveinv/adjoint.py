@@ -17,10 +17,10 @@ level at a time as the backward sweep computes it, and every consumer (the
 gradient sums of the optimizer and of grad-check, the energy monitor, the
 L_*.vtk dumps) uses each level as it arrives, so no multiplier is stored.
 
-The series of an observed side, from build_adjoint_programs, is the Neumann
-data g = -residual(T - s).  The Leapfrog scales it by 2 h as it fills each
-ghost row, so g is the one copy of the boundary data that a sweep holds: a
-caller that drops its residual once adjoint_levels returns sweeps with g alone.
+The residual's one array, negated and reversed once, is the Neumann data
+g = -residual(T - s), one block that the observed sides share and that the
+Leapfrog scales by 2 h as it adds it, so g is the one copy of the boundary
+data a sweep holds: a caller that drops its residual sweeps with g alone.
 """
 
 from __future__ import annotations
@@ -47,19 +47,15 @@ def build_adjoint_programs(
 ) -> dict[Side, SideProgram]:
     nt = grid.nt
     rev_times = grid.T - grid.dt * np.arange(nt + 1)
+    g = -residual.values[::-1]
     programs: dict[Side, SideProgram] = {}
     for side in ALL_SIDES:
         kind = bc.kind(side)
-        if kind is BcKind.ABSORBING:
-            absorbing = np.ones(nt + 1, dtype=bool)
-        elif kind is BcKind.SOURCE_THEN_ABSORBING:
+        if kind is BcKind.SOURCE_THEN_ABSORBING:
             absorbing = switched_absorbing(rev_times, src)
         else:
-            absorbing = np.zeros(nt + 1, dtype=bool)
-        series = None
-        if side in residual.sides:
-            series = -residual.data[side][::-1]
-        programs[side] = SideProgram(absorbing, series)
+            absorbing = np.full(nt + 1, kind is BcKind.ABSORBING)
+        programs[side] = SideProgram(absorbing, g if side in residual.sides else None)
     return programs
 
 

@@ -4,6 +4,10 @@ builders, projection, noise injection and inter-grid transfer.
 All field types are value-semantic: operations return new instances and the
 underlying arrays are marked read-only, so instances can be shared across
 threads without locking.
+
+A boundary trace is one (nt+1, P) array over its sides, whose columns are
+the perimeter layout of grid.perimeter_offsets: the sides in side order and
+each side's nodes by index, so a corner appears once per side containing it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
-from .grid import Grid2D, RegionMask, Side, side_slice
+from .grid import Grid2D, RegionMask, Side, perimeter_nodes, perimeter_offsets
 
 if TYPE_CHECKING:
     from .forward import ForwardSolution
@@ -117,51 +121,41 @@ class SpaceTimeField:
 
 @dataclass(frozen=True)
 class BoundaryTrace:
-    """Per-side, per-node, per-time-level boundary values.
+    """Boundary values of the declared sides, distinct and in side order.
 
-    data maps each declared side to an array of shape (nt+1, n_side_nodes).
-    Only declared sides carry data, which supports partial observations.
+    values is one read-only (nt+1, P) array: row n is time level n, and the
+    columns, the sides' perimeter layout, are the row order of trace.csv in
+    a time level; data maps each side to a view of its columns.  Only
+    declared sides carry data, which supports partial observations.
     """
 
     grid: Grid2D
     sides: tuple[Side, ...]
-    data: Mapping[Side, np.ndarray] = dc_field(repr=False)
+    values: np.ndarray = dc_field(repr=False)
+    data: Mapping[Side, np.ndarray] = dc_field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.sides:
-            raise ValueError("a boundary trace needs at least one side")
-        sides = tuple(sorted(set(Side(s) for s in self.sides)))
+        sides = tuple(map(Side, self.sides))
+        if not sides or sides != tuple(sorted(set(sides))):
+            raise ValueError(f"a boundary trace needs distinct sides in side order, got {sides}")
+        start = perimeter_offsets(self.grid, sides)
+        values, expect = _freeze(self.values), (self.grid.nt + 1, int(start[-1]))
+        if values.shape != expect:
+            raise ValueError(f"trace shape {values.shape}, expected {expect}")
         object.__setattr__(self, "sides", sides)
-        data = {}
-        for side in sides:
-            if side not in self.data:
-                raise ValueError(f"side {side.name} declared but carries no data")
-            arr = np.asarray(self.data[side], dtype=np.float64)
-            expect = (self.grid.nt + 1, self.grid.side_node_count(side))
-            if arr.shape != expect:
-                raise ValueError(
-                    f"side {side.name}: trace shape {arr.shape}, expected {expect}"
-                )
-            data[side] = _freeze(arr)
+        object.__setattr__(self, "values", values)
+        data = {side: values[:, a:b] for side, a, b in zip(sides, start, start[1:])}
         object.__setattr__(self, "data", data)
 
     def map(self, fn) -> "BoundaryTrace":
-        return BoundaryTrace(
-            grid=self.grid,
-            sides=self.sides,
-            data={s: fn(self.data[s]) for s in self.sides},
-        )
+        return BoundaryTrace(grid=self.grid, sides=self.sides, values=fn(self.values))
 
     def __sub__(self, other: "BoundaryTrace") -> "BoundaryTrace":
         self.check_compatible(other)
-        return BoundaryTrace(
-            grid=self.grid,
-            sides=self.sides,
-            data={s: self.data[s] - other.data[s] for s in self.sides},
-        )
+        return BoundaryTrace(grid=self.grid, sides=self.sides, values=self.values - other.values)
 
     def max_abs(self) -> float:
-        return max(float(np.abs(self.data[s]).max()) for s in self.sides)
+        return float(np.abs(self.values).max())
 
     def check_compatible(self, other: "BoundaryTrace") -> None:
         if self.sides != other.sides:
@@ -224,15 +218,20 @@ def extract_trace(
     field: SpaceTimeField | ForwardSolution, sides: Iterable[Side]
 ) -> BoundaryTrace:
     """Restrict a state to the boundary nodes of the declared sides: a
-    ForwardSolution holds its all-sides trace, and a stored STATE field's
-    stack is sliced one side at a time."""
+    ForwardSolution hands over its all-sides trace itself, or a copy of the
+    columns of fewer sides, and a stored STATE field's stack is gathered."""
+    sides = tuple(sorted(set(map(Side, sides))))
     if not isinstance(field, SpaceTimeField):
-        return BoundaryTrace(grid=field.grid, sides=tuple(sides), data=field.trace.data)
+        trace = field.trace
+        if sides == trace.sides:
+            return trace
+        kept = np.repeat([s in sides for s in trace.sides], [v.shape[1] for v in trace.data.values()])
+        return BoundaryTrace(grid=trace.grid, sides=sides, values=trace.values[:, kept])
     if field.kind is not FieldKind.STATE:
         raise ValueError("traces are extracted from STATE fields")
-    sides = tuple(Side(s) for s in sides)
-    data = {side: field.snapshots[(slice(None), *side_slice(field.grid, side))] for side in sides}
-    return BoundaryTrace(grid=field.grid, sides=sides, data=data)
+    stack = field.snapshots.reshape(field.grid.nt + 1, -1)
+    return BoundaryTrace(grid=field.grid, sides=sides,
+                         values=stack[:, perimeter_nodes(field.grid, sides)])
 
 
 def add_noise(
@@ -251,14 +250,17 @@ def add_noise(
     if level < 0.0:
         raise ValueError("noise level must be >= 0")
     if level == 0.0:
-        return trace.map(lambda arr: arr.copy())
+        return trace.map(np.copy)
     scale = level if model is NoiseModel.ADDITIVE_GAUSSIAN else level * trace.max_abs()
     rng = np.random.default_rng(seed)
-    data = {}
-    for side in trace.sides:
-        arr = trace.data[side]
-        data[side] = arr + scale * rng.standard_normal(arr.shape)
-    return BoundaryTrace(grid=trace.grid, sides=trace.sides, data=data)
+    noise = np.empty_like(trace.values)
+    start = perimeter_offsets(trace.grid, trace.sides)
+    for a, b in zip(start, start[1:]):
+        for row in noise[:, a:b]:  # drawn in place, so no block is held twice
+            rng.standard_normal(out=row)
+    noise *= scale
+    noise += trace.values
+    return BoundaryTrace(grid=trace.grid, sides=trace.sides, values=noise)
 
 
 def _check_nested(coarse: Grid2D, fine: Grid2D) -> None:
@@ -311,13 +313,12 @@ def transfer_to_refined(obj, fine_grid: Grid2D):
         )
     if isinstance(obj, BoundaryTrace):
         _check_nested(obj.grid, fine_grid)
-        data = {}
-        for side in obj.sides:
-            in_time = _interp_time(obj.data[side], obj.grid, fine_grid)
-            n = in_time.shape[1]
-            out = np.empty((fine_grid.nt + 1, 2 * (n - 1) + 1))
-            out[:, ::2] = in_time
-            out[:, 1::2] = 0.5 * (in_time[:, :-1] + in_time[:, 1:])
-            data[side] = out
-        return BoundaryTrace(grid=fine_grid, sides=obj.sides, data=data)
+        in_time = _interp_time(obj.values, obj.grid, fine_grid)
+        coarse, fine = (perimeter_offsets(g, obj.sides) for g in (obj.grid, fine_grid))
+        # fine node k of a side is the mean of coarse nodes k // 2 and (k + 1) // 2
+        side = np.repeat(np.arange(len(obj.sides)), np.diff(fine))
+        k = np.arange(fine[-1]) - fine[side]
+        lo = coarse[side] + k // 2
+        out = 0.5 * (in_time[:, lo] + in_time[:, lo + k % 2])
+        return BoundaryTrace(grid=fine_grid, sides=obj.sides, values=out)
     raise TypeError(f"cannot transfer object of type {type(obj).__name__}")

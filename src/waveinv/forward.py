@@ -65,11 +65,11 @@ import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .grid import ALL_SIDES, Grid2D, Side, area_weights
+from .grid import ALL_SIDES, Grid2D, Side, area_weights, perimeter_nodes, perimeter_offsets
 from .fields import BoundaryTrace, CoefficientField, extract_trace
 
 
@@ -157,16 +157,12 @@ class SideProgram:
 
     absorbing[n] switches the outflow ghost term on at level n;
     series is Neumann flux data per level, with a value per side node or one
-    value for the whole side (None means zero).
+    value for the whole side (None means zero).  Sides whose programs hold
+    one series share it: a value per node of their perimeter layout, or one.
     """
 
     absorbing: np.ndarray
     series: np.ndarray | None
-
-
-def _side_axis_values(grid: Grid2D, side: Side, fn: Callable, t: float) -> np.ndarray:
-    x, y = grid.side_coords(side)
-    return np.asarray(fn(x, y, t), dtype=np.float64) * np.ones(grid.side_node_count(side))
 
 
 def switched_absorbing(times: np.ndarray, src: SourceSpec) -> np.ndarray:
@@ -182,20 +178,16 @@ def build_forward_programs(
     programs: dict[Side, SideProgram] = {}
     for side in ALL_SIDES:
         kind = bc.kind(side)
-        if kind is BcKind.NEUMANN_ZERO:
-            programs[side] = SideProgram(np.zeros(grid.nt + 1, dtype=bool), None)
-        elif kind is BcKind.ABSORBING:
-            programs[side] = SideProgram(np.ones(grid.nt + 1, dtype=bool), None)
+        if kind in (BcKind.NEUMANN_ZERO, BcKind.ABSORBING):
+            programs[side] = SideProgram(np.full(grid.nt + 1, kind is BcKind.ABSORBING), None)
         elif kind is BcKind.SOURCE_THEN_ABSORBING:
             absorbing = switched_absorbing(times, src)
             pulse = np.where(absorbing, 0.0, src.amplitude * np.sin(src.omega * times))
             programs[side] = SideProgram(absorbing, pulse[:, None])
         else:  # NEUMANN_DATA
-            fn = bc.neumann_data[side]
-            n = grid.side_node_count(side)
-            series = np.empty((grid.nt + 1, n))
-            for i, t in enumerate(times):
-                series[i] = _side_axis_values(grid, side, fn, t)
+            (x, y), fn = grid.side_coords(side), bc.neumann_data[side]
+            ones = np.ones(grid.side_node_count(side))
+            series = np.array([np.asarray(fn(x, y, t), dtype=np.float64) * ones for t in times])
             programs[side] = SideProgram(np.zeros(grid.nt + 1, dtype=bool), series)
     return programs
 
@@ -225,15 +217,15 @@ def check_cfl(grid: Grid2D, eps: CoefficientField) -> None:
 
 
 class PaddedLevel:
-    """One ghost-padded (nx+3, ny+3) level buffer (pad), nodes at [1:-1, 1:-1],
-    with the views that a leapfrog step reads or writes made once: the node
-    view (nodes), the run of rows 1..nx+1 with their ghost columns (rows),
-    that run shifted to each of the four neighbours, and per side (in
-    ALL_SIDES order) the ghost slots and the mirror row.  The time loops
-    yield these objects, and this class is the one owner of the layout.
+    """One ghost-padded (nx+3, ny+3) level buffer (pad, and flat, the same
+    buffer as one run), nodes at [1:-1, 1:-1], with the views that a
+    leapfrog step reads or writes made once: the node view (nodes), the run
+    of rows 1..nx+1 with their ghost columns (rows) and that run shifted to
+    each of the four neighbours.  The time loops yield these objects, and
+    this class is the one owner of the layout.
 
-    Only a level that is stepped from reads neighbours and sides, and most
-    checkpoints never are, so those two are made on first use.
+    Only a level that is stepped from reads neighbours, and most
+    checkpoints never are, so those are made on first use.
 
     This class allocates all level memory.  It over-allocates one cache
     line and places the buffer in it so that rows starts on a 64-byte line,
@@ -243,37 +235,28 @@ class PaddedLevel:
     an even ny never start on a line.  The scratch runs of the step and of
     the gradient sums are rows of their own levels for the same reason."""
 
-    __slots__ = ("pad", "nodes", "rows", "neighbours", "sides")
+    __slots__ = ("flat", "pad", "nodes", "rows", "neighbours")
 
     LINE = 8  # doubles per 64-byte cache line
-
-    # (ghost, mirror) per side, as indices into the buffer
-    SLOTS = {
-        Side.LEFT: (np.s_[0, 1:-1], np.s_[2, 1:-1]),
-        Side.RIGHT: (np.s_[-1, 1:-1], np.s_[-3, 1:-1]),
-        Side.BOTTOM: (np.s_[1:-1, 0], np.s_[1:-1, 2]),
-        Side.TOP: (np.s_[1:-1, -1], np.s_[1:-1, -3]),
-    }
 
     def __init__(self, grid: Grid2D) -> None:
         """A zero level, its rows on a cache line."""
         w, size = grid.ny + 3, (grid.nx + 3) * (grid.ny + 3)
         buffer = np.zeros(size + self.LINE)
         skip = -(buffer.ctypes.data // 8 + w) % self.LINE
-        self.pad = pad = buffer[skip:skip + size].reshape(grid.nx + 3, w)
+        self.flat = buffer[skip:skip + size]
+        self.pad = pad = self.flat.reshape(grid.nx + 3, w)
         self.nodes = pad[1:-1, 1:-1]
         self.rows = buffer[skip + w:skip + size - w]
 
     def __getattr__(self, name: str) -> tuple:
-        # called only while the neighbours and sides slots are still unset
-        if name not in ("neighbours", "sides"):
+        # called only while the neighbours slot is still unset
+        if name != "neighbours":
             raise AttributeError(name)
-        pad = self.pad
-        p, w = pad.ravel(), pad.shape[1]
+        p, w = self.flat, self.pad.shape[1]
         lo, hi = w, p.size - w
         self.neighbours = (p[lo + w:hi + w], p[lo - w:hi - w], p[lo + 1:hi + 1], p[lo - 1:hi - 1])
-        self.sides = tuple(tuple(pad[i] for i in self.SLOTS[side]) for side in ALL_SIDES)
-        return getattr(self, name)
+        return self.neighbours
 
     @classmethod
     def of(cls, grid: Grid2D, values: np.ndarray) -> "PaddedLevel":
@@ -290,14 +273,11 @@ class PaddedLevel:
         return level
 
     @staticmethod
-    def boundary_rows(grid: Grid2D, sides: Iterable[Side]) -> list[np.ndarray]:
-        """Per side, the index in rows of each of its nodes, in the order
-        that grid.side_slice takes them: node (i, j) sits at i (ny+3) + j + 1."""
-        starts = np.arange(grid.nx + 1) * (grid.ny + 3)
-        columns = np.arange(1, grid.ny + 2)
-        at = {Side.LEFT: columns, Side.RIGHT: starts[-1] + columns,
-              Side.BOTTOM: starts + 1, Side.TOP: starts + grid.ny + 1}
-        return [at[side] for side in sides]
+    def boundary_rows(grid: Grid2D, sides: Sequence[Side]) -> np.ndarray:
+        """The index in rows of each node of the perimeter layout of the
+        sides: node (i, j) sits at i (ny+3) + j + 1."""
+        nodes = perimeter_nodes(grid, sides)
+        return nodes + 2 * (nodes // (grid.ny + 1)) + 1
 
 
 def _block(nt: int) -> int:
@@ -368,21 +348,37 @@ class Leapfrog:
         self._a_plus = None if forcing is None else a_plus
         self._flux = np.array(2.0 * h)  # a 0-d array scales faster than a float
         self.levels = [PaddedLevel(grid) for _ in range(3)]
-        # the program's own Neumann data g per side, in ALL_SIDES order,
-        # scaled by 2 h in the ghost slot so that no copy is kept
-        self._series = [programs[side].series for side in ALL_SIDES]
 
-        # the perimeter nodes' indices in rows, each node once; per side, the
-        # positions of its nodes among them; and c_cur, c_prev there with no
-        # side absorbing
+        # the Neumann data g in blocks, the sides that share one series
+        blocks: dict[int, tuple[np.ndarray, list[Side]]] = {}
+        for side in ALL_SIDES:
+            if (series := programs[side].series) is not None:
+                blocks.setdefault(id(series), (series, []))[1].append(side)
+        # the index in flat of each ghost slot and of its mirror, one step
+        # (ny+3 or 1) outward and inward of its node, with the blocks' sides
+        # first and side by side, so that each block adds its 2 h g, scaled
+        # as it is added so that no copy is kept, to one slice of the slots
+        order = [side for _, sides in blocks.values() for side in sides]
+        slots, w = order + [side for side in ALL_SIDES if side not in order], grid.ny + 3
+        step = np.repeat([{Side.LEFT: -w, Side.BOTTOM: -1, Side.RIGHT: w, Side.TOP: 1}[side]
+                          for side in slots], np.diff(perimeter_offsets(grid, slots)))
+        node = PaddedLevel.boundary_rows(grid, slots) + w
+        self._ghost, self._mirror = node + step, node - step
+        start, self._neumann = perimeter_offsets(grid, order), []
+        for series, sides in blocks.values():
+            self._neumann.append((slice(start[0], start[len(sides)]), series))
+            start = start[len(sides):]
+        self._count = np.diff(perimeter_offsets(grid, ALL_SIDES))
+
+        # the perimeter nodes' indices in rows, each node once; the position
+        # among them of each node of the perimeter layout; and c_cur, c_prev
+        # there with no side absorbing
         on_side = PaddedLevel.boundary_rows(grid, ALL_SIDES)
         marked = np.zeros(self._c_cur.size, dtype=bool)
-        marked[np.concatenate(on_side)] = True
+        marked[on_side] = True
         self._edge = np.flatnonzero(marked)
-        self._on_side = [np.searchsorted(self._edge, rows) for rows in on_side]
+        self._edge_of = np.searchsorted(self._edge, on_side)
         self._open = (self._c_cur[self._edge], self._c_prev[self._edge])
-        # per perimeter node, 2h/dt times its number of absorbing sides
-        self._closure = np.zeros(self._edge.size)
         self._absorb = 2.0 * h / dt
         # the pattern per level: bit k set when side ALL_SIDES[k] absorbs
         self._pattern = sum(
@@ -404,26 +400,24 @@ class Leapfrog:
         """Patch the perimeter entries of c_cur and c_prev to the absorbing
         pattern of level n."""
         pattern = self._pattern[n]
-        closure = self._closure
-        closure.fill(0.0)
-        for k, at in enumerate(self._on_side):
-            if pattern >> k & 1:
-                closure[at] += self._absorb
+        absorbing = np.repeat(pattern >> np.arange(len(ALL_SIDES)) & 1, self._count)
+        # per perimeter node, 2h/dt times its number of absorbing sides
+        self._closure = closure = self._absorb * np.bincount(
+            self._edge_of, weights=absorbing, minlength=self._edge.size)
         shift = self._c_lap[self._edge] * closure
         self._c_cur[self._edge] = self._open[0] - shift
         self._c_prev[self._edge] = self._open[1] - shift
         self._applied = pattern
 
     def _neighbour_sum(self, cur: PaddedLevel, n: int, out: np.ndarray) -> np.ndarray:
-        """Fill the ghosts of level n (cur) with the mirror and Neumann
-        terms of the boundary closures and write the sum of every node's
-        four neighbours into the run out (its ghost columns get junk)."""
-        for (ghost, mirror), series in zip(cur.sides, self._series):
-            if series is None:
-                ghost[...] = mirror  # faster than np.copyto on a row this short
-            else:  # mirror + 2 h g, with 2 h g formed in the ghost slot
-                np.multiply(series[n], self._flux, out=ghost)
-                ghost += mirror
+        """Fill the ghosts of level n (cur) with their mirrors plus each
+        block's Neumann term, and write the sum of every node's four
+        neighbours into the run out (its ghost columns get junk)."""
+        flat = cur.flat
+        ghosts = flat[self._mirror]
+        for slots, series in self._neumann:
+            ghosts[slots] += series[n] * self._flux
+        flat[self._ghost] = ghosts
         up, down, right, left = cur.neighbours
         np.add(up, down, out=out)
         out += right
@@ -655,19 +649,18 @@ def trace_of_levels(
 ) -> BoundaryTrace:
     """Boundary trace of state levels 0..nt given one at a time, so a
     stream of levels yields its trace without being stored.  Each level's
-    boundary nodes are gathered from its rows in one call into one
-    (nt+1, perimeter) buffer, which is split per side at the end."""
+    boundary nodes are gathered from its rows in one call into its row of
+    the (nt+1, P) array that the trace then holds, with no further copy."""
     sides = tuple(sorted(set(Side(s) for s in sides)))
     if not sides:
         raise ValueError("at least one side must be declared")
-    index = np.concatenate(PaddedLevel.boundary_rows(grid, sides))
-    gathered = np.empty((grid.nt + 1, index.size))
+    index, gathered = PaddedLevel.boundary_rows(grid, sides), None
     # strict: a stream of any other length than nt+1 levels is an error
     for n, level in zip(range(grid.nt + 1), levels, strict=True):
+        if gathered is None:  # once level 0 is out, the start-up's temporaries are gone
+            gathered = np.empty((grid.nt + 1, index.size))
         level.rows.take(index, out=gathered[n], mode="clip")  # "raise" buffers out
-    ends = np.cumsum([0] + [grid.side_node_count(side) for side in sides])
-    data = {side: gathered[:, a:b] for side, a, b in zip(sides, ends[:-1], ends[1:])}
-    return BoundaryTrace(grid=grid, sides=sides, data=data)
+    return BoundaryTrace(grid=grid, sides=sides, values=gathered)
 
 
 def forward_trace(

@@ -13,6 +13,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
+from typing import Sequence
 
 import numpy as np
 
@@ -215,13 +216,34 @@ def area_weights(grid: Grid2D) -> np.ndarray:
     return np.outer(wx, wy)
 
 
+def perimeter_offsets(grid: Grid2D, sides: Sequence[Side]) -> np.ndarray:
+    """Where each side's nodes start in the perimeter layout of the sides,
+    and its length P last: the sides in the order given, each side's nodes
+    by index, so a corner appears once per side that contains it."""
+    return np.cumsum([0, *(grid.side_node_count(side) for side in sides)])
+
+
+def perimeter_nodes(grid: Grid2D, sides: Sequence[Side]) -> np.ndarray:
+    """The index of each node of the perimeter layout of the sides in a
+    flattened (nx+1, ny+1) node array: node (i, j) sits at i (ny+1) + j."""
+    i, j, w = np.arange(grid.nx + 1), np.arange(grid.ny + 1), grid.ny + 1
+    at = {Side.LEFT: j, Side.RIGHT: grid.nx * w + j, Side.BOTTOM: i * w, Side.TOP: i * w + grid.ny}
+    return np.concatenate([np.empty(0, dtype=int), *(at[side] for side in sides)])
+
+
 @_shared
+def perimeter_weights(grid: Grid2D, sides: tuple[Side, ...]) -> np.ndarray:
+    """Trapezoid weights of the perimeter layout of the sides, along each
+    side's edge (half weight at the edge ends)."""
+    start = perimeter_offsets(grid, sides)
+    w = np.full(start[-1], grid.h)
+    w[start[:-1]] = w[start[1:] - 1] = grid.h / 2.0
+    return w
+
+
 def side_weights(grid: Grid2D, side: Side) -> np.ndarray:
     """Trapezoid weights along one boundary edge (half weight at the edge ends)."""
-    n = grid.side_node_count(side)
-    w = np.full(n, grid.h)
-    w[0] = w[-1] = grid.h / 2.0
-    return w
+    return perimeter_weights(grid, (side,))
 
 
 @_shared
@@ -230,14 +252,3 @@ def time_weights(grid: Grid2D) -> np.ndarray:
     w = np.full(grid.nt + 1, grid.dt)
     w[0] = w[-1] = grid.dt / 2.0
     return w
-
-
-def side_slice(grid: Grid2D, side: Side) -> tuple:
-    """Index expression selecting a side's nodes from a (nx+1, ny+1) array."""
-    if side == Side.LEFT:
-        return (0, slice(None))
-    if side == Side.RIGHT:
-        return (grid.nx, slice(None))
-    if side == Side.BOTTOM:
-        return (slice(None), 0)
-    return (slice(None), grid.ny)

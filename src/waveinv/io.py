@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .fields import BoundaryTrace, CoefficientField, Role
-from .grid import Grid2D, Side
+from .grid import Grid2D, Side, perimeter_offsets
 from .gradient import GradientSample
 from .optimizer import LEVELS_HEADER, LOG_HEADER, LevelReport, LogRow
 
@@ -55,14 +55,13 @@ def _read_csv(path: str | Path, header: str) -> np.ndarray:
 
 
 def write_trace_csv(trace: BoundaryTrace, path: str | Path) -> None:
-    """Rows ordered by time level, then side number, then node index,
-    formatted one time level at a time."""
-    keys = [f",{int(s)},{k}," for s in trace.sides for k in range(trace.data[s].shape[1])]
+    """Rows ordered by time level, then side number, then node index: the
+    rows of the trace's values, formatted one time level at a time."""
+    keys = [f",{int(s)},{k}," for s, block in trace.data.items() for k in range(block.shape[1])]
     with open(path, "w", newline="") as fh:
         fh.write(TRACE_HEADER + EOL)
-        for n, t in enumerate(_cells(trace.grid.times())):
-            values = _cells(np.concatenate([trace.data[s][n] for s in trace.sides]))
-            fh.write("".join([f"{t}{key}{v}{EOL}" for key, v in zip(keys, values)]))
+        for t, row in zip(_cells(trace.grid.times()), trace.values):
+            fh.write("".join([f"{t}{key}{v}{EOL}" for key, v in zip(keys, _cells(row))]))
 
 
 def read_trace_csv(path: str | Path, grid: Grid2D) -> BoundaryTrace:
@@ -77,8 +76,10 @@ def read_trace_csv(path: str | Path, grid: Grid2D) -> BoundaryTrace:
     if off.any():
         raise ValueError(f"{path}: time {float(t[off][0])!r} is not a time level of the grid "
                          f"(dt = {grid.dt!r})")
-    data = {}
-    for side in map(Side, np.unique(side_col).tolist()):
+    sides = tuple(map(Side, np.unique(side_col).tolist()))
+    start = perimeter_offsets(grid, sides)
+    table = np.empty((grid.nt + 1, start[-1]))
+    for side, a in zip(sides, start):
         rows = side_col == side
         k, count = k_col[rows], grid.side_node_count(side)
         bad = (k < 0) | (k >= count) | (k != np.rint(k))
@@ -90,8 +91,8 @@ def read_trace_csv(path: str | Path, grid: Grid2D) -> BoundaryTrace:
         if not (seen == 1).all():
             raise ValueError(f"{path}: side {side.name} has {flat.size} rows for its {seen.size} "
                              f"(time, index) entries; each must appear exactly once")
-        data[side] = values[rows][np.argsort(flat)].reshape(grid.nt + 1, count)
-    return BoundaryTrace(grid=grid, sides=tuple(data), data=data)
+        table[:, a:a + count] = values[rows][np.argsort(flat)].reshape(grid.nt + 1, count)
+    return BoundaryTrace(grid=grid, sides=sides, values=table)
 
 
 def write_field_csv(field: CoefficientField | np.ndarray, grid: Grid2D, path: str | Path) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .fields import BoundaryTrace, CoefficientField, SpaceTimeField, extract_trace
 from .forward import BcConfig, SourceSpec, _nodal, forward_operator, forward_trace
-from .grid import Grid2D, area_weights, side_weights, time_weights
+from .grid import Grid2D, area_weights, perimeter_weights, time_weights
 
 
 def field_dot(a: CoefficientField | np.ndarray, b: CoefficientField | np.ndarray, grid: Grid2D) -> float:
@@ -30,11 +30,7 @@ def field_norm(a: CoefficientField | np.ndarray, grid: Grid2D) -> float:
 
 def trace_dot(a: BoundaryTrace, b: BoundaryTrace) -> float:
     a.check_compatible(b)
-    wt = time_weights(a.grid)
-    total = 0.0
-    for side in a.sides:
-        total += float(wt @ (a.data[side] * b.data[side]) @ side_weights(a.grid, side))
-    return total
+    return float(time_weights(a.grid) @ (a.values * b.values) @ perimeter_weights(a.grid, a.sides))
 
 
 def trace_norm_sq(a: BoundaryTrace) -> float:

@@ -71,7 +71,7 @@ def smooth_random_spacetime(grid, rng, n_modes=4, kmax=3):
 
 def smooth_random_trace(grid, rng, sides=ALL_SIDES, n_modes=3):
     t = grid.times()
-    data = {}
+    blocks = []
     for side in sides:
         n = grid.side_node_count(side)
         u = np.linspace(0.0, 1.0, n)
@@ -85,13 +85,13 @@ def smooth_random_trace(grid, rng, sides=ALL_SIDES, n_modes=3):
                 * np.cos(k * np.pi * u + ph[0])[None, :]
                 * np.cos(w * t + ph[1])[:, None]
             )
-        data[side] = arr
-    return BoundaryTrace(grid=grid, sides=tuple(sides), data=data)
+        blocks.append(arr)
+    return BoundaryTrace(grid=grid, sides=tuple(sides), values=np.hstack(blocks))
 
 
 def zero_trace(grid, sides=ALL_SIDES):
-    data = {s: np.zeros((grid.nt + 1, grid.side_node_count(s))) for s in sides}
-    return BoundaryTrace(grid=grid, sides=tuple(sides), data=data)
+    values = np.zeros((grid.nt + 1, sum(grid.side_node_count(s) for s in sides)))
+    return BoundaryTrace(grid=grid, sides=tuple(sides), values=values)
 
 
 def stored_state(grid, eps, sigma, src, bc):

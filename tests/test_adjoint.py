@@ -69,7 +69,7 @@ def test_linearity_in_residual(small_grid):
     combo = type(r1)(
         grid=small_grid,
         sides=r1.sides,
-        data={s: a * r1.data[s] + b * r2.data[s] for s in r1.sides},
+        values=a * r1.values + b * r2.values,
     )
     bc, src = BcConfig(), SourceSpec()
     lam1 = stored_adjoint(small_grid, eps, sig, r1, bc, src)
@@ -235,10 +235,10 @@ def test_non_finite_residual_is_reported_with_its_step(small_grid, bad):
     g = small_grid
     eps = constant_coefficient(g, 1.0, Role.EPSILON)
     sig = constant_coefficient(g, 1.0, Role.SIGMA)
-    data = {s: np.zeros((g.nt + 1, g.side_node_count(s))) for s in ALL_SIDES}
+    values = np.zeros((g.nt + 1, sum(g.side_node_count(s) for s in ALL_SIDES)))
     row = g.nt // 3
-    data[Side.BOTTOM][row, 5] = bad
-    residual = BoundaryTrace(grid=g, sides=ALL_SIDES, data=data)
+    values[row, g.side_node_count(Side.LEFT) + 5] = bad  # node 5 of BOTTOM
+    residual = BoundaryTrace(grid=g, sides=ALL_SIDES, values=values)
     step = g.nt - row + 1
     with pytest.raises(StabilityError, match=f"non-finite field values at step {step}$"):
         for _ in adjoint_levels(g, eps, sig, residual, BcConfig(), SourceSpec()):

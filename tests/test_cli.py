@@ -537,9 +537,9 @@ def test_invert_never_dumps_a_non_finite_multiplier(tmp_path, monkeypatch, capsy
     def blown_up(grid, eps, sigma, residual, bc, src):
         # the adjoint's data at its step s is -residual(T - s), and the
         # update from level s writes level s+1
-        data = {side: residual.data[side].copy() for side in residual.sides}
-        data[residual.sides[0]][grid.nt - step + 1, 2] = np.inf
-        return real(grid, eps, sigma, BoundaryTrace(grid=grid, sides=residual.sides, data=data),
+        values = residual.values.copy()
+        values[grid.nt - step + 1, 2] = np.inf  # node 2 of the first side
+        return real(grid, eps, sigma, BoundaryTrace(grid=grid, sides=residual.sides, values=values),
                     bc, src)
 
     monkeypatch.setattr(waveinv.cli, "adjoint_levels", blown_up)

@@ -113,9 +113,9 @@ class TestNoise:
 
     def test_deterministic_for_fixed_seed(self, small_grid):
         rng = np.random.default_rng(0)
-        data = {s: rng.standard_normal((small_grid.nt + 1, small_grid.side_node_count(s)))
-                for s in ALL_SIDES}
-        tr = BoundaryTrace(grid=small_grid, sides=ALL_SIDES, data=data)
+        values = np.hstack([rng.standard_normal((small_grid.nt + 1, small_grid.side_node_count(s)))
+                            for s in ALL_SIDES])
+        tr = BoundaryTrace(grid=small_grid, sides=ALL_SIDES, values=values)
         a = add_noise(tr, "additive_gaussian", 0.3, seed=9)
         b = add_noise(tr, "additive_gaussian", 0.3, seed=9)
         for s in ALL_SIDES:
@@ -125,8 +125,8 @@ class TestNoise:
         rng = np.random.default_rng(1)
         t1 = BoundaryTrace(
             grid=small_grid, sides=ALL_SIDES,
-            data={s: rng.standard_normal((small_grid.nt + 1, small_grid.side_node_count(s)))
-                  for s in ALL_SIDES},
+            values=np.hstack([rng.standard_normal((small_grid.nt + 1, small_grid.side_node_count(s)))
+                              for s in ALL_SIDES]),
         )
         t2 = extract_trace(zero_state(small_grid), ALL_SIDES)
         n1 = add_noise(t1, "additive_gaussian", 0.2, seed=5)
@@ -137,12 +137,32 @@ class TestNoise:
                 n1.data[s] - t1.data[s], n2.data[s] - t2.data[s], rtol=0, atol=1e-13
             )
 
+    def test_draws_fill_the_sides_in_side_order(self):
+        # the contract that keeps obs.csv fixed per seed: one standard normal
+        # stream, its first (nt+1) n_LEFT values LEFT's block in time-major
+        # order, the next TOP's; the sides differ in length on this grid
+        g = build_grid(24, 12, T=0.4, extent=(2.0, 1.0))
+        sides = (Side.LEFT, Side.TOP)
+        counts = [g.side_node_count(s) for s in sides]
+        assert counts[0] != counts[1]
+        stream = np.random.default_rng(17).standard_normal((g.nt + 1) * sum(counts))
+        cut = (g.nt + 1) * counts[0]
+        expected = np.hstack([stream[:cut].reshape(g.nt + 1, counts[0]),
+                              stream[cut:].reshape(g.nt + 1, counts[1])])
+        zero = BoundaryTrace(grid=g, sides=sides, values=np.zeros_like(expected))
+        noisy = add_noise(zero, "additive_gaussian", 1.0, seed=17)
+        assert np.array_equal((noisy - zero).values, expected)
+        signal = np.random.default_rng(3).standard_normal(expected.shape)
+        tr = BoundaryTrace(grid=g, sides=sides, values=signal)
+        noisy = add_noise(tr, "additive_gaussian", 0.3, seed=17)
+        assert np.array_equal(noisy.values, signal + 0.3 * expected)
+
     def test_relative_model_scales_by_trace_maximum(self, small_grid):
-        data = {
-            s: 2.0 * np.ones((small_grid.nt + 1, small_grid.side_node_count(s)))
+        values = np.hstack([
+            2.0 * np.ones((small_grid.nt + 1, small_grid.side_node_count(s)))
             for s in ALL_SIDES
-        }
-        tr = BoundaryTrace(grid=small_grid, sides=ALL_SIDES, data=data)
+        ])
+        tr = BoundaryTrace(grid=small_grid, sides=ALL_SIDES, values=values)
         out = add_noise(tr, "relative_gaussian", 0.1, seed=2)
         diffs = np.concatenate([(out.data[s] - tr.data[s]).ravel() for s in tr.sides])
         assert np.std(diffs) == pytest.approx(0.1 * 2.0, rel=0.1)
@@ -200,7 +220,9 @@ class TestExtractTrace:
         sol = solve_forward(g, eps, sig, SourceSpec(), BcConfig())
         tr = extract_trace(sol, (Side.TOP, Side.LEFT))
         assert tr.sides == (Side.LEFT, Side.TOP)
-        assert tr.data[Side.TOP] is sol.trace.data[Side.TOP]
+        assert np.array_equal(tr.data[Side.TOP], sol.trace.data[Side.TOP])
+        every = extract_trace(sol, ALL_SIDES)
+        assert all(np.shares_memory(every.data[s], sol.trace.values) for s in ALL_SIDES)
         with pytest.raises(ValueError):
             extract_trace(sol, ())
 
@@ -209,9 +231,14 @@ class TestExtractTrace:
         eps = constant_coefficient(g, 2.0, Role.EPSILON)
         sig = constant_coefficient(g, 1.0, Role.SIGMA)
         sol = solve_forward(g, eps, sig, SourceSpec(), BcConfig())
+        values = sol.trace.values
+        tr = sol.take_trace(ALL_SIDES)
+        assert tr.sides == ALL_SIDES and np.shares_memory(tr.data[Side.LEFT], values)
+        assert sol.trace is None
+        sol = solve_forward(g, eps, sig, SourceSpec(), BcConfig())
         left = sol.trace.data[Side.LEFT]
         tr = sol.take_trace((Side.LEFT,))
-        assert tr.sides == (Side.LEFT,) and tr.data[Side.LEFT] is left
+        assert tr.sides == (Side.LEFT,) and np.array_equal(tr.data[Side.LEFT], left)
         assert sol.trace is None
 
 
@@ -245,8 +272,8 @@ class TestTransfer:
         f = refine(g)
         omega = 20.0
         t = g.times()
-        data = {Side.LEFT: np.tile(np.sin(omega * t)[:, None], (1, g.ny + 1))}
-        tr = BoundaryTrace(grid=g, sides=(Side.LEFT,), data=data)
+        values = np.tile(np.sin(omega * t)[:, None], (1, g.ny + 1))
+        tr = BoundaryTrace(grid=g, sides=(Side.LEFT,), values=values)
         out = transfer_to_refined(tr, f)
         exact = np.sin(omega * f.times())[:, None]
         err = np.abs(out.data[Side.LEFT][:, ::2] - exact).max()

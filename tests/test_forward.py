@@ -495,6 +495,64 @@ def test_building_a_leapfrog_allocates_no_level_beyond_its_own():
     assert peak - owned < 2 * level_bytes
 
 
+def test_a_leapfrog_keeps_its_seven_levels_and_perimeter_tables():
+    # what the operator owns: seven PaddedLevels (three levels, three
+    # coefficient rows, the scratch), each with its cache line, and the
+    # one-byte finite flag per padded node; all else it keeps, the closure's
+    # and the ghost fill's index tables, must be perimeter-sized
+    g = build_grid(128, 128, T=0.1)
+    eps, sig = truth_pair(g)
+    programs = build_forward_programs(g, SourceSpec(t_on=0.05), BcConfig())
+    Leapfrog(g, eps, sig, programs)  # warm: no first-call import is counted
+    tracemalloc.start()
+    try:
+        op = Leapfrog(g, eps, sig, programs)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    padded = (g.nx + 3) * (g.ny + 3)
+    owned = 7 * (padded + PaddedLevel.LINE) * 8 + padded
+    perimeter = 2 * (g.nx + 1) + 2 * (g.ny + 1)
+    # eight tables of one 8-byte entry per perimeter node (33 KB at 128²),
+    # and 8 KB for the array and view objects, which do not grow with the grid
+    assert len(op.levels) == 3
+    assert kept - owned <= 8 * perimeter * 8 + 8192
+
+
+def test_a_forward_solve_gathers_its_trace_once():
+    # the trace is gathered into its one (nt+1, P) array and held as it is:
+    # beyond what the operator owns (as above) and the checkpoint pairs, a
+    # solve holds one trace and a perimeter-sized slack of 32 tables of one
+    # 8-byte entry per perimeter node (103 KB at 100², under one level),
+    # which covers the operator's index tables and the step's temporaries
+    g = build_grid(100, 100, T=1.2)
+    eps, sig = truth_pair(g)
+    src, bc = SourceSpec(), BcConfig()
+    perimeter = 2 * (g.nx + 1) + 2 * (g.ny + 1)
+    trace_bytes = (g.nt + 1) * perimeter * 8
+    padded = (g.nx + 3) * (g.ny + 3)
+    level_bytes = (padded + PaddedLevel.LINE) * 8
+    owned = 7 * level_bytes + padded
+    slack = 32 * perimeter * 8
+
+    def traced_peak(solve):
+        solve()  # warm: no first-call import is counted
+        tracemalloc.start()
+        try:
+            return solve(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    trace, peak = traced_peak(lambda: forward_trace(g, eps, sig, src, bc, ALL_SIDES))
+    assert peak <= owned + trace_bytes + slack
+    sol, peak = traced_peak(lambda: solve_forward(g, eps, sig, src, bc))
+    pairs = sum(len(pair) for pair in sol.pairs) * level_bytes
+    assert peak <= owned + pairs + trace_bytes + slack
+    for tr in (trace, sol.trace):
+        assert tr.values.nbytes == trace_bytes
+        assert all(np.shares_memory(tr.data[side], tr.values) for side in ALL_SIDES)
+
+
 def on_cache_line(run):
     return run.ctypes.data % 64 == 0
 

@@ -17,6 +17,7 @@ from waveinv.io import (
     write_field_vtk,
     write_trace_csv,
 )
+from conftest import zero_trace
 
 
 @pytest.fixture
@@ -26,11 +27,11 @@ def grid():
 
 def test_trace_csv_roundtrip(grid, tmp_path):
     rng = np.random.default_rng(0)
-    data = {
-        s: rng.standard_normal((grid.nt + 1, grid.side_node_count(s)))
+    values = np.hstack([
+        rng.standard_normal((grid.nt + 1, grid.side_node_count(s)))
         for s in ALL_SIDES
-    }
-    tr = BoundaryTrace(grid=grid, sides=ALL_SIDES, data=data)
+    ])
+    tr = BoundaryTrace(grid=grid, sides=ALL_SIDES, values=values)
     path = tmp_path / "trace.csv"
     write_trace_csv(tr, path)
     back = read_trace_csv(path, grid)
@@ -40,8 +41,7 @@ def test_trace_csv_roundtrip(grid, tmp_path):
 
 
 def test_trace_csv_grid_mismatch_detected(grid, tmp_path):
-    data = {s: np.zeros((grid.nt + 1, grid.side_node_count(s))) for s in ALL_SIDES}
-    tr = BoundaryTrace(grid=grid, sides=ALL_SIDES, data=data)
+    tr = zero_trace(grid)
     path = tmp_path / "trace.csv"
     write_trace_csv(tr, path)
     # a different nt, and the same nt on a different time axis
@@ -52,9 +52,8 @@ def test_trace_csv_grid_mismatch_detected(grid, tmp_path):
 
 @pytest.mark.parametrize("where", ["negative", "past_end"])
 def test_trace_csv_index_off_side_detected(grid, tmp_path, where):
-    data = {s: np.zeros((grid.nt + 1, grid.side_node_count(s))) for s in ALL_SIDES}
     path = tmp_path / "trace.csv"
-    write_trace_csv(BoundaryTrace(grid=grid, sides=ALL_SIDES, data=data), path)
+    write_trace_csv(zero_trace(grid), path)
     # relabel the last node of one side, so every side still has its full count
     count = grid.side_node_count(ALL_SIDES[0])
     last = f"{int(ALL_SIDES[0])},{count - 1},"
@@ -69,9 +68,8 @@ def test_trace_csv_index_off_side_detected(grid, tmp_path, where):
 
 @pytest.mark.parametrize("fault", ["duplicate_row", "nan", "inf"])
 def test_trace_csv_bad_row_detected(grid, tmp_path, fault):
-    data = {s: np.zeros((grid.nt + 1, grid.side_node_count(s))) for s in ALL_SIDES}
     path = tmp_path / "trace.csv"
-    write_trace_csv(BoundaryTrace(grid=grid, sides=ALL_SIDES, data=data), path)
+    write_trace_csv(zero_trace(grid), path)
     lines = path.read_text().splitlines(keepends=True)
     key = lines[5].rsplit(",", 1)[0]
     if fault == "duplicate_row":  # the same (t, side, index) again, with another value

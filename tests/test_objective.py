@@ -30,8 +30,8 @@ from conftest import smooth_random_coefficient, stored_state, truth_pair
 
 
 def const_trace(grid, sides, value):
-    data = {s: np.full((grid.nt + 1, grid.side_node_count(s)), value) for s in sides}
-    return BoundaryTrace(grid=grid, sides=tuple(sides), data=data)
+    values = np.full((grid.nt + 1, sum(grid.side_node_count(s) for s in sides)), value)
+    return BoundaryTrace(grid=grid, sides=tuple(sides), values=values)
 
 
 def reg_for(grid, eps_prior_val=1.0, sigma_prior_val=1.0, g0=0.0, p=0.5):
