@@ -51,10 +51,12 @@ def build_adjoint_programs(
     programs: dict[Side, SideProgram] = {}
     for side in ALL_SIDES:
         kind = bc.kind(side)
-        if kind is BcKind.SOURCE_THEN_ABSORBING:
+        if kind is BcKind.ABSORBING:
+            absorbing = np.ones(nt + 1, dtype=bool)
+        elif kind is BcKind.SOURCE_THEN_ABSORBING:
             absorbing = switched_absorbing(rev_times, src)
         else:
-            absorbing = np.full(nt + 1, kind is BcKind.ABSORBING)
+            absorbing = np.zeros(nt + 1, dtype=bool)
         programs[side] = SideProgram(absorbing, g if side in residual.sides else None)
     return programs
 

@@ -139,7 +139,8 @@ class BoundaryTrace:
         if not sides or sides != tuple(sorted(set(sides))):
             raise ValueError(f"a boundary trace needs distinct sides in side order, got {sides}")
         start = perimeter_offsets(self.grid, sides)
-        values, expect = _freeze(self.values), (self.grid.nt + 1, int(start[-1]))
+        values = _freeze(self.values)
+        expect = (self.grid.nt + 1, int(start[-1]))
         if values.shape != expect:
             raise ValueError(f"trace shape {values.shape}, expected {expect}")
         object.__setattr__(self, "sides", sides)
@@ -250,7 +251,7 @@ def add_noise(
     if level < 0.0:
         raise ValueError("noise level must be >= 0")
     if level == 0.0:
-        return trace.map(np.copy)
+        return trace.map(lambda arr: arr.copy())
     scale = level if model is NoiseModel.ADDITIVE_GAUSSIAN else level * trace.max_abs()
     rng = np.random.default_rng(seed)
     noise = np.empty_like(trace.values)

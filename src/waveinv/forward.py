@@ -165,6 +165,11 @@ class SideProgram:
     series: np.ndarray | None
 
 
+def _side_axis_values(grid: Grid2D, side: Side, fn: Callable, t: float) -> np.ndarray:
+    x, y = grid.side_coords(side)
+    return np.asarray(fn(x, y, t), dtype=np.float64) * np.ones(grid.side_node_count(side))
+
+
 def switched_absorbing(times: np.ndarray, src: SourceSpec) -> np.ndarray:
     """Where the switched source side absorbs: at the given times after
     t_on, the source pulse acting up to and including t_on."""
@@ -178,16 +183,20 @@ def build_forward_programs(
     programs: dict[Side, SideProgram] = {}
     for side in ALL_SIDES:
         kind = bc.kind(side)
-        if kind in (BcKind.NEUMANN_ZERO, BcKind.ABSORBING):
-            programs[side] = SideProgram(np.full(grid.nt + 1, kind is BcKind.ABSORBING), None)
+        if kind is BcKind.NEUMANN_ZERO:
+            programs[side] = SideProgram(np.zeros(grid.nt + 1, dtype=bool), None)
+        elif kind is BcKind.ABSORBING:
+            programs[side] = SideProgram(np.ones(grid.nt + 1, dtype=bool), None)
         elif kind is BcKind.SOURCE_THEN_ABSORBING:
             absorbing = switched_absorbing(times, src)
             pulse = np.where(absorbing, 0.0, src.amplitude * np.sin(src.omega * times))
             programs[side] = SideProgram(absorbing, pulse[:, None])
         else:  # NEUMANN_DATA
-            (x, y), fn = grid.side_coords(side), bc.neumann_data[side]
-            ones = np.ones(grid.side_node_count(side))
-            series = np.array([np.asarray(fn(x, y, t), dtype=np.float64) * ones for t in times])
+            fn = bc.neumann_data[side]
+            n = grid.side_node_count(side)
+            series = np.empty((grid.nt + 1, n))
+            for i, t in enumerate(times):
+                series[i] = _side_axis_values(grid, side, fn, t)
             programs[side] = SideProgram(np.zeros(grid.nt + 1, dtype=bool), series)
     return programs
 
@@ -359,15 +368,18 @@ class Leapfrog:
         # first and side by side, so that each block adds its 2 h g, scaled
         # as it is added so that no copy is kept, to one slice of the slots
         order = [side for _, sides in blocks.values() for side in sides]
-        slots, w = order + [side for side in ALL_SIDES if side not in order], grid.ny + 3
+        slots = order + [side for side in ALL_SIDES if side not in order]
+        w = grid.ny + 3
         step = np.repeat([{Side.LEFT: -w, Side.BOTTOM: -1, Side.RIGHT: w, Side.TOP: 1}[side]
                           for side in slots], np.diff(perimeter_offsets(grid, slots)))
         node = PaddedLevel.boundary_rows(grid, slots) + w
         self._ghost, self._mirror = node + step, node - step
-        start, self._neumann = perimeter_offsets(grid, order), []
+        self._neumann = []
+        start = 0
         for series, sides in blocks.values():
-            self._neumann.append((slice(start[0], start[len(sides)]), series))
-            start = start[len(sides):]
+            stop = start + int(perimeter_offsets(grid, sides)[-1])
+            self._neumann.append((slice(start, stop), series))
+            start = stop
         self._count = np.diff(perimeter_offsets(grid, ALL_SIDES))
 
         # the perimeter nodes' indices in rows, each node once; the position
@@ -654,7 +666,8 @@ def trace_of_levels(
     sides = tuple(sorted(set(Side(s) for s in sides)))
     if not sides:
         raise ValueError("at least one side must be declared")
-    index, gathered = PaddedLevel.boundary_rows(grid, sides), None
+    index = PaddedLevel.boundary_rows(grid, sides)
+    gathered = None
     # strict: a stream of any other length than nt+1 levels is an error
     for n, level in zip(range(grid.nt + 1), levels, strict=True):
         if gathered is None:  # once level 0 is out, the start-up's temporaries are gone

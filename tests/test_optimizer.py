@@ -180,16 +180,18 @@ class TestMemory:
     def test_sweep_holds_only_observations_and_adjoint_data(self, monkeypatch):
         """Halfway through each backward sweep of init_state and cg_step the
         only trace-sized arrays alive are the observations and the adjoint's
-        boundary data, one (nt+1, P) array each."""
+        boundary data, one (nt+1, P) array each, and no array of one side's
+        size is alive (a per-side copy of either)."""
         alive = []
         levels_backward = ForwardSolution.levels_backward
 
         def spy(sol):
-            trace_bytes = (sol.grid.nt + 1) * len(ALL_SIDES) * (sol.grid.ny + 1) * 8
+            side_bytes = (sol.grid.nt + 1) * (sol.grid.ny + 1) * 8
+            trace_bytes = len(ALL_SIDES) * side_bytes
             for n, level in enumerate(levels_backward(sol)):
                 if n == sol.grid.nt // 2:
-                    traces = tracemalloc.take_snapshot().traces
-                    alive.append(sum(t.size == trace_bytes for t in traces))
+                    sizes = [t.size for t in tracemalloc.take_snapshot().traces]
+                    alive.append((sizes.count(trace_bytes), sizes.count(side_bytes)))
                 yield level
 
         monkeypatch.setattr(ForwardSolution, "levels_backward", spy)
@@ -199,7 +201,7 @@ class TestMemory:
             cg_step(init_state(problem), problem)
         finally:
             tracemalloc.stop()
-        assert alive == [2] * 2
+        assert alive == [(2, 0)] * 2
 
 
 def test_no_iterate_field_is_a_trace():
