@@ -12,17 +12,14 @@ from .grid import (
     build_grid,
     refine,
     region_mask,
-    side_weights,
     time_weights,
 )
 from .fields import (
     AdmissibleSet,
     BoundaryTrace,
     CoefficientField,
-    FieldKind,
     NoiseModel,
     Role,
-    SpaceTimeField,
     add_noise,
     bump_perturbed,
     constant_coefficient,

@@ -1,5 +1,5 @@
-"""Coefficient fields, space-time field stacks, boundary traces and their
-builders, projection, noise injection and inter-grid transfer.
+"""Coefficient fields, boundary traces and their builders, projection,
+noise injection and inter-grid transfer.
 
 All field types are value-semantic: operations return new instances and the
 underlying arrays are marked read-only, so instances can be shared across
@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
-from .grid import Grid2D, RegionMask, Side, perimeter_nodes, perimeter_offsets
+from .grid import Grid2D, RegionMask, Side, perimeter_offsets
 
 if TYPE_CHECKING:
     from .forward import ForwardSolution
@@ -28,11 +28,6 @@ if TYPE_CHECKING:
 class Role(Enum):
     EPSILON = "epsilon"
     SIGMA = "sigma"
-
-
-class FieldKind(Enum):
-    STATE = "state"
-    ADJOINT = "adjoint"
 
 
 class NoiseModel(Enum):
@@ -100,23 +95,6 @@ class CoefficientField:
 
     def with_values(self, values: np.ndarray) -> "CoefficientField":
         return CoefficientField(grid=self.grid, values=values, role=self.role)
-
-
-@dataclass(frozen=True)
-class SpaceTimeField:
-    """All nt+1 snapshots of a nodal field (the state E or the adjoint)."""
-
-    grid: Grid2D
-    snapshots: np.ndarray = dc_field(repr=False)
-    kind: FieldKind = FieldKind.STATE
-
-    def __post_init__(self) -> None:
-        expect = (self.grid.nt + 1, *self.grid.node_shape)
-        if self.snapshots.shape != expect:
-            raise ValueError(
-                f"snapshot stack shape {self.snapshots.shape}, expected {expect}"
-            )
-        object.__setattr__(self, "snapshots", _freeze(self.snapshots))
 
 
 @dataclass(frozen=True)
@@ -215,24 +193,16 @@ def project(field: CoefficientField, adm: AdmissibleSet, mask: RegionMask) -> Co
     return field.with_values(values)
 
 
-def extract_trace(
-    field: SpaceTimeField | ForwardSolution, sides: Iterable[Side]
-) -> BoundaryTrace:
-    """Restrict a state to the boundary nodes of the declared sides: a
-    ForwardSolution hands over its all-sides trace itself, or a copy of the
-    columns of fewer sides, and a stored STATE field's stack is gathered."""
+def extract_trace(sol: ForwardSolution, sides: Iterable[Side]) -> BoundaryTrace:
+    """Restrict a forward solve to the boundary nodes of the declared sides:
+    the solution hands over its all-sides trace itself, or a copy of the
+    columns of fewer sides."""
     sides = tuple(sorted(set(map(Side, sides))))
-    if not isinstance(field, SpaceTimeField):
-        trace = field.trace
-        if sides == trace.sides:
-            return trace
-        kept = np.repeat([s in sides for s in trace.sides], [v.shape[1] for v in trace.data.values()])
-        return BoundaryTrace(grid=trace.grid, sides=sides, values=trace.values[:, kept])
-    if field.kind is not FieldKind.STATE:
-        raise ValueError("traces are extracted from STATE fields")
-    stack = field.snapshots.reshape(field.grid.nt + 1, -1)
-    return BoundaryTrace(grid=field.grid, sides=sides,
-                         values=stack[:, perimeter_nodes(field.grid, sides)])
+    trace = sol.trace
+    if sides == trace.sides:
+        return trace
+    kept = np.repeat([s in sides for s in trace.sides], [v.shape[1] for v in trace.data.values()])
+    return BoundaryTrace(grid=trace.grid, sides=sides, values=trace.values[:, kept])
 
 
 def add_noise(
@@ -248,8 +218,8 @@ def add_noise(
     fixed side order so the raw noise depends only on seed and shapes.
     """
     model = NoiseModel(model)
-    if level < 0.0:
-        raise ValueError("noise level must be >= 0")
+    if not 0.0 <= level < math.inf:
+        raise ValueError(f"noise level must be finite and >= 0, got {level!r}")
     if level == 0.0:
         return trace.map(lambda arr: arr.copy())
     scale = level if model is NoiseModel.ADDITIVE_GAUSSIAN else level * trace.max_abs()

@@ -241,11 +241,6 @@ def perimeter_weights(grid: Grid2D, sides: tuple[Side, ...]) -> np.ndarray:
     return w
 
 
-def side_weights(grid: Grid2D, side: Side) -> np.ndarray:
-    """Trapezoid weights along one boundary edge (half weight at the edge ends)."""
-    return perimeter_weights(grid, (side,))
-
-
 @_shared
 def time_weights(grid: Grid2D) -> np.ndarray:
     """Trapezoid weights over the stored time levels 0..nt."""

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import BoundaryTrace, CoefficientField, SpaceTimeField, extract_trace
+from .fields import BoundaryTrace, CoefficientField
 from .forward import BcConfig, SourceSpec, _nodal, forward_operator, forward_trace
-from .grid import Grid2D, area_weights, perimeter_weights, time_weights
+from .grid import Grid2D, area_weights, perimeter_nodes, perimeter_weights, time_weights
 
 
 def field_dot(a: CoefficientField | np.ndarray, b: CoefficientField | np.ndarray, grid: Grid2D) -> float:
@@ -83,7 +83,7 @@ def tikhonov(
 
 
 def forward_defect(
-    E: SpaceTimeField,
+    E: np.ndarray,
     eps: CoefficientField,
     sigma: CoefficientField,
     src: SourceSpec,
@@ -91,27 +91,30 @@ def forward_defect(
 ) -> np.ndarray:
     """Stencil defect of every discrete update equation, in PDE units.
 
-    Entry n (n = 0..nt-1) measures how far snapshot n+1 is from what the
-    scheme would produce from snapshots n and n-1; it is identically zero
-    for the stored levels of a forward solve with matching inputs.  Rows
-    are scaled by the weight of the new level in its equation: a_plus for
-    the leapfrog updates, 2 eps / dt^2 for the start-up.
+    E holds the snapshots 0..nt as one (nt+1, nx+1, ny+1) float array on
+    eps.grid; another shape raises ValueError.  Entry n (n = 0..nt-1)
+    measures how far snapshot n+1 is from what the scheme would produce
+    from snapshots n and n-1; it is identically zero for the stored levels
+    of a forward solve with matching inputs.  Rows are scaled by the weight
+    of the new level in its equation: a_plus for the leapfrog updates,
+    2 eps / dt^2 for the start-up.
     """
-    g, dt = E.grid, E.grid.dt
+    g, dt = eps.grid, eps.grid.dt
+    if E.shape != (g.nt + 1, *g.node_shape):
+        raise ValueError(f"state shape {E.shape}, expected {(g.nt + 1, *g.node_shape)}")
     op = forward_operator(g, eps, sigma, src, bc)
-    snaps = E.snapshots
     defect = np.empty((g.nt, *g.node_shape))
     a_plus = eps.values / dt**2 + sigma.values / (2.0 * dt)
     a_mid = 2.0 * eps.values / dt**2
-    defect[0] = a_mid * (snaps[1] - op.first_step(snaps[0], _nodal(g, src.f1)))
+    defect[0] = a_mid * (E[1] - op.first_step(E[0], _nodal(g, src.f1)))
     for n in range(1, g.nt):
-        defect[n] = a_plus * (snaps[n + 1] - op.step(snaps[n], snaps[n - 1], n))
+        defect[n] = a_plus * (E[n + 1] - op.step(E[n], E[n - 1], n))
     return defect
 
 
 def lagrangian(
-    E: SpaceTimeField,
-    lam: SpaceTimeField,
+    E: np.ndarray,
+    lam: np.ndarray,
     eps: CoefficientField,
     sigma: CoefficientField,
     reg: RegularizationParams,
@@ -122,15 +125,19 @@ def lagrangian(
     bc: BcConfig,
 ) -> float:
     """Tikhonov value plus the discrete forward defect paired with the
-    multiplier; equals the Tikhonov value whenever E solves the scheme."""
-    g, gl = E.grid, lam.grid
-    if g.node_shape != gl.node_shape or g.nt != gl.nt or abs(g.dt - gl.dt) > 1e-12 * g.dt:
-        raise ValueError("state and multiplier live on different space-time grids")
-    sim = extract_trace(E, obs.sides)
-    value = tikhonov(sim, obs, eps, sigma, reg, gamma_eps, gamma_sigma)
+    multiplier; equals the Tikhonov value whenever E solves the scheme.
+    E and lam are (nt+1, nx+1, ny+1) float arrays on eps.grid, as in
+    forward_defect; another shape of either raises ValueError."""
+    g = eps.grid
+    if lam.shape != E.shape:
+        raise ValueError(f"state and multiplier live on different space-time grids: "
+                         f"{E.shape} vs {lam.shape}")
     defect = forward_defect(E, eps, sigma, src, bc)
-    w = area_weights(E.grid)
-    pairing = float(np.einsum("nij,nij,ij->", defect, lam.snapshots[: E.grid.nt], w)) * E.grid.dt
+    sim = BoundaryTrace(grid=g, sides=obs.sides,
+                        values=E.reshape(g.nt + 1, -1)[:, perimeter_nodes(g, obs.sides)])
+    value = tikhonov(sim, obs, eps, sigma, reg, gamma_eps, gamma_sigma)
+    w = area_weights(g)
+    pairing = float(np.einsum("nij,nij,ij->", defect, lam[: g.nt], w)) * g.dt
     return value + pairing
 
 

@@ -14,10 +14,9 @@ from waveinv import (
     BcKind,
     BoundaryTrace,
     CoefficientField,
-    FieldKind,
     Role,
+    Side,
     SourceSpec,
-    SpaceTimeField,
     add_noise,
     adjoint_levels,
     build_grid,
@@ -101,7 +100,7 @@ def stored_state(grid, eps, sigma, src, bc):
     snaps = np.empty((grid.nt + 1, *grid.node_shape))
     for n, level in enumerate(forward_levels(grid, eps, sigma, src, bc)):
         snaps[n] = level.nodes
-    return SpaceTimeField(grid=grid, snapshots=snaps, kind=FieldKind.STATE)
+    return snaps
 
 
 def stored_adjoint(grid, eps, sigma, residual, bc, src):
@@ -109,15 +108,23 @@ def stored_adjoint(grid, eps, sigma, residual, bc, src):
     order (snapshot nt is the zero terminal state): the stored reference.
     Each level is copied, because the sweep reuses its level buffers."""
     levels = [lam.nodes.copy() for lam in adjoint_levels(grid, eps, sigma, residual, bc, src)]
-    return SpaceTimeField(grid=grid, snapshots=np.stack(levels[::-1]), kind=FieldKind.ADJOINT)
+    return np.stack(levels[::-1])
 
 
-def stored_solution(E):
+def stored_solution(grid, E):
     """A stored stack E as gradient_sweep reads a ForwardSolution: its
     levels_backward() yields snapshots nt, ..., 0, each in a PaddedLevel of
     its own."""
-    return SimpleNamespace(grid=E.grid, levels_backward=lambda: (
-        PaddedLevel.of(E.grid, snap) for snap in E.snapshots[::-1]))
+    return SimpleNamespace(grid=grid, levels_backward=lambda: (
+        PaddedLevel.of(grid, snap) for snap in E[::-1]))
+
+
+def stack_trace(grid, E, sides=ALL_SIDES):
+    """The trace of a stored stack E on the sides, each side sliced from
+    the stack on its own: the reference for the gathers of the package."""
+    cut = {Side.LEFT: E[:, 0, :], Side.BOTTOM: E[:, :, 0],
+           Side.RIGHT: E[:, -1, :], Side.TOP: E[:, :, -1]}
+    return BoundaryTrace(grid=grid, sides=tuple(sides), values=np.hstack([cut[s] for s in sides]))
 
 
 def adjoint_gradients(E, residual, eps, sigma, reg, gamma_eps, gamma_sigma, mask, bc, src):
@@ -131,19 +138,19 @@ def all_neumann_bc():
     return BcConfig(sides={s: BcKind.NEUMANN_ZERO for s in ALL_SIDES})
 
 
-def discrete_energy(E, eps, n):
+def discrete_energy(grid, E, eps, n):
     """level_energy between levels n-1 and n of a stored solution."""
-    return level_energy(E.grid, E.snapshots[n], E.snapshots[n - 1], eps)
+    return level_energy(grid, E[n], E[n - 1], eps)
 
 
-def spacetime_dot(a, b):
+def spacetime_dot(grid, a, b):
     """Trapezoid-in-time, tensor-trapezoid-in-space pairing of two stacks."""
-    wt, wx = time_weights(a.grid), area_weights(a.grid)
-    return float(np.einsum("tij,tij,t,ij->", a.snapshots, b.snapshots, wt, wx))
+    wt, wx = time_weights(grid), area_weights(grid)
+    return float(np.einsum("tij,tij,t,ij->", a, b, wt, wx))
 
 
-def spacetime_norm(a):
-    return float(np.sqrt(spacetime_dot(a, a)))
+def spacetime_norm(grid, a):
+    return float(np.sqrt(spacetime_dot(grid, a, a)))
 
 
 def synthesize_observations(grid, noise_level=0.1, seed=42):

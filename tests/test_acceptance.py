@@ -13,13 +13,11 @@ from waveinv import (
     AdmissibleSet,
     BcConfig,
     BcKind,
-    FieldKind,
     InverseProblem,
     RegularizationParams,
     Role,
     Side,
     SourceSpec,
-    SpaceTimeField,
     StoppingTolerances,
     build_grid,
     bump_perturbed,
@@ -50,6 +48,7 @@ from conftest import (
     smooth_random_trace,
     spacetime_dot,
     spacetime_norm,
+    stack_trace,
     stored_adjoint,
     stored_state,
     synthesize_observations,
@@ -91,7 +90,7 @@ def test_criterion_01_manufactured_solution_convergence():
         src = SourceSpec(volume_forcing=forcing, f0=lambda X, Y: exact(X, Y, 0.0))
         E = stored_state(g, eps, sig, src, bc)
         X, Y = g.meshgrid()
-        return float(np.abs(E.snapshots[-1] - exact(X, Y, g.T)).max())
+        return float(np.abs(E[-1] - exact(X, Y, g.T)).max())
 
     errs = [run(n) for n in (32, 64, 128)]
     orders = [float(np.log2(errs[k] / errs[k + 1])) for k in range(2)]
@@ -106,7 +105,7 @@ def test_criterion_02_energy_monotonicity():
     eps, sig = truth_pair(g)  # sigma >= 1 everywhere
     src = SourceSpec()
     E = stored_state(g, eps, sig, src, BcConfig())
-    H = np.array([discrete_energy(E, eps, n) for n in range(1, g.nt + 1)])
+    H = np.array([discrete_energy(g, E, eps, n) for n in range(1, g.nt + 1)])
     start = int(np.searchsorted(g.times(), src.switch_time())) + 2
     tail = H[start:]
     increments = np.diff(tail)
@@ -130,11 +129,10 @@ def test_criterion_03_adjoint_dot_product_identity():
         src = SourceSpec(amplitude=0.0, volume_forcing=u)
         E = solve_forward(g, eps, sig, src, bc)
         lam = stored_adjoint(g, eps, sig, r, bc, src)
-        u_field = SpaceTimeField(grid=g, snapshots=u, kind=FieldKind.STATE)
         # pairing convention: <trace E[u], r> = -<u, lam[r]> for the adjoint
         # driven by dlam/dn = -r, so the defect sums the two pairings
-        num = abs(trace_dot(extract_trace(E, ALL_SIDES), r) + spacetime_dot(u_field, lam))
-        defects.append(num / (spacetime_norm(u_field) * np.sqrt(trace_norm_sq(r))))
+        num = abs(trace_dot(extract_trace(E, ALL_SIDES), r) + spacetime_dot(g, u, lam))
+        defects.append(num / (spacetime_norm(g, u) * np.sqrt(trace_norm_sq(r))))
     elapsed = time.time() - t0
     ok = max(defects) <= 3e-2 and elapsed < 30.0
     report(3, "adjoint dot-product identity", ok,
@@ -195,7 +193,7 @@ def test_criterion_05_lagrangian_identity():
     eps, sig = truth_pair(g)
     src, bc = SourceSpec(), BcConfig()
     E = stored_state(g, eps, sig, src, bc)
-    obs = extract_trace(E, ALL_SIDES)
+    obs = stack_trace(g, E)
     reg = RegularizationParams(
         0.1, 0.1, 0.5,
         constant_coefficient(g, 1.0, Role.EPSILON),
@@ -205,9 +203,7 @@ def test_criterion_05_lagrangian_identity():
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(5):
-        lam = SpaceTimeField(
-            grid=g, snapshots=rng.standard_normal(E.snapshots.shape), kind=FieldKind.ADJOINT
-        )
+        lam = rng.standard_normal(E.shape)
         L = lagrangian(E, lam, eps, sig, reg, 0.1, 0.1, obs, src, bc)
         worst = max(worst, abs(L - F))
     tol = 1e-10 * (1.0 + abs(F))

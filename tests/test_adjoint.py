@@ -7,10 +7,8 @@ from waveinv import (
     ALL_SIDES,
     BcConfig,
     BoundaryTrace,
-    FieldKind,
     Role,
     SourceSpec,
-    SpaceTimeField,
     StabilityError,
     adjoint_energy_monitor,
     adjoint_levels,
@@ -42,8 +40,7 @@ def test_zero_residual_gives_zero_adjoint(small_grid):
     eps = constant_coefficient(small_grid, 1.0, Role.EPSILON)
     sig = constant_coefficient(small_grid, 1.0, Role.SIGMA)
     lam = stored_adjoint(small_grid, eps, sig, zero_trace(small_grid), BcConfig(), SourceSpec())
-    assert np.all(lam.snapshots == 0.0)
-    assert lam.kind is FieldKind.ADJOINT
+    assert np.all(lam == 0.0)
 
 
 def test_terminal_conditions(small_grid):
@@ -52,10 +49,10 @@ def test_terminal_conditions(small_grid):
     sig = constant_coefficient(small_grid, 1.0, Role.SIGMA)
     res = smooth_random_trace(small_grid, rng)
     lam = stored_adjoint(small_grid, eps, sig, res, BcConfig(), SourceSpec())
-    assert np.all(lam.snapshots[-1] == 0.0)
+    assert np.all(lam[-1] == 0.0)
     # the reversed Taylor start admits only the O(dt^2) ghost-source kick,
     # so the terminal backward velocity is O(dt), not O(1)
-    vel = np.abs((lam.snapshots[-1] - lam.snapshots[-2]) / small_grid.dt).max()
+    vel = np.abs((lam[-1] - lam[-2]) / small_grid.dt).max()
     assert vel <= 2.0 * small_grid.dt * res.max_abs() / small_grid.h
 
 
@@ -75,9 +72,9 @@ def test_linearity_in_residual(small_grid):
     lam1 = stored_adjoint(small_grid, eps, sig, r1, bc, src)
     lam2 = stored_adjoint(small_grid, eps, sig, r2, bc, src)
     lam = stored_adjoint(small_grid, eps, sig, combo, bc, src)
-    ref = a * lam1.snapshots + b * lam2.snapshots
+    ref = a * lam1 + b * lam2
     scale = np.abs(ref).max()
-    assert np.abs(lam.snapshots - ref).max() <= 1e-12 * scale
+    assert np.abs(lam - ref).max() <= 1e-12 * scale
 
 
 def test_time_reversal_matches_forward_on_reversed_source():
@@ -105,8 +102,8 @@ def test_time_reversal_matches_forward_on_reversed_source():
         neumann_data={Side.LEFT: g_left},
     )
     mu = stored_state(g, eps, sig, SourceSpec(amplitude=0.0), bc_fwd)
-    scale = max(np.abs(mu.snapshots).max(), 1e-300)
-    assert np.abs(lam.snapshots - mu.snapshots[::-1]).max() <= 1e-12 * scale
+    scale = max(np.abs(mu).max(), 1e-300)
+    assert np.abs(lam - mu[::-1]).max() <= 1e-12 * scale
 
 
 def test_dot_product_identity_smoke(medium_grid):
@@ -119,10 +116,9 @@ def test_dot_product_identity_smoke(medium_grid):
         src = SourceSpec(amplitude=0.0, volume_forcing=u)
         E = solve_forward(medium_grid, eps, sig, src, bc)
         lam = stored_adjoint(medium_grid, eps, sig, r, bc, src)
-        u_field = SpaceTimeField(grid=medium_grid, snapshots=u, kind=FieldKind.STATE)
         lhs = trace_dot(extract_trace(E, ALL_SIDES), r)
-        rhs = spacetime_dot(u_field, lam)
-        defect = abs(lhs + rhs) / (spacetime_norm(u_field) * np.sqrt(trace_norm_sq(r)))
+        rhs = spacetime_dot(medium_grid, u, lam)
+        defect = abs(lhs + rhs) / (spacetime_norm(medium_grid, u) * np.sqrt(trace_norm_sq(r)))
         assert defect <= 3e-2
 
 
@@ -174,7 +170,7 @@ class TestEnergyMonitor:
         sig = constant_coefficient(small_grid, 1.0, Role.SIGMA)
         res = zero_trace(small_grid)
         lam = stored_adjoint(small_grid, eps, sig, res, BcConfig(), SourceSpec())
-        levels = list(stored_solution(lam).levels_backward())
+        levels = list(stored_solution(small_grid, lam).levels_backward())
         levels = levels[:-1] if drop > 0 else levels + levels[-1:]
         with pytest.raises(ValueError, match="zip"):
             adjoint_energy_monitor(iter(levels), eps, sig, res)

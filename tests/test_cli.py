@@ -12,11 +12,10 @@ import waveinv.cli
 from waveinv import BoundaryTrace, Role, build_grid, constant_coefficient
 from waveinv.cli import main
 from waveinv.config import load_config, make_grid
-from waveinv.fields import extract_trace
 from waveinv.forward import _block, forward_trace
 from waveinv.gradient import gradient_sweep
 from waveinv.io import read_field_csv, write_field_csv, write_field_vtk, write_trace_csv
-from conftest import stored_adjoint, stored_state
+from conftest import stack_trace, stored_adjoint, stored_state
 
 BASE = """
 [grid]
@@ -459,9 +458,9 @@ def test_snapshot_dumps(tmp_path):
     levels = range(0, grid.nt + 1, 20)
     assert sorted(p.name for p in dumps) == sorted(f"E_{n}.vtk" for n in levels)
     for n in levels:
-        write_field_vtk(E.snapshots[n], grid, ref / f"E_{n}.vtk", name="E")
+        write_field_vtk(E[n], grid, ref / f"E_{n}.vtk", name="E")
         assert (out / f"E_{n}.vtk").read_bytes() == (ref / f"E_{n}.vtk").read_bytes()
-    write_trace_csv(extract_trace(E, sides), ref / "trace.csv")
+    write_trace_csv(stack_trace(grid, E, sides), ref / "trace.csv")
     assert (out / "trace.csv").read_bytes() == (ref / "trace.csv").read_bytes()
 
 
@@ -486,7 +485,7 @@ def test_adjoint_dumps_from_invert(tmp_path):
     ref = tmp_path / "ref"
     ref.mkdir()
     for n in levels:
-        write_field_vtk(lam.snapshots[n], grid, ref / f"L_{n}.vtk", name="L")
+        write_field_vtk(lam[n], grid, ref / f"L_{n}.vtk", name="L")
         assert (out2 / f"L_{n}.vtk").read_bytes() == (ref / f"L_{n}.vtk").read_bytes()
 
 

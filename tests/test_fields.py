@@ -7,11 +7,9 @@ from waveinv import (
     BcConfig,
     BoundaryTrace,
     CoefficientField,
-    FieldKind,
     Role,
     Side,
     SourceSpec,
-    SpaceTimeField,
     add_noise,
     build_grid,
     constant_coefficient,
@@ -24,14 +22,7 @@ from waveinv import (
     transfer_to_refined,
 )
 from waveinv.forward import PaddedLevel, trace_of_levels
-
-
-def zero_state(grid):
-    return SpaceTimeField(
-        grid=grid,
-        snapshots=np.zeros((grid.nt + 1, *grid.node_shape)),
-        kind=FieldKind.STATE,
-    )
+from conftest import stored_state, truth_pair, zero_trace
 
 
 class TestGaussianBuilder:
@@ -98,14 +89,19 @@ class TestProjection:
 
 class TestNoise:
     def test_zero_level_is_identity(self, small_grid):
-        tr = extract_trace(zero_state(small_grid), ALL_SIDES)
+        tr = zero_trace(small_grid)
         out = add_noise(tr, "additive_gaussian", 0.0, seed=1)
         for s in tr.sides:
             assert np.array_equal(out.data[s], tr.data[s])
 
+    @pytest.mark.parametrize("level", [np.nan, np.inf, -0.1])
+    def test_level_not_finite_and_nonnegative_rejected(self, small_grid, level):
+        with pytest.raises(ValueError, match="noise level"):
+            add_noise(zero_trace(small_grid), "additive_gaussian", level, seed=1)
+
     def test_sample_std_matches_level(self):
         g = build_grid(40, 40, T=1.2)  # > 1e4 samples over sides and steps
-        tr = extract_trace(zero_state(g), ALL_SIDES)
+        tr = zero_trace(g)
         out = add_noise(tr, "additive_gaussian", 0.1, seed=11)
         diffs = np.concatenate([(out.data[s] - tr.data[s]).ravel() for s in tr.sides])
         assert diffs.size >= 10_000
@@ -128,7 +124,7 @@ class TestNoise:
             values=np.hstack([rng.standard_normal((small_grid.nt + 1, small_grid.side_node_count(s)))
                               for s in ALL_SIDES]),
         )
-        t2 = extract_trace(zero_state(small_grid), ALL_SIDES)
+        t2 = zero_trace(small_grid)
         n1 = add_noise(t1, "additive_gaussian", 0.2, seed=5)
         n2 = add_noise(t2, "additive_gaussian", 0.2, seed=5)
         for s in ALL_SIDES:
@@ -170,13 +166,13 @@ class TestNoise:
 
 class TestExtractTrace:
     def test_zero_field_gives_zero_trace(self, small_grid):
-        tr = extract_trace(zero_state(small_grid), ALL_SIDES)
+        tr = zero_trace(small_grid)
         for s in tr.sides:
             assert np.all(tr.data[s] == 0.0)
 
     def test_all_sides_cover_perimeter_nodes(self):
         g = build_grid(10, 10)
-        tr = extract_trace(zero_state(g), ALL_SIDES)
+        tr = zero_trace(g)
         covered = set()
         covered.update((0, j) for j in range(g.ny + 1))
         covered.update((g.nx, j) for j in range(g.ny + 1))
@@ -186,25 +182,16 @@ class TestExtractTrace:
         assert sum(tr.data[s].shape[1] for s in tr.sides) == 44  # corners twice
 
     def test_partial_sides(self, small_grid):
-        rng = np.random.default_rng(4)
-        snaps = rng.standard_normal((small_grid.nt + 1, *small_grid.node_shape))
-        field = SpaceTimeField(grid=small_grid, snapshots=snaps, kind=FieldKind.STATE)
-        tr = extract_trace(field, (Side.RIGHT,))
+        eps, sig = truth_pair(small_grid)
+        src, bc = SourceSpec(), BcConfig()
+        tr = extract_trace(solve_forward(small_grid, eps, sig, src, bc), (Side.RIGHT,))
         assert tr.sides == (Side.RIGHT,)
+        snaps = stored_state(small_grid, eps, sig, src, bc)
         assert np.array_equal(tr.data[Side.RIGHT], snaps[:, -1, :])
 
     def test_empty_side_set_rejected(self, small_grid):
         with pytest.raises(ValueError):
-            extract_trace(zero_state(small_grid), ())
-
-    def test_adjoint_field_rejected(self, small_grid):
-        lam = SpaceTimeField(
-            grid=small_grid,
-            snapshots=np.zeros((small_grid.nt + 1, *small_grid.node_shape)),
-            kind=FieldKind.ADJOINT,
-        )
-        with pytest.raises(ValueError):
-            extract_trace(lam, ALL_SIDES)
+            zero_trace(small_grid, ())
 
     @pytest.mark.parametrize("count", [0, 5, 55, 57])
     def test_level_stream_of_wrong_length_rejected(self, small_grid, count):

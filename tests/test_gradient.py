@@ -205,10 +205,10 @@ class TestAdjointVersusOracle:
 def stored_reference(E, lam, eps, sig, reg, gamma_eps, gamma_sigma, mask):
     """The staggered gradient formula over whole stacks, summed in forward
     time by einsum: the reference for the backward level-by-level sums."""
-    dt = E.grid.dt
-    dE = np.diff(E.snapshots, axis=0) / dt
-    dLam = np.diff(lam.snapshots, axis=0) / dt
-    E_mid = 0.5 * (E.snapshots[1:] + E.snapshots[:-1])
+    dt = eps.grid.dt
+    dE = np.diff(E, axis=0) / dt
+    dLam = np.diff(lam, axis=0) / dt
+    E_mid = 0.5 * (E[1:] + E[:-1])
     g_eps = gamma_eps * (eps.values - reg.eps_prior.values) - dt * np.einsum(
         "nij,nij->ij", dLam, dE
     )
@@ -270,7 +270,7 @@ class TestStreamedSweep:
         r_eps, r_sig = stored_reference(stack, lam, eps, sig, reg, 0.05, 0.07, mask)
         assert rel_diff(g_eps.values, r_eps) <= 1e-12
         assert rel_diff(g_sig.values, r_sig) <= 1e-12
-        assert lambda_norm == pytest.approx(spacetime_norm(lam), rel=1e-12, abs=0.0)
+        assert lambda_norm == pytest.approx(spacetime_norm(g, lam), rel=1e-12, abs=0.0)
 
 
 # 8x8 time axes whose nt+1 levels split into blocks of
@@ -299,11 +299,11 @@ class TestCheckpointedState:
         sol = solve_forward(g, eps, sig, src, bc)
         stack = stored_state(g, eps, sig, src, bc)
         replayed = np.stack([level.nodes.copy() for level in sol.levels_backward()])
-        assert np.array_equal(replayed, stack.snapshots[::-1])
+        assert np.array_equal(replayed, stack[::-1])
 
         residual = extract_trace(sol, observed) - smooth_random_trace(g, rng, observed)
         from_sol = adjoint_gradients(sol, residual, eps, sig, reg, 0.05, 0.07, mask, bc, src)
-        from_stack = adjoint_gradients(stored_solution(stack), residual, eps, sig, reg, 0.05, 0.07,
+        from_stack = adjoint_gradients(stored_solution(g, stack), residual, eps, sig, reg, 0.05, 0.07,
                                        mask, bc, src)
         assert np.array_equal(from_sol[0].values, from_stack[0].values)
         assert np.array_equal(from_sol[1].values, from_stack[1].values)
@@ -315,7 +315,7 @@ class TestCheckpointedState:
         sig = constant_coefficient(small_grid, 1.0, Role.SIGMA)
         src, bc = SourceSpec(), BcConfig()
         stack = stored_state(small_grid, eps, sig, src, bc)
-        levels = list(stored_solution(stack).levels_backward())
+        levels = list(stored_solution(small_grid, stack).levels_backward())
         levels = levels[:-1] if drop > 0 else levels + levels[-1:]
         E = SimpleNamespace(grid=small_grid, levels_backward=lambda: iter(levels))
         with pytest.raises(ValueError, match="zip"):

@@ -9,9 +9,9 @@ from waveinv import (
     build_grid,
     refine,
     region_mask,
-    side_weights,
     time_weights,
 )
+from waveinv.grid import perimeter_weights
 
 
 def test_cell_width_unit_square():
@@ -99,7 +99,7 @@ def test_quadrature_weights_reproduce_measures():
     g = build_grid(13, 13, T=1.2)
     assert area_weights(g).sum() == pytest.approx(1.0, abs=1e-13)
     for side in Side:
-        assert side_weights(g, side).sum() == pytest.approx(1.0, abs=1e-13)
+        assert perimeter_weights(g, (side,)).sum() == pytest.approx(1.0, abs=1e-13)
     assert time_weights(g).sum() == pytest.approx(1.2, abs=1e-13)
 
 

@@ -8,12 +8,10 @@ from waveinv import (
     BcConfig,
     BcKind,
     BoundaryTrace,
-    FieldKind,
     RegularizationParams,
     Role,
     Side,
     SourceSpec,
-    SpaceTimeField,
     build_grid,
     constant_coefficient,
     decomposition_identity_check,
@@ -24,9 +22,10 @@ from waveinv import (
     tikhonov,
     trace_norm_sq,
 )
+from waveinv import objective
 from waveinv.grid import area_weights
 from waveinv.objective import data_errors, relative_errors
-from conftest import smooth_random_coefficient, stored_state, truth_pair
+from conftest import smooth_random_coefficient, stack_trace, stored_state, truth_pair
 
 
 def const_trace(grid, sides, value):
@@ -98,51 +97,57 @@ class TestLagrangian:
         eps, sig = truth_pair(grid)
         src, bc = SourceSpec(), BcConfig()
         E = stored_state(grid, eps, sig, src, bc)
-        obs = extract_trace(E, ALL_SIDES)
+        obs = stack_trace(grid, E)
         reg = reg_for(grid)
         return eps, sig, src, bc, E, obs, reg
 
     def test_zero_multiplier_reduces_to_functional(self, small_grid):
         eps, sig, src, bc, E, obs, reg = self.setup_problem(small_grid)
-        lam = SpaceTimeField(
-            grid=small_grid,
-            snapshots=np.zeros_like(E.snapshots),
-            kind=FieldKind.ADJOINT,
-        )
-        F = tikhonov(extract_trace(E, ALL_SIDES), obs, eps, sig, reg, 0.1, 0.1)
+        lam = np.zeros_like(E)
+        F = tikhonov(stack_trace(small_grid, E), obs, eps, sig, reg, 0.1, 0.1)
         L = lagrangian(E, lam, eps, sig, reg, 0.1, 0.1, obs, src, bc)
         assert L == F
 
     def test_multiplier_independence_for_solved_state(self, small_grid):
         eps, sig, src, bc, E, obs, reg = self.setup_problem(small_grid)
         rng = np.random.default_rng(8)
-        F = tikhonov(extract_trace(E, ALL_SIDES), obs, eps, sig, reg, 0.1, 0.1)
+        F = tikhonov(stack_trace(small_grid, E), obs, eps, sig, reg, 0.1, 0.1)
         values = []
         for _ in range(2):
-            lam = SpaceTimeField(
-                grid=small_grid,
-                snapshots=rng.standard_normal(E.snapshots.shape),
-                kind=FieldKind.ADJOINT,
-            )
+            lam = rng.standard_normal(E.shape)
             values.append(lagrangian(E, lam, eps, sig, reg, 0.1, 0.1, obs, src, bc))
         tol = 1e-10 * (1.0 + abs(F))
         assert abs(values[0] - F) <= tol
         assert abs(values[0] - values[1]) <= tol
 
-    @pytest.mark.parametrize("T_lam", [0.9, 0.61])
+    @pytest.mark.parametrize("T_lam", [0.9])
     def test_multiplier_on_another_time_axis_rejected(self, T_lam):
-        # 0.9 gives 31 steps against the state's 21; 0.61 gives 21 steps of
-        # another dt
+        # 0.9 gives 31 steps against the state's 21
         g = build_grid(12, 12, T=0.6)
         g_lam = build_grid(12, 12, T=T_lam)
         assert g_lam.node_shape == g.node_shape and g_lam.dt != g.dt
         eps, sig, src, bc, E, obs, reg = self.setup_problem(g)
-        lam = SpaceTimeField(
-            grid=g_lam,
-            snapshots=np.ones((g_lam.nt + 1, *g_lam.node_shape)),
-            kind=FieldKind.ADJOINT,
-        )
+        lam = np.ones((g_lam.nt + 1, *g_lam.node_shape))
         with pytest.raises(ValueError, match="different space-time grids"):
+            lagrangian(E, lam, eps, sig, reg, 0.1, 0.1, obs, src, bc)
+
+    @pytest.mark.parametrize("wrong", ["state", "multiplier", "both"])
+    @pytest.mark.parametrize("axis", ["nt", "nodes"])
+    def test_stack_of_wrong_shape_rejected_before_any_solve(self, monkeypatch, wrong, axis):
+        g = build_grid(12, 12, T=0.6)
+        eps, sig = truth_pair(g)
+        src, bc, reg = SourceSpec(), BcConfig(), reg_for(g)
+        obs = const_trace(g, ALL_SIDES, 0.0)
+        good = np.zeros((g.nt + 1, *g.node_shape))
+        bad = np.zeros((g.nt + 2, *g.node_shape) if axis == "nt" else (g.nt + 1, g.nx + 2, g.ny + 1))
+        E = good if wrong == "multiplier" else bad
+        lam = good if wrong == "state" else bad
+        monkeypatch.setattr(objective, "forward_operator", lambda *args: pytest.fail("solved"))
+        if wrong != "multiplier":
+            with pytest.raises(ValueError, match="state shape"):
+                forward_defect(E, eps, sig, src, bc)
+        match = "state shape" if wrong == "both" else "different space-time grids"
+        with pytest.raises(ValueError, match=match):
             lagrangian(E, lam, eps, sig, reg, 0.1, 0.1, obs, src, bc)
 
     @pytest.mark.parametrize(
@@ -175,7 +180,7 @@ class TestLagrangian:
                 volume_forcing=np.sin(2.0 * g.times())[:, None, None] * bump[None],
             )
         E = stored_state(g, eps, sig, src, bc)
-        assert np.abs(E.snapshots).max() > 0.0
+        assert np.abs(E).max() > 0.0
         defect = forward_defect(E, eps, sig, src, bc)
         assert np.abs(defect).max() == 0.0
 
@@ -183,17 +188,15 @@ class TestLagrangian:
         eps, sig, src, bc, E, obs, reg = self.setup_problem(small_grid)
         g = small_grid
         rng = np.random.default_rng(9)
-        lam_snaps = rng.standard_normal(E.snapshots.shape)
-        lam = SpaceTimeField(grid=g, snapshots=lam_snaps, kind=FieldKind.ADJOINT)
+        lam_snaps = rng.standard_normal(E.shape)
 
         i, j, k = 7, 9, g.nt // 2  # interior node, interior time
         delta = 1e-3
-        pert = E.snapshots.copy()
-        pert[k, i, j] += delta
-        E_pert = SpaceTimeField(grid=g, snapshots=pert, kind=FieldKind.STATE)
+        E_pert = E.copy()
+        E_pert[k, i, j] += delta
 
-        F_pert = tikhonov(extract_trace(E_pert, ALL_SIDES), obs, eps, sig, reg, 0.1, 0.1)
-        L_pert = lagrangian(E_pert, lam, eps, sig, reg, 0.1, 0.1, obs, src, bc)
+        F_pert = tikhonov(stack_trace(g, E_pert), obs, eps, sig, reg, 0.1, 0.1)
+        L_pert = lagrangian(E_pert, lam_snaps, eps, sig, reg, 0.1, 0.1, obs, src, bc)
 
         # hand application of the three update equations the node enters
         dt, h = g.dt, g.h
