@@ -2,15 +2,19 @@
 
 After substituting s = T - t the adjoint equation
     eps * lam_tt - sigma * lam_t - lap(lam) = 0,   lam(T) = lam_t(T) = 0
-turns into the forward damped-wave scheme in s with zero initial data, so
-the solve steps through the forward Leapfrog operator with reversed
-boundary programs:
+turns into the forward damped-wave scheme in s with zero initial data.  The
+adjoint is the transpose of one forward operator, so it is built from that
+operator alone (a ForwardSolution's op): the same grid, eps and sigma, and
+each of its side programs run backward in time:
 
-  * observation sides get the Neumann ghost source -residual(T - s);
-  * sides that were absorbing in the forward problem at time t = T - s
-    absorb in reversed time as well (the formal adjoint of the first-order
+  * a side absorbs at level s exactly where the forward side absorbs at
+    level nt - s, time T - s (the formal adjoint of the first-order
     outflow condition), composed with the residual source where both apply;
-  * zero-Neumann sides stay zero-Neumann.
+  * observation sides get the Neumann ghost source -residual(T - s);
+  * the forward Neumann data and volume forcing do not enter.
+
+The forward programs alone decide which side absorbs when, and no adjoint
+is formed at other coefficients or boundary conditions than the forward's.
 
 adjoint_levels is the one adjoint solve.  It yields the multiplier one
 level at a time as the backward sweep computes it, and every consumer (the
@@ -31,50 +35,29 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .fields import BoundaryTrace, CoefficientField
-from .forward import (
-    BcConfig, BcKind, Leapfrog, PaddedLevel, SideProgram, SourceSpec, leapfrog_levels,
-    level_energy, switched_absorbing,
-)
-from .grid import ALL_SIDES, Grid2D, Side, area_weights
+from .forward import Leapfrog, PaddedLevel, SideProgram, leapfrog_levels, level_energy
+from .grid import Side, area_weights
 from .objective import trace_norm_sq
 
 
-def build_adjoint_programs(
-    grid: Grid2D,
-    src: SourceSpec,
-    bc: BcConfig,
-    residual: BoundaryTrace,
-) -> dict[Side, SideProgram]:
-    nt = grid.nt
-    rev_times = grid.T - grid.dt * np.arange(nt + 1)
+def build_adjoint_programs(op: Leapfrog, residual: BoundaryTrace) -> dict[Side, SideProgram]:
+    """The forward operator's side programs run backward in time: each one's
+    absorbing flags reversed (a view), and the Neumann data
+    g = -residual(T - s) on the observed sides, one array that they share."""
     g = -residual.values[::-1]
-    programs: dict[Side, SideProgram] = {}
-    for side in ALL_SIDES:
-        kind = bc.kind(side)
-        if kind is BcKind.ABSORBING:
-            absorbing = np.ones(nt + 1, dtype=bool)
-        elif kind is BcKind.SOURCE_THEN_ABSORBING:
-            absorbing = switched_absorbing(rev_times, src)
-        else:
-            absorbing = np.zeros(nt + 1, dtype=bool)
-        programs[side] = SideProgram(absorbing, g if side in residual.sides else None)
-    return programs
+    return {
+        side: SideProgram(p.absorbing[::-1], g if side in residual.sides else None)
+        for side, p in op.programs.items()
+    }
 
 
-def adjoint_levels(
-    grid: Grid2D,
-    eps: CoefficientField,
-    sigma: CoefficientField,
-    residual: BoundaryTrace,
-    bc: BcConfig,
-    src: SourceSpec,
-) -> Iterator[PaddedLevel]:
-    """The adjoint levels backward in time, lam^nt (the zero terminal
-    state) first and lam^0 last, one at a time."""
+def adjoint_levels(op: Leapfrog, residual: BoundaryTrace) -> Iterator[PaddedLevel]:
+    """The adjoint levels of the forward operator op backward in time,
+    lam^nt (the zero terminal state) first and lam^0 last, one at a time."""
+    grid = op.grid
     if residual.grid.nt != grid.nt or residual.grid.node_shape != grid.node_shape:
         raise ValueError("residual trace does not match the grid")
-    programs = build_adjoint_programs(grid, src, bc, residual)
-    return leapfrog_levels(Leapfrog(grid, eps, sigma, programs))
+    return leapfrog_levels(Leapfrog(grid, op.eps, op.sigma, build_adjoint_programs(op, residual)))
 
 
 @dataclass(frozen=True)

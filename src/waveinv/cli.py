@@ -165,10 +165,8 @@ def cmd_invert(cfg: RunConfig, out: Path, quiet: bool) -> int:
     if cfg.get("output", "dump_every") > 0:
         # adjoint levels of the final iterate, L_<step>.vtk, from the backward sweep
         grid = problem.grid
-        sim = forward_trace(grid, result.eps, result.sigma, problem.src, problem.bc,
-                            problem.obs.sides)
-        lam_backward = adjoint_levels(grid, result.eps, result.sigma, sim - problem.obs,
-                                      problem.bc, problem.src)
+        E = solve_forward(grid, result.eps, result.sigma, problem.src, problem.bc)
+        lam_backward = adjoint_levels(E.op, E.take_trace(problem.obs.sides) - problem.obs)
         for _ in _dumped(cfg, grid, zip(range(grid.nt, -1, -1), lam_backward), out, "L"):
             pass
     write_manifest(cfg, out / "manifest.ini")
@@ -222,10 +220,8 @@ def cmd_grad_check(cfg: RunConfig, out: Path, quiet: bool) -> int:
     gamma_eps = gamma_sigma = 0.0  # oracle comparison runs on the pure data term
 
     E = solve_forward(grid, eps_e, sigma_e, src, bc)
-    lam_backward = adjoint_levels(grid, eps_e, sigma_e, extract_trace(E, sides) - obs, bc, src)
-    g_eps, g_sigma, _ = gradient_sweep(
-        E, lam_backward, eps_e, sigma_e, reg, gamma_eps, gamma_sigma, mask,
-    )
+    lam_backward = adjoint_levels(E.op, extract_trace(E, sides) - obs)
+    g_eps, g_sigma, _ = gradient_sweep(E, lam_backward, reg, gamma_eps, gamma_sigma, mask)
 
     try:
         samples = fd_gradient_oracle(

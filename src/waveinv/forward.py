@@ -29,11 +29,11 @@ closure takes E^0 - dt f1 as the previous level.
 
 Leapfrog holds this update once.  The forward solve, the Lagrangian's
 defect and the adjoint solve all step through it: after reversing time the
-adjoint equation has exactly this form, so the adjoint module only builds
-different per-side boundary programs.  leapfrog_levels is the one time
-loop: it yields each level as it is computed, and each caller uses a level
-as it arrives and copies only what it keeps (trace_of_levels, the
-ForwardSolution below, adjoint_levels).
+adjoint equation has exactly this form, so the adjoint module only turns
+the forward operator's own side programs around in time.  leapfrog_levels
+is the one time loop: it yields each level as it is computed, and each
+caller uses a level as it arrives and copies only what it keeps
+(trace_of_levels, the ForwardSolution below, adjoint_levels).
 
 Every level lives in a ghost-padded (nx+3, ny+3) buffer, a PaddedLevel,
 for as long as it is stepped from: a step fills the ghosts of the current
@@ -109,8 +109,8 @@ class SourceSpec:
             raise ValueError(f"omega must be positive and finite, got {self.omega!r}")
         if not math.isfinite(self.amplitude):
             raise ValueError(f"amplitude must be finite, got {self.amplitude!r}")
-        if self.t_on is not None and self.t_on <= 0.0:
-            raise ValueError("t_on must be positive")
+        if self.t_on is not None and not self.t_on > 0.0:  # NaN would never switch
+            raise ValueError(f"t_on must be positive, got {self.t_on!r}")
 
     def switch_time(self) -> float:
         return 2.0 * math.pi / self.omega if self.t_on is None else self.t_on
@@ -170,12 +170,6 @@ def _side_axis_values(grid: Grid2D, side: Side, fn: Callable, t: float) -> np.nd
     return np.asarray(fn(x, y, t), dtype=np.float64) * np.ones(grid.side_node_count(side))
 
 
-def switched_absorbing(times: np.ndarray, src: SourceSpec) -> np.ndarray:
-    """Where the switched source side absorbs: at the given times after
-    t_on, the source pulse acting up to and including t_on."""
-    return times > src.switch_time() + 1e-14
-
-
 def build_forward_programs(
     grid: Grid2D, src: SourceSpec, bc: BcConfig
 ) -> dict[Side, SideProgram]:
@@ -188,7 +182,8 @@ def build_forward_programs(
         elif kind is BcKind.ABSORBING:
             programs[side] = SideProgram(np.ones(grid.nt + 1, dtype=bool), None)
         elif kind is BcKind.SOURCE_THEN_ABSORBING:
-            absorbing = switched_absorbing(times, src)
+            # absorbing after t_on, the pulse acting up to and including t_on
+            absorbing = times > src.switch_time() + 1e-14
             pulse = np.where(absorbing, 0.0, src.amplitude * np.sin(src.omega * times))
             programs[side] = SideProgram(absorbing, pulse[:, None])
         else:  # NEUMANN_DATA
@@ -300,9 +295,11 @@ class Leapfrog:
 
     Built once per (grid, eps, sigma, side programs, forcing), it holds the
     update coefficients, the absorbing closure's perimeter tables, scratch
-    space and the forcing lookup.  The forward solve, the adjoint solve and
-    the Lagrangian's defect all step through it, so each expression of the
-    scheme is written once.
+    space and the forcing lookup, and keeps eps, sigma and the programs: a
+    forward operator is the linearization point from which the adjoint
+    solve and the gradient read theirs.  The forward solve, the adjoint
+    solve and the Lagrangian's defect all step through it, so each
+    expression of the scheme is written once.
 
     The time loops keep every level resident in a PaddedLevel.  advance()
     fills the ghosts of the current level in place and writes the next
@@ -338,7 +335,7 @@ class Leapfrog:
         programs: Mapping[Side, SideProgram],
         forcing: Callable | np.ndarray | None = None,
     ) -> None:
-        self.grid, self.eps, self.sigma = grid, eps, sigma
+        self.grid, self.eps, self.sigma, self.programs = grid, eps, sigma, programs
         h, dt = grid.h, grid.dt
         eps_v, sig_v = eps.values, sigma.values
         a_plus = eps_v / dt**2 + sig_v / (2.0 * dt)

@@ -26,8 +26,10 @@ the end: five passes over a level per half-step, not seven.  The state
 arrives on the same reversed-level stream, E^nt..E^0: a ForwardSolution
 replays it from its checkpoints, so no snapshot stack is stored either.
 gradient_sweep holds these sums.  Its callers, the optimizer and grad-check,
-hand it the multiplier stream of adjoint_levels driven by the residual
-sim - obs, and hold no residual once that stream is built.
+hand it the multiplier stream of adjoint_levels(E.op, sim - obs), and hold
+no residual once that stream is built.  The coefficients of the
+regularization term are read from E.op as well, so the state, the
+multiplier and the gradient share one linearization point.
 
 The oracle differentiates the Tikhonov value by central differences in a
 single nodal coefficient value, normalized by the node's area quadrature
@@ -50,8 +52,6 @@ from .objective import RegularizationParams, tikhonov
 def gradient_sweep(
     E: ForwardSolution,
     lam_backward: Iterable[PaddedLevel],
-    eps: CoefficientField,
-    sigma: CoefficientField,
     reg: RegularizationParams,
     gamma_eps: float,
     gamma_sigma: float,
@@ -64,8 +64,9 @@ def gradient_sweep(
     area weights are zero in the ghost columns, and the values that the
     gradient sums collect there are dropped at the end.  The state enters
     through A = sum E^{n+1} dlam and B = sum E^n dlam alone, with
-    dlam = lam^{n+1} - lam^n: the eps sum is A - B and the sigma sum A + B."""
-    grid = E.grid
+    dlam = lam^{n+1} - lam^n: the eps sum is A - B and the sigma sum A + B.
+    eps and sigma are those of E's operator, the forward solve's own."""
+    grid, eps, sigma = E.grid, E.op.eps, E.op.sigma
     dt = grid.dt
     wt, w = time_weights(grid), PaddedLevel.of(grid, area_weights(grid)).rows
     sum_next, sum_this = PaddedLevel(grid), PaddedLevel(grid)  # A and B

@@ -14,12 +14,14 @@ accepted trial into the next CgState: the Tikhonov functional and the
 data errors of its trace, the gradients summed during the backward adjoint
 sweep (the checkpoints replay the state backward), the Fletcher-Reeves
 directions (restarted when a ratio exceeds beta_max), the next clamped
-steps and the size of the update.  That function takes the trace out of
-the solve, starts adjoint_levels from the residual and frees both, so the
+steps and the size of the update.  That function reads eps and sigma
+from the solve's operator, takes the trace out of the solve, starts
+adjoint_levels from that operator and the residual and frees both, so the
 sweep holds two traces, the observations and the adjoint's boundary data;
-no iterate keeps a trace.  The regularization weights decay as
-gamma^m = gamma^0 / (m+1)^p.  run_cga and run_acga each stop at the first
-of their tolerances, in a fixed order, that a value falls below.
+no iterate keeps a trace, and no gradient is formed at coefficients or
+boundary conditions other than the solve's.  The regularization weights
+decay as gamma^m = gamma^0 / (m+1)^p.  run_cga and run_acga each stop at
+the first of their tolerances, in a fixed order, that a value falls below.
 
 The adaptive driver repeats the loop over nested factor-2 grids, refining
 whenever the indicator |h (v - background)| (or |h v| in absolute mode)
@@ -60,6 +62,11 @@ from .objective import (
 MAX_BACKTRACKS = 10
 
 
+def _check_tolerances(*tols: float) -> None:
+    if not all(t >= 0 for t in tols):  # a NaN tolerance fails too
+        raise ValueError("tolerances must be >= 0")
+
+
 @dataclass(frozen=True)
 class StoppingTolerances:
     """Update-size (eta1) and gradient-norm (eta2) tolerances plus the
@@ -72,8 +79,7 @@ class StoppingTolerances:
     m_max: int = 100
 
     def __post_init__(self) -> None:
-        if min(self.eta1_eps, self.eta1_sigma, self.eta2_eps, self.eta2_sigma) < 0:
-            raise ValueError("tolerances must be >= 0")
+        _check_tolerances(self.eta1_eps, self.eta1_sigma, self.eta2_eps, self.eta2_sigma)
         if self.m_max < 0:
             raise ValueError("m_max must be >= 0")
 
@@ -189,21 +195,16 @@ def _clamped_step(
 
 
 def _iterate(
-    problem: InverseProblem,
-    m: int,
-    eps: CoefficientField,
-    sigma: CoefficientField,
-    E: ForwardSolution,
-    prev: CgState | None = None,
+    problem: InverseProblem, m: int, E: ForwardSolution, prev: CgState | None = None,
     backtracks: int = 0,
 ) -> CgState:
-    """Iterate m from its forward solve E: the functional and the data errors
-    of E's trace on the observed sides, the gradients summed during the
-    adjoint sweep (neither the state nor the multiplier is stored), the
-    direction (steepest descent at the start, Fletcher-Reeves after prev,
-    restarting when either ratio exceeds beta_max), the clamped steps and the
-    update from prev."""
-    grid, obs = problem.grid, problem.obs
+    """Iterate m from its forward solve E, at E's eps and sigma: the
+    functional and the data errors of E's trace on the observed sides, the
+    gradients summed during the adjoint sweep (neither the state nor the
+    multiplier is stored), the direction (steepest descent at the start,
+    Fletcher-Reeves after prev, restarting when either ratio exceeds
+    beta_max), the clamped steps and the update from prev."""
+    grid, obs, eps, sigma = problem.grid, problem.obs, E.op.eps, E.op.sigma
     gamma_eps, gamma_sigma = problem.reg.at_iteration(m)
     sim = E.take_trace(obs.sides)
     F = tikhonov(sim, obs, eps, sigma, problem.reg, gamma_eps, gamma_sigma)
@@ -213,10 +214,10 @@ def _iterate(
     # is all that the sweep holds
     residual = sim - obs
     del sim
-    lam_backward = adjoint_levels(grid, eps, sigma, residual, problem.bc, problem.src)
+    lam_backward = adjoint_levels(E.op, residual)
     del residual
     g_eps, g_sigma, lambda_norm = gradient_sweep(
-        E, lam_backward, eps, sigma, problem.reg, gamma_eps, gamma_sigma, problem.mask,
+        E, lam_backward, problem.reg, gamma_eps, gamma_sigma, problem.mask,
     )
     g_eps_norm, g_sigma_norm = field_norm(g_eps.values, grid), field_norm(g_sigma.values, grid)
     d_eps, d_sigma = -g_eps.values, -g_sigma.values
@@ -249,8 +250,7 @@ def init_state(problem: InverseProblem) -> CgState:
     """Evaluate the initial guesses and seed steepest-descent directions."""
     eps = project(problem.eps_init, problem.adm, problem.mask)
     sigma = project(problem.sigma_init, problem.adm, problem.mask)
-    E = solve_forward(problem.grid, eps, sigma, problem.src, problem.bc)
-    return _iterate(problem, 0, eps, sigma, E)
+    return _iterate(problem, 0, solve_forward(problem.grid, eps, sigma, problem.src, problem.bc))
 
 
 def _row(state: CgState, problem: InverseProblem) -> LogRow:
@@ -295,9 +295,7 @@ def cg_step(state: CgState, problem: InverseProblem, log: list[LogRow] | None = 
             break
         del E_new  # drop the rejected trial before the next solve
         a_eps, a_sigma = 0.5 * a_eps, 0.5 * a_sigma
-    return _iterate(
-        problem, state.m + 1, eps_new, sigma_new, E_new, prev=state, backtracks=backtracks,
-    )
+    return _iterate(problem, state.m + 1, E_new, prev=state, backtracks=backtracks)
 
 
 def _first_below(checks: Iterable[tuple[str, float, float]]) -> str | None:
@@ -403,6 +401,7 @@ class AcgaControls:
     def __post_init__(self) -> None:
         if self.n_max < 0:
             raise ValueError("n_max must be >= 0")
+        _check_tolerances(self.theta1_eps, self.theta1_sigma, self.theta2_eps, self.theta2_sigma)
         _check_indicator(self.beta_eps, self.beta_sigma, self.mode)
 
 

@@ -103,20 +103,21 @@ def stored_state(grid, eps, sigma, src, bc):
     return snaps
 
 
-def stored_adjoint(grid, eps, sigma, residual, bc, src):
-    """The multiplier levels of the backward sweep stacked in forward time
-    order (snapshot nt is the zero terminal state): the stored reference.
-    Each level is copied, because the sweep reuses its level buffers."""
-    levels = [lam.nodes.copy() for lam in adjoint_levels(grid, eps, sigma, residual, bc, src)]
+def stored_adjoint(op, residual):
+    """The multiplier levels of the backward sweep of the forward operator op
+    stacked in forward time order (snapshot nt is the zero terminal state):
+    the stored reference.  Each level is copied, because the sweep reuses its
+    level buffers."""
+    levels = [lam.nodes.copy() for lam in adjoint_levels(op, residual)]
     return np.stack(levels[::-1])
 
 
-def stored_solution(grid, E):
-    """A stored stack E as gradient_sweep reads a ForwardSolution: its
-    levels_backward() yields snapshots nt, ..., 0, each in a PaddedLevel of
-    its own."""
-    return SimpleNamespace(grid=grid, levels_backward=lambda: (
-        PaddedLevel.of(grid, snap) for snap in E[::-1]))
+def stored_solution(op, E):
+    """A stored stack E, solved at the operator op, as gradient_sweep reads a
+    ForwardSolution: it carries op, and its levels_backward() yields
+    snapshots nt, ..., 0, each in a PaddedLevel of its own."""
+    return SimpleNamespace(grid=op.grid, op=op, levels_backward=lambda: (
+        PaddedLevel.of(op.grid, snap) for snap in E[::-1]))
 
 
 def stack_trace(grid, E, sides=ALL_SIDES):
@@ -127,11 +128,12 @@ def stack_trace(grid, E, sides=ALL_SIDES):
     return BoundaryTrace(grid=grid, sides=tuple(sides), values=np.hstack([cut[s] for s in sides]))
 
 
-def adjoint_gradients(E, residual, eps, sigma, reg, gamma_eps, gamma_sigma, mask, bc, src):
+def adjoint_gradients(E, residual, reg, gamma_eps, gamma_sigma, mask):
     """The gradients and the multiplier norm of gradient_sweep over the
-    adjoint sweep that residual drives, composed as the optimizer does."""
-    lam_backward = adjoint_levels(E.grid, eps, sigma, residual, bc, src)
-    return gradient_sweep(E, lam_backward, eps, sigma, reg, gamma_eps, gamma_sigma, mask)
+    adjoint sweep of E's operator that residual drives, composed as the
+    optimizer does."""
+    lam_backward = adjoint_levels(E.op, residual)
+    return gradient_sweep(E, lam_backward, reg, gamma_eps, gamma_sigma, mask)
 
 
 def all_neumann_bc():

@@ -20,7 +20,7 @@ from waveinv import (
     trace_norm_sq,
 )
 from waveinv.adjoint import build_adjoint_programs
-from waveinv.forward import BcKind, Leapfrog, SideProgram, build_forward_programs
+from waveinv.forward import BcKind, Leapfrog, SideProgram, forward_operator
 from waveinv.grid import Side
 from conftest import (
     all_neumann_bc,
@@ -39,7 +39,8 @@ from conftest import (
 def test_zero_residual_gives_zero_adjoint(small_grid):
     eps = constant_coefficient(small_grid, 1.0, Role.EPSILON)
     sig = constant_coefficient(small_grid, 1.0, Role.SIGMA)
-    lam = stored_adjoint(small_grid, eps, sig, zero_trace(small_grid), BcConfig(), SourceSpec())
+    op = forward_operator(small_grid, eps, sig, SourceSpec(), BcConfig())
+    lam = stored_adjoint(op, zero_trace(small_grid))
     assert np.all(lam == 0.0)
 
 
@@ -48,7 +49,7 @@ def test_terminal_conditions(small_grid):
     eps = constant_coefficient(small_grid, 1.5, Role.EPSILON)
     sig = constant_coefficient(small_grid, 1.0, Role.SIGMA)
     res = smooth_random_trace(small_grid, rng)
-    lam = stored_adjoint(small_grid, eps, sig, res, BcConfig(), SourceSpec())
+    lam = stored_adjoint(forward_operator(small_grid, eps, sig, SourceSpec(), BcConfig()), res)
     assert np.all(lam[-1] == 0.0)
     # the reversed Taylor start admits only the O(dt^2) ghost-source kick,
     # so the terminal backward velocity is O(dt), not O(1)
@@ -68,10 +69,10 @@ def test_linearity_in_residual(small_grid):
         sides=r1.sides,
         values=a * r1.values + b * r2.values,
     )
-    bc, src = BcConfig(), SourceSpec()
-    lam1 = stored_adjoint(small_grid, eps, sig, r1, bc, src)
-    lam2 = stored_adjoint(small_grid, eps, sig, r2, bc, src)
-    lam = stored_adjoint(small_grid, eps, sig, combo, bc, src)
+    op = forward_operator(small_grid, eps, sig, SourceSpec(), BcConfig())
+    lam1 = stored_adjoint(op, r1)
+    lam2 = stored_adjoint(op, r2)
+    lam = stored_adjoint(op, combo)
     ref = a * lam1 + b * lam2
     scale = np.abs(ref).max()
     assert np.abs(lam - ref).max() <= 1e-12 * scale
@@ -84,7 +85,7 @@ def test_time_reversal_matches_forward_on_reversed_source():
     rng = np.random.default_rng(5)
     res = smooth_random_trace(g, rng, sides=(Side.LEFT,))
     bc = all_neumann_bc()
-    lam = stored_adjoint(g, eps, sig, res, bc, SourceSpec(amplitude=0.0))
+    lam = stored_adjoint(forward_operator(g, eps, sig, SourceSpec(amplitude=0.0), bc), res)
 
     flipped = -res.data[Side.LEFT][::-1]
 
@@ -115,7 +116,7 @@ def test_dot_product_identity_smoke(medium_grid):
         r = smooth_random_trace(medium_grid, rng)
         src = SourceSpec(amplitude=0.0, volume_forcing=u)
         E = solve_forward(medium_grid, eps, sig, src, bc)
-        lam = stored_adjoint(medium_grid, eps, sig, r, bc, src)
+        lam = stored_adjoint(E.op, r)
         lhs = trace_dot(extract_trace(E, ALL_SIDES), r)
         rhs = spacetime_dot(medium_grid, u, lam)
         defect = abs(lhs + rhs) / (spacetime_norm(medium_grid, u) * np.sqrt(trace_norm_sq(r)))
@@ -127,8 +128,8 @@ class TestEnergyMonitor:
         eps = constant_coefficient(small_grid, 1.0, Role.EPSILON)
         sig = constant_coefficient(small_grid, 1.0, Role.SIGMA)
         res = zero_trace(small_grid)
-        lam_backward = adjoint_levels(small_grid, eps, sig, res, BcConfig(), SourceSpec())
-        rep = adjoint_energy_monitor(lam_backward, eps, sig, res)
+        op = forward_operator(small_grid, eps, sig, SourceSpec(), BcConfig())
+        rep = adjoint_energy_monitor(adjoint_levels(op, res), eps, sig, res)
         assert rep.max_energy == 0.0
         assert rep.ratio == 0.0
         assert not rep.flagged
@@ -138,9 +139,9 @@ class TestEnergyMonitor:
         eps = constant_coefficient(small_grid, 1.5, Role.EPSILON)
         sig = constant_coefficient(small_grid, 1.0, Role.SIGMA)
         res = smooth_random_trace(small_grid, rng)
-        bc, src = BcConfig(), SourceSpec()
-        lam1 = adjoint_levels(small_grid, eps, sig, res, bc, src)
-        lam2 = adjoint_levels(small_grid, eps, sig, res.map(lambda a: 2.0 * a), bc, src)
+        op = forward_operator(small_grid, eps, sig, SourceSpec(), BcConfig())
+        lam1 = adjoint_levels(op, res)
+        lam2 = adjoint_levels(op, res.map(lambda a: 2.0 * a))
         rep1 = adjoint_energy_monitor(lam1, eps, sig, res)
         rep2 = adjoint_energy_monitor(lam2, eps, sig, res.map(lambda a: 2.0 * a))
         assert rep2.max_energy == pytest.approx(4.0 * rep1.max_energy, rel=1e-10)
@@ -156,9 +157,9 @@ class TestEnergyMonitor:
             obs = extract_trace(solve_forward(g, eps_t, sig_t, src, bc), ALL_SIDES)
             eps0 = constant_coefficient(g, 1.0, Role.EPSILON)
             sig0 = constant_coefficient(g, 1.0, Role.SIGMA)
-            sim = extract_trace(solve_forward(g, eps0, sig0, src, bc), ALL_SIDES)
-            res = sim - obs
-            lam_backward = adjoint_levels(g, eps0, sig0, res, bc, src)
+            E = solve_forward(g, eps0, sig0, src, bc)
+            res = extract_trace(E, ALL_SIDES) - obs
+            lam_backward = adjoint_levels(E.op, res)
             rep = adjoint_energy_monitor(lam_backward, eps0, sig0, res)
             assert np.isfinite(rep.ratio) and not rep.flagged
             ratios.append(rep.ratio)
@@ -169,8 +170,9 @@ class TestEnergyMonitor:
         eps = constant_coefficient(small_grid, 1.0, Role.EPSILON)
         sig = constant_coefficient(small_grid, 1.0, Role.SIGMA)
         res = zero_trace(small_grid)
-        lam = stored_adjoint(small_grid, eps, sig, res, BcConfig(), SourceSpec())
-        levels = list(stored_solution(small_grid, lam).levels_backward())
+        op = forward_operator(small_grid, eps, sig, SourceSpec(), BcConfig())
+        lam = stored_adjoint(op, res)
+        levels = list(stored_solution(op, lam).levels_backward())
         levels = levels[:-1] if drop > 0 else levels + levels[-1:]
         with pytest.raises(ValueError, match="zip"):
             adjoint_energy_monitor(iter(levels), eps, sig, res)
@@ -183,9 +185,10 @@ def test_adjoint_levels_copies_the_boundary_data_once(medium_grid):
     eps, sig = truth_pair(medium_grid)
     residual = smooth_random_trace(medium_grid, np.random.default_rng(4))
     trace_bytes = sum(a.nbytes for a in residual.data.values())
+    op = forward_operator(medium_grid, eps, sig, SourceSpec(), BcConfig())
     tracemalloc.start()
     try:
-        lam_backward = adjoint_levels(medium_grid, eps, sig, residual, BcConfig(), SourceSpec())
+        lam_backward = adjoint_levels(op, residual)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -195,16 +198,16 @@ def test_adjoint_levels_copies_the_boundary_data_once(medium_grid):
 
 def test_adjoint_levels_holds_one_residual_beyond_its_operator(medium_grid):
     # what building the sweep allocates beyond the same operator with
-    # series-free programs is the residual's one copy, g, and the programs'
-    # time axis and flags; one warm sweep first, so that no lazy import of
-    # numpy is counted
+    # series-free programs is the residual's one copy, g (the programs'
+    # flags are views of the forward operator's); one warm sweep first, so
+    # that no lazy import of numpy is counted
     g = medium_grid
     eps, sig = truth_pair(g)
     residual = smooth_random_trace(g, np.random.default_rng(4))
-    bc, src = BcConfig(), SourceSpec()
-    for _ in adjoint_levels(g, eps, sig, residual, bc, src):
+    op = forward_operator(g, eps, sig, SourceSpec(), BcConfig())
+    for _ in adjoint_levels(op, residual):
         pass
-    programs = build_adjoint_programs(g, src, bc, residual)
+    programs = build_adjoint_programs(op, residual)
 
     def traced_peak(build):
         tracemalloc.start()
@@ -214,7 +217,7 @@ def test_adjoint_levels_holds_one_residual_beyond_its_operator(medium_grid):
         finally:
             tracemalloc.stop()
 
-    sweep = traced_peak(lambda: adjoint_levels(g, eps, sig, residual, bc, src))
+    sweep = traced_peak(lambda: adjoint_levels(op, residual))
     operator = traced_peak(lambda: Leapfrog(g, eps, sig, {
         side: SideProgram(p.absorbing.copy(), None) for side, p in programs.items()
     }))
@@ -235,9 +238,10 @@ def test_non_finite_residual_is_reported_with_its_step(small_grid, bad):
     row = g.nt // 3
     values[row, g.side_node_count(Side.LEFT) + 5] = bad  # node 5 of BOTTOM
     residual = BoundaryTrace(grid=g, sides=ALL_SIDES, values=values)
+    op = forward_operator(g, eps, sig, SourceSpec(), BcConfig())
     step = g.nt - row + 1
     with pytest.raises(StabilityError, match=f"non-finite field values at step {step}$"):
-        for _ in adjoint_levels(g, eps, sig, residual, BcConfig(), SourceSpec()):
+        for _ in adjoint_levels(op, residual):
             pass
 
 
@@ -245,19 +249,22 @@ def test_mismatched_residual_rejected(small_grid):
     other = build_grid(24, 24, T=1.2)
     eps = constant_coefficient(small_grid, 1.0, Role.EPSILON)
     sig = constant_coefficient(small_grid, 1.0, Role.SIGMA)
+    op = forward_operator(small_grid, eps, sig, SourceSpec(), BcConfig())
     with pytest.raises(ValueError):
-        adjoint_levels(small_grid, eps, sig, zero_trace(other), BcConfig(), SourceSpec())
+        adjoint_levels(op, zero_trace(other))
 
 
 @pytest.mark.parametrize("n", [8, 50, 400])
 @pytest.mark.parametrize("T", [0.6, 0.9, 1.2, 2.0])
 @pytest.mark.parametrize("t_on", [None, 0.1, 0.25, 0.5])
 def test_switched_side_absorbs_at_the_reversed_forward_levels(n, T, t_on):
-    # the adjoint level n runs at time T - n dt, so it absorbs exactly where
-    # the forward level nt - n does
+    # the adjoint level s runs at time T - s dt, and the switched side
+    # absorbs there exactly when that time is after the switch
     g = build_grid(n, n, T=T)
-    src, bc = SourceSpec(t_on=t_on), BcConfig()
-    forward = build_forward_programs(g, src, bc)[Side.LEFT].absorbing
-    adjoint = build_adjoint_programs(g, src, bc, zero_trace(g))[Side.LEFT].absorbing
-    assert forward.any() and not forward.all()
-    assert np.array_equal(adjoint, forward[::-1])
+    src = SourceSpec(t_on=t_on)
+    eps, sig = constant_coefficient(g, 1.0, Role.EPSILON), constant_coefficient(g, 1.0, Role.SIGMA)
+    op = forward_operator(g, eps, sig, src, BcConfig())
+    adjoint = build_adjoint_programs(op, zero_trace(g))[Side.LEFT].absorbing
+    expected = g.T - g.dt * np.arange(g.nt + 1) > src.switch_time() + 1e-14
+    assert expected.any() and not expected.all()
+    assert np.array_equal(adjoint, expected)

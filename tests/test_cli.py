@@ -12,7 +12,7 @@ import waveinv.cli
 from waveinv import BoundaryTrace, Role, build_grid, constant_coefficient
 from waveinv.cli import main
 from waveinv.config import load_config, make_grid
-from waveinv.forward import _block, forward_trace
+from waveinv.forward import _block, forward_operator, forward_trace
 from waveinv.gradient import gradient_sweep
 from waveinv.io import read_field_csv, write_field_csv, write_field_vtk, write_trace_csv
 from conftest import stack_trace, stored_adjoint, stored_state
@@ -242,6 +242,7 @@ def test_invert_finer_initial_field_exits_2(tmp_path, capsys):
     ("alpha_max", "-1"), ("alpha_max", "0"), ("beta_max", "-1"), ("beta_max", "nan"),
     ("t_on", "nan"), ("omega", "nan"), ("amplitude", "nan"), ("gamma_eps0", "nan"),
     ("omega", "inf"), ("amplitude", "inf"), ("gamma_eps0", "inf"), ("eps_background", "inf"),
+    ("theta1_eps", "-1"),
 ])
 def test_rejected_value_exits_2_before_solving(tmp_path, capsys, key, value):
     cfg = write_cfg(tmp_path)
@@ -479,7 +480,8 @@ def test_adjoint_dumps_from_invert(tmp_path):
     eps = read_field_csv(out2 / "eps_final.csv", grid, Role.EPSILON)
     sigma = read_field_csv(out2 / "sigma_final.csv", grid, Role.SIGMA)
     sim = forward_trace(grid, eps, sigma, problem.src, problem.bc, problem.obs.sides)
-    lam = stored_adjoint(grid, eps, sigma, sim - problem.obs, problem.bc, problem.src)
+    op = forward_operator(grid, eps, sigma, problem.src, problem.bc)
+    lam = stored_adjoint(op, sim - problem.obs)
     levels = range(0, grid.nt + 1, 25)
     assert sorted(p.name for p in out2.glob("L_*.vtk")) == sorted(f"L_{n}.vtk" for n in levels)
     ref = tmp_path / "ref"
@@ -533,13 +535,13 @@ def test_invert_never_dumps_a_non_finite_multiplier(tmp_path, monkeypatch, capsy
     assert (nt - step) % 7 == 0 and step % _block(nt) > 1
     real = waveinv.cli.adjoint_levels
 
-    def blown_up(grid, eps, sigma, residual, bc, src):
+    def blown_up(op, residual):
         # the adjoint's data at its step s is -residual(T - s), and the
         # update from level s writes level s+1
+        grid = op.grid
         values = residual.values.copy()
         values[grid.nt - step + 1, 2] = np.inf  # node 2 of the first side
-        return real(grid, eps, sigma, BoundaryTrace(grid=grid, sides=residual.sides, values=values),
-                    bc, src)
+        return real(op, BoundaryTrace(grid=grid, sides=residual.sides, values=values))
 
     monkeypatch.setattr(waveinv.cli, "adjoint_levels", blown_up)
     capsys.readouterr()

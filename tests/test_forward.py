@@ -25,7 +25,7 @@ from waveinv.forward import (
 )
 from conftest import (
     all_neumann_bc, discrete_energy, smooth_random_coefficient, smooth_random_trace,
-    stored_state, truth_pair,
+    stack_trace, stored_state, truth_pair,
 )
 
 
@@ -227,11 +227,12 @@ def test_forward_trace_equals_trace_of_stored_stack(sides):
         Side.TOP: BcKind.NEUMANN_DATA,
     }, neumann_data=flux)
     src = SourceSpec(f1=lambda X, Y: 0.1 * X * Y)
-    streamed = forward_trace(g, eps, sig, src, bc, sides)
-    stored = extract_trace(solve_forward(g, eps, sig, src, bc), sides)
-    assert streamed.sides == stored.sides
-    for side in stored.sides:
-        assert np.array_equal(streamed.data[side], stored.data[side])
+    stored = stack_trace(g, stored_state(g, eps, sig, src, bc), sorted(sides))
+    for streamed in (forward_trace(g, eps, sig, src, bc, sides),
+                     extract_trace(solve_forward(g, eps, sig, src, bc), sides)):
+        assert streamed.sides == stored.sides
+        for side in stored.sides:
+            assert np.array_equal(streamed.data[side], stored.data[side])
 
 
 @pytest.mark.parametrize("field_builder", ["homogeneous", "inclusion"])
@@ -248,6 +249,14 @@ def test_no_blowup_at_cfl_09(field_builder):
 def test_source_switch_time_default():
     assert SourceSpec(omega=20.0).switch_time() == pytest.approx(np.pi / 10.0)
     assert SourceSpec(omega=20.0, t_on=0.5).switch_time() == 0.5
+    assert SourceSpec(t_on=np.inf).switch_time() == np.inf  # a source that never switches
+
+
+@pytest.mark.parametrize("t_on", [np.nan, 0.0, -1.0])
+def test_switch_time_not_positive_rejected(t_on):
+    # NaN compares false with every time, so its source would never switch
+    with pytest.raises(ValueError, match="t_on must be positive"):
+        SourceSpec(t_on=t_on)
 
 
 @pytest.mark.parametrize("shape", [
@@ -446,7 +455,8 @@ def test_step_after_a_pass_closes_the_sides_of_its_own_level(direction):
     if direction == "forward":
         programs = build_forward_programs(g, src, bc)
     else:
-        programs = build_adjoint_programs(g, src, bc, smooth_random_trace(g, rng))
+        programs = build_adjoint_programs(forward_operator(g, eps, sig, src, bc),
+                                          smooth_random_trace(g, rng))
     switched = programs[Side.LEFT].absorbing
     switch = int(np.flatnonzero(switched != switched[0])[0])
     used = Leapfrog(g, eps, sig, programs)
@@ -572,7 +582,7 @@ def test_every_level_run_starts_on_a_cache_line(nx, ny):
     assert all(on_cache_line(level.rows) for pair in sol.pairs for level in pair)
     assert all(on_cache_line(level.rows) for level in sol.levels_backward())
     residual = smooth_random_trace(g, np.random.default_rng(5))
-    assert all(on_cache_line(level.rows) for level in adjoint_levels(g, eps, sig, residual, bc, src))
+    assert all(on_cache_line(level.rows) for level in adjoint_levels(op, residual))
 
 
 def test_a_copied_level_is_a_new_level_with_every_value():

@@ -23,6 +23,7 @@ from waveinv import (
     region_mask,
     solve_forward,
 )
+from waveinv.forward import forward_operator
 from conftest import (
     adjoint_gradients,
     smooth_random_coefficient,
@@ -67,9 +68,7 @@ class TestAssemble:
         src, bc = SourceSpec(), BcConfig()
         E = solve_forward(small_grid, eps, sig, src, bc)
         mask = region_mask(small_grid, 0)
-        g_eps, g_sig, _ = adjoint_gradients(
-            E, zero_trace(small_grid), eps, sig, reg, 0.5, 0.5, mask, bc, src
-        )
+        g_eps, g_sig, _ = adjoint_gradients(E, zero_trace(small_grid), reg, 0.5, 0.5, mask)
         assert np.all(g_eps.values == 0.0)
         assert np.all(g_sig.values == 0.0)
 
@@ -80,9 +79,7 @@ class TestAssemble:
         src, bc = SourceSpec(amplitude=0.0), BcConfig()
         E = solve_forward(small_grid, eps, sig, src, bc)
         mask = region_mask(small_grid, 2)
-        g_eps, _, _ = adjoint_gradients(
-            E, zero_trace(small_grid), eps, sig, reg, 0.3, 0.0, mask, bc, src
-        )
+        g_eps, _, _ = adjoint_gradients(E, zero_trace(small_grid), reg, 0.3, 0.0, mask)
         assert np.all(g_eps.values[mask.inner] == pytest.approx(0.3, abs=1e-15))
         assert np.all(g_eps.values[mask.frame] == 0.0)
 
@@ -94,9 +91,9 @@ class TestAssemble:
         src, bc = SourceSpec(), BcConfig()
         E = solve_forward(small_grid, eps, sig, src, bc)
         residual = smooth_random_trace(small_grid, np.random.default_rng(3))
-        g0, _, _ = adjoint_gradients(E, residual, eps, sig, reg, 0.0, 0.0, mask, bc, src)
-        g1, _, _ = adjoint_gradients(E, residual, eps, sig, reg, 0.2, 0.0, mask, bc, src)
-        g2, _, _ = adjoint_gradients(E, residual, eps, sig, reg, 0.4, 0.0, mask, bc, src)
+        g0, _, _ = adjoint_gradients(E, residual, reg, 0.0, 0.0, mask)
+        g1, _, _ = adjoint_gradients(E, residual, reg, 0.2, 0.0, mask)
+        g2, _, _ = adjoint_gradients(E, residual, reg, 0.4, 0.0, mask)
         # extraction of the regularization part by subtraction carries the
         # round-off of the large data term, hence the scaled tolerance
         scale = np.abs(g0.values).max()
@@ -110,9 +107,7 @@ class TestAssemble:
         reg = make_reg(g)
         E = solve_forward(g, eps_e, sig_e, src, bc)
         residual = extract_trace(E, ALL_SIDES) - obs
-        g_eps, g_sig, _ = adjoint_gradients(
-            E, residual, eps_e, sig_e, reg, 0.1, 0.1, mask, bc, src
-        )
+        g_eps, g_sig, _ = adjoint_gradients(E, residual, reg, 0.1, 0.1, mask)
         assert np.all(g_eps.values[mask.frame] == 0.0)
         assert np.all(g_sig.values[mask.frame] == 0.0)
         assert np.abs(g_eps.values[mask.inner]).max() > 0.0
@@ -173,9 +168,7 @@ class TestAdjointVersusOracle:
         reg = make_reg(g)
         E = solve_forward(g, eps_e, sig_e, src, bc)
         residual = extract_trace(E, ALL_SIDES) - obs
-        g_eps, g_sig, _ = adjoint_gradients(
-            E, residual, eps_e, sig_e, reg, 0.0, 0.0, mask, bc, src
-        )
+        g_eps, g_sig, _ = adjoint_gradients(E, residual, reg, 0.0, 0.0, mask)
         rng = np.random.default_rng(seed)
         inner = np.argwhere(mask.inner)
         nodes = [tuple(inner[k]) for k in rng.choice(len(inner), n_nodes, replace=False)]
@@ -262,10 +255,8 @@ class TestStreamedSweep:
         E = solve_forward(g, eps, sig, src, bc)
         residual = extract_trace(E, observed) - smooth_random_trace(g, rng, observed)
 
-        g_eps, g_sig, lambda_norm = adjoint_gradients(
-            E, residual, eps, sig, reg, 0.05, 0.07, mask, bc, src
-        )
-        lam = stored_adjoint(g, eps, sig, residual, bc, src)
+        g_eps, g_sig, lambda_norm = adjoint_gradients(E, residual, reg, 0.05, 0.07, mask)
+        lam = stored_adjoint(E.op, residual)
         stack = stored_state(g, eps, sig, src, bc)
         r_eps, r_sig = stored_reference(stack, lam, eps, sig, reg, 0.05, 0.07, mask)
         assert rel_diff(g_eps.values, r_eps) <= 1e-12
@@ -302,9 +293,9 @@ class TestCheckpointedState:
         assert np.array_equal(replayed, stack[::-1])
 
         residual = extract_trace(sol, observed) - smooth_random_trace(g, rng, observed)
-        from_sol = adjoint_gradients(sol, residual, eps, sig, reg, 0.05, 0.07, mask, bc, src)
-        from_stack = adjoint_gradients(stored_solution(g, stack), residual, eps, sig, reg, 0.05, 0.07,
-                                       mask, bc, src)
+        from_sol = adjoint_gradients(sol, residual, reg, 0.05, 0.07, mask)
+        from_stack = adjoint_gradients(stored_solution(sol.op, stack), residual, reg, 0.05, 0.07,
+                                       mask)
         assert np.array_equal(from_sol[0].values, from_stack[0].values)
         assert np.array_equal(from_sol[1].values, from_stack[1].values)
         assert from_sol[2] == from_stack[2]
@@ -315,13 +306,14 @@ class TestCheckpointedState:
         sig = constant_coefficient(small_grid, 1.0, Role.SIGMA)
         src, bc = SourceSpec(), BcConfig()
         stack = stored_state(small_grid, eps, sig, src, bc)
-        levels = list(stored_solution(small_grid, stack).levels_backward())
+        op = forward_operator(small_grid, eps, sig, src, bc)
+        levels = list(stored_solution(op, stack).levels_backward())
         levels = levels[:-1] if drop > 0 else levels + levels[-1:]
-        E = SimpleNamespace(grid=small_grid, levels_backward=lambda: iter(levels))
+        E = SimpleNamespace(grid=small_grid, op=op, levels_backward=lambda: iter(levels))
         with pytest.raises(ValueError, match="zip"):
             adjoint_gradients(
-                E, zero_trace(small_grid), eps, sig, make_reg(small_grid), 0.0, 0.0,
-                region_mask(small_grid, 0), bc, src,
+                E, zero_trace(small_grid), make_reg(small_grid), 0.0, 0.0,
+                region_mask(small_grid, 0),
             )
 
 
@@ -335,7 +327,7 @@ def test_sweep_allocates_no_level_per_step():
     sig = smooth_random_coefficient(g, rng, Role.SIGMA, hi=4.0)
     src, bc = SourceSpec(), BcConfig()
     sol = solve_forward(g, eps, sig, src, bc)
-    lam_backward = adjoint_levels(g, eps, sig, smooth_random_trace(g, rng), bc, src)
+    lam_backward = adjoint_levels(sol.op, smooth_random_trace(g, rng))
     level_bytes = np.empty(g.node_shape).nbytes
     marks = []
 
@@ -349,8 +341,7 @@ def test_sweep_allocates_no_level_per_step():
 
     tracemalloc.start()
     try:
-        gradient_sweep(sol, watched(lam_backward), eps, sig, make_reg(g), 0.0, 0.0,
-                       region_mask(g, 0))
+        gradient_sweep(sol, watched(lam_backward), make_reg(g), 0.0, 0.0, region_mask(g, 0))
     finally:
         tracemalloc.stop()
     base, peak = marks

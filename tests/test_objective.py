@@ -120,17 +120,6 @@ class TestLagrangian:
         assert abs(values[0] - F) <= tol
         assert abs(values[0] - values[1]) <= tol
 
-    @pytest.mark.parametrize("T_lam", [0.9])
-    def test_multiplier_on_another_time_axis_rejected(self, T_lam):
-        # 0.9 gives 31 steps against the state's 21
-        g = build_grid(12, 12, T=0.6)
-        g_lam = build_grid(12, 12, T=T_lam)
-        assert g_lam.node_shape == g.node_shape and g_lam.dt != g.dt
-        eps, sig, src, bc, E, obs, reg = self.setup_problem(g)
-        lam = np.ones((g_lam.nt + 1, *g_lam.node_shape))
-        with pytest.raises(ValueError, match="different space-time grids"):
-            lagrangian(E, lam, eps, sig, reg, 0.1, 0.1, obs, src, bc)
-
     @pytest.mark.parametrize("wrong", ["state", "multiplier", "both"])
     @pytest.mark.parametrize("axis", ["nt", "nodes"])
     def test_stack_of_wrong_shape_rejected_before_any_solve(self, monkeypatch, wrong, axis):

@@ -310,6 +310,18 @@ class TestRefinementFlags:
             refinement_flags(c, c, 0.5, 0.5, mode="nonsense")
 
 
+@pytest.mark.parametrize("value", [np.nan, -1.0])
+@pytest.mark.parametrize("cls, name", [
+    (StoppingTolerances, "eta1_eps"), (StoppingTolerances, "eta2_sigma"),
+    (AcgaControls, "theta1_eps"), (AcgaControls, "theta2_sigma"),
+])
+def test_tolerance_below_zero_or_nan_rejected(cls, name, value):
+    # NaN compares false with every value, so its tolerance would never fire
+    with pytest.raises(ValueError, match="tolerances must be >= 0"):
+        cls(**{name: value})
+    assert getattr(cls(**{name: np.inf}), name) == np.inf  # fires at once, as documented
+
+
 class TestAcga:
     def test_single_level_matches_run_cga(self):
         problem = small_problem()
