@@ -22,9 +22,10 @@ gradient sums of the optimizer and of grad-check, the energy monitor, the
 L_*.vtk dumps) uses each level as it arrives, so no multiplier is stored.
 
 The residual's one array, negated and reversed once, is the Neumann data
-g = -residual(T - s), one block that the observed sides share and that the
-Leapfrog scales by 2 h as it adds it, so g is the one copy of the boundary
-data a sweep holds: a caller that drops its residual sweeps with g alone.
+g = -residual(T - s), and each observed side's series is the view of its
+own columns of g, which the Leapfrog scales by 2 h as it fills that side's
+ghosts.  So g is the one copy of the boundary data a sweep holds: a caller
+that drops its residual sweeps with g alone.
 """
 
 from __future__ import annotations
@@ -42,13 +43,10 @@ from .objective import trace_norm_sq
 
 def build_adjoint_programs(op: Leapfrog, residual: BoundaryTrace) -> dict[Side, SideProgram]:
     """The forward operator's side programs run backward in time: each one's
-    absorbing flags reversed (a view), and the Neumann data
-    g = -residual(T - s) on the observed sides, one array that they share."""
-    g = -residual.values[::-1]
-    return {
-        side: SideProgram(p.absorbing[::-1], g if side in residual.sides else None)
-        for side, p in op.programs.items()
-    }
+    absorbing flags reversed (a view), and on each observed side the view
+    of its columns of the Neumann data g = -residual(T - s), one array."""
+    g = residual.map(lambda v: -v[::-1]).data
+    return {side: SideProgram(p.absorbing[::-1], g.get(side)) for side, p in op.programs.items()}
 
 
 def adjoint_levels(op: Leapfrog, residual: BoundaryTrace) -> Iterator[PaddedLevel]:

@@ -77,8 +77,9 @@ def _observed(cfg: RunConfig, grid, eps, sigma, src, bc, sides):
     model, level = cfgmod.noise_model(cfg), cfg.get("noise", "level")
     if not 0.0 <= level < np.inf:
         raise ConfigError(f"key noise.level: must be finite and >= 0, got {level!r}")
+    seed = cfgmod.rng_seed(cfg, "noise")
     trace = forward_trace(grid, eps, sigma, src, bc, sides)
-    return add_noise(trace, model, level, cfg.get("noise", "seed"))
+    return add_noise(trace, model, level, seed)
 
 
 def _dumped(cfg: RunConfig, grid, numbered, out: Path, prefix: str = "E"):
@@ -211,6 +212,9 @@ def cmd_invert_adaptive(cfg: RunConfig, out: Path, quiet: bool) -> int:
 
 
 def cmd_grad_check(cfg: RunConfig, out: Path, quiet: bool) -> int:
+    tol = cfg.get("gradcheck", "tol")
+    if not tol >= 0.0:
+        raise ConfigError(f"key gradcheck.tol: must be >= 0, got {tol!r}")
     grid, adm, mask, eps_t, sigma_t, src, bc, sides = _forward_setup(cfg)
     nodes = cfgmod.gradcheck_nodes(cfg, mask)
     obs = _observed(cfg, grid, eps_t, sigma_t, src, bc, sides)
@@ -231,7 +235,6 @@ def cmd_grad_check(cfg: RunConfig, out: Path, quiet: bool) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    tol = cfg.get("gradcheck", "tol")
     max_fd = {
         role: max((abs(s.value) for s in samples if s.role is role), default=0.0)
         for role in (Role.EPSILON, Role.SIGMA)

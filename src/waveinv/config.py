@@ -319,10 +319,19 @@ def noise_model(cfg: RunConfig) -> NoiseModel:
     return _convert("noise", "model", cfg.get("noise", "model"), NoiseModel)
 
 
+def rng_seed(cfg: RunConfig, section: str) -> int:
+    """The seed key of a section; numpy's generators take none below 0."""
+    seed = cfg.get(section, "seed")
+    if seed < 0:
+        raise ConfigError(f"key {section}.seed: must be >= 0, got {seed}")
+    return seed
+
+
 def gradcheck_nodes(cfg: RunConfig, mask: RegionMask) -> list[tuple[int, int]]:
     """Probe nodes of the gradient check: the grid nodes listed in
     gradcheck.nodes as "i,j; i,j", or else gradcheck.n_nodes distinct INNER
-    nodes drawn with gradcheck.seed."""
+    nodes drawn with gradcheck.seed (checked in either case)."""
+    seed = rng_seed(cfg, "gradcheck")
     raw = cfg.get("gradcheck", "nodes").strip()
     grid = mask.grid
     if raw:
@@ -337,7 +346,7 @@ def gradcheck_nodes(cfg: RunConfig, mask: RegionMask) -> list[tuple[int, int]]:
     if not 0 <= n_nodes <= len(inner):
         raise ConfigError(f"key gradcheck.n_nodes: must lie in [0, {len(inner)}], "
                           f"the number of inner nodes")
-    picks = np.random.default_rng(cfg.get("gradcheck", "seed")).choice(
+    picks = np.random.default_rng(seed).choice(
         len(inner), size=n_nodes, replace=False
     )
     return [tuple(int(v) for v in inner[k]) for k in picks]

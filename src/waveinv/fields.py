@@ -55,7 +55,7 @@ class AdmissibleSet:
             raise ValueError("eps_background and sigma_background must be finite")
         if self.eps_background < 1.0:
             raise ValueError("eps_background must be >= 1")
-        if self.eps_max < self.eps_background:
+        if not self.eps_max >= self.eps_background:  # NaN fails it too
             raise ValueError("eps_max must be >= eps_background")
         if not 0.0 <= self.sigma_min <= self.sigma_max:
             raise ValueError("need 0 <= sigma_min <= sigma_max")

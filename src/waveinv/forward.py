@@ -10,7 +10,7 @@ the update explicit and second order:
         = (2 eps/dt^2) E^n - (eps/dt^2 - sigma/(2 dt)) E^{n-1} + lap_h E^n + f^n
 
 lap_h is the 5-point Laplacian; boundary conditions enter through one layer
-of ghost nodes:
+of ghost nodes, filled side by side:
 
     zero Neumann        ghost = mirror
     Neumann data g      ghost = mirror + 2 h g(t_n)
@@ -25,7 +25,8 @@ form in which the adjoint must transpose it.
 The first step is the Taylor start
     E^1 = E^0 + dt f1 + dt^2/(2 eps) (lap_h E^0 - sigma f1 + f^0),
 which keeps second-order accuracy for nonzero initial data; its absorbing
-closure takes E^0 - dt f1 as the previous level.
+closure takes E^0 - dt f1 as the previous level.  The start data f0, f1
+belong to the operator, as its forcing does; the adjoint's are zero.
 
 Leapfrog holds this update once.  The forward solve, the Lagrangian's
 defect and the adjoint solve all step through it: after reversing time the
@@ -156,9 +157,8 @@ class SideProgram:
     """Resolved per-side boundary behaviour over the whole time axis.
 
     absorbing[n] switches the outflow ghost term on at level n;
-    series is Neumann flux data per level, with a value per side node or one
-    value for the whole side (None means zero).  Sides whose programs hold
-    one series share it: a value per node of their perimeter layout, or one.
+    series[n] is the Neumann flux data at level n, a value per side node in
+    node order or one value for the whole side (None means zero flux).
     """
 
     absorbing: np.ndarray
@@ -224,11 +224,13 @@ class PaddedLevel:
     """One ghost-padded (nx+3, ny+3) level buffer (pad, and flat, the same
     buffer as one run), nodes at [1:-1, 1:-1], with the views that a
     leapfrog step reads or writes made once: the node view (nodes), the run
-    of rows 1..nx+1 with their ghost columns (rows) and that run shifted to
-    each of the four neighbours.  The time loops yield these objects, and
-    this class is the one owner of the layout.
+    of rows 1..nx+1 with their ghost columns (rows), that run shifted to
+    each of the four neighbours (neighbours), and per side in ALL_SIDES
+    order its ghost row or column and the mirror one step inward (ghosts,
+    at the SLOTS of pad).  The time loops yield these objects, and this
+    class is the one owner of the layout.
 
-    Only a level that is stepped from reads neighbours, and most
+    Only a level that is stepped from reads neighbours and ghosts, and most
     checkpoints never are, so those are made on first use.
 
     This class allocates all level memory.  It over-allocates one cache
@@ -239,9 +241,16 @@ class PaddedLevel:
     an even ny never start on a line.  The scratch runs of the step and of
     the gradient sums are rows of their own levels for the same reason."""
 
-    __slots__ = ("flat", "pad", "nodes", "rows", "neighbours")
+    __slots__ = ("flat", "pad", "nodes", "rows", "neighbours", "ghosts")
 
     LINE = 8  # doubles per 64-byte cache line
+    # (ghost, mirror) of LEFT, BOTTOM, RIGHT and TOP
+    SLOTS = (
+        (np.s_[0, 1:-1], np.s_[2, 1:-1]),
+        (np.s_[1:-1, 0], np.s_[1:-1, 2]),
+        (np.s_[-1, 1:-1], np.s_[-3, 1:-1]),
+        (np.s_[1:-1, -1], np.s_[1:-1, -3]),
+    )
 
     def __init__(self, grid: Grid2D) -> None:
         """A zero level, its rows on a cache line."""
@@ -254,7 +263,10 @@ class PaddedLevel:
         self.rows = buffer[skip + w:skip + size - w]
 
     def __getattr__(self, name: str) -> tuple:
-        # called only while the neighbours slot is still unset
+        # called only while the neighbours or ghosts slot is still unset
+        if name == "ghosts":
+            self.ghosts = tuple((self.pad[g], self.pad[m]) for g, m in self.SLOTS)
+            return self.ghosts
         if name != "neighbours":
             raise AttributeError(name)
         p, w = self.flat, self.pad.shape[1]
@@ -293,24 +305,25 @@ def _block(nt: int) -> int:
 class Leapfrog:
     """The discrete state operator: one leapfrog update and its Taylor start.
 
-    Built once per (grid, eps, sigma, side programs, forcing), it holds the
+    Built once per (grid, eps, sigma, side programs, source), it holds the
     update coefficients, the absorbing closure's perimeter tables, scratch
-    space and the forcing lookup, and keeps eps, sigma and the programs: a
-    forward operator is the linearization point from which the adjoint
-    solve and the gradient read theirs.  The forward solve, the adjoint
-    solve and the Lagrangian's defect all step through it, so each
-    expression of the scheme is written once.
+    space and the forcing lookup, and keeps eps, sigma, the programs and
+    the source's start data f0, f1: a forward operator is the linearization
+    point from which the adjoint solve and the gradient read theirs.  The
+    forward solve, the adjoint solve and the Lagrangian's defect all step
+    through it, so each expression of the scheme is written once.
 
     The time loops keep every level resident in a PaddedLevel.  advance()
     fills the ghosts of the current level in place and writes the next
     level's rows 1..nx+1, ghost columns included, into the output buffer:
     every operand is one contiguous run (numpy copies strided operands
     through a scratch buffer), and the coefficients are kept in that row
-    layout with zero ghost columns.  The instance owns three PaddedLevels
-    (levels): leapfrog_levels rotates through them, step() and first_step()
-    serve node arrays through them, and a ForwardSolution's replay reuses
-    them.  So an instance runs one of these at a time: it is
-    non-reentrant.
+    layout with zero ghost columns.  Each side's ghosts get its mirror plus
+    2 h times its series, scaled as it is written, so no scaled copy is
+    kept.  The instance owns three PaddedLevels (levels): leapfrog_levels
+    rotates through them, step() and first_step() serve node arrays
+    through them, and a ForwardSolution's replay reuses them.  So an
+    instance runs one of these at a time: it is non-reentrant.
 
     The absorbing closure.  An absorbing side's ghost term
     -(2h/dt)(E^n_b - E^{n-1}_b) enters the update of its boundary node b
@@ -333,9 +346,11 @@ class Leapfrog:
         eps: CoefficientField,
         sigma: CoefficientField,
         programs: Mapping[Side, SideProgram],
-        forcing: Callable | np.ndarray | None = None,
+        src: SourceSpec | None = None,
     ) -> None:
         self.grid, self.eps, self.sigma, self.programs = grid, eps, sigma, programs
+        forcing, self.f0, self.f1 = (None, None, None) if src is None else (
+            src.volume_forcing, src.f0, src.f1)
         h, dt = grid.h, grid.dt
         eps_v, sig_v = eps.values, sigma.values
         a_plus = eps_v / dt**2 + sig_v / (2.0 * dt)
@@ -354,29 +369,7 @@ class Leapfrog:
         self._a_plus = None if forcing is None else a_plus
         self._flux = np.array(2.0 * h)  # a 0-d array scales faster than a float
         self.levels = [PaddedLevel(grid) for _ in range(3)]
-
-        # the Neumann data g in blocks, the sides that share one series
-        blocks: dict[int, tuple[np.ndarray, list[Side]]] = {}
-        for side in ALL_SIDES:
-            if (series := programs[side].series) is not None:
-                blocks.setdefault(id(series), (series, []))[1].append(side)
-        # the index in flat of each ghost slot and of its mirror, one step
-        # (ny+3 or 1) outward and inward of its node, with the blocks' sides
-        # first and side by side, so that each block adds its 2 h g, scaled
-        # as it is added so that no copy is kept, to one slice of the slots
-        order = [side for _, sides in blocks.values() for side in sides]
-        slots = order + [side for side in ALL_SIDES if side not in order]
-        w = grid.ny + 3
-        step = np.repeat([{Side.LEFT: -w, Side.BOTTOM: -1, Side.RIGHT: w, Side.TOP: 1}[side]
-                          for side in slots], np.diff(perimeter_offsets(grid, slots)))
-        node = PaddedLevel.boundary_rows(grid, slots) + w
-        self._ghost, self._mirror = node + step, node - step
-        self._neumann = []
-        start = 0
-        for series, sides in blocks.values():
-            stop = start + int(perimeter_offsets(grid, sides)[-1])
-            self._neumann.append((slice(start, stop), series))
-            start = stop
+        self._series = [programs[side].series for side in ALL_SIDES]
         self._count = np.diff(perimeter_offsets(grid, ALL_SIDES))
 
         # the perimeter nodes' indices in rows, each node once; the position
@@ -419,14 +412,15 @@ class Leapfrog:
         self._applied = pattern
 
     def _neighbour_sum(self, cur: PaddedLevel, n: int, out: np.ndarray) -> np.ndarray:
-        """Fill the ghosts of level n (cur) with their mirrors plus each
-        block's Neumann term, and write the sum of every node's four
+        """Fill the ghosts of level n (cur) side by side with their mirrors
+        plus the side's Neumann term, and write the sum of every node's four
         neighbours into the run out (its ghost columns get junk)."""
-        flat = cur.flat
-        ghosts = flat[self._mirror]
-        for slots, series in self._neumann:
-            ghosts[slots] += series[n] * self._flux
-        flat[self._ghost] = ghosts
+        for (ghost, mirror), series in zip(cur.ghosts, self._series):
+            if series is None:
+                ghost[...] = mirror
+            else:
+                np.multiply(series[n], self._flux, out=ghost)
+                ghost += mirror
         up, down, right, left = cur.neighbours
         np.add(up, down, out=out)
         out += right
@@ -460,10 +454,12 @@ class Leapfrog:
         out[...] = po.nodes
         return out
 
-    def first_step(self, e0: np.ndarray, f1_v: np.ndarray) -> np.ndarray:
-        """Taylor start producing E^1; the absorbing closure takes e0 - dt f1
-        as the previous level in place of the undefined backward difference."""
+    def first_step(self, e0: np.ndarray) -> np.ndarray:
+        """Taylor start from level e0 and the operator's initial velocity
+        f1, producing E^1; the absorbing closure takes e0 - dt f1 as the
+        previous level in place of the undefined backward difference."""
         dt = self.grid.dt
+        f1_v = _nodal(self.grid, self.f1)
         pc, pp, po = self.levels
         pc.nodes[...] = e0
         pp.nodes[...] = e0 - dt * f1_v
@@ -497,17 +493,14 @@ def _advance(
         prev, cur = cur, out
 
 
-def _levels(
-    op: Leapfrog, f0: Callable | np.ndarray | None, f1: Callable | np.ndarray | None,
-    block: int,
-) -> Iterator[PaddedLevel]:
-    """Levels 0..nt in three rotating padded levels, checked at start-up
-    and then as _advance checks them."""
+def _levels(op: Leapfrog, block: int) -> Iterator[PaddedLevel]:
+    """Levels 0..nt in three rotating padded levels, from the operator's
+    start data, checked at start-up and then as _advance checks them."""
     grid = op.grid
     levels = op.levels
     e0, e1 = levels[0].nodes, levels[1].nodes
-    e0[...] = _nodal(grid, f0)
-    e1[...] = op.first_step(e0, _nodal(grid, f1))
+    e0[...] = _nodal(grid, op.f0)
+    e1[...] = op.first_step(e0)
     if not (np.isfinite(e0).all() and np.isfinite(e1).all()):
         raise StabilityError("non-finite field values at start-up")
     yield from levels[:2]
@@ -516,12 +509,9 @@ def _levels(
     yield from _advance(op, levels[0], levels[1], 1, outs, block)
 
 
-def leapfrog_levels(
-    op: Leapfrog,
-    f0: Callable | np.ndarray | None = None,
-    f1: Callable | np.ndarray | None = None,
-) -> Iterator[PaddedLevel]:
-    """Time-step the damped wave scheme and yield levels 0..nt in order.
+def leapfrog_levels(op: Leapfrog) -> Iterator[PaddedLevel]:
+    """Time-step the damped wave scheme from the operator's start data and
+    yield levels 0..nt in order.
 
     Each level is one of the operator's three PaddedLevels, in rotation, so
     a yielded level stays valid until two more levels have been yielded: a
@@ -543,12 +533,12 @@ def leapfrog_levels(
     if float(op.sigma.values.min()) < 0.0:
         raise StabilityError("conductivity must be >= 0")
     try:
-        yield from _levels(op, f0, f1, _block(grid.nt))
+        yield from _levels(op, _block(grid.nt))
     except (StabilityError, RuntimeWarning):
         # a RuntimeWarning is the blow-up's first NaN or overflow, raised by
         # numpy under an "error" warnings filter before any check sees it
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in _levels(op, f0, f1, 1):
+            for _ in _levels(op, 1):
                 pass
         raise
 
@@ -567,12 +557,7 @@ class ForwardSolution:
     held, and 3 sqrt(nt) during a sweep, where a stored stack holds nt+1.
     """
 
-    def __init__(
-        self,
-        op: Leapfrog,
-        f0: Callable | np.ndarray | None = None,
-        f1: Callable | np.ndarray | None = None,
-    ) -> None:
+    def __init__(self, op: Leapfrog) -> None:
         grid = self.grid = op.grid
         self.op = op
         b = self.block = _block(grid.nt)
@@ -588,7 +573,7 @@ class ForwardSolution:
                 yield level
 
         self.trace: BoundaryTrace | None = trace_of_levels(
-            grid, keep_pairs(leapfrog_levels(op, f0, f1)), ALL_SIDES
+            grid, keep_pairs(leapfrog_levels(op)), ALL_SIDES
         )
 
     def take_trace(self, sides: Iterable[Side]) -> BoundaryTrace:
@@ -626,8 +611,8 @@ def forward_operator(
     bc: BcConfig,
 ) -> Leapfrog:
     """The state operator of the forward problem: boundary programs from
-    (src, bc) and the source's volume forcing."""
-    return Leapfrog(grid, eps, sigma, build_forward_programs(grid, src, bc), src.volume_forcing)
+    (src, bc), and the source's volume forcing and start data."""
+    return Leapfrog(grid, eps, sigma, build_forward_programs(grid, src, bc), src)
 
 
 def forward_levels(
@@ -638,7 +623,7 @@ def forward_levels(
     bc: BcConfig,
 ) -> Iterator[PaddedLevel]:
     """The forward solution's levels 0..nt, one at a time."""
-    return leapfrog_levels(forward_operator(grid, eps, sigma, src, bc), src.f0, src.f1)
+    return leapfrog_levels(forward_operator(grid, eps, sigma, src, bc))
 
 
 def solve_forward(
@@ -650,7 +635,7 @@ def solve_forward(
 ) -> ForwardSolution:
     """Solve the forward problem, keeping its boundary trace and the
     checkpoints from which its levels are replayed backward in time."""
-    return ForwardSolution(forward_operator(grid, eps, sigma, src, bc), src.f0, src.f1)
+    return ForwardSolution(forward_operator(grid, eps, sigma, src, bc))
 
 
 def trace_of_levels(

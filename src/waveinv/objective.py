@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import BoundaryTrace, CoefficientField
-from .forward import BcConfig, SourceSpec, _nodal, forward_operator, forward_trace
+from .forward import BcConfig, SourceSpec, forward_operator, forward_trace
 from .grid import Grid2D, area_weights, perimeter_nodes, perimeter_weights, time_weights
 
 
@@ -106,7 +106,7 @@ def forward_defect(
     defect = np.empty((g.nt, *g.node_shape))
     a_plus = eps.values / dt**2 + sigma.values / (2.0 * dt)
     a_mid = 2.0 * eps.values / dt**2
-    defect[0] = a_mid * (E[1] - op.first_step(E[0], _nodal(g, src.f1)))
+    defect[0] = a_mid * (E[1] - op.first_step(E[0]))
     for n in range(1, g.nt):
         defect[n] = a_plus * (E[n + 1] - op.step(E[n], E[n - 1], n))
     return defect

@@ -12,7 +12,7 @@ import waveinv.cli
 from waveinv import BoundaryTrace, Role, build_grid, constant_coefficient
 from waveinv.cli import main
 from waveinv.config import load_config, make_grid
-from waveinv.forward import _block, forward_operator, forward_trace
+from waveinv.forward import Leapfrog, _block, forward_operator, forward_trace
 from waveinv.gradient import gradient_sweep
 from waveinv.io import read_field_csv, write_field_csv, write_field_vtk, write_trace_csv
 from conftest import stack_trace, stored_adjoint, stored_state
@@ -402,6 +402,45 @@ def test_negative_noise_level_exits_2(tmp_path, capsys, command, text, output):
     assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (out / output).exists()
+
+
+def fail_any_solve(monkeypatch):
+    def advance(*args, **kwargs):
+        raise AssertionError("a solve ran")
+    monkeypatch.setattr(Leapfrog, "advance", advance)
+
+
+@pytest.mark.parametrize("command, text, old, new, flags", [
+    ("synthesize", BASE, "seed = 42", "seed = -1", []),
+    ("grad-check", GRADCHECK, "[noise]\n", "[noise]\nseed = -1\n", []),
+    ("grad-check", GRADCHECK, "seed = 7", "seed = -3", []),
+    ("synthesize", BASE, "seed = 42", "seed = 42", ["--seed", "-2"]),
+    ("grad-check", GRADCHECK, "seed = 7", "seed = 7", ["--seed", "-2"]),
+], ids=["noise-synthesize", "noise-grad-check", "gradcheck", "flag-synthesize",
+        "flag-grad-check"])
+def test_negative_seed_exits_2_before_any_solve(
+        tmp_path, capsys, monkeypatch, command, text, old, new, flags):
+    # numpy's generators reject a negative seed; synthesize met it only in
+    # add_noise, after the forward solve, and exited 1 with a traceback
+    assert text.count(old) == 1
+    fail_any_solve(monkeypatch)
+    cfg = write_cfg(tmp_path, text.replace(old, new))
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet", *flags]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and ".seed" in err and "Traceback" not in err
+    assert not (out / "obs.csv").exists() and not (out / "grad_check.csv").exists()
+
+
+@pytest.mark.parametrize("tol", ["-1", "-inf"])
+def test_negative_grad_check_tolerance_exits_2_before_any_solve(tmp_path, capsys, monkeypatch, tol):
+    # no probe can pass a negative tolerance, so the check printed FAIL, exit 1
+    fail_any_solve(monkeypatch)
+    cfg = write_cfg(tmp_path, GRADCHECK + f"tol = {tol}\n")
+    out = tmp_path / "gc"
+    assert main(["grad-check", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert "gradcheck.tol" in capsys.readouterr().err
+    assert not (out / "grad_check.csv").exists()
 
 
 @pytest.mark.parametrize("level", ["nan", "inf"])

@@ -289,6 +289,13 @@ class TestAdmissibleSet:
         with pytest.raises(ValueError):
             AdmissibleSet(sigma_background=np.inf, sigma_max=np.inf)
 
+    @pytest.mark.parametrize("key", ["eps_max", "sigma_min", "sigma_max"])
+    def test_nan_bound_rejected(self, key):
+        # NaN compares false with every bound, so eps_max < eps_background let
+        # it through and project then returned NaN coefficients
+        with pytest.raises(ValueError):
+            AdmissibleSet(**{key: np.nan})
+
     def test_bounds_by_role(self, unit_adm):
         assert unit_adm.bounds(Role.EPSILON) == (1.0, 10.0)
         assert unit_adm.bounds(Role.SIGMA) == (1.0, 10.0)

@@ -505,11 +505,11 @@ def test_building_a_leapfrog_allocates_no_level_beyond_its_own():
     assert peak - owned < 2 * level_bytes
 
 
-def test_a_leapfrog_keeps_its_seven_levels_and_perimeter_tables():
-    # what the operator owns: seven PaddedLevels (three levels, three
-    # coefficient rows, the scratch), each with its cache line, and the
-    # one-byte finite flag per padded node; all else it keeps, the closure's
-    # and the ghost fill's index tables, must be perimeter-sized
+def leapfrog_kept_beyond_its_levels():
+    """(bytes, perimeter) at 128²: what a Leapfrog keeps beyond what it
+    owns, seven PaddedLevels (three levels, three coefficient rows, the
+    scratch), each with its cache line, and the one-byte finite flag per
+    padded node; and the number of perimeter nodes."""
     g = build_grid(128, 128, T=0.1)
     eps, sig = truth_pair(g)
     programs = build_forward_programs(g, SourceSpec(t_on=0.05), BcConfig())
@@ -520,13 +520,36 @@ def test_a_leapfrog_keeps_its_seven_levels_and_perimeter_tables():
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+    assert len(op.levels) == 3
     padded = (g.nx + 3) * (g.ny + 3)
     owned = 7 * (padded + PaddedLevel.LINE) * 8 + padded
-    perimeter = 2 * (g.nx + 1) + 2 * (g.ny + 1)
-    # eight tables of one 8-byte entry per perimeter node (33 KB at 128²),
-    # and 8 KB for the array and view objects, which do not grow with the grid
-    assert len(op.levels) == 3
-    assert kept - owned <= 8 * perimeter * 8 + 8192
+    return kept - owned, 2 * (g.nx + 1) + 2 * (g.ny + 1)
+
+
+def test_a_leapfrog_keeps_its_seven_levels_and_perimeter_tables():
+    # all else the operator keeps must be perimeter-sized: eight tables of
+    # one 8-byte entry per perimeter node (33 KB at 128²), and 8 KB for the
+    # array and view objects, which do not grow with the grid
+    kept, perimeter = leapfrog_kept_beyond_its_levels()
+    assert kept <= 8 * perimeter * 8 + 8192
+
+
+def test_a_leapfrog_keeps_at_most_five_perimeter_tables():
+    # the ghosts are filled through each level's own views, with no index
+    # table, so the operator keeps the absorbing closure's tables alone
+    kept, perimeter = leapfrog_kept_beyond_its_levels()
+    assert kept <= 5 * perimeter * 8 + 8192
+
+
+def test_a_solve_operator_streams_the_solve_from_its_own_start_data():
+    # the operator of a solve owns its f0, f1 and forcing, so a second pass
+    # over it is the solve itself, here with nonzero start data
+    g, eps, sig, src, bc = kernel_case("forcing_arrays")
+    sol = solve_forward(g, eps, sig, src, bc)
+    replayed = np.stack([lv.nodes.copy() for lv in sol.levels_backward()])[::-1]
+    assert np.abs(replayed[0]).max() > 0.0 and np.abs(replayed[1] - replayed[0]).max() > 0.0
+    streamed = np.stack([lv.nodes.copy() for lv in leapfrog_levels(sol.op)])
+    assert np.array_equal(streamed, replayed)
 
 
 def test_a_forward_solve_gathers_its_trace_once():
