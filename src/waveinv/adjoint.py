@@ -21,11 +21,11 @@ level at a time as the backward sweep computes it, and every consumer (the
 gradient sums of the optimizer and of grad-check, the energy monitor, the
 L_*.vtk dumps) uses each level as it arrives, so no multiplier is stored.
 
-The residual's one array, negated and reversed once, is the Neumann data
-g = -residual(T - s), and each observed side's series is the view of its
-own columns of g, which the Leapfrog scales by 2 h as it fills that side's
-ghosts.  So g is the one copy of the boundary data a sweep holds: a caller
-that drops its residual sweeps with g alone.
+The residual's one array, reversed and scaled once, is the Neumann ghost
+term 2 h g with g = -residual(T - s), and each observed side's series is
+the view of its own columns of that array.  So it is the one copy of the
+boundary data a sweep holds: a caller that drops its residual sweeps with
+it alone.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from .objective import trace_norm_sq
 def build_adjoint_programs(op: Leapfrog, residual: BoundaryTrace) -> dict[Side, SideProgram]:
     """The forward operator's side programs run backward in time: each one's
     absorbing flags reversed (a view), and on each observed side the view
-    of its columns of the Neumann data g = -residual(T - s), one array."""
-    g = residual.map(lambda v: -v[::-1]).data
+    of its columns of the ghost term 2 h g, g = -residual(T - s), one array."""
+    g = residual.map(lambda v: v[::-1] * (-2.0 * op.grid.h)).data
     return {side: SideProgram(p.absorbing[::-1], g.get(side)) for side, p in op.programs.items()}
 
 

@@ -157,8 +157,9 @@ class SideProgram:
     """Resolved per-side boundary behaviour over the whole time axis.
 
     absorbing[n] switches the outflow ghost term on at level n;
-    series[n] is the Neumann flux data at level n, a value per side node in
-    node order or one value for the whole side (None means zero flux).
+    series[n] is the Neumann ghost term 2 h g(t_n) at level n, the flux
+    data g already scaled, a value per side node in node order or one value
+    for the whole side (None means zero flux).
     """
 
     absorbing: np.ndarray
@@ -174,6 +175,7 @@ def build_forward_programs(
     grid: Grid2D, src: SourceSpec, bc: BcConfig
 ) -> dict[Side, SideProgram]:
     times = grid.times()
+    flux = 2.0 * grid.h
     programs: dict[Side, SideProgram] = {}
     for side in ALL_SIDES:
         kind = bc.kind(side)
@@ -185,13 +187,14 @@ def build_forward_programs(
             # absorbing after t_on, the pulse acting up to and including t_on
             absorbing = times > src.switch_time() + 1e-14
             pulse = np.where(absorbing, 0.0, src.amplitude * np.sin(src.omega * times))
-            programs[side] = SideProgram(absorbing, pulse[:, None])
+            programs[side] = SideProgram(absorbing, (pulse * flux)[:, None])
         else:  # NEUMANN_DATA
             fn = bc.neumann_data[side]
             n = grid.side_node_count(side)
             series = np.empty((grid.nt + 1, n))
             for i, t in enumerate(times):
                 series[i] = _side_axis_values(grid, side, fn, t)
+            series *= flux
             programs[side] = SideProgram(np.zeros(grid.nt + 1, dtype=bool), series)
     return programs
 
@@ -319,11 +322,11 @@ class Leapfrog:
     every operand is one contiguous run (numpy copies strided operands
     through a scratch buffer), and the coefficients are kept in that row
     layout with zero ghost columns.  Each side's ghosts get its mirror plus
-    2 h times its series, scaled as it is written, so no scaled copy is
-    kept.  The instance owns three PaddedLevels (levels): leapfrog_levels
-    rotates through them, step() and first_step() serve node arrays
-    through them, and a ForwardSolution's replay reuses them.  So an
-    instance runs one of these at a time: it is non-reentrant.
+    its series, which holds the ghost term 2 h g already scaled.  The
+    instance owns three PaddedLevels (levels): leapfrog_levels rotates
+    through them, step() and first_step() serve node arrays through them,
+    and a ForwardSolution's replay reuses them.  So an instance runs one
+    of these at a time: it is non-reentrant.
 
     The absorbing closure.  An absorbing side's ghost term
     -(2h/dt)(E^n_b - E^{n-1}_b) enters the update of its boundary node b
@@ -367,7 +370,6 @@ class Leapfrog:
         self._finite = np.empty((grid.nx + 3, grid.ny + 3), dtype=bool)
         # only the forcing term reads a_plus after this
         self._a_plus = None if forcing is None else a_plus
-        self._flux = np.array(2.0 * h)  # a 0-d array scales faster than a float
         self.levels = [PaddedLevel(grid) for _ in range(3)]
         self._series = [programs[side].series for side in ALL_SIDES]
         self._count = np.diff(perimeter_offsets(grid, ALL_SIDES))
@@ -419,8 +421,7 @@ class Leapfrog:
             if series is None:
                 ghost[...] = mirror
             else:
-                np.multiply(series[n], self._flux, out=ghost)
-                ghost += mirror
+                np.add(mirror, series[n], out=ghost)
         up, down, right, left = cur.neighbours
         np.add(up, down, out=out)
         out += right

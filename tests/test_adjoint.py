@@ -179,9 +179,9 @@ class TestEnergyMonitor:
 
 
 def test_adjoint_levels_copies_the_boundary_data_once(medium_grid):
-    # building the sweep copies the residual once, into the Neumann data
-    # g = -residual reversed in time; the Leapfrog scales g by 2 h as it
-    # fills its ghost rows instead of keeping a scaled second copy
+    # building the sweep copies the residual once: reversed in time and
+    # scaled by -2 h in one pass, it becomes the Neumann ghost term 2 h g,
+    # g = -residual(T - s), so no unscaled second copy is kept
     eps, sig = truth_pair(medium_grid)
     residual = smooth_random_trace(medium_grid, np.random.default_rng(4))
     trace_bytes = sum(a.nbytes for a in residual.data.values())

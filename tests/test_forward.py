@@ -312,7 +312,7 @@ def unfused_levels(grid, eps, sigma, src, bc):
             prog = programs[side]
             value = cur[mirror].copy()
             if prog.series is not None:
-                value += 2.0 * h * prog.series[n]
+                value += prog.series[n]  # 2 h g, scaled by the programs
             if prog.absorbing[n]:
                 value -= 2.0 * h * (cur[edge] - prev[edge]) / dt
             P[ghost] = value

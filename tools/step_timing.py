@@ -1,10 +1,11 @@
 """Compare the cost of one leapfrog step between two checkouts, in one process.
 
-    python tools/step_timing.py PARENT CHANGE [--rounds R] [--sizes 50,100,200]
+    python tools/step_timing.py PARENT CHANGE [--rounds R]
 
 Each checkout's src/waveinv is loaded under a module name of its own, so the
 two versions of Leapfrog.advance run side by side in one interpreter, on
-one core and one cache state.  Per grid size and direction the script
+one core and one cache state.  Per grid size (50², 100² and 200²) and
+direction the script
 builds each checkout's operator on the test1 set-up (T = 1.2, the source on
 the left, the two narrow Gaussian inclusions):
 
@@ -12,8 +13,8 @@ the left, the two narrow Gaussian inclusions):
     adjoint   the adjoint operator of a residual on all four sides, each of
               which then carries Neumann data
 
-and times Leapfrog.advance as the best of --repeat loops of --steps
-advances.  The rounds interleave the checkouts, and alternate which one goes
+and times Leapfrog.advance as the best of 5 loops of 20 advances.  The
+rounds (15 unless --rounds says otherwise) interleave the checkouts, and alternate which one goes
 first, so that a drift of the machine's speed hits both alike.  It prints
 the median microseconds per step of each checkout and the number of rounds
 in which CHANGE was faster: separate benchmark runs cannot resolve a 10-20%
@@ -31,6 +32,10 @@ import time
 from pathlib import Path
 
 import numpy as np
+
+SIZES = (50, 100, 200)
+STEPS = 20  # advances per timed loop
+REPEAT = 5  # loops per timing, the best kept
 
 
 def load(checkout: Path, name: str):
@@ -65,47 +70,43 @@ def operators(wi, n: int) -> dict:
     return {"forward": (op, level), "adjoint": (adj, grid.nt - level)}
 
 
-def best_step(op, level: int, steps: int, repeat: int) -> float:
-    """Microseconds per Leapfrog.advance, the best of repeat loops."""
+def best_step(op, level: int) -> float:
+    """Microseconds per Leapfrog.advance, the best of REPEAT loops."""
     rng = np.random.default_rng(1)
     cur, prev, out = (type(op.levels[0]).of(op.grid, rng.standard_normal(op.grid.node_shape))
                       for _ in range(3))
     op.advance(cur, prev, level, out)  # patch the closure and make the views
     best = float("inf")
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = time.perf_counter()
-        for _ in range(steps):
+        for _ in range(STEPS):
             op.advance(cur, prev, level, out)
         best = min(best, time.perf_counter() - start)
-    return 1e6 * best / steps
+    return 1e6 * best / STEPS
 
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--rounds", type=int, default=11)
-    parser.add_argument("--sizes", default="50,100,200")
-    parser.add_argument("--steps", type=int, default=20, help="advances per timed loop")
-    parser.add_argument("--repeat", type=int, default=5, help="loops per timing, best kept")
+    parser.add_argument("--rounds", type=int, default=15)
     args = parser.parse_args(argv)
-    if min(args.rounds, args.steps, args.repeat) < 1:
-        parser.error("--rounds, --steps and --repeat must be at least 1")
-    sizes = [int(s) for s in args.sizes.split(",")]
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
     trees = {"parent": load(args.parent.resolve(), "waveinv_parent"),
              "change": load(args.change.resolve(), "waveinv_change")}
-    ops = {(label, n): operators(wi, n) for label, wi in trees.items() for n in sizes}
-    times = {key: [] for key in ((label, n, d) for label in trees for n in sizes
+    ops = {(label, n): operators(wi, n) for label, wi in trees.items() for n in SIZES}
+    times = {key: [] for key in ((label, n, d) for label in trees for n in SIZES
                                  for d in ("forward", "adjoint"))}
     for r in range(args.rounds):
         order = list(trees) if r % 2 == 0 else list(reversed(trees))
-        for n in sizes:
+        for n in SIZES:
             for direction in ("forward", "adjoint"):
                 for label in order:
                     op, level = ops[label, n][direction]
-                    times[label, n, direction].append(best_step(op, level, args.steps, args.repeat))
+                    times[label, n, direction].append(best_step(op, level))
     print(f"{'size':>5} {'direction':>9} {'parent us':>10} {'change us':>10} {'ratio':>6}  wins")
-    for n in sizes:
+    for n in SIZES:
         for direction in ("forward", "adjoint"):
             parent, change = times["parent", n, direction], times["change", n, direction]
             a, b = statistics.median(parent), statistics.median(change)
