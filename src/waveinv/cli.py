@@ -215,6 +215,9 @@ def cmd_grad_check(cfg: RunConfig, out: Path, quiet: bool) -> int:
     tol = cfg.get("gradcheck", "tol")
     if not tol >= 0.0:
         raise ConfigError(f"key gradcheck.tol: must be >= 0, got {tol!r}")
+    h_fd = cfg.get("gradcheck", "h_fd")
+    if not h_fd > 0.0:
+        raise ConfigError(f"key gradcheck.h_fd: must be > 0, got {h_fd!r}")
     grid, adm, mask, eps_t, sigma_t, src, bc, sides = _forward_setup(cfg)
     nodes = cfgmod.gradcheck_nodes(cfg, mask)
     obs = _observed(cfg, grid, eps_t, sigma_t, src, bc, sides)
@@ -230,7 +233,7 @@ def cmd_grad_check(cfg: RunConfig, out: Path, quiet: bool) -> int:
     try:
         samples = fd_gradient_oracle(
             eps_e, sigma_e, obs, reg, gamma_eps, gamma_sigma, nodes,
-            cfg.get("gradcheck", "h_fd"), src, bc, mask, adm,
+            h_fd, src, bc, mask, adm,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -443,6 +443,17 @@ def test_negative_grad_check_tolerance_exits_2_before_any_solve(tmp_path, capsys
     assert not (out / "grad_check.csv").exists()
 
 
+@pytest.mark.parametrize("h_fd", ["0", "-1", "-inf"])
+def test_non_positive_grad_check_step_exits_2_before_any_solve(tmp_path, capsys, monkeypatch, h_fd):
+    # the oracle rejected it only after the observation, forward and adjoint solves
+    fail_any_solve(monkeypatch)
+    cfg = write_cfg(tmp_path, GRADCHECK + f"h_fd = {h_fd}\n")
+    out = tmp_path / "gc"
+    assert main(["grad-check", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert "gradcheck.h_fd" in capsys.readouterr().err
+    assert not (out / "grad_check.csv").exists()
+
+
 @pytest.mark.parametrize("level", ["nan", "inf"])
 def test_non_finite_noise_level_exits_2(tmp_path, capsys, level):
     cfg = write_cfg(tmp_path, re.sub(r"^level = .*$", f"level = {level}", BASE, flags=re.M))

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from waveinv import (
     ALL_SIDES,
     BoundaryTrace,
+    CoefficientField,
     Role,
+    Side,
     build_grid,
     constant_coefficient,
     gaussian_coefficient,
@@ -128,6 +132,91 @@ def test_vtk_header_and_payload(grid, tmp_path):
     payload = lines[lines.index("LOOKUP_TABLE default") + 1 :]
     assert len(payload) == grid.n_nodes
     assert all(float(v) == 2.5 for v in payload)
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+def test_percent_template_digits_equal_format(v):
+    # the bulk writers fill "%.17g" templates (bytes for the CSVs, str for VTK);
+    # the rest of io.py formats with format()
+    assert b"%.17g" % v == format(v, ".17g").encode()
+    assert "%.17g" % v == format(v, ".17g")
+
+
+# Per-value reference writers: the file formats as a spec, one value at a time.
+def cell(v):
+    return format(float(v), ".17g")
+
+
+def reference_trace_csv(trace):
+    rows = ["t,side,index,value\r\n"]
+    for n, t in enumerate(trace.grid.times()):
+        for side in trace.sides:
+            for k, v in enumerate(trace.data[side][n]):
+                rows.append(f"{cell(t)},{int(side)},{k},{cell(v)}\r\n")
+    return "".join(rows).encode()
+
+
+def reference_field_csv(values, grid):
+    rows = ["x,y,value\r\n"]
+    for i, x in enumerate(grid.xs()):
+        for j, y in enumerate(grid.ys()):
+            rows.append(f"{cell(x)},{cell(y)},{cell(values[i, j])}\r\n")
+    return "".join(rows).encode()
+
+
+def reference_field_vtk(values, grid, name):
+    x0, y0 = grid.origin
+    lines = [
+        "# vtk DataFile Version 3.0", name, "ASCII", "DATASET STRUCTURED_POINTS",
+        f"DIMENSIONS {grid.nx + 1} {grid.ny + 1} 1", f"ORIGIN {cell(x0)} {cell(y0)} 0",
+        f"SPACING {cell(grid.h)} {cell(grid.h)} 1", f"POINT_DATA {grid.n_nodes}",
+        f"SCALARS {name} double 1", "LOOKUP_TABLE default",
+    ]
+    lines += [cell(values[i, j]) for j in range(grid.ny + 1) for i in range(grid.nx + 1)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+EDGE_VALUES = (-0.0, 0.0, 1e-310, 5e-324, 1e300, -1e300, 0.1, 1.0 / 3.0, 12345.0)
+
+
+@pytest.fixture
+def oblong():
+    """Fewer x than y nodes and an off-zero origin, so a swapped axis shows."""
+    return build_grid(9, 13, T=0.25, origin=(-0.25, 0.5), extent=(0.9, 1.3))
+
+
+def with_edge_values(shape, seed):
+    values = np.random.default_rng(seed).standard_normal(shape)
+    values.flat[: len(EDGE_VALUES)] = EDGE_VALUES
+    values.flat[-len(EDGE_VALUES):] = EDGE_VALUES[::-1]
+    return values
+
+
+@pytest.mark.parametrize("sides", [(Side.LEFT,), (Side.BOTTOM, Side.TOP), ALL_SIDES],
+                         ids=["left", "bottom-top", "all"])
+def test_trace_csv_bytes_match_reference(oblong, tmp_path, sides):
+    width = sum(oblong.side_node_count(s) for s in sides)
+    tr = BoundaryTrace(grid=oblong, sides=sides,
+                       values=with_edge_values((oblong.nt + 1, width), len(sides)))
+    write_trace_csv(tr, tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == reference_trace_csv(tr)
+
+
+def test_field_csv_bytes_match_reference(oblong, tmp_path):
+    values = with_edge_values(oblong.node_shape, 5)
+    write_field_csv(values, oblong, tmp_path / "field.csv")
+    assert (tmp_path / "field.csv").read_bytes() == reference_field_csv(values, oblong)
+    f = CoefficientField(grid=oblong, values=values, role=Role.SIGMA)
+    write_field_csv(f, oblong, tmp_path / "coef.csv")
+    assert (tmp_path / "coef.csv").read_bytes() == reference_field_csv(values, oblong)
+
+
+def test_vtk_bytes_match_reference(oblong, tmp_path):
+    values = with_edge_values(oblong.node_shape, 6)
+    # the interior of a padded array, a strided view like the dumped levels
+    padded = np.pad(values, 2)[2:-2, 2:-2]
+    write_field_vtk(padded, oblong, tmp_path / "E_0.vtk", name="E")
+    assert (tmp_path / "E_0.vtk").read_bytes() == reference_field_vtk(values, oblong, "E")
 
 
 MINIMAL = """

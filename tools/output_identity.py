@@ -10,8 +10,9 @@ the two directories:
 A change that only reorders code should leave every CSV and VTK file
 byte-identical.  The manifests (*.ini) record their own directory, so they
 are left out of the comparison.  The script imports waveinv from the src/
-directory of its own checkout, and exits 1 if a run failed or an expected
-file is missing.
+directory of its own checkout, and exits 1 if a run failed, an expected
+file is missing or an error was raised where it could not propagate (run it
+with -X dev -W error::ResourceWarning and an unclosed file is such an error).
 
 The runs, each in a directory of its own:
 
@@ -88,7 +89,12 @@ def main(argv: list[str]) -> int:
         print("usage: python tools/output_identity.py OUTDIR", file=sys.stderr)
         return 2
     root = Path(argv[0])
+    # an error raised in a destructor, such as an unclosed file's warning under
+    # -W error::ResourceWarning, cannot propagate; it is counted as a fault here
+    unraisable: list[str] = []
+    sys.unraisablehook = lambda u: unraisable.append(f"{u.exc_type.__name__}: {u.exc_value}")
     faults = [f for name in RUNS for f in run(name, root / name)]
+    faults += unraisable
     for fault in faults:
         print(fault, file=sys.stderr)
     files = sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
