@@ -24,7 +24,10 @@ from . import config as cfgmod
 from .adjoint import adjoint_levels
 from .config import ConfigError, RunConfig, load_config, write_manifest
 from .fields import Role, add_noise, extract_trace, project
-from .forward import StabilityError, forward_levels, forward_trace, solve_forward, trace_of_levels
+from .forward import (
+    StabilityError, forward_operator, forward_trace, leapfrog_levels, solve_forward,
+    trace_of_levels,
+)
 from .gradient import fd_gradient_oracle, gradient_sweep
 from .grid import region_mask
 from .io import (
@@ -63,6 +66,9 @@ def _forward_setup(cfg: RunConfig):
         mask = region_mask(grid, cfg.get("grid", "frame_width"))
     except ValueError as exc:
         raise ConfigError(f"key grid.frame_width: {exc}") from exc
+    every = cfg.get("output", "dump_every")
+    if every < 0:  # read only by forward and invert, but a manifest passes it on
+        raise ConfigError(f"key output.dump_every: must be >= 0, got {every}")
     eps = cfgmod.make_coefficient(cfg, "truth.eps", grid, Role.EPSILON)
     sigma = cfgmod.make_coefficient(cfg, "truth.sigma", grid, Role.SIGMA)
     src = cfgmod.make_source(cfg)
@@ -102,7 +108,8 @@ def _dumped(cfg: RunConfig, grid, numbered, out: Path, prefix: str = "E"):
 
 def cmd_forward(cfg: RunConfig, out: Path, quiet: bool) -> int:
     grid, _, _, eps, sigma, src, bc, sides = _forward_setup(cfg)
-    levels = _dumped(cfg, grid, enumerate(forward_levels(grid, eps, sigma, src, bc)), out)
+    levels = leapfrog_levels(forward_operator(grid, eps, sigma, src, bc))
+    levels = _dumped(cfg, grid, enumerate(levels), out)
     write_trace_csv(trace_of_levels(grid, levels, sides), out / "trace.csv")
     write_manifest(cfg, out / "manifest.ini")
     _say(quiet, f"wrote {out / 'trace.csv'} ({grid.nt + 1} time levels)")

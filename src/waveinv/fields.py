@@ -15,14 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .grid import Grid2D, RegionMask, Side, perimeter_offsets
-
-if TYPE_CHECKING:
-    from .forward import ForwardSolution
 
 
 class Role(Enum):
@@ -193,10 +190,10 @@ def project(field: CoefficientField, adm: AdmissibleSet, mask: RegionMask) -> Co
     return field.with_values(values)
 
 
-def extract_trace(sol: ForwardSolution, sides: Iterable[Side]) -> BoundaryTrace:
+def extract_trace(sol, sides: Iterable[Side]) -> BoundaryTrace:
     """Restrict a forward solve to the boundary nodes of the declared sides:
-    the solution hands over its all-sides trace itself, or a copy of the
-    columns of fewer sides."""
+    sol, a forward.ForwardSolution, hands over its all-sides trace itself,
+    or a copy of the columns of fewer sides."""
     sides = tuple(sorted(set(map(Side, sides))))
     trace = sol.trace
     if sides == trace.sides:

@@ -29,9 +29,9 @@ closure takes E^0 - dt f1 as the previous level.  The start data f0, f1
 belong to the operator, as its forcing does; the adjoint's are zero.
 
 Leapfrog holds this update once.  The forward solve, the Lagrangian's
-defect and the adjoint solve all step through it: after reversing time the
-adjoint equation has exactly this form, so the adjoint module only turns
-the forward operator's own side programs around in time.  leapfrog_levels
+defect and the adjoint solve all step through its advance(): after
+reversing time the adjoint equation has exactly this form, so the adjoint
+module only turns the forward operator's own side programs around in time.  leapfrog_levels
 is the one time loop: it yields each level as it is computed, and each
 caller uses a level as it arrives and copies only what it keeps
 (trace_of_levels, the ForwardSolution below, adjoint_levels).
@@ -284,13 +284,6 @@ class PaddedLevel:
         level.nodes[...] = values
         return level
 
-    def copy(self, grid: Grid2D) -> "PaddedLevel":
-        """A new level of the grid holding this level's values, ghosts
-        included."""
-        level = PaddedLevel(grid)
-        level.pad[...] = self.pad
-        return level
-
     @staticmethod
     def boundary_rows(grid: Grid2D, sides: Sequence[Side]) -> np.ndarray:
         """The index in rows of each node of the perimeter layout of the
@@ -324,9 +317,9 @@ class Leapfrog:
     layout with zero ghost columns.  Each side's ghosts get its mirror plus
     its series, which holds the ghost term 2 h g already scaled.  The
     instance owns three PaddedLevels (levels): leapfrog_levels rotates
-    through them, step() and first_step() serve node arrays through them,
-    and a ForwardSolution's replay reuses them.  So an instance runs one
-    of these at a time: it is non-reentrant.
+    through them, first_step() and the Lagrangian's defect copy node arrays
+    into them, and a ForwardSolution's replay reuses them.  So an instance
+    runs one of these at a time: it is non-reentrant.
 
     The absorbing closure.  An absorbing side's ghost term
     -(2h/dt)(E^n_b - E^{n-1}_b) enters the update of its boundary node b
@@ -339,8 +332,8 @@ class Leapfrog:
     whenever level n's pattern differs from the one last applied.  Only
     the switched source side changes, so an operator has at most two
     patterns and a pass patches at most twice, at its start and at the
-    switch; a replay or step() reads the pattern of its own n, never that
-    of the previous call.
+    switch; every advance() reads the pattern of its own n, never that of
+    the previous call.
     """
 
     def __init__(
@@ -441,20 +434,6 @@ class Leapfrog:
         if self.forcing is not None:
             out.nodes += self.forcing(n) / self._a_plus
 
-    def step(
-        self, cur: np.ndarray, prev: np.ndarray, n: int, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """One leapfrog update of node arrays: snapshots (n-1, n) -> n+1,
-        written into out (a fresh array when out is None)."""
-        pc, pp, po = self.levels
-        pc.nodes[...] = cur
-        pp.nodes[...] = prev
-        self.advance(pc, pp, n, po)
-        if out is None:
-            return po.nodes.copy()
-        out[...] = po.nodes
-        return out
-
     def first_step(self, e0: np.ndarray) -> np.ndarray:
         """Taylor start from level e0 and the operator's initial velocity
         f1, producing E^1; the absorbing closure takes e0 - dt f1 as the
@@ -549,8 +528,10 @@ class ForwardSolution:
 
     The levels 0..nt fall into blocks of b = _block(nt) levels.  As one
     leapfrog_levels pass streams the levels, the boundary trace of all
-    sides is taken from each, and the first two levels of every block (its
-    checkpoint pair, checked finite) are copied into PaddedLevels.
+    sides is taken from each, and the nodes of the first two levels of
+    every block (its checkpoint pair, checked finite) are copied into new
+    PaddedLevels, whose ghosts may stay zero: advance() fills the ghosts it
+    reads, and c_prev is zero in the ghost columns.
     levels_backward() rebuilds each block from its pair with the same
     Leapfrog steps into b-2 PaddedLevels, three of them the operator's own,
     so every level it yields is bitwise the level the pass produced, at the
@@ -570,7 +551,7 @@ class ForwardSolution:
                 if j == 0:  # a last block of one level has a one-level pair
                     self.pairs.append([])
                 if j < 2:
-                    self.pairs[-1].append(level.copy(grid))
+                    self.pairs[-1].append(PaddedLevel.of(grid, level.nodes))
                 yield level
 
         self.trace: BoundaryTrace | None = trace_of_levels(
@@ -616,17 +597,6 @@ def forward_operator(
     return Leapfrog(grid, eps, sigma, build_forward_programs(grid, src, bc), src)
 
 
-def forward_levels(
-    grid: Grid2D,
-    eps: CoefficientField,
-    sigma: CoefficientField,
-    src: SourceSpec,
-    bc: BcConfig,
-) -> Iterator[PaddedLevel]:
-    """The forward solution's levels 0..nt, one at a time."""
-    return leapfrog_levels(forward_operator(grid, eps, sigma, src, bc))
-
-
 def solve_forward(
     grid: Grid2D,
     eps: CoefficientField,
@@ -669,7 +639,8 @@ def forward_trace(
 ) -> BoundaryTrace:
     """The forward solution's boundary trace on the given sides, taken level
     by level so that no snapshot stack is stored."""
-    return trace_of_levels(grid, forward_levels(grid, eps, sigma, src, bc), sides)
+    op = forward_operator(grid, eps, sigma, src, bc)
+    return trace_of_levels(grid, leapfrog_levels(op), sides)
 
 
 def _dirichlet_product(grid: Grid2D, u: np.ndarray, v: np.ndarray) -> float:

@@ -7,15 +7,13 @@ The gradient densities of the regularized functional are
 
 (divergence terms of the vector model vanish in this scalar setting).  The
 time integrals are evaluated with half-step centered differences
-(E^{n+1}-E^n)/dt and midpoint values on the staggered levels.  This is a
-discretization of the continuous gradient above, not the exact derivative
-of the discrete functional that the code minimizes: against central
-differences of F, its directional derivative is off by 3-120% depending on
-the boundary configuration and the grid (ROADMAP item 1 asks for the exact
-discrete adjoint).  Node-centered differences with trapezoid quadrature
-were measured at 3-8% mismatch against the per-node oracle at h = 1/24
-(the staggered form sits near 0.2%), so the staggered form is the one
-shipped.
+(E^{n+1}-E^n)/dt and midpoint values on the staggered levels.  At a fixed
+state and multiplier these sums are the exact (eps, sigma)-derivative of
+objective.lagrangian whenever E^0 = E^1 = 0, as in every configuration the
+CLI accepts.  The gradient's mismatch against central differences of F
+(3-120%, by boundary configuration and grid) lives in the multiplier: it is
+the forward scheme run backward in time, not the transpose of the discrete
+forward scheme (ROADMAP item 1a).
 
 The sums run backward in time, one half-step at a time, while the adjoint
 sweep produces the multiplier, which is therefore never stored.  Both

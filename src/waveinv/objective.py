@@ -95,9 +95,10 @@ def forward_defect(
     eps.grid; another shape raises ValueError.  Entry n (n = 0..nt-1)
     measures how far snapshot n+1 is from what the scheme would produce
     from snapshots n and n-1; it is identically zero for the stored levels
-    of a forward solve with matching inputs.  Rows are scaled by the weight
-    of the new level in its equation: a_plus for the leapfrog updates,
-    2 eps / dt^2 for the start-up.
+    of a forward solve with matching inputs, since it steps snapshots n-1
+    and n in the operator's own levels through advance(), as the time loops
+    do.  Rows are scaled by the weight of the new level in its equation:
+    a_plus for the leapfrog updates, 2 eps / dt^2 for the start-up.
     """
     g, dt = eps.grid, eps.grid.dt
     if E.shape != (g.nt + 1, *g.node_shape):
@@ -107,8 +108,11 @@ def forward_defect(
     a_plus = eps.values / dt**2 + sigma.values / (2.0 * dt)
     a_mid = 2.0 * eps.values / dt**2
     defect[0] = a_mid * (E[1] - op.first_step(E[0]))
+    cur, prev, out = op.levels
     for n in range(1, g.nt):
-        defect[n] = a_plus * (E[n + 1] - op.step(E[n], E[n - 1], n))
+        cur.nodes[...], prev.nodes[...] = E[n], E[n - 1]
+        op.advance(cur, prev, n, out)
+        defect[n] = a_plus * (E[n + 1] - out.nodes)
     return defect
 
 

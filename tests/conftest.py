@@ -25,7 +25,7 @@ from waveinv import (
     gradient_sweep,
     solve_forward,
 )
-from waveinv.forward import PaddedLevel, forward_levels, level_energy
+from waveinv.forward import PaddedLevel, forward_operator, leapfrog_levels, level_energy
 from waveinv.grid import area_weights, time_weights
 
 INCLUSION_CENTER = (0.5, 0.7)
@@ -98,7 +98,7 @@ def stored_state(grid, eps, sigma, src, bc):
     what a ForwardSolution replays from its checkpoints.  Each level is
     copied, because the time loop reuses its level buffers."""
     snaps = np.empty((grid.nt + 1, *grid.node_shape))
-    for n, level in enumerate(forward_levels(grid, eps, sigma, src, bc)):
+    for n, level in enumerate(leapfrog_levels(forward_operator(grid, eps, sigma, src, bc))):
         snaps[n] = level.nodes
     return snaps
 

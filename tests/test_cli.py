@@ -454,6 +454,27 @@ def test_non_positive_grad_check_step_exits_2_before_any_solve(tmp_path, capsys,
     assert not (out / "grad_check.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["forward", "synthesize", "invert", "invert-adaptive"])
+def test_negative_dump_every_exits_2_before_any_solve(tmp_path, capsys, monkeypatch, command):
+    # a negative interval was accepted, wrote no dumps and stayed in the manifest
+    cfg = write_cfg(tmp_path)
+    if command.startswith("invert"):  # on the observations and manifest of a synthesize run
+        out = tmp_path / "synth"
+        assert main(["synthesize", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        text = (out / "manifest.ini").read_text()
+        assert text.count("dump_every = 0") == 1
+        cfg = write_cfg(tmp_path, text.replace("dump_every = 0", "dump_every = -3"), "bad.ini")
+    else:
+        cfg = write_cfg(tmp_path, BASE.replace("dir = out", "dir = out\ndump_every = -3"))
+    capsys.readouterr()
+    fail_any_solve(monkeypatch)
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "output.dump_every" in err and "Traceback" not in err
+    assert not (out / "manifest.ini").exists()
+
+
 @pytest.mark.parametrize("level", ["nan", "inf"])
 def test_non_finite_noise_level_exits_2(tmp_path, capsys, level):
     cfg = write_cfg(tmp_path, re.sub(r"^level = .*$", f"level = {level}", BASE, flags=re.M))
@@ -553,14 +574,14 @@ def test_forward_never_dumps_a_non_finite_level(tmp_path, monkeypatch, capsys):
     step = 14
     nt = make_grid(load_config(cfg)).nt
     assert step % _block(nt) > 1 and step < nt
-    real = waveinv.cli.forward_levels
+    real = waveinv.cli.forward_operator
 
     def blown_up(grid, eps, sigma, src, bc):
         forcing = np.zeros((grid.nt + 1, *grid.node_shape))
         forcing[step - 1, 6, 6] = np.inf  # the update from level step-1 writes level step
         return real(grid, eps, sigma, replace(src, volume_forcing=forcing), bc)
 
-    monkeypatch.setattr(waveinv.cli, "forward_levels", blown_up)
+    monkeypatch.setattr(waveinv.cli, "forward_operator", blown_up)
     out = tmp_path / "fwd"
     # the levels up to the next check are stepped unchecked, through inf - inf,
     # and the error line is all that reaches stderr

@@ -20,8 +20,8 @@ from waveinv import (
 )
 from waveinv.adjoint import adjoint_levels, build_adjoint_programs
 from waveinv.forward import (
-    Leapfrog, PaddedLevel, _block, _nodal, build_forward_programs, forward_levels,
-    forward_operator, forward_trace, leapfrog_levels,
+    Leapfrog, PaddedLevel, _block, _nodal, build_forward_programs, forward_operator,
+    forward_trace, leapfrog_levels,
 )
 from conftest import (
     all_neumann_bc, discrete_energy, smooth_random_coefficient, smooth_random_trace,
@@ -284,7 +284,7 @@ def unfused_levels(grid, eps, sigma, src, bc):
     """The leapfrog scheme as it was written before the fused kernel: a
     fresh ghost-padded copy per level, the 5-point Laplacian divided by h^2
     and one division of the whole update by a_plus.  The reference for
-    Leapfrog.step and leapfrog_levels; returns the step function and the
+    Leapfrog.advance and leapfrog_levels; returns the step function and the
     stacked levels 0..nt."""
     h, dt = grid.h, grid.dt
     e, s = eps.values, sigma.values
@@ -373,27 +373,40 @@ def rel_err(a, b):
     return float(np.abs(a - b).max() / np.abs(b).max())
 
 
+def advanced(op, cur, prev, n):
+    """The level that op.advance writes from node arrays prev and cur
+    (levels n-1 and n), stepped in the operator's own levels: a view of the
+    nodes of its third level."""
+    pc, pp, po = op.levels
+    pc.nodes[...], pp.nodes[...] = cur, prev
+    op.advance(pc, pp, n, po)
+    return po.nodes
+
+
 @pytest.mark.parametrize("name", KERNEL_CASES)
 def test_fused_step_matches_unfused_update(name):
     g, eps, sig, src, bc = kernel_case(name)
     ref_step, _ = unfused_levels(g, eps, sig, src, bc)
     op = forward_operator(g, eps, sig, src, bc)
     rng = np.random.default_rng(5)
-    out = np.empty(g.node_shape)
     # steps while the source drives its side and after it switches to absorbing
     for n in (1, 2, g.nt // 3, g.nt - 1):
         cur, prev = rng.standard_normal((2, *g.node_shape))
         expected = ref_step(cur, prev, n)
-        assert op.step(cur, prev, n, out=out) is out
+        out = advanced(op, cur, prev, n).copy()
+        # advance writes the out level alone: the nodes it steps from stay
+        assert np.array_equal(op.levels[0].nodes, cur)
+        assert np.array_equal(op.levels[1].nodes, prev)
         assert rel_err(out, expected) <= 1e-13
-        assert np.array_equal(op.step(cur, prev, n), out)
+        assert np.array_equal(advanced(op, cur, prev, n), out)
 
 
 @pytest.mark.parametrize("name", KERNEL_CASES)
 def test_forward_levels_match_unfused_scheme(name):
     g, eps, sig, src, bc = kernel_case(name)
     _, expected = unfused_levels(g, eps, sig, src, bc)
-    levels = np.stack([lv.nodes.copy() for lv in forward_levels(g, eps, sig, src, bc)])
+    op = forward_operator(g, eps, sig, src, bc)
+    levels = np.stack([lv.nodes.copy() for lv in leapfrog_levels(op)])
     assert levels.shape == expected.shape
     assert rel_err(levels, expected) <= 1e-13
 
@@ -402,7 +415,8 @@ def test_solve_forward_replays_the_streamed_levels_backward():
     # forcing and start-up data reach the replayed blocks only through their pairs
     for name in KERNEL_CASES:
         g, eps, sig, src, bc = kernel_case(name)
-        streamed = np.stack([lv.nodes.copy() for lv in forward_levels(g, eps, sig, src, bc)])
+        op = forward_operator(g, eps, sig, src, bc)
+        streamed = np.stack([lv.nodes.copy() for lv in leapfrog_levels(op)])
         sol = solve_forward(g, eps, sig, src, bc)
         replayed = np.stack([lv.nodes.copy() for lv in sol.levels_backward()])
         assert np.array_equal(replayed, streamed[::-1]), name
@@ -412,7 +426,7 @@ def test_solve_forward_replays_the_streamed_levels_backward():
 def test_two_most_recent_levels_survive_the_next_pull():
     g, eps, sig, src, bc = kernel_case("default")
     # the forward loop's three buffers, and the replay's pairs and rebuilt block
-    for stream in (forward_levels(g, eps, sig, src, bc),
+    for stream in (leapfrog_levels(forward_operator(g, eps, sig, src, bc)),
                    solve_forward(g, eps, sig, src, bc).levels_backward()):
         held = []
         for level in stream:
@@ -428,8 +442,8 @@ def test_step_and_level_loop_allocate_no_level():
     src, bc = SourceSpec(), BcConfig()
     op = forward_operator(g, eps, sig, src, bc)
     level_bytes = np.empty(g.node_shape).nbytes
-    cur, prev, out = np.ones((3, *g.node_shape))
-    levels = forward_levels(g, eps, sig, src, bc)
+    cur, prev = np.ones((2, *g.node_shape))
+    levels = leapfrog_levels(forward_operator(g, eps, sig, src, bc))
     tracemalloc.start()
     try:
         for _ in range(4):  # the loop's buffers exist once level 2 is out
@@ -437,7 +451,7 @@ def test_step_and_level_loop_allocate_no_level():
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         for n in range(1, 6):
-            op.step(cur, prev, n, out=out)
+            advanced(op, cur, prev, n)
         for _ in levels:
             pass
         peak = tracemalloc.get_traced_memory()[1]
@@ -464,8 +478,8 @@ def test_step_after_a_pass_closes_the_sides_of_its_own_level(direction):
         pass
     for n in (g.nt - 1, 1, switch, switch - 1, switch + 1, 2):
         cur, prev = rng.standard_normal((2, *g.node_shape))
-        fresh = Leapfrog(g, eps, sig, programs).step(cur, prev, n)
-        assert np.array_equal(used.step(cur, prev, n), fresh), n
+        fresh = advanced(Leapfrog(g, eps, sig, programs), cur, prev, n)
+        assert np.array_equal(advanced(used, cur, prev, n), fresh), n
 
 
 @pytest.mark.parametrize("offset", [0, 1, "mid"], ids=["block_first", "block_second", "mid_block"])
@@ -478,7 +492,8 @@ def test_replay_across_the_switch_is_bitwise_the_pass(offset):
     absorbing = build_forward_programs(g, src, bc)[Side.LEFT].absorbing
     assert int(np.flatnonzero(absorbing)[0]) == first
     eps, sig = truth_pair(g)
-    streamed = np.stack([lv.nodes.copy() for lv in forward_levels(g, eps, sig, src, bc)])
+    op = forward_operator(g, eps, sig, src, bc)
+    streamed = np.stack([lv.nodes.copy() for lv in leapfrog_levels(op)])
     sol = solve_forward(g, eps, sig, src, bc)
     replayed = np.stack([lv.nodes.copy() for lv in sol.levels_backward()])
     assert np.array_equal(replayed, streamed[::-1])
@@ -607,11 +622,3 @@ def test_every_level_run_starts_on_a_cache_line(nx, ny):
     residual = smooth_random_trace(g, np.random.default_rng(5))
     assert all(on_cache_line(level.rows) for level in adjoint_levels(op, residual))
 
-
-def test_a_copied_level_is_a_new_level_with_every_value():
-    g = build_grid(17, 24, T=0.3, extent=(17 / 24, 1.0))
-    level = PaddedLevel(g)
-    level.pad[...] = np.random.default_rng(6).standard_normal(level.pad.shape)
-    copy = level.copy(g)
-    assert np.array_equal(copy.pad, level.pad) and not np.shares_memory(copy.pad, level.pad)
-    assert on_cache_line(copy.rows)

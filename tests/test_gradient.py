@@ -12,23 +12,27 @@ from waveinv import (
     BcKind,
     RegularizationParams,
     Role,
+    Side,
     SourceSpec,
     adjoint_levels,
     build_grid,
     constant_coefficient,
     extract_trace,
     fd_gradient_oracle,
+    field_dot,
     gradient_sweep,
+    lagrangian,
     project,
     region_mask,
     solve_forward,
 )
-from waveinv.forward import forward_operator
+from waveinv.forward import PaddedLevel, forward_operator
 from conftest import (
     adjoint_gradients,
     smooth_random_coefficient,
     smooth_random_trace,
     spacetime_norm,
+    stack_trace,
     stored_adjoint,
     stored_solution,
     stored_state,
@@ -315,6 +319,58 @@ class TestCheckpointedState:
                 E, zero_trace(small_grid), make_reg(small_grid), 0.0, 0.0,
                 region_mask(small_grid, 0),
             )
+
+
+# (boundary kinds, observed sides): the default set-up observed everywhere,
+# and every side absorbing with the source on the bottom, observed on two
+LAGRANGIAN_CASES = {
+    "default": (BcConfig(), ALL_SIDES),
+    "absorbing_source_bottom": (
+        BcConfig(sides={Side.LEFT: BcKind.ABSORBING, Side.BOTTOM: BcKind.SOURCE_THEN_ABSORBING,
+                        Side.RIGHT: BcKind.ABSORBING, Side.TOP: BcKind.ABSORBING}),
+        (Side.RIGHT, Side.TOP),
+    ),
+}
+
+
+class TestLagrangianDerivative:
+    @pytest.mark.parametrize("gamma", [0.0, 0.1])
+    @pytest.mark.parametrize("case", list(LAGRANGIAN_CASES))
+    def test_sweep_is_the_coefficient_derivative_of_the_lagrangian(self, case, gamma):
+        # At a fixed state E and multiplier lam, the Lagrangian is affine in
+        # (eps, sigma) up to the quadratic penalty, so its central difference
+        # is its derivative up to round-off, whatever the step.  E^0 = E^1 = 0,
+        # so the start-up row of the defect does not depend on (eps, sigma).
+        # The sums then match the Lagrangian exactly, and the gradient's error
+        # against F lives in the multiplier alone.
+        bc, observed = LAGRANGIAN_CASES[case]
+        g = build_grid(16, 16, T=0.8)
+        rng = np.random.default_rng(8)
+        eps = smooth_random_coefficient(g, rng, Role.EPSILON, hi=4.0)
+        sig = smooth_random_coefficient(g, rng, Role.SIGMA, hi=4.0)
+        src = SourceSpec()
+        op = forward_operator(g, eps, sig, src, bc)
+        E = stored_state(g, eps, sig, src, bc)
+        assert not E[0].any() and not E[1].any() and E.any()
+        obs = smooth_random_trace(g, rng, observed)
+        lam = stored_adjoint(op, stack_trace(g, E, observed) - obs)
+        reg = make_reg(g, eps_val=1.5, sigma_val=2.0)
+        g_eps, g_sig, _ = gradient_sweep(
+            stored_solution(op, E), (PaddedLevel.of(g, level) for level in lam[::-1]),
+            reg, gamma, gamma, region_mask(g, 0),
+        )
+        X, Y = g.meshgrid()
+        for cx, cy in ((0.3, 0.4), (0.6, 0.7), (0.45, 0.2)):
+            d = 0.5 * np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / 0.05)
+            for grad, field in ((g_eps, eps), (g_sig, sig)):
+                values = []
+                for sign in (1.0, -1.0):
+                    moved = field.with_values(field.values + sign * d)
+                    pair = (moved, sig) if field is eps else (eps, moved)
+                    values.append(lagrangian(E, lam, *pair, reg, gamma, gamma, obs, src, bc))
+                derivative = field_dot(grad, d, g)
+                scale = np.sqrt(field_dot(grad, grad, g) * field_dot(d, d, g))
+                assert abs(derivative - 0.5 * (values[0] - values[1])) <= 1e-10 * scale
 
 
 def test_sweep_allocates_no_level_per_step():

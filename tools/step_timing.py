@@ -1,24 +1,38 @@
-"""Compare the cost of one leapfrog step between two checkouts, in one process.
+"""Compare the cost of a leapfrog step, and of each stream of a gradient
+evaluation per level, between two checkouts, in one process.
 
     python tools/step_timing.py PARENT CHANGE [--rounds R]
 
 Each checkout's src/waveinv is loaded under a module name of its own, so the
-two versions of Leapfrog.advance run side by side in one interpreter, on
-one core and one cache state.  Per grid size (50², 100² and 200²) and
-direction the script
-builds each checkout's operator on the test1 set-up (T = 1.2, the source on
-the left, the two narrow Gaussian inclusions):
+two versions run side by side in one interpreter, on one core and one cache
+state.  Every figure is taken on the test1 set-up (T = 1.2, the source on
+the left, the two narrow Gaussian inclusions) at 50², 100² and 200².
+
+The step table times Leapfrog.advance, the best of 5 loops of 20 advances,
+of two operators:
 
     forward   the forward operator, stepped after its source has switched
     adjoint   the adjoint operator of a residual on all four sides, each of
               which then carries Neumann data
 
-and times Leapfrog.advance as the best of 5 loops of 20 advances.  The
-rounds (15 unless --rounds says otherwise) interleave the checkouts, and alternate which one goes
-first, so that a drift of the machine's speed hits both alike.  It prints
-the median microseconds per step of each checkout and the number of rounds
-in which CHANGE was faster: separate benchmark runs cannot resolve a 10-20%
-change of the step, which is a few percent of a whole inversion.  The
+The layer table times, per level (the best of 3 runs over the nt+1 levels),
+the four layers of one gradient evaluation at the same residual:
+
+    forward   a forward solve, solve_forward
+    replay    its levels replayed backward, ForwardSolution.levels_backward
+    adjoint   the adjoint stream, adjoint_levels
+    sweep     the whole gradient sweep, gradient_sweep, which pulls the
+              replay and the adjoint stream itself
+    sums      sweep - replay - adjoint, taken within each round: the cost of
+              the gradient sums alone
+
+The rounds (15 unless --rounds says otherwise) interleave the checkouts, and
+alternate which one goes first, so that a drift of the machine's speed hits
+both alike.  Each row prints the median microseconds of each checkout, the
+number of rounds in which CHANGE was faster, and a verdict under one rule
+for every row: a difference counts when one side is faster in at least nine
+tenths of the rounds.  Separate benchmark runs cannot resolve a 10-20%
+change of one layer, which is a few percent of a whole inversion.  The
 figures are a report, not a gate; the script exits 0 whatever they show.
 """
 
@@ -35,7 +49,10 @@ import numpy as np
 
 SIZES = (50, 100, 200)
 STEPS = 20  # advances per timed loop
-REPEAT = 5  # loops per timing, the best kept
+REPEAT = 5  # loops per step timing, the best kept
+LAYER_REPEAT = 3  # runs per layer timing, the best kept
+DIRECTIONS = ("forward", "adjoint")
+LAYERS = ("forward", "replay", "adjoint", "sweep")
 
 
 def load(checkout: Path, name: str):
@@ -49,25 +66,53 @@ def load(checkout: Path, name: str):
     return module
 
 
-def operators(wi, n: int) -> dict:
-    """The forward and the adjoint Leapfrog of one checkout on an n x n grid,
-    and the level from which each is stepped."""
-    forward, adjoint = sys.modules[wi.__name__ + ".forward"], sys.modules[wi.__name__ + ".adjoint"]
+def test1(wi, n: int):
+    """The test1 grid, eps, sigma and source of one checkout on an n x n
+    grid, and a random residual on all four sides."""
     grid = wi.build_grid(n, n, T=1.2)
     eps = wi.gaussian_coefficient(grid, 1.0, 3.0, (0.5, 0.7), 0.002, wi.Role.EPSILON)
     sigma = wi.gaussian_coefficient(grid, 1.0, 1.5, (0.5, 0.7), 0.002, wi.Role.SIGMA)
-    src = wi.SourceSpec()
-    op = forward.forward_operator(grid, eps, sigma, src, wi.BcConfig())
     rng = np.random.default_rng(0)
     width = sum(grid.side_node_count(side) for side in wi.ALL_SIDES)
     residual = wi.BoundaryTrace(grid=grid, sides=wi.ALL_SIDES,
                                 values=rng.standard_normal((grid.nt + 1, width)))
+    return grid, eps, sigma, wi.SourceSpec(), residual
+
+
+def operators(wi, n: int) -> dict:
+    """The forward and the adjoint Leapfrog of one checkout on an n x n grid,
+    and the level from which each is stepped."""
+    forward, adjoint = sys.modules[wi.__name__ + ".forward"], sys.modules[wi.__name__ + ".adjoint"]
+    grid, eps, sigma, src, residual = test1(wi, n)
+    op = forward.forward_operator(grid, eps, sigma, src, wi.BcConfig())
     programs = adjoint.build_adjoint_programs(op, residual)
     adj = forward.Leapfrog(grid, eps, sigma, programs)
     # a level after the forward source has switched, and one before the
     # adjoint's switched side stops absorbing
     level = int(0.75 * grid.nt)
     return {"forward": (op, level), "adjoint": (adj, grid.nt - level)}
+
+
+def layers(wi, n: int) -> tuple[dict, int]:
+    """The four layers of one checkout on an n x n grid, each a call that
+    runs it once, and the number of levels each runs over."""
+    grid, eps, sigma, src, residual = test1(wi, n)
+    bc = wi.BcConfig()
+    sol = wi.solve_forward(grid, eps, sigma, src, bc)
+    reg = wi.RegularizationParams(0.0, 0.0, 0.5, eps, sigma)
+    mask = wi.region_mask(grid, 0)
+
+    def drain(levels) -> None:
+        for _ in levels:
+            pass
+
+    return {
+        "forward": lambda: wi.solve_forward(grid, eps, sigma, src, bc),
+        "replay": lambda: drain(sol.levels_backward()),
+        "adjoint": lambda: drain(wi.adjoint_levels(sol.op, residual)),
+        "sweep": lambda: wi.gradient_sweep(
+            sol, wi.adjoint_levels(sol.op, residual), reg, 0.0, 0.0, mask),
+    }, grid.nt + 1
 
 
 def best_step(op, level: int) -> float:
@@ -85,6 +130,31 @@ def best_step(op, level: int) -> float:
     return 1e6 * best / STEPS
 
 
+def best_run(run, levels: int) -> float:
+    """Microseconds per level of one run of a layer, the best of LAYER_REPEAT."""
+    best = float("inf")
+    for _ in range(LAYER_REPEAT):
+        start = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - start)
+    return 1e6 * best / levels
+
+
+def report(title: str, rows: dict, rounds: int) -> None:
+    """One table: per (size, name) row the median of each checkout, the
+    ratio, the rounds that CHANGE won and the nine-tenths verdict."""
+    print(f"{'size':>5} {title:>9} {'parent us':>10} {'change us':>10} {'ratio':>6}  "
+          f"{'wins':>5}  verdict")
+    for (n, name), row in rows.items():
+        parent, change = row["parent"], row["change"]
+        a, b = statistics.median(parent), statistics.median(change)
+        wins = sum(c < p for p, c in zip(parent, change))
+        verdict = ("faster" if wins >= 0.9 * rounds else
+                   "slower" if rounds - wins >= 0.9 * rounds else "unresolved")
+        print(f"{n:>4}² {name:>9} {a:>10.2f} {b:>10.2f} {b / a:>6.3f}  "
+              f"{f'{wins}/{rounds}':>5}  {verdict}")
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -96,23 +166,28 @@ def main(argv: list[str]) -> int:
     trees = {"parent": load(args.parent.resolve(), "waveinv_parent"),
              "change": load(args.change.resolve(), "waveinv_change")}
     ops = {(label, n): operators(wi, n) for label, wi in trees.items() for n in SIZES}
-    times = {key: [] for key in ((label, n, d) for label in trees for n in SIZES
-                                 for d in ("forward", "adjoint"))}
+    runs = {(label, n): layers(wi, n) for label, wi in trees.items() for n in SIZES}
+    steps = {(n, d): {label: [] for label in trees} for n in SIZES for d in DIRECTIONS}
+    per_level = {(n, name): {label: [] for label in trees}
+                 for n in SIZES for name in (*LAYERS, "sums")}
     for r in range(args.rounds):
         order = list(trees) if r % 2 == 0 else list(reversed(trees))
         for n in SIZES:
-            for direction in ("forward", "adjoint"):
+            for direction in DIRECTIONS:
                 for label in order:
                     op, level = ops[label, n][direction]
-                    times[label, n, direction].append(best_step(op, level))
-    print(f"{'size':>5} {'direction':>9} {'parent us':>10} {'change us':>10} {'ratio':>6}  wins")
-    for n in SIZES:
-        for direction in ("forward", "adjoint"):
-            parent, change = times["parent", n, direction], times["change", n, direction]
-            a, b = statistics.median(parent), statistics.median(change)
-            wins = sum(c < p for p, c in zip(parent, change))
-            print(f"{n:>4}² {direction:>9} {a:>10.2f} {b:>10.2f} {b / a:>6.3f}  "
-                  f"{wins}/{args.rounds}")
+                    steps[n, direction][label].append(best_step(op, level))
+            for name in LAYERS:
+                for label in order:
+                    run, levels = runs[label, n]
+                    per_level[n, name][label].append(best_run(run[name], levels))
+            for label in trees:
+                sweep, replay, adjoint = (per_level[n, name][label][-1]
+                                          for name in ("sweep", "replay", "adjoint"))
+                per_level[n, "sums"][label].append(sweep - replay - adjoint)
+    report("direction", steps, args.rounds)
+    print()
+    report("layer", per_level, args.rounds)
     return 0
 
 
