@@ -66,7 +66,7 @@ def load(checkout: Path, name: str):
     return module
 
 
-def test1(wi, n: int):
+def setup_test1(wi, n: int):
     """The test1 grid, eps, sigma and source of one checkout on an n x n
     grid, and a random residual on all four sides."""
     grid = wi.build_grid(n, n, T=1.2)
@@ -83,7 +83,7 @@ def operators(wi, n: int) -> dict:
     """The forward and the adjoint Leapfrog of one checkout on an n x n grid,
     and the level from which each is stepped."""
     forward, adjoint = sys.modules[wi.__name__ + ".forward"], sys.modules[wi.__name__ + ".adjoint"]
-    grid, eps, sigma, src, residual = test1(wi, n)
+    grid, eps, sigma, src, residual = setup_test1(wi, n)
     op = forward.forward_operator(grid, eps, sigma, src, wi.BcConfig())
     programs = adjoint.build_adjoint_programs(op, residual)
     adj = forward.Leapfrog(grid, eps, sigma, programs)
@@ -96,7 +96,7 @@ def operators(wi, n: int) -> dict:
 def layers(wi, n: int) -> tuple[dict, int]:
     """The four layers of one checkout on an n x n grid, each a call that
     runs it once, and the number of levels each runs over."""
-    grid, eps, sigma, src, residual = test1(wi, n)
+    grid, eps, sigma, src, residual = setup_test1(wi, n)
     bc = wi.BcConfig()
     sol = wi.solve_forward(grid, eps, sigma, src, bc)
     reg = wi.RegularizationParams(0.0, 0.0, 0.5, eps, sigma)
