@@ -66,6 +66,7 @@ import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -234,7 +235,8 @@ class PaddedLevel:
     class is the one owner of the layout.
 
     Only a level that is stepped from reads neighbours and ghosts, and most
-    checkpoints never are, so those are made on first use.
+    checkpoints never are, so those are cached properties, made on first
+    use.
 
     This class allocates all level memory.  It over-allocates one cache
     line and places the buffer in it so that rows starts on a 64-byte line,
@@ -243,8 +245,6 @@ class PaddedLevel:
     in a buffer that is only 16-byte aligned, as malloc returns it, rows of
     an even ny never start on a line.  The scratch runs of the step and of
     the gradient sums are rows of their own levels for the same reason."""
-
-    __slots__ = ("flat", "pad", "nodes", "rows", "neighbours", "ghosts")
 
     LINE = 8  # doubles per 64-byte cache line
     # (ghost, mirror) of LEFT, BOTTOM, RIGHT and TOP
@@ -265,17 +265,17 @@ class PaddedLevel:
         self.nodes = pad[1:-1, 1:-1]
         self.rows = buffer[skip + w:skip + size - w]
 
-    def __getattr__(self, name: str) -> tuple:
-        # called only while the neighbours or ghosts slot is still unset
-        if name == "ghosts":
-            self.ghosts = tuple((self.pad[g], self.pad[m]) for g, m in self.SLOTS)
-            return self.ghosts
-        if name != "neighbours":
-            raise AttributeError(name)
+    @cached_property
+    def neighbours(self) -> tuple[np.ndarray, ...]:
+        """The run rows shifted up, down, right and left."""
         p, w = self.flat, self.pad.shape[1]
         lo, hi = w, p.size - w
-        self.neighbours = (p[lo + w:hi + w], p[lo - w:hi - w], p[lo + 1:hi + 1], p[lo - 1:hi - 1])
-        return self.neighbours
+        return p[lo + w:hi + w], p[lo - w:hi - w], p[lo + 1:hi + 1], p[lo - 1:hi - 1]
+
+    @cached_property
+    def ghosts(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(ghost, mirror) of each side, in ALL_SIDES order."""
+        return tuple((self.pad[g], self.pad[m]) for g, m in self.SLOTS)
 
     @classmethod
     def of(cls, grid: Grid2D, values: np.ndarray) -> "PaddedLevel":
@@ -327,13 +327,14 @@ class Leapfrog:
     applied by subtracting c_lap 2h/dt from c_cur and from c_prev at b, once
     per absorbing side: twice at a corner that two absorbing sides share.
     Which sides absorb at level n (its pattern) is read from the side
-    programs, and before a step from level n the perimeter entries of
-    c_cur and c_prev are patched in place, from perimeter-sized tables,
-    whenever level n's pattern differs from the one last applied.  Only
-    the switched source side changes, so an operator has at most two
-    patterns and a pass patches at most twice, at its start and at the
-    switch; every advance() reads the pattern of its own n, never that of
-    the previous call.
+    programs, and the closure vector of each pattern, 2h/dt times every
+    perimeter node's number of absorbing sides, is computed once, here.
+    Before a step from level n the perimeter entries of c_cur and c_prev
+    are patched in place from that table whenever level n's pattern
+    differs from the one last applied.  Only the switched source side
+    changes, so an operator has at most two patterns and a pass patches at
+    most twice, at its start and at the switch; every advance() reads the
+    pattern of its own n, never that of the previous call.
     """
 
     def __init__(
@@ -365,23 +366,24 @@ class Leapfrog:
         self._a_plus = None if forcing is None else a_plus
         self.levels = [PaddedLevel(grid) for _ in range(3)]
         self._series = [programs[side].series for side in ALL_SIDES]
-        self._count = np.diff(perimeter_offsets(grid, ALL_SIDES))
 
         # the perimeter nodes' indices in rows, each node once; the position
         # among them of each node of the perimeter layout; and c_cur, c_prev
         # there with no side absorbing
-        on_side = PaddedLevel.boundary_rows(grid, ALL_SIDES)
-        marked = np.zeros(self._c_cur.size, dtype=bool)
-        marked[on_side] = True
-        self._edge = np.flatnonzero(marked)
-        self._edge_of = np.searchsorted(self._edge, on_side)
+        self._edge, edge_of = np.unique(
+            PaddedLevel.boundary_rows(grid, ALL_SIDES), return_inverse=True)
         self._open = (self._c_cur[self._edge], self._c_prev[self._edge])
-        self._absorb = 2.0 * h / dt
         # the pattern per level: bit k set when side ALL_SIDES[k] absorbs
         self._pattern = sum(
             programs[side].absorbing.astype(int) << k for k, side in enumerate(ALL_SIDES)
         ).tolist()
         self._applied = 0  # the coefficients above close no side
+        # per pattern, 2h/dt times each perimeter node's number of absorbing sides
+        side_of = np.repeat(np.arange(len(ALL_SIDES)), np.diff(perimeter_offsets(grid, ALL_SIDES)))
+        self._closure = {
+            pattern: 2.0 * h / dt * np.bincount(edge_of, weights=pattern >> side_of & 1)
+            for pattern in set(self._pattern)
+        }
 
         if forcing is None:
             self.forcing = None
@@ -396,15 +398,10 @@ class Leapfrog:
     def _close(self, n: int) -> None:
         """Patch the perimeter entries of c_cur and c_prev to the absorbing
         pattern of level n."""
-        pattern = self._pattern[n]
-        absorbing = np.repeat(pattern >> np.arange(len(ALL_SIDES)) & 1, self._count)
-        # per perimeter node, 2h/dt times its number of absorbing sides
-        self._closure = closure = self._absorb * np.bincount(
-            self._edge_of, weights=absorbing, minlength=self._edge.size)
-        shift = self._c_lap[self._edge] * closure
+        self._applied = pattern = self._pattern[n]
+        shift = self._c_lap[self._edge] * self._closure[pattern]
         self._c_cur[self._edge] = self._open[0] - shift
         self._c_prev[self._edge] = self._open[1] - shift
-        self._applied = pattern
 
     def _neighbour_sum(self, cur: PaddedLevel, n: int, out: np.ndarray) -> np.ndarray:
         """Fill the ghosts of level n (cur) side by side with their mirrors
@@ -443,12 +440,11 @@ class Leapfrog:
         pc, pp, po = self.levels
         pc.nodes[...] = e0
         pp.nodes[...] = e0 - dt * f1_v
-        self._close(0)
         edge = self._edge
         total = self._neighbour_sum(pc, 0, po.rows)
         # the Taylor start has no c_cur, c_prev to carry the closure, so its
         # ghost terms enter the neighbour sum
-        total[edge] -= self._closure * (pc.rows[edge] - pp.rows[edge])
+        total[edge] -= self._closure[self._pattern[0]] * (pc.rows[edge] - pp.rows[edge])
         rhs = (po.nodes - 4.0 * e0) / self.grid.h**2 - self.sigma.values * f1_v
         if self.forcing is not None:
             rhs += self.forcing(0)
