@@ -9,12 +9,15 @@ The step sizes
     alpha = -(g, d) / (gamma (d, d))
 
 are clamped to [-alpha_max, alpha_max] and halved, at most MAX_BACKTRACKS
-times, while the functional would increase.  One function then turns the
-accepted trial into the next CgState: the Tikhonov functional and the
-data errors of its trace, the gradients summed during the backward adjoint
-sweep (the checkpoints replay the state backward), the Fletcher-Reeves
-directions (restarted when a ratio exceeds beta_max), the next clamped
-steps and the size of the update.  That function reads eps and sigma
+times, while the functional would increase.  When even the last trial
+increases it, the search restarts once along steepest descent; when that
+fails too, no step is taken and the loop stops at the last accepted
+iterate (line_search_failed).  One function turns the accepted trial into
+the next CgState: the Tikhonov functional and the data errors of its
+trace, the gradients summed during the backward adjoint sweep (the
+checkpoints replay the state backward), the Fletcher-Reeves directions
+(restarted when a ratio exceeds beta_max), the next clamped steps and the
+size of the update.  That function reads eps and sigma
 from the solve's operator, takes the trace out of the solve, starts
 adjoint_levels from that operator and the residual and frees both, so the
 sweep holds two traces, the observations and the adjoint's boundary data;
@@ -58,7 +61,7 @@ from .objective import (
     tikhonov,
 )
 
-# halvings of the step before an uphill trial is accepted anyway
+# halvings of the step along one direction before the line search gives it up
 MAX_BACKTRACKS = 10
 
 
@@ -107,6 +110,9 @@ class InverseProblem:
             raise ValueError(f"alpha_max must be > 0, got {self.alpha_max!r}")
         if not self.beta_max >= 0.0:  # below 0 (or NaN) every iteration restarts
             raise ValueError(f"beta_max must be >= 0, got {self.beta_max!r}")
+        for name in ("gamma_eps0", "gamma_sigma0"):
+            if not getattr(self.reg, name) > 0.0:  # at 0 every step of its coefficient is 0
+                raise ValueError(f"{name} must be > 0, got {getattr(self.reg, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -274,28 +280,52 @@ def _trial(
     return project(v.with_values(v.values + alpha * d.values), problem.adm, problem.mask)
 
 
-def cg_step(state: CgState, problem: InverseProblem, log: list[LogRow] | None = None) -> CgState:
+def _steepest(state: CgState, problem: InverseProblem) -> CgState:
+    """state restarted along steepest descent: the direction -g and the
+    clamped steps along it."""
+    d_eps = state.g_eps.with_values(-state.g_eps.values)
+    d_sigma = state.g_sigma.with_values(-state.g_sigma.values)
+    return replace(
+        state, d_eps=d_eps, d_sigma=d_sigma, restarted=True,
+        alpha_eps=_clamped_step(problem, state.g_eps, d_eps, state.gamma_eps),
+        alpha_sigma=_clamped_step(problem, state.g_sigma, d_sigma, state.gamma_sigma),
+    )
+
+
+def cg_step(
+    state: CgState, problem: InverseProblem, log: list[LogRow] | None = None
+) -> CgState | None:
     """Advance one full iteration: log the received iterate, take the
     projected update (with halving backtracks if the functional would
-    increase), then evaluate the new iterate and prepare its direction."""
+    increase), then evaluate the new iterate and prepare its direction.
+
+    When every trial along a conjugate direction increases the functional,
+    the search restarts once along -g, which the inexact gradient (ROADMAP
+    item 1a) can leave the only way down.  None when that fails too, or
+    when the direction already was -g: no uphill step is taken."""
     if log is not None:
         log.append(_row(state, problem))
 
-    a_eps, a_sigma = state.alpha_eps, state.alpha_sigma
-    for backtracks in range(MAX_BACKTRACKS + 1):
-        eps_new = _trial(problem, state.eps, a_eps, state.d_eps)
-        sigma_new = _trial(problem, state.sigma, a_sigma, state.d_sigma)
-        E_new = solve_forward(problem.grid, eps_new, sigma_new, problem.src, problem.bc)
-        # no local keeps the trial's trace: _iterate takes it out of E_new
-        F_trial = tikhonov(
-            extract_trace(E_new, problem.obs.sides), problem.obs, eps_new, sigma_new,
-            problem.reg, state.gamma_eps, state.gamma_sigma,
-        )
-        if F_trial <= state.F or backtracks == MAX_BACKTRACKS:
-            break
-        del E_new  # drop the rejected trial before the next solve
-        a_eps, a_sigma = 0.5 * a_eps, 0.5 * a_sigma
-    return _iterate(problem, state.m + 1, E_new, prev=state, backtracks=backtracks)
+    start, rejected = state, 0
+    while True:
+        a_eps, a_sigma = start.alpha_eps, start.alpha_sigma
+        for _ in range(MAX_BACKTRACKS + 1):
+            eps_new = _trial(problem, state.eps, a_eps, start.d_eps)
+            sigma_new = _trial(problem, state.sigma, a_sigma, start.d_sigma)
+            E_new = solve_forward(problem.grid, eps_new, sigma_new, problem.src, problem.bc)
+            # no local keeps the trial's trace: _iterate takes it out of E_new
+            F_trial = tikhonov(
+                extract_trace(E_new, problem.obs.sides), problem.obs, eps_new, sigma_new,
+                problem.reg, state.gamma_eps, state.gamma_sigma,
+            )
+            if F_trial <= state.F:
+                return _iterate(problem, state.m + 1, E_new, prev=start, backtracks=rejected)
+            del E_new  # drop the rejected trial before the next solve
+            rejected += 1
+            a_eps, a_sigma = 0.5 * a_eps, 0.5 * a_sigma
+        if start.m == 0 or start.restarted:  # the direction was -g
+            return None
+        start = _steepest(state, problem)
 
 
 def _first_below(checks: Iterable[tuple[str, float, float]]) -> str | None:
@@ -316,11 +346,13 @@ class CgaResult:
 
 
 def run_cga(problem: InverseProblem, tols: StoppingTolerances) -> CgaResult:
-    """Iterate cg_step until a stopping tolerance fires or the cap is hit.
+    """Iterate cg_step until a stopping tolerance fires, the line search
+    fails or the cap is hit.
 
     One log row is appended per completed iteration; with a cap of M and no
     early stop the log holds rows m = 0..M-1 and the returned coefficients
-    are the M-th iterates.
+    are the M-th iterates.  On a failed line search the last row and the
+    returned coefficients are those of the last accepted iterate.
     """
     log: list[LogRow] = []
     state = init_state(problem)
@@ -333,7 +365,11 @@ def run_cga(problem: InverseProblem, tols: StoppingTolerances) -> CgaResult:
         if stop:
             log.append(_row(state, problem))
             break
-        state = cg_step(state, problem, log)
+        new = cg_step(state, problem, log)
+        if new is None:
+            stop = "line_search_failed"
+            break
+        state = new
         stop = _first_below((
             ("update_eps", state.update_eps_norm, tols.eta1_eps),
             ("update_sigma", state.update_sigma_norm, tols.eta1_sigma),
@@ -489,6 +525,8 @@ def run_acga(
             ("theta2_sigma", result.final_g_sigma_norm, controls.theta2_sigma),
         ]
         stop = _first_below(checks)
+        if not stop and result.stop_reason == "line_search_failed":
+            stop = result.stop_reason  # a stalled level is not refined
         if stop or k == controls.n_max:
             break
         if not flags[-1].any():

@@ -242,7 +242,7 @@ def test_invert_finer_initial_field_exits_2(tmp_path, capsys):
     ("alpha_max", "-1"), ("alpha_max", "0"), ("beta_max", "-1"), ("beta_max", "nan"),
     ("t_on", "nan"), ("omega", "nan"), ("amplitude", "nan"), ("gamma_eps0", "nan"),
     ("omega", "inf"), ("amplitude", "inf"), ("gamma_eps0", "inf"), ("eps_background", "inf"),
-    ("theta1_eps", "-1"),
+    ("theta1_eps", "-1"), ("gamma_eps0", "0"), ("gamma_sigma0", "0"),
 ])
 def test_rejected_value_exits_2_before_solving(tmp_path, capsys, key, value):
     cfg = write_cfg(tmp_path)

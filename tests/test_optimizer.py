@@ -4,6 +4,7 @@ from dataclasses import astuple, fields, replace
 import numpy as np
 import pytest
 
+import waveinv.optimizer as optimizer
 from waveinv import (
     ALL_SIDES,
     AcgaControls,
@@ -117,6 +118,38 @@ class TestCgStep:
     def test_negative_or_nan_beta_cap_rejected(self, beta_max):
         with pytest.raises(ValueError, match="beta_max"):
             small_problem(beta_max=beta_max)
+
+    @pytest.mark.parametrize("name", ["gamma_eps0", "gamma_sigma0"])
+    def test_zero_regularization_weight_rejected(self, name):
+        # step_size is 0 at a zero weight, so that coefficient would never move
+        problem = small_problem()
+        with pytest.raises(ValueError, match=name):
+            replace(problem, reg=replace(problem.reg, **{name: 0.0}))
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_no_uphill_step_when_every_trial_raises_F(self, m):
+        # at m = 1 the direction is conjugate, so the steepest-descent restart fails too
+        problem = small_problem()
+        state = init_state(problem)
+        for _ in range(m):
+            state = cg_step(state, problem)
+        log = []
+        assert cg_step(replace(state, F=-1.0), problem, log) is None
+        assert [(row.m, row.F) for row in log] == [(m, -1.0)]
+
+    def test_uphill_direction_restarts_along_steepest_descent(self):
+        problem = small_problem()
+        state = cg_step(init_state(problem), problem)
+        assert state.m == 1 and not state.restarted
+        # F rises along +g, so every halving along it is rejected
+        uphill = replace(state, d_eps=state.g_eps, d_sigma=state.g_sigma,
+                         alpha_eps=problem.alpha_max, alpha_sigma=problem.alpha_max)
+        new = cg_step(uphill, problem)
+        expected = cg_step(optimizer._steepest(state, problem), problem)
+        assert new.backtracks == optimizer.MAX_BACKTRACKS + 1 + expected.backtracks
+        assert np.array_equal(new.eps.values, expected.eps.values)
+        assert np.array_equal(new.sigma.values, expected.sigma.values)
+        assert np.array_equal(new.d_eps.values, expected.d_eps.values)
 
     def test_gamma_schedule_in_log(self):
         problem = small_problem(g0=0.1)
@@ -242,6 +275,17 @@ class TestRunCga:
         assert len(result.log) == 5
         assert [row.m for row in result.log] == [0, 1, 2, 3, 4]
 
+    def test_failed_line_search_stops_at_last_accepted_iterate(self, monkeypatch):
+        # no trial reaches an F of -1, so the first line search fails
+        initial = optimizer.init_state
+        monkeypatch.setattr(optimizer, "init_state", lambda p: replace(initial(p), F=-1.0))
+        result = run_cga(small_problem(), StoppingTolerances(m_max=5))
+        assert result.stop_reason == "line_search_failed"
+        assert [(row.m, row.F) for row in result.log] == [(0, -1.0)]
+        assert result.final_F == -1.0
+        assert np.all(result.eps.values == 1.0)
+        assert np.all(result.sigma.values == 1.0)
+
     def test_deterministic_repeat(self):
         r1 = run_cga(small_problem(), StoppingTolerances(m_max=3))
         r2 = run_cga(small_problem(), StoppingTolerances(m_max=3))
@@ -340,6 +384,13 @@ class TestAcga:
         res = run_acga(problem, StoppingTolerances(m_max=0), AcgaControls(n_max=3))
         assert len(res.levels) == 1
         assert res.stop_reason == "no_flags"
+
+    def test_failed_line_search_is_not_refined(self, monkeypatch):
+        initial = optimizer.init_state
+        monkeypatch.setattr(optimizer, "init_state", lambda p: replace(initial(p), F=-1.0))
+        res = run_acga(small_problem(), StoppingTolerances(m_max=3), AcgaControls(n_max=2))
+        assert res.stop_reason == "line_search_failed"
+        assert len(res.levels) == 1
 
     def test_two_levels_track_grids_and_reports(self):
         problem = small_problem(ncell=16)
