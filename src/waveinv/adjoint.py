@@ -2,10 +2,10 @@
 
 After substituting s = T - t the adjoint equation
     eps * lam_tt - sigma * lam_t - lap(lam) = 0,   lam(T) = lam_t(T) = 0
-turns into the forward damped-wave scheme in s with zero initial data.  The
-adjoint is the transpose of one forward operator, so it is built from that
-operator alone (a ForwardSolution's op): the same grid, eps and sigma, and
-each of its side programs run backward in time:
+turns into the forward damped-wave scheme in s with zero initial data, and
+the multiplier is that: the forward scheme run backward in time.  It is
+built from one forward operator alone (a ForwardSolution's op): the same
+grid, eps and sigma, and each of its side programs run backward in time:
 
   * a side absorbs at level s exactly where the forward side absorbs at
     level nt - s, time T - s (the formal adjoint of the first-order
@@ -15,6 +15,22 @@ each of its side programs run backward in time:
 
 The forward programs alone decide which side absorbs when, and no adjoint
 is formed at other coefficients or boundary conditions than the forward's.
+
+The multiplier is not the transpose of the discrete forward scheme.  The
+two agree to round-off at every level but three (ROADMAP item 1a):
+
+  * level nt, the start: the scheme takes a Taylor step, which weights the
+    new level by 2 eps/dt^2, where the transpose takes half of a leapfrog
+    step from two zero levels, weighted by eps/dt^2 + sigma/(2 dt);
+  * the level before the source side switches to absorbing: the transpose
+    closes c_cur and c_prev of that step at the absorbing patterns of two
+    adjacent levels, the scheme closes both at one;
+  * level 1: the forward's Taylor start is in units of 2 eps/dt^2, the
+    scheme's last step in units of eps/dt^2 + sigma/(2 dt).
+
+Where E^0 = E^1 = 0, as in every configuration the CLI accepts, the
+gradient sums are exact at a fixed multiplier (gradient.py), so the
+gradient's error lies in these three levels of the multiplier alone.
 
 adjoint_levels is the one adjoint solve.  It yields the multiplier one
 level at a time as the backward sweep computes it, and every consumer (the

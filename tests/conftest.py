@@ -30,6 +30,13 @@ from waveinv.grid import area_weights, time_weights
 
 INCLUSION_CENTER = (0.5, 0.7)
 
+# time axes whose nt+1 levels split into blocks of
+# b = max(ceil(sqrt(nt+1)), 3) levels in every way: one block (nt = 1, 2 < b),
+# full blocks only (nt = 8 = 3^2 - 1, nt = 15 = 4^2 - 1), and a last block of
+# one level (nt = 12), of two (nt = 9, nt = 16 = 4^2) and of three levels
+# (nt = 10, nt = 17 = 4^2 + 1)
+CHECKPOINT_NT = (1, 2, 8, 9, 10, 12, 15, 16, 17)
+
 
 def truth_pair(grid):
     """The two narrow Gaussian inclusions used throughout the studies."""

@@ -24,7 +24,7 @@ from waveinv.forward import (
     forward_trace, leapfrog_levels,
 )
 from conftest import (
-    all_neumann_bc, discrete_energy, smooth_random_coefficient, smooth_random_trace,
+    CHECKPOINT_NT, all_neumann_bc, discrete_energy, smooth_random_coefficient, smooth_random_trace,
     stack_trace, stored_state, truth_pair,
 )
 
@@ -335,10 +335,14 @@ def pulse(X, Y):
     return np.exp(-((X - 0.6) ** 2 + (Y - 0.4) ** 2) / 0.02)
 
 
-def kernel_case(name):
-    """(grid, eps, sigma, src, bc) for one boundary or forcing configuration."""
+def kernel_case(name, nt=None):
+    """(grid, eps, sigma, src, bc) for one boundary or forcing configuration,
+    with nt time steps of the same dt when nt is given."""
     g = build_grid(24, 12, extent=(2.0, 1.0)) if name == "non_square" else build_grid(
         16, 16, T=0.8)
+    if nt is not None:
+        g = build_grid(g.nx, g.ny, T=nt * g.dt, extent=g.extent)
+        assert g.nt == nt
     rng = np.random.default_rng(11)
     eps = smooth_random_coefficient(g, rng, Role.EPSILON, lo=1.0, hi=3.0)
     sig = smooth_random_coefficient(g, rng, Role.SIGMA, lo=0.0, hi=2.0)
@@ -411,10 +415,13 @@ def test_forward_levels_match_unfused_scheme(name):
     assert rel_err(levels, expected) <= 1e-13
 
 
-def test_solve_forward_replays_the_streamed_levels_backward():
-    # forcing and start-up data reach the replayed blocks only through their pairs
+@pytest.mark.parametrize("nt", [None, *CHECKPOINT_NT],
+                         ids=lambda nt: "default" if nt is None else f"nt{nt}")
+def test_solve_forward_replays_the_streamed_levels_backward(nt):
+    # forcing and start-up data reach the replayed blocks only through their
+    # pairs; the short time axes split into blocks in every way
     for name in KERNEL_CASES:
-        g, eps, sig, src, bc = kernel_case(name)
+        g, eps, sig, src, bc = kernel_case(name, nt)
         op = forward_operator(g, eps, sig, src, bc)
         streamed = np.stack([lv.nodes.copy() for lv in leapfrog_levels(op)])
         sol = solve_forward(g, eps, sig, src, bc)

@@ -28,6 +28,7 @@ from waveinv import (
 )
 from waveinv.forward import PaddedLevel, forward_operator
 from conftest import (
+    CHECKPOINT_NT,
     adjoint_gradients,
     smooth_random_coefficient,
     smooth_random_trace,
@@ -266,14 +267,6 @@ class TestStreamedSweep:
         assert rel_diff(g_eps.values, r_eps) <= 1e-12
         assert rel_diff(g_sig.values, r_sig) <= 1e-12
         assert lambda_norm == pytest.approx(spacetime_norm(g, lam), rel=1e-12, abs=0.0)
-
-
-# 8x8 time axes whose nt+1 levels split into blocks of
-# b = max(ceil(sqrt(nt+1)), 3) levels in every way: one block (nt = 1, 2 < b),
-# full blocks only (nt = 8 = 3^2 - 1, nt = 15 = 4^2 - 1), and a last block of
-# one level (nt = 12), of two (nt = 9, nt = 16 = 4^2) and of three levels
-# (nt = 10, nt = 17 = 4^2 + 1)
-CHECKPOINT_NT = (1, 2, 8, 9, 10, 12, 15, 16, 17)
 
 
 class TestCheckpointedState:
