@@ -36,9 +36,10 @@ from .forward import (
     StabilityError,
     solve_forward,
 )
-from .adjoint import AdjointEnergyReport, adjoint_energy_monitor, adjoint_levels
 from .objective import (
+    AdjointEnergyReport,
     RegularizationParams,
+    adjoint_energy_monitor,
     decomposition_identity_check,
     field_dot,
     field_norm,

@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .adjoint import adjoint_levels
 from .config import ConfigError, RunConfig, load_config, write_manifest
 from .fields import Role, add_noise, extract_trace, project
 from .forward import (
@@ -29,7 +28,7 @@ from .forward import (
     trace_of_levels,
 )
 from .gradient import fd_gradient_oracle, gradient_sweep
-from .grid import region_mask
+from .grid import refine, region_mask
 from .io import (
     read_trace_csv,
     write_convergence_csv,
@@ -174,7 +173,7 @@ def cmd_invert(cfg: RunConfig, out: Path, quiet: bool) -> int:
         # adjoint levels of the final iterate, L_<step>.vtk, from the backward sweep
         grid = problem.grid
         E = solve_forward(grid, result.eps, result.sigma, problem.src, problem.bc)
-        lam_backward = adjoint_levels(E.op, E.take_trace(problem.obs.sides) - problem.obs)
+        lam_backward = leapfrog_levels(E.op.adjoint(E.take_trace(problem.obs.sides) - problem.obs))
         for _ in _dumped(cfg, grid, zip(range(grid.nt, -1, -1), lam_backward), out, "L"):
             pass
     write_manifest(cfg, out / "manifest.ini")
@@ -203,6 +202,14 @@ def cmd_invert_adaptive(cfg: RunConfig, out: Path, quiet: bool) -> int:
         )
 
     have_truth = problem.eps_true is not None
+    if controls.n_max >= 1:  # a field file fits one grid: fail before level 0's solves
+        fine = refine(problem.grid)
+        try:
+            prior_builder(fine)
+            if have_truth:
+                truth_builder(fine)
+        except ConfigError as exc:
+            raise ConfigError(f"{exc} (the section is rebuilt on each refined grid)") from exc
     result = run_acga(
         problem, tols, controls,
         truth_builder if have_truth else None,
@@ -227,14 +234,14 @@ def cmd_grad_check(cfg: RunConfig, out: Path, quiet: bool) -> int:
         raise ConfigError(f"key gradcheck.h_fd: must be > 0, got {h_fd!r}")
     grid, adm, mask, eps_t, sigma_t, src, bc, sides = _forward_setup(cfg)
     nodes = cfgmod.gradcheck_nodes(cfg, mask)
-    obs = _observed(cfg, grid, eps_t, sigma_t, src, bc, sides)
     eps_e = project(cfgmod.make_coefficient(cfg, "eval.eps", grid, Role.EPSILON), adm, mask)
     sigma_e = project(cfgmod.make_coefficient(cfg, "eval.sigma", grid, Role.SIGMA), adm, mask)
     reg = cfgmod.make_regularization(cfg, eps_e, sigma_e)
+    obs = _observed(cfg, grid, eps_t, sigma_t, src, bc, sides)
     gamma_eps = gamma_sigma = 0.0  # oracle comparison runs on the pure data term
 
     E = solve_forward(grid, eps_e, sigma_e, src, bc)
-    lam_backward = adjoint_levels(E.op, extract_trace(E, sides) - obs)
+    lam_backward = leapfrog_levels(E.op.adjoint(extract_trace(E, sides) - obs))
     g_eps, g_sigma, _ = gradient_sweep(E, lam_backward, reg, gamma_eps, gamma_sigma, mask)
 
     try:

@@ -29,12 +29,11 @@ closure takes E^0 - dt f1 as the previous level.  The start data f0, f1
 belong to the operator, as its forcing does; the adjoint's are zero.
 
 Leapfrog holds this update once.  The forward solve, the Lagrangian's
-defect and the adjoint solve all step through its advance(): after
-reversing time the adjoint equation has exactly this form, so the adjoint
-module only turns the forward operator's own side programs around in time.  leapfrog_levels
-is the one time loop: it yields each level as it is computed, and each
-caller uses a level as it arrives and copies only what it keeps
-(trace_of_levels, the ForwardSolution below, adjoint_levels).
+defect and the adjoint solve all step through its advance(), the adjoint
+through the operator that Leapfrog.adjoint builds.  leapfrog_levels is the
+one time loop: it yields each level as it is computed, and each caller uses
+a level as it arrives and copies only what it keeps (trace_of_levels, the
+ForwardSolution below, the gradient sweep).
 
 Every level lives in a ghost-padded (nx+3, ny+3) buffer, a PaddedLevel,
 for as long as it is stepped from: a step fills the ghosts of the current
@@ -449,6 +448,52 @@ class Leapfrog:
         if self.forcing is not None:
             rhs += self.forcing(0)
         return e0 + dt * f1_v + dt**2 / (2.0 * self.eps.values) * rhs
+
+    def adjoint(self, residual: BoundaryTrace) -> "Leapfrog":
+        """The adjoint operator of this forward operator, driven by the
+        boundary residual sim - obs: leapfrog_levels of it yields the
+        multiplier lam^nt (the zero terminal state) first and lam^0 last.
+
+        After substituting s = T - t the adjoint equation
+            eps * lam_tt - sigma * lam_t - lap(lam) = 0,   lam(T) = lam_t(T) = 0
+        turns into the forward damped-wave scheme in s with zero initial
+        data: this scheme at the same grid, eps and sigma, each side program
+        run backward in time.  A side absorbs at level s exactly where the
+        forward side absorbs at level nt - s, time T - s (the formal adjoint
+        of the first-order outflow condition); observation sides get the
+        Neumann ghost source -residual(T - s), composed with the outflow
+        term where both apply; the forward Neumann data, volume forcing and
+        start data do not enter.
+
+        The multiplier is not the transpose of the discrete forward scheme.
+        The two agree to round-off at every level but three (ROADMAP 1a):
+
+          * level nt, the start: the scheme takes a Taylor step, which
+            weights the new level by 2 eps/dt^2, where the transpose takes
+            half of a leapfrog step from two zero levels, weighted by
+            eps/dt^2 + sigma/(2 dt);
+          * the level before the source side switches to absorbing: the
+            transpose closes c_cur and c_prev of that step at the absorbing
+            patterns of two adjacent levels, the scheme closes both at one;
+          * level 1: the forward's Taylor start is in units of 2 eps/dt^2,
+            the scheme's last step in units of eps/dt^2 + sigma/(2 dt).
+
+        Where E^0 = E^1 = 0, as in every configuration the CLI accepts, the
+        gradient sums are exact at a fixed multiplier (gradient.py), so the
+        gradient's error lies in these three levels of the multiplier alone.
+
+        The residual is copied once, reversed and scaled into the ghost term
+        2 h g, g = -residual(T - s), and each observed side's series is the
+        view of its own columns of that array; the absorbing flags are
+        reversed views.  So a caller that drops its residual sweeps with that
+        one copy of the boundary data alone."""
+        grid = self.grid
+        if residual.grid.nt != grid.nt or residual.grid.node_shape != grid.node_shape:
+            raise ValueError("residual trace does not match the grid")
+        g = residual.map(lambda v: v[::-1] * (-2.0 * grid.h)).data
+        programs = {side: SideProgram(p.absorbing[::-1], g.get(side))
+                    for side, p in self.programs.items()}
+        return Leapfrog(grid, self.eps, self.sigma, programs)
 
 
 def _advance(

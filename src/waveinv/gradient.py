@@ -24,8 +24,8 @@ the end: five passes over a level per half-step, not seven.  The state
 arrives on the same reversed-level stream, E^nt..E^0: a ForwardSolution
 replays it from its checkpoints, so no snapshot stack is stored either.
 gradient_sweep holds these sums.  Its callers, the optimizer and grad-check,
-hand it the multiplier stream of adjoint_levels(E.op, sim - obs), and hold
-no residual once that stream is built.  The coefficients of the
+hand it the multiplier stream leapfrog_levels(E.op.adjoint(sim - obs)),
+and hold no residual once that stream is built.  The coefficients of the
 regularization term are read from E.op as well, so the state, the
 multiplier and the gradient share one linearization point.
 
@@ -57,7 +57,7 @@ def gradient_sweep(
 ) -> tuple[CoefficientField, CoefficientField, float]:
     """Nodal gradients of the Tikhonov functional, zeroed on FRAME nodes, and
     the multiplier's space-time norm, summed while lam^nt, ..., lam^0 (from
-    adjoint_levels) and E^nt, ..., E^0 (from E.levels_backward()) arrive, so
+    E.op.adjoint) and E^nt, ..., E^0 (from E.levels_backward()) arrive, so
     only two of each are held.  Every sum runs over the levels' rows; the
     area weights are zero in the ghost columns, and the values that the
     gradient sums collect there are dropped at the end.  The state enters

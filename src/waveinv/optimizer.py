@@ -18,8 +18,8 @@ trace, the gradients summed during the backward adjoint sweep (the
 checkpoints replay the state backward), the Fletcher-Reeves directions
 (restarted when a ratio exceeds beta_max), the next clamped steps and the
 size of the update.  That function reads eps and sigma
-from the solve's operator, takes the trace out of the solve, starts
-adjoint_levels from that operator and the residual and frees both, so the
+from the solve's operator, takes the trace out of the solve, streams the
+multiplier of that operator's adjoint at the residual and frees both, so the
 sweep holds two traces, the observations and the adjoint's boundary data;
 no iterate keeps a trace, and no gradient is formed at coefficients or
 boundary conditions other than the solve's.  The regularization weights
@@ -40,7 +40,6 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .adjoint import adjoint_levels
 from .fields import (
     AdmissibleSet,
     BoundaryTrace,
@@ -49,7 +48,7 @@ from .fields import (
     project,
     transfer_to_refined,
 )
-from .forward import BcConfig, ForwardSolution, SourceSpec, solve_forward
+from .forward import BcConfig, ForwardSolution, SourceSpec, leapfrog_levels, solve_forward
 from .grid import Grid2D, RegionMask, refine, region_mask
 from .gradient import gradient_sweep
 from .objective import (
@@ -220,7 +219,7 @@ def _iterate(
     # is all that the sweep holds
     residual = sim - obs
     del sim
-    lam_backward = adjoint_levels(E.op, residual)
+    lam_backward = leapfrog_levels(E.op.adjoint(residual))
     del residual
     g_eps, g_sigma, lambda_norm = gradient_sweep(
         E, lam_backward, problem.reg, gamma_eps, gamma_sigma, problem.mask,

@@ -18,7 +18,6 @@ from waveinv import (
     Side,
     SourceSpec,
     add_noise,
-    adjoint_levels,
     build_grid,
     extract_trace,
     gaussian_coefficient,
@@ -115,7 +114,7 @@ def stored_adjoint(op, residual):
     stacked in forward time order (snapshot nt is the zero terminal state):
     the stored reference.  Each level is copied, because the sweep reuses its
     level buffers."""
-    levels = [lam.nodes.copy() for lam in adjoint_levels(op, residual)]
+    levels = [lam.nodes.copy() for lam in leapfrog_levels(op.adjoint(residual))]
     return np.stack(levels[::-1])
 
 
@@ -139,7 +138,7 @@ def adjoint_gradients(E, residual, reg, gamma_eps, gamma_sigma, mask):
     """The gradients and the multiplier norm of gradient_sweep over the
     adjoint sweep of E's operator that residual drives, composed as the
     optimizer does."""
-    lam_backward = adjoint_levels(E.op, residual)
+    lam_backward = leapfrog_levels(E.op.adjoint(residual))
     return gradient_sweep(E, lam_backward, reg, gamma_eps, gamma_sigma, mask)
 
 

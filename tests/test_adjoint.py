@@ -11,7 +11,6 @@ from waveinv import (
     SourceSpec,
     StabilityError,
     adjoint_energy_monitor,
-    adjoint_levels,
     build_grid,
     constant_coefficient,
     extract_trace,
@@ -19,8 +18,7 @@ from waveinv import (
     trace_dot,
     trace_norm_sq,
 )
-from waveinv.adjoint import build_adjoint_programs
-from waveinv.forward import BcKind, Leapfrog, SideProgram, forward_operator
+from waveinv.forward import BcKind, Leapfrog, SideProgram, forward_operator, leapfrog_levels
 from waveinv.grid import Side
 from conftest import (
     all_neumann_bc,
@@ -29,7 +27,6 @@ from conftest import (
     spacetime_dot,
     spacetime_norm,
     stored_adjoint,
-    stored_solution,
     stored_state,
     truth_pair,
     zero_trace,
@@ -129,7 +126,7 @@ class TestEnergyMonitor:
         sig = constant_coefficient(small_grid, 1.0, Role.SIGMA)
         res = zero_trace(small_grid)
         op = forward_operator(small_grid, eps, sig, SourceSpec(), BcConfig())
-        rep = adjoint_energy_monitor(adjoint_levels(op, res), eps, sig, res)
+        rep = adjoint_energy_monitor(op, res)
         assert rep.max_energy == 0.0
         assert rep.ratio == 0.0
         assert not rep.flagged
@@ -140,10 +137,8 @@ class TestEnergyMonitor:
         sig = constant_coefficient(small_grid, 1.0, Role.SIGMA)
         res = smooth_random_trace(small_grid, rng)
         op = forward_operator(small_grid, eps, sig, SourceSpec(), BcConfig())
-        lam1 = adjoint_levels(op, res)
-        lam2 = adjoint_levels(op, res.map(lambda a: 2.0 * a))
-        rep1 = adjoint_energy_monitor(lam1, eps, sig, res)
-        rep2 = adjoint_energy_monitor(lam2, eps, sig, res.map(lambda a: 2.0 * a))
+        rep1 = adjoint_energy_monitor(op, res)
+        rep2 = adjoint_energy_monitor(op, res.map(lambda a: 2.0 * a))
         assert rep2.max_energy == pytest.approx(4.0 * rep1.max_energy, rel=1e-10)
         assert rep2.ratio == pytest.approx(rep1.ratio, rel=1e-10)
 
@@ -159,26 +154,13 @@ class TestEnergyMonitor:
             sig0 = constant_coefficient(g, 1.0, Role.SIGMA)
             E = solve_forward(g, eps0, sig0, src, bc)
             res = extract_trace(E, ALL_SIDES) - obs
-            lam_backward = adjoint_levels(E.op, res)
-            rep = adjoint_energy_monitor(lam_backward, eps0, sig0, res)
+            rep = adjoint_energy_monitor(E.op, res)
             assert np.isfinite(rep.ratio) and not rep.flagged
             ratios.append(rep.ratio)
         assert abs(ratios[1] - ratios[0]) < 0.5 * ratios[0]
 
-    @pytest.mark.parametrize("drop", [1, -1])
-    def test_level_stream_of_wrong_length_rejected(self, small_grid, drop):
-        eps = constant_coefficient(small_grid, 1.0, Role.EPSILON)
-        sig = constant_coefficient(small_grid, 1.0, Role.SIGMA)
-        res = zero_trace(small_grid)
-        op = forward_operator(small_grid, eps, sig, SourceSpec(), BcConfig())
-        lam = stored_adjoint(op, res)
-        levels = list(stored_solution(op, lam).levels_backward())
-        levels = levels[:-1] if drop > 0 else levels + levels[-1:]
-        with pytest.raises(ValueError, match="zip"):
-            adjoint_energy_monitor(iter(levels), eps, sig, res)
 
-
-def test_adjoint_levels_copies_the_boundary_data_once(medium_grid):
+def test_adjoint_copies_the_boundary_data_once(medium_grid):
     # building the sweep copies the residual once: reversed in time and
     # scaled by -2 h in one pass, it becomes the Neumann ghost term 2 h g,
     # g = -residual(T - s), so no unscaled second copy is kept
@@ -188,7 +170,7 @@ def test_adjoint_levels_copies_the_boundary_data_once(medium_grid):
     op = forward_operator(medium_grid, eps, sig, SourceSpec(), BcConfig())
     tracemalloc.start()
     try:
-        lam_backward = adjoint_levels(op, residual)
+        lam_backward = leapfrog_levels(op.adjoint(residual))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -196,7 +178,7 @@ def test_adjoint_levels_copies_the_boundary_data_once(medium_grid):
     assert sum(1 for _ in lam_backward) == medium_grid.nt + 1
 
 
-def test_adjoint_levels_holds_one_residual_beyond_its_operator(medium_grid):
+def test_adjoint_holds_one_residual_beyond_its_operator(medium_grid):
     # what building the sweep allocates beyond the same operator with
     # series-free programs is the residual's one copy, g (the programs'
     # flags are views of the forward operator's); one warm sweep first, so
@@ -205,9 +187,9 @@ def test_adjoint_levels_holds_one_residual_beyond_its_operator(medium_grid):
     eps, sig = truth_pair(g)
     residual = smooth_random_trace(g, np.random.default_rng(4))
     op = forward_operator(g, eps, sig, SourceSpec(), BcConfig())
-    for _ in adjoint_levels(op, residual):
+    for _ in leapfrog_levels(op.adjoint(residual)):
         pass
-    programs = build_adjoint_programs(op, residual)
+    programs = op.adjoint(residual).programs
 
     def traced_peak(build):
         tracemalloc.start()
@@ -217,7 +199,7 @@ def test_adjoint_levels_holds_one_residual_beyond_its_operator(medium_grid):
         finally:
             tracemalloc.stop()
 
-    sweep = traced_peak(lambda: adjoint_levels(op, residual))
+    sweep = traced_peak(lambda: leapfrog_levels(op.adjoint(residual)))
     operator = traced_peak(lambda: Leapfrog(g, eps, sig, {
         side: SideProgram(p.absorbing.copy(), None) for side, p in programs.items()
     }))
@@ -241,7 +223,7 @@ def test_non_finite_residual_is_reported_with_its_step(small_grid, bad):
     op = forward_operator(g, eps, sig, SourceSpec(), BcConfig())
     step = g.nt - row + 1
     with pytest.raises(StabilityError, match=f"non-finite field values at step {step}$"):
-        for _ in adjoint_levels(op, residual):
+        for _ in leapfrog_levels(op.adjoint(residual)):
             pass
 
 
@@ -251,7 +233,7 @@ def test_mismatched_residual_rejected(small_grid):
     sig = constant_coefficient(small_grid, 1.0, Role.SIGMA)
     op = forward_operator(small_grid, eps, sig, SourceSpec(), BcConfig())
     with pytest.raises(ValueError):
-        adjoint_levels(op, zero_trace(other))
+        op.adjoint(zero_trace(other))
 
 
 @pytest.mark.parametrize("n", [8, 50, 400])
@@ -264,7 +246,7 @@ def test_switched_side_absorbs_at_the_reversed_forward_levels(n, T, t_on):
     src = SourceSpec(t_on=t_on)
     eps, sig = constant_coefficient(g, 1.0, Role.EPSILON), constant_coefficient(g, 1.0, Role.SIGMA)
     op = forward_operator(g, eps, sig, src, BcConfig())
-    adjoint = build_adjoint_programs(op, zero_trace(g))[Side.LEFT].absorbing
+    adjoint = op.adjoint(zero_trace(g)).programs[Side.LEFT].absorbing
     expected = g.T - g.dt * np.arange(g.nt + 1) > src.switch_time() + 1e-14
     assert expected.any() and not expected.all()
     assert np.array_equal(adjoint, expected)

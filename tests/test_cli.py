@@ -454,6 +454,59 @@ def test_non_positive_grad_check_step_exits_2_before_any_solve(tmp_path, capsys,
     assert not (out / "grad_check.csv").exists()
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ("[eval.eps]\nkind = constant\nvalue = 2.0", "[eval.eps]\nkind = gaussian\nwidth = 0",
+     "eval.eps"),
+    ("[eval.eps]\nkind = constant", "[eval.eps]\nkind = bogus", "eval.eps.kind"),
+    ("[noise]\n", "[cga]\np = 0\n\n[noise]\n", "cga: decay exponent p"),
+], ids=["eval_zero_width", "eval_unknown_kind", "cga_p"])
+def test_bad_evaluation_point_exits_2_before_any_solve(
+        tmp_path, capsys, monkeypatch, old, new, key):
+    # the evaluation point and its regularization were built only after the
+    # observation solve
+    fail_any_solve(monkeypatch)
+    cfg = write_cfg(tmp_path, GRADCHECK.replace(old, new))
+    out = tmp_path / "gc"
+    assert main(["grad-check", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err and "Traceback" not in err
+    assert not (out / "grad_check.csv").exists()
+
+
+@pytest.mark.parametrize("files, perturbed, named", [
+    ({"initial.eps": Role.EPSILON}, None, "initial.eps"),
+    ({"truth.sigma": Role.SIGMA}, None, "truth.sigma"),
+    ({"truth.sigma": Role.SIGMA}, "initial.sigma", "truth.sigma"),
+], ids=["initial", "truth", "perturbed_truth"])
+def test_invert_adaptive_field_file_exits_2_before_any_solve(
+        tmp_path, capsys, monkeypatch, files, perturbed, named):
+    # a field file holds the nodes of one grid, and the builders run again on
+    # the refined grid: the run did all of level 0 before it exited 2
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "run"
+    assert main(["synthesize", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    manifest = configparser.ConfigParser(interpolation=None)
+    manifest.read(out / "manifest.ini")
+    grid = make_grid(load_config(out / "manifest.ini"))
+    for section, role in files.items():
+        path = tmp_path / f"{section}.csv"
+        write_field_csv(constant_coefficient(grid, 1.0, role), grid, path)
+        manifest.set(section, "kind", "file")
+        manifest.set(section, "path", str(path))
+    if perturbed is not None:
+        manifest.set(perturbed, "kind", "perturbed_truth")
+    with open(out / "file.ini", "w") as fh:
+        manifest.write(fh)
+    fail_any_solve(monkeypatch)
+    capsys.readouterr()
+    out2 = tmp_path / "adapt"
+    assert main(["invert-adaptive", "--config", str(out / "file.ini"),
+                 "--out", str(out2), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err and "refined grid" in err
+    assert not (out2 / "level_0").exists() and not (out2 / "manifest.ini").exists()
+
+
 @pytest.mark.parametrize("command", ["forward", "synthesize", "invert", "invert-adaptive"])
 def test_negative_dump_every_exits_2_before_any_solve(tmp_path, capsys, monkeypatch, command):
     # a negative interval was accepted, wrote no dumps and stayed in the manifest
@@ -604,17 +657,26 @@ def test_invert_never_dumps_a_non_finite_multiplier(tmp_path, monkeypatch, capsy
     step = 14
     nt = make_grid(load_config(out / "dump.ini")).nt
     assert (nt - step) % 7 == 0 and step % _block(nt) > 1
-    real = waveinv.cli.adjoint_levels
+    real = waveinv.cli.solve_forward
 
-    def blown_up(op, residual):
-        # the adjoint's data at its step s is -residual(T - s), and the
-        # update from level s writes level s+1
-        grid = op.grid
-        values = residual.values.copy()
-        values[grid.nt - step + 1, 2] = np.inf  # node 2 of the first side
-        return real(op, BoundaryTrace(grid=grid, sides=residual.sides, values=values))
+    def blown_up(*args):
+        # in invert the CLI's own solve_forward serves the dumps alone, so
+        # only the dumped adjoint's residual is corrupted; its data at its
+        # step s is -residual(T - s), and the update from level s writes
+        # level s+1
+        E = real(*args)
+        take_trace = E.take_trace
 
-    monkeypatch.setattr(waveinv.cli, "adjoint_levels", blown_up)
+        def corrupted(sides):
+            trace = take_trace(sides)
+            values = trace.values.copy()
+            values[trace.grid.nt - step + 1, 2] = np.inf  # node 2 of the first side
+            return BoundaryTrace(grid=trace.grid, sides=trace.sides, values=values)
+
+        E.take_trace = corrupted
+        return E
+
+    monkeypatch.setattr(waveinv.cli, "solve_forward", blown_up)
     capsys.readouterr()
     out2 = tmp_path / "ldumps"
     assert main(["invert", "--config", str(out / "dump.ini"), "--out", str(out2), "--quiet"]) == 3

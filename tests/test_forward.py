@@ -18,7 +18,6 @@ from waveinv import (
     gaussian_coefficient,
     solve_forward,
 )
-from waveinv.adjoint import adjoint_levels, build_adjoint_programs
 from waveinv.forward import (
     Leapfrog, PaddedLevel, _block, _nodal, build_forward_programs, forward_operator,
     forward_trace, leapfrog_levels,
@@ -476,8 +475,8 @@ def test_step_after_a_pass_closes_the_sides_of_its_own_level(direction):
     if direction == "forward":
         programs = build_forward_programs(g, src, bc)
     else:
-        programs = build_adjoint_programs(forward_operator(g, eps, sig, src, bc),
-                                          smooth_random_trace(g, rng))
+        programs = forward_operator(g, eps, sig, src, bc).adjoint(
+            smooth_random_trace(g, rng)).programs
     switched = programs[Side.LEFT].absorbing
     switch = int(np.flatnonzero(switched != switched[0])[0])
     used = Leapfrog(g, eps, sig, programs)
@@ -627,5 +626,5 @@ def test_every_level_run_starts_on_a_cache_line(nx, ny):
     assert all(on_cache_line(level.rows) for pair in sol.pairs for level in pair)
     assert all(on_cache_line(level.rows) for level in sol.levels_backward())
     residual = smooth_random_trace(g, np.random.default_rng(5))
-    assert all(on_cache_line(level.rows) for level in adjoint_levels(op, residual))
+    assert all(on_cache_line(level.rows) for level in leapfrog_levels(op.adjoint(residual)))
 

@@ -14,7 +14,6 @@ from waveinv import (
     Role,
     Side,
     SourceSpec,
-    adjoint_levels,
     build_grid,
     constant_coefficient,
     extract_trace,
@@ -26,7 +25,7 @@ from waveinv import (
     region_mask,
     solve_forward,
 )
-from waveinv.forward import PaddedLevel, forward_operator
+from waveinv.forward import PaddedLevel, forward_operator, leapfrog_levels
 from conftest import (
     CHECKPOINT_NT,
     adjoint_gradients,
@@ -376,7 +375,7 @@ def test_sweep_allocates_no_level_per_step():
     sig = smooth_random_coefficient(g, rng, Role.SIGMA, hi=4.0)
     src, bc = SourceSpec(), BcConfig()
     sol = solve_forward(g, eps, sig, src, bc)
-    lam_backward = adjoint_levels(sol.op, smooth_random_trace(g, rng))
+    lam_backward = leapfrog_levels(sol.op.adjoint(smooth_random_trace(g, rng)))
     level_bytes = np.empty(g.node_shape).nbytes
     marks = []
 

@@ -20,7 +20,7 @@ the four layers of one gradient evaluation at the same residual:
 
     forward   a forward solve, solve_forward
     replay    its levels replayed backward, ForwardSolution.levels_backward
-    adjoint   the adjoint stream, adjoint_levels
+    adjoint   the adjoint stream, leapfrog_levels of the adjoint operator
     sweep     the whole gradient sweep, gradient_sweep, which pulls the
               replay and the adjoint stream itself
     sums      sweep - replay - adjoint, taken within each round: the cost of
@@ -79,14 +79,23 @@ def setup_test1(wi, n: int):
     return grid, eps, sigma, wi.SourceSpec(), residual
 
 
+def adjoint_operator(wi, op, residual):
+    """The adjoint Leapfrog of one checkout's forward operator op at the
+    residual: op.adjoint, or in a checkout from before that method, the
+    operator of the programs that its adjoint module builds."""
+    if hasattr(op, "adjoint"):
+        return op.adjoint(residual)
+    adjoint = sys.modules[wi.__name__ + ".adjoint"]
+    return type(op)(op.grid, op.eps, op.sigma, adjoint.build_adjoint_programs(op, residual))
+
+
 def operators(wi, n: int) -> dict:
     """The forward and the adjoint Leapfrog of one checkout on an n x n grid,
     and the level from which each is stepped."""
-    forward, adjoint = sys.modules[wi.__name__ + ".forward"], sys.modules[wi.__name__ + ".adjoint"]
+    forward = sys.modules[wi.__name__ + ".forward"]
     grid, eps, sigma, src, residual = setup_test1(wi, n)
     op = forward.forward_operator(grid, eps, sigma, src, wi.BcConfig())
-    programs = adjoint.build_adjoint_programs(op, residual)
-    adj = forward.Leapfrog(grid, eps, sigma, programs)
+    adj = adjoint_operator(wi, op, residual)
     # a level after the forward source has switched, and one before the
     # adjoint's switched side stops absorbing
     level = int(0.75 * grid.nt)
@@ -101,6 +110,7 @@ def layers(wi, n: int) -> tuple[dict, int]:
     sol = wi.solve_forward(grid, eps, sigma, src, bc)
     reg = wi.RegularizationParams(0.0, 0.0, 0.5, eps, sigma)
     mask = wi.region_mask(grid, 0)
+    stream = sys.modules[wi.__name__ + ".forward"].leapfrog_levels
 
     def drain(levels) -> None:
         for _ in levels:
@@ -109,9 +119,9 @@ def layers(wi, n: int) -> tuple[dict, int]:
     return {
         "forward": lambda: wi.solve_forward(grid, eps, sigma, src, bc),
         "replay": lambda: drain(sol.levels_backward()),
-        "adjoint": lambda: drain(wi.adjoint_levels(sol.op, residual)),
+        "adjoint": lambda: drain(stream(adjoint_operator(wi, sol.op, residual))),
         "sweep": lambda: wi.gradient_sweep(
-            sol, wi.adjoint_levels(sol.op, residual), reg, 0.0, 0.0, mask),
+            sol, stream(adjoint_operator(wi, sol.op, residual)), reg, 0.0, 0.0, mask),
     }, grid.nt + 1
 
 
