@@ -27,7 +27,7 @@ from .forward import (
     StabilityError, forward_operator, forward_trace, leapfrog_levels, solve_forward,
     trace_of_levels,
 )
-from .gradient import fd_gradient_oracle, gradient_sweep
+from .gradient import check_probes, fd_gradient_oracle, gradient_sweep
 from .grid import refine, region_mask
 from .io import (
     read_trace_csv,
@@ -237,6 +237,10 @@ def cmd_grad_check(cfg: RunConfig, out: Path, quiet: bool) -> int:
     eps_e = project(cfgmod.make_coefficient(cfg, "eval.eps", grid, Role.EPSILON), adm, mask)
     sigma_e = project(cfgmod.make_coefficient(cfg, "eval.sigma", grid, Role.SIGMA), adm, mask)
     reg = cfgmod.make_regularization(cfg, eps_e, sigma_e)
+    try:
+        check_probes(eps_e, sigma_e, nodes, h_fd, mask, adm)
+    except ValueError as exc:
+        raise ConfigError(f"key gradcheck.h_fd: {exc}") from exc
     obs = _observed(cfg, grid, eps_t, sigma_t, src, bc, sides)
     gamma_eps = gamma_sigma = 0.0  # oracle comparison runs on the pure data term
 

@@ -109,6 +109,21 @@ class GradientSample:
     value: float
 
 
+def check_probes(eps: CoefficientField, sigma: CoefficientField,
+                 nodes: list[tuple[int, int]], h_fd: float, mask: RegionMask, adm,
+                 roles: tuple[Role, ...] = (Role.EPSILON, Role.SIGMA)) -> None:
+    """Raise ValueError if a probe v +- h_fd at a node outside FRAME leaves
+    the admissible box; FRAME probes are re-pinned to the background."""
+    for i, j in nodes:
+        for role in roles:
+            lo, hi = adm.bounds(role)
+            value = (eps if role is Role.EPSILON else sigma).values[i, j]
+            for probe in (value + h_fd, value - h_fd):
+                if not mask.frame[i, j] and not lo <= probe <= hi:
+                    raise ValueError(f"probe {probe:.6g} leaves [{lo}, {hi}] at node ({i}, {j}); "
+                                     f"use a smaller h_fd or another evaluation point")
+
+
 def fd_gradient_oracle(
     eps: CoefficientField,
     sigma: CoefficientField,
@@ -132,6 +147,7 @@ def fd_gradient_oracle(
     """
     if h_fd <= 0.0:
         raise ValueError("h_fd must be positive")
+    check_probes(eps, sigma, sample_nodes, h_fd, mask, adm, roles)
     grid = eps.grid
     w = area_weights(grid)
 
@@ -143,17 +159,11 @@ def fd_gradient_oracle(
     for i, j in sample_nodes:
         for role in roles:
             base = eps if role is Role.EPSILON else sigma
-            lo, hi = adm.bounds(role)
             values = {}
             for s in (+1.0, -1.0):
                 pert = base.values.copy()
                 pert[i, j] += s * h_fd
                 pert[mask.frame] = adm.background(role)
-                if not mask.frame[i, j] and not lo <= pert[i, j] <= hi:
-                    raise ValueError(
-                        f"probe {pert[i, j]:.6g} leaves [{lo}, {hi}] at node "
-                        f"({i}, {j}); use a smaller h_fd or another evaluation point"
-                    )
                 f = base.with_values(pert)
                 if role is Role.EPSILON:
                     values[s] = functional(f, sigma)

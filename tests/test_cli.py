@@ -454,6 +454,18 @@ def test_non_positive_grad_check_step_exits_2_before_any_solve(tmp_path, capsys,
     assert not (out / "grad_check.csv").exists()
 
 
+def test_grad_check_probe_outside_the_box_exits_2_before_any_solve(tmp_path, capsys, monkeypatch):
+    # the oracle rejected the probe 2.0 + 100 only after the observation, forward
+    # and adjoint solves, and its message did not name the key
+    fail_any_solve(monkeypatch)
+    cfg = write_cfg(tmp_path, GRADCHECK + "h_fd = 100\n")
+    out = tmp_path / "gc"
+    assert main(["grad-check", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "key gradcheck.h_fd" in err and "leaves [1.0, 10.0]" in err
+    assert "Traceback" not in err and not (out / "grad_check.csv").exists()
+
+
 @pytest.mark.parametrize("old, new, key", [
     ("[eval.eps]\nkind = constant\nvalue = 2.0", "[eval.eps]\nkind = gaussian\nwidth = 0",
      "eval.eps"),

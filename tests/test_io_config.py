@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,6 +17,7 @@ from waveinv import (
 )
 from waveinv.config import ConfigError, load_config, make_coefficient, make_grid, write_manifest
 from waveinv.io import (
+    _digits17,
     read_field_csv,
     read_trace_csv,
     write_field_csv,
@@ -134,12 +137,39 @@ def test_vtk_header_and_payload(grid, tmp_path):
     assert all(float(v) == 2.5 for v in payload)
 
 
-@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
-def test_percent_template_digits_equal_format(v):
-    # the bulk writers fill "%.17g" templates (bytes for the CSVs, str for VTK);
-    # the rest of io.py formats with format()
-    assert b"%.17g" % v == format(v, ".17g").encode()
-    assert "%.17g" % v == format(v, ".17g")
+# The bulk writers fill "%b" templates with _digits17's strings, which must be
+# format(v, ".17g"), the digits of the rest of io.py, byte for byte.
+def assert_digits_equal_format(values):
+    values = np.asarray(values, dtype=float)
+    assert _digits17(values) == [format(v, ".17g").encode() for v in values.tolist()]
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)))
+def test_digits17_equal_format(values):
+    assert_digits_equal_format(values)
+
+
+def test_digits17_equal_format_on_random_bit_patterns():
+    bits = np.random.default_rng(17).integers(0, 2**64, 300_000, dtype=np.uint64)
+    for block in np.split(bits.view(np.float64), 300):
+        assert_digits_equal_format(block)
+
+
+def test_digits17_equal_format_on_named_cases():
+    powers = np.array([float(f"1e{e}") for e in range(-280, 17)])
+    assert_digits_equal_format(np.concatenate(
+        [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), -powers]))
+    # literals just below a power of ten (the first reads as 1e-4), and the domain's edges
+    assert_digits_equal_format([9.99999999999999999e-5, 9.9999999999999999e15, 0.5, 1.0,
+                                -0.0, 0.0, 5e-324, 1e-310, 1e-280, 1e300, -1e300])
+    # exact ties at the 17th digit: j / 2^(p+1) with j odd and j 5^p in [2e16, 2e17)
+    rng = np.random.default_rng(5)
+    for p in range(1, 23):
+        j = rng.integers(-(-2 * 10**16 // 5**p), min(2 * 10**17 // 5**p, 2**53), 200) | 1
+        assert_digits_equal_format(j * 2.0 ** -(p + 1))
+    # 17-digit integers over powers of two
+    scales = 2.0 ** -rng.integers(0, 60, 2000)
+    assert_digits_equal_format(rng.integers(10**16, 10**17, 2000) * scales)
 
 
 # Per-value reference writers: the file formats as a spec, one value at a time.
@@ -217,6 +247,31 @@ def test_vtk_bytes_match_reference(oblong, tmp_path):
     padded = np.pad(values, 2)[2:-2, 2:-2]
     write_field_vtk(padded, oblong, tmp_path / "E_0.vtk", name="E")
     assert (tmp_path / "E_0.vtk").read_bytes() == reference_field_vtk(values, oblong, "E")
+
+
+def traced_peak(write, *args):
+    """The tracemalloc peak of one call, in bytes: what the writer allocates
+    beyond its arguments."""
+    tracemalloc.start()
+    try:
+        write(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bulk_writers_allocate_little_beyond_the_values(tmp_path):
+    # the kernel formats about a thousand values per call, so its index arrays
+    # stay small; the per-value "%.17g" writers peaked at about 180 KB here
+    grid = build_grid(200, 200, T=1.2)
+    rng = np.random.default_rng(3)
+    width = sum(grid.side_node_count(s) for s in ALL_SIDES)
+    trace = BoundaryTrace(grid=grid, sides=ALL_SIDES,
+                          values=rng.standard_normal((grid.nt + 1, width)))
+    assert traced_peak(write_trace_csv, trace, tmp_path / "obs.csv") <= 512 * 1024
+    field = rng.standard_normal(grid.node_shape)
+    assert traced_peak(write_field_csv, field, grid, tmp_path / "f.csv") <= 512 * 1024
+    assert traced_peak(write_field_vtk, field, grid, tmp_path / "f.vtk") <= 512 * 1024
 
 
 MINIMAL = """

@@ -26,6 +26,13 @@ the four layers of one gradient evaluation at the same residual:
     sums      sweep - replay - adjoint, taken within each round: the cost of
               the gradient sums alone
 
+The writer table times the bulk writers per value written (the best of 3
+runs), into a temporary directory:
+
+    trace     write_trace_csv of the forward solve's trace on all four sides
+    field     write_field_csv of eps
+    vtk       write_field_vtk of eps
+
 The rounds (15 unless --rounds says otherwise) interleave the checkouts, and
 alternate which one goes first, so that a drift of the machine's speed hits
 both alike.  Each row prints the median microseconds of each checkout, the
@@ -42,6 +49,7 @@ import argparse
 import importlib.util
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -53,6 +61,7 @@ REPEAT = 5  # loops per step timing, the best kept
 LAYER_REPEAT = 3  # runs per layer timing, the best kept
 DIRECTIONS = ("forward", "adjoint")
 LAYERS = ("forward", "replay", "adjoint", "sweep")
+WRITERS = ("trace", "field", "vtk")
 
 
 def load(checkout: Path, name: str):
@@ -125,6 +134,19 @@ def layers(wi, n: int) -> tuple[dict, int]:
     }, grid.nt + 1
 
 
+def writers(wi, n: int, out: Path) -> dict:
+    """The three bulk writers of one checkout on an n x n grid, each a call
+    that writes its file into out once, and the number of values it writes."""
+    io = importlib.import_module(wi.__name__ + ".io")  # the package does not import io
+    grid, eps, sigma, src, _ = setup_test1(wi, n)
+    trace = wi.extract_trace(wi.solve_forward(grid, eps, sigma, src, wi.BcConfig()), wi.ALL_SIDES)
+    return {
+        "trace": (lambda: io.write_trace_csv(trace, out / "obs.csv"), trace.values.size),
+        "field": (lambda: io.write_field_csv(eps, grid, out / "eps.csv"), grid.n_nodes),
+        "vtk": (lambda: io.write_field_vtk(eps, grid, out / "eps.vtk"), grid.n_nodes),
+    }
+
+
 def best_step(op, level: int) -> float:
     """Microseconds per Leapfrog.advance, the best of REPEAT loops."""
     rng = np.random.default_rng(1)
@@ -141,7 +163,8 @@ def best_step(op, level: int) -> float:
 
 
 def best_run(run, levels: int) -> float:
-    """Microseconds per level of one run of a layer, the best of LAYER_REPEAT."""
+    """Microseconds per level (or value) of one run of a layer (or writer),
+    the best of LAYER_REPEAT."""
     best = float("inf")
     for _ in range(LAYER_REPEAT):
         start = time.perf_counter()
@@ -180,24 +203,34 @@ def main(argv: list[str]) -> int:
     steps = {(n, d): {label: [] for label in trees} for n in SIZES for d in DIRECTIONS}
     per_level = {(n, name): {label: [] for label in trees}
                  for n in SIZES for name in (*LAYERS, "sums")}
-    for r in range(args.rounds):
-        order = list(trees) if r % 2 == 0 else list(reversed(trees))
-        for n in SIZES:
-            for direction in DIRECTIONS:
-                for label in order:
-                    op, level = ops[label, n][direction]
-                    steps[n, direction][label].append(best_step(op, level))
-            for name in LAYERS:
-                for label in order:
-                    run, levels = runs[label, n]
-                    per_level[n, name][label].append(best_run(run[name], levels))
-            for label in trees:
-                sweep, replay, adjoint = (per_level[n, name][label][-1]
-                                          for name in ("sweep", "replay", "adjoint"))
-                per_level[n, "sums"][label].append(sweep - replay - adjoint)
+    per_value = {(n, name): {label: [] for label in trees} for n in SIZES for name in WRITERS}
+    with tempfile.TemporaryDirectory() as scratch:
+        files = {(label, n): writers(wi, n, Path(scratch))
+                 for label, wi in trees.items() for n in SIZES}
+        for r in range(args.rounds):
+            order = list(trees) if r % 2 == 0 else list(reversed(trees))
+            for n in SIZES:
+                for direction in DIRECTIONS:
+                    for label in order:
+                        op, level = ops[label, n][direction]
+                        steps[n, direction][label].append(best_step(op, level))
+                for name in LAYERS:
+                    for label in order:
+                        run, levels = runs[label, n]
+                        per_level[n, name][label].append(best_run(run[name], levels))
+                for label in trees:
+                    sweep, replay, adjoint = (per_level[n, name][label][-1]
+                                              for name in ("sweep", "replay", "adjoint"))
+                    per_level[n, "sums"][label].append(sweep - replay - adjoint)
+                for name in WRITERS:
+                    for label in order:
+                        write, values = files[label, n][name]
+                        per_value[n, name][label].append(best_run(write, values))
     report("direction", steps, args.rounds)
     print()
     report("layer", per_level, args.rounds)
+    print()
+    report("writer", per_value, args.rounds)
     return 0
 
 
