@@ -3,10 +3,13 @@
 Every CSV line, the header included, ends with "\\r\\n"; numbers carry 17
 significant digits so files round-trip through double precision exactly.
 
-The bulk writers (trace CSV, field CSV and VTK) fill a bytes template of a
-block of rows, a time level of the trace or a grid row of a field, with one
-%b per value.  `_digits17` gives b"%.17g" % v for about a thousand values at
-a time, with numpy:
+Every file is written by `_write_blocks`: it fills a bytes template of a
+block of rows (a time level of a trace, a grid row of a field, a row of a
+table) with one %b per value, its \\0 replaced by the row's key.  Every
+float, the time and coordinate keys and VTK header values included, is
+formatted by `_digits17`, and so are a table's integer columns but its key:
+as floats they print as str prints them.  `_digits17` gives b"%.17g" % v
+for about a thousand values at a time, with numpy:
 - domain: finite v with 1e-280 < |v| < 1e16, and +-0.  Every other value, and
   any that a step below leaves undecided, goes through b"%.17g" % v itself.
 - scaling: with k = floor(log10 |v|) and p = 16 - k, the digits are S = |v| 10^p
@@ -30,7 +33,6 @@ from __future__ import annotations
 from dataclasses import astuple
 from itertools import chain
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +44,7 @@ from .optimizer import LEVELS_HEADER, LOG_HEADER, LevelReport, LogRow
 EOL = "\r\n"
 TRACE_HEADER = "t,side,index,value"
 FIELD_HEADER = "x,y,value"
-_BLOCK = 1024  # rows (or bulk values) formatted per write, so no table is ever held whole as text
+_BLOCK = 1024  # values per _digits17 call, so no file is ever held whole as text
 
 # 10^p = _HI[p] + _LO[p]; the ASCII digits of 0..9999, 4 bytes each, and their
 # trailing zeros.  Built without numpy temporaries, which stay resident.
@@ -139,22 +141,7 @@ def _digits17(values: np.ndarray) -> list[bytes]:
     return cells
 
 
-def _cells(column: Sequence) -> list[str]:
-    """Floats with 17 significant digits, ints and strings with str."""
-    return [format(v, ".17g") if isinstance(v, float) else str(v)
-            for v in np.asarray(column).tolist()]
-
-
-def _write_csv(path: str | Path, header: str, *columns: Sequence) -> None:
-    """The header, then one line per row of the equally long columns."""
-    with open(path, "w", newline="") as fh:
-        fh.write(header + EOL)
-        for start in range(0, len(columns[0]) if columns else 0, _BLOCK):
-            rows = zip(*(_cells(c[start:start + _BLOCK]) for c in columns))
-            fh.write("".join([",".join(row) + EOL for row in rows]))
-
-
-def _write_blocks(path: str | Path, head: str, keys: list[str], rows: str,
+def _write_blocks(path: str | Path, head: str, keys: list[bytes], rows: str,
                   blocks: np.ndarray) -> None:
     """The head, then per key and block the rows template, its \\0 replaced
     by the key and its %b fields filled with the block's values, which
@@ -171,7 +158,17 @@ def _write_blocks(path: str | Path, head: str, keys: list[str], rows: str,
             flat = _digits17(blocks[start:start + step])
             for i, key in enumerate(keys[start:start + step]):
                 row = tuple(flat[i * width:(i + 1) * width])
-                fh.write(template.replace(b"\0", key.encode()) % row)
+                fh.write(template.replace(b"\0", key) % row)
+
+
+def _write_table(path: str | Path, header: str, key: str, rows: list[tuple]) -> None:
+    """The header, then one line per row: the column named key as text in
+    the \\0 of the template, every other column as a float."""
+    names = header.split(",")
+    j = names.index(key)
+    template = ",".join(["\0" if name == key else "%b" for name in names]) + EOL
+    values = np.array([r[:j] + r[j + 1:] for r in rows], float).reshape(len(rows), len(names) - 1)
+    _write_blocks(path, header + EOL, [str(r[j]).encode() for r in rows], template, values)
 
 
 def _read_csv(path: str | Path, header: str) -> np.ndarray:
@@ -194,7 +191,7 @@ def write_trace_csv(trace: BoundaryTrace, path: str | Path) -> None:
     rows of the trace's values, formatted one time level at a time."""
     rows = "".join([f"\0,{int(s)},{k},%b{EOL}"
                     for s, block in trace.data.items() for k in range(block.shape[1])])
-    _write_blocks(path, TRACE_HEADER + EOL, _cells(trace.grid.times()), rows, trace.values)
+    _write_blocks(path, TRACE_HEADER + EOL, _digits17(trace.grid.times()), rows, trace.values)
 
 
 def read_trace_csv(path: str | Path, grid: Grid2D) -> BoundaryTrace:
@@ -232,8 +229,8 @@ def write_field_csv(field: CoefficientField | np.ndarray, grid: Grid2D, path: st
     """Rows ordered by x index, then y index: one grid row of the values per
     write."""
     values = field.values if isinstance(field, CoefficientField) else field
-    rows = "".join([f"\0,{y},%b{EOL}" for y in _cells(grid.ys())])
-    _write_blocks(path, FIELD_HEADER + EOL, _cells(grid.xs()), rows, values)
+    rows = "".join([f"\0,{y.decode()},%b{EOL}" for y in _digits17(grid.ys())])
+    _write_blocks(path, FIELD_HEADER + EOL, _digits17(grid.xs()), rows, values)
 
 
 def read_field_csv(path: str | Path, grid: Grid2D, role: Role) -> CoefficientField:
@@ -264,23 +261,23 @@ def write_field_vtk(
 ) -> None:
     """Legacy ASCII STRUCTURED_POINTS file with a single nodal scalar."""
     values = field.values if isinstance(field, CoefficientField) else field
-    x0, y0, h = _cells([*grid.origin, grid.h])
+    x0, y0, h = [c.decode() for c in _digits17([*grid.origin, grid.h])]
     header = [
         "# vtk DataFile Version 3.0", name, "ASCII", "DATASET STRUCTURED_POINTS",
         f"DIMENSIONS {grid.nx + 1} {grid.ny + 1} 1", f"ORIGIN {x0} {y0} 0", f"SPACING {h} {h} 1",
         f"POINT_DATA {grid.n_nodes}", f"SCALARS {name} double 1", "LOOKUP_TABLE default",
     ]
     # VTK structured points expect x varying fastest
-    _write_blocks(path, "\n".join([*header, ""]), [""] * (grid.ny + 1), "%b\n" * (grid.nx + 1),
+    _write_blocks(path, "\n".join([*header, ""]), [b""] * (grid.ny + 1), "%b\n" * (grid.nx + 1),
                   values.T)
 
 
 def write_convergence_csv(log: list[LogRow], path: str | Path) -> None:
-    _write_csv(path, LOG_HEADER, *zip(*map(astuple, log)))
+    _write_table(path, LOG_HEADER, "m", list(map(astuple, log)))
 
 
 def write_levels_csv(levels: list[LevelReport], path: str | Path) -> None:
-    _write_csv(path, LEVELS_HEADER, *zip(*map(astuple, levels)))
+    _write_table(path, LEVELS_HEADER, "level", list(map(astuple, levels)))
 
 
 def write_gradcheck_csv(
@@ -288,8 +285,8 @@ def write_gradcheck_csv(
 ) -> None:
     """Rows pair each oracle sample with the adjoint value and relative error."""
     xs, ys = grid.xs(), grid.ys()
-    _write_csv(path, "node_x,node_y,which,adjoint_value,fd_value,rel_err", *zip(*(
+    _write_table(path, "node_x,node_y,which,adjoint_value,fd_value,rel_err", "which", [
         (xs[s.node[0]], ys[s.node[1]], "eps" if s.role is Role.EPSILON else "sigma",
          adjoint_value, s.value, rel_err)
         for s, adjoint_value, rel_err in rows
-    )))
+    ])

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -16,14 +17,19 @@ from waveinv import (
     gaussian_coefficient,
 )
 from waveinv.config import ConfigError, load_config, make_coefficient, make_grid, write_manifest
+from waveinv.gradient import GradientSample
 from waveinv.io import (
     _digits17,
     read_field_csv,
     read_trace_csv,
+    write_convergence_csv,
     write_field_csv,
     write_field_vtk,
+    write_gradcheck_csv,
+    write_levels_csv,
     write_trace_csv,
 )
+from waveinv.optimizer import LEVELS_HEADER, LOG_HEADER, LevelReport, LogRow
 from conftest import zero_trace
 
 
@@ -247,6 +253,52 @@ def test_vtk_bytes_match_reference(oblong, tmp_path):
     padded = np.pad(values, 2)[2:-2, 2:-2]
     write_field_vtk(padded, oblong, tmp_path / "E_0.vtk", name="E")
     assert (tmp_path / "E_0.vtk").read_bytes() == reference_field_vtk(values, oblong, "E")
+
+
+def reference_table(header, rows):
+    """Floats with format(v, ".17g"), ints and strings with str."""
+    lines = [header] + [",".join([format(v, ".17g") if isinstance(v, float) else str(v)
+                                  for v in row]) for row in rows]
+    return "".join([line + "\r\n" for line in lines]).encode()
+
+
+def test_convergence_csv_bytes_match_reference(tmp_path):
+    values = with_edge_values((12, len(fields(LogRow)) - 1), 7)
+    values[2:5, 1:7] = np.nan  # the e_* columns of a run without a known truth
+    log = [LogRow(m, *values[m].tolist()) for m in range(len(values))]
+    write_convergence_csv(log, tmp_path / "convergence.csv")
+    expected = reference_table(LOG_HEADER, map(astuple, log))
+    assert (tmp_path / "convergence.csv").read_bytes() == expected
+    write_convergence_csv([], tmp_path / "empty.csv")
+    assert (tmp_path / "empty.csv").read_bytes() == (LOG_HEADER + "\r\n").encode()
+
+
+def test_levels_csv_bytes_match_reference(tmp_path):
+    floats = with_edge_values((5, 4), 8).tolist()
+    levels = [LevelReport(k, nno, *floats[k], M_k)
+              for k, (nno, M_k) in enumerate([(625, 4), (2401, 0), (0, 100), (10**15 + 1, 7),
+                                               (9409, 2**31)])]
+    write_levels_csv(levels, tmp_path / "levels.csv")
+    expected = reference_table(LEVELS_HEADER, map(astuple, levels))
+    assert (tmp_path / "levels.csv").read_bytes() == expected
+
+
+def test_gradcheck_csv_bytes_match_reference(oblong, tmp_path):
+    header = "node_x,node_y,which,adjoint_value,fd_value,rel_err"
+    values = with_edge_values((6, 3), 9)
+    values[4, 2] = np.nan
+    nodes = [(0, 0), (3, 7), (8, 12), (1, 2), (4, 4), (8, 0)]
+    samples = [GradientSample(node, (Role.EPSILON, Role.SIGMA)[n % 2], v[1])
+               for n, (node, v) in enumerate(zip(nodes, values.tolist()))]
+    rows = [(s, v[0], v[2]) for s, v in zip(samples, values.tolist())]
+    write_gradcheck_csv(rows, oblong, tmp_path / "grad_check.csv")
+    expected = reference_table(header, [
+        (oblong.xs()[s.node[0]].item(), oblong.ys()[s.node[1]].item(),
+         "eps" if s.role is Role.EPSILON else "sigma", adjoint, s.value, rel)
+        for s, adjoint, rel in rows])
+    assert (tmp_path / "grad_check.csv").read_bytes() == expected
+    write_gradcheck_csv([], oblong, tmp_path / "empty.csv")
+    assert (tmp_path / "empty.csv").read_bytes() == (header + "\r\n").encode()
 
 
 def traced_peak(write, *args):
