@@ -329,11 +329,13 @@ class Leapfrog:
     programs, and the closure vector of each pattern, 2h/dt times every
     perimeter node's number of absorbing sides, is computed once, here.
     Before a step from level n the perimeter entries of c_cur and c_prev
-    are patched in place from that table whenever level n's pattern
-    differs from the one last applied.  Only the switched source side
-    changes, so an operator has at most two patterns and a pass patches at
-    most twice, at its start and at the switch; every advance() reads the
-    pattern of its own n, never that of the previous call.
+    are patched in place from that table whenever level n's pattern, or
+    for c_prev that of level n - lag, differs from the one last applied.
+    Only the switched source side changes, so an operator has at most two
+    patterns and a pass patches at most three times, at its start and
+    around the switch; every advance() reads the patterns of its own n,
+    never those of the previous call.  lag is 0 but for the adjoint, whose
+    c_prev stands in the transpose for the forward row one level later.
     """
 
     def __init__(
@@ -343,8 +345,10 @@ class Leapfrog:
         sigma: CoefficientField,
         programs: Mapping[Side, SideProgram],
         src: SourceSpec | None = None,
+        lag: int = 0,
     ) -> None:
         self.grid, self.eps, self.sigma, self.programs = grid, eps, sigma, programs
+        self.lag = lag
         forcing, self.f0, self.f1 = (None, None, None) if src is None else (
             src.volume_forcing, src.f0, src.f1)
         h, dt = grid.h, grid.dt
@@ -376,7 +380,7 @@ class Leapfrog:
         self._pattern = sum(
             programs[side].absorbing.astype(int) << k for k, side in enumerate(ALL_SIDES)
         ).tolist()
-        self._applied = 0  # the coefficients above close no side
+        self._applied_cur = self._applied_prev = 0  # the coefficients above close no side
         # per pattern, 2h/dt times each perimeter node's number of absorbing sides
         side_of = np.repeat(np.arange(len(ALL_SIDES)), np.diff(perimeter_offsets(grid, ALL_SIDES)))
         self._closure = {
@@ -395,12 +399,12 @@ class Leapfrog:
             self.forcing = lambda n: np.asarray(forcing(X, Y, n * dt), dtype=np.float64)
 
     def _close(self, n: int) -> None:
-        """Patch the perimeter entries of c_cur and c_prev to the absorbing
-        pattern of level n."""
-        self._applied = pattern = self._pattern[n]
-        shift = self._c_lap[self._edge] * self._closure[pattern]
-        self._c_cur[self._edge] = self._open[0] - shift
-        self._c_prev[self._edge] = self._open[1] - shift
+        """Patch the perimeter entries of c_cur to the absorbing pattern of
+        level n, and those of c_prev to that of level n - lag."""
+        self._applied_cur, self._applied_prev = self._pattern[n], self._pattern[n - self.lag]
+        c_lap = self._c_lap[self._edge]
+        self._c_cur[self._edge] = self._open[0] - c_lap * self._closure[self._applied_cur]
+        self._c_prev[self._edge] = self._open[1] - c_lap * self._closure[self._applied_prev]
 
     def _neighbour_sum(self, cur: PaddedLevel, n: int, out: np.ndarray) -> np.ndarray:
         """Fill the ghosts of level n (cur) side by side with their mirrors
@@ -421,7 +425,8 @@ class Leapfrog:
         """One leapfrog update, levels (n-1, n) -> n+1, written into the rows
         of out, whose ghost columns come out zero; out must be neither cur
         nor prev, and its ghosts are filled when it is stepped from."""
-        if self._pattern[n] != self._applied:
+        if (self._pattern[n] != self._applied_cur
+                or self._pattern[n - self.lag] != self._applied_prev):
             self._close(n)
         rows = self._neighbour_sum(cur, n, out.rows)
         rows *= self._c_lap
@@ -465,22 +470,22 @@ class Leapfrog:
         term where both apply; the forward Neumann data, volume forcing and
         start data do not enter.
 
-        The multiplier is not the transpose of the discrete forward scheme.
-        The two agree to round-off at every level but three (ROADMAP 1a):
-
-          * level nt, the start: the scheme takes a Taylor step, which
-            weights the new level by 2 eps/dt^2, where the transpose takes
-            half of a leapfrog step from two zero levels, weighted by
-            eps/dt^2 + sigma/(2 dt);
-          * the level before the source side switches to absorbing: the
-            transpose closes c_cur and c_prev of that step at the absorbing
-            patterns of two adjacent levels, the scheme closes both at one;
-          * level 1: the forward's Taylor start is in units of 2 eps/dt^2,
-            the scheme's last step in units of eps/dt^2 + sigma/(2 dt).
+        The multiplier is the transpose of the discrete forward scheme, to
+        round-off, at every level but level 1 (ROADMAP 1b): the forward's
+        Taylor start is in units of 2 eps/dt^2, the scheme's last step in
+        units of eps/dt^2 + sigma/(2 dt).  Two fixes make the other levels
+        agree.  The scheme's Taylor start weights level nt by 2 eps/dt^2,
+        where the transpose takes half of a leapfrog step from two zero
+        levels, weighted by eps/dt^2 + sigma/(2 dt): _levels scales the
+        operator's first level by the ratio, (1 + c_prev)/2.  The transpose
+        closes a step's c_cur and c_prev at the absorbing patterns of two
+        adjacent levels: the operator has lag 1, so its c_prev is closed at
+        the pattern of the previous adjoint level.
 
         Where E^0 = E^1 = 0, as in every configuration the CLI accepts, the
-        gradient sums are exact at a fixed multiplier (gradient.py), so the
-        gradient's error lies in these three levels of the multiplier alone.
+        gradient sums are exact at a fixed multiplier (gradient.py), and
+        level 1 meets E^1 alone, so the gradient is the exact derivative of
+        the discrete functional.
 
         The residual is copied once, reversed and scaled into the ghost term
         2 h g, g = -residual(T - s), and each observed side's series is the
@@ -493,7 +498,7 @@ class Leapfrog:
         g = residual.map(lambda v: v[::-1] * (-2.0 * grid.h)).data
         programs = {side: SideProgram(p.absorbing[::-1], g.get(side))
                     for side, p in self.programs.items()}
-        return Leapfrog(grid, self.eps, self.sigma, programs)
+        return Leapfrog(grid, self.eps, self.sigma, programs, lag=1)
 
 
 def _advance(
@@ -522,6 +527,12 @@ def _levels(op: Leapfrog, block: int) -> Iterator[PaddedLevel]:
     e0, e1 = levels[0].nodes, levels[1].nodes
     e0[...] = _nodal(grid, op.f0)
     e1[...] = op.first_step(e0)
+    if op.lag:
+        # the adjoint's first level in the transpose's units: a_mid / (2 a_plus)
+        factor = np.add(op._c_prev, 1.0, out=op._scratch)
+        factor[op._edge] = 1.0 + op._open[1]
+        factor *= 0.5
+        levels[1].rows *= factor
     if not (np.isfinite(e0).all() and np.isfinite(e1).all()):
         raise StabilityError("non-finite field values at start-up")
     yield from levels[:2]

@@ -299,8 +299,8 @@ def cg_step(
     increase), then evaluate the new iterate and prepare its direction.
 
     When every trial along a conjugate direction increases the functional,
-    the search restarts once along -g, which the inexact gradient (ROADMAP
-    item 1a) can leave the only way down.  None when that fails too, or
+    the search restarts once along -g: a Fletcher-Reeves direction need
+    not be a descent direction.  None when that fails too, or
     when the direction already was -g: no uphill step is taken."""
     if log is not None:
         log.append(_row(state, problem))

@@ -369,6 +369,16 @@ def test_grad_check_passes(tmp_path):
     assert {r["which"] for r in rows} == {"eps", "sigma"}
 
 
+def test_grad_check_on_the_preset_is_exact_to_the_fd_step(tmp_path):
+    # the multiplier is the transpose of the scheme wherever E^0 = E^1 = 0, so
+    # only the FD truncation at h_fd = 1e-3 is left, far below the preset's tol
+    preset = Path(waveinv.cli.__file__).with_name("presets") / "gradcheck.ini"
+    out = tmp_path / "gc"
+    assert main(["grad-check", "--config", str(preset), "--out", str(out), "--quiet"]) == 0
+    worst = max(float(r["rel_err"]) for r in read_csv_rows(out / "grad_check.csv"))
+    assert worst <= 1e-5
+
+
 def test_grad_check_detects_flipped_sign(tmp_path, monkeypatch):
     def flipped(*args, **kwargs):
         g_eps, g_sigma, lambda_norm = gradient_sweep(*args, **kwargs)
