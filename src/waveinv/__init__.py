@@ -40,7 +40,6 @@ from .objective import (
     AdjointEnergyReport,
     RegularizationParams,
     adjoint_energy_monitor,
-    decomposition_identity_check,
     field_dot,
     field_norm,
     forward_defect,

@@ -1,5 +1,5 @@
-"""Tikhonov functional, discrete Lagrangian, decomposition identities and
-the error metrics reported during reconstruction.
+"""Tikhonov functional, discrete Lagrangian and the error metrics reported
+during reconstruction.
 
 Quadrature conventions: trapezoid in time, trapezoid along boundary edges
 (half weight at edge ends, so a corner shared by two observed sides gets
@@ -15,8 +15,7 @@ import numpy as np
 
 from .fields import BoundaryTrace, CoefficientField
 from .forward import (
-    BcConfig, Leapfrog, SourceSpec, forward_operator, forward_trace, leapfrog_levels,
-    level_energy,
+    BcConfig, Leapfrog, SourceSpec, forward_operator, leapfrog_levels, level_energy,
 )
 from .grid import Grid2D, area_weights, perimeter_nodes, perimeter_weights, time_weights
 
@@ -187,46 +186,6 @@ def lagrangian(
     w = area_weights(g)
     pairing = float(np.einsum("nij,nij,ij->", defect, lam[: g.nt], w)) * g.dt
     return value + pairing
-
-
-def decomposition_identity_check(
-    eps: CoefficientField,
-    sigma: CoefficientField,
-    eps_n: CoefficientField,
-    sigma_n: CoefficientField,
-    obs: BoundaryTrace,
-    reg: RegularizationParams,
-    gamma_eps: float,
-    gamma_sigma: float,
-    src: SourceSpec,
-    bc: BcConfig,
-) -> float:
-    """Residual of the exact algebraic split of F(eps, sigma) around a
-    second admissible pair; zero up to quadrature round-off.
-
-    The split expresses F at one pair through F at the other plus boundary
-    terms in the trace difference and, with regularization on, matching
-    quadratic/linear terms in the coefficient differences.
-    """
-    grid = eps.grid
-    tr = forward_trace(grid, eps, sigma, src, bc, obs.sides)
-    tr_n = forward_trace(grid, eps_n, sigma_n, src, bc, obs.sides)
-    d_tr = tr - tr_n
-
-    lhs = tikhonov(tr, obs, eps, sigma, reg, gamma_eps, gamma_sigma)
-    rhs = tikhonov(tr_n, obs, eps_n, sigma_n, reg, gamma_eps, gamma_sigma)
-    rhs += -0.5 * trace_norm_sq(d_tr) + trace_dot(tr - obs, d_tr)
-    d_eps = eps.values - eps_n.values
-    d_sigma = sigma.values - sigma_n.values
-    rhs += gamma_eps * (
-        -0.5 * field_dot(d_eps, d_eps, grid)
-        + field_dot(eps.values - reg.eps_prior.values, d_eps, grid)
-    )
-    rhs += gamma_sigma * (
-        -0.5 * field_dot(d_sigma, d_sigma, grid)
-        + field_dot(sigma.values - reg.sigma_prior.values, d_sigma, grid)
-    )
-    return abs(lhs - rhs)
 
 
 def relative_errors(approx: CoefficientField, exact: CoefficientField) -> tuple[float, float]:

@@ -22,7 +22,6 @@ from waveinv import (
     build_grid,
     bump_perturbed,
     constant_coefficient,
-    decomposition_identity_check,
     extract_trace,
     fd_gradient_oracle,
     field_norm,
@@ -42,6 +41,7 @@ from waveinv import (
 from conftest import (
     INCLUSION_CENTER,
     adjoint_gradients,
+    decomposition_identity_check,
     discrete_energy,
     smooth_random_coefficient,
     smooth_random_spacetime,

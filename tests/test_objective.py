@@ -14,7 +14,6 @@ from waveinv import (
     SourceSpec,
     build_grid,
     constant_coefficient,
-    decomposition_identity_check,
     extract_trace,
     forward_defect,
     lagrangian,
@@ -25,7 +24,9 @@ from waveinv import (
 from waveinv import objective
 from waveinv.grid import area_weights
 from waveinv.objective import data_errors, relative_errors
-from conftest import smooth_random_coefficient, stack_trace, stored_state, truth_pair
+from conftest import (
+    decomposition_identity_check, smooth_random_coefficient, stack_trace, stored_state, truth_pair,
+)
 
 
 def const_trace(grid, sides, value):

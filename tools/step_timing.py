@@ -88,23 +88,13 @@ def setup_test1(wi, n: int):
     return grid, eps, sigma, wi.SourceSpec(), residual
 
 
-def adjoint_operator(wi, op, residual):
-    """The adjoint Leapfrog of one checkout's forward operator op at the
-    residual: op.adjoint, or in a checkout from before that method, the
-    operator of the programs that its adjoint module builds."""
-    if hasattr(op, "adjoint"):
-        return op.adjoint(residual)
-    adjoint = sys.modules[wi.__name__ + ".adjoint"]
-    return type(op)(op.grid, op.eps, op.sigma, adjoint.build_adjoint_programs(op, residual))
-
-
 def operators(wi, n: int) -> dict:
     """The forward and the adjoint Leapfrog of one checkout on an n x n grid,
     and the level from which each is stepped."""
     forward = sys.modules[wi.__name__ + ".forward"]
     grid, eps, sigma, src, residual = setup_test1(wi, n)
     op = forward.forward_operator(grid, eps, sigma, src, wi.BcConfig())
-    adj = adjoint_operator(wi, op, residual)
+    adj = op.adjoint(residual)
     # a level after the forward source has switched, and one before the
     # adjoint's switched side stops absorbing
     level = int(0.75 * grid.nt)
@@ -128,9 +118,9 @@ def layers(wi, n: int) -> tuple[dict, int]:
     return {
         "forward": lambda: wi.solve_forward(grid, eps, sigma, src, bc),
         "replay": lambda: drain(sol.levels_backward()),
-        "adjoint": lambda: drain(stream(adjoint_operator(wi, sol.op, residual))),
+        "adjoint": lambda: drain(stream(sol.op.adjoint(residual))),
         "sweep": lambda: wi.gradient_sweep(
-            sol, stream(adjoint_operator(wi, sol.op, residual)), reg, 0.0, 0.0, mask),
+            sol, stream(sol.op.adjoint(residual)), reg, 0.0, 0.0, mask),
     }, grid.nt + 1
 
 
