@@ -22,7 +22,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .config import ConfigError, RunConfig, load_config, write_manifest
-from .fields import Role, add_noise, extract_trace, project
+from .fields import Role, add_noise, project
 from .forward import (
     StabilityError, forward_operator, forward_trace, leapfrog_levels, solve_forward,
     trace_of_levels,
@@ -173,7 +173,7 @@ def cmd_invert(cfg: RunConfig, out: Path, quiet: bool) -> int:
         # adjoint levels of the final iterate, L_<step>.vtk, from the backward sweep
         grid = problem.grid
         E = solve_forward(grid, result.eps, result.sigma, problem.src, problem.bc)
-        lam_backward = leapfrog_levels(E.op.adjoint(E.take_trace(problem.obs.sides) - problem.obs))
+        lam_backward = E.multiplier(problem.obs)
         for _ in _dumped(cfg, grid, zip(range(grid.nt, -1, -1), lam_backward), out, "L"):
             pass
     write_manifest(cfg, out / "manifest.ini")
@@ -245,8 +245,7 @@ def cmd_grad_check(cfg: RunConfig, out: Path, quiet: bool) -> int:
     gamma_eps = gamma_sigma = 0.0  # oracle comparison runs on the pure data term
 
     E = solve_forward(grid, eps_e, sigma_e, src, bc)
-    lam_backward = leapfrog_levels(E.op.adjoint(extract_trace(E, sides) - obs))
-    g_eps, g_sigma, _ = gradient_sweep(E, lam_backward, reg, gamma_eps, gamma_sigma, mask)
+    g_eps, g_sigma, _ = gradient_sweep(E, E.multiplier(obs), reg, gamma_eps, gamma_sigma, mask)
 
     try:
         samples = fd_gradient_oracle(

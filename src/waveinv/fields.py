@@ -192,8 +192,9 @@ def project(field: CoefficientField, adm: AdmissibleSet, mask: RegionMask) -> Co
 
 def extract_trace(sol, sides: Iterable[Side]) -> BoundaryTrace:
     """Restrict a forward solve to the boundary nodes of the declared sides:
-    sol, a forward.ForwardSolution, hands over its all-sides trace itself,
-    or a copy of the columns of fewer sides."""
+    the all-sides trace of sol, a forward.ForwardSolution, itself, or a copy
+    of the columns of fewer sides.  This only reads sol: the solve hands its
+    trace over in ForwardSolution.multiplier."""
     sides = tuple(sorted(set(map(Side, sides))))
     trace = sol.trace
     if sides == trace.sides:

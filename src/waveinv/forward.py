@@ -56,7 +56,9 @@ The gradient pairs the forward levels with the multiplier backward in
 time.  solve_forward therefore returns a ForwardSolution: the boundary
 trace plus checkpoints about every sqrt(nt) levels, from which
 levels_backward() replays E^nt..E^0 through the same steps, bitwise equal
-to the forward pass, for one more forward solve and no snapshot stack.
+to the forward pass, for one more forward solve and no snapshot stack;
+multiplier(obs) streams lam^nt..lam^0, the adjoint that the solve's own
+residual drives.
 """
 
 from __future__ import annotations
@@ -610,13 +612,14 @@ class ForwardSolution:
             grid, keep_pairs(leapfrog_levels(op)), ALL_SIDES
         )
 
-    def take_trace(self, sides: Iterable[Side]) -> BoundaryTrace:
-        """The trace on the given sides, handed over once: the solution drops
-        its own reference (trace is None afterwards), so the trace lives only
-        as long as the caller keeps it."""
-        trace = extract_trace(self, sides)
+    def multiplier(self, obs: BoundaryTrace) -> Iterator[PaddedLevel]:
+        """lam^nt, ..., lam^0: leapfrog_levels of the adjoint that this
+        solve's residual on obs's sides drives.  The solution hands its
+        trace over (trace is None afterwards) and no name keeps the
+        residual, so the stream holds the adjoint's boundary data alone."""
+        residual = extract_trace(self, obs.sides) - obs
         self.trace = None
-        return trace
+        return leapfrog_levels(self.op.adjoint(residual))
 
     def levels_backward(self) -> Iterator[PaddedLevel]:
         """Levels nt, nt-1, ..., 0, one at a time, as PaddedLevels.  As from

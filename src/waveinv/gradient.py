@@ -25,10 +25,10 @@ the end: five passes over a level per half-step, not seven.  The state
 arrives on the same reversed-level stream, E^nt..E^0: a ForwardSolution
 replays it from its checkpoints, so no snapshot stack is stored either.
 gradient_sweep holds these sums.  Its callers, the optimizer and grad-check,
-hand it the multiplier stream leapfrog_levels(E.op.adjoint(sim - obs)),
-and hold no residual once that stream is built.  The coefficients of the
-regularization term are read from E.op as well, so the state, the
-multiplier and the gradient share one linearization point.
+hand it E.multiplier(obs), the adjoint stream that E's residual drives and
+to which E hands its trace over, so they hold no residual.  The
+coefficients of the regularization term are read from E.op as well, so
+the state, the multiplier and the gradient share one linearization point.
 
 The oracle differentiates the Tikhonov value by central differences in a
 single nodal coefficient value, normalized by the node's area quadrature

@@ -18,8 +18,8 @@ trace, the gradients summed during the backward adjoint sweep (the
 checkpoints replay the state backward), the Fletcher-Reeves directions
 (restarted when a ratio exceeds beta_max), the next clamped steps and the
 size of the update.  That function reads eps and sigma
-from the solve's operator, takes the trace out of the solve, streams the
-multiplier of that operator's adjoint at the residual and frees both, so the
+from the solve's operator and F from the solve's trace, then sweeps the
+solve's own multiplier, to which the solve hands its trace over, so the
 sweep holds two traces, the observations and the adjoint's boundary data;
 no iterate keeps a trace, and no gradient is formed at coefficients or
 boundary conditions other than the solve's.  The regularization weights
@@ -48,7 +48,7 @@ from .fields import (
     project,
     transfer_to_refined,
 )
-from .forward import BcConfig, ForwardSolution, SourceSpec, leapfrog_levels, solve_forward
+from .forward import BcConfig, ForwardSolution, SourceSpec, solve_forward
 from .grid import Grid2D, RegionMask, refine, region_mask
 from .gradient import gradient_sweep
 from .objective import (
@@ -205,24 +205,18 @@ def _iterate(
 ) -> CgState:
     """Iterate m from its forward solve E, at E's eps and sigma: the
     functional and the data errors of E's trace on the observed sides, the
-    gradients summed during the adjoint sweep (neither the state nor the
+    gradients summed over E's multiplier (neither the state nor the
     multiplier is stored), the direction (steepest descent at the start,
     Fletcher-Reeves after prev, restarting when either ratio exceeds
     beta_max), the clamped steps and the update from prev."""
     grid, obs, eps, sigma = problem.grid, problem.obs, E.op.eps, E.op.sigma
     gamma_eps, gamma_sigma = problem.reg.at_iteration(m)
-    sim = E.take_trace(obs.sides)
+    sim = extract_trace(E, obs.sides)
     F = tikhonov(sim, obs, eps, sigma, problem.reg, gamma_eps, gamma_sigma)
     e_E_l2, e_E_sup = _or_nan(data_errors, sim, obs)
-    # each trace is freed as soon as the next is formed from it: sim, the
-    # residual sim - obs, and the adjoint's Neumann data g, which with obs
-    # is all that the sweep holds
-    residual = sim - obs
-    del sim
-    lam_backward = leapfrog_levels(E.op.adjoint(residual))
-    del residual
+    del sim  # E.multiplier hands the trace over: the sweep holds obs and the adjoint's data
     g_eps, g_sigma, lambda_norm = gradient_sweep(
-        E, lam_backward, problem.reg, gamma_eps, gamma_sigma, problem.mask,
+        E, E.multiplier(obs), problem.reg, gamma_eps, gamma_sigma, problem.mask,
     )
     g_eps_norm, g_sigma_norm = field_norm(g_eps.values, grid), field_norm(g_sigma.values, grid)
     d_eps, d_sigma = -g_eps.values, -g_sigma.values
@@ -312,7 +306,7 @@ def cg_step(
             eps_new = _trial(problem, state.eps, a_eps, start.d_eps)
             sigma_new = _trial(problem, state.sigma, a_sigma, start.d_sigma)
             E_new = solve_forward(problem.grid, eps_new, sigma_new, problem.src, problem.bc)
-            # no local keeps the trial's trace: _iterate takes it out of E_new
+            # no local keeps the trial's trace: _iterate hands it to E_new's multiplier
             F_trial = tikhonov(
                 extract_trace(E_new, problem.obs.sides), problem.obs, eps_new, sigma_new,
                 problem.reg, state.gamma_eps, state.gamma_sigma,

@@ -22,7 +22,7 @@ from waveinv import (
     transfer_to_refined,
 )
 from waveinv.forward import PaddedLevel, trace_of_levels
-from conftest import stored_state, truth_pair, zero_trace
+from conftest import smooth_random_trace, stored_adjoint, stored_state, truth_pair, zero_trace
 
 
 class TestGaussianBuilder:
@@ -213,20 +213,19 @@ class TestExtractTrace:
         with pytest.raises(ValueError):
             extract_trace(sol, ())
 
-    def test_taken_trace_is_dropped_by_the_solution(self):
+    def test_multiplier_drops_the_trace_of_the_solution(self):
         g = build_grid(12, 12, T=0.5)
         eps = constant_coefficient(g, 2.0, Role.EPSILON)
         sig = constant_coefficient(g, 1.0, Role.SIGMA)
-        sol = solve_forward(g, eps, sig, SourceSpec(), BcConfig())
-        values = sol.trace.values
-        tr = sol.take_trace(ALL_SIDES)
-        assert tr.sides == ALL_SIDES and np.shares_memory(tr.data[Side.LEFT], values)
-        assert sol.trace is None
-        sol = solve_forward(g, eps, sig, SourceSpec(), BcConfig())
-        left = sol.trace.data[Side.LEFT]
-        tr = sol.take_trace((Side.LEFT,))
-        assert tr.sides == (Side.LEFT,) and np.array_equal(tr.data[Side.LEFT], left)
-        assert sol.trace is None
+        for sides in (ALL_SIDES, (Side.LEFT,)):
+            sol = solve_forward(g, eps, sig, SourceSpec(), BcConfig())
+            obs = smooth_random_trace(g, np.random.default_rng(5), sides)
+            # the stream built by hand, from the trace that the solution still holds
+            by_hand = stored_adjoint(sol.op, extract_trace(sol, sides) - obs)
+            lam_backward = sol.multiplier(obs)
+            assert sol.trace is None
+            streamed = np.stack([lam.nodes.copy() for lam in lam_backward][::-1])
+            assert streamed.any() and np.array_equal(streamed, by_hand)
 
 
 class TestTransfer:
