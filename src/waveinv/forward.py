@@ -456,6 +456,15 @@ class Leapfrog:
             rhs += self.forcing(0)
         return e0 + dt * f1_v + dt**2 / (2.0 * self.eps.values) * rhs
 
+    def mid_over_plus(self, out: np.ndarray) -> np.ndarray:
+        """a_mid/a_plus = 1 + c_prev with no side absorbing, the weight of
+        the new level in the Taylor start over that in a leapfrog step,
+        written into the run out in the rows layout (1 in the ghost
+        columns) and returned."""
+        np.add(self._c_prev, 1.0, out=out)
+        out[self._edge] = 1.0 + self._open[1]
+        return out
+
     def adjoint(self, residual: BoundaryTrace) -> "Leapfrog":
         """The adjoint operator of this forward operator, driven by the
         boundary residual sim - obs: leapfrog_levels of it yields the
@@ -473,9 +482,11 @@ class Leapfrog:
         start data do not enter.
 
         The multiplier is the transpose of the discrete forward scheme, to
-        round-off, at every level but level 1 (ROADMAP 1b): the forward's
-        Taylor start is in units of 2 eps/dt^2, the scheme's last step in
-        units of eps/dt^2 + sigma/(2 dt).  Two fixes make the other levels
+        round-off.  Its last level lam^0 is in the units of a leapfrog step,
+        a_plus = eps/dt^2 + sigma/(2 dt), and the forward's Taylor start,
+        row 0, in those of a_mid = 2 eps/dt^2, so row 0's multiplier is
+        mu^0 = lam^0 a_plus/a_mid; gradient_sweep forms it (mid_over_plus)
+        and the stream keeps lam^0.  Two fixes make the other levels
         agree.  The scheme's Taylor start weights level nt by 2 eps/dt^2,
         where the transpose takes half of a leapfrog step from two zero
         levels, weighted by eps/dt^2 + sigma/(2 dt): _levels scales the
@@ -484,10 +495,9 @@ class Leapfrog:
         adjacent levels: the operator has lag 1, so its c_prev is closed at
         the pattern of the previous adjoint level.
 
-        Where E^0 = E^1 = 0, as in every configuration the CLI accepts, the
-        gradient sums are exact at a fixed multiplier (gradient.py), and
-        level 1 meets E^1 alone, so the gradient is the exact derivative of
-        the discrete functional.
+        So the gradient is the exact derivative of the discrete functional,
+        also where start data, forcing at n = 0 or Neumann data at t = 0
+        make E^1 != 0 (gradient.py).
 
         The residual is copied once, reversed and scaled into the ghost term
         2 h g, g = -residual(T - s), and each observed side's series is the
@@ -531,8 +541,7 @@ def _levels(op: Leapfrog, block: int) -> Iterator[PaddedLevel]:
     e1[...] = op.first_step(e0)
     if op.lag:
         # the adjoint's first level in the transpose's units: a_mid / (2 a_plus)
-        factor = np.add(op._c_prev, 1.0, out=op._scratch)
-        factor[op._edge] = 1.0 + op._open[1]
+        factor = op.mid_over_plus(op._scratch)
         factor *= 0.5
         levels[1].rows *= factor
     if not (np.isfinite(e0).all() and np.isfinite(e1).all()):

@@ -7,14 +7,15 @@ The gradient densities of the regularized functional are
 
 (divergence terms of the vector model vanish in this scalar setting).  The
 time integrals are evaluated with half-step centered differences
-(E^{n+1}-E^n)/dt and midpoint values on the staggered levels.  At a fixed
-state and multiplier these sums are the exact (eps, sigma)-derivative of
-objective.lagrangian whenever E^0 = E^1 = 0, as in every configuration the
-CLI accepts.  The multiplier of Leapfrog.adjoint is the transpose of the
-discrete forward scheme at every level but level 1, which meets only E^1,
-so there the gradient is the exact derivative of the discrete F: on the
-gradcheck preset it matches central differences of F to 2.1e-7, the FD
-truncation at h_fd = 1e-3.  Where E^1 != 0 level 1 departs (ROADMAP item 1b).
+(E^{n+1}-E^n)/dt and midpoint values on the staggered levels, but for
+row 0, the Taylor start, whose own derivatives (2/dt^2)(E^1 - E^0 - dt f1)
+in eps and f1 in sigma pair with its multiplier mu^0 = lam^0 a_plus/a_mid.
+At a fixed state and multiplier these sums are the exact (eps,
+sigma)-derivative of objective.lagrangian, and the multiplier of
+Leapfrog.adjoint is the transpose of the discrete forward scheme, so the
+gradient is the exact derivative of the discrete F, start data and forcing
+included: on the gradcheck preset it matches central differences of F to
+2.1e-7, the FD truncation at h_fd = 1e-3.
 
 The sums run backward in time, one half-step at a time, while the adjoint
 sweep produces the multiplier, which is therefore never stored.  Both
@@ -43,7 +44,7 @@ from typing import Iterable
 import numpy as np
 
 from .fields import BoundaryTrace, CoefficientField, Role
-from .forward import BcConfig, ForwardSolution, PaddedLevel, SourceSpec, forward_trace
+from .forward import BcConfig, ForwardSolution, PaddedLevel, SourceSpec, _nodal, forward_trace
 from .grid import RegionMask, area_weights, time_weights
 from .objective import RegularizationParams, tikhonov
 
@@ -63,29 +64,43 @@ def gradient_sweep(
     area weights are zero in the ghost columns, and the values that the
     gradient sums collect there are dropped at the end.  The state enters
     through A = sum E^{n+1} dlam and B = sum E^n dlam alone, with
-    dlam = lam^{n+1} - lam^n: the eps sum is A - B and the sigma sum A + B.
-    eps and sigma are those of E's operator, the forward solve's own."""
+    dlam = lam^{n+1} - lam^n (lam^1 at n = 0) and row 0's term: the eps sum
+    is A - B and the sigma sum A + B.  eps, sigma and the initial velocity
+    f1 are those of E's operator, the forward solve's own."""
     grid, eps, sigma = E.grid, E.op.eps, E.op.sigma
     dt = grid.dt
     wt, w = time_weights(grid), PaddedLevel.of(grid, area_weights(grid)).rows
     sum_next, sum_this = PaddedLevel(grid), PaddedLevel(grid)  # A and B
-    dlam, tmp = PaddedLevel(grid).rows, PaddedLevel(grid).rows
+    dlam, tmp = PaddedLevel(grid), PaddedLevel(grid)
     lam_sq = 0.0
     lam_next = e_next = None
     levels = zip(range(grid.nt, -1, -1), lam_backward, E.levels_backward(), strict=True)
     for n, lam, e in levels:
         lam, e = lam.rows, e.rows
-        lam_sq += wt[n] * float(np.dot(np.multiply(lam, w, out=tmp), lam))
+        lam_sq += wt[n] * float(np.dot(np.multiply(lam, w, out=tmp.rows), lam))
         if lam_next is not None:
-            np.subtract(lam_next, lam, out=dlam)
-            sum_next.rows += np.multiply(e_next, dlam, out=tmp)
-            sum_this.rows += np.multiply(e, dlam, out=tmp)
+            # lam^0 enters through row 0's own term alone, below
+            np.subtract(lam_next, lam if n else 0.0, out=dlam.rows)
+            sum_next.rows += np.multiply(e_next, dlam.rows, out=tmp.rows)
+            sum_this.rows += np.multiply(e, dlam.rows, out=tmp.rows)
+        if lam_next is not None and n == 0:
+            # row 0, the Taylor start, is in units of a_mid: its multiplier
+            # is mu^0 = lam^0 a_plus/a_mid, formed in dlam, and its
+            # derivatives are (2/dt^2)(E^1 - E^0 - dt f1) in eps and f1 in
+            # sigma, so A takes -mu^0 (E^1 - E^0) and B mu^0 (E^1 - E^0 - 2 dt f1)
+            mu = np.divide(lam, E.op.mid_over_plus(dlam.rows), out=dlam.rows)
+            row = np.subtract(e_next, e, out=tmp.rows)
+            row *= mu
+            sum_next.rows -= row
+            if E.op.f1 is not None:  # f1 is nodal: through the nodes views
+                tmp.nodes -= 2.0 * dt * _nodal(grid, E.op.f1) * dlam.nodes
+            sum_this.rows += row
         lam_next, e_next = lam, e
     # A - B replaces A and A + B replaces B, through the scratch, so that
     # forming them allocates no level
-    np.add(sum_next.rows, sum_this.rows, out=tmp)
+    np.add(sum_next.rows, sum_this.rows, out=tmp.rows)
     sum_next.rows -= sum_this.rows
-    sum_this.rows[...] = tmp
+    sum_this.rows[...] = tmp.rows
     sum_eps, sum_sigma = sum_next.nodes, sum_this.nodes
 
     # sum_eps and sum_sigma hold raw differences: the 1/dt of each difference

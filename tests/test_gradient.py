@@ -24,8 +24,10 @@ from waveinv import (
     project,
     region_mask,
     solve_forward,
+    tikhonov,
 )
-from waveinv.forward import PaddedLevel, forward_operator, leapfrog_levels
+from waveinv.forward import PaddedLevel, _block, forward_operator, leapfrog_levels
+from waveinv.grid import perimeter_nodes
 from conftest import (
     CHECKPOINT_NT,
     adjoint_gradients,
@@ -201,14 +203,19 @@ class TestAdjointVersusOracle:
 
 def stored_reference(E, lam, eps, sig, reg, gamma_eps, gamma_sigma, mask):
     """The staggered gradient formula over whole stacks, summed in forward
-    time by einsum: the reference for the backward level-by-level sums."""
+    time by einsum: the reference for the backward level-by-level sums.
+    lam^0 enters through row 0 alone, the Taylor start in units of a_mid,
+    paired with mu^0 = lam^0 a_plus/a_mid: its eps-derivative is
+    (2/dt^2)(E^1 - E^0), with no initial velocity, and its sigma-derivative 0."""
     dt = eps.grid.dt
+    mu0 = lam[0] * (eps.values / dt**2 + sig.values / (2.0 * dt)) / (2.0 * eps.values / dt**2)
+    lam = np.concatenate([np.zeros_like(lam[:1]), lam[1:]])
     dE = np.diff(E, axis=0) / dt
     dLam = np.diff(lam, axis=0) / dt
     E_mid = 0.5 * (E[1:] + E[:-1])
     g_eps = gamma_eps * (eps.values - reg.eps_prior.values) - dt * np.einsum(
         "nij,nij->ij", dLam, dE
-    )
+    ) + 2.0 / dt * mu0 * (E[1] - E[0])
     g_sig = gamma_sigma * (sig.values - reg.sigma_prior.values) - dt * np.einsum(
         "nij,nij->ij", E_mid, dLam
     )
@@ -363,6 +370,97 @@ class TestLagrangianDerivative:
                 derivative = field_dot(grad, d, g)
                 scale = np.sqrt(field_dot(grad, grad, g) * field_dot(d, d, g))
                 assert abs(derivative - 0.5 * (values[0] - values[1])) <= 1e-10 * scale
+
+
+# start data that make E^1 != 0 besides the Neumann data at t = 0 of a
+# sweep case: an initial value and velocity, or a volume forcing at n = 0
+STARTS = (
+    {},
+    {"f0": lambda X, Y: np.sin(3.0 * X) * Y, "f1": lambda X, Y: X * Y},
+    {"volume_forcing": lambda X, Y, t: np.exp(-5.0 * t) * X * (1.0 - Y)},
+)
+# the level of the second checkpoint block at which a source side first
+# absorbs: its first, its second or its middle one (None: the default t_on)
+SWITCHES = (None, "first", "second", "mid")
+
+
+def exact_multiplier_case(case, start, switch):
+    """The stored state E, multiplier lam and mu = lam with mu^0 =
+    lam^0 a_plus/a_mid, the Taylor start's multiplier in its own units, of a
+    sweep case with start data, on a 12² grid."""
+    kinds, source, observed, frame_width, seed = case
+    g = build_grid(12, 12, T=1.2)
+    b = _block(g.nt)
+    level = None if switch is None else b + {"first": 0, "second": 1, "mid": b // 2}[switch]
+    src = SourceSpec(t_on=None if level is None else (level - 0.5) * g.dt, **start)
+    bc = case_bc(kinds)
+    rng = np.random.default_rng(seed)
+    eps = smooth_random_coefficient(g, rng, Role.EPSILON, hi=4.0)
+    sig = smooth_random_coefficient(g, rng, Role.SIGMA, hi=4.0)
+    E = stored_state(g, eps, sig, src, bc)
+    obs = smooth_random_trace(g, rng, observed)
+    lam = stored_adjoint(forward_operator(g, eps, sig, src, bc), stack_trace(g, E, observed) - obs)
+    dt = g.dt
+    mu = lam.copy()
+    mu[0] *= (eps.values / dt**2 + sig.values / (2.0 * dt)) / (2.0 * eps.values / dt**2)
+    return SimpleNamespace(g=g, src=src, bc=bc, eps=eps, sig=sig, observed=observed, obs=obs,
+                           E=E, lam=lam, mu=mu, mask=region_mask(g, frame_width), rng=rng)
+
+
+class TestExactMultiplier:
+    """With mu^0 in place of lam^0 the multiplier makes objective.lagrangian
+    stationary in the state, and the sweep's gradient is the Lagrangian's
+    coefficient derivative, to round-off, also where E^1 != 0."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(sweep_cases(), st.sampled_from(STARTS), st.sampled_from(SWITCHES))
+    def test_lagrangian_is_stationary_at_every_level(self, case, start, switch):
+        # L is quadratic in the state, so L(E + d) - L(E - d) is twice its
+        # derivative along d, for d on one level k; on the observed sides d
+        # is level k's residual, so that the misfit's change, against which
+        # the derivative is measured, cannot cancel
+        c = exact_multiplier_case(case, start, switch)
+        reg = make_reg(c.g)
+
+        def L(E, lam):
+            return lagrangian(E, lam, c.eps, c.sig, reg, 0.0, 0.0, c.obs, c.src, c.bc)
+
+        def F(E):
+            return tikhonov(stack_trace(c.g, E, c.observed), c.obs, c.eps, c.sig, reg, 0.0, 0.0)
+
+        observed = perimeter_nodes(c.g, c.observed)
+        residual = stack_trace(c.g, c.E, c.observed) - c.obs
+        for k in range(1, c.g.nt + 1):
+            d = np.zeros_like(c.E)
+            d[k] = c.rng.standard_normal(c.g.node_shape) * np.abs(residual.values[k]).max()
+            d[k].reshape(-1)[observed] = residual.values[k]
+            change = abs(F(c.E + d) - F(c.E - d))
+            assert abs(L(c.E + d, c.mu) - L(c.E - d, c.mu)) <= 1e-12 * change
+
+    @settings(max_examples=25, deadline=None)
+    @given(sweep_cases(), st.sampled_from(STARTS), st.sampled_from(SWITCHES))
+    def test_sweep_is_the_coefficient_derivative_of_the_lagrangian(self, case, start, switch):
+        # the gradient of the command path, a ForwardSolution replayed from
+        # its checkpoints and its own multiplier, against the Lagrangian at
+        # the stored state and mu, affine in (eps, sigma) up to the penalty
+        c = exact_multiplier_case(case, start, switch)
+        reg = make_reg(c.g, eps_val=1.5, sigma_val=2.0)
+        sol = solve_forward(c.g, c.eps, c.sig, c.src, c.bc)
+        g_eps, g_sig, _ = gradient_sweep(sol, sol.multiplier(c.obs), reg, 0.05, 0.07, c.mask)
+        X, Y = c.g.meshgrid()
+        for cx, cy in ((0.3, 0.4), (0.6, 0.7), (0.5, 1.0)):
+            d = 0.5 * np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / 0.05)
+            d[c.mask.frame] = 0.0  # the sweep's gradient is zero there
+            for grad, field in ((g_eps, c.eps), (g_sig, c.sig)):
+                values = []
+                for sign in (1.0, -1.0):
+                    moved = field.with_values(field.values + sign * d)
+                    pair = (moved, c.sig) if field is c.eps else (c.eps, moved)
+                    values.append(lagrangian(c.E, c.mu, *pair, reg, 0.05, 0.07, c.obs, c.src,
+                                             c.bc))
+                derivative = field_dot(grad, d, c.g)
+                scale = np.sqrt(field_dot(grad, grad, c.g) * field_dot(d, d, c.g))
+                assert abs(derivative - 0.5 * (values[0] - values[1])) <= 1e-12 * scale
 
 
 def test_sweep_allocates_no_level_per_step():
