@@ -289,8 +289,11 @@ def test_criterion_08_perturbed_start_reconstruction():
         last.g_eps_norm < first.g_eps_norm and last.g_sigma_norm < first.g_sigma_norm
     )
     ok = all(drops.values()) and grads_drop
+    values = ", ".join(
+        f"{s} {getattr(first, s):.4f} -> {getattr(last, s):.4f} ({drops[s]})" for s in series
+    )
     report(8, "perturbed-start study", ok,
-           f"all six error series decreased: {all(drops.values())} {drops}; "
+           f"all six error series decreased: {all(drops.values())} [{values}]; "
            f"gradient norms decreased: {grads_drop}")
 
 
