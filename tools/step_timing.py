@@ -16,9 +16,12 @@ of two operators:
               which then carries Neumann data
 
 The layer table times, per level (the best of 3 runs over the nt+1 levels),
-the four layers of one gradient evaluation at the same residual:
+the four layers of one gradient evaluation at the same residual, and the
+operator that a solve builds first:
 
-    forward   a forward solve, solve_forward
+    build     the forward operator alone, forward_operator, which every
+              solve builds once; its cost spread over the solve's levels
+    forward   a forward solve, solve_forward, its build included
     replay    its levels replayed backward, ForwardSolution.levels_backward
     adjoint   the adjoint stream, leapfrog_levels of the adjoint operator
     sweep     the whole gradient sweep, gradient_sweep, which pulls the
@@ -38,7 +41,9 @@ alternate which one goes first, so that a drift of the machine's speed hits
 both alike.  Each row prints the median microseconds of each checkout, the
 number of rounds in which CHANGE was faster, and a verdict under one rule
 for every row: a difference counts when one side is faster in at least nine
-tenths of the rounds.  Separate benchmark runs cannot resolve a 10-20%
+tenths of the rounds.  A median at or below zero (the sums, a difference
+of three timings, can come out so in a short run) leaves the row
+unresolved, with no ratio.  Separate benchmark runs cannot resolve a 10-20%
 change of one layer, which is a few percent of a whole inversion.  The
 figures are a report, not a gate; the script exits 0 whatever they show.
 """
@@ -60,7 +65,7 @@ STEPS = 20  # advances per timed loop
 REPEAT = 5  # loops per step timing, the best kept
 LAYER_REPEAT = 3  # runs per layer timing, the best kept
 DIRECTIONS = ("forward", "adjoint")
-LAYERS = ("forward", "replay", "adjoint", "sweep")
+LAYERS = ("build", "forward", "replay", "adjoint", "sweep")
 WRITERS = ("trace", "field", "vtk")
 
 
@@ -102,20 +107,22 @@ def operators(wi, n: int) -> dict:
 
 
 def layers(wi, n: int) -> tuple[dict, int]:
-    """The four layers of one checkout on an n x n grid, each a call that
-    runs it once, and the number of levels each runs over."""
+    """The layers of one checkout on an n x n grid, each a call that runs it
+    once, and the number of levels each runs over."""
     grid, eps, sigma, src, residual = setup_test1(wi, n)
     bc = wi.BcConfig()
     sol = wi.solve_forward(grid, eps, sigma, src, bc)
     reg = wi.RegularizationParams(0.0, 0.0, 0.5, eps, sigma)
     mask = wi.region_mask(grid, 0)
-    stream = sys.modules[wi.__name__ + ".forward"].leapfrog_levels
+    forward = sys.modules[wi.__name__ + ".forward"]
+    stream = forward.leapfrog_levels
 
     def drain(levels) -> None:
         for _ in levels:
             pass
 
     return {
+        "build": lambda: forward.forward_operator(grid, eps, sigma, src, bc),
         "forward": lambda: wi.solve_forward(grid, eps, sigma, src, bc),
         "replay": lambda: drain(sol.levels_backward()),
         "adjoint": lambda: drain(stream(sol.op.adjoint(residual))),
@@ -165,16 +172,20 @@ def best_run(run, levels: int) -> float:
 
 def report(title: str, rows: dict, rounds: int) -> None:
     """One table: per (size, name) row the median of each checkout, the
-    ratio, the rounds that CHANGE won and the nine-tenths verdict."""
+    ratio, the rounds that CHANGE won and the nine-tenths verdict; a
+    median at or below zero leaves the row unresolved, with no ratio."""
     print(f"{'size':>5} {title:>9} {'parent us':>10} {'change us':>10} {'ratio':>6}  "
           f"{'wins':>5}  verdict")
     for (n, name), row in rows.items():
         parent, change = row["parent"], row["change"]
         a, b = statistics.median(parent), statistics.median(change)
         wins = sum(c < p for p, c in zip(parent, change))
-        verdict = ("faster" if wins >= 0.9 * rounds else
+        resolved = a > 0.0 and b > 0.0
+        verdict = ("unresolved" if not resolved else
+                   "faster" if wins >= 0.9 * rounds else
                    "slower" if rounds - wins >= 0.9 * rounds else "unresolved")
-        print(f"{n:>4}² {name:>9} {a:>10.2f} {b:>10.2f} {b / a:>6.3f}  "
+        ratio = f"{b / a:>6.3f}" if resolved else f"{'-':>6}"
+        print(f"{n:>4}² {name:>9} {a:>10.2f} {b:>10.2f} {ratio}  "
               f"{f'{wins}/{rounds}':>5}  {verdict}")
 
 
