@@ -83,18 +83,19 @@ def gradient_sweep(
             np.subtract(lam_next, lam if n else 0.0, out=dlam.rows)
             sum_next.rows += np.multiply(e_next, dlam.rows, out=tmp.rows)
             sum_this.rows += np.multiply(e, dlam.rows, out=tmp.rows)
-        if lam_next is not None and n == 0:
-            # row 0, the Taylor start, is in units of a_mid: its multiplier
-            # is mu^0 = lam^0 a_plus/a_mid, formed in dlam, and its
-            # derivatives are (2/dt^2)(E^1 - E^0 - dt f1) in eps and f1 in
-            # sigma, so A takes -mu^0 (E^1 - E^0) and B mu^0 (E^1 - E^0 - 2 dt f1)
-            mu = np.divide(lam, E.op.mid_over_plus(dlam.rows), out=dlam.rows)
-            row = np.subtract(e_next, e, out=tmp.rows)
-            row *= mu
-            sum_next.rows -= row
-            if E.op.f1 is not None:  # f1 is nodal: through the nodes views
-                tmp.nodes -= 2.0 * dt * _nodal(grid, E.op.f1) * dlam.nodes
-            sum_this.rows += row
+            if n == 0:
+                # row 0, the Taylor start, is in units of a_mid: its
+                # multiplier is mu^0 = lam^0 a_plus/a_mid, formed in dlam, and
+                # its derivatives are (2/dt^2)(E^1 - E^0 - dt f1) in eps and f1
+                # in sigma, so A takes -mu^0 (E^1 - E^0) and B takes
+                # mu^0 (E^1 - E^0 - 2 dt f1)
+                mu = np.divide(lam, E.op.mid_over_plus(dlam.rows), out=dlam.rows)
+                row = np.subtract(e_next, e, out=tmp.rows)
+                row *= mu
+                sum_next.rows -= row
+                if E.op.f1 is not None:  # f1 is nodal: through the nodes views
+                    tmp.nodes -= 2.0 * dt * _nodal(grid, E.op.f1) * dlam.nodes
+                sum_this.rows += row
         lam_next, e_next = lam, e
     # A - B replaces A and A + B replaces B, through the scratch, so that
     # forming them allocates no level
