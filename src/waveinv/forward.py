@@ -600,6 +600,8 @@ class ForwardSolution:
     so every level it yields is bitwise the level the pass produced, at the
     cost of one more forward solve per sweep.  About 2 sqrt(nt) levels are
     held, and 3 sqrt(nt) during a sweep, where a stored stack holds nt+1.
+    The trace is read through fields.extract_trace until multiplier()
+    takes it over to drive the adjoint, the sweep's other stream.
     """
 
     def __init__(self, op: Leapfrog) -> None:
