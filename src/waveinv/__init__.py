@@ -37,9 +37,7 @@ from .forward import (
     solve_forward,
 )
 from .objective import (
-    AdjointEnergyReport,
     RegularizationParams,
-    adjoint_energy_monitor,
     field_dot,
     field_norm,
     forward_defect,

@@ -72,7 +72,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .grid import ALL_SIDES, Grid2D, Side, area_weights, perimeter_nodes, perimeter_offsets
+from .grid import ALL_SIDES, Grid2D, Side, perimeter_nodes, perimeter_offsets
 from .fields import BoundaryTrace, CoefficientField, extract_trace
 
 
@@ -707,34 +707,3 @@ def forward_trace(
     by level so that no snapshot stack is stored."""
     op = forward_operator(grid, eps, sigma, src, bc)
     return trace_of_levels(grid, leapfrog_levels(op), sides)
-
-
-def _dirichlet_product(grid: Grid2D, u: np.ndarray, v: np.ndarray) -> float:
-    """Edge-midpoint quadrature of grad(u).grad(v); the discrete Dirichlet
-    form under which the 5-point Laplacian with mirror ghosts is
-    self-adjoint, so the leapfrog energy built from it telescopes exactly."""
-    wx = np.ones(grid.nx + 1)
-    wx[0] = wx[-1] = 0.5
-    wy = np.ones(grid.ny + 1)
-    wy[0] = wy[-1] = 0.5
-    dux = np.diff(u, axis=0)
-    dvx = np.diff(v, axis=0)
-    duy = np.diff(u, axis=1)
-    dvy = np.diff(v, axis=1)
-    sx = float(np.einsum("ij,ij,j->", dux, dvx, wy))
-    sy = float(np.einsum("ij,ij,i->", duy, dvy, wx))
-    return sx + sy
-
-
-def level_energy(grid: Grid2D, cur: np.ndarray, prev: np.ndarray, eps: CoefficientField) -> float:
-    """Discrete wave energy between two consecutive levels prev and cur.
-
-    Velocity part: eps-weighted nodal L2 norm of the backward difference
-    quotient.  Gradient part: the symmetric product form of the two levels,
-    which is the quantity the undamped all-Neumann scheme conserves to
-    round-off (the squared midpoint gradient drifts at O(dt^2) per period
-    and would mask both the conservation and the damping monotonicity).
-    """
-    vel = (cur - prev) / grid.dt
-    kinetic = float(np.sum(area_weights(grid) * eps.values * vel * vel))
-    return kinetic + _dirichlet_product(grid, cur, prev)

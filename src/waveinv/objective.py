@@ -14,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import BoundaryTrace, CoefficientField
-from .forward import (
-    BcConfig, Leapfrog, SourceSpec, forward_operator, leapfrog_levels, level_energy,
-)
+from .forward import BcConfig, SourceSpec, forward_operator
 from .grid import Grid2D, area_weights, perimeter_nodes, perimeter_weights, time_weights
 
 
@@ -37,47 +35,6 @@ def trace_dot(a: BoundaryTrace, b: BoundaryTrace) -> float:
 
 def trace_norm_sq(a: BoundaryTrace) -> float:
     return trace_dot(a, a)
-
-
-C_MAX = 1e6  # the energy ratio above which an adjoint energy report is flagged
-
-
-@dataclass(frozen=True)
-class AdjointEnergyReport:
-    """Discrete energy history of the adjoint versus the residual size.
-
-    energies[k] is the triple-norm analogue between time levels k and k+1;
-    ratio compares its maximum to the squared space-time residual norm and
-    plays the role of the stability constant, which should stay bounded
-    and roughly grid-independent; flagged when it exceeds C_MAX.
-    """
-
-    energies: np.ndarray
-    max_energy: float
-    residual_norm_sq: float
-    ratio: float
-    flagged: bool
-
-
-def adjoint_energy_monitor(op: Leapfrog, residual: BoundaryTrace) -> AdjointEnergyReport:
-    """Energy report of the multiplier of the forward operator op at the
-    residual, at op's eps and sigma, over the levels lam^nt, ..., lam^0 of
-    op.adjoint(residual) as they are computed; only two levels are held."""
-    g, eps, sigma = op.grid, op.eps, op.sigma
-    w = area_weights(g)
-    energies = np.empty(g.nt)
-    lam_next = None
-    for n, lam in zip(range(g.nt, -1, -1), leapfrog_levels(op.adjoint(residual))):
-        lam = lam.nodes
-        if lam_next is not None:
-            mid = 0.5 * (lam_next + lam)
-            zero_order = float(np.sum(w * sigma.values * mid * mid))
-            energies[n] = level_energy(g, lam_next, lam, eps) + zero_order
-        lam_next = lam
-    max_energy = float(energies.max()) if g.nt else 0.0
-    res_sq = trace_norm_sq(residual)
-    ratio = max_energy / res_sq if res_sq > 0.0 else 0.0
-    return AdjointEnergyReport(energies, max_energy, res_sq, ratio, flagged=ratio > C_MAX)
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,8 @@ from waveinv import (
     trace_dot,
     trace_norm_sq,
 )
-from waveinv.forward import (
-    PaddedLevel, forward_operator, forward_trace, leapfrog_levels, level_energy,
-)
-from waveinv.grid import area_weights, time_weights
+from waveinv.forward import PaddedLevel, forward_operator, forward_trace, leapfrog_levels
+from waveinv.grid import Grid2D, area_weights, time_weights
 
 INCLUSION_CENTER = (0.5, 0.7)
 
@@ -153,9 +151,56 @@ def all_neumann_bc():
     return BcConfig(sides={s: BcKind.NEUMANN_ZERO for s in ALL_SIDES})
 
 
+def _dirichlet_product(grid: Grid2D, u: np.ndarray, v: np.ndarray) -> float:
+    """Edge-midpoint quadrature of grad(u).grad(v); the discrete Dirichlet
+    form under which the 5-point Laplacian with mirror ghosts is
+    self-adjoint, so the leapfrog energy built from it telescopes exactly."""
+    wx = np.ones(grid.nx + 1)
+    wx[0] = wx[-1] = 0.5
+    wy = np.ones(grid.ny + 1)
+    wy[0] = wy[-1] = 0.5
+    dux = np.diff(u, axis=0)
+    dvx = np.diff(v, axis=0)
+    duy = np.diff(u, axis=1)
+    dvy = np.diff(v, axis=1)
+    sx = float(np.einsum("ij,ij,j->", dux, dvx, wy))
+    sy = float(np.einsum("ij,ij,i->", duy, dvy, wx))
+    return sx + sy
+
+
+def level_energy(grid: Grid2D, cur: np.ndarray, prev: np.ndarray, eps: CoefficientField) -> float:
+    """Discrete wave energy between two consecutive levels prev and cur.
+
+    Velocity part: eps-weighted nodal L2 norm of the backward difference
+    quotient.  Gradient part: the symmetric product form of the two levels,
+    which is the quantity the undamped all-Neumann scheme conserves to
+    round-off (the squared midpoint gradient drifts at O(dt^2) per period
+    and would mask both the conservation and the damping monotonicity).
+    """
+    vel = (cur - prev) / grid.dt
+    kinetic = float(np.sum(area_weights(grid) * eps.values * vel * vel))
+    return kinetic + _dirichlet_product(grid, cur, prev)
+
+
 def discrete_energy(grid, E, eps, n):
     """level_energy between levels n-1 and n of a stored solution."""
     return level_energy(grid, E[n], E[n - 1], eps)
+
+
+def adjoint_energy(op, residual):
+    """(max_energy, ratio) of the adjoint stability estimate for the
+    multiplier of the forward operator op at the residual: the largest
+    energy between levels lam^n and lam^{n+1}, level_energy plus the
+    sigma-weighted square of their midpoint, and its ratio to the squared
+    residual norm, which should stay bounded and roughly grid-independent
+    (0 for a zero residual)."""
+    g, lam, w = op.grid, stored_adjoint(op, residual), area_weights(op.grid)
+    mid = 0.5 * (lam[1:] + lam[:-1])
+    energies = [level_energy(g, lam[n + 1], lam[n], op.eps)
+                + float(np.sum(w * op.sigma.values * mid[n] * mid[n])) for n in range(g.nt)]
+    max_energy = float(np.max(energies)) if g.nt else 0.0
+    res_sq = trace_norm_sq(residual)
+    return max_energy, (max_energy / res_sq if res_sq > 0.0 else 0.0)
 
 
 def spacetime_dot(grid, a, b):

@@ -10,7 +10,6 @@ from waveinv import (
     Role,
     SourceSpec,
     StabilityError,
-    adjoint_energy_monitor,
     build_grid,
     constant_coefficient,
     extract_trace,
@@ -21,6 +20,7 @@ from waveinv import (
 from waveinv.forward import BcKind, Leapfrog, SideProgram, forward_operator, leapfrog_levels
 from waveinv.grid import Side
 from conftest import (
+    adjoint_energy,
     all_neumann_bc,
     smooth_random_spacetime,
     smooth_random_trace,
@@ -126,10 +126,10 @@ class TestEnergyMonitor:
         sig = constant_coefficient(small_grid, 1.0, Role.SIGMA)
         res = zero_trace(small_grid)
         op = forward_operator(small_grid, eps, sig, SourceSpec(), BcConfig())
-        rep = adjoint_energy_monitor(op, res)
-        assert rep.max_energy == 0.0
-        assert rep.ratio == 0.0
-        assert not rep.flagged
+        max_energy, ratio = adjoint_energy(op, res)
+        assert max_energy == 0.0
+        assert ratio == 0.0
+        assert ratio <= 1e6
 
     def test_doubling_residual_quadruples_energy(self, small_grid):
         rng = np.random.default_rng(2)
@@ -137,10 +137,10 @@ class TestEnergyMonitor:
         sig = constant_coefficient(small_grid, 1.0, Role.SIGMA)
         res = smooth_random_trace(small_grid, rng)
         op = forward_operator(small_grid, eps, sig, SourceSpec(), BcConfig())
-        rep1 = adjoint_energy_monitor(op, res)
-        rep2 = adjoint_energy_monitor(op, res.map(lambda a: 2.0 * a))
-        assert rep2.max_energy == pytest.approx(4.0 * rep1.max_energy, rel=1e-10)
-        assert rep2.ratio == pytest.approx(rep1.ratio, rel=1e-10)
+        max_energy1, ratio1 = adjoint_energy(op, res)
+        max_energy2, ratio2 = adjoint_energy(op, res.map(lambda a: 2.0 * a))
+        assert max_energy2 == pytest.approx(4.0 * max_energy1, rel=1e-10)
+        assert ratio2 == pytest.approx(ratio1, rel=1e-10)
 
     def test_ratio_stable_under_refinement(self):
         # study-1 medium driven by the background-model residual
@@ -154,9 +154,9 @@ class TestEnergyMonitor:
             sig0 = constant_coefficient(g, 1.0, Role.SIGMA)
             E = solve_forward(g, eps0, sig0, src, bc)
             res = extract_trace(E, ALL_SIDES) - obs
-            rep = adjoint_energy_monitor(E.op, res)
-            assert np.isfinite(rep.ratio) and not rep.flagged
-            ratios.append(rep.ratio)
+            _, ratio = adjoint_energy(E.op, res)
+            assert np.isfinite(ratio) and ratio <= 1e6
+            ratios.append(ratio)
         assert abs(ratios[1] - ratios[0]) < 0.5 * ratios[0]
 
 
