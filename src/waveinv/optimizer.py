@@ -489,7 +489,14 @@ def run_acga(
     used to resample the exact coefficients (for error reporting) and the
     regularization priors on refined grids; without them the priors are
     interpolated and fine-level coefficient errors are not reported.
+    Source data given as arrays (volume_forcing, f0, f1) fit one grid only,
+    so with n_max >= 1 they raise ValueError before any solve.
     """
+    arrays = [name for name in ("volume_forcing", "f0", "f1")
+              if not (getattr(problem.src, name) is None or callable(getattr(problem.src, name)))]
+    if controls.n_max >= 1 and arrays:
+        raise ValueError(f"{', '.join(arrays)}: an array fits level 0's grid only, "
+                         "refined levels need a callable")
     results: list[CgaResult] = []
     flags: list[np.ndarray] = []
 

@@ -392,6 +392,28 @@ class TestAcga:
         assert res.stop_reason == "line_search_failed"
         assert len(res.levels) == 1
 
+    @pytest.mark.parametrize("name", ["volume_forcing", "f0", "f1"])
+    def test_array_source_data_fails_before_any_solve(self, monkeypatch, name):
+        # an array fits level 0's grid only, so a refined level could not use it
+        problem = small_problem(ncell=12)
+        g = problem.grid
+        shape = (g.nt + 1, *g.node_shape) if name == "volume_forcing" else g.node_shape
+        problem = replace(problem, src=replace(problem.src, **{name: np.zeros(shape)}))
+
+        def no_solve(*args):
+            raise AssertionError("a forward solve ran")
+
+        monkeypatch.setattr(optimizer, "solve_forward", no_solve)
+        with pytest.raises(ValueError, match=name):
+            run_acga(problem, StoppingTolerances(m_max=2), AcgaControls(n_max=1))
+
+    def test_array_source_data_runs_on_one_level(self):
+        problem = small_problem(ncell=12)
+        problem = replace(problem, src=replace(problem.src, f0=np.zeros(problem.grid.node_shape)))
+        res = run_acga(problem, StoppingTolerances(m_max=2), AcgaControls(n_max=0))
+        assert len(res.levels) == 1
+        assert res.level_results[0].eps.grid.nx == 12
+
     def test_two_levels_track_grids_and_reports(self):
         problem = small_problem(ncell=16)
         res = run_acga(problem, StoppingTolerances(m_max=3), AcgaControls(n_max=1))
