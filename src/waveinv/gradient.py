@@ -127,12 +127,11 @@ class GradientSample:
 
 
 def check_probes(eps: CoefficientField, sigma: CoefficientField,
-                 nodes: list[tuple[int, int]], h_fd: float, mask: RegionMask, adm,
-                 roles: tuple[Role, ...] = (Role.EPSILON, Role.SIGMA)) -> None:
+                 nodes: list[tuple[int, int]], h_fd: float, mask: RegionMask, adm) -> None:
     """Raise ValueError if a probe v +- h_fd at a node outside FRAME leaves
     the admissible box; FRAME probes are re-pinned to the background."""
     for i, j in nodes:
-        for role in roles:
+        for role in Role:
             lo, hi = adm.bounds(role)
             value = (eps if role is Role.EPSILON else sigma).values[i, j]
             for probe in (value + h_fd, value - h_fd):
@@ -154,7 +153,6 @@ def fd_gradient_oracle(
     bc: BcConfig,
     mask: RegionMask,
     adm,
-    roles: tuple[Role, ...] = (Role.EPSILON, Role.SIGMA),
 ) -> list[GradientSample]:
     """Sampled gradient densities by central differences of the functional.
 
@@ -164,7 +162,7 @@ def fd_gradient_oracle(
     """
     if h_fd <= 0.0:
         raise ValueError("h_fd must be positive")
-    check_probes(eps, sigma, sample_nodes, h_fd, mask, adm, roles)
+    check_probes(eps, sigma, sample_nodes, h_fd, mask, adm)
     grid = eps.grid
     w = area_weights(grid)
 
@@ -174,7 +172,7 @@ def fd_gradient_oracle(
 
     samples: list[GradientSample] = []
     for i, j in sample_nodes:
-        for role in roles:
+        for role in Role:
             base = eps if role is Role.EPSILON else sigma
             values = {}
             for s in (+1.0, -1.0):

@@ -137,7 +137,6 @@ class TestOracle:
         node = (8, 8)
         samples = fd_gradient_oracle(
             eps_e, sig_e, obs_self, reg, 1.0, 1.0, [node], 1e-3, src, bc, mask, adm,
-            roles=(Role.EPSILON,),
         )
         # data term exactly quadratic around its minimum, so the probe sees
         # only gamma * (eps - prior) = 1.0 * 0.5
@@ -151,7 +150,6 @@ class TestOracle:
         for h_fd in (1e-2, 1e-3, 1e-4):
             s = fd_gradient_oracle(
                 eps_e, sig_e, obs, reg, 0.0, 0.0, [node], h_fd, src, bc, mask, adm,
-                roles=(Role.EPSILON,),
             )
             vals.append(s[0].value)
         assert abs(vals[0] - vals[1]) <= 0.01 * abs(vals[1])
