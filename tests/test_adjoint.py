@@ -17,8 +17,10 @@ from waveinv import (
     trace_dot,
     trace_norm_sq,
 )
-from waveinv.forward import BcKind, Leapfrog, SideProgram, forward_operator, leapfrog_levels
-from waveinv.grid import Side
+from waveinv.forward import (
+    BcKind, Leapfrog, PaddedLevel, SideProgram, forward_operator, leapfrog_levels,
+)
+from waveinv.grid import Side, area_weights
 from conftest import (
     adjoint_energy,
     all_neumann_bc,
@@ -118,6 +120,41 @@ def test_dot_product_identity_smoke(medium_grid):
         rhs = spacetime_dot(medium_grid, u, lam)
         defect = abs(lhs + rhs) / (spacetime_norm(medium_grid, u) * np.sqrt(trace_norm_sq(r)))
         assert defect <= 3e-2
+
+
+# the boundary set-ups of the exact identity: (BcConfig, t_on), the default,
+# the default switching early, all-Neumann, and LEFT absorbing from t = 0
+# with the source on TOP
+EXACT_IDENTITY_BCS = {
+    "default": (BcConfig(), None),
+    "default_t_on": (BcConfig(), 0.3),
+    "all_neumann": (all_neumann_bc(), None),
+    "left_absorbing_top_source": (BcConfig(sides={
+        Side.LEFT: BcKind.ABSORBING, Side.TOP: BcKind.SOURCE_THEN_ABSORBING}), 0.25),
+}
+
+
+@pytest.mark.parametrize("sides", [ALL_SIDES, (Side.LEFT, Side.TOP)], ids=["all", "left_top"])
+@pytest.mark.parametrize("setup", EXACT_IDENTITY_BCS)
+def test_dot_product_identity_is_exact_under_the_lagrangian_pairing(setup, sides):
+    # <trace E[u], r> + dt sum_{n<nt} <u^n, mu^n>_w = 0 to round-off, where
+    # E[u] is the state that volume forcing u alone drives and mu is the
+    # multiplier in the Lagrangian's pairing: lam^n, and at the Taylor
+    # start mu^0 = lam^0 / mid_over_plus
+    bc, t_on = EXACT_IDENTITY_BCS[setup]
+    g = build_grid(16, 16, T=0.8)
+    eps, sig = truth_pair(g)
+    rng = np.random.default_rng(list(EXACT_IDENTITY_BCS).index(setup))
+    u = smooth_random_spacetime(g, rng)
+    r = smooth_random_trace(g, rng, sides)
+    E = solve_forward(g, eps, sig, SourceSpec(amplitude=0.0, t_on=t_on, volume_forcing=u), bc)
+    mu = stored_adjoint(E.op, r)
+    ratio = PaddedLevel(g)
+    E.op.mid_over_plus(ratio.rows)
+    mu[0] /= ratio.nodes
+    lhs = trace_dot(extract_trace(E, sides), r)
+    rhs = g.dt * float(np.einsum("nij,nij,ij->", u[:g.nt], mu[:g.nt], area_weights(g)))
+    assert abs(lhs + rhs) <= 1e-12 * (abs(lhs) + abs(rhs))
 
 
 class TestEnergyMonitor:
