@@ -41,11 +41,14 @@ alternate which one goes first, so that a drift of the machine's speed hits
 both alike.  Each row prints the median microseconds of each checkout, the
 number of rounds in which CHANGE was faster, and a verdict under one rule
 for every row: a difference counts when one side is faster in at least nine
-tenths of the rounds.  A median at or below zero (the sums, a difference
-of three timings, can come out so in a short run) leaves the row
-unresolved, with no ratio.  Separate benchmark runs cannot resolve a 10-20%
-change of one layer, which is a few percent of a whole inversion.  The
-figures are a report, not a gate; the script exits 0 whatever they show.
+tenths of the rounds.  Below MIN_ROUNDS (ten) rounds every row reads
+unresolved: one round, or a few, clears the nine-tenths rule by chance,
+and ten pairs is the least from which a difference is read.  A median at
+or below zero (the sums, a difference of three timings, can come out so
+in a short run) leaves the row unresolved, with no ratio.  Separate
+benchmark runs cannot resolve a 10-20% change of one layer, which is a
+few percent of a whole inversion.  The figures are a report, not a gate;
+the script exits 0 whatever they show.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ LAYER_REPEAT = 3  # runs per layer timing, the best kept
 DIRECTIONS = ("forward", "adjoint")
 LAYERS = ("build", "forward", "replay", "adjoint", "sweep")
 WRITERS = ("trace", "field", "vtk")
+MIN_ROUNDS = 10  # rounds below which every row reads unresolved
 
 
 def load(checkout: Path, name: str):
@@ -172,19 +176,20 @@ def best_run(run, levels: int) -> float:
 
 def report(title: str, rows: dict, rounds: int) -> None:
     """One table: per (size, name) row the median of each checkout, the
-    ratio, the rounds that CHANGE won and the nine-tenths verdict; a
-    median at or below zero leaves the row unresolved, with no ratio."""
+    ratio, the rounds that CHANGE won and the nine-tenths verdict, which
+    reads unresolved below MIN_ROUNDS rounds; a median at or below zero
+    leaves the row unresolved, with no ratio."""
     print(f"{'size':>5} {title:>9} {'parent us':>10} {'change us':>10} {'ratio':>6}  "
           f"{'wins':>5}  verdict")
     for (n, name), row in rows.items():
         parent, change = row["parent"], row["change"]
         a, b = statistics.median(parent), statistics.median(change)
         wins = sum(c < p for p, c in zip(parent, change))
-        resolved = a > 0.0 and b > 0.0
-        verdict = ("unresolved" if not resolved else
+        positive = a > 0.0 and b > 0.0
+        verdict = ("unresolved" if not positive or rounds < MIN_ROUNDS else
                    "faster" if wins >= 0.9 * rounds else
                    "slower" if rounds - wins >= 0.9 * rounds else "unresolved")
-        ratio = f"{b / a:>6.3f}" if resolved else f"{'-':>6}"
+        ratio = f"{b / a:>6.3f}" if positive else f"{'-':>6}"
         print(f"{n:>4}² {name:>9} {a:>10.2f} {b:>10.2f} {ratio}  "
               f"{f'{wins}/{rounds}':>5}  {verdict}")
 
