@@ -193,8 +193,8 @@ def project(field: CoefficientField, adm: AdmissibleSet, mask: RegionMask) -> Co
 def extract_trace(sol, sides: Iterable[Side]) -> BoundaryTrace:
     """Restrict a forward solve to the boundary nodes of the declared sides:
     the all-sides trace of sol, a forward.ForwardSolution, itself, or a copy
-    of the columns of fewer sides.  This only reads sol: the solve hands its
-    trace over in ForwardSolution.multiplier."""
+    of the columns of fewer sides.  This only reads sol, which keeps its
+    trace as the perimeter record of its reverse steps."""
     sides = tuple(sorted(set(map(Side, sides))))
     trace = sol.trace
     if sides == trace.sides:

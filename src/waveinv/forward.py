@@ -35,30 +35,22 @@ one time loop: it yields each level as it is computed, and each caller uses
 a level as it arrives and copies only what it keeps (trace_of_levels, the
 ForwardSolution below, the gradient sweep).
 
-Every level lives in a ghost-padded (nx+3, ny+3) buffer, a PaddedLevel,
-for as long as it is stepped from: a step fills the ghosts of the current
-level in place and writes the new level's rows straight into the next
-buffer, with every operand one contiguous run of memory.  The loops yield
-the PaddedLevel objects themselves, and PaddedLevel alone knows the
-layout: a consumer reads a level's nodes, or, when it streams over many
-levels, its rows as one contiguous run, since numpy copies a strided
-operand through a scratch buffer.  PaddedLevel also allocates every level
-buffer, and places it so that its rows start on a 64-byte cache line:
-numpy stores an out= run that starts off such a line 2.3-2.6 times slower
-at the size of a 200² level (AVX-512, numpy 2.4.6), and the step and the
-gradient sums store every level pass into such a run.  Finiteness is
-checked once per block of about sqrt(nt) levels, not at every level: a
-non-finite value never leaves this linear recursion, so a blow-up shows at
-the next check, and the solve is then replayed with every level checked so
-that the error names the first non-finite step.
+Every level lives in a ghost-padded buffer, a PaddedLevel, which alone
+knows the layout and allocates level memory (see there); the loops yield
+these objects themselves.  Finiteness is checked once per block of about
+sqrt(nt) levels, not at every level: a non-finite value never leaves this
+linear recursion, so a blow-up shows at the next check, and the solve is
+then replayed with every level checked so that the error names the first
+non-finite step.
 
 The gradient pairs the forward levels with the multiplier backward in
 time.  solve_forward therefore returns a ForwardSolution: the boundary
-trace plus checkpoints about every sqrt(nt) levels, from which
-levels_backward() replays E^nt..E^0 through the same steps, bitwise equal
-to the forward pass, for one more forward solve and no snapshot stack;
-multiplier(obs) streams lam^nt..lam^0, the adjoint that the solve's own
-residual drives.
+trace of all sides and the last two levels, from which levels_backward()
+steps E^nt..E^0 back through the update solved for its oldest level, the
+perimeter from the trace (the boundary saving of reverse-time migration:
+Symes 2007; re-anchored in damped media, Yang et al. 2016), with no
+snapshot stack; multiplier(obs) streams lam^nt..lam^0, the adjoint that
+the solve's own residual drives.
 """
 
 from __future__ import annotations
@@ -233,11 +225,8 @@ class PaddedLevel:
     each of the four neighbours (neighbours), and per side in ALL_SIDES
     order its ghost row or column and the mirror one step inward (ghosts,
     at the SLOTS of pad).  The time loops yield these objects, and this
-    class is the one owner of the layout.
-
-    Only a level that is stepped from reads neighbours and ghosts, and most
-    checkpoints never are, so those are cached properties, made on first
-    use.
+    class is the one owner of the layout.  Only a level that is stepped
+    from reads neighbours or ghosts: they are made on first use.
 
     This class allocates all level memory.  It over-allocates one cache
     line and places the buffer in it so that rows starts on a 64-byte line,
@@ -294,8 +283,8 @@ class PaddedLevel:
 
 
 def _block(nt: int) -> int:
-    """Levels per checkpoint block, and between the finiteness checks of a
-    time loop: about sqrt(nt), at least 3."""
+    """Levels per block between the finiteness checks of a time loop: about
+    sqrt(nt), at least 3."""
     return max(math.isqrt(nt) + 1, 3)
 
 
@@ -306,21 +295,17 @@ class Leapfrog:
     update coefficients, the absorbing closure's perimeter tables, scratch
     space and the forcing lookup, and keeps eps, sigma, the programs and
     the source's start data f0, f1: a forward operator is the linearization
-    point from which the adjoint solve and the gradient read theirs.  The
-    forward solve, the adjoint solve and the Lagrangian's defect all step
-    through it, so each expression of the scheme is written once.
+    point from which the adjoint solve and the gradient read theirs.
 
-    The time loops keep every level resident in a PaddedLevel.  advance()
-    fills the ghosts of the current level in place and writes the next
-    level's rows 1..nx+1, ghost columns included, into the output buffer:
-    every operand is one contiguous run (numpy copies strided operands
-    through a scratch buffer), and the coefficients are kept in that row
-    layout with zero ghost columns.  Each side's ghosts get its mirror plus
-    its series, which holds the ghost term 2 h g already scaled.  The
-    instance owns three PaddedLevels (levels): leapfrog_levels rotates
-    through them, first_step() and the Lagrangian's defect copy node arrays
-    into them, and a ForwardSolution's replay reuses them.  So an instance
-    runs one of these at a time: it is non-reentrant.
+    advance() fills the ghosts of the current level in place and writes the
+    next level's rows, ghost columns included: every operand is one
+    contiguous run (numpy copies strided operands through a scratch
+    buffer), and the coefficients are kept in that layout with zero ghost
+    columns.  Each side's ghosts get its mirror plus its series, the ghost
+    term 2 h g already scaled.  The instance owns three PaddedLevels
+    (levels), which leapfrog_levels rotates through, first_step() and the
+    Lagrangian's defect fill, and a ForwardSolution's reverse steps reuse:
+    an instance runs one of these at a time, it is non-reentrant.
 
     The absorbing closure.  An absorbing side's ghost term
     -(2h/dt)(E^n_b - E^{n-1}_b) enters the update of its boundary node b
@@ -365,7 +350,6 @@ class Leapfrog:
         self._c_prev = PaddedLevel.of(grid, (eps_v / dt**2 - sig_v / (2.0 * dt)) / a_plus).rows
         self._c_lap = PaddedLevel.of(grid, 1.0 / (a_plus * h**2)).rows
         self._scratch = PaddedLevel(grid).rows
-        # isfinite of a strided view would copy it, so _advance checks whole buffers
         self._finite = np.empty((grid.nx + 3, grid.ny + 3), dtype=bool)
         # only the forcing term reads a_plus after this
         self._a_plus = None if forcing is None else a_plus
@@ -456,13 +440,37 @@ class Leapfrog:
             rhs += self.forcing(0)
         return e0 + dt * f1_v + dt**2 / (2.0 * self.eps.values) * rhs
 
+    def retreat(self, cur: PaddedLevel, later: PaddedLevel, n: int, out: PaddedLevel,
+                divisor: np.ndarray, edge: np.ndarray, perimeter: np.ndarray) -> None:
+        """The update from level n solved for its oldest level, (n, n+1) -> n-1,
+        into the rows of out: (c_lap N(E^n) + c_cur E^n + f^n/a_plus - E^{n+1})
+        / divisor, the run of open_prev(); the perimeter nodes (rows index edge),
+        where a closed c_prev may be near zero, are then set to perimeter."""
+        up, down, right, left = cur.neighbours
+        rows = np.add(up, down, out=out.rows)
+        rows += right
+        rows += left
+        rows *= self._c_lap
+        rows += np.multiply(self._c_cur, cur.rows, out=self._scratch)
+        if self.forcing is not None:
+            out.nodes += self.forcing(n) / self._a_plus
+        rows -= later.rows
+        rows /= divisor
+        rows.put(edge, perimeter)
+
+    def open_prev(self, out: np.ndarray) -> np.ndarray:
+        """c_prev with no side absorbing, a_minus/a_plus, into the run out in
+        the rows layout, 1 in the ghost columns, where retreat() divides."""
+        np.copyto(out, self._c_prev)
+        out[self._edge] = self._open[1]
+        out.reshape(self.grid.nx + 1, -1)[:, ::self.grid.ny + 2] = 1.0
+        return out
+
     def mid_over_plus(self, out: np.ndarray) -> np.ndarray:
-        """a_mid/a_plus = 1 + c_prev with no side absorbing, the weight of
-        the new level in the Taylor start over that in a leapfrog step,
-        written into the run out in the rows layout (1 in the ghost
-        columns) and returned."""
-        np.add(self._c_prev, 1.0, out=out)
-        out[self._edge] = 1.0 + self._open[1]
+        """a_mid/a_plus = 1 + open_prev(), the weight of the new level in
+        the Taylor start over that in a leapfrog step, in the run out."""
+        out = self.open_prev(out)
+        out += 1.0
         return out
 
     def adjoint(self, residual: BoundaryTrace) -> "Leapfrog":
@@ -513,27 +521,9 @@ class Leapfrog:
         return Leapfrog(grid, self.eps, self.sigma, programs, lag=1)
 
 
-def _advance(
-    op: Leapfrog, prev: PaddedLevel, cur: PaddedLevel, n: int, outs: Iterable[PaddedLevel],
-    block: int,
-) -> Iterator[PaddedLevel]:
-    """Step on from levels n-1 (prev) and n (cur) into each of outs in turn
-    and yield it, levels n+1, n+2, ...  The levels m with
-    m % block < 2 (a block's checkpoint pair) and the last level are
-    checked finite before they are yielded."""
-    nt, finite = op.grid.nt, op._finite
-    for out in outs:
-        op.advance(cur, prev, n, out)
-        n += 1
-        if (n % block < 2 or n == nt) and not np.isfinite(out.pad, out=finite)[1:-1, 1:-1].all():
-            raise StabilityError(f"non-finite field values at step {n}")
-        yield out
-        prev, cur = cur, out
-
-
 def _levels(op: Leapfrog, block: int) -> Iterator[PaddedLevel]:
     """Levels 0..nt in three rotating padded levels, from the operator's
-    start data, checked at start-up and then as _advance checks them."""
+    start data, checked at start-up, where n % block < 2 and at nt."""
     grid = op.grid
     levels = op.levels
     e0, e1 = levels[0].nodes, levels[1].nodes
@@ -547,9 +537,20 @@ def _levels(op: Leapfrog, block: int) -> Iterator[PaddedLevel]:
     if not (np.isfinite(e0).all() and np.isfinite(e1).all()):
         raise StabilityError("non-finite field values at start-up")
     yield from levels[:2]
+    prev, cur = levels[:2]
     # levels 2..nt go to buffers 2, 0, 1, 2, ...
-    outs = itertools.islice(itertools.cycle(levels), 2, grid.nt + 1)
-    yield from _advance(op, levels[0], levels[1], 1, outs, block)
+    for n, out in zip(range(2, grid.nt + 1), itertools.cycle(levels[2:] + levels[:2])):
+        op.advance(cur, prev, n - 1, out)
+        if (n % block < 2 or n == grid.nt) and not _finite(op, out):
+            raise StabilityError(f"non-finite field values at step {n}")
+        yield out
+        prev, cur = cur, out
+
+
+def _finite(op: Leapfrog, level: PaddedLevel) -> bool:
+    """Whether the nodes of level are finite, checked over its whole buffer
+    into the operator's flags: isfinite of a strided view would copy it."""
+    return bool(np.isfinite(level.pad, out=op._finite)[1:-1, 1:-1].all())
 
 
 def leapfrog_levels(op: Leapfrog) -> Iterator[PaddedLevel]:
@@ -564,12 +565,10 @@ def leapfrog_levels(op: Leapfrog) -> Iterator[PaddedLevel]:
 
     The CFL and sign checks run before the first level is yielded.  Levels
     0 and 1, the first two levels of every block of _block(nt) levels and
-    level nt are checked finite before they are yielded; the other levels
-    are not, so a consumer that writes a level out must check it itself.
-    A non-finite value never leaves this linear recursion, so the checks
-    catch every blow-up at the latest at the next block.  On a failure the
-    solve is replayed with every level checked, and the StabilityError
-    names the first non-finite step.
+    level nt are checked finite before they are yielded (a consumer that
+    writes out another level checks it itself), which catches a blow-up at
+    the next block; the solve is then replayed with every level checked,
+    and the StabilityError names the first non-finite step.
     """
     grid = op.grid
     check_cfl(grid, op.eps)
@@ -586,69 +585,74 @@ def leapfrog_levels(op: Leapfrog) -> Iterator[PaddedLevel]:
         raise
 
 
-class ForwardSolution:
-    """A forward solve held as checkpoints in place of its snapshot stack.
+# growth allowed to a reverse step's error between re-anchor pairs; at sigma = 10,
+# eps = 1, 100², T = 6 the worst level error reads 1.7e-12 of max|E| (6.8e+2 with no pair)
+ANCHOR_GROWTH = 1e5
+BURST = 8  # levels that a ForwardSolution steps back before it yields them
 
-    The levels 0..nt fall into blocks of b = _block(nt) levels.  As one
-    leapfrog_levels pass streams the levels, the boundary trace of all
-    sides is taken from each, and the nodes of the first two levels of
-    every block (its checkpoint pair, checked finite) are copied into new
-    PaddedLevels, whose ghosts may stay zero: advance() fills the ghosts it
-    reads, and c_prev is zero in the ghost columns.
-    levels_backward() rebuilds each block from its pair with the same
-    Leapfrog steps into b-2 PaddedLevels, three of them the operator's own,
-    so every level it yields is bitwise the level the pass produced, at the
-    cost of one more forward solve per sweep.  About 2 sqrt(nt) levels are
-    held, and 3 sqrt(nt) during a sweep, where a stored stack holds nt+1.
-    The trace is read through fields.extract_trace until multiplier()
-    takes it over to drive the adjoint, the sweep's other stream.
+
+def _anchor_spacing(op: Leapfrog) -> int:
+    """Levels between re-anchor pairs: the largest L with g^L <= ANCHOR_GROWTH,
+    g = max a_plus/a_minus = 1/min c_prev (no side absorbing) ~ exp(sigma dt/eps),
+    an error's growth per reverse step; 1, every level kept, where a_minus <= 0."""
+    low = float(op.open_prev(op._scratch).min())  # the ghost columns' 1 is no lower
+    spacing = math.log(ANCHOR_GROWTH) / -math.log(low) if 0.0 < low < 1.0 else math.inf
+    return max(int(min(spacing, op.grid.nt + 1)), 1) if low > 0.0 else 1
+
+
+class ForwardSolution:
+    """A forward solve held as its all-sides boundary trace and a few levels
+    in place of its snapshot stack.
+
+    Its one leapfrog_levels pass copies the nodes of each level n with
+    (nt - n) % L < 2, L = _anchor_spacing(op), into PaddedLevels (kept):
+    the last two levels and a re-anchor pair every L levels below them.
+    levels_backward() steps back from them (Leapfrog.retreat), so the kept
+    levels and the perimeter are bitwise the pass's, and the interior's
+    round-off grows by at most ANCHOR_GROWTH from one pair to the next.  A
+    solve holds the trace and 2 + 2 nt/L levels, and 8 more in a sweep.
     """
 
     def __init__(self, op: Leapfrog) -> None:
         grid = self.grid = op.grid
-        self.op = op
-        b = self.block = _block(grid.nt)
-        self.pairs: list[list[PaddedLevel]] = []
+        self.op, self.kept = op, {}
+        spacing = _anchor_spacing(op)
 
-        def keep_pairs(levels: Iterator[PaddedLevel]) -> Iterator[PaddedLevel]:
+        def keep(levels: Iterator[PaddedLevel]) -> Iterator[PaddedLevel]:
             for n, level in enumerate(levels):
-                j = n % b
-                if j == 0:  # a last block of one level has a one-level pair
-                    self.pairs.append([])
-                if j < 2:
-                    self.pairs[-1].append(PaddedLevel.of(grid, level.nodes))
+                if (grid.nt - n) % spacing < 2:
+                    self.kept[n] = PaddedLevel.of(grid, level.nodes)
                 yield level
 
-        self.trace: BoundaryTrace | None = trace_of_levels(
-            grid, keep_pairs(leapfrog_levels(op)), ALL_SIDES
-        )
+        self.trace = trace_of_levels(grid, keep(leapfrog_levels(op)), ALL_SIDES)
 
     def multiplier(self, obs: BoundaryTrace) -> Iterator[PaddedLevel]:
         """lam^nt, ..., lam^0: leapfrog_levels of the adjoint that this
-        solve's residual on obs's sides drives.  The solution hands its
-        trace over (trace is None afterwards) and no name keeps the
-        residual, so the stream holds the adjoint's boundary data alone."""
-        residual = extract_trace(self, obs.sides) - obs
-        self.trace = None
-        return leapfrog_levels(self.op.adjoint(residual))
+        solve's residual on obs's sides drives; no name keeps the residual."""
+        return leapfrog_levels(self.op.adjoint(extract_trace(self, obs.sides) - obs))
 
     def levels_backward(self) -> Iterator[PaddedLevel]:
-        """Levels nt, nt-1, ..., 0, one at a time, as PaddedLevels.  As from
-        leapfrog_levels, a yielded level stays valid until two more have
-        been yielded: a block is rebuilt only after its successor's pair,
-        which is never overwritten, has been yielded."""
-        b, nt = self.block, self.grid.nt
-        # the operator's three levels, idle once the pass is done, and b-5 more
-        rebuilt = self.op.levels + [PaddedLevel(self.grid) for _ in range(b - 5)]
-        for k in range(len(self.pairs) - 1, -1, -1):
-            pair = self.pairs[k]
-            # levels kb+2 .. min(kb+b, nt+1)-1; none when the pair is the whole
-            # block, and a last block of one level has a one-level pair; the
-            # pass checked them, and a replay is bitwise that pass
-            steps = rebuilt[:min(max(nt - 1 - k * b, 0), b - 2)]
-            for _ in _advance(self.op, pair[0], pair[-1], k * b + 1, steps, b):
-                pass
-            yield from reversed(pair + steps)
+        """Levels nt, nt-1, ..., 0, each valid until two more are yielded, as
+        from leapfrog_levels: those not kept are stepped back BURST at a time
+        into a ring of BURST + 2 buffers (three the operator's), never into
+        the two yielded last, and checked finite where n % _block(nt) < 2."""
+        grid, op, b = self.grid, self.op, _block(self.grid.nt)
+        ring = op.levels + [PaddedLevel(grid) for _ in range(BURST - 1)]
+        divisor = op.open_prev(PaddedLevel(grid).rows)
+        edge = PaddedLevel.boundary_rows(grid, ALL_SIDES)
+        burst, cur, later = [], None, None  # the levels to yield; levels n+1, n+2
+        for n in range(grid.nt, -1, -1):
+            level = self.kept.get(n)
+            if level is None:
+                level = ring[n % len(ring)]
+                op.retreat(cur, later, n + 1, level, divisor, edge, self.trace.values[n])
+                if n % b < 2 and not _finite(op, level):
+                    raise StabilityError(f"non-finite field values at level {n}, stepping back")
+            burst.append(level)
+            cur, later = level, cur
+            if len(burst) == BURST or n == 0:
+                yield from burst
+                burst = []
 
 
 def forward_operator(
@@ -670,8 +674,8 @@ def solve_forward(
     src: SourceSpec,
     bc: BcConfig,
 ) -> ForwardSolution:
-    """Solve the forward problem, keeping its boundary trace and the
-    checkpoints from which its levels are replayed backward in time."""
+    """Solve the forward problem, keeping its boundary trace and the levels
+    from which it steps back in time."""
     return ForwardSolution(forward_operator(grid, eps, sigma, src, bc))
 
 

@@ -24,12 +24,11 @@ difference, so gradient_sweep keeps the two sums A = sum E^{n+1} dlam and
 B = sum E^n dlam and forms the difference A - B and the sum A + B once at
 the end: five passes over a level per half-step, not seven.  The state
 arrives on the same reversed-level stream, E^nt..E^0: a ForwardSolution
-replays it from its checkpoints, so no snapshot stack is stored either.
-gradient_sweep holds these sums.  Its callers, the optimizer and grad-check,
-hand it E.multiplier(obs), the adjoint stream that E's residual drives and
-to which E hands its trace over, so they hold no residual.  The
-coefficients of the regularization term are read from E.op as well, so
-the state, the multiplier and the gradient share one linearization point.
+steps it back from its last levels, so no snapshot stack is stored either.
+The callers, the optimizer and grad-check, pass E.multiplier(obs), the
+adjoint that E's residual drives, and hold no residual.  The regularization
+term's coefficients are read from E.op as well, so the state, the
+multiplier and the gradient share one linearization point.
 
 The oracle differentiates the Tikhonov value by central differences in a
 single nodal coefficient value, normalized by the node's area quadrature

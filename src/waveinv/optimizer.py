@@ -3,8 +3,7 @@
 One iteration is one projected conjugate-gradient step on (eps, sigma).
 The trial coefficients v + alpha d, each projected back onto the
 admissible box with FRAME nodes pinned, are solved forward, keeping the
-simulated boundary trace and checkpoints rather than a snapshot stack.
-The step sizes
+boundary trace and two levels rather than a snapshot stack.  The step sizes
 
     alpha = -(g, d) / (gamma (d, d))
 
@@ -14,14 +13,13 @@ increases it, the search restarts once along steepest descent; when that
 fails too, no step is taken and the loop stops at the last accepted
 iterate (line_search_failed).  One function turns the accepted trial into
 the next CgState: the Tikhonov functional and the data errors of its
-trace, the gradients summed during the backward adjoint sweep (the
-checkpoints replay the state backward), the Fletcher-Reeves directions
-(restarted when a ratio exceeds beta_max), the next clamped steps and the
-size of the update.  That function reads eps and sigma
-from the solve's operator and F from the solve's trace, then sweeps the
-solve's own multiplier, to which the solve hands its trace over, so the
-sweep holds two traces, the observations and the adjoint's boundary data;
-no iterate keeps a trace, and no gradient is formed at coefficients or
+trace, the gradients summed during the backward adjoint sweep (the state
+steps back beside it), the Fletcher-Reeves directions (restarted when a
+ratio exceeds beta_max), the next clamped steps and the size of the
+update.  It reads eps and sigma from the solve's operator and F from its
+trace, then sweeps its own multiplier, so the sweep holds three traces,
+the observations, the adjoint's data and the solve's perimeter record; no
+iterate keeps a trace, and no gradient is formed at coefficients or
 boundary conditions other than the solve's.  The regularization weights
 decay as gamma^m = gamma^0 / (m+1)^p.  run_cga and run_acga each stop at
 the first of their tolerances, in a fixed order, that a value falls below.
@@ -214,7 +212,7 @@ def _iterate(
     sim = extract_trace(E, obs.sides)
     F = tikhonov(sim, obs, eps, sigma, problem.reg, gamma_eps, gamma_sigma)
     e_E_l2, e_E_sup = _or_nan(data_errors, sim, obs)
-    del sim  # E.multiplier hands the trace over: the sweep holds obs and the adjoint's data
+    del sim  # a copy where obs has fewer sides: the sweep holds obs, E.trace, the adjoint's data
     g_eps, g_sigma, lambda_norm = gradient_sweep(
         E, E.multiplier(obs), problem.reg, gamma_eps, gamma_sigma, problem.mask,
     )
@@ -306,7 +304,6 @@ def cg_step(
             eps_new = _trial(problem, state.eps, a_eps, start.d_eps)
             sigma_new = _trial(problem, state.sigma, a_sigma, start.d_sigma)
             E_new = solve_forward(problem.grid, eps_new, sigma_new, problem.src, problem.bc)
-            # no local keeps the trial's trace: _iterate hands it to E_new's multiplier
             F_trial = tikhonov(
                 extract_trace(E_new, problem.obs.sides), problem.obs, eps_new, sigma_new,
                 problem.reg, state.gamma_eps, state.gamma_sigma,

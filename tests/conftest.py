@@ -106,12 +106,27 @@ def zero_trace(grid, sides=ALL_SIDES):
 
 def stored_state(grid, eps, sigma, src, bc):
     """The forward levels stacked in time order: the stored reference for
-    what a ForwardSolution replays from its checkpoints.  Each level is
+    what a ForwardSolution steps back to.  Each level is
     copied, because the time loop reuses its level buffers."""
     snaps = np.empty((grid.nt + 1, *grid.node_shape))
     for n, level in enumerate(leapfrog_levels(forward_operator(grid, eps, sigma, src, bc))):
         snaps[n] = level.nodes
     return snaps
+
+
+def assert_steps_back_to(sol, E):
+    """Check sol.levels_backward() against the stored stack E and return it
+    stacked in time order: the levels that sol keeps (the last two among
+    them) and every perimeter node bitwise, the interior nodes, stepped
+    back, to 1e-12 of max|E|."""
+    back = np.stack([level.nodes.copy() for level in sol.levels_backward()])[::-1]
+    assert back.shape == E.shape and {E.shape[0] - 1, max(E.shape[0] - 2, 0)} <= set(sol.kept)
+    for n in sol.kept:
+        assert np.array_equal(back[n], E[n]), n
+    for edge in (np.s_[:, 0, :], np.s_[:, -1, :], np.s_[:, :, 0], np.s_[:, :, -1]):
+        assert np.array_equal(back[edge], E[edge])
+    assert np.abs(back - E).max() <= 1e-12 * np.abs(E).max()
+    return back
 
 
 def stored_adjoint(op, residual):

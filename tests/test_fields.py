@@ -213,17 +213,19 @@ class TestExtractTrace:
         with pytest.raises(ValueError):
             extract_trace(sol, ())
 
-    def test_multiplier_drops_the_trace_of_the_solution(self):
+    def test_multiplier_keeps_the_trace_of_the_solution(self):
+        # the trace is the perimeter record from which the solution steps
+        # back, so the sweep holds it beside obs and the adjoint's data
         g = build_grid(12, 12, T=0.5)
         eps = constant_coefficient(g, 2.0, Role.EPSILON)
         sig = constant_coefficient(g, 1.0, Role.SIGMA)
         for sides in (ALL_SIDES, (Side.LEFT,)):
             sol = solve_forward(g, eps, sig, SourceSpec(), BcConfig())
             obs = smooth_random_trace(g, np.random.default_rng(5), sides)
-            # the stream built by hand, from the trace that the solution still holds
+            trace = sol.trace
             by_hand = stored_adjoint(sol.op, extract_trace(sol, sides) - obs)
             lam_backward = sol.multiplier(obs)
-            assert sol.trace is None
+            assert sol.trace is trace and trace.sides == ALL_SIDES
             streamed = np.stack([lam.nodes.copy() for lam in lam_backward][::-1])
             assert streamed.any() and np.array_equal(streamed, by_hand)
 

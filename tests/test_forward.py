@@ -8,6 +8,7 @@ from waveinv import (
     ALL_SIDES,
     BcConfig,
     BcKind,
+    BoundaryTrace,
     Role,
     Side,
     SourceSpec,
@@ -18,13 +19,14 @@ from waveinv import (
     gaussian_coefficient,
     solve_forward,
 )
+import waveinv.forward
 from waveinv.forward import (
-    Leapfrog, PaddedLevel, _block, _nodal, build_forward_programs, forward_operator,
-    forward_trace, leapfrog_levels,
+    Leapfrog, PaddedLevel, _anchor_spacing, _block, _nodal, build_forward_programs,
+    forward_operator, forward_trace, leapfrog_levels,
 )
 from conftest import (
-    CHECKPOINT_NT, all_neumann_bc, discrete_energy, smooth_random_coefficient, smooth_random_trace,
-    stack_trace, stored_state, truth_pair,
+    CHECKPOINT_NT, all_neumann_bc, assert_steps_back_to, discrete_energy, smooth_random_coefficient,
+    smooth_random_trace, stack_trace, stored_state, truth_pair,
 )
 
 
@@ -417,21 +419,75 @@ def test_forward_levels_match_unfused_scheme(name):
 @pytest.mark.parametrize("nt", [None, *CHECKPOINT_NT],
                          ids=lambda nt: "default" if nt is None else f"nt{nt}")
 def test_solve_forward_replays_the_streamed_levels_backward(nt):
-    # forcing and start-up data reach the replayed blocks only through their
-    # pairs; the short time axes split into blocks in every way
+    # forcing and start-up data reach the levels stepped back through the
+    # forcing and the last two levels; the short time axes end a burst of
+    # reverse steps in every way; the kept levels and the perimeter are
+    # bitwise the pass, the interior to 1e-12 of max|E|
     for name in KERNEL_CASES:
         g, eps, sig, src, bc = kernel_case(name, nt)
         op = forward_operator(g, eps, sig, src, bc)
         streamed = np.stack([lv.nodes.copy() for lv in leapfrog_levels(op)])
         sol = solve_forward(g, eps, sig, src, bc)
-        replayed = np.stack([lv.nodes.copy() for lv in sol.levels_backward()])
-        assert np.array_equal(replayed, streamed[::-1]), name
+        assert_steps_back_to(sol, streamed)
         assert np.array_equal(sol.trace.data[Side.LEFT], streamed[:, 0, :]), name
+
+
+def worst_level_error_stepping_back(sol, every=8):
+    """The largest error of sol.levels_backward() on every level-th level
+    (a stored stack at 100², T = 6 would be 139 MB), relative to max|E|."""
+    ref, top = {}, 0.0
+    for n, level in enumerate(leapfrog_levels(sol.op)):
+        top = max(top, np.abs(level.nodes).max())
+        if n % every == 0:
+            ref[n] = level.nodes.copy()
+    return max(np.abs(level.nodes - ref[n]).max()
+               for n, level in zip(range(sol.grid.nt, -1, -1), sol.levels_backward())
+               if n in ref) / top
+
+
+def test_re_anchor_pairs_bound_the_error_stepping_back(monkeypatch):
+    # sigma = 10, eps = 1, the admissible box's worst corner: a reverse step
+    # grows an error by about exp(sigma dt/eps), exp(60) over T = 6, which
+    # with no pair below the last two levels reads 6.8e+2 of max|E|
+    g = build_grid(100, 100, T=6.0)
+    eps, sig = homogeneous(g, 1.0, 10.0)
+    sol = solve_forward(g, eps, sig, SourceSpec(), BcConfig())
+    spacing = _anchor_spacing(sol.op)
+    assert 2 < spacing < g.nt and len(sol.kept) == 2 + 2 * (g.nt // spacing)
+    assert worst_level_error_stepping_back(sol) <= 1e-11
+    monkeypatch.setattr(waveinv.forward, "ANCHOR_GROWTH", 1e300)
+    sol = solve_forward(g, eps, sig, SourceSpec(), BcConfig())
+    assert len(sol.kept) == 2 and worst_level_error_stepping_back(sol) > 1.0
+
+
+def test_a_damping_that_reverses_the_step_keeps_every_level():
+    # sigma dt >= 2 eps makes a_minus <= 0: the step cannot be solved for its
+    # oldest level, and every level is kept
+    g = build_grid(12, 12, T=0.3)
+    eps, sig = homogeneous(g, 1.0, 2.0 / g.dt)
+    sol = solve_forward(g, eps, sig, SourceSpec(), BcConfig())
+    assert _anchor_spacing(sol.op) == 1 and sorted(sol.kept) == list(range(g.nt + 1))
+    assert_steps_back_to(sol, stored_state(g, eps, sig, SourceSpec(), BcConfig()))
+
+
+def test_a_non_finite_level_stepped_back_is_reported(small_grid):
+    # the reverse stream checks the levels n % _block(nt) < 2 as the pass does
+    g = small_grid
+    eps, sig = homogeneous(g, 1.0, 1.0)
+    sol = solve_forward(g, eps, sig, SourceSpec(), BcConfig())
+    n = _block(g.nt)
+    values = sol.trace.values.copy()
+    values[n, 3] = np.inf  # a perimeter node of level n
+    sol.trace = BoundaryTrace(grid=g, sides=sol.trace.sides, values=values)
+    with pytest.raises(StabilityError, match=f"non-finite field values at level {n}, stepping"):
+        for _ in sol.levels_backward():
+            pass
 
 
 def test_two_most_recent_levels_survive_the_next_pull():
     g, eps, sig, src, bc = kernel_case("default")
-    # the forward loop's three buffers, and the replay's pairs and rebuilt block
+    # the forward loop's three buffers, and the kept levels and the ring of
+    # reverse steps
     for stream in (leapfrog_levels(forward_operator(g, eps, sig, src, bc)),
                    solve_forward(g, eps, sig, src, bc).levels_backward()):
         held = []
@@ -490,7 +546,9 @@ def test_step_after_a_pass_closes_the_sides_of_its_own_level(direction):
 
 @pytest.mark.parametrize("offset", [0, 1, "mid"], ids=["block_first", "block_second", "mid_block"])
 def test_replay_across_the_switch_is_bitwise_the_pass(offset):
-    # the source side first absorbs at level k b + offset of a block of b levels
+    # the source side first absorbs at level k b + offset of a block of b
+    # levels; the reverse step reads no absorbing pattern, and its perimeter
+    # and the kept levels are bitwise the pass
     g = build_grid(16, 16, T=0.8)
     b = _block(g.nt)
     first = 2 * b + (b // 2 if offset == "mid" else offset)
@@ -500,9 +558,7 @@ def test_replay_across_the_switch_is_bitwise_the_pass(offset):
     eps, sig = truth_pair(g)
     op = forward_operator(g, eps, sig, src, bc)
     streamed = np.stack([lv.nodes.copy() for lv in leapfrog_levels(op)])
-    sol = solve_forward(g, eps, sig, src, bc)
-    replayed = np.stack([lv.nodes.copy() for lv in sol.levels_backward()])
-    assert np.array_equal(replayed, streamed[::-1])
+    assert_steps_back_to(solve_forward(g, eps, sig, src, bc), streamed)
 
 
 def test_building_a_leapfrog_allocates_no_level_beyond_its_own():
@@ -567,15 +623,14 @@ def test_a_solve_operator_streams_the_solve_from_its_own_start_data():
     # over it is the solve itself, here with nonzero start data
     g, eps, sig, src, bc = kernel_case("forcing_arrays")
     sol = solve_forward(g, eps, sig, src, bc)
-    replayed = np.stack([lv.nodes.copy() for lv in sol.levels_backward()])[::-1]
-    assert np.abs(replayed[0]).max() > 0.0 and np.abs(replayed[1] - replayed[0]).max() > 0.0
     streamed = np.stack([lv.nodes.copy() for lv in leapfrog_levels(sol.op)])
-    assert np.array_equal(streamed, replayed)
+    back = assert_steps_back_to(sol, streamed)
+    assert np.abs(back[0]).max() > 0.0 and np.abs(back[1] - back[0]).max() > 0.0
 
 
 def test_a_forward_solve_gathers_its_trace_once():
     # the trace is gathered into its one (nt+1, P) array and held as it is:
-    # beyond what the operator owns (as above) and the checkpoint pairs, a
+    # beyond what the operator owns (as above) and the kept levels, a
     # solve holds one trace and a perimeter-sized slack of 32 tables of one
     # 8-byte entry per perimeter node (103 KB at 100², under one level),
     # which covers the operator's index tables and the step's temporaries
@@ -600,8 +655,8 @@ def test_a_forward_solve_gathers_its_trace_once():
     trace, peak = traced_peak(lambda: forward_trace(g, eps, sig, src, bc, ALL_SIDES))
     assert peak <= owned + trace_bytes + slack
     sol, peak = traced_peak(lambda: solve_forward(g, eps, sig, src, bc))
-    pairs = sum(len(pair) for pair in sol.pairs) * level_bytes
-    assert peak <= owned + pairs + trace_bytes + slack
+    assert len(sol.kept) == 2  # the last two levels: at the truth no re-anchor pair
+    assert peak <= owned + len(sol.kept) * level_bytes + trace_bytes + slack
     for tr in (trace, sol.trace):
         assert tr.values.nbytes == trace_bytes
         assert all(np.shares_memory(tr.data[side], tr.values) for side in ALL_SIDES)
@@ -623,7 +678,7 @@ def test_every_level_run_starts_on_a_cache_line(nx, ny):
     assert all(on_cache_line(run) for run in (op._c_lap, op._c_cur, op._c_prev, op._scratch))
     assert all(on_cache_line(level.rows) for level in leapfrog_levels(op))
     sol = solve_forward(g, eps, sig, src, bc)
-    assert all(on_cache_line(level.rows) for pair in sol.pairs for level in pair)
+    assert all(on_cache_line(level.rows) for level in sol.kept.values())
     assert all(on_cache_line(level.rows) for level in sol.levels_backward())
     residual = smooth_random_trace(g, np.random.default_rng(5))
     assert all(on_cache_line(level.rows) for level in leapfrog_levels(op.adjoint(residual)))

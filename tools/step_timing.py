@@ -22,11 +22,12 @@ operator that a solve builds first:
     build     the forward operator alone, forward_operator, which every
               solve builds once; its cost spread over the solve's levels
     forward   a forward solve, solve_forward, its build included
-    replay    its levels replayed backward, ForwardSolution.levels_backward
+    backward  the state stepped backward in time, from the solve's last two
+              levels and trace, ForwardSolution.levels_backward
     adjoint   the adjoint stream, leapfrog_levels of the adjoint operator
     sweep     the whole gradient sweep, gradient_sweep, which pulls the
-              replay and the adjoint stream itself
-    sums      sweep - replay - adjoint, taken within each round: the cost of
+              state backward and the adjoint stream itself
+    sums      sweep - backward - adjoint, taken within each round: the cost of
               the gradient sums alone
 
 The writer table times the bulk writers per value written (the best of 3
@@ -68,7 +69,7 @@ STEPS = 20  # advances per timed loop
 REPEAT = 5  # loops per step timing, the best kept
 LAYER_REPEAT = 3  # runs per layer timing, the best kept
 DIRECTIONS = ("forward", "adjoint")
-LAYERS = ("build", "forward", "replay", "adjoint", "sweep")
+LAYERS = ("build", "forward", "backward", "adjoint", "sweep")
 WRITERS = ("trace", "field", "vtk")
 MIN_ROUNDS = 10  # rounds below which every row reads unresolved
 
@@ -128,7 +129,7 @@ def layers(wi, n: int) -> tuple[dict, int]:
     return {
         "build": lambda: forward.forward_operator(grid, eps, sigma, src, bc),
         "forward": lambda: wi.solve_forward(grid, eps, sigma, src, bc),
-        "replay": lambda: drain(sol.levels_backward()),
+        "backward": lambda: drain(sol.levels_backward()),
         "adjoint": lambda: drain(stream(sol.op.adjoint(residual))),
         "sweep": lambda: wi.gradient_sweep(
             sol, stream(sol.op.adjoint(residual)), reg, 0.0, 0.0, mask),
@@ -225,9 +226,9 @@ def main(argv: list[str]) -> int:
                         run, levels = runs[label, n]
                         per_level[n, name][label].append(best_run(run[name], levels))
                 for label in trees:
-                    sweep, replay, adjoint = (per_level[n, name][label][-1]
-                                              for name in ("sweep", "replay", "adjoint"))
-                    per_level[n, "sums"][label].append(sweep - replay - adjoint)
+                    sweep, backward, adjoint = (per_level[n, name][label][-1]
+                                                for name in ("sweep", "backward", "adjoint"))
+                    per_level[n, "sums"][label].append(sweep - backward - adjoint)
                 for name in WRITERS:
                     for label in order:
                         write, values = files[label, n][name]
