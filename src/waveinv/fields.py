@@ -190,6 +190,20 @@ def project(field: CoefficientField, adm: AdmissibleSet, mask: RegionMask) -> Co
     return field.with_values(values)
 
 
+def trace_columns(trace: BoundaryTrace, sides: Iterable[Side]) -> slice | np.ndarray:
+    """The columns of trace that hold the sides, in their perimeter layout:
+    every column (a slice, so that indexing by it is a view) where the sides
+    are trace's own, else their indices.  A side that trace does not hold
+    raises ValueError."""
+    sides = set(map(Side, sides))
+    if not sides <= set(trace.sides):
+        raise ValueError(f"trace sides {trace.sides} do not hold {sorted(sides)}")
+    if sides == set(trace.sides):
+        return np.s_[:]
+    kept = np.repeat([s in sides for s in trace.sides], [v.shape[1] for v in trace.data.values()])
+    return np.flatnonzero(kept)
+
+
 def extract_trace(sol, sides: Iterable[Side]) -> BoundaryTrace:
     """Restrict a forward solve to the boundary nodes of the declared sides:
     the all-sides trace of sol, a forward.ForwardSolution, itself, or a copy
@@ -199,8 +213,8 @@ def extract_trace(sol, sides: Iterable[Side]) -> BoundaryTrace:
     trace = sol.trace
     if sides == trace.sides:
         return trace
-    kept = np.repeat([s in sides for s in trace.sides], [v.shape[1] for v in trace.data.values()])
-    return BoundaryTrace(grid=trace.grid, sides=sides, values=trace.values[:, kept])
+    return BoundaryTrace(grid=trace.grid, sides=sides,
+                         values=trace.values[:, trace_columns(trace, sides)])
 
 
 def add_noise(

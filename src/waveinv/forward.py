@@ -50,7 +50,8 @@ steps E^nt..E^0 back through the update solved for its oldest level, the
 perimeter from the trace (the boundary saving of reverse-time migration:
 Symes 2007; re-anchored in damped media, Yang et al. 2016), with no
 snapshot stack; multiplier(obs) streams lam^nt..lam^0, the adjoint that
-the solve's own residual drives.
+the solve's own residual drives, formed from its trace and obs a window of
+levels at a time (ResidualWindow).
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .grid import ALL_SIDES, Grid2D, Side, perimeter_nodes, perimeter_offsets
-from .fields import BoundaryTrace, CoefficientField, extract_trace
+from .fields import BoundaryTrace, CoefficientField, trace_columns
 
 
 class StabilityError(RuntimeError):
@@ -153,11 +154,52 @@ class SideProgram:
     absorbing[n] switches the outflow ghost term on at level n;
     series[n] is the Neumann ghost term 2 h g(t_n) at level n, the flux
     data g already scaled, a value per side node in node order or one value
-    for the whole side (None means zero flux).
+    for the whole side (None means zero flux).  Where window is set, a
+    series is a view of its columns and holds level n at row window.row(n).
     """
 
     absorbing: np.ndarray
     series: np.ndarray | None
+    window: ResidualWindow | None = None
+
+
+WINDOW = 64  # adjoint levels whose boundary data are formed at once
+
+
+class ResidualWindow:
+    """The adjoint's observed-side ghost terms 2 h g, g = -(trace - obs)(T - s),
+    WINDOW adjoint levels s at a time: row s - start of values is
+    -2h (trace[nt - s] - obs[nt - s]) on obs's columns of trace, or
+    -2h trace[nt - s] where obs is None.  These are the element operations
+    of the whole residual reversed and scaled, so the multiplier is bitwise
+    the same, while only min(WINDOW, nt + 1) rows are held.  It keeps trace
+    and obs, never an operator, so no operator is kept alive by a cycle."""
+
+    def __init__(self, trace: BoundaryTrace, obs: BoundaryTrace | None) -> None:
+        grid, sides = trace.grid, trace.sides if obs is None else obs.sides
+        self._trace, self._cols = trace.values, trace_columns(trace, sides)
+        self._obs = None if obs is None else obs.values
+        self._nt, self._scale = grid.nt, -2.0 * grid.h
+        self.start = self.stop = 0
+        start = perimeter_offsets(grid, sides)
+        self.values = np.empty((min(WINDOW, grid.nt + 1), start[-1]))
+        # each side's series, the view of its columns
+        self.series = {side: self.values[:, a:b] for side, a, b in zip(sides, start, start[1:])}
+
+    def row(self, s: int) -> int:
+        """The row of values that holds adjoint level s, formed if it is
+        not in the window."""
+        if not self.start <= s < self.stop:
+            start = s - s % WINDOW
+            hi = self._nt + 1 - start  # forward levels hi - 1 down to lo
+            lo = max(hi - WINDOW, 0)
+            out = self.values[:hi - lo]
+            out[...] = self._trace[lo:hi, self._cols][::-1]
+            if self._obs is not None:
+                out -= self._obs[lo:hi][::-1]
+            out *= self._scale
+            self.start, self.stop = start, start + hi - lo
+        return s - self.start
 
 
 def _side_axis_values(grid: Grid2D, side: Side, fn: Callable, t: float) -> np.ndarray:
@@ -355,6 +397,7 @@ class Leapfrog:
         self._a_plus = None if forcing is None else a_plus
         self.levels = [PaddedLevel(grid) for _ in range(3)]
         self._series = [programs[side].series for side in ALL_SIDES]
+        self._window = next((p.window for p in programs.values() if p.window is not None), None)
 
         # the perimeter nodes' indices in rows, each node once; the position
         # among them of each node of the perimeter layout; and c_cur, c_prev
@@ -396,11 +439,12 @@ class Leapfrog:
         """Fill the ghosts of level n (cur) side by side with their mirrors
         plus the side's Neumann term, and write the sum of every node's four
         neighbours into the run out (its ghost columns get junk)."""
+        k = n if self._window is None else self._window.row(n)
         for (ghost, mirror), series in zip(cur.ghosts, self._series):
             if series is None:
                 ghost[...] = mirror
             else:
-                np.add(mirror, series[n], out=ghost)
+                np.add(mirror, series[k], out=ghost)
         up, down, right, left = cur.neighbours
         np.add(up, down, out=out)
         out += right
@@ -473,10 +517,12 @@ class Leapfrog:
         out += 1.0
         return out
 
-    def adjoint(self, residual: BoundaryTrace) -> "Leapfrog":
+    def adjoint(self, trace: BoundaryTrace, obs: BoundaryTrace | None = None) -> "Leapfrog":
         """The adjoint operator of this forward operator, driven by the
-        boundary residual sim - obs: leapfrog_levels of it yields the
-        multiplier lam^nt (the zero terminal state) first and lam^0 last.
+        boundary residual trace - obs on obs's sides (trace may hold more
+        sides), or by trace itself where obs is None: leapfrog_levels of it
+        yields the multiplier lam^nt (the zero terminal state) first and
+        lam^0 last.
 
         After substituting s = T - t the adjoint equation
             eps * lam_tt - sigma * lam_t - lap(lam) = 0,   lam(T) = lam_t(T) = 0
@@ -507,16 +553,18 @@ class Leapfrog:
         also where start data, forcing at n = 0 or Neumann data at t = 0
         make E^1 != 0 (gradient.py).
 
-        The residual is copied once, reversed and scaled into the ghost term
-        2 h g, g = -residual(T - s), and each observed side's series is the
-        view of its own columns of that array; the absorbing flags are
-        reversed views.  So a caller that drops its residual sweeps with that
-        one copy of the boundary data alone."""
+        No residual trace is formed: the ghost term 2 h g, g = -(trace -
+        obs)(T - s), is formed WINDOW levels at a time into one
+        ResidualWindow, each observed side's series is the view of its own
+        columns of it, and the absorbing flags are reversed views.  So the
+        sweep holds trace and obs, which its caller holds anyway, and one
+        window of boundary data."""
         grid = self.grid
-        if residual.grid.nt != grid.nt or residual.grid.node_shape != grid.node_shape:
-            raise ValueError("residual trace does not match the grid")
-        g = residual.map(lambda v: v[::-1] * (-2.0 * grid.h)).data
-        programs = {side: SideProgram(p.absorbing[::-1], g.get(side))
+        for t in (trace,) if obs is None else (trace, obs):
+            if t.grid.nt != grid.nt or t.grid.node_shape != grid.node_shape:
+                raise ValueError("residual trace does not match the grid")
+        window = ResidualWindow(trace, obs)
+        programs = {side: SideProgram(p.absorbing[::-1], window.series.get(side), window)
                     for side, p in self.programs.items()}
         return Leapfrog(grid, self.eps, self.sigma, programs, lag=1)
 
@@ -628,8 +676,9 @@ class ForwardSolution:
 
     def multiplier(self, obs: BoundaryTrace) -> Iterator[PaddedLevel]:
         """lam^nt, ..., lam^0: leapfrog_levels of the adjoint that this
-        solve's residual on obs's sides drives; no name keeps the residual."""
-        return leapfrog_levels(self.op.adjoint(extract_trace(self, obs.sides) - obs))
+        solve's residual on obs's sides drives, read from its trace and obs
+        a window at a time; no residual trace is formed."""
+        return leapfrog_levels(self.op.adjoint(self.trace, obs))
 
     def levels_backward(self) -> Iterator[PaddedLevel]:
         """Levels nt, nt-1, ..., 0, each valid until two more are yielded, as

@@ -9,11 +9,13 @@ these reproduce constants exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .fields import BoundaryTrace, CoefficientField
+from .fields import BoundaryTrace, CoefficientField, trace_columns
 from .forward import BcConfig, SourceSpec, forward_operator
 from .grid import Grid2D, area_weights, perimeter_nodes, perimeter_weights, time_weights
 
@@ -59,6 +61,64 @@ class RegularizationParams:
         return self.gamma_eps0 / decay, self.gamma_sigma0 / decay
 
 
+BLOCK = 64  # trace rows summed at once: no residual of a whole trace is formed
+
+
+class Misfit(NamedTuple):
+    """The sums of one blocked pass over (sim, obs): the quadratures of
+    r^2, r = sim - obs, and of sim^2, and max|r| and max|sim|, each on
+    obs's sides; NaN where the pass did not form them."""
+
+    r_sq: float
+    r_sup: float = math.nan
+    sim_sq: float = math.nan
+    sim_sup: float = math.nan
+
+    def relative(self) -> tuple[float, float]:
+        """Relative L2 and supremum misfit of the simulated trace; a zero
+        simulated trace raises ValueError."""
+        if self.sim_sq == 0.0 or self.sim_sup == 0.0:
+            raise ValueError("simulated trace is zero; relative data error undefined")
+        return math.sqrt(self.r_sq) / math.sqrt(self.sim_sq), self.r_sup / self.sim_sup
+
+
+def misfit(sim: BoundaryTrace, obs: BoundaryTrace, errors: bool = False) -> Misfit:
+    """The quadrature of (sim - obs)^2 over obs's sides, and with errors the
+    other sums of Misfit, in one pass over BLOCK time levels at a time; sim
+    may hold more sides than obs (a solve's all-sides trace), and a side of
+    obs that sim does not hold raises ValueError.  The sups are taken with
+    np.maximum, so a NaN in any block reaches them."""
+    if sim.grid.nt != obs.grid.nt or sim.grid.node_shape != obs.grid.node_shape:
+        raise ValueError("traces live on incompatible grids")
+    cols = trace_columns(sim, obs.sides)
+    wt, wp = time_weights(obs.grid), perimeter_weights(obs.grid, obs.sides)
+    sq, sup = np.zeros(2), np.zeros(2)  # of r and of sim
+    for a in range(0, len(wt), BLOCK):
+        w, s = wt[a:a + BLOCK], sim.values[a:a + BLOCK, cols]
+        r = s - obs.values[a:a + BLOCK]
+        sq[0] += w @ (r * r) @ wp
+        if errors:
+            sq[1] += w @ (s * s) @ wp
+            np.maximum(sup, (np.abs(r).max(), np.abs(s).max()), out=sup)
+    if not errors:
+        return Misfit(float(sq[0]))
+    return Misfit(float(sq[0]), float(sup[0]), float(sq[1]), float(sup[1]))
+
+
+def regularized(r_sq: float, eps: CoefficientField, sigma: CoefficientField,
+                reg: RegularizationParams, gamma_eps: float, gamma_sigma: float) -> float:
+    """The Tikhonov value at a misfit quadrature r_sq: 0.5 r_sq plus the
+    weighted squared deviations from the priors."""
+    grid = eps.grid
+    pen_eps = 0.5 * gamma_eps * field_dot(
+        eps.values - reg.eps_prior.values, eps.values - reg.eps_prior.values, grid
+    )
+    pen_sigma = 0.5 * gamma_sigma * field_dot(
+        sigma.values - reg.sigma_prior.values, sigma.values - reg.sigma_prior.values, grid
+    )
+    return 0.5 * r_sq + pen_eps + pen_sigma
+
+
 def tikhonov(
     sim: BoundaryTrace,
     obs: BoundaryTrace,
@@ -69,17 +129,9 @@ def tikhonov(
     gamma_sigma: float,
 ) -> float:
     """0.5 |sim - obs|^2 over the observed space-time boundary plus the
-    weighted squared deviations from the priors."""
-    sim.check_compatible(obs)
-    misfit = 0.5 * trace_norm_sq(sim - obs)
-    grid = eps.grid
-    pen_eps = 0.5 * gamma_eps * field_dot(
-        eps.values - reg.eps_prior.values, eps.values - reg.eps_prior.values, grid
-    )
-    pen_sigma = 0.5 * gamma_sigma * field_dot(
-        sigma.values - reg.sigma_prior.values, sigma.values - reg.sigma_prior.values, grid
-    )
-    return misfit + pen_eps + pen_sigma
+    weighted squared deviations from the priors; sim is read on obs's
+    sides, as in misfit."""
+    return regularized(misfit(sim, obs).r_sq, eps, sigma, reg, gamma_eps, gamma_sigma)
 
 
 def forward_defect(
@@ -158,12 +210,6 @@ def relative_errors(approx: CoefficientField, exact: CoefficientField) -> tuple[
 
 
 def data_errors(sim: BoundaryTrace, obs: BoundaryTrace) -> tuple[float, float]:
-    """Relative L2 and supremum misfit of a simulated trace."""
-    residual = sim - obs
-    num_l2 = float(np.sqrt(trace_norm_sq(residual)))
-    num_sup = residual.max_abs()
-    den_l2 = float(np.sqrt(trace_norm_sq(sim)))
-    den_sup = sim.max_abs()
-    if den_l2 == 0.0 or den_sup == 0.0:
-        raise ValueError("simulated trace is zero; relative data error undefined")
-    return num_l2 / den_l2, num_sup / den_sup
+    """Relative L2 and supremum misfit of a simulated trace, from one
+    blocked pass."""
+    return misfit(sim, obs, errors=True).relative()

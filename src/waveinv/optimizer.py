@@ -16,13 +16,15 @@ the next CgState: the Tikhonov functional and the data errors of its
 trace, the gradients summed during the backward adjoint sweep (the state
 steps back beside it), the Fletcher-Reeves directions (restarted when a
 ratio exceeds beta_max), the next clamped steps and the size of the
-update.  It reads eps and sigma from the solve's operator and F from its
-trace, then sweeps its own multiplier, so the sweep holds three traces,
-the observations, the adjoint's data and the solve's perimeter record; no
-iterate keeps a trace, and no gradient is formed at coefficients or
-boundary conditions other than the solve's.  The regularization weights
-decay as gamma^m = gamma^0 / (m+1)^p.  run_cga and run_acga each stop at
-the first of their tolerances, in a fixed order, that a value falls below.
+update.  It reads eps and sigma from the solve's operator, F and the data
+errors from one blocked pass over its trace and the observations, then
+sweeps its own multiplier, whose boundary data are formed from those two
+a window at a time, so the sweep holds two traces, the observations and
+the solve's perimeter record; no iterate keeps a trace, and no gradient
+is formed at coefficients or boundary conditions other than the solve's.
+The regularization weights decay as gamma^m = gamma^0 / (m+1)^p.  run_cga
+and run_acga each stop at the first of their tolerances, in a fixed order,
+that a value falls below.
 
 The adaptive driver repeats the loop over nested factor-2 grids, refining
 whenever the indicator |h (v - background)| (or |h v| in absolute mode)
@@ -42,7 +44,6 @@ from .fields import (
     AdmissibleSet,
     BoundaryTrace,
     CoefficientField,
-    extract_trace,
     project,
     transfer_to_refined,
 )
@@ -51,9 +52,10 @@ from .grid import Grid2D, RegionMask, refine, region_mask
 from .gradient import gradient_sweep
 from .objective import (
     RegularizationParams,
-    data_errors,
     field_dot,
     field_norm,
+    misfit,
+    regularized,
     relative_errors,
     tikhonov,
 )
@@ -209,10 +211,9 @@ def _iterate(
     beta_max), the clamped steps and the update from prev."""
     grid, obs, eps, sigma = problem.grid, problem.obs, E.op.eps, E.op.sigma
     gamma_eps, gamma_sigma = problem.reg.at_iteration(m)
-    sim = extract_trace(E, obs.sides)
-    F = tikhonov(sim, obs, eps, sigma, problem.reg, gamma_eps, gamma_sigma)
-    e_E_l2, e_E_sup = _or_nan(data_errors, sim, obs)
-    del sim  # a copy where obs has fewer sides: the sweep holds obs, E.trace, the adjoint's data
+    sums = misfit(E.trace, obs, errors=True)  # one pass for F and the data errors
+    F = regularized(sums.r_sq, eps, sigma, problem.reg, gamma_eps, gamma_sigma)
+    e_E_l2, e_E_sup = _or_nan(sums.relative)
     g_eps, g_sigma, lambda_norm = gradient_sweep(
         E, E.multiplier(obs), problem.reg, gamma_eps, gamma_sigma, problem.mask,
     )
@@ -304,10 +305,8 @@ def cg_step(
             eps_new = _trial(problem, state.eps, a_eps, start.d_eps)
             sigma_new = _trial(problem, state.sigma, a_sigma, start.d_sigma)
             E_new = solve_forward(problem.grid, eps_new, sigma_new, problem.src, problem.bc)
-            F_trial = tikhonov(
-                extract_trace(E_new, problem.obs.sides), problem.obs, eps_new, sigma_new,
-                problem.reg, state.gamma_eps, state.gamma_sigma,
-            )
+            F_trial = tikhonov(E_new.trace, problem.obs, eps_new, sigma_new,
+                               problem.reg, state.gamma_eps, state.gamma_sigma)
             if F_trial <= state.F:
                 return _iterate(problem, state.m + 1, E_new, prev=start, backtracks=rejected)
             del E_new  # drop the rejected trial before the next solve

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,6 +41,14 @@ INCLUSION_CENTER = (0.5, 0.7)
 # one level (nt = 12), of two (nt = 9, nt = 16 = 4^2) and of three levels
 # (nt = 10, nt = 17 = 4^2 + 1)
 CHECKPOINT_NT = (1, 2, 8, 9, 10, 12, 15, 16, 17)
+
+
+def grid_of_levels(levels, n=16):
+    """An n x n grid on the unit square whose time axis has exactly levels
+    levels, nt + 1: T is half a CFL step short of levels - 1 steps."""
+    g = build_grid(n, n, T=(levels - 1.5) * 0.5 / (n * math.sqrt(2.0)))
+    assert g.nt + 1 == levels
+    return g
 
 
 def truth_pair(grid):

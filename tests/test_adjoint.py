@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -18,12 +20,13 @@ from waveinv import (
     trace_norm_sq,
 )
 from waveinv.forward import (
-    BcKind, Leapfrog, PaddedLevel, SideProgram, forward_operator, leapfrog_levels,
+    WINDOW, BcKind, Leapfrog, PaddedLevel, SideProgram, forward_operator, leapfrog_levels,
 )
-from waveinv.grid import Side, area_weights
+from waveinv.grid import Side, area_weights, perimeter_offsets
 from conftest import (
     adjoint_energy,
     all_neumann_bc,
+    grid_of_levels,
     smooth_random_spacetime,
     smooth_random_trace,
     spacetime_dot,
@@ -198,9 +201,9 @@ class TestEnergyMonitor:
 
 
 def test_adjoint_copies_the_boundary_data_once(medium_grid):
-    # building the sweep copies the residual once: reversed in time and
-    # scaled by -2 h in one pass, it becomes the Neumann ghost term 2 h g,
-    # g = -residual(T - s), so no unscaled second copy is kept
+    # building the sweep copies no residual: its Neumann ghost term 2 h g,
+    # g = -residual(T - s), is formed into one window of levels, each level
+    # once, as the sweep reaches it, so no whole copy, scaled or not, is kept
     eps, sig = truth_pair(medium_grid)
     residual = smooth_random_trace(medium_grid, np.random.default_rng(4))
     trace_bytes = sum(a.nbytes for a in residual.data.values())
@@ -215,12 +218,13 @@ def test_adjoint_copies_the_boundary_data_once(medium_grid):
     assert sum(1 for _ in lam_backward) == medium_grid.nt + 1
 
 
-def test_adjoint_holds_one_residual_beyond_its_operator(medium_grid):
-    # what building the sweep allocates beyond the same operator with
-    # series-free programs is the residual's one copy, g (the programs'
-    # flags are views of the forward operator's); one warm sweep first, so
-    # that no lazy import of numpy is counted
+def test_adjoint_holds_one_window_beyond_its_operator(medium_grid):
+    # what a whole sweep allocates beyond the same operator with series-free
+    # programs is one window of the boundary data, WINDOW of its nt+1 levels
+    # (the programs' flags are views of the forward operator's); one warm
+    # sweep first, so that no lazy import of numpy is counted
     g = medium_grid
+    assert g.nt + 1 > WINDOW
     eps, sig = truth_pair(g)
     residual = smooth_random_trace(g, np.random.default_rng(4))
     op = forward_operator(g, eps, sig, SourceSpec(), BcConfig())
@@ -231,19 +235,70 @@ def test_adjoint_holds_one_residual_beyond_its_operator(medium_grid):
     def traced_peak(build):
         tracemalloc.start()
         try:
-            build()
+            for _ in leapfrog_levels(build()):
+                pass
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    sweep = traced_peak(lambda: leapfrog_levels(op.adjoint(residual)))
+    sweep = traced_peak(lambda: op.adjoint(residual))
     operator = traced_peak(lambda: Leapfrog(g, eps, sig, {
         side: SideProgram(p.absorbing.copy(), None) for side, p in programs.items()
-    }))
-    residual_bytes = sum(a.nbytes for a in residual.data.values())
+    }, lag=1))
+    window_bytes = WINDOW * residual.values.shape[1] * 8
     # one float time axis and one flag per side, per level
     time_and_flags = (g.nt + 1) * (8 + len(ALL_SIDES))
-    assert sweep - operator <= residual_bytes + time_and_flags
+    assert sweep - operator <= window_bytes + time_and_flags
+
+
+def whole_trace_adjoint(op, residual):
+    """The adjoint of op driven by a residual trace formed whole: the ghost
+    term -2h residual(T - s) of every level in one reversed, scaled copy,
+    each observed side's series a view of its columns."""
+    g = residual.grid
+    data = residual.values[::-1] * (-2.0 * g.h)
+    start = perimeter_offsets(g, residual.sides)
+    series = {side: data[:, a:b] for side, a, b in zip(residual.sides, start, start[1:])}
+    programs = {side: SideProgram(p.absorbing[::-1], series.get(side))
+                for side, p in op.programs.items()}
+    return Leapfrog(g, op.eps, op.sigma, programs, lag=1)
+
+
+@pytest.mark.parametrize("levels", [WINDOW - 7, WINDOW, WINDOW + 1, 3 * WINDOW + 5])
+@pytest.mark.parametrize("sides", [ALL_SIDES, (Side.LEFT, Side.TOP)])
+def test_multiplier_is_bitwise_the_adjoint_of_the_formed_residual(levels, sides):
+    # the multiplier reads trace - obs a window at a time, with the element
+    # operations of the residual formed whole, reversed and scaled: below
+    # one window, one window exactly, one level over it and several windows
+    g = grid_of_levels(levels)
+    eps, sig = truth_pair(g)
+    sol = solve_forward(g, eps, sig, SourceSpec(), BcConfig())
+    obs = smooth_random_trace(g, np.random.default_rng(levels), sides)
+    residual = extract_trace(sol, sides) - obs
+    by_hand = stored_adjoint(sol.op, residual)
+    whole = np.stack([lam.nodes.copy() for lam in leapfrog_levels(
+        whole_trace_adjoint(sol.op, residual))][::-1])
+    streamed = np.stack([lam.nodes.copy() for lam in sol.multiplier(obs)][::-1])
+    assert streamed.any()
+    assert np.array_equal(streamed, by_hand) and np.array_equal(streamed, whole)
+
+
+def test_a_dropped_multiplier_stream_frees_its_operator_and_solve(small_grid):
+    # no reference cycle holds the adjoint operator or the solve: both are
+    # freed when the drained stream and the solve are dropped, with the
+    # cyclic collector off
+    eps, sig = truth_pair(small_grid)
+    obs = smooth_random_trace(small_grid, np.random.default_rng(2), (Side.LEFT, Side.TOP))
+    gc.disable()
+    try:
+        sol = solve_forward(small_grid, eps, sig, SourceSpec(), BcConfig())
+        stream = sol.multiplier(obs)
+        adjoint, solve = weakref.ref(stream.gi_frame.f_locals["op"]), weakref.ref(sol)
+        assert sum(1 for _ in stream) == small_grid.nt + 1
+        del stream, sol
+        assert adjoint() is None and solve() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])

@@ -215,7 +215,8 @@ class TestExtractTrace:
 
     def test_multiplier_keeps_the_trace_of_the_solution(self):
         # the trace is the perimeter record from which the solution steps
-        # back, so the sweep holds it beside obs and the adjoint's data
+        # back, so the sweep holds it beside obs, and the adjoint reads its
+        # data from these two
         g = build_grid(12, 12, T=0.5)
         eps = constant_coefficient(g, 2.0, Role.EPSILON)
         sig = constant_coefficient(g, 1.0, Role.SIGMA)

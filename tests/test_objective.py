@@ -23,9 +23,10 @@ from waveinv import (
 )
 from waveinv import objective
 from waveinv.grid import area_weights
-from waveinv.objective import data_errors, relative_errors
+from waveinv.objective import BLOCK, data_errors, relative_errors
 from conftest import (
-    decomposition_identity_check, smooth_random_coefficient, stack_trace, stored_state, truth_pair,
+    decomposition_identity_check, grid_of_levels, smooth_random_coefficient, smooth_random_trace,
+    stack_trace, stored_state, truth_pair,
 )
 
 
@@ -86,6 +87,54 @@ class TestTikhonov:
         obs = const_trace(small_grid, (Side.RIGHT,), 1.0)
         with pytest.raises(ValueError):
             tikhonov(sim, obs, eps, sig, reg, 0.0, 0.0)
+
+
+class TestBlockedSums:
+    """F and the data errors come from one pass over BLOCK time levels at a
+    time, sim read on obs's sides; the whole-trace forms are the reference."""
+
+    @staticmethod
+    def case(levels, sides):
+        g = grid_of_levels(levels)
+        rng = np.random.default_rng(levels)
+        sim = smooth_random_trace(g, rng)
+        obs = smooth_random_trace(g, rng, sides)
+        eps = smooth_random_coefficient(g, rng, Role.EPSILON)
+        sig = smooth_random_coefficient(g, rng, Role.SIGMA)
+        return sim, obs, eps, sig, reg_for(g, g0=0.1)
+
+    @pytest.mark.parametrize("levels", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1])
+    @pytest.mark.parametrize("sides", [ALL_SIDES, (Side.LEFT, Side.TOP)])
+    def test_match_the_whole_trace_forms(self, levels, sides):
+        sim, obs, eps, sig, reg = self.case(levels, sides)
+        on_sides = BoundaryTrace(grid=sim.grid, sides=obs.sides,
+                                 values=np.hstack([sim.data[s] for s in obs.sides]))
+        residual = on_sides - obs
+        penalty = tikhonov(obs, obs, eps, sig, reg, 0.3, 0.4)
+        expect_F = 0.5 * trace_norm_sq(residual) + penalty
+        expect_errors = (np.sqrt(trace_norm_sq(residual) / trace_norm_sq(on_sides)),
+                         residual.max_abs() / on_sides.max_abs())
+        for traced in (sim, on_sides):  # all four sides, or obs's alone
+            F = tikhonov(traced, obs, eps, sig, reg, 0.3, 0.4)
+            assert F == pytest.approx(expect_F, rel=1e-14, abs=0.0)
+            assert data_errors(traced, obs) == pytest.approx(expect_errors, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["sim", "obs"])
+    def test_a_non_finite_value_in_the_last_block_reaches_every_sum(self, bad, where):
+        # the last block is one level; a sup taken with Python's max would
+        # drop a NaN there, max(0.0, nan) being 0.0
+        sim, obs, eps, sig, reg = self.case(2 * BLOCK + 1, (Side.LEFT, Side.TOP))
+        spoiled = sim if where == "sim" else obs
+        values = spoiled.values.copy()
+        values[-1, -1] = bad  # the top-right corner, observed on TOP
+        spoiled = spoiled.map(lambda _: values)
+        if where == "sim":
+            sim = spoiled
+        else:
+            obs = spoiled
+        assert not np.isfinite(tikhonov(sim, obs, eps, sig, reg, 0.3, 0.4))
+        assert not np.isfinite(data_errors(sim, obs)).any()
 
 
 def test_boundary_time_quadrature_reproduces_measure(small_grid):

@@ -24,9 +24,11 @@ operator that a solve builds first:
     forward   a forward solve, solve_forward, its build included
     backward  the state stepped backward in time, from the solve's last two
               levels and trace, ForwardSolution.levels_backward
-    adjoint   the adjoint stream, leapfrog_levels of the adjoint operator
+    adjoint   the adjoint stream as the optimizer drives it,
+              ForwardSolution.multiplier(obs), obs being the solve's trace
+              less the residual: whatever it forms of the residual is timed
     sweep     the whole gradient sweep, gradient_sweep, which pulls the
-              state backward and the adjoint stream itself
+              state backward and the multiplier stream itself
     sums      sweep - backward - adjoint, taken within each round: the cost of
               the gradient sums alone
 
@@ -117,10 +119,11 @@ def layers(wi, n: int) -> tuple[dict, int]:
     grid, eps, sigma, src, residual = setup_test1(wi, n)
     bc = wi.BcConfig()
     sol = wi.solve_forward(grid, eps, sigma, src, bc)
+    obs = wi.BoundaryTrace(grid=grid, sides=wi.ALL_SIDES,
+                           values=sol.trace.values - residual.values)
     reg = wi.RegularizationParams(0.0, 0.0, 0.5, eps, sigma)
     mask = wi.region_mask(grid, 0)
     forward = sys.modules[wi.__name__ + ".forward"]
-    stream = forward.leapfrog_levels
 
     def drain(levels) -> None:
         for _ in levels:
@@ -130,9 +133,8 @@ def layers(wi, n: int) -> tuple[dict, int]:
         "build": lambda: forward.forward_operator(grid, eps, sigma, src, bc),
         "forward": lambda: wi.solve_forward(grid, eps, sigma, src, bc),
         "backward": lambda: drain(sol.levels_backward()),
-        "adjoint": lambda: drain(stream(sol.op.adjoint(residual))),
-        "sweep": lambda: wi.gradient_sweep(
-            sol, stream(sol.op.adjoint(residual)), reg, 0.0, 0.0, mask),
+        "adjoint": lambda: drain(sol.multiplier(obs)),
+        "sweep": lambda: wi.gradient_sweep(sol, sol.multiplier(obs), reg, 0.0, 0.0, mask),
     }, grid.nt + 1
 
 
