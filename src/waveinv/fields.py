@@ -272,14 +272,38 @@ def _refine_nodal(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _interp_time(arr: np.ndarray, coarse: Grid2D, fine: Grid2D) -> np.ndarray:
-    """Linear interpolation of a (nt_c+1, n) series onto the fine time axis."""
-    tc = coarse.times()
-    tf = np.minimum(fine.times(), tc[-1])
-    pos = tf / coarse.dt
+BLOCK = 64  # trace rows formed or summed at once, so that no whole-trace temporary is made
+
+
+def _refine_trace(trace: BoundaryTrace, fine: Grid2D) -> np.ndarray:
+    """The values of a trace on the factor-2 refined grid, formed BLOCK fine
+    time levels at a time straight into the (nt_f+1, P_f) result, so that
+    beyond it one block of rows of each trace is held.  Each block is linear
+    in time, (1 - w) arr[k] + w arr[k+1] at fine level n, then in space: fine
+    node k of a side is the mean of coarse nodes k // 2 and (k + 1) // 2."""
+    coarse, arr = trace.grid, trace.values
+    pos = np.minimum(fine.times(), coarse.times()[-1]) / coarse.dt
     k = np.minimum(pos.astype(int), coarse.nt - 1)
     w = pos - k
-    return (1.0 - w)[:, None] * arr[k, :] + w[:, None] * arr[k + 1, :]
+    start_c, start_f = (perimeter_offsets(g, trace.sides) for g in (coarse, fine))
+    side = np.repeat(np.arange(len(trace.sides)), np.diff(start_f))
+    node = np.arange(start_f[-1]) - start_f[side]
+    lo = start_c[side] + node // 2
+    hi = lo + node % 2
+    out = np.empty((fine.nt + 1, start_f[-1]))
+    for a in range(0, fine.nt + 1, BLOCK):
+        rows = np.s_[a:a + BLOCK]
+        in_time = arr[k[rows]]
+        in_time *= (1.0 - w[rows])[:, None]
+        later = arr[k[rows] + 1]
+        later *= w[rows, None]
+        in_time += later
+        del later
+        block = out[rows]
+        in_time.take(lo, axis=1, out=block, mode="clip")  # "raise" buffers out
+        block += in_time[:, hi]
+        block *= 0.5
+    return out
 
 
 def transfer_to_refined(obj, fine_grid: Grid2D):
@@ -296,12 +320,5 @@ def transfer_to_refined(obj, fine_grid: Grid2D):
         )
     if isinstance(obj, BoundaryTrace):
         _check_nested(obj.grid, fine_grid)
-        in_time = _interp_time(obj.values, obj.grid, fine_grid)
-        coarse, fine = (perimeter_offsets(g, obj.sides) for g in (obj.grid, fine_grid))
-        # fine node k of a side is the mean of coarse nodes k // 2 and (k + 1) // 2
-        side = np.repeat(np.arange(len(obj.sides)), np.diff(fine))
-        k = np.arange(fine[-1]) - fine[side]
-        lo = coarse[side] + k // 2
-        out = 0.5 * (in_time[:, lo] + in_time[:, lo + k % 2])
-        return BoundaryTrace(grid=fine_grid, sides=obj.sides, values=out)
+        return BoundaryTrace(grid=fine_grid, sides=obj.sides, values=_refine_trace(obj, fine_grid))
     raise TypeError(f"cannot transfer object of type {type(obj).__name__}")

@@ -30,10 +30,12 @@ belong to the operator, as its forcing does; the adjoint's are zero.
 
 Leapfrog holds this update once.  The forward solve, the Lagrangian's
 defect and the adjoint solve all step through its advance(), the adjoint
-through the operator that Leapfrog.adjoint builds.  leapfrog_levels is the
-one time loop: it yields each level as it is computed, and each caller uses
-a level as it arrives and copies only what it keeps (trace_of_levels, the
-ForwardSolution below, the gradient sweep).
+through the operator that Leapfrog.adjoint builds, which shares the
+forward operator's coefficients (StepCoefficients) and owns only its
+levels.  leapfrog_levels is the one time loop: it yields each level as it
+is computed, and each caller uses a level as it arrives and copies only
+what it keeps (trace_of_levels, the ForwardSolution below, the gradient
+sweep).
 
 Every level lives in a ghost-padded buffer, a PaddedLevel, which alone
 knows the layout and allocates level memory (see there); the loops yield
@@ -330,14 +332,62 @@ def _block(nt: int) -> int:
     return max(math.isqrt(nt) + 1, 3)
 
 
+class StepCoefficients:
+    """The coefficients of one leapfrog update at a (grid, eps, sigma) in
+    the rows layout, zero in the ghost columns (see Leapfrog), with a step's
+    scratch level, the finiteness flags and the absorbing closure's
+    perimeter tables: built by a forward operator and shared with each
+    adjoint it builds.  c_cur and c_prev are closed at the perimeter for
+    applied, the pair of absorbing patterns that close() patched in last;
+    each step compares its own pair with it, so the forward, reverse and
+    adjoint steps that share them may interleave in any order."""
+
+    def __init__(self, grid: Grid2D, eps: np.ndarray, sigma: np.ndarray, a_plus: np.ndarray,
+                 patterns: Iterable[int]) -> None:
+        h, dt = grid.h, grid.dt
+        # E^{n+1} = c_lap * (neighbour sum) + c_cur E^n - c_prev E^{n-1} + f^n / a_plus,
+        # with a_mid = 2 eps/dt^2 and a_minus = eps/dt^2 - sigma/(2 dt) formed
+        # inline so that no more levels than needed are alive at once
+        self.c_cur = PaddedLevel.of(grid, (2.0 * eps / dt**2 - 4.0 / h**2) / a_plus).rows
+        self.c_prev = PaddedLevel.of(grid, (eps / dt**2 - sigma / (2.0 * dt)) / a_plus).rows
+        self.c_lap = PaddedLevel.of(grid, 1.0 / (a_plus * h**2)).rows
+        self.scratch = PaddedLevel(grid)
+        self.finite = np.empty((grid.nx + 3, grid.ny + 3), dtype=bool)
+
+        # the perimeter nodes' indices in rows, each node once; the position
+        # among them of each node of the perimeter layout; and c_cur, c_prev
+        # there with no side absorbing
+        self.edge, edge_of = np.unique(
+            PaddedLevel.boundary_rows(grid, ALL_SIDES), return_inverse=True)
+        self.open = (self.c_cur[self.edge], self.c_prev[self.edge])
+        self.applied = (0, 0)  # the coefficients above close no side
+        # per pattern, 2h/dt times each perimeter node's number of absorbing sides
+        side_of = np.repeat(np.arange(len(ALL_SIDES)), np.diff(perimeter_offsets(grid, ALL_SIDES)))
+        self.closure = {
+            pattern: 2.0 * h / dt * np.bincount(edge_of, weights=pattern >> side_of & 1)
+            for pattern in set(patterns)
+        }
+
+    def close(self, cur: int, prev: int) -> None:
+        """Patch the perimeter entries of c_cur to the absorbing pattern cur
+        and those of c_prev to prev."""
+        self.applied = cur, prev
+        c_lap = self.c_lap[self.edge]
+        self.c_cur[self.edge] = self.open[0] - c_lap * self.closure[cur]
+        self.c_prev[self.edge] = self.open[1] - c_lap * self.closure[prev]
+
+
 class Leapfrog:
     """The discrete state operator: one leapfrog update and its Taylor start.
 
     Built once per (grid, eps, sigma, side programs, source), it holds the
-    update coefficients, the absorbing closure's perimeter tables, scratch
-    space and the forcing lookup, and keeps eps, sigma, the programs and
-    the source's start data f0, f1: a forward operator is the linearization
-    point from which the adjoint solve and the gradient read theirs.
+    update coefficients (StepCoefficients: the runs, the absorbing closure's
+    perimeter tables, scratch space) and the forcing lookup, and keeps eps,
+    sigma, the programs and the source's start data f0, f1: a forward
+    operator is the linearization point from which the adjoint solve and the
+    gradient read theirs.  coefficients, where given, are shared: they are
+    those of an operator at the same grid, eps, sigma and absorbing
+    patterns, as an adjoint's are its forward operator's.
 
     advance() fills the ghosts of the current level in place and writes the
     next level's rows, ghost columns included: every operand is one
@@ -347,7 +397,9 @@ class Leapfrog:
     term 2 h g already scaled.  The instance owns three PaddedLevels
     (levels), which leapfrog_levels rotates through, first_step() and the
     Lagrangian's defect fill, and a ForwardSolution's reverse steps reuse:
-    an instance runs one of these at a time, it is non-reentrant.
+    an instance runs one of these at a time, it is non-reentrant.  An
+    adjoint has levels of its own, so it may step while its forward
+    operator steps back.
 
     The absorbing closure.  An absorbing side's ghost term
     -(2h/dt)(E^n_b - E^{n-1}_b) enters the update of its boundary node b
@@ -356,15 +408,16 @@ class Leapfrog:
     per absorbing side: twice at a corner that two absorbing sides share.
     Which sides absorb at level n (its pattern) is read from the side
     programs, and the closure vector of each pattern, 2h/dt times every
-    perimeter node's number of absorbing sides, is computed once, here.
-    Before a step from level n the perimeter entries of c_cur and c_prev
-    are patched in place from that table whenever level n's pattern, or
-    for c_prev that of level n - lag, differs from the one last applied.
-    Only the switched source side changes, so an operator has at most two
-    patterns and a pass patches at most three times, at its start and
-    around the switch; every advance() reads the patterns of its own n,
-    never those of the previous call.  lag is 0 but for the adjoint, whose
-    c_prev stands in the transpose for the forward row one level later.
+    perimeter node's number of absorbing sides, is computed once, with the
+    coefficients.  Before a step from level n the perimeter entries of
+    c_cur and c_prev are patched in place from that table whenever level
+    n's pattern, or for c_prev that of level n - lag, differs from the pair
+    the shared coefficients last applied.  Only the switched source side
+    changes, so an operator has at most two patterns and a pass patches at
+    most three times, at its start and around the switch; every advance()
+    reads the patterns of its own n, never those of the previous call.  lag
+    is 0 but for the adjoint, whose c_prev stands in the transpose for the
+    forward row one level later.
     """
 
     def __init__(
@@ -375,47 +428,30 @@ class Leapfrog:
         programs: Mapping[Side, SideProgram],
         src: SourceSpec | None = None,
         lag: int = 0,
+        coefficients: StepCoefficients | None = None,
     ) -> None:
         self.grid, self.eps, self.sigma, self.programs = grid, eps, sigma, programs
         self.lag = lag
         forcing, self.f0, self.f1 = (None, None, None) if src is None else (
             src.volume_forcing, src.f0, src.f1)
-        h, dt = grid.h, grid.dt
-        eps_v, sig_v = eps.values, sigma.values
-        a_plus = eps_v / dt**2 + sig_v / (2.0 * dt)
-
-        # E^{n+1} = c_lap * (neighbour sum) + c_cur E^n - c_prev E^{n-1} + f^n / a_plus,
-        # with a_mid = 2 eps/dt^2 and a_minus = eps/dt^2 - sigma/(2 dt) formed
-        # inline so that no more levels than needed are alive at once;
-        # c_cur and c_prev are closed for the absorbing sides at their perimeter
-        self._c_cur = PaddedLevel.of(grid, (2.0 * eps_v / dt**2 - 4.0 / h**2) / a_plus).rows
-        self._c_prev = PaddedLevel.of(grid, (eps_v / dt**2 - sig_v / (2.0 * dt)) / a_plus).rows
-        self._c_lap = PaddedLevel.of(grid, 1.0 / (a_plus * h**2)).rows
-        self._scratch = PaddedLevel(grid).rows
-        self._finite = np.empty((grid.nx + 3, grid.ny + 3), dtype=bool)
-        # only the forcing term reads a_plus after this
-        self._a_plus = None if forcing is None else a_plus
-        self.levels = [PaddedLevel(grid) for _ in range(3)]
-        self._series = [programs[side].series for side in ALL_SIDES]
-        self._window = next((p.window for p in programs.values() if p.window is not None), None)
-
-        # the perimeter nodes' indices in rows, each node once; the position
-        # among them of each node of the perimeter layout; and c_cur, c_prev
-        # there with no side absorbing
-        self._edge, edge_of = np.unique(
-            PaddedLevel.boundary_rows(grid, ALL_SIDES), return_inverse=True)
-        self._open = (self._c_cur[self._edge], self._c_prev[self._edge])
+        dt = grid.dt
         # the pattern per level: bit k set when side ALL_SIDES[k] absorbs
         self._pattern = sum(
             programs[side].absorbing.astype(int) << k for k, side in enumerate(ALL_SIDES)
         ).tolist()
-        self._applied_cur = self._applied_prev = 0  # the coefficients above close no side
-        # per pattern, 2h/dt times each perimeter node's number of absorbing sides
-        side_of = np.repeat(np.arange(len(ALL_SIDES)), np.diff(perimeter_offsets(grid, ALL_SIDES)))
-        self._closure = {
-            pattern: 2.0 * h / dt * np.bincount(edge_of, weights=pattern >> side_of & 1)
-            for pattern in set(self._pattern)
-        }
+        a_plus = None
+        if coefficients is None or forcing is not None:
+            a_plus = eps.values / dt**2 + sigma.values / (2.0 * dt)
+        # only the forcing term reads a_plus after this
+        self._a_plus = None if forcing is None else a_plus
+        self.coefficients = coef = coefficients or StepCoefficients(
+            grid, eps.values, sigma.values, a_plus, self._pattern)
+        # the runs that every step reads
+        self._c_cur, self._c_prev, self._c_lap = coef.c_cur, coef.c_prev, coef.c_lap
+        self._scratch = coef.scratch.rows
+        self.levels = [PaddedLevel(grid) for _ in range(3)]
+        self._series = [programs[side].series for side in ALL_SIDES]
+        self._window = next((p.window for p in programs.values() if p.window is not None), None)
 
         if forcing is None:
             self.forcing = None
@@ -426,14 +462,6 @@ class Leapfrog:
         else:
             X, Y = grid.meshgrid()
             self.forcing = lambda n: np.asarray(forcing(X, Y, n * dt), dtype=np.float64)
-
-    def _close(self, n: int) -> None:
-        """Patch the perimeter entries of c_cur to the absorbing pattern of
-        level n, and those of c_prev to that of level n - lag."""
-        self._applied_cur, self._applied_prev = self._pattern[n], self._pattern[n - self.lag]
-        c_lap = self._c_lap[self._edge]
-        self._c_cur[self._edge] = self._open[0] - c_lap * self._closure[self._applied_cur]
-        self._c_prev[self._edge] = self._open[1] - c_lap * self._closure[self._applied_prev]
 
     def _neighbour_sum(self, cur: PaddedLevel, n: int, out: np.ndarray) -> np.ndarray:
         """Fill the ghosts of level n (cur) side by side with their mirrors
@@ -455,9 +483,9 @@ class Leapfrog:
         """One leapfrog update, levels (n-1, n) -> n+1, written into the rows
         of out, whose ghost columns come out zero; out must be neither cur
         nor prev, and its ghosts are filled when it is stepped from."""
-        if (self._pattern[n] != self._applied_cur
-                or self._pattern[n - self.lag] != self._applied_prev):
-            self._close(n)
+        patterns = self._pattern[n], self._pattern[n - self.lag]
+        if patterns != self.coefficients.applied:
+            self.coefficients.close(*patterns)
         rows = self._neighbour_sum(cur, n, out.rows)
         rows *= self._c_lap
         rows += np.multiply(self._c_cur, cur.rows, out=self._scratch)
@@ -468,28 +496,42 @@ class Leapfrog:
     def first_step(self, e0: np.ndarray) -> np.ndarray:
         """Taylor start from level e0 and the operator's initial velocity
         f1, producing E^1; the absorbing closure takes e0 - dt f1 as the
-        previous level in place of the undefined backward difference."""
-        dt = self.grid.dt
+        previous level in place of the undefined backward difference.  Its
+        terms are formed in the operator's levels and in f1's array, which
+        it returns, so that beyond that array it allocates only numpy's
+        buffers for strided operands (and the forcing's f^0)."""
+        dt, h, coef = self.grid.dt, self.grid.h, self.coefficients
         f1_v = _nodal(self.grid, self.f1)
         pc, pp, po = self.levels
         pc.nodes[...] = e0
-        pp.nodes[...] = e0 - dt * f1_v
-        edge = self._edge
+        np.subtract(e0, np.multiply(dt, f1_v, out=pp.nodes), out=pp.nodes)
+        edge = coef.edge
         total = self._neighbour_sum(pc, 0, po.rows)
         # the Taylor start has no c_cur, c_prev to carry the closure, so its
         # ghost terms enter the neighbour sum
-        total[edge] -= self._closure[self._pattern[0]] * (pc.rows[edge] - pp.rows[edge])
-        rhs = (po.nodes - 4.0 * e0) / self.grid.h**2 - self.sigma.values * f1_v
+        total[edge] -= coef.closure[self._pattern[0]] * (pc.rows[edge] - pp.rows[edge])
+        # rhs = (N - 4 e0) / h^2 - sigma f1 + f^0 in po, pp the products' scratch
+        rhs = po.nodes
+        rhs -= np.multiply(4.0, e0, out=pp.nodes)
+        rhs /= h**2
+        rhs -= np.multiply(self.sigma.values, f1_v, out=pp.nodes)
         if self.forcing is not None:
             rhs += self.forcing(0)
-        return e0 + dt * f1_v + dt**2 / (2.0 * self.eps.values) * rhs
+        # e0 + dt f1 + dt^2 / (2 eps) rhs
+        e1 = np.add(e0, np.multiply(dt, f1_v, out=f1_v), out=f1_v)
+        step = np.divide(dt**2, np.multiply(2.0, self.eps.values, out=pp.nodes), out=pp.nodes)
+        step *= rhs
+        e1 += step
+        return e1
 
     def retreat(self, cur: PaddedLevel, later: PaddedLevel, n: int, out: PaddedLevel,
                 divisor: np.ndarray, edge: np.ndarray, perimeter: np.ndarray) -> None:
         """The update from level n solved for its oldest level, (n, n+1) -> n-1,
         into the rows of out: (c_lap N(E^n) + c_cur E^n + f^n/a_plus - E^{n+1})
         / divisor, the run of open_prev(); the perimeter nodes (rows index edge),
-        where a closed c_prev may be near zero, are then set to perimeter."""
+        where a closed c_prev may be near zero, are then set to perimeter.  So
+        no node that this step yields reads a closed entry of c_cur: the step
+        needs no pattern, whichever one the shared coefficients hold."""
         up, down, right, left = cur.neighbours
         rows = np.add(up, down, out=out.rows)
         rows += right
@@ -506,7 +548,7 @@ class Leapfrog:
         """c_prev with no side absorbing, a_minus/a_plus, into the run out in
         the rows layout, 1 in the ghost columns, where retreat() divides."""
         np.copyto(out, self._c_prev)
-        out[self._edge] = self._open[1]
+        out[self.coefficients.edge] = self.coefficients.open[1]
         out.reshape(self.grid.nx + 1, -1)[:, ::self.grid.ny + 2] = 1.0
         return out
 
@@ -556,9 +598,11 @@ class Leapfrog:
         No residual trace is formed: the ghost term 2 h g, g = -(trace -
         obs)(T - s), is formed WINDOW levels at a time into one
         ResidualWindow, each observed side's series is the view of its own
-        columns of it, and the absorbing flags are reversed views.  So the
-        sweep holds trace and obs, which its caller holds anyway, and one
-        window of boundary data."""
+        columns of it, and the absorbing flags are reversed views.  Nor is
+        a coefficient formed: the adjoint shares this operator's
+        StepCoefficients (its patterns are these, reversed) and owns its
+        three levels.  So the sweep holds trace and obs, which its caller
+        holds anyway, one window of boundary data and three levels."""
         grid = self.grid
         for t in (trace,) if obs is None else (trace, obs):
             if t.grid.nt != grid.nt or t.grid.node_shape != grid.node_shape:
@@ -566,7 +610,8 @@ class Leapfrog:
         window = ResidualWindow(trace, obs)
         programs = {side: SideProgram(p.absorbing[::-1], window.series.get(side), window)
                     for side, p in self.programs.items()}
-        return Leapfrog(grid, self.eps, self.sigma, programs, lag=1)
+        return Leapfrog(grid, self.eps, self.sigma, programs, lag=1,
+                        coefficients=self.coefficients)
 
 
 def _levels(op: Leapfrog, block: int) -> Iterator[PaddedLevel]:
@@ -598,7 +643,7 @@ def _levels(op: Leapfrog, block: int) -> Iterator[PaddedLevel]:
 def _finite(op: Leapfrog, level: PaddedLevel) -> bool:
     """Whether the nodes of level are finite, checked over its whole buffer
     into the operator's flags: isfinite of a strided view would copy it."""
-    return bool(np.isfinite(level.pad, out=op._finite)[1:-1, 1:-1].all())
+    return bool(np.isfinite(level.pad, out=op.coefficients.finite)[1:-1, 1:-1].all())
 
 
 def leapfrog_levels(op: Leapfrog) -> Iterator[PaddedLevel]:
@@ -608,8 +653,11 @@ def leapfrog_levels(op: Leapfrog) -> Iterator[PaddedLevel]:
     Each level is one of the operator's three PaddedLevels, in rotation, so
     a yielded level stays valid until two more levels have been yielded: a
     consumer may hold the two most recent levels but must copy any level it
-    keeps longer.  A consumer that streams over many levels reads each
-    level's rows, one contiguous run, rather than its strided nodes.
+    keeps longer.  No step reads level n once level n+2 is out, so from then
+    on a consumer may overwrite its rows (gradient_sweep forms a difference
+    there), which the step to level n+3 writes whole.  A consumer that
+    streams over many levels reads each level's rows, one contiguous run,
+    rather than its strided nodes.
 
     The CFL and sign checks run before the first level is yielded.  Levels
     0 and 1, the first two levels of every block of _block(nt) levels and
@@ -636,7 +684,6 @@ def leapfrog_levels(op: Leapfrog) -> Iterator[PaddedLevel]:
 # growth allowed to a reverse step's error between re-anchor pairs; at sigma = 10,
 # eps = 1, 100², T = 6 the worst level error reads 1.7e-12 of max|E| (6.8e+2 with no pair)
 ANCHOR_GROWTH = 1e5
-BURST = 8  # levels that a ForwardSolution steps back before it yields them
 
 
 def _anchor_spacing(op: Leapfrog) -> int:
@@ -658,7 +705,8 @@ class ForwardSolution:
     levels_backward() steps back from them (Leapfrog.retreat), so the kept
     levels and the perimeter are bitwise the pass's, and the interior's
     round-off grows by at most ANCHOR_GROWTH from one pair to the next.  A
-    solve holds the trace and 2 + 2 nt/L levels, and 8 more in a sweep.
+    solve holds the trace and 2 + 2 nt/L levels, and one more, the reverse
+    step's divisor, while it steps back.
     """
 
     def __init__(self, op: Leapfrog) -> None:
@@ -682,26 +730,23 @@ class ForwardSolution:
 
     def levels_backward(self) -> Iterator[PaddedLevel]:
         """Levels nt, nt-1, ..., 0, each valid until two more are yielded, as
-        from leapfrog_levels: those not kept are stepped back BURST at a time
-        into a ring of BURST + 2 buffers (three the operator's), never into
-        the two yielded last, and checked finite where n % _block(nt) < 2."""
+        from leapfrog_levels: the kept ones as they are, the others stepped
+        back one at a time into the operator's three levels, level n into
+        levels[n % 3], which holds none of the two levels it is stepped
+        from, and checked finite where n % _block(nt) < 2."""
         grid, op, b = self.grid, self.op, _block(self.grid.nt)
-        ring = op.levels + [PaddedLevel(grid) for _ in range(BURST - 1)]
         divisor = op.open_prev(PaddedLevel(grid).rows)
         edge = PaddedLevel.boundary_rows(grid, ALL_SIDES)
-        burst, cur, later = [], None, None  # the levels to yield; levels n+1, n+2
+        cur = later = None  # levels n+1 and n+2
         for n in range(grid.nt, -1, -1):
             level = self.kept.get(n)
             if level is None:
-                level = ring[n % len(ring)]
+                level = op.levels[n % 3]
                 op.retreat(cur, later, n + 1, level, divisor, edge, self.trace.values[n])
                 if n % b < 2 and not _finite(op, level):
                     raise StabilityError(f"non-finite field values at level {n}, stepping back")
-            burst.append(level)
+            yield level
             cur, later = level, cur
-            if len(burst) == BURST or n == 0:
-                yield from burst
-                burst = []
 
 
 def forward_operator(

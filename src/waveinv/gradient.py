@@ -14,8 +14,11 @@ At a fixed state and multiplier these sums are the exact (eps,
 sigma)-derivative of objective.lagrangian, and the multiplier of
 Leapfrog.adjoint is the transpose of the discrete forward scheme, so the
 gradient is the exact derivative of the discrete F, start data and forcing
-included: on the gradcheck preset it matches central differences of F to
-2.1e-7, the FD truncation at h_fd = 1e-3.
+included.  On the gradcheck preset it matches central differences of F,
+at h_fd = 1e-3, to 8.9e-7 relative; the worst entry is a sigma entry of
+about 1e-7, where one ulp of F moves a difference quotient by 3.1e-14,
+4e-7 of the entry, so that figure is F's round-off floor, not the FD
+truncation (reordering the misfit's sum alone moved it from 2.1e-7).
 
 The sums run backward in time, one half-step at a time, while the adjoint
 sweep produces the multiplier, which is therefore never stored.  Both
@@ -25,6 +28,10 @@ B = sum E^n dlam and forms the difference A - B and the sum A + B once at
 the end: five passes over a level per half-step, not seven.  The state
 arrives on the same reversed-level stream, E^nt..E^0: a ForwardSolution
 steps it back from its last levels, so no snapshot stack is stored either.
+The sweep allocates its two sums and the area weights and no other level:
+its products go through the operator's scratch level, and dlam is formed
+in lam^{n+1}, which the multiplier stream, pulled a level ahead of the
+state, no longer reads.
 The callers, the optimizer and grad-check, pass E.multiplier(obs), the
 adjoint that E's residual drives, and hold no residual.  The regularization
 term's coefficients are read from E.op as well, so the state, the
@@ -37,6 +44,7 @@ weight so both quantities are commensurable gradient densities.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -66,34 +74,37 @@ def gradient_sweep(
     dlam = lam^{n+1} - lam^n (lam^1 at n = 0) and row 0's term: the eps sum
     is A - B and the sigma sum A + B.  eps, sigma and the initial velocity
     f1 are those of E's operator, the forward solve's own."""
-    grid, eps, sigma = E.grid, E.op.eps, E.op.sigma
-    dt = grid.dt
+    grid, op = E.grid, E.op
+    eps, sigma, dt = op.eps, op.sigma, grid.dt
     wt, w = time_weights(grid), PaddedLevel.of(grid, area_weights(grid)).rows
     sum_next, sum_this = PaddedLevel(grid), PaddedLevel(grid)  # A and B
-    dlam, tmp = PaddedLevel(grid), PaddedLevel(grid)
+    tmp = op.coefficients.scratch  # free between the steps of both streams
     lam_sq = 0.0
     lam_next = e_next = None
-    levels = zip(range(grid.nt, -1, -1), lam_backward, E.levels_backward(), strict=True)
-    for n, lam, e in levels:
-        lam, e = lam.rows, e.rows
-        lam_sq += wt[n] * float(np.dot(np.multiply(lam, w, out=tmp.rows), lam))
+    # the multiplier is pulled a level ahead of the state, so that when
+    # lam^n arrives lam^{n+1} is read by no further step of its stream:
+    # dlam is formed in it
+    ahead = itertools.pairwise(itertools.chain(lam_backward, [None]))
+    levels = zip(range(grid.nt, -1, -1), ahead, E.levels_backward(), strict=True)
+    for n, (lam, _), e in levels:
+        lam_sq += wt[n] * float(np.dot(np.multiply(lam.rows, w, out=tmp.rows), lam.rows))
         if lam_next is not None:
             # lam^0 enters through row 0's own term alone, below
-            np.subtract(lam_next, lam if n else 0.0, out=dlam.rows)
-            sum_next.rows += np.multiply(e_next, dlam.rows, out=tmp.rows)
-            sum_this.rows += np.multiply(e, dlam.rows, out=tmp.rows)
+            dlam = np.subtract(lam_next.rows, lam.rows if n else 0.0, out=lam_next.rows)
+            sum_next.rows += np.multiply(e_next.rows, dlam, out=tmp.rows)
+            sum_this.rows += np.multiply(e.rows, dlam, out=tmp.rows)
             if n == 0:
                 # row 0, the Taylor start, is in units of a_mid: its
                 # multiplier is mu^0 = lam^0 a_plus/a_mid, formed in dlam, and
                 # its derivatives are (2/dt^2)(E^1 - E^0 - dt f1) in eps and f1
                 # in sigma, so A takes -mu^0 (E^1 - E^0) and B takes
                 # mu^0 (E^1 - E^0 - 2 dt f1)
-                mu = np.divide(lam, E.op.mid_over_plus(dlam.rows), out=dlam.rows)
-                row = np.subtract(e_next, e, out=tmp.rows)
+                mu = np.divide(lam.rows, op.mid_over_plus(dlam), out=dlam)
+                row = np.subtract(e_next.rows, e.rows, out=tmp.rows)
                 row *= mu
                 sum_next.rows -= row
-                if E.op.f1 is not None:  # f1 is nodal: through the nodes views
-                    tmp.nodes -= 2.0 * dt * _nodal(grid, E.op.f1) * dlam.nodes
+                if op.f1 is not None:  # f1 is nodal: through the nodes views
+                    tmp.nodes -= 2.0 * dt * _nodal(grid, op.f1) * lam_next.nodes
                 sum_this.rows += row
         lam_next, e_next = lam, e
     # A - B replaces A and A + B replaces B, through the scratch, so that

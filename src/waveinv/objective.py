@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import BoundaryTrace, CoefficientField, trace_columns
+from .fields import BLOCK, BoundaryTrace, CoefficientField, trace_columns
 from .forward import BcConfig, SourceSpec, forward_operator
 from .grid import Grid2D, area_weights, perimeter_nodes, perimeter_weights, time_weights
 
@@ -59,9 +59,6 @@ class RegularizationParams:
         """Decayed weights gamma^m = gamma^0 / (m+1)^p."""
         decay = float(m + 1) ** self.p
         return self.gamma_eps0 / decay, self.gamma_sigma0 / decay
-
-
-BLOCK = 64  # trace rows summed at once: no residual of a whole trace is formed
 
 
 class Misfit(NamedTuple):

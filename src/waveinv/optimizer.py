@@ -48,7 +48,9 @@ from .fields import (
     transfer_to_refined,
 )
 from .forward import BcConfig, ForwardSolution, SourceSpec, solve_forward
-from .grid import Grid2D, RegionMask, refine, region_mask
+from .grid import (
+    Grid2D, RegionMask, area_weights, perimeter_weights, refine, region_mask, time_weights,
+)
 from .gradient import gradient_sweep
 from .objective import (
     RegularizationParams,
@@ -530,6 +532,11 @@ def run_acga(
             break
 
         fine = refine(prob.grid)
+        # the fine grid's quadrature weights are cached for the process's
+        # life; made before the level's arrays, they sit below them in the
+        # heap, so that the C allocator can return the level's memory when
+        # it is freed, which one of them made mid-level would pin
+        area_weights(fine), time_weights(fine), perimeter_weights(fine, prob.obs.sides)
         if prior_builder is not None:
             eps_prior_f, sigma_prior_f = prior_builder(fine)
         else:

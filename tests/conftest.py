@@ -138,6 +138,16 @@ def assert_steps_back_to(sol, E):
     return back
 
 
+def advanced(op, cur, prev, n):
+    """The level that op.advance writes from node arrays prev and cur
+    (levels n-1 and n), stepped in the operator's own levels: a view of the
+    nodes of its third level."""
+    pc, pp, po = op.levels
+    pc.nodes[...], pp.nodes[...] = cur, prev
+    op.advance(pc, pp, n, po)
+    return po.nodes
+
+
 def stored_adjoint(op, residual):
     """The multiplier levels of the backward sweep of the forward operator op
     stacked in forward time order (snapshot nt is the zero terminal state):

@@ -9,12 +9,16 @@ from waveinv import (
     ALL_SIDES,
     BcConfig,
     BoundaryTrace,
+    RegularizationParams,
     Role,
     SourceSpec,
     StabilityError,
     build_grid,
     constant_coefficient,
     extract_trace,
+    forward_defect,
+    gradient_sweep,
+    region_mask,
     solve_forward,
     trace_dot,
     trace_norm_sq,
@@ -25,6 +29,7 @@ from waveinv.forward import (
 from waveinv.grid import Side, area_weights, perimeter_offsets
 from conftest import (
     adjoint_energy,
+    advanced,
     all_neumann_bc,
     grid_of_levels,
     smooth_random_spacetime,
@@ -249,6 +254,84 @@ def test_adjoint_holds_one_window_beyond_its_operator(medium_grid):
     # one float time axis and one flag per side, per level
     time_and_flags = (g.nt + 1) * (8 + len(ALL_SIDES))
     assert sweep - operator <= window_bytes + time_and_flags
+
+
+def test_adjoint_shares_the_coefficients_of_its_operator():
+    # the adjoint forms no coefficient run: it steps with its forward
+    # operator's runs, scratch, flags and perimeter tables, and what building
+    # it keeps is its three levels, one window of the boundary data and the
+    # flags; draining it adds the Taylor start's temporaries, f1's node array
+    # and numpy's fixed-size buffers for its strided operands: 2.5 node
+    # arrays measured at 128², 5.0 while the start formed each term anew
+    g = build_grid(128, 128, T=0.6)
+    assert g.nt + 1 > WINDOW
+    eps, sig = truth_pair(g)
+    residual = smooth_random_trace(g, np.random.default_rng(4))
+    op = forward_operator(g, eps, sig, SourceSpec(), BcConfig())
+    for _ in leapfrog_levels(op.adjoint(residual)):  # warm: no lazy import is counted
+        pass
+    tracemalloc.start()
+    try:
+        adjoint = op.adjoint(residual)
+        kept = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for _ in leapfrog_levels(adjoint):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert adjoint.coefficients is op.coefficients
+    for run in ("_c_cur", "_c_prev", "_c_lap", "_scratch"):
+        assert getattr(adjoint, run) is getattr(op, run)
+    assert not any(np.shares_memory(a.pad, b.pad) for a in adjoint.levels for b in op.levels)
+    level_bytes = ((g.nx + 3) * (g.ny + 3) + PaddedLevel.LINE) * 8
+    window_bytes = WINDOW * residual.values.shape[1] * 8
+    time_and_flags = (g.nt + 1) * (8 + len(ALL_SIDES))
+    objects = 16384  # the array, view and program objects, which do not grow with the grid
+    assert kept <= 3 * level_bytes + window_bytes + time_and_flags + objects
+    assert peak <= kept + 3 * np.empty(g.node_shape).nbytes
+
+
+def solve_defect(op, E):
+    """forward_defect's rows n >= 1, a_plus (E^{n+1} - step(E^n, E^{n-1})),
+    stepped through the given operator in place of a fresh one."""
+    g, cur, prev, out = op.grid, *op.levels
+    a_plus = op.eps.values / g.dt**2 + op.sigma.values / (2.0 * g.dt)
+    rows = []
+    for n in range(1, g.nt):
+        cur.nodes[...], prev.nodes[...] = E[n], E[n - 1]
+        op.advance(cur, prev, n, out)
+        rows.append(a_plus * (E[n + 1] - out.nodes))
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("sides", [ALL_SIDES, (Side.LEFT, Side.TOP)])
+def test_a_forward_operator_steps_as_before_after_its_adjoint(sides):
+    # the adjoint patches the shared c_cur and c_prev at its own patterns,
+    # lag 1, and its last steps close other sides than a forward step after
+    # the source's switch; the solve's operator re-patches at its next step,
+    # so after a sweep that step, the operator's defect and its pass are
+    # bitwise those of a fresh operator, and a second multiplier stream is
+    # the first
+    g = build_grid(24, 24, T=1.2)
+    eps, sig = truth_pair(g)
+    src, bc = SourceSpec(f1=lambda X, Y: X * Y), BcConfig()
+    sol = solve_forward(g, eps, sig, src, bc)
+    obs = smooth_random_trace(g, np.random.default_rng(6), sides)
+    stack = stored_state(g, eps, sig, src, bc)
+    late, (cur, prev) = g.nt - 2, np.random.default_rng(7).standard_normal((2, *g.node_shape))
+    fresh = advanced(forward_operator(g, eps, sig, src, bc), cur, prev, late).copy()
+    assert np.array_equal(advanced(sol.op, cur, prev, late), fresh)
+    before = solve_defect(sol.op, stack)
+    first = np.stack([lam.nodes.copy() for lam in sol.multiplier(obs)])
+    reg = RegularizationParams(0.1, 0.1, 0.5, eps, sig)
+    gradient_sweep(sol, sol.multiplier(obs), reg, 0.1, 0.1, region_mask(g, 2))
+    assert np.array_equal(advanced(sol.op, cur, prev, late), fresh)
+    second = np.stack([lam.nodes.copy() for lam in sol.multiplier(obs)])
+    assert first.any() and np.array_equal(first, second)
+    assert np.array_equal(before, forward_defect(stack, eps, sig, src, bc)[1:])
+    assert np.array_equal(solve_defect(sol.op, stack), before)
+    assert np.array_equal(np.stack([lv.nodes.copy() for lv in leapfrog_levels(sol.op)]), stack)
 
 
 def whole_trace_adjoint(op, residual):

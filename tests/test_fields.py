@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,12 @@ from waveinv import (
     solve_forward,
     transfer_to_refined,
 )
+from waveinv.fields import BLOCK
 from waveinv.forward import PaddedLevel, trace_of_levels
-from conftest import smooth_random_trace, stored_adjoint, stored_state, truth_pair, zero_trace
+from waveinv.grid import perimeter_offsets
+from conftest import (
+    grid_of_levels, smooth_random_trace, stored_adjoint, stored_state, truth_pair, zero_trace,
+)
 
 
 class TestGaussianBuilder:
@@ -267,6 +273,58 @@ class TestTransfer:
         exact = np.sin(omega * f.times())[:, None]
         err = np.abs(out.data[Side.LEFT][:, ::2] - exact).max()
         assert err <= (omega * g.dt) ** 2 / 8.0 * 1.0 + 1e-12
+
+    @staticmethod
+    def whole_trace_refined(trace, fine):
+        """The refined values of a trace formed whole: linear in time over
+        every fine level at once, then each fine node of a side the mean of
+        coarse nodes k // 2 and (k + 1) // 2."""
+        coarse = trace.grid
+        pos = np.minimum(fine.times(), coarse.times()[-1]) / coarse.dt
+        k = np.minimum(pos.astype(int), coarse.nt - 1)
+        w = pos - k
+        in_time = (1.0 - w)[:, None] * trace.values[k, :] + w[:, None] * trace.values[k + 1, :]
+        start_c, start_f = (perimeter_offsets(g, trace.sides) for g in (coarse, fine))
+        cols = []
+        for side, (a, b) in enumerate(zip(start_f, start_f[1:])):
+            node = np.arange(b - a)
+            cols.append((start_c[side] + node // 2, start_c[side] + (node + 1) // 2))
+        lo, hi = (np.concatenate(c) for c in zip(*cols))
+        return 0.5 * (in_time[:, lo] + in_time[:, hi])
+
+    # 38, 64, 66 and 196 fine levels: under one block, one block exactly, one
+    # level over it and several blocks
+    @pytest.mark.parametrize("levels", [20, 33, 34, 99])
+    @pytest.mark.parametrize("sides", [ALL_SIDES, (Side.LEFT, Side.TOP), (Side.RIGHT,)])
+    def test_trace_is_bitwise_the_whole_trace_formula(self, levels, sides):
+        g = grid_of_levels(levels, 8)
+        f = refine(g)
+        assert f.nt + 1 == 2 * levels - 2
+        tr = smooth_random_trace(g, np.random.default_rng(levels), sides)
+        out = transfer_to_refined(tr, f)
+        assert out.sides == tr.sides and out.values.shape == (f.nt + 1, perimeter_offsets(f, sides)[-1])
+        assert np.array_equal(out.values, self.whole_trace_refined(tr, f))
+
+    def test_trace_transfer_holds_its_output_and_one_block(self):
+        # the refined trace is formed BLOCK fine levels at a time into its
+        # output: beyond it one block of rows of each trace is alive, and
+        # index tables of the perimeter and the time axis (the whole-trace
+        # form held about three times the output at once)
+        g = build_grid(64, 64, T=1.2)
+        f = refine(g)
+        tr = smooth_random_trace(g, np.random.default_rng(3))
+        transfer_to_refined(tr, f)  # warm: no first-call import is counted
+        tracemalloc.start()
+        try:
+            out = transfer_to_refined(tr, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        width_c, width_f = tr.values.shape[1], out.values.shape[1]
+        block = BLOCK * (width_c + width_f) * 8
+        tables = 16 * (width_f + f.nt + 1) * 8
+        assert f.nt + 1 > 4 * BLOCK
+        assert peak <= out.values.nbytes + block + tables
 
     def test_non_nested_grids_rejected(self):
         g = build_grid(16, 16)

@@ -25,8 +25,8 @@ from waveinv.forward import (
     forward_operator, forward_trace, leapfrog_levels,
 )
 from conftest import (
-    CHECKPOINT_NT, all_neumann_bc, assert_steps_back_to, discrete_energy, smooth_random_coefficient,
-    smooth_random_trace, stack_trace, stored_state, truth_pair,
+    CHECKPOINT_NT, advanced, all_neumann_bc, assert_steps_back_to, discrete_energy,
+    smooth_random_coefficient, smooth_random_trace, stack_trace, stored_state, truth_pair,
 )
 
 
@@ -378,16 +378,6 @@ def rel_err(a, b):
     return float(np.abs(a - b).max() / np.abs(b).max())
 
 
-def advanced(op, cur, prev, n):
-    """The level that op.advance writes from node arrays prev and cur
-    (levels n-1 and n), stepped in the operator's own levels: a view of the
-    nodes of its third level."""
-    pc, pp, po = op.levels
-    pc.nodes[...], pp.nodes[...] = cur, prev
-    op.advance(pc, pp, n, po)
-    return po.nodes
-
-
 @pytest.mark.parametrize("name", KERNEL_CASES)
 def test_fused_step_matches_unfused_update(name):
     g, eps, sig, src, bc = kernel_case(name)
@@ -420,9 +410,10 @@ def test_forward_levels_match_unfused_scheme(name):
                          ids=lambda nt: "default" if nt is None else f"nt{nt}")
 def test_solve_forward_replays_the_streamed_levels_backward(nt):
     # forcing and start-up data reach the levels stepped back through the
-    # forcing and the last two levels; the short time axes end a burst of
-    # reverse steps in every way; the kept levels and the perimeter are
-    # bitwise the pass, the interior to 1e-12 of max|E|
+    # forcing and the last two levels; the short time axes start the reverse
+    # steps in each of the operator's three levels, level n in n % 3; the kept
+    # levels and the perimeter are bitwise the pass, the interior to 1e-12
+    # of max|E|
     for name in KERNEL_CASES:
         g, eps, sig, src, bc = kernel_case(name, nt)
         op = forward_operator(g, eps, sig, src, bc)
@@ -486,8 +477,8 @@ def test_a_non_finite_level_stepped_back_is_reported(small_grid):
 
 def test_two_most_recent_levels_survive_the_next_pull():
     g, eps, sig, src, bc = kernel_case("default")
-    # the forward loop's three buffers, and the kept levels and the ring of
-    # reverse steps
+    # the forward loop's three buffers, and the kept levels and the same
+    # three buffers stepped back into
     for stream in (leapfrog_levels(forward_operator(g, eps, sig, src, bc)),
                    solve_forward(g, eps, sig, src, bc).levels_backward()):
         held = []

@@ -197,7 +197,7 @@ class TestMemory:
 
     def test_checkpointed_solves_peak_below_half_a_stack(self):
         # a stored state alone would be one stack; a ForwardSolution holds its
-        # trace and its last two levels, and a sweep a ring of ten levels
+        # trace and its last two levels, and steps back in its operator's own
         init_peak, step_peak = self.iteration_peaks()
         assert init_peak <= 0.5
         assert step_peak <= 0.5
@@ -224,6 +224,15 @@ class TestMemory:
         init_peak, step_peak = self.iteration_peaks()
         assert init_peak <= 0.26
         assert step_peak <= 0.26
+
+    def test_iteration_peak_below_0_20_stacks(self):
+        # the adjoint shares its operator's coefficients and the state steps
+        # back in the operator's own three levels: 0.192 and 0.187 measured,
+        # 0.255 and 0.249 with a second set of coefficients and a ring of ten
+        # levels
+        init_peak, step_peak = self.iteration_peaks()
+        assert init_peak <= 0.20
+        assert step_peak <= 0.20
 
     def test_sweep_holds_only_observations_and_adjoint_data(self, monkeypatch):
         """Halfway through each backward sweep of init_state and cg_step the
