@@ -19,6 +19,7 @@ from .fields import (
     BoundaryTrace,
     CoefficientField,
     NoiseModel,
+    RefinedTrace,
     Role,
     add_noise,
     bump_perturbed,

@@ -8,6 +8,11 @@ threads without locking.
 A boundary trace is one (nt+1, P) array over its sides, whose columns are
 the perimeter layout of grid.perimeter_offsets: the sides in side order and
 each side's nodes by index, so a corner appears once per side containing it.
+A RefinedTrace is the same trace on the factor-2 refined grid, formed on
+request a block of rows at a time and never stored; the two share one row
+protocol, rows(a, b), which is how the misfit and the adjoint read
+observations.  A RefinedTrace's scratch is local to each call, so it too can
+be shared across threads.
 """
 
 from __future__ import annotations
@@ -122,6 +127,14 @@ class BoundaryTrace:
         object.__setattr__(self, "values", values)
         data = {side: values[:, a:b] for side, a, b in zip(sides, start, start[1:])}
         object.__setattr__(self, "data", data)
+
+    def rows(self, a: int, b: int, out: np.ndarray | None = None) -> np.ndarray:
+        """values[a:b], a read-only view, or copied into out; the row
+        protocol that a RefinedTrace shares."""
+        if out is None:
+            return self.values[a:b]
+        out[...] = self.values[a:b]
+        return out
 
     def map(self, fn) -> "BoundaryTrace":
         return BoundaryTrace(grid=self.grid, sides=self.sides, values=fn(self.values))
@@ -275,35 +288,67 @@ def _refine_nodal(values: np.ndarray) -> np.ndarray:
 BLOCK = 64  # trace rows formed or summed at once, so that no whole-trace temporary is made
 
 
-def _refine_trace(trace: BoundaryTrace, fine: Grid2D) -> np.ndarray:
-    """The values of a trace on the factor-2 refined grid, formed BLOCK fine
-    time levels at a time straight into the (nt_f+1, P_f) result, so that
-    beyond it one block of rows of each trace is held.  Each block is linear
-    in time, (1 - w) arr[k] + w arr[k+1] at fine level n, then in space: fine
-    node k of a side is the mean of coarse nodes k // 2 and (k + 1) // 2."""
-    coarse, arr = trace.grid, trace.values
-    pos = np.minimum(fine.times(), coarse.times()[-1]) / coarse.dt
-    k = np.minimum(pos.astype(int), coarse.nt - 1)
-    w = pos - k
-    start_c, start_f = (perimeter_offsets(g, trace.sides) for g in (coarse, fine))
-    side = np.repeat(np.arange(len(trace.sides)), np.diff(start_f))
-    node = np.arange(start_f[-1]) - start_f[side]
-    lo = start_c[side] + node // 2
-    hi = lo + node % 2
-    out = np.empty((fine.nt + 1, start_f[-1]))
-    for a in range(0, fine.nt + 1, BLOCK):
-        rows = np.s_[a:a + BLOCK]
-        in_time = arr[k[rows]]
-        in_time *= (1.0 - w[rows])[:, None]
-        later = arr[k[rows] + 1]
-        later *= w[rows, None]
+@dataclass(frozen=True, eq=False)
+class RefinedTrace:
+    """A boundary trace on the factor-2 refined grid of its source, formed a
+    block of rows at a time on request and never held whole.
+
+    source is a BoundaryTrace or another RefinedTrace, so refinements chain
+    from one stored trace; beyond its source a RefinedTrace holds its time
+    index k and weights w, (nt+1) values each.  rows(a, b) forms fine rows
+    a..b-1 from source rows k[a]..k[b-1]+1: linear in time,
+    (1 - w) src[k] + w src[k+1] at fine level n, then in space: fine node j
+    of a side is the mean of coarse nodes j // 2 and (j + 1) // 2, summed
+    by slices and halved.  transfer_to_refined forms a whole trace by these
+    rows, so a RefinedTrace reads bitwise as the trace it would store."""
+
+    source: "BoundaryTrace | RefinedTrace"
+    grid: Grid2D
+    sides: tuple[Side, ...] = dc_field(init=False)
+    width: int = dc_field(init=False, repr=False)  # P, the columns of a row
+    _k: np.ndarray = dc_field(init=False, repr=False)
+    _w: tuple[np.ndarray, np.ndarray] = dc_field(init=False, repr=False)  # 1 - w and w
+    _columns: tuple[tuple[slice, slice], ...] = dc_field(init=False, repr=False)  # per side
+
+    def __post_init__(self) -> None:
+        coarse, fine = self.source.grid, self.grid
+        _check_nested(coarse, fine)
+        pos = np.minimum(fine.times(), coarse.times()[-1]) / coarse.dt
+        k = np.minimum(pos.astype(int), coarse.nt - 1)
+        w = pos - k
+        start_c, start_f = (perimeter_offsets(g, self.source.sides) for g in (coarse, fine))
+        object.__setattr__(self, "sides", self.source.sides)
+        object.__setattr__(self, "width", int(start_f[-1]))
+        object.__setattr__(self, "_k", k)
+        object.__setattr__(self, "_w", ((1.0 - w)[:, None], w[:, None]))
+        object.__setattr__(self, "_columns", tuple(
+            (slice(ca, cb), slice(fa, fb))
+            for ca, cb, fa, fb in zip(start_c, start_c[1:], start_f, start_f[1:])))
+
+    def rows(self, a: int, b: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Fine rows a..b-1, clipped to the trace as a slice is, formed into
+        out (any (rows, P) view, reversed ones too) or a new array."""
+        k = self._k[a:b]
+        if out is None:
+            out = np.empty((len(k), self.width))
+        if not len(k):
+            return out
+        src = self.source.rows(k[0], k[-1] + 2)
+        k = k - k[0]
+        w_this, w_next = (w[a:b] for w in self._w)
+        in_time = src.take(k, axis=0)
+        in_time *= w_this
+        # the later level goes through out's first columns, which the
+        # midpoints overwrite after it is added ("raise" would buffer out)
+        later = src.take(k + 1, axis=0, out=out[:, :src.shape[1]], mode="clip")
+        later *= w_next
         in_time += later
-        del later
-        block = out[rows]
-        in_time.take(lo, axis=1, out=block, mode="clip")  # "raise" buffers out
-        block += in_time[:, hi]
-        block *= 0.5
-    return out
+        for coarse, fine in self._columns:
+            c, f = in_time[:, coarse], out[:, fine]
+            np.add(c, c, out=f[:, ::2])
+            np.add(c[:, :-1], c[:, 1:], out=f[:, 1::2])
+        out *= 0.5
+        return out
 
 
 def transfer_to_refined(obj, fine_grid: Grid2D):
@@ -312,6 +357,10 @@ def transfer_to_refined(obj, fine_grid: Grid2D):
     Coefficients are interpolated bilinearly.  Traces are interpolated
     linearly in time to the fine time step; in space coincident fine nodes
     take the coarse values and midpoints the average of their neighbours.
+    A trace is stored from the rows of RefinedTrace(obj, fine_grid), formed
+    BLOCK at a time into the result, so beyond it one block of coarse rows
+    is held; where the fine trace is only read by its rows, a RefinedTrace
+    itself stores nothing.
     """
     if isinstance(obj, CoefficientField):
         _check_nested(obj.grid, fine_grid)
@@ -319,6 +368,9 @@ def transfer_to_refined(obj, fine_grid: Grid2D):
             grid=fine_grid, values=_refine_nodal(obj.values), role=obj.role
         )
     if isinstance(obj, BoundaryTrace):
-        _check_nested(obj.grid, fine_grid)
-        return BoundaryTrace(grid=fine_grid, sides=obj.sides, values=_refine_trace(obj, fine_grid))
+        refined = RefinedTrace(obj, fine_grid)
+        out = np.empty((fine_grid.nt + 1, refined.width))
+        for a in range(0, len(out), BLOCK):
+            refined.rows(a, a + BLOCK, out=out[a:a + BLOCK])
+        return BoundaryTrace(grid=fine_grid, sides=obj.sides, values=out)
     raise TypeError(f"cannot transfer object of type {type(obj).__name__}")

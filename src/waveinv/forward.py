@@ -53,7 +53,9 @@ perimeter from the trace (the boundary saving of reverse-time migration:
 Symes 2007; re-anchored in damped media, Yang et al. 2016), with no
 snapshot stack; multiplier(obs) streams lam^nt..lam^0, the adjoint that
 the solve's own residual drives, formed from its trace and obs a window of
-levels at a time (ResidualWindow).
+levels at a time (ResidualWindow).  obs is read by its rows, so refined
+observations (a fields.RefinedTrace) are formed straight into the window
+and the sweep holds one trace, the solve's.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .grid import ALL_SIDES, Grid2D, Side, perimeter_nodes, perimeter_offsets
-from .fields import BoundaryTrace, CoefficientField, trace_columns
+from .fields import BoundaryTrace, CoefficientField, RefinedTrace, trace_columns
 
 
 class StabilityError(RuntimeError):
@@ -172,15 +174,17 @@ class ResidualWindow:
     """The adjoint's observed-side ghost terms 2 h g, g = -(trace - obs)(T - s),
     WINDOW adjoint levels s at a time: row s - start of values is
     -2h (trace[nt - s] - obs[nt - s]) on obs's columns of trace, or
-    -2h trace[nt - s] where obs is None.  These are the element operations
-    of the whole residual reversed and scaled, so the multiplier is bitwise
-    the same, while only min(WINDOW, nt + 1) rows are held.  It keeps trace
-    and obs, never an operator, so no operator is kept alive by a cycle."""
+    -2h trace[nt - s] where obs is None.  obs's rows are formed (a
+    RefinedTrace) or copied straight into the window, reversed, and trace's
+    are subtracted from them: the element operations of the whole residual
+    reversed and scaled, so the multiplier is bitwise the same, while only
+    min(WINDOW, nt + 1) rows are held.  It keeps trace and obs, never an
+    operator, so no operator is kept alive by a cycle."""
 
-    def __init__(self, trace: BoundaryTrace, obs: BoundaryTrace | None) -> None:
+    def __init__(self, trace: BoundaryTrace, obs: BoundaryTrace | RefinedTrace | None) -> None:
         grid, sides = trace.grid, trace.sides if obs is None else obs.sides
         self._trace, self._cols = trace.values, trace_columns(trace, sides)
-        self._obs = None if obs is None else obs.values
+        self._obs = obs
         self._nt, self._scale = grid.nt, -2.0 * grid.h
         self.start = self.stop = 0
         start = perimeter_offsets(grid, sides)
@@ -196,9 +200,12 @@ class ResidualWindow:
             hi = self._nt + 1 - start  # forward levels hi - 1 down to lo
             lo = max(hi - WINDOW, 0)
             out = self.values[:hi - lo]
-            out[...] = self._trace[lo:hi, self._cols][::-1]
-            if self._obs is not None:
-                out -= self._obs[lo:hi][::-1]
+            traced = self._trace[lo:hi, self._cols][::-1]
+            if self._obs is None:
+                out[...] = traced
+            else:
+                self._obs.rows(lo, hi, out=out[::-1])
+                np.subtract(traced, out, out=out)
             out *= self._scale
             self.start, self.stop = start, start + hi - lo
         return s - self.start
@@ -559,7 +566,8 @@ class Leapfrog:
         out += 1.0
         return out
 
-    def adjoint(self, trace: BoundaryTrace, obs: BoundaryTrace | None = None) -> "Leapfrog":
+    def adjoint(self, trace: BoundaryTrace,
+                obs: BoundaryTrace | RefinedTrace | None = None) -> "Leapfrog":
         """The adjoint operator of this forward operator, driven by the
         boundary residual trace - obs on obs's sides (trace may hold more
         sides), or by trace itself where obs is None: leapfrog_levels of it
@@ -601,8 +609,10 @@ class Leapfrog:
         columns of it, and the absorbing flags are reversed views.  Nor is
         a coefficient formed: the adjoint shares this operator's
         StepCoefficients (its patterns are these, reversed) and owns its
-        three levels.  So the sweep holds trace and obs, which its caller
-        holds anyway, one window of boundary data and three levels."""
+        three levels.  So the sweep holds trace, which its reverse steps
+        read, obs, one window of boundary data and three levels; obs is
+        read by its rows, so a RefinedTrace is formed a window at a time
+        and holds no trace of its own, and a stored obs is the caller's."""
         grid = self.grid
         for t in (trace,) if obs is None else (trace, obs):
             if t.grid.nt != grid.nt or t.grid.node_shape != grid.node_shape:
@@ -722,10 +732,11 @@ class ForwardSolution:
 
         self.trace = trace_of_levels(grid, keep(leapfrog_levels(op)), ALL_SIDES)
 
-    def multiplier(self, obs: BoundaryTrace) -> Iterator[PaddedLevel]:
+    def multiplier(self, obs: BoundaryTrace | RefinedTrace) -> Iterator[PaddedLevel]:
         """lam^nt, ..., lam^0: leapfrog_levels of the adjoint that this
         solve's residual on obs's sides drives, read from its trace and obs
-        a window at a time; no residual trace is formed."""
+        (a BoundaryTrace or a RefinedTrace) a window at a time; no residual
+        trace is formed."""
         return leapfrog_levels(self.op.adjoint(self.trace, obs))
 
     def levels_backward(self) -> Iterator[PaddedLevel]:

@@ -5,6 +5,12 @@ Quadrature conventions: trapezoid in time, trapezoid along boundary edges
 (half weight at edge ends, so a corner shared by two observed sides gets
 its correct perimeter weight) and tensor-trapezoid over the area.  All of
 these reproduce constants exactly.
+
+The misfit is one pass over a simulated trace and the observations, BLOCK
+time levels at a time.  It reads the observations by their rows, so
+observations refined from a coarser grid (fields.RefinedTrace) are formed
+a block at a time and never stored: an iteration on a refined level holds
+one trace, the solve's.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import BLOCK, BoundaryTrace, CoefficientField, trace_columns
+from .fields import BLOCK, BoundaryTrace, CoefficientField, RefinedTrace, trace_columns
 from .forward import BcConfig, SourceSpec, forward_operator
 from .grid import Grid2D, area_weights, perimeter_nodes, perimeter_weights, time_weights
 
@@ -79,24 +85,28 @@ class Misfit(NamedTuple):
         return math.sqrt(self.r_sq) / math.sqrt(self.sim_sq), self.r_sup / self.sim_sup
 
 
-def misfit(sim: BoundaryTrace, obs: BoundaryTrace, errors: bool = False) -> Misfit:
+def misfit(sim: BoundaryTrace, obs: BoundaryTrace | RefinedTrace, errors: bool = False) -> Misfit:
     """The quadrature of (sim - obs)^2 over obs's sides, and with errors the
     other sums of Misfit, in one pass over BLOCK time levels at a time; sim
     may hold more sides than obs (a solve's all-sides trace), and a side of
-    obs that sim does not hold raises ValueError.  The sups are taken with
-    np.maximum, so a NaN in any block reaches them."""
+    obs that sim does not hold raises ValueError.  obs is read by its rows,
+    so a RefinedTrace is formed a block at a time, and the residual and the
+    squares are formed in two block buffers that the pass reuses.  The sups
+    are taken with np.maximum, so a NaN in any block reaches them."""
     if sim.grid.nt != obs.grid.nt or sim.grid.node_shape != obs.grid.node_shape:
         raise ValueError("traces live on incompatible grids")
     cols = trace_columns(sim, obs.sides)
     wt, wp = time_weights(obs.grid), perimeter_weights(obs.grid, obs.sides)
+    r_block, tmp_block = np.empty((2, min(BLOCK, len(wt)), len(wp)))
     sq, sup = np.zeros(2), np.zeros(2)  # of r and of sim
     for a in range(0, len(wt), BLOCK):
         w, s = wt[a:a + BLOCK], sim.values[a:a + BLOCK, cols]
-        r = s - obs.values[a:a + BLOCK]
-        sq[0] += w @ (r * r) @ wp
+        r, tmp = r_block[:len(w)], tmp_block[:len(w)]
+        np.subtract(s, obs.rows(a, a + BLOCK, out=r), out=r)
+        sq[0] += w @ np.multiply(r, r, out=tmp) @ wp
         if errors:
-            sq[1] += w @ (s * s) @ wp
-            np.maximum(sup, (np.abs(r).max(), np.abs(s).max()), out=sup)
+            sq[1] += w @ np.multiply(s, s, out=tmp) @ wp
+            np.maximum(sup, (np.abs(r, out=tmp).max(), np.abs(s, out=tmp).max()), out=sup)
     if not errors:
         return Misfit(float(sq[0]))
     return Misfit(float(sq[0]), float(sup[0]), float(sq[1]), float(sup[1]))
@@ -118,7 +128,7 @@ def regularized(r_sq: float, eps: CoefficientField, sigma: CoefficientField,
 
 def tikhonov(
     sim: BoundaryTrace,
-    obs: BoundaryTrace,
+    obs: BoundaryTrace | RefinedTrace,
     eps: CoefficientField,
     sigma: CoefficientField,
     reg: RegularizationParams,
@@ -206,7 +216,7 @@ def relative_errors(approx: CoefficientField, exact: CoefficientField) -> tuple[
     return field_norm(diff, grid) / denom_l2, float(np.abs(diff).max()) / denom_sup
 
 
-def data_errors(sim: BoundaryTrace, obs: BoundaryTrace) -> tuple[float, float]:
+def data_errors(sim: BoundaryTrace, obs: BoundaryTrace | RefinedTrace) -> tuple[float, float]:
     """Relative L2 and supremum misfit of a simulated trace, from one
     blocked pass."""
     return misfit(sim, obs, errors=True).relative()

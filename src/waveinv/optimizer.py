@@ -11,25 +11,31 @@ are clamped to [-alpha_max, alpha_max] and halved, at most MAX_BACKTRACKS
 times, while the functional would increase.  When even the last trial
 increases it, the search restarts once along steepest descent; when that
 fails too, no step is taken and the loop stops at the last accepted
-iterate (line_search_failed).  One function turns the accepted trial into
-the next CgState: the Tikhonov functional and the data errors of its
-trace, the gradients summed during the backward adjoint sweep (the state
-steps back beside it), the Fletcher-Reeves directions (restarted when a
-ratio exceeds beta_max), the next clamped steps and the size of the
-update.  It reads eps and sigma from the solve's operator, F and the data
-errors from one blocked pass over its trace and the observations, then
-sweeps its own multiplier, whose boundary data are formed from those two
-a window at a time, so the sweep holds two traces, the observations and
-the solve's perimeter record; no iterate keeps a trace, and no gradient
-is formed at coefficients or boundary conditions other than the solve's.
-The regularization weights decay as gamma^m = gamma^0 / (m+1)^p.  run_cga
-and run_acga each stop at the first of their tolerances, in a fixed order,
-that a value falls below.
+iterate (line_search_failed).  Each trial makes one blocked pass over its
+trace and the observations, misfit(errors=True): its r^2 gives the
+trial's functional, and the accepted trial's sums give the next iterate's
+F and data errors, so a solve's trace is summed once.  One function turns
+the accepted trial into the next CgState: the Tikhonov functional and the
+data errors of its trace, the gradients summed during the backward
+adjoint sweep (the state steps back beside it), the Fletcher-Reeves
+directions (restarted when a ratio exceeds beta_max), the next clamped
+steps and the size of the update.  It reads eps and sigma from the
+solve's operator, then sweeps its own multiplier, whose boundary data are
+formed from the solve's trace and the observations a window at a time;
+no iterate keeps a trace, and no gradient is formed at coefficients or
+boundary conditions other than the solve's.  The regularization weights
+decay as gamma^m = gamma^0 / (m+1)^p.  run_cga and run_acga each stop at
+the first of their tolerances, in a fixed order, that a value falls
+below.
 
 The adaptive driver repeats the loop over nested factor-2 grids, refining
 whenever the indicator |h (v - background)| (or |h v| in absolute mode)
-reaches a fraction of its maximum over cells, and transfers iterates and
-observations to each new grid.
+reaches a fraction of its maximum over cells, and transfers iterates to
+each new grid.  The observations on a refined level are a RefinedTrace
+chained from level 0's stored trace, formed a block of rows at a time
+where the misfit and the adjoint's window read them.  So a sweep holds
+one trace on a refined level, the solve's perimeter record, and two on
+level 0, where the observations are stored.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from .fields import (
     AdmissibleSet,
     BoundaryTrace,
     CoefficientField,
+    RefinedTrace,
     project,
     transfer_to_refined,
 )
@@ -53,13 +60,13 @@ from .grid import (
 )
 from .gradient import gradient_sweep
 from .objective import (
+    Misfit,
     RegularizationParams,
     field_dot,
     field_norm,
     misfit,
     regularized,
     relative_errors,
-    tikhonov,
 )
 
 # halvings of the step along one direction before the line search gives it up
@@ -97,7 +104,7 @@ class InverseProblem:
     adm: AdmissibleSet
     src: SourceSpec
     bc: BcConfig
-    obs: BoundaryTrace
+    obs: BoundaryTrace | RefinedTrace
     reg: RegularizationParams
     eps_init: CoefficientField
     sigma_init: CoefficientField
@@ -202,18 +209,18 @@ def _clamped_step(
 
 
 def _iterate(
-    problem: InverseProblem, m: int, E: ForwardSolution, prev: CgState | None = None,
-    backtracks: int = 0,
+    problem: InverseProblem, m: int, E: ForwardSolution, sums: Misfit,
+    prev: CgState | None = None, backtracks: int = 0,
 ) -> CgState:
     """Iterate m from its forward solve E, at E's eps and sigma: the
-    functional and the data errors of E's trace on the observed sides, the
-    gradients summed over E's multiplier (neither the state nor the
-    multiplier is stored), the direction (steepest descent at the start,
-    Fletcher-Reeves after prev, restarting when either ratio exceeds
-    beta_max), the clamped steps and the update from prev."""
+    functional and the data errors of E's trace on the observed sides, from
+    sums, misfit(E.trace, problem.obs, errors=True), the gradients summed
+    over E's multiplier (neither the state nor the multiplier is stored),
+    the direction (steepest descent at the start, Fletcher-Reeves after
+    prev, restarting when either ratio exceeds beta_max), the clamped steps
+    and the update from prev."""
     grid, obs, eps, sigma = problem.grid, problem.obs, E.op.eps, E.op.sigma
     gamma_eps, gamma_sigma = problem.reg.at_iteration(m)
-    sums = misfit(E.trace, obs, errors=True)  # one pass for F and the data errors
     F = regularized(sums.r_sq, eps, sigma, problem.reg, gamma_eps, gamma_sigma)
     e_E_l2, e_E_sup = _or_nan(sums.relative)
     g_eps, g_sigma, lambda_norm = gradient_sweep(
@@ -250,7 +257,8 @@ def init_state(problem: InverseProblem) -> CgState:
     """Evaluate the initial guesses and seed steepest-descent directions."""
     eps = project(problem.eps_init, problem.adm, problem.mask)
     sigma = project(problem.sigma_init, problem.adm, problem.mask)
-    return _iterate(problem, 0, solve_forward(problem.grid, eps, sigma, problem.src, problem.bc))
+    E = solve_forward(problem.grid, eps, sigma, problem.src, problem.bc)
+    return _iterate(problem, 0, E, misfit(E.trace, problem.obs, errors=True))
 
 
 def _row(state: CgState, problem: InverseProblem) -> LogRow:
@@ -307,10 +315,14 @@ def cg_step(
             eps_new = _trial(problem, state.eps, a_eps, start.d_eps)
             sigma_new = _trial(problem, state.sigma, a_sigma, start.d_sigma)
             E_new = solve_forward(problem.grid, eps_new, sigma_new, problem.src, problem.bc)
-            F_trial = tikhonov(E_new.trace, problem.obs, eps_new, sigma_new,
-                               problem.reg, state.gamma_eps, state.gamma_sigma)
+            # the one pass over the trial's trace: the accepted iterate's F
+            # and data errors are taken from the same sums
+            sums = misfit(E_new.trace, problem.obs, errors=True)
+            F_trial = regularized(sums.r_sq, eps_new, sigma_new,
+                                  problem.reg, state.gamma_eps, state.gamma_sigma)
             if F_trial <= state.F:
-                return _iterate(problem, state.m + 1, E_new, prev=start, backtracks=rejected)
+                return _iterate(problem, state.m + 1, E_new, sums, prev=start,
+                                backtracks=rejected)
             del E_new  # drop the rejected trial before the next solve
             rejected += 1
             a_eps, a_sigma = 0.5 * a_eps, 0.5 * a_sigma
@@ -481,7 +493,9 @@ def run_acga(
 ) -> AcgaResult:
     """Multi-level reconstruction: run the CG loop, flag cells, refine the
     grid and transfer iterates and observations until flags vanish, a
-    cross-level tolerance fires or the refinement cap is reached.
+    cross-level tolerance fires or the refinement cap is reached.  A refined
+    level's observations are a RefinedTrace of the previous level's, so
+    none but problem.obs is stored.
 
     truth_builder/prior_builder are optional callables grid -> (eps, sigma)
     used to resample the exact coefficients (for error reporting) and the
@@ -545,7 +559,7 @@ def run_acga(
         eps_true_f, sigma_true_f = (None, None) if truth_builder is None else truth_builder(fine)
         prob = replace(
             prob, grid=fine, mask=region_mask(fine, prob.mask.frame_width),
-            obs=transfer_to_refined(prob.obs, fine),
+            obs=RefinedTrace(prob.obs, fine),  # formed a block at a time, never stored
             reg=replace(prob.reg, eps_prior=eps_prior_f, sigma_prior=sigma_prior_f),
             eps_init=transfer_to_refined(result.eps, fine),
             sigma_init=transfer_to_refined(result.sigma, fine),

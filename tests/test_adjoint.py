@@ -9,6 +9,7 @@ from waveinv import (
     ALL_SIDES,
     BcConfig,
     BoundaryTrace,
+    RefinedTrace,
     RegularizationParams,
     Role,
     SourceSpec,
@@ -18,10 +19,12 @@ from waveinv import (
     extract_trace,
     forward_defect,
     gradient_sweep,
+    refine,
     region_mask,
     solve_forward,
     trace_dot,
     trace_norm_sq,
+    transfer_to_refined,
 )
 from waveinv.forward import (
     WINDOW, BcKind, Leapfrog, PaddedLevel, SideProgram, forward_operator, leapfrog_levels,
@@ -364,6 +367,24 @@ def test_multiplier_is_bitwise_the_adjoint_of_the_formed_residual(levels, sides)
     streamed = np.stack([lam.nodes.copy() for lam in sol.multiplier(obs)][::-1])
     assert streamed.any()
     assert np.array_equal(streamed, by_hand) and np.array_equal(streamed, whole)
+
+
+@pytest.mark.parametrize("sides", [ALL_SIDES, (Side.LEFT, Side.TOP)])
+def test_multiplier_of_refined_observations_is_bitwise_that_of_the_stored_ones(sides):
+    # the window forms a RefinedTrace's rows straight into its buffer, the
+    # stored trace's are copied there: the stream is the same, bit for bit,
+    # over several windows of a two-stage refinement
+    coarse = grid_of_levels(WINDOW + 3, 8)
+    fine = refine(refine(coarse))
+    assert fine.nt + 1 > 3 * WINDOW
+    tr = smooth_random_trace(coarse, np.random.default_rng(8), sides)
+    lazy = RefinedTrace(RefinedTrace(tr, refine(coarse)), fine)
+    stored = transfer_to_refined(transfer_to_refined(tr, refine(coarse)), fine)
+    eps, sig = truth_pair(fine)
+    sol = solve_forward(fine, eps, sig, SourceSpec(), BcConfig())
+    streams = [np.stack([lam.nodes.copy() for lam in leapfrog_levels(sol.op.adjoint(sol.trace, obs))])
+               for obs in (lazy, stored)]
+    assert streams[0].any() and np.array_equal(*streams)
 
 
 def test_a_dropped_multiplier_stream_frees_its_operator_and_solve(small_grid):

@@ -9,6 +9,7 @@ from waveinv import (
     BcConfig,
     BoundaryTrace,
     CoefficientField,
+    RefinedTrace,
     Role,
     Side,
     SourceSpec,
@@ -26,6 +27,7 @@ from waveinv import (
 from waveinv.fields import BLOCK
 from waveinv.forward import PaddedLevel, trace_of_levels
 from waveinv.grid import perimeter_offsets
+from waveinv.objective import misfit
 from conftest import (
     grid_of_levels, smooth_random_trace, stored_adjoint, stored_state, truth_pair, zero_trace,
 )
@@ -331,6 +333,92 @@ class TestTransfer:
         other = build_grid(24, 24)
         with pytest.raises(ValueError):
             transfer_to_refined(constant_coefficient(g, 1.0, Role.EPSILON), other)
+
+
+class TestRefinedTrace:
+    """A RefinedTrace forms the rows of the trace that transfer_to_refined
+    stores, bitwise, a block at a time, and holds only its time index and
+    weights."""
+
+    @staticmethod
+    def chain(levels, sides, stages):
+        """A stored trace on a 12² grid of the given levels, the lazy
+        refinement of it over the stages and the stored one."""
+        tr = smooth_random_trace(grid_of_levels(levels, 12), np.random.default_rng(levels), sides)
+        lazy = stored = tr
+        for _ in range(stages):
+            fine = refine(stored.grid)
+            lazy, stored = RefinedTrace(lazy, fine), transfer_to_refined(stored, fine)
+        return lazy, stored
+
+    # 76 fine levels one stage up, 150 two stages up: ranges within a block,
+    # on its edges, across them, the whole trace and past its end, clipped
+    @pytest.mark.parametrize("stages", [1, 2])
+    @pytest.mark.parametrize("sides", [ALL_SIDES, *((side,) for side in Side),
+                                       (Side.LEFT, Side.TOP)])
+    def test_rows_are_bitwise_the_transferred_trace(self, stages, sides):
+        lazy, stored = self.chain(39, sides, stages)
+        n = stored.grid.nt + 1
+        assert n > BLOCK + 2 and lazy.sides == stored.sides and lazy.grid == stored.grid
+        ranges = [(0, BLOCK), (BLOCK, 2 * BLOCK), (3, 5), (BLOCK - 1, BLOCK + 1),
+                  (BLOCK - 7, BLOCK + 9), (0, n), (n - 5, n + BLOCK), (n - 1, n), (2, 2)]
+        for a, b in ranges:
+            expect = stored.values[a:b]
+            assert np.array_equal(lazy.rows(a, b), expect)
+            # into a window's reversed rows, as the adjoint's data are formed
+            window = np.full((len(expect), lazy.width), np.nan)
+            lazy.rows(a, b, out=window[::-1])
+            assert np.array_equal(window[::-1], expect)
+            assert np.array_equal(stored.rows(a, b), expect)
+
+    def test_building_allocates_only_its_index_arrays(self):
+        # the chain of run_acga from 50² to 200² at the test2 time axis: the
+        # 200² trace it stands for would be 4.4 MB; each stage keeps its time
+        # index k and the weights 1 - w and w, and building one makes a few
+        # time-axis temporaries (29 KB kept and 36 KB peak measured)
+        g = build_grid(50, 50, T=1.2, cfl_safety=0.5)
+        fine, finest = refine(g), refine(refine(g))
+        tr = smooth_random_trace(g, np.random.default_rng(5))
+        RefinedTrace(RefinedTrace(tr, fine), finest)  # warm: no first-call import is counted
+        tracemalloc.start()
+        try:
+            lazy = RefinedTrace(RefinedTrace(tr, fine), finest)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tables = 3 * 8 * (fine.nt + 1 + finest.nt + 1)
+        temporaries = 3 * 8 * (finest.nt + 1)
+        objects = 8192  # the stage, slice and view objects, which do not grow with the grid
+        assert (finest.nt + 1) * lazy.width * 8 > 50 * (tables + temporaries + objects)
+        assert kept <= tables + objects
+        assert peak <= tables + temporaries + objects
+
+    def test_a_misfit_pass_allocates_at_most_a_few_blocks(self):
+        # the residual and the squares go through two buffers of BLOCK rows;
+        # a block of fine rows is formed in the first of them from half a
+        # block of coarse rows and their time interpolation, in turn formed
+        # from the coarser stage: 3.3 blocks measured, where the stored 200²
+        # trace is ten
+        g = build_grid(50, 50, T=1.2, cfl_safety=0.5)
+        finest = refine(refine(g))
+        rng = np.random.default_rng(6)
+        tr, sim = smooth_random_trace(g, rng), smooth_random_trace(finest, rng)
+        lazy, warm = (RefinedTrace(RefinedTrace(tr, refine(g)), finest) for _ in range(2))
+        misfit(sim, warm, errors=True)  # warm, on another instance: lazy is first read below
+        tracemalloc.start()
+        try:
+            misfit(sim, lazy, errors=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = BLOCK * lazy.width * 8
+        assert (finest.nt + 1) * lazy.width * 8 > 10 * block
+        assert peak <= 4 * block
+
+    def test_non_nested_source_rejected(self):
+        g = build_grid(16, 16)
+        with pytest.raises(ValueError):
+            RefinedTrace(zero_trace(g), build_grid(24, 24))
 
 
 class TestAdmissibleSet:

@@ -8,6 +8,7 @@ from waveinv import (
     BcConfig,
     BcKind,
     BoundaryTrace,
+    RefinedTrace,
     RegularizationParams,
     Role,
     Side,
@@ -17,13 +18,15 @@ from waveinv import (
     extract_trace,
     forward_defect,
     lagrangian,
+    refine,
     solve_forward,
     tikhonov,
     trace_norm_sq,
+    transfer_to_refined,
 )
 from waveinv import objective
 from waveinv.grid import area_weights
-from waveinv.objective import BLOCK, data_errors, relative_errors
+from waveinv.objective import BLOCK, data_errors, misfit, relative_errors
 from conftest import (
     decomposition_identity_check, grid_of_levels, smooth_random_coefficient, smooth_random_trace,
     stack_trace, stored_state, truth_pair,
@@ -135,6 +138,23 @@ class TestBlockedSums:
             obs = spoiled
         assert not np.isfinite(tikhonov(sim, obs, eps, sig, reg, 0.3, 0.4))
         assert not np.isfinite(data_errors(sim, obs)).any()
+
+
+@pytest.mark.parametrize("sides", [ALL_SIDES, (Side.LEFT, Side.TOP)])
+def test_misfit_of_refined_observations_is_bitwise_that_of_the_stored_ones(sides):
+    # all four sums, over several blocks of a two-stage refinement
+    coarse = grid_of_levels(BLOCK + 3, 8)
+    fine = refine(refine(coarse))
+    assert fine.nt + 1 > 3 * BLOCK
+    rng = np.random.default_rng(9)
+    tr = smooth_random_trace(coarse, rng, sides)
+    lazy = RefinedTrace(RefinedTrace(tr, refine(coarse)), fine)
+    stored = transfer_to_refined(transfer_to_refined(tr, refine(coarse)), fine)
+    sim = smooth_random_trace(fine, rng)
+    sums = misfit(sim, lazy, errors=True)
+    assert np.isfinite(sums).all() and sums.r_sq > 0.0
+    assert sums == misfit(sim, stored, errors=True)
+    assert misfit(sim, lazy).r_sq == misfit(sim, stored).r_sq == sums.r_sq
 
 
 def test_boundary_time_quadrature_reproduces_measure(small_grid):

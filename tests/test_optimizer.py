@@ -151,6 +151,36 @@ class TestCgStep:
         assert np.array_equal(new.sigma.values, expected.sigma.values)
         assert np.array_equal(new.d_eps.values, expected.d_eps.values)
 
+    def test_misfit_runs_once_per_forward_solve(self, monkeypatch):
+        # a trial's one pass gives F_trial and, when the trial is accepted,
+        # the iterate's F and data errors; rejected trials, the restart along
+        # -g and init_state each run one pass per solve as well
+        calls = {"misfit": 0, "solve_forward": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(optimizer, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(optimizer, name, counted)
+        problem = small_problem()
+        state = cg_step(init_state(problem), problem)
+        uphill = replace(state, d_eps=state.g_eps, d_sigma=state.g_sigma,
+                         alpha_eps=problem.alpha_max, alpha_sigma=problem.alpha_max)
+        assert cg_step(uphill, problem).backtracks > optimizer.MAX_BACKTRACKS
+        run_cga(problem, StoppingTolerances(m_max=3))
+        assert calls["solve_forward"] > optimizer.MAX_BACKTRACKS + 5
+        assert calls["misfit"] == calls["solve_forward"]
+
+    def test_accepted_trial_sums_give_the_iterate_bitwise(self):
+        # F and the data errors of the next iterate come from the trial's
+        # pass: the values of a pass of their own over the accepted solve
+        problem = small_problem()
+        state = cg_step(init_state(problem), problem)
+        E = solve_forward(problem.grid, state.eps, state.sigma, problem.src, problem.bc)
+        sums = optimizer.misfit(E.trace, problem.obs, errors=True)
+        F = optimizer.regularized(sums.r_sq, state.eps, state.sigma, problem.reg,
+                                  state.gamma_eps, state.gamma_sigma)
+        assert (state.F, state.e_E_l2, state.e_E_sup) == (F, *sums.relative())
+
     def test_gamma_schedule_in_log(self):
         problem = small_problem(g0=0.1)
         log = []
@@ -263,6 +293,36 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert alive == [(2, 0)] * 2
+
+
+    def test_refined_levels_hold_one_trace(self, monkeypatch):
+        """Halfway through each backward sweep of run_acga the trace-sized
+        arrays alive are the solve's trace, the perimeter record of its
+        reverse steps, and on level 0 the observations read from file.  On
+        the refined levels the observations are a RefinedTrace of level 0's,
+        formed a block at a time, so the solve's trace is the one left: two
+        were alive there while each level stored its observations."""
+        alive = []
+        levels_backward = ForwardSolution.levels_backward
+
+        def spy(sol):
+            trace_bytes = (sol.grid.nt + 1) * len(ALL_SIDES) * (sol.grid.ny + 1) * 8
+            for n, level in enumerate(levels_backward(sol)):
+                if n == sol.grid.nt // 2:
+                    sizes = [t.size for t in tracemalloc.take_snapshot().traces]
+                    alive.append((sol.grid.nx, sizes.count(trace_bytes)))
+                yield level
+
+        monkeypatch.setattr(ForwardSolution, "levels_backward", spy)
+        tracemalloc.start()
+        try:
+            # nt + 1 > WINDOW on every level, so no window is the size of a trace
+            problem = small_problem(24)
+            result = run_acga(problem, StoppingTolerances(m_max=1), AcgaControls(n_max=2))
+        finally:
+            tracemalloc.stop()
+        assert len(result.levels) == 3
+        assert alive == [(24, 2)] * 2 + [(48, 1)] * 2 + [(96, 1)] * 2
 
 
 def test_no_iterate_field_is_a_trace():
