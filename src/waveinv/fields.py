@@ -8,11 +8,12 @@ threads without locking.
 A boundary trace is one (nt+1, P) array over its sides, whose columns are
 the perimeter layout of grid.perimeter_offsets: the sides in side order and
 each side's nodes by index, so a corner appears once per side containing it.
-A RefinedTrace is the same trace on the factor-2 refined grid, formed on
-request a block of rows at a time and never stored; the two share one row
-protocol, rows(a, b), which is how the misfit and the adjoint read
-observations.  A RefinedTrace's scratch is local to each call, so it too can
-be shared across threads.
+A RefinedTrace is a trace on the factor-2 refined grid, formed on request
+a block of rows at a time and never stored: the one way a trace is refined,
+while transfer_to_refined moves coefficient fields.  The two trace kinds
+share one row protocol, rows(a, b), which is how the misfit and the adjoint
+read observations, BLOCK rows at a time.  A RefinedTrace's scratch is local
+to each call, so it too can be shared across threads.
 """
 
 from __future__ import annotations
@@ -136,9 +137,6 @@ class BoundaryTrace:
         out[...] = self.values[a:b]
         return out
 
-    def map(self, fn) -> "BoundaryTrace":
-        return BoundaryTrace(grid=self.grid, sides=self.sides, values=fn(self.values))
-
     def __sub__(self, other: "BoundaryTrace") -> "BoundaryTrace":
         self.check_compatible(other)
         return BoundaryTrace(grid=self.grid, sides=self.sides, values=self.values - other.values)
@@ -246,7 +244,7 @@ def add_noise(
     if not 0.0 <= level < math.inf:
         raise ValueError(f"noise level must be finite and >= 0, got {level!r}")
     if level == 0.0:
-        return trace.map(lambda arr: arr.copy())
+        return BoundaryTrace(grid=trace.grid, sides=trace.sides, values=trace.values.copy())
     scale = level if model is NoiseModel.ADDITIVE_GAUSSIAN else level * trace.max_abs()
     rng = np.random.default_rng(seed)
     noise = np.empty_like(trace.values)
@@ -285,7 +283,7 @@ def _refine_nodal(values: np.ndarray) -> np.ndarray:
     return out
 
 
-BLOCK = 64  # trace rows formed or summed at once, so that no whole-trace temporary is made
+BLOCK = 64  # trace rows formed, summed or windowed at once, so no whole-trace temporary is made
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,8 +297,7 @@ class RefinedTrace:
     a..b-1 from source rows k[a]..k[b-1]+1: linear in time,
     (1 - w) src[k] + w src[k+1] at fine level n, then in space: fine node j
     of a side is the mean of coarse nodes j // 2 and (j + 1) // 2, summed
-    by slices and halved.  transfer_to_refined forms a whole trace by these
-    rows, so a RefinedTrace reads bitwise as the trace it would store."""
+    by slices and halved.  This is the one way a trace is refined."""
 
     source: "BoundaryTrace | RefinedTrace"
     grid: Grid2D
@@ -351,26 +348,12 @@ class RefinedTrace:
         return out
 
 
-def transfer_to_refined(obj, fine_grid: Grid2D):
-    """Move a coefficient field or boundary trace onto the factor-2 refined grid.
-
-    Coefficients are interpolated bilinearly.  Traces are interpolated
-    linearly in time to the fine time step; in space coincident fine nodes
-    take the coarse values and midpoints the average of their neighbours.
-    A trace is stored from the rows of RefinedTrace(obj, fine_grid), formed
-    BLOCK at a time into the result, so beyond it one block of coarse rows
-    is held; where the fine trace is only read by its rows, a RefinedTrace
-    itself stores nothing.
-    """
-    if isinstance(obj, CoefficientField):
-        _check_nested(obj.grid, fine_grid)
-        return CoefficientField(
-            grid=fine_grid, values=_refine_nodal(obj.values), role=obj.role
-        )
-    if isinstance(obj, BoundaryTrace):
-        refined = RefinedTrace(obj, fine_grid)
-        out = np.empty((fine_grid.nt + 1, refined.width))
-        for a in range(0, len(out), BLOCK):
-            refined.rows(a, a + BLOCK, out=out[a:a + BLOCK])
-        return BoundaryTrace(grid=fine_grid, sides=obj.sides, values=out)
-    raise TypeError(f"cannot transfer object of type {type(obj).__name__}")
+def transfer_to_refined(obj: CoefficientField, fine_grid: Grid2D) -> CoefficientField:
+    """Interpolate a coefficient field bilinearly onto the factor-2 refined
+    grid.  A trace is refined by RefinedTrace(trace, fine_grid), a block of
+    rows at a time, and raises TypeError here."""
+    if not isinstance(obj, CoefficientField):
+        raise TypeError(f"cannot transfer object of type {type(obj).__name__}; "
+                        "a boundary trace is refined by RefinedTrace")
+    _check_nested(obj.grid, fine_grid)
+    return CoefficientField(grid=fine_grid, values=_refine_nodal(obj.values), role=obj.role)

@@ -53,9 +53,9 @@ perimeter from the trace (the boundary saving of reverse-time migration:
 Symes 2007; re-anchored in damped media, Yang et al. 2016), with no
 snapshot stack; multiplier(obs) streams lam^nt..lam^0, the adjoint that
 the solve's own residual drives, formed from its trace and obs a window of
-levels at a time (ResidualWindow).  obs is read by its rows, so refined
-observations (a fields.RefinedTrace) are formed straight into the window
-and the sweep holds one trace, the solve's.
+fields.BLOCK levels at a time, the misfit's block (ResidualWindow).  obs is
+read by its rows, so refined observations (a fields.RefinedTrace) are
+formed straight into the window and the sweep holds one trace, the solve's.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .grid import ALL_SIDES, Grid2D, Side, perimeter_nodes, perimeter_offsets
-from .fields import BoundaryTrace, CoefficientField, RefinedTrace, trace_columns
+from .fields import BLOCK, BoundaryTrace, CoefficientField, RefinedTrace, trace_columns
 
 
 class StabilityError(RuntimeError):
@@ -167,19 +167,16 @@ class SideProgram:
     window: ResidualWindow | None = None
 
 
-WINDOW = 64  # adjoint levels whose boundary data are formed at once
-
-
 class ResidualWindow:
     """The adjoint's observed-side ghost terms 2 h g, g = -(trace - obs)(T - s),
-    WINDOW adjoint levels s at a time: row s - start of values is
-    -2h (trace[nt - s] - obs[nt - s]) on obs's columns of trace, or
-    -2h trace[nt - s] where obs is None.  obs's rows are formed (a
-    RefinedTrace) or copied straight into the window, reversed, and trace's
-    are subtracted from them: the element operations of the whole residual
-    reversed and scaled, so the multiplier is bitwise the same, while only
-    min(WINDOW, nt + 1) rows are held.  It keeps trace and obs, never an
-    operator, so no operator is kept alive by a cycle."""
+    fields.BLOCK adjoint levels s at a time, the block the misfit sums by:
+    row s - start of values is -2h (trace[nt - s] - obs[nt - s]) on obs's
+    columns of trace, or -2h trace[nt - s] where obs is None.  obs's rows
+    are formed (a RefinedTrace) or copied straight into the window,
+    reversed, and trace's are subtracted from them: the element operations
+    of the whole residual reversed and scaled, so the multiplier is bitwise
+    the same, while only min(BLOCK, nt + 1) rows are held.  It keeps trace
+    and obs, never an operator, so no operator is kept alive by a cycle."""
 
     def __init__(self, trace: BoundaryTrace, obs: BoundaryTrace | RefinedTrace | None) -> None:
         grid, sides = trace.grid, trace.sides if obs is None else obs.sides
@@ -188,7 +185,7 @@ class ResidualWindow:
         self._nt, self._scale = grid.nt, -2.0 * grid.h
         self.start = self.stop = 0
         start = perimeter_offsets(grid, sides)
-        self.values = np.empty((min(WINDOW, grid.nt + 1), start[-1]))
+        self.values = np.empty((min(BLOCK, grid.nt + 1), start[-1]))
         # each side's series, the view of its columns
         self.series = {side: self.values[:, a:b] for side, a, b in zip(sides, start, start[1:])}
 
@@ -196,9 +193,9 @@ class ResidualWindow:
         """The row of values that holds adjoint level s, formed if it is
         not in the window."""
         if not self.start <= s < self.stop:
-            start = s - s % WINDOW
+            start = s - s % BLOCK
             hi = self._nt + 1 - start  # forward levels hi - 1 down to lo
-            lo = max(hi - WINDOW, 0)
+            lo = max(hi - BLOCK, 0)
             out = self.values[:hi - lo]
             traced = self._trace[lo:hi, self._cols][::-1]
             if self._obs is None:
@@ -604,7 +601,7 @@ class Leapfrog:
         make E^1 != 0 (gradient.py).
 
         No residual trace is formed: the ghost term 2 h g, g = -(trace -
-        obs)(T - s), is formed WINDOW levels at a time into one
+        obs)(T - s), is formed BLOCK levels at a time into one
         ResidualWindow, each observed side's series is the view of its own
         columns of it, and the absorbing flags are reversed views.  Nor is
         a coefficient formed: the adjoint shares this operator's

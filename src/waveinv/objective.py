@@ -7,7 +7,8 @@ its correct perimeter weight) and tensor-trapezoid over the area.  All of
 these reproduce constants exactly.
 
 The misfit is one pass over a simulated trace and the observations, BLOCK
-time levels at a time.  It reads the observations by their rows, so
+time levels at a time, that forms the functional's r^2 and the data
+errors' sums together.  It reads the observations by their rows, so
 observations refined from a coarser grid (fields.RefinedTrace) are formed
 a block at a time and never stored: an iteration on a refined level holds
 one trace, the solve's.
@@ -70,12 +71,12 @@ class RegularizationParams:
 class Misfit(NamedTuple):
     """The sums of one blocked pass over (sim, obs): the quadratures of
     r^2, r = sim - obs, and of sim^2, and max|r| and max|sim|, each on
-    obs's sides; NaN where the pass did not form them."""
+    obs's sides."""
 
     r_sq: float
-    r_sup: float = math.nan
-    sim_sq: float = math.nan
-    sim_sup: float = math.nan
+    r_sup: float
+    sim_sq: float
+    sim_sup: float
 
     def relative(self) -> tuple[float, float]:
         """Relative L2 and supremum misfit of the simulated trace; a zero
@@ -85,11 +86,11 @@ class Misfit(NamedTuple):
         return math.sqrt(self.r_sq) / math.sqrt(self.sim_sq), self.r_sup / self.sim_sup
 
 
-def misfit(sim: BoundaryTrace, obs: BoundaryTrace | RefinedTrace, errors: bool = False) -> Misfit:
-    """The quadrature of (sim - obs)^2 over obs's sides, and with errors the
-    other sums of Misfit, in one pass over BLOCK time levels at a time; sim
-    may hold more sides than obs (a solve's all-sides trace), and a side of
-    obs that sim does not hold raises ValueError.  obs is read by its rows,
+def misfit(sim: BoundaryTrace, obs: BoundaryTrace | RefinedTrace) -> Misfit:
+    """The four sums of Misfit over obs's sides, the quadrature of
+    (sim - obs)^2 among them, in one pass over BLOCK time levels at a time;
+    sim may hold more sides than obs (a solve's all-sides trace), and a side
+    of obs that sim does not hold raises ValueError.  obs is read by its rows,
     so a RefinedTrace is formed a block at a time, and the residual and the
     squares are formed in two block buffers that the pass reuses.  The sups
     are taken with np.maximum, so a NaN in any block reaches them."""
@@ -104,11 +105,8 @@ def misfit(sim: BoundaryTrace, obs: BoundaryTrace | RefinedTrace, errors: bool =
         r, tmp = r_block[:len(w)], tmp_block[:len(w)]
         np.subtract(s, obs.rows(a, a + BLOCK, out=r), out=r)
         sq[0] += w @ np.multiply(r, r, out=tmp) @ wp
-        if errors:
-            sq[1] += w @ np.multiply(s, s, out=tmp) @ wp
-            np.maximum(sup, (np.abs(r, out=tmp).max(), np.abs(s, out=tmp).max()), out=sup)
-    if not errors:
-        return Misfit(float(sq[0]))
+        sq[1] += w @ np.multiply(s, s, out=tmp) @ wp
+        np.maximum(sup, (np.abs(r, out=tmp).max(), np.abs(s, out=tmp).max()), out=sup)
     return Misfit(float(sq[0]), float(sup[0]), float(sq[1]), float(sup[1]))
 
 
@@ -215,8 +213,3 @@ def relative_errors(approx: CoefficientField, exact: CoefficientField) -> tuple[
     diff = approx.values - exact.values
     return field_norm(diff, grid) / denom_l2, float(np.abs(diff).max()) / denom_sup
 
-
-def data_errors(sim: BoundaryTrace, obs: BoundaryTrace | RefinedTrace) -> tuple[float, float]:
-    """Relative L2 and supremum misfit of a simulated trace, from one
-    blocked pass."""
-    return misfit(sim, obs, errors=True).relative()

@@ -12,9 +12,9 @@ times, while the functional would increase.  When even the last trial
 increases it, the search restarts once along steepest descent; when that
 fails too, no step is taken and the loop stops at the last accepted
 iterate (line_search_failed).  Each trial makes one blocked pass over its
-trace and the observations, misfit(errors=True): its r^2 gives the
-trial's functional, and the accepted trial's sums give the next iterate's
-F and data errors, so a solve's trace is summed once.  One function turns
+trace and the observations, misfit: its r^2 gives the trial's functional,
+and the accepted trial's sums give the next iterate's F and data errors,
+so a solve's trace is summed once.  One function turns
 the accepted trial into the next CgState: the Tikhonov functional and the
 data errors of its trace, the gradients summed during the backward
 adjoint sweep (the state steps back beside it), the Fletcher-Reeves
@@ -214,8 +214,8 @@ def _iterate(
 ) -> CgState:
     """Iterate m from its forward solve E, at E's eps and sigma: the
     functional and the data errors of E's trace on the observed sides, from
-    sums, misfit(E.trace, problem.obs, errors=True), the gradients summed
-    over E's multiplier (neither the state nor the multiplier is stored),
+    sums, misfit(E.trace, problem.obs), the gradients summed over E's
+    multiplier (neither the state nor the multiplier is stored),
     the direction (steepest descent at the start, Fletcher-Reeves after
     prev, restarting when either ratio exceeds beta_max), the clamped steps
     and the update from prev."""
@@ -258,7 +258,7 @@ def init_state(problem: InverseProblem) -> CgState:
     eps = project(problem.eps_init, problem.adm, problem.mask)
     sigma = project(problem.sigma_init, problem.adm, problem.mask)
     E = solve_forward(problem.grid, eps, sigma, problem.src, problem.bc)
-    return _iterate(problem, 0, E, misfit(E.trace, problem.obs, errors=True))
+    return _iterate(problem, 0, E, misfit(E.trace, problem.obs))
 
 
 def _row(state: CgState, problem: InverseProblem) -> LogRow:
@@ -317,7 +317,7 @@ def cg_step(
             E_new = solve_forward(problem.grid, eps_new, sigma_new, problem.src, problem.bc)
             # the one pass over the trial's trace: the accepted iterate's F
             # and data errors are taken from the same sums
-            sums = misfit(E_new.trace, problem.obs, errors=True)
+            sums = misfit(E_new.trace, problem.obs)
             F_trial = regularized(sums.r_sq, eps_new, sigma_new,
                                   problem.reg, state.gamma_eps, state.gamma_sigma)
             if F_trial <= state.F:

@@ -15,6 +15,7 @@ from waveinv import (
     BcKind,
     BoundaryTrace,
     CoefficientField,
+    RefinedTrace,
     RegularizationParams,
     Role,
     Side,
@@ -31,7 +32,7 @@ from waveinv import (
     trace_norm_sq,
 )
 from waveinv.forward import PaddedLevel, forward_operator, forward_trace, leapfrog_levels
-from waveinv.grid import Grid2D, area_weights, time_weights
+from waveinv.grid import Grid2D, area_weights, perimeter_offsets, time_weights
 
 INCLUSION_CENTER = (0.5, 0.7)
 
@@ -106,6 +107,31 @@ def smooth_random_trace(grid, rng, sides=ALL_SIDES, n_modes=3):
             )
         blocks.append(arr)
     return BoundaryTrace(grid=grid, sides=tuple(sides), values=np.hstack(blocks))
+
+
+def whole_trace_refined(trace, fine):
+    """The refined values of a stored trace formed whole: linear in time over
+    every fine level at once, then each fine node of a side the mean of
+    coarse nodes k // 2 and (k + 1) // 2."""
+    coarse = trace.grid
+    pos = np.minimum(fine.times(), coarse.times()[-1]) / coarse.dt
+    k = np.minimum(pos.astype(int), coarse.nt - 1)
+    w = pos - k
+    in_time = (1.0 - w)[:, None] * trace.values[k, :] + w[:, None] * trace.values[k + 1, :]
+    start_c, start_f = (perimeter_offsets(g, trace.sides) for g in (coarse, fine))
+    cols = []
+    for side, (a, b) in enumerate(zip(start_f, start_f[1:])):
+        node = np.arange(b - a)
+        cols.append((start_c[side] + node // 2, start_c[side] + (node + 1) // 2))
+    lo, hi = (np.concatenate(c) for c in zip(*cols))
+    return 0.5 * (in_time[:, lo] + in_time[:, hi])
+
+
+def stored_refined(source, fine):
+    """The refinement of source onto fine stored as a BoundaryTrace: the
+    rows of RefinedTrace(source, fine), all of them in one call."""
+    values = RefinedTrace(source, fine).rows(0, fine.nt + 1)
+    return BoundaryTrace(grid=fine, sides=source.sides, values=values)
 
 
 def zero_trace(grid, sides=ALL_SIDES):

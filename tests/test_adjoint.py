@@ -24,10 +24,10 @@ from waveinv import (
     solve_forward,
     trace_dot,
     trace_norm_sq,
-    transfer_to_refined,
 )
+from waveinv.fields import BLOCK
 from waveinv.forward import (
-    WINDOW, BcKind, Leapfrog, PaddedLevel, SideProgram, forward_operator, leapfrog_levels,
+    BcKind, Leapfrog, PaddedLevel, SideProgram, forward_operator, leapfrog_levels,
 )
 from waveinv.grid import Side, area_weights, perimeter_offsets
 from conftest import (
@@ -40,8 +40,10 @@ from conftest import (
     spacetime_dot,
     spacetime_norm,
     stored_adjoint,
+    stored_refined,
     stored_state,
     truth_pair,
+    whole_trace_refined,
     zero_trace,
 )
 
@@ -186,7 +188,8 @@ class TestEnergyMonitor:
         res = smooth_random_trace(small_grid, rng)
         op = forward_operator(small_grid, eps, sig, SourceSpec(), BcConfig())
         max_energy1, ratio1 = adjoint_energy(op, res)
-        max_energy2, ratio2 = adjoint_energy(op, res.map(lambda a: 2.0 * a))
+        doubled = BoundaryTrace(grid=res.grid, sides=res.sides, values=2.0 * res.values)
+        max_energy2, ratio2 = adjoint_energy(op, doubled)
         assert max_energy2 == pytest.approx(4.0 * max_energy1, rel=1e-10)
         assert ratio2 == pytest.approx(ratio1, rel=1e-10)
 
@@ -228,11 +231,11 @@ def test_adjoint_copies_the_boundary_data_once(medium_grid):
 
 def test_adjoint_holds_one_window_beyond_its_operator(medium_grid):
     # what a whole sweep allocates beyond the same operator with series-free
-    # programs is one window of the boundary data, WINDOW of its nt+1 levels
+    # programs is one window of the boundary data, BLOCK of its nt+1 levels
     # (the programs' flags are views of the forward operator's); one warm
     # sweep first, so that no lazy import of numpy is counted
     g = medium_grid
-    assert g.nt + 1 > WINDOW
+    assert g.nt + 1 > BLOCK
     eps, sig = truth_pair(g)
     residual = smooth_random_trace(g, np.random.default_rng(4))
     op = forward_operator(g, eps, sig, SourceSpec(), BcConfig())
@@ -253,7 +256,7 @@ def test_adjoint_holds_one_window_beyond_its_operator(medium_grid):
     operator = traced_peak(lambda: Leapfrog(g, eps, sig, {
         side: SideProgram(p.absorbing.copy(), None) for side, p in programs.items()
     }, lag=1))
-    window_bytes = WINDOW * residual.values.shape[1] * 8
+    window_bytes = BLOCK * residual.values.shape[1] * 8
     # one float time axis and one flag per side, per level
     time_and_flags = (g.nt + 1) * (8 + len(ALL_SIDES))
     assert sweep - operator <= window_bytes + time_and_flags
@@ -267,7 +270,7 @@ def test_adjoint_shares_the_coefficients_of_its_operator():
     # and numpy's fixed-size buffers for its strided operands: 2.5 node
     # arrays measured at 128², 5.0 while the start formed each term anew
     g = build_grid(128, 128, T=0.6)
-    assert g.nt + 1 > WINDOW
+    assert g.nt + 1 > BLOCK
     eps, sig = truth_pair(g)
     residual = smooth_random_trace(g, np.random.default_rng(4))
     op = forward_operator(g, eps, sig, SourceSpec(), BcConfig())
@@ -288,7 +291,7 @@ def test_adjoint_shares_the_coefficients_of_its_operator():
         assert getattr(adjoint, run) is getattr(op, run)
     assert not any(np.shares_memory(a.pad, b.pad) for a in adjoint.levels for b in op.levels)
     level_bytes = ((g.nx + 3) * (g.ny + 3) + PaddedLevel.LINE) * 8
-    window_bytes = WINDOW * residual.values.shape[1] * 8
+    window_bytes = BLOCK * residual.values.shape[1] * 8
     time_and_flags = (g.nt + 1) * (8 + len(ALL_SIDES))
     objects = 16384  # the array, view and program objects, which do not grow with the grid
     assert kept <= 3 * level_bytes + window_bytes + time_and_flags + objects
@@ -350,7 +353,7 @@ def whole_trace_adjoint(op, residual):
     return Leapfrog(g, op.eps, op.sigma, programs, lag=1)
 
 
-@pytest.mark.parametrize("levels", [WINDOW - 7, WINDOW, WINDOW + 1, 3 * WINDOW + 5])
+@pytest.mark.parametrize("levels", [BLOCK - 7, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
 @pytest.mark.parametrize("sides", [ALL_SIDES, (Side.LEFT, Side.TOP)])
 def test_multiplier_is_bitwise_the_adjoint_of_the_formed_residual(levels, sides):
     # the multiplier reads trace - obs a window at a time, with the element
@@ -374,12 +377,15 @@ def test_multiplier_of_refined_observations_is_bitwise_that_of_the_stored_ones(s
     # the window forms a RefinedTrace's rows straight into its buffer, the
     # stored trace's are copied there: the stream is the same, bit for bit,
     # over several windows of a two-stage refinement
-    coarse = grid_of_levels(WINDOW + 3, 8)
+    coarse = grid_of_levels(BLOCK + 3, 8)
     fine = refine(refine(coarse))
-    assert fine.nt + 1 > 3 * WINDOW
+    assert fine.nt + 1 > 3 * BLOCK
     tr = smooth_random_trace(coarse, np.random.default_rng(8), sides)
     lazy = RefinedTrace(RefinedTrace(tr, refine(coarse)), fine)
-    stored = transfer_to_refined(transfer_to_refined(tr, refine(coarse)), fine)
+    mid = stored_refined(tr, refine(coarse))
+    stored = stored_refined(mid, fine)
+    assert np.array_equal(mid.values, whole_trace_refined(tr, mid.grid))
+    assert np.array_equal(stored.values, whole_trace_refined(mid, fine))
     eps, sig = truth_pair(fine)
     sol = solve_forward(fine, eps, sig, SourceSpec(), BcConfig())
     streams = [np.stack([lam.nodes.copy() for lam in leapfrog_levels(sol.op.adjoint(sol.trace, obs))])

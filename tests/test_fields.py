@@ -29,7 +29,8 @@ from waveinv.forward import PaddedLevel, trace_of_levels
 from waveinv.grid import perimeter_offsets
 from waveinv.objective import misfit
 from conftest import (
-    grid_of_levels, smooth_random_trace, stored_adjoint, stored_state, truth_pair, zero_trace,
+    grid_of_levels, smooth_random_trace, stored_adjoint, stored_refined, stored_state, truth_pair,
+    whole_trace_refined, zero_trace,
 )
 
 
@@ -271,28 +272,10 @@ class TestTransfer:
         t = g.times()
         values = np.tile(np.sin(omega * t)[:, None], (1, g.ny + 1))
         tr = BoundaryTrace(grid=g, sides=(Side.LEFT,), values=values)
-        out = transfer_to_refined(tr, f)
+        out = stored_refined(tr, f)
         exact = np.sin(omega * f.times())[:, None]
         err = np.abs(out.data[Side.LEFT][:, ::2] - exact).max()
         assert err <= (omega * g.dt) ** 2 / 8.0 * 1.0 + 1e-12
-
-    @staticmethod
-    def whole_trace_refined(trace, fine):
-        """The refined values of a trace formed whole: linear in time over
-        every fine level at once, then each fine node of a side the mean of
-        coarse nodes k // 2 and (k + 1) // 2."""
-        coarse = trace.grid
-        pos = np.minimum(fine.times(), coarse.times()[-1]) / coarse.dt
-        k = np.minimum(pos.astype(int), coarse.nt - 1)
-        w = pos - k
-        in_time = (1.0 - w)[:, None] * trace.values[k, :] + w[:, None] * trace.values[k + 1, :]
-        start_c, start_f = (perimeter_offsets(g, trace.sides) for g in (coarse, fine))
-        cols = []
-        for side, (a, b) in enumerate(zip(start_f, start_f[1:])):
-            node = np.arange(b - a)
-            cols.append((start_c[side] + node // 2, start_c[side] + (node + 1) // 2))
-        lo, hi = (np.concatenate(c) for c in zip(*cols))
-        return 0.5 * (in_time[:, lo] + in_time[:, hi])
 
     # 38, 64, 66 and 196 fine levels: under one block, one block exactly, one
     # level over it and several blocks
@@ -303,30 +286,22 @@ class TestTransfer:
         f = refine(g)
         assert f.nt + 1 == 2 * levels - 2
         tr = smooth_random_trace(g, np.random.default_rng(levels), sides)
-        out = transfer_to_refined(tr, f)
+        out = stored_refined(tr, f)
         assert out.sides == tr.sides and out.values.shape == (f.nt + 1, perimeter_offsets(f, sides)[-1])
-        assert np.array_equal(out.values, self.whole_trace_refined(tr, f))
+        assert np.array_equal(out.values, whole_trace_refined(tr, f))
+        # BLOCK rows at a time, as the misfit and the adjoint's window read them
+        refined = RefinedTrace(tr, f)
+        for a in range(0, f.nt + 1, BLOCK):
+            assert np.array_equal(refined.rows(a, a + BLOCK), out.values[a:a + BLOCK])
 
-    def test_trace_transfer_holds_its_output_and_one_block(self):
-        # the refined trace is formed BLOCK fine levels at a time into its
-        # output: beyond it one block of rows of each trace is alive, and
-        # index tables of the perimeter and the time axis (the whole-trace
-        # form held about three times the output at once)
-        g = build_grid(64, 64, T=1.2)
-        f = refine(g)
-        tr = smooth_random_trace(g, np.random.default_rng(3))
-        transfer_to_refined(tr, f)  # warm: no first-call import is counted
-        tracemalloc.start()
-        try:
-            out = transfer_to_refined(tr, f)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        width_c, width_f = tr.values.shape[1], out.values.shape[1]
-        block = BLOCK * (width_c + width_f) * 8
-        tables = 16 * (width_f + f.nt + 1) * 8
-        assert f.nt + 1 > 4 * BLOCK
-        assert peak <= out.values.nbytes + block + tables
+    def test_a_trace_is_refined_by_refined_trace_alone(self):
+        # transfer_to_refined moves coefficient fields; a stored or a refined
+        # trace passed to it raises, and the message names the one way
+        g = build_grid(8, 8)
+        tr = smooth_random_trace(g, np.random.default_rng(2))
+        for trace in (tr, RefinedTrace(tr, refine(g))):
+            with pytest.raises(TypeError, match="RefinedTrace"):
+                transfer_to_refined(trace, refine(trace.grid))
 
     def test_non_nested_grids_rejected(self):
         g = build_grid(16, 16)
@@ -336,19 +311,21 @@ class TestTransfer:
 
 
 class TestRefinedTrace:
-    """A RefinedTrace forms the rows of the trace that transfer_to_refined
-    stores, bitwise, a block at a time, and holds only its time index and
-    weights."""
+    """A RefinedTrace forms the rows of the whole-trace formula, bitwise, a
+    block at a time, and holds only its time index and weights."""
 
     @staticmethod
     def chain(levels, sides, stages):
         """A stored trace on a 12² grid of the given levels, the lazy
-        refinement of it over the stages and the stored one."""
+        refinement of it over the stages and the stored one, each stage of
+        which holds all rows of a RefinedTrace of the stored stage below,
+        bitwise the whole-trace formula."""
         tr = smooth_random_trace(grid_of_levels(levels, 12), np.random.default_rng(levels), sides)
         lazy = stored = tr
         for _ in range(stages):
             fine = refine(stored.grid)
-            lazy, stored = RefinedTrace(lazy, fine), transfer_to_refined(stored, fine)
+            lazy, below, stored = RefinedTrace(lazy, fine), stored, stored_refined(stored, fine)
+            assert np.array_equal(stored.values, whole_trace_refined(below, fine))
         return lazy, stored
 
     # 76 fine levels one stage up, 150 two stages up: ranges within a block,
@@ -404,10 +381,10 @@ class TestRefinedTrace:
         rng = np.random.default_rng(6)
         tr, sim = smooth_random_trace(g, rng), smooth_random_trace(finest, rng)
         lazy, warm = (RefinedTrace(RefinedTrace(tr, refine(g)), finest) for _ in range(2))
-        misfit(sim, warm, errors=True)  # warm, on another instance: lazy is first read below
+        misfit(sim, warm)  # warm, on another instance: lazy is first read below
         tracemalloc.start()
         try:
-            misfit(sim, lazy, errors=True)
+            misfit(sim, lazy)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

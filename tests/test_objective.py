@@ -22,14 +22,13 @@ from waveinv import (
     solve_forward,
     tikhonov,
     trace_norm_sq,
-    transfer_to_refined,
 )
 from waveinv import objective
 from waveinv.grid import area_weights
-from waveinv.objective import BLOCK, data_errors, misfit, relative_errors
+from waveinv.objective import BLOCK, misfit, relative_errors
 from conftest import (
     decomposition_identity_check, grid_of_levels, smooth_random_coefficient, smooth_random_trace,
-    stack_trace, stored_state, truth_pair,
+    stack_trace, stored_refined, stored_state, truth_pair, whole_trace_refined,
 )
 
 
@@ -120,7 +119,8 @@ class TestBlockedSums:
         for traced in (sim, on_sides):  # all four sides, or obs's alone
             F = tikhonov(traced, obs, eps, sig, reg, 0.3, 0.4)
             assert F == pytest.approx(expect_F, rel=1e-14, abs=0.0)
-            assert data_errors(traced, obs) == pytest.approx(expect_errors, rel=1e-14, abs=0.0)
+            errors = misfit(traced, obs).relative()
+            assert errors == pytest.approx(expect_errors, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["sim", "obs"])
@@ -131,13 +131,13 @@ class TestBlockedSums:
         spoiled = sim if where == "sim" else obs
         values = spoiled.values.copy()
         values[-1, -1] = bad  # the top-right corner, observed on TOP
-        spoiled = spoiled.map(lambda _: values)
+        spoiled = BoundaryTrace(grid=spoiled.grid, sides=spoiled.sides, values=values)
         if where == "sim":
             sim = spoiled
         else:
             obs = spoiled
         assert not np.isfinite(tikhonov(sim, obs, eps, sig, reg, 0.3, 0.4))
-        assert not np.isfinite(data_errors(sim, obs)).any()
+        assert not np.isfinite(misfit(sim, obs).relative()).any()
 
 
 @pytest.mark.parametrize("sides", [ALL_SIDES, (Side.LEFT, Side.TOP)])
@@ -149,12 +149,14 @@ def test_misfit_of_refined_observations_is_bitwise_that_of_the_stored_ones(sides
     rng = np.random.default_rng(9)
     tr = smooth_random_trace(coarse, rng, sides)
     lazy = RefinedTrace(RefinedTrace(tr, refine(coarse)), fine)
-    stored = transfer_to_refined(transfer_to_refined(tr, refine(coarse)), fine)
+    mid = stored_refined(tr, refine(coarse))
+    stored = stored_refined(mid, fine)
+    assert np.array_equal(mid.values, whole_trace_refined(tr, mid.grid))
+    assert np.array_equal(stored.values, whole_trace_refined(mid, fine))
     sim = smooth_random_trace(fine, rng)
-    sums = misfit(sim, lazy, errors=True)
+    sums = misfit(sim, lazy)
     assert np.isfinite(sums).all() and sums.r_sq > 0.0
-    assert sums == misfit(sim, stored, errors=True)
-    assert misfit(sim, lazy).r_sq == misfit(sim, stored).r_sq == sums.r_sq
+    assert sums == misfit(sim, stored)
 
 
 def test_boundary_time_quadrature_reproduces_measure(small_grid):
@@ -310,7 +312,7 @@ def error_metrics(eps_m, sigma_m, eps_true, sigma_true, sim_m, obs):
     """The coefficient and data errors of one iterate, as a log row holds them."""
     names = ("e_eps_l2", "e_eps_sup", "e_sigma_l2", "e_sigma_sup", "e_E_l2", "e_E_sup")
     values = (*relative_errors(eps_m, eps_true), *relative_errors(sigma_m, sigma_true),
-              *data_errors(sim_m, obs))
+              *misfit(sim_m, obs).relative())
     return SimpleNamespace(**dict(zip(names, values)))
 
 

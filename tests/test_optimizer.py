@@ -176,7 +176,7 @@ class TestCgStep:
         problem = small_problem()
         state = cg_step(init_state(problem), problem)
         E = solve_forward(problem.grid, state.eps, state.sigma, problem.src, problem.bc)
-        sums = optimizer.misfit(E.trace, problem.obs, errors=True)
+        sums = optimizer.misfit(E.trace, problem.obs)
         F = optimizer.regularized(sums.r_sq, state.eps, state.sigma, problem.reg,
                                   state.gamma_eps, state.gamma_sigma)
         assert (state.F, state.e_E_l2, state.e_E_sup) == (F, *sums.relative())
@@ -316,7 +316,7 @@ class TestMemory:
         monkeypatch.setattr(ForwardSolution, "levels_backward", spy)
         tracemalloc.start()
         try:
-            # nt + 1 > WINDOW on every level, so no window is the size of a trace
+            # nt + 1 > BLOCK on every level, so no window is the size of a trace
             problem = small_problem(24)
             result = run_acga(problem, StoppingTolerances(m_max=1), AcgaControls(n_max=2))
         finally:
